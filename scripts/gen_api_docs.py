@@ -132,7 +132,7 @@ PUBLIC_API = [
     (
         "Request routing",
         "repro.serving.router",
-        ["ServingRouter", "RoundRobinRouter", "fleet_cache_stats"],
+        ["ServingRouter", "fleet_cache_stats"],
         "Consistent-hash account sharding that keeps each replica's row cache "
         "and window state hot.",
     ),
@@ -228,6 +228,14 @@ PUBLIC_API = [
         "repro.models.distributed",
         ["DistributedGBDT"],
         "PS-side histogram-aggregated GBDT on the KunPeng substrate.",
+    ),
+    (
+        "Compiled forest",
+        "repro.models.tree.forest",
+        ["CompiledForest"],
+        "A fitted GBDT as flat arrays scored level-synchronously — the one "
+        "raw-feature scoring path of serving, staged and distributed "
+        "prediction.",
     ),
     (
         "Distributed representation learning",

@@ -3,7 +3,8 @@
 
 The typed core is ``src/repro/kunpeng`` (the process-parallel PS substrate,
 where a type confusion means corrupted shared-memory blocks) plus
-``serving/router.py`` and ``serving/coalescer.py``.  The static-analysis CI
+``serving/router.py``, ``serving/coalescer.py`` and the compiled GBDT scorer
+``models/tree/forest.py``.  The static-analysis CI
 job installs mypy and runs this script; in environments without mypy (the
 offline reproduction container) it skips with a notice and exit code 0, so
 local tier-1 runs never depend on an uninstallable tool.

@@ -70,6 +70,10 @@ class BaseDetector(ABC):
     #: Human-readable name used in experiment reports (Table 1 rows).
     name: str = "detector"
 
+    #: Training matrix width, for detectors that record it at ``fit``;
+    #: prediction then rejects matrices of any other width.
+    num_features_: Optional[int] = None
+
     def __init__(self) -> None:
         self._fitted = False
 
@@ -111,6 +115,11 @@ class BaseDetector(ABC):
             features = features.reshape(1, -1)
         if features.ndim != 2:
             raise ModelError("features must be a 2-dimensional array")
+        if self.num_features_ is not None and features.shape[1] != self.num_features_:
+            raise ModelError(
+                f"{type(self).__name__} was fitted on {self.num_features_} features, "
+                f"got {features.shape[1]}"
+            )
         return features
 
     def get_params(self) -> Dict[str, object]:

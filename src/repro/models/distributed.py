@@ -24,7 +24,7 @@ machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,14 +33,8 @@ from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
 from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
 from repro.kunpeng.failover import FailureInjector
 from repro.models.base import BaseDetector, validate_training_inputs
-from repro.models.gbdt import BoostedTree, GradientBoostingClassifier
-from repro.models.tree.cart import RegressionTree
-from repro.models.tree.histogram import (
-    HistogramBinner,
-    HistogramTree,
-    build_histograms,
-    realize_split,
-)
+from repro.models.gbdt import GradientBoostingClassifier
+from repro.models.tree.histogram import HistogramTree, build_histograms, realize_split
 from repro.models.tree.node import TreeNode
 from repro.models.tree.splitter import best_histogram_split
 from repro.rng import SeedLike, derive_seed, ensure_rng, spawn_child
@@ -222,7 +216,7 @@ def _estimate_from_rounds(
     )
 
 
-class DistributedGBDT(BaseDetector):
+class DistributedGBDT(GradientBoostingClassifier):
     """GBDT trained on the PS cluster, histogram-aggregated by default.
 
     ``tree_method="hist"``: each worker keeps its binned partition, builds
@@ -234,12 +228,13 @@ class DistributedGBDT(BaseDetector):
 
     ``tree_method="exact"``: the legacy driver — workers push per-row
     gradient/hessian pairs (2 values per row per round) and the driver fits a
-    :class:`RegressionTree` on the gathered statistics.
+    :class:`~repro.models.tree.cart.RegressionTree` on the gathered statistics.
 
-    Tree hyperparameters (``min_samples_leaf``, ``reg_lambda``,
-    ``objective``, ``class_weight``) mirror
-    :class:`~repro.models.gbdt.GradientBoostingClassifier` exactly, so a
-    same-seed single-machine and distributed run grow identical trees.
+    Only those training steps are distributed: the hyperparameters (every
+    keyword of :class:`~repro.models.gbdt.GradientBoostingClassifier` is
+    accepted), the boosting loop, the objective maths and the compiled-forest
+    scoring are inherited, so a same-seed single-machine and distributed run
+    grow identical trees and score them through the same code.
     """
 
     name = "gbdt_distributed"
@@ -252,39 +247,18 @@ class DistributedGBDT(BaseDetector):
         *,
         cluster: Optional[ClusterConfig] = None,
         num_trees: int = 100,
-        max_depth: int = 3,
-        learning_rate: float = 0.1,
-        subsample_rows: float = 0.4,
-        subsample_features: float = 0.4,
-        min_samples_leaf: int = 5,
-        reg_lambda: float = 1.0,
-        objective: str = "logistic",
-        class_weight: Optional[str] = "balanced",
-        tree_method: str = "hist",
-        num_bins: int = 64,
         failure_probability: float = 0.0,
         backend: str = "inline",
         seed: Optional[int] = None,
+        **hyperparameters: Any,
     ) -> None:
-        super().__init__()
+        # Subsampling consumes the inherited ``_rng`` stream in exactly the
+        # same order as the single-machine fit; the failure injector gets an
+        # independently derived stream so injecting failures never shifts the
+        # subsamples.
+        super().__init__(num_trees=num_trees, seed=seed, **hyperparameters)
         self.cluster_config = cluster or ClusterConfig(num_machines=4)
-        self.num_trees = num_trees
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.subsample_rows = subsample_rows
-        self.subsample_features = subsample_features
-        self.min_samples_leaf = min_samples_leaf
-        self.reg_lambda = reg_lambda
-        self.objective = objective
-        self.class_weight = class_weight
-        self.tree_method = tree_method
-        self.num_bins = num_bins
         self.failure_probability = failure_probability
-        self.seed = seed
-        # Subsampling consumes this stream in exactly the same order as the
-        # single-machine fit; the failure injector gets an independently
-        # derived stream so injecting failures never shifts the subsamples.
-        self._rng = ensure_rng(seed)
         self.cluster = KunPengCluster(self.cluster_config, backend=backend)
         self.failure_injector = FailureInjector(
             self.cluster,
@@ -292,118 +266,25 @@ class DistributedGBDT(BaseDetector):
             rng=derive_seed(seed, "distributed-gbdt-failover"),
         )
         self.stats = DistributedTrainingStats()
-        self._trees: List[BoostedTree] = []
-        self._binner: Optional[HistogramBinner] = None
-        self._initial_score: float = 0.0
-        # Reuse the single-machine implementation's hyperparameter validation.
-        GradientBoostingClassifier(
-            num_trees=num_trees,
-            max_depth=max_depth,
-            learning_rate=learning_rate,
-            subsample_rows=subsample_rows,
-            subsample_features=subsample_features,
-            min_samples_leaf=min_samples_leaf,
-            reg_lambda=reg_lambda,
-            objective=objective,  # type: ignore[arg-type]
-            class_weight=class_weight,
-            tree_method=tree_method,  # type: ignore[arg-type]
-            num_bins=num_bins,
-        )
+        self._hist_block_rows: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def fit(self, features: np.ndarray, labels: Optional[np.ndarray] = None) -> "DistributedGBDT":
-        """Train the boosted ensemble over row-partitioned workers on the PS."""
-        features, labels = validate_training_inputs(features, labels)
-        if labels is None:
-            raise ModelError("DistributedGBDT requires labels")
-        num_rows, num_features = features.shape
-        weights = self._sample_weights(labels)
-
-        mean = float(np.average(labels, weights=weights))
-        mean = min(max(mean, 1e-6), 1.0 - 1e-6)
-        if self.objective == "logistic":
-            self._initial_score = float(np.log(mean / (1.0 - mean)))
-        else:
-            self._initial_score = mean
-        scores = np.full(num_rows, self._initial_score)
-
+    def _begin_fit(self, num_rows: int, features_per_tree: int) -> None:
+        """Partition the rows over the workers; host the histogram block."""
         self.cluster.scatter_data(np.arange(num_rows).tolist())
-        rows_per_tree = max(
-            2 * self.min_samples_leaf, int(round(self.subsample_rows * num_rows))
-        )
-        features_per_tree = max(1, int(round(self.subsample_features * num_features)))
-
-        binned: Optional[np.ndarray] = None
         if self.tree_method == "hist":
-            # One binning pass over the training matrix (in production this
-            # is a MaxCompute pre-pass); workers keep only integer bins.
-            self._binner = HistogramBinner(num_bins=self.num_bins).fit(features)
-            binned = self._binner.transform(features)
+            # Workers keep only the integer bins (in production the binning
+            # pass is a MaxCompute pre-pass).
             node_slots = 2 ** max(0, self.max_depth - 1)
-            self.cluster.create_parameter(
-                self.HIST_PARAMETER,
-                np.zeros((node_slots * features_per_tree * self.num_bins, 3)),
-            )
+            block_rows = node_slots * features_per_tree * self.num_bins
+            if block_rows != self._hist_block_rows:
+                # A refit of the same shape reuses the block (every level
+                # resets it); the servers refuse to re-create it otherwise.
+                self.cluster.create_parameter(self.HIST_PARAMETER, np.zeros((block_rows, 3)))
+                self._hist_block_rows = block_rows
 
-        for round_index in range(self.num_trees):
-            self.cluster.begin_round()
-            self.failure_injector.maybe_fail(round_index)
-            gradients, hessians = self._compute_gradients(labels, scores, weights)
-            row_sample = self._rng.choice(
-                num_rows, size=min(rows_per_tree, num_rows), replace=False
-            )
-            feature_sample = self._rng.choice(
-                num_features, size=features_per_tree, replace=False
-            )
-            tree: BoostedTree
-            if binned is not None:
-                tree = self._fit_histogram_tree(
-                    binned, gradients, hessians, row_sample, feature_sample
-                )
-                scores = scores + self.learning_rate * tree.predict_binned(binned)
-            else:
-                tree = RegressionTree(
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    reg_lambda=self.reg_lambda,
-                    feature_indices=feature_sample,
-                )
-                tree.fit(features[row_sample], gradients[row_sample], hessians[row_sample])
-                scores = scores + self.learning_rate * tree.predict(features)
-            self._trees.append(tree)
-            self.stats.rounds += 1
-            # Automatic recovery: dead workers restart (with their partition
-            # re-read) before the next round, per the PS failover story.
-            self.failure_injector.heal()
-            self.cluster.end_round()
-
-        self.stats.worker_failures = self.failure_injector.total_failures
-        self._fitted = True
-        return self
-
-    # ------------------------------------------------------------------
-    def _sample_weights(self, labels: np.ndarray) -> np.ndarray:
-        if self.class_weight != "balanced":
-            return np.ones_like(labels)
-        positives = labels.sum()
-        negatives = labels.shape[0] - positives
-        if positives == 0 or negatives == 0:
-            return np.ones_like(labels)
-        return np.where(labels > 0.5, negatives / positives, 1.0)
-
-    def _gradient_statistics(
-        self, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (negative gradient, hessian) of the boosting objective."""
-        if self.objective == "logistic":
-            probabilities = _sigmoid(scores)
-            grad = weights * (labels - probabilities)
-            hess = np.maximum(weights * probabilities * (1.0 - probabilities), 1e-6)
-            return grad, hess
-        return weights * (labels - scores), weights.copy()
-
-    def _compute_gradients(
-        self, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
+    def _round_gradients(
+        self, round_index: int, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Worker-parallel gradient/hessian computation with failure recovery.
 
@@ -412,6 +293,8 @@ class DistributedGBDT(BaseDetector):
         1) that would fit trees against fabricated statistics; each such
         round is counted in :class:`DistributedTrainingStats`.
         """
+        self.cluster.begin_round()
+        self.failure_injector.maybe_fail(round_index)
         num_rows = scores.shape[0]
         gradients = np.zeros(num_rows)
         hessians = np.ones(num_rows)
@@ -422,7 +305,7 @@ class DistributedGBDT(BaseDetector):
                 continue
 
             def _step(_worker, rows=rows):
-                return self._gradient_statistics(labels[rows], scores[rows], weights[rows])
+                return self._gradients(labels[rows], scores[rows], weights[rows])
 
             grad, hess = worker.run(_step, compute_units=float(rows.size))
             gradients[rows] = grad
@@ -436,15 +319,23 @@ class DistributedGBDT(BaseDetector):
 
         missing = np.nonzero(~covered)[0]
         if missing.size:
-            gradients[missing], hessians[missing] = self._gradient_statistics(
+            gradients[missing], hessians[missing] = self._gradients(
                 labels[missing], scores[missing], weights[missing]
             )
             self.stats.dead_partition_recoveries += 1
             self.stats.driver_recovered_rows += int(missing.size)
         return gradients, hessians
 
+    def _end_round(self) -> None:
+        self.stats.rounds += 1
+        self.stats.worker_failures = self.failure_injector.total_failures
+        # Automatic recovery: dead workers restart (with their partition
+        # re-read) before the next round, per the PS failover story.
+        self.failure_injector.heal()
+        self.cluster.end_round()
+
     # ------------------------------------------------------------------
-    def _fit_histogram_tree(
+    def _grow_histogram_tree(
         self,
         binned: np.ndarray,
         gradients: np.ndarray,
@@ -592,16 +483,6 @@ class DistributedGBDT(BaseDetector):
         return HistogramTree(root, feature_indices=feature_sample)
 
     # ------------------------------------------------------------------
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Fraud probabilities from the trained ensemble (driver-side, exact)."""
-        features = self._check_predict_inputs(features)
-        scores = np.full(features.shape[0], self._initial_score)
-        for tree in self._trees:
-            scores += self.learning_rate * tree.predict(features)
-        if self.objective == "logistic":
-            return _sigmoid(scores)
-        return np.clip(scores, 0.0, 1.0)
-
     def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
         """Analytic wall-clock estimate fed by the measured per-round volumes."""
         return _estimate_from_rounds(self.cluster, self.stats, self.cluster_config, cost_model)

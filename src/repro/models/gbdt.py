@@ -16,21 +16,22 @@ evaluation layer treats GBDT exactly like every other detector.
 
 from __future__ import annotations
 
-from typing import List, Literal, Optional, Union
+from typing import Iterator, List, Literal, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ModelError
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.cart import RegressionTree
+from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import HistogramBinner, HistogramTree, HistogramTreeBuilder
 from repro.rng import SeedLike, ensure_rng
 
 Objective = Literal["logistic", "squared"]
 TreeMethod = Literal["hist", "exact"]
 
-#: Weak learners produced by the two tree methods; both expose ``predict``
-#: (raw features) and ``tree_`` (the underlying :class:`TreeNode`).
+#: Weak learners produced by the two tree methods; both expose ``tree_`` (the
+#: :class:`TreeNode` root that ``fit`` compiles into the scoring forest).
 BoostedTree = Union[RegressionTree, HistogramTree]
 
 
@@ -120,6 +121,7 @@ class GradientBoostingClassifier(BaseDetector):
         self.seed = seed
         self._rng = ensure_rng(seed)
         self._trees: List[BoostedTree] = []
+        self._forest: Optional[CompiledForest] = None
         self._binner: Optional[HistogramBinner] = None
         self._initial_score: float = 0.0
         self.train_loss_: List[float] = []
@@ -128,7 +130,7 @@ class GradientBoostingClassifier(BaseDetector):
     def fit(self, features: np.ndarray, labels: Optional[np.ndarray] = None) -> "GradientBoostingClassifier":
         features, labels = validate_training_inputs(features, labels)
         if labels is None:
-            raise ModelError("GradientBoostingClassifier is supervised and requires labels")
+            raise ModelError(f"{type(self).__name__} is supervised and requires labels")
         weights = self._sample_weights(labels)
 
         self._initial_score = self._initial_prediction(labels, weights)
@@ -146,82 +148,102 @@ class GradientBoostingClassifier(BaseDetector):
             # the compact integer matrix.
             self._binner = HistogramBinner(num_bins=self.num_bins).fit(features)
             binned = self._binner.transform(features)
+        self._begin_fit(num_rows, features_per_tree)
 
-        for _ in range(self.num_trees):
-            gradients, hessians = self._gradients(labels, scores, weights)
+        for round_index in range(self.num_trees):
+            gradients, hessians = self._round_gradients(round_index, labels, scores, weights)
             row_indices = self._rng.choice(num_rows, size=min(rows_per_tree, num_rows), replace=False)
             feature_indices = self._rng.choice(
                 num_features, size=features_per_tree, replace=False
             )
             tree: BoostedTree
             if binned is not None:
-                assert self._binner is not None
-                builder = HistogramTreeBuilder(
-                    self._binner,
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    reg_lambda=self.reg_lambda,
-                    feature_indices=feature_indices,
-                )
-                tree = builder.build(
-                    binned[row_indices], gradients[row_indices], hessians[row_indices]
+                tree = self._grow_histogram_tree(
+                    binned, gradients, hessians, row_indices, feature_indices
                 )
                 update = tree.predict_binned(binned)
             else:
-                tree = RegressionTree(
+                exact = RegressionTree(
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                     reg_lambda=self.reg_lambda,
                     feature_indices=feature_indices,
-                )
-                tree.fit(
-                    features[row_indices],
-                    gradients[row_indices],
-                    hessians[row_indices],
-                )
-                update = tree.predict(features)
+                ).fit(features[row_indices], gradients[row_indices], hessians[row_indices])
+                tree, update = exact, exact.predict(features)
             scores += self.learning_rate * update
             self._trees.append(tree)
             self.train_loss_.append(self._loss(labels, scores, weights))
+            self._end_round()
 
+        # Every fit recompiles: nothing of an earlier forest survives a refit.
+        self._forest = CompiledForest(
+            [tree.tree_ for tree in self._trees],
+            learning_rate=self.learning_rate,
+            initial_score=self._initial_score,
+        )
+        self.num_features_ = num_features
         self._fitted = True
         return self
 
+    # The steps of the loop that DistributedGBDT moves onto the PS cluster.
+    def _begin_fit(self, num_rows: int, features_per_tree: int) -> None:
+        pass
+
+    def _round_gradients(
+        self, round_index: int, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return self._gradients(labels, scores, weights)
+
+    def _grow_histogram_tree(
+        self,
+        binned: np.ndarray,
+        gradients: np.ndarray,
+        hessians: np.ndarray,
+        row_indices: np.ndarray,
+        feature_indices: np.ndarray,
+    ) -> HistogramTree:
+        assert self._binner is not None
+        builder = HistogramTreeBuilder(
+            self._binner,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            reg_lambda=self.reg_lambda,
+            feature_indices=feature_indices,
+        )
+        return builder.build(binned[row_indices], gradients[row_indices], hessians[row_indices])
+
+    def _end_round(self) -> None:
+        pass
+
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        # decision_function validates the inputs; validating here too would
-        # coerce and shape-check the matrix twice per call.
-        scores = self.decision_function(features)
-        if self.objective == "logistic":
-            return _sigmoid(scores)
-        return np.clip(scores, 0.0, 1.0)
+        return self._probabilities(self.decision_function(features))
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Raw additive score before the probability mapping."""
         features = self._check_predict_inputs(features)
-        return self._accumulate_scores(features)
+        assert self._forest is not None
+        return self._forest.decision_function(features)
 
-    def _accumulate_scores(self, features: np.ndarray) -> np.ndarray:
-        """Sum the ensemble over an already-validated feature matrix."""
-        scores = np.full(features.shape[0], self._initial_score)
-        for tree in self._trees:
-            scores += self.learning_rate * tree.predict(features)
-        return scores
-
-    def staged_predict_proba(self, features: np.ndarray, *, every: int = 1):
+    def staged_predict_proba(
+        self, features: np.ndarray, *, every: int = 1
+    ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield (num_trees_used, probabilities) as trees are added.
 
         Used by the Figure 12 benchmark to evaluate 100/200/400/800 trees from
         a single fitted 800-tree model instead of refitting four times.
         """
         features = self._check_predict_inputs(features)
-        scores = np.full(features.shape[0], self._initial_score)
-        for index, tree in enumerate(self._trees, start=1):
-            scores += self.learning_rate * tree.predict(features)
-            if index % every == 0 or index == len(self._trees):
-                if self.objective == "logistic":
-                    yield index, _sigmoid(scores)
-                else:
-                    yield index, np.clip(scores, 0.0, 1.0)
+        assert self._forest is not None
+        total = len(self._trees)
+        counts = [used for used in range(1, total + 1) if used % every == 0 or used == total]
+        staged = self._forest.scores_after(features, counts)
+        for column, used in enumerate(counts):
+            yield used, self._probabilities(staged[:, column])
+
+    def _probabilities(self, scores: np.ndarray) -> np.ndarray:
+        if self.objective == "logistic":
+            return _sigmoid(scores)
+        return np.clip(scores, 0.0, 1.0)
 
     @property
     def num_fitted_trees(self) -> int:
@@ -230,17 +252,8 @@ class GradientBoostingClassifier(BaseDetector):
     def feature_importances(self, num_features: int) -> np.ndarray:
         """Split-count feature importances (normalised to sum to 1)."""
         self._check_fitted()
-        counts = np.zeros(num_features)
-
-        def _walk(node) -> None:
-            if node.is_leaf:
-                return
-            counts[node.feature_index] += 1.0
-            for child in node.iter_children():
-                _walk(child)
-
-        for tree in self._trees:
-            _walk(tree.tree_)
+        assert self._forest is not None
+        counts = self._forest.split_counts(num_features).astype(np.float64)
         total = counts.sum()
         return counts / total if total > 0 else counts
 

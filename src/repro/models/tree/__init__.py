@@ -11,7 +11,9 @@ regression trees:
   threshold splits on continuous attributes, pessimistic pruning),
 * :mod:`repro.models.tree.cart` — regression trees used as GBDT weak learners,
 * :mod:`repro.models.tree.histogram` — quantile binning and histogram-based
-  tree growth (GBDT's ``tree_method="hist"`` fast path).
+  tree growth (GBDT's ``tree_method="hist"`` fast path),
+* :mod:`repro.models.tree.forest` — fitted trees compiled into flat arrays,
+  the only raw-feature scorer of a boosted ensemble.
 """
 
 from repro.models.tree.node import TreeNode

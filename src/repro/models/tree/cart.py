@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ModelError, NotFittedError
+from repro.models.tree.forest import CompiledForest
 from repro.models.tree.node import TreeNode
 from repro.models.tree.splitter import best_regression_split
 
@@ -52,6 +53,7 @@ class RegressionTree:
         self.reg_lambda = reg_lambda
         self.feature_indices = feature_indices
         self._root: Optional[TreeNode] = None
+        self._forest: Optional[CompiledForest] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -74,15 +76,16 @@ class RegressionTree:
             if hessians.shape[0] != features.shape[0]:
                 raise ModelError("hessians length does not match the number of rows")
         self._root = self._build(features, gradients, hessians, depth=0)
+        self._forest = CompiledForest([self._root])
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self._forest is None:
             raise NotFittedError("RegressionTree must be fitted before prediction")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features.reshape(1, -1)
-        return self._root.predict(features)
+        return self._forest.decision_function(features)
 
     @property
     def tree_(self) -> TreeNode:

@@ -19,10 +19,10 @@ how many rows it holds, the distributed driver can aggregate worker-local
 histograms through the parameter servers with communication volume
 independent of the row count — see :class:`repro.models.distributed.DistributedGBDT`.
 
-The produced trees carry both a raw-feature ``threshold`` (so serving-time
-prediction sees ordinary :class:`~repro.models.tree.node.TreeNode` trees) and
-the originating ``bin_threshold`` (so the boosting loop can route pre-binned
-rows without touching floats).
+The produced trees carry both a raw-feature ``threshold`` (what
+:class:`~repro.models.tree.forest.CompiledForest` compiles for serving-time
+scoring) and the originating ``bin_threshold`` (so the boosting loop can
+route pre-binned rows without touching floats).
 """
 
 from __future__ import annotations
@@ -166,23 +166,20 @@ def build_histograms(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised traversal
+# Binned traversal (the boosting loop's per-tree update)
 # ---------------------------------------------------------------------------
 
 
 def _fill_predictions(
-    node: TreeNode, matrix: np.ndarray, indices: np.ndarray, out: np.ndarray, *, binned: bool
+    node: TreeNode, binned: np.ndarray, indices: np.ndarray, out: np.ndarray
 ) -> None:
     if node.is_leaf:
         out[indices] = node.value
         return
     assert node.left is not None and node.right is not None
-    if binned:
-        goes_left = matrix[indices, node.feature_index] <= node.bin_threshold
-    else:
-        goes_left = matrix[indices, node.feature_index] <= node.threshold
-    _fill_predictions(node.left, matrix, indices[goes_left], out, binned=binned)
-    _fill_predictions(node.right, matrix, indices[~goes_left], out, binned=binned)
+    goes_left = binned[indices, node.feature_index] <= node.bin_threshold
+    _fill_predictions(node.left, binned, indices[goes_left], out)
+    _fill_predictions(node.right, binned, indices[~goes_left], out)
 
 
 @dataclass
@@ -232,7 +229,7 @@ def realize_split(
 
 
 class HistogramTree:
-    """A fitted histogram tree: raw-feature and binned-matrix prediction."""
+    """A fitted histogram tree; raw features are scored by the compiled forest."""
 
     def __init__(self, root: TreeNode, *, feature_indices: Optional[np.ndarray] = None):
         self._root = root
@@ -242,22 +239,11 @@ class HistogramTree:
     def tree_(self) -> TreeNode:
         return self._root
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Leaf values for raw (float) feature rows, vectorised."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        out = np.empty(features.shape[0], dtype=np.float64)
-        _fill_predictions(
-            self._root, features, np.arange(features.shape[0]), out, binned=False
-        )
-        return out
-
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
         """Leaf values for pre-binned rows — the boosting-loop hot path."""
         binned = np.asarray(binned)
         out = np.empty(binned.shape[0], dtype=np.float64)
-        _fill_predictions(self._root, binned, np.arange(binned.shape[0]), out, binned=True)
+        _fill_predictions(self._root, binned, np.arange(binned.shape[0]), out)
         return out
 
 

@@ -28,7 +28,7 @@ from repro.serving.model_server import (
     ShadowReport,
     TransactionRequest,
 )
-from repro.serving.router import RoundRobinRouter, ServingRouter, fleet_cache_stats
+from repro.serving.router import ServingRouter, fleet_cache_stats
 from repro.serving.coalescer import CoalescerConfig, RequestCoalescer
 from repro.serving.admission import (
     AdmissionConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "ServingModel",
     "ShadowReport",
     "TransactionRequest",
-    "RoundRobinRouter",
     "ServingRouter",
     "fleet_cache_stats",
     "CoalescerConfig",

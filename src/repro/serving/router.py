@@ -34,22 +34,6 @@ def _stable_hash(key: str) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-class RoundRobinRouter:
-    """Stateless rotation over the fleet — the pre-sharding baseline policy."""
-
-    def __init__(self, num_replicas: int) -> None:
-        if num_replicas < 1:
-            raise ServingError("a router needs at least one replica")
-        self.num_replicas = num_replicas
-        self._next = 0
-
-    def route(self, account_id: str) -> int:
-        """Next replica in rotation (the account id is ignored)."""
-        replica = self._next % self.num_replicas
-        self._next += 1
-        return replica
-
-
 class ServingRouter:
     """Consistent-hash router sharding requests by account id.
 

@@ -1,0 +1,227 @@
+"""The compiled forest against a brute-force oracle, bit for bit.
+
+The oracle is the arithmetic the ensemble used before it was compiled: route
+every row through every tree with :meth:`TreeNode.predict_row` and add
+``learning_rate * leaf`` tree by tree, in order.  Every comparison here is
+``==`` on float64, never ``allclose``.
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import List
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import ModelError
+from repro.kunpeng.cluster import ClusterConfig
+from repro.models.distributed import DistributedGBDT
+from repro.models.gbdt import GradientBoostingClassifier
+from repro.models.tree import forest as forest_module
+from repro.models.tree.forest import CompiledForest
+from repro.models.tree.node import TreeNode
+
+WIDTH = 5
+#: Few enough distinct thresholds that inputs land exactly on them.
+THRESHOLDS = np.array([-1.5, -0.25, 0.0, 0.5, 2.0])
+SPECIALS = np.array([np.nan, np.inf, -np.inf])
+
+
+def oracle_scores(
+    roots: List[TreeNode], features: np.ndarray, learning_rate: float, initial_score: float
+) -> np.ndarray:
+    scores = np.full(features.shape[0], initial_score)
+    for root in roots:
+        scores += learning_rate * np.array([root.predict_row(row) for row in features])
+    return scores
+
+
+def random_tree(rng: np.random.Generator, max_depth: int, leaf_probability: float) -> TreeNode:
+    value = float(rng.normal())
+    if max_depth == 0 or rng.random() < leaf_probability:
+        return TreeNode(is_leaf=True, value=value)
+    return TreeNode(
+        is_leaf=False,
+        value=value,
+        feature_index=int(rng.integers(WIDTH)),
+        threshold=float(rng.choice(THRESHOLDS)),
+        left=random_tree(rng, max_depth - 1, leaf_probability),
+        right=random_tree(rng, max_depth - 1, leaf_probability),
+    )
+
+
+def random_matrix(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Ordinary values, exact thresholds, NaN and +-inf mixed cell by cell."""
+    kind = rng.integers(4, size=(rows, WIDTH))
+    matrix = rng.normal(scale=2.0, size=(rows, WIDTH))
+    on_threshold = rng.choice(THRESHOLDS, size=(rows, WIDTH))
+    special = rng.choice(SPECIALS, size=(rows, WIDTH))
+    return np.where(kind == 0, special, np.where(kind == 1, on_threshold, matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_trees=st.integers(1, 12),
+    max_depth=st.integers(0, 4),
+    leaf_probability=st.sampled_from([0.0, 0.3, 0.8]),
+    rows=st.sampled_from([0, 1, 2, 7, 33]),
+    block_cells=st.sampled_from([1, 24, 1 << 14]),
+)
+def test_compiled_scores_equal_oracle(
+    seed, num_trees, max_depth, leaf_probability, rows, block_cells
+):
+    """Stumps, bare leaves, ragged depths, special values, any block size."""
+    rng = np.random.default_rng(seed)
+    roots = [random_tree(rng, max_depth, leaf_probability) for _ in range(num_trees)]
+    features = random_matrix(rng, rows)
+    learning_rate, initial_score = float(rng.uniform(0.01, 1.0)), float(rng.normal())
+    compiled = CompiledForest(roots, learning_rate=learning_rate, initial_score=initial_score)
+    assert compiled.depth == max(root.depth() for root in roots)
+    saved = forest_module._BLOCK_CELLS
+    forest_module._BLOCK_CELLS = block_cells
+    try:
+        scores = compiled.decision_function(features)
+        staged = compiled.scores_after(features, list(range(num_trees + 1)))
+    finally:
+        forest_module._BLOCK_CELLS = saved
+    assert np.array_equal(scores, oracle_scores(roots, features, learning_rate, initial_score))
+    for used in range(num_trees + 1):
+        expected = oracle_scores(roots[:used], features, learning_rate, initial_score)
+        assert np.array_equal(staged[:, used], expected)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_400_trees_straddling_the_row_block(offset):
+    """Sequential summation holds at the paper's 400 trees, where pairwise
+    ``np.sum`` would differ in the last ulp, across the real block boundary."""
+    rng = np.random.default_rng(400)
+    roots = [random_tree(rng, 3, 0.2) for _ in range(400)]
+    block = forest_module._BLOCK_CELLS // 400
+    features = random_matrix(rng, 2 * block + offset)
+    compiled = CompiledForest(roots, learning_rate=0.1, initial_score=-2.0)
+    assert np.array_equal(
+        compiled.decision_function(features), oracle_scores(roots, features, 0.1, -2.0)
+    )
+
+
+def test_shallow_leaf_is_replicated_so_nan_reaches_it():
+    """A depth-1 tree in a depth-2 forest: NaN fails ``x <= t`` at the padding
+    slot and goes right, and must still read the shallow leaf's value."""
+    stump = TreeNode(
+        is_leaf=False, feature_index=0, threshold=0.0,
+        left=TreeNode(value=-1.0), right=TreeNode(value=1.0),
+    )
+    deep = TreeNode(
+        is_leaf=False, feature_index=1, threshold=0.0,
+        left=TreeNode(is_leaf=False, feature_index=0, threshold=5.0,
+                      left=TreeNode(value=10.0), right=TreeNode(value=20.0)),
+        right=TreeNode(value=30.0),
+    )
+    compiled = CompiledForest([stump, deep])
+    assert compiled.depth == 2
+    features = np.array([[np.nan, np.nan], [-1.0, np.nan], [0.0, 0.0], [np.inf, -np.inf]])
+    assert compiled.decision_function(features).tolist() == [31.0, 29.0, 9.0, 21.0]
+    assert compiled.split_counts(3).tolist() == [2, 1, 0]
+
+
+def test_categorical_and_empty_forests_are_rejected():
+    categorical = TreeNode(is_leaf=False, feature_index=0, children={1.0: TreeNode(value=1.0)})
+    with pytest.raises(ModelError):
+        CompiledForest([categorical])
+    with pytest.raises(ModelError):
+        CompiledForest([])
+
+
+# ---------------------------------------------------------------------------
+# Fitted ensembles
+# ---------------------------------------------------------------------------
+
+
+def _model(kind: str, objective: str, tree_method: str):
+    kwargs = dict(num_trees=14, objective=objective, tree_method=tree_method, seed=5)
+    if kind == "distributed":
+        return DistributedGBDT(cluster=ClusterConfig(num_machines=3), **kwargs)
+    return GradientBoostingClassifier(**kwargs)
+
+
+def _fitted(kind: str, objective: str, tree_method: str, features, labels):
+    return _model(kind, objective, tree_method).fit(features, labels)
+
+
+@pytest.mark.parametrize("kind", ["single", "distributed"])
+@pytest.mark.parametrize("objective", ["logistic", "squared"])
+@pytest.mark.parametrize("tree_method", ["hist", "exact"])
+def test_fitted_models_score_like_the_oracle(
+    kind, objective, tree_method, small_classification_data
+):
+    features, labels = small_classification_data
+    features, labels = features[:240], labels[:240]
+    model = _fitted(kind, objective, tree_method, features, labels)
+    probe = np.random.default_rng(1).normal(size=(50, features.shape[1]))
+    probe[3, 2] = np.nan
+    probe[4, :] = np.inf
+    probe[5, :] = -np.inf
+    roots = [tree.tree_ for tree in model._trees]
+    expected = oracle_scores(roots, probe, model.learning_rate, model._initial_score)
+    assert np.array_equal(model.decision_function(probe), expected)
+    stages = list(model.staged_predict_proba(probe, every=4))
+    assert [used for used, _ in stages] == [4, 8, 12, 14]
+    assert np.array_equal(stages[-1][1], model.predict_proba(probe))
+    walked = np.zeros(features.shape[1])
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            walked[node.feature_index] += 1.0
+            stack.extend(node.iter_children())
+    assert np.array_equal(
+        model.feature_importances(features.shape[1]), walked / walked.sum()
+    )
+
+
+@pytest.mark.parametrize("kind", ["single", "distributed"])
+def test_feature_width_is_checked(kind, small_classification_data):
+    """A too-wide matrix used to be scored silently and a too-narrow one died
+    with a bare IndexError; flat gathers would read the neighbouring row."""
+    features, labels = small_classification_data
+    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    width = features.shape[1]
+    assert model.num_features_ == width
+    for bad in (np.zeros((3, width + 1)), np.zeros((3, width - 1)), np.zeros(width - 1)):
+        with pytest.raises(ModelError, match=f"fitted on {width} features"):
+            model.predict_proba(bad)
+        with pytest.raises(ModelError):
+            next(model.staged_predict_proba(bad))
+    single_row = model.predict_proba(features[0])
+    assert single_row.shape == (1,)
+    assert single_row[0] == model.predict_proba(features[:1])[0]
+    assert model.predict_proba(np.zeros((0, width))).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["single", "distributed"])
+@pytest.mark.parametrize("tree_method", ["hist", "exact"])
+def test_refit_rebuilds_the_forest(kind, tree_method, small_classification_data):
+    """fit -> predict -> refit on other data scores with the new trees only,
+    exactly like a fresh model that starts from the same RNG state."""
+    features, labels = small_classification_data
+    first, second = slice(0, 200), slice(200, 420)
+    model = _fitted(kind, "logistic", tree_method, features[first], labels[first])
+    before = model.predict_proba(features[second])
+    rng_state = copy.deepcopy(model._rng.bit_generator.state)
+    model.fit(features[second], labels[second])
+
+    fresh = _model(kind, "logistic", tree_method)
+    fresh._rng.bit_generator.state = rng_state
+    fresh.fit(features[second], labels[second])
+
+    after = model.predict_proba(features[second])
+    assert model.num_fitted_trees == 14
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, fresh.predict_proba(features[second]))
+    last_stage = list(model.staged_predict_proba(features[second], every=1))[-1]
+    assert last_stage[0] == 14
+    assert np.array_equal(last_stage[1], after)

@@ -11,6 +11,7 @@ from repro.exceptions import ModelError, NotFittedError
 from repro.models.rules import extract_rules
 from repro.models.tree.c45 import C45Classifier
 from repro.models.tree.cart import RegressionTree
+from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import (
     HistogramBinner,
     HistogramTreeBuilder,
@@ -210,8 +211,9 @@ class TestHistogramTree:
         hist = HistogramTreeBuilder(binner, max_depth=3, min_samples_leaf=5).build(
             binned, gradients, np.ones(120)
         )
-        assert np.allclose(exact.predict(features), hist.predict(features))
-        assert np.allclose(hist.predict(features), hist.predict_binned(binned))
+        raw = CompiledForest([hist.tree_]).decision_function(features)
+        assert np.allclose(exact.predict(features), raw)
+        assert np.array_equal(raw, hist.predict_binned(binned))
 
     def test_depth_limit_and_feature_subset(self):
         rng = np.random.default_rng(3)

@@ -21,7 +21,6 @@ from repro.serving import (
     ModelServer,
     ModelServerConfig,
     RequestCoalescer,
-    RoundRobinRouter,
     RuleBasedFallback,
     ServingRouter,
     TransactionRequest,
@@ -121,10 +120,6 @@ class TestServingRouter:
         router.remove_replica(1)
         router.add_replica(1)
         assert {a: router.route(a) for a in accounts} == before
-
-    def test_round_robin_router_rotates(self):
-        router = RoundRobinRouter(3)
-        assert [router.route("same_account") for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ServingError):
