@@ -3,8 +3,9 @@
 
 The typed core is ``src/repro/kunpeng`` (the process-parallel PS substrate,
 where a type confusion means corrupted shared-memory blocks) plus
-``serving/router.py``, ``serving/coalescer.py`` and the compiled GBDT scorer
-``models/tree/forest.py``.  The static-analysis CI
+the serving request path (``serving/router.py``, ``serving/coalescer.py``,
+``serving/alipay.py``, ``serving/async_server.py``) and the compiled GBDT
+scorer ``models/tree/forest.py``.  The static-analysis CI
 job installs mypy and runs this script; in environments without mypy (the
 offline reproduction container) it skips with a notice and exit code 0, so
 local tier-1 runs never depend on an uninstallable tool.

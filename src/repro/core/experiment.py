@@ -216,7 +216,7 @@ class ExperimentRunner:
         Returns ``(bundle, hbase, servers, alipay)``: the trained bundle, the
         Ali-HBase store populated with per-user features and embeddings, the
         Model Server fleet with the model + exported FeaturePlan hot-loaded,
-        and an Alipay front end balancing across the fleet.  With sliding
+        and an Alipay front end sharding requests across the fleet.  With sliding
         window aggregation configured, the front end comes wired to the
         pre-seeded streaming feature updater, so replayed transactions keep
         the served aggregates fresh.
@@ -224,8 +224,8 @@ class ExperimentRunner:
         Each server runs on its own :meth:`HBaseClient.connection` (a private
         client-side row cache over the shared store — the real fleet shape;
         size it with ``row_cache_ttl_s``/``row_cache_rows``).  ``router``
-        selects the front-end policy (e.g.
-        :class:`~repro.serving.router.ServingRouter` for account sharding);
+        replaces the front end's default policy (a
+        :class:`~repro.serving.router.ServingRouter` sharding by account);
         ``registry`` routes the fleet load through the registry-driven
         :class:`~repro.serving.rotation.FleetController` path.
         """

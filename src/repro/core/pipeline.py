@@ -382,8 +382,6 @@ class OfflineTrainingPipeline:
             threshold=bundle.threshold,
             feature_names=bundle.feature_names,
             plan=bundle.plan,
-            embedding_specs=bundle.embedding_specs,
-            embedding_side=bundle.embedding_side,
             training_day=bundle.training_day,
         )
         registry.register(version, overwrite=overwrite)

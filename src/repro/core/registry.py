@@ -22,7 +22,8 @@ class ModelVersion:
     """Metadata of one registered model.
 
     ``plan`` is the feature spec the trainer exported with the model; loading
-    a version into a Model Server means installing both together.
+    a version into a Model Server means installing both together (``None``
+    is the basic-features-only plan).
     """
 
     version: str
@@ -30,8 +31,6 @@ class ModelVersion:
     threshold: float
     feature_names: List[str]
     plan: Optional[FeaturePlan] = None
-    embedding_specs: List[tuple] = field(default_factory=list)
-    embedding_side: str = "both"
     training_day: Optional[int] = None
     metrics: Dict[str, float] = field(default_factory=dict)
 

@@ -157,20 +157,6 @@ class FeaturePlan:
             aggregation=aggregation,
         )
 
-    @classmethod
-    def from_specs(
-        cls,
-        embedding_specs: Sequence[Sequence[object]],
-        *,
-        embedding_side: str = "both",
-    ) -> "FeaturePlan":
-        """Plan from legacy ``(set name, dimension)`` pairs."""
-        blocks = tuple(
-            EmbeddingBlockSpec(set_name=str(name), dimension=int(dimension))
-            for name, dimension in embedding_specs
-        )
-        return cls(embedding_blocks=blocks, embedding_side=embedding_side)
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form of the plan (the exported model artefact)."""

@@ -11,13 +11,14 @@ quality and latency on the online path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import asyncio
+import itertools
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.datagen.schema import Transaction
+from repro.datagen.stream import TransactionStream
 from repro.exceptions import ServingError
 from repro.features.streaming import event_order
 from repro.logging_utils import get_logger
@@ -26,9 +27,11 @@ from repro.serving.admission import (
     AdmissionDecision,
     RuleBasedFallback,
 )
+from repro.serving.async_server import AsyncServingFrontEnd
 from repro.serving.coalescer import CoalescerConfig, RequestCoalescer
 from repro.serving.latency import LatencyTracker
 from repro.serving.model_server import ModelServer, PredictionResponse, TransactionRequest
+from repro.serving.router import Router, ServingRouter
 from repro.serving.streaming import StreamingFeatureUpdater
 
 logger = get_logger("serving.alipay")
@@ -102,6 +105,13 @@ class ServingReport:
 class AlipayServer:
     """Front-end simulator wired to one (or more) Model Server instances.
 
+    Every decision is made in :meth:`process_batch` — route each request to
+    its payer's replica, score each replica's sub-batch with one
+    ``predict_batch`` call, then ingest and record in request order — so
+    that is the one place the request path changes.  :meth:`process` is a
+    batch of one, and every :meth:`replay_transactions` mode (and the
+    asyncio front end) reaches it through a :class:`RequestCoalescer` flush.
+
     With a :class:`StreamingFeatureUpdater` attached, every processed
     transaction is ingested into the sliding-window feature engine *after*
     being scored (score-then-ingest: the fraud check sees the account's
@@ -109,12 +119,12 @@ class AlipayServer:
     accounts' aggregate rows are written through to Ali-HBase, so the next
     request on either account is served fresh aggregates.
 
-    ``router`` selects the fleet policy: ``None`` keeps the legacy
-    round-robin balancing, a :class:`~repro.serving.router.ServingRouter`
-    shards by payer account so each replica's client-side row cache stays
-    hot.  ``admission`` + ``fallback`` enable overload shedding during
-    rate-driven replays: past the bounded backlog, arrivals are answered by
-    the rule-based fallback instead of queueing unboundedly.
+    ``router`` maps a payer account to a replica index; ``None`` means a
+    :class:`~repro.serving.router.ServingRouter` over the whole fleet
+    (consistent-hash sharding by payer, so each replica's client-side row
+    cache stays hot).  ``admission`` + ``fallback`` enable overload shedding
+    during rate-driven replays: past the bounded backlog, arrivals are
+    answered by the rule-based fallback instead of queueing unboundedly.
 
     ``retain_served=False`` keeps only the running outcome counters instead
     of the per-request :class:`ServedTransaction` list (and drops
@@ -128,23 +138,24 @@ class AlipayServer:
         model_servers: Sequence[ModelServer] | ModelServer,
         *,
         feature_updater: Optional[StreamingFeatureUpdater] = None,
-        router=None,
+        router: Optional[Router] = None,
         admission: Optional[AdmissionController] = None,
         fallback: Optional[RuleBasedFallback] = None,
         retain_served: bool = True,
-    ):
+    ) -> None:
         if isinstance(model_servers, ModelServer):
             model_servers = [model_servers]
         if not model_servers:
             raise ServingError("AlipayServer needs at least one Model Server")
         self._model_servers: List[ModelServer] = list(model_servers)
-        self._next_server = 0
-        if router is not None and router.num_replicas != len(self._model_servers):
+        if router is None:
+            router = ServingRouter(len(self._model_servers))
+        elif router.num_replicas != len(self._model_servers):
             raise ServingError(
                 f"router is sized for {router.num_replicas} replicas, "
                 f"fleet has {len(self._model_servers)}"
             )
-        self.router = router
+        self.router: Router = router
         self.admission = admission
         self.fallback = fallback if fallback is not None else (
             RuleBasedFallback() if admission is not None else None
@@ -153,14 +164,9 @@ class AlipayServer:
         self.retain_served = retain_served
         self.served: List[ServedTransaction] = []
         self.notifications: List[str] = []
-        self._counters = {
-            "total": 0,
-            "interrupted": 0,
-            "true_alerts": 0,
-            "false_alerts": 0,
-            "missed_frauds": 0,
-            "degraded": 0,
-        }
+        self._totals = ServingReport(
+            total=0, interrupted=0, approved=0, true_alerts=0, false_alerts=0, missed_frauds=0
+        )
         #: Stats of the most recent coalesced replay (None before one runs).
         self.last_coalescer_stats: Optional[Dict[str, float]] = None
 
@@ -170,21 +176,9 @@ class AlipayServer:
         """The Model Server fleet behind this front end."""
         return list(self._model_servers)
 
-    def _pick_server(self, request: Optional[TransactionRequest] = None) -> ModelServer:
-        """One replica for one request: routed by account, else round-robin."""
-        if self.router is not None and request is not None:
-            return self._model_servers[self.router.route(request.payer_id)]
-        server = self._model_servers[self._next_server % len(self._model_servers)]
-        self._next_server += 1
-        return server
-
     def process(self, request: TransactionRequest, *, was_fraud: Optional[bool] = None) -> ServedTransaction:
-        """Run one transfer through the fraud check (score, then ingest)."""
-        server = self._pick_server(request)
-        response = server.predict(request)
-        if self.feature_updater is not None:
-            self.feature_updater.observe_request(request)
-        return self._record(request, response, was_fraud)
+        """Run one transfer through the fraud check: a batch of one."""
+        return self.process_batch([request], was_fraud=[was_fraud])[0]
 
     def process_degraded(
         self, request: TransactionRequest, *, was_fraud: Optional[bool] = None
@@ -210,36 +204,33 @@ class AlipayServer:
         *,
         degraded: bool = False,
     ) -> ServedTransaction:
-        if response.is_fraud_alert:
-            outcome = TransactionOutcome.INTERRUPTED
-            if self.retain_served:
-                self.notifications.append(
-                    f"transaction {request.transaction_id} interrupted: fraud probability "
-                    f"{response.fraud_probability:.2%}; transferor {request.payer_id} notified"
-                )
-        else:
-            outcome = TransactionOutcome.APPROVED
+        alerted = response.is_fraud_alert
+        if alerted and self.retain_served:
+            self.notifications.append(
+                f"transaction {request.transaction_id} interrupted: fraud probability "
+                f"{response.fraud_probability:.2%}; transferor {request.payer_id} notified"
+            )
         served = ServedTransaction(
             request=request,
             response=response,
-            outcome=outcome,
+            outcome=TransactionOutcome.INTERRUPTED if alerted else TransactionOutcome.APPROVED,
             was_fraud=was_fraud,
             degraded=degraded,
         )
-        counters = self._counters
-        counters["total"] += 1
-        if degraded:
-            counters["degraded"] += 1
-        alerted = outcome is TransactionOutcome.INTERRUPTED
+        totals = self._totals
+        totals.total += 1
+        totals.degraded += degraded
         if alerted:
-            counters["interrupted"] += 1
+            totals.interrupted += 1
+        else:
+            totals.approved += 1
         if was_fraud is not None:
             if alerted and was_fraud:
-                counters["true_alerts"] += 1
+                totals.true_alerts += 1
             elif alerted:
-                counters["false_alerts"] += 1
+                totals.false_alerts += 1
             elif was_fraud:
-                counters["missed_frauds"] += 1
+                totals.missed_frauds += 1
         if self.retain_served:
             self.served.append(served)
         return served
@@ -250,17 +241,14 @@ class AlipayServer:
         *,
         was_fraud: Optional[Sequence[Optional[bool]]] = None,
     ) -> List[ServedTransaction]:
-        """Run a micro-batch through the fleet's vectorised serving path.
+        """Turn requests into decisions — the only function that does.
 
-        The batch is split into one contiguous chunk per Model Server (the
-        starting server rotates, so repeated batches stay balanced) and each
-        chunk is scored with a single :meth:`ModelServer.predict_batch` call.
-        Results come back in request order.
-
-        With a feature updater attached, each chunk is ingested *after* it is
-        scored, so requests within a chunk see the aggregates as of the start
-        of the chunk (micro-batch freshness) while later chunks already see
-        the earlier chunks' transactions.
+        The batch is grouped by the routing policy and each replica scores
+        its own accounts' sub-batch in one :meth:`ModelServer.predict_batch`
+        call, so every request sees the feature state as of the start of the
+        batch (micro-batch freshness).  With a feature updater attached, all
+        requests are ingested afterwards in request order (score, then
+        ingest).  Results come back in request order.
         """
         requests = list(requests)
         if not requests:
@@ -270,53 +258,20 @@ class AlipayServer:
         )
         if len(labels) != len(requests):
             raise ServingError("was_fraud length does not match the batch")
-        if self.router is not None:
-            return self._process_batch_routed(requests, labels)
-        num_servers = min(len(self._model_servers), len(requests))
-        chunk_bounds = np.linspace(0, len(requests), num_servers + 1).astype(int)
-        served: List[ServedTransaction] = []
-        for chunk_index in range(num_servers):
-            start, stop = int(chunk_bounds[chunk_index]), int(chunk_bounds[chunk_index + 1])
-            if start == stop:
-                continue
-            server = self._pick_server()
-            responses = server.predict_batch(requests[start:stop])
-            for request, response, label in zip(
-                requests[start:stop], responses, labels[start:stop]
-            ):
-                if self.feature_updater is not None:
-                    self.feature_updater.observe_request(request)
-                served.append(self._record(request, response, label))
-        return served
-
-    def _process_batch_routed(
-        self,
-        requests: List[TransactionRequest],
-        labels: List[Optional[bool]],
-    ) -> List[ServedTransaction]:
-        """Split one micro-batch by the routing policy instead of contiguously.
-
-        Each replica scores its own accounts' sub-batch in one
-        ``predict_batch`` call; every sub-batch sees the feature state as of
-        the start of the batch (micro-batch freshness, same as the
-        round-robin path), and all requests are ingested afterwards in
-        request order.  Results come back in request order.
-        """
-        groups: dict = {}
+        groups: Dict[int, List[int]] = {}
         for index, request in enumerate(requests):
             groups.setdefault(self.router.route(request.payer_id), []).append(index)
-        responses: List[Optional[PredictionResponse]] = [None] * len(requests)
+        responses: Dict[int, PredictionResponse] = {}
         for replica, indices in groups.items():
             batch_responses = self._model_servers[replica].predict_batch(
                 [requests[index] for index in indices]
             )
-            for index, response in zip(indices, batch_responses):
-                responses[index] = response
+            responses.update(zip(indices, batch_responses))
         served: List[ServedTransaction] = []
-        for request, response, label in zip(requests, responses, labels):
+        for index, (request, label) in enumerate(zip(requests, labels)):
             if self.feature_updater is not None:
                 self.feature_updater.observe_request(request)
-            served.append(self._record(request, response, label))
+            served.append(self._record(request, responses[index], label))
         return served
 
     def replay_transactions(
@@ -336,9 +291,10 @@ class AlipayServer:
         transaction id — a total order), so each transaction is scored against
         the feature state of everything that happened before it, and the
         replayed stream state is independent of the input's arrival order.
-        With ``batch_size`` set, requests are micro-batched through
-        :meth:`process_batch` (the vectorised fleet path); otherwise each
-        transaction is scored with a scalar :meth:`process` call.
+        Every mode is the same step per arrival — admission, then shed to
+        rules or buffer for :meth:`process_batch`; the modes differ only in
+        where ``now_ms`` comes from and in the batching policy that flushes
+        the buffer: batches of one by default, of ``batch_size`` when set.
 
         ``arrival_rate_per_s`` replays the stream against a simulated arrival
         clock (request *i* arrives at ``i / rate`` seconds): it drives the
@@ -400,132 +356,63 @@ class AlipayServer:
             )
         if arrival_rate_per_s is not None and arrival_rate_per_s <= 0:
             raise ServingError("arrival_rate_per_s must be positive")
-        ordered = self._event_ordered(transactions, presorted=presorted)
+        # The replay order: lazy for ordered streams, sorted otherwise.
+        if isinstance(transactions, TransactionStream):
+            presorted = transactions.event_time_ordered
+        ordered = transactions if presorted else sorted(transactions, key=event_order)
         if clock == "wall":
-            return self._replay_wall(ordered, arrival_rate_per_s, coalescer)
-        if has_arrival_clock:
-            return self._replay_with_clock(
-                ordered, arrival_rate_per_s, coalescer, arrival_times_s=arrival_times_s
-            )
-        if batch_size is None:
-            for transaction in ordered:
-                request = TransactionRequest.from_transaction(transaction)
-                self.process(request, was_fraud=transaction.is_fraud)
+            assert arrival_rate_per_s is not None  # validated above; narrows the type
+            front_end = AsyncServingFrontEnd(self, coalescer=coalescer)
+            asyncio.run(front_end.replay(ordered, interval_s=1.0 / arrival_rate_per_s))
+            self.last_coalescer_stats = front_end.stats()
             return self.report()
-        pending: List[Transaction] = []
-        for transaction in ordered:
-            pending.append(transaction)
-            if len(pending) >= batch_size:
-                self._process_transaction_batch(pending)
-                pending = []
-        if pending:
-            self._process_transaction_batch(pending)
+        # Scalar and fixed-size replays are the same loop under a policy that
+        # only ever flushes full: batches of one, or of batch_size.
+        batcher = RequestCoalescer(
+            self,
+            coalescer
+            or CoalescerConfig(max_batch=batch_size or 1, max_delay_ms=float("inf")),
+        )
+        clock_ms = self._arrival_clock_ms(arrival_rate_per_s, arrival_times_s)
+        for transaction, now_ms in zip(ordered, clock_ms):
+            request = TransactionRequest.from_transaction(transaction)
+            if (
+                self.admission is not None
+                and self.admission.on_arrival(now_ms) is AdmissionDecision.DEGRADE
+            ):
+                # shed to rules: answered (and recorded) now, at arrival
+                self.process_degraded(request, was_fraud=transaction.is_fraud)
+            else:
+                # buffered: answered when the policy flushes it to process_batch
+                batcher.submit(request, now_ms=now_ms, was_fraud=transaction.is_fraud)
+        batcher.flush()
+        if coalescer is not None:
+            self.last_coalescer_stats = batcher.stats()
         return self.report()
 
     @staticmethod
-    def _event_ordered(
-        transactions: Iterable[Transaction], *, presorted: bool
-    ) -> Iterable[Transaction]:
-        """The replay order: lazy for ordered streams, sorted otherwise."""
-        from repro.datagen.stream import TransactionStream
-
-        if isinstance(transactions, TransactionStream):
-            if transactions.event_time_ordered:
-                return transactions
-            return sorted(transactions, key=event_order)
-        if presorted:
-            return transactions
-        return sorted(transactions, key=event_order)
-
-    def _replay_with_clock(
-        self,
-        ordered: Iterable[Transaction],
+    def _arrival_clock_ms(
         arrival_rate_per_s: Optional[float],
-        coalescer_config: Optional[CoalescerConfig],
-        *,
-        arrival_times_s: Optional[Iterable[float]] = None,
-    ) -> ServingReport:
-        """Replay under a simulated arrival clock (admission + coalescing)."""
-        request_coalescer = (
-            RequestCoalescer(self, coalescer_config) if coalescer_config is not None else None
-        )
-        interval_ms = (
-            1000.0 / arrival_rate_per_s if arrival_rate_per_s is not None else None
-        )
-        times = iter(arrival_times_s) if arrival_times_s is not None else None
-        last_now_ms = float("-inf")
-        for index, transaction in enumerate(ordered):
-            if times is not None:
-                try:
-                    now_ms = float(next(times)) * 1000.0
-                except StopIteration:
-                    raise ServingError(
-                        "arrival_times_s ran out before the transaction stream"
-                    ) from None
+        arrival_times_s: Optional[Iterable[float]],
+    ) -> Iterator[float]:
+        """Where ``now_ms`` comes from under the simulated clock.
+
+        Explicit arrival times, else ``index / rate``, else a clock that
+        never advances (no arrival clock: nothing waits, nothing is shed).
+        """
+        if arrival_times_s is not None:
+            last_now_ms = float("-inf")
+            for arrival_s in arrival_times_s:
+                now_ms = float(arrival_s) * 1000.0
                 if now_ms < last_now_ms:
                     raise ServingError("arrival_times_s must be non-decreasing")
                 last_now_ms = now_ms
-            else:
-                now_ms = index * interval_ms
-            request = TransactionRequest.from_transaction(transaction)
-            if self.admission is not None:
-                decision = self.admission.on_arrival(now_ms)
-                if decision is AdmissionDecision.DEGRADE:
-                    self.process_degraded(request, was_fraud=transaction.is_fraud)
-                    continue
-            if request_coalescer is not None:
-                request_coalescer.submit(
-                    request, now_ms=now_ms, was_fraud=transaction.is_fraud
-                )
-            else:
-                self.process(request, was_fraud=transaction.is_fraud)
-        if request_coalescer is not None:
-            request_coalescer.flush()
-            self.last_coalescer_stats = request_coalescer.stats()
-        return self.report()
-
-    def _replay_wall(
-        self,
-        ordered: Iterable[Transaction],
-        arrival_rate_per_s: float,
-        coalescer_config: Optional[CoalescerConfig],
-    ) -> ServingReport:
-        """Replay through the asyncio front end under a real wall clock.
-
-        Arrivals are paced with event-loop sleeps at the configured rate and
-        every request is submitted concurrently (its future resolves when a
-        full or deadline flush serves it); the end-of-stream drain then
-        awaits them all, so the report covers every submitted request —
-        nothing is dropped.
-        """
-        import asyncio
-
-        from repro.serving.async_server import AsyncServingFrontEnd
-
-        interval_s = 1.0 / arrival_rate_per_s
-
-        async def _run() -> None:
-            front_end = AsyncServingFrontEnd(self, coalescer=coalescer_config)
-            futures = []
-            for index, transaction in enumerate(ordered):
-                if index:
-                    await asyncio.sleep(interval_s)
-                request = TransactionRequest.from_transaction(transaction)
-                futures.append(
-                    front_end.submit_nowait(request, was_fraud=transaction.is_fraud)
-                )
-            await front_end.drain()
-            await asyncio.gather(*futures)
-            self.last_coalescer_stats = front_end.stats()
-
-        asyncio.run(_run())
-        return self.report()
-
-    def _process_transaction_batch(self, transactions: Sequence[Transaction]) -> None:
-        self.process_batch(
-            [TransactionRequest.from_transaction(t) for t in transactions],
-            was_fraud=[t.is_fraud for t in transactions],
-        )
+                yield now_ms
+            # zip() asks the clock only after it drew another transaction.
+            raise ServingError("arrival_times_s ran out before the transaction stream")
+        interval_ms = 1000.0 / arrival_rate_per_s if arrival_rate_per_s is not None else 0.0
+        for index in itertools.count():
+            yield index * interval_ms
 
     # ------------------------------------------------------------------
     def report(self) -> ServingReport:
@@ -535,15 +422,8 @@ class AlipayServer:
         works identically with ``retain_served=False`` (bounded-memory
         replays).
         """
-        counters = self._counters
-        return ServingReport(
-            total=counters["total"],
-            interrupted=counters["interrupted"],
-            approved=counters["total"] - counters["interrupted"],
-            true_alerts=counters["true_alerts"],
-            false_alerts=counters["false_alerts"],
-            missed_frauds=counters["missed_frauds"],
-            degraded=counters["degraded"],
+        return replace(
+            self._totals,
             peak_queue_depth=(
                 self.admission.peak_queue_depth if self.admission is not None else 0.0
             ),
@@ -559,15 +439,6 @@ class AlipayServer:
         tracker — taking the max of per-server p99s would overstate the
         fleet p99 whenever server loads differ.
         """
-        merged = LatencyTracker.merged_report(
+        return LatencyTracker.merged_report(
             [server.latency for server in self._model_servers]
-        )
-        return {
-            "count": float(merged.count),
-            "mean_ms": merged.mean_ms,
-            "p50_ms": merged.p50_ms,
-            "p95_ms": merged.p95_ms,
-            "p99_ms": merged.p99_ms,
-            "p999_ms": merged.p999_ms,
-            "sla_violations": float(merged.sla_violations),
-        }
+        ).as_dict()

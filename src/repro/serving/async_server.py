@@ -15,12 +15,14 @@ The flow per request:
    ``next_deadline_ms()`` — the instant the oldest buffered request has
    waited ``max_delay_ms``,
 3. whichever comes first — the buffer filling to ``max_batch`` or the timer
-   firing — flushes one micro-batch through the Alipay server's vectorised
-   fleet path, and every flushed request's future resolves with its
-   :class:`~repro.serving.alipay.ServedTransaction`.
+   firing — flushes one micro-batch into :meth:`AsyncServingFrontEnd.process_batch`,
+   which scores it on the Alipay server's fleet path and settles exactly that
+   batch's futures: each resolves with its
+   :class:`~repro.serving.alipay.ServedTransaction`, or, when scoring raised,
+   fails with that exception.
 
-Flushes preserve submission order and so do the waiting futures, which is
-what makes the FIFO waiter queue below correct.  Requests shed by the
+Flushes preserve submission order and so do the waiting futures, so a
+flushed batch's futures are always the oldest waiters.  Requests shed by the
 admission controller resolve immediately with the rule-based fallback's
 answer — under overload the front end degrades, it never drops.
 """
@@ -29,15 +31,16 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ServingError
 from repro.serving.admission import AdmissionDecision
 from repro.serving.coalescer import CoalescerConfig, RequestCoalescer
+from repro.serving.model_server import TransactionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datagen.schema import Transaction
     from repro.serving.alipay import AlipayServer, ServedTransaction
-    from repro.serving.model_server import TransactionRequest
 
 
 class AsyncServingFrontEnd:
@@ -54,10 +57,11 @@ class AsyncServingFrontEnd:
         alipay: "AlipayServer",
         *,
         coalescer: Optional[CoalescerConfig] = None,
-    ):
+    ) -> None:
         self.alipay = alipay
-        self.coalescer = RequestCoalescer(alipay, coalescer)
-        self._waiters: Deque[asyncio.Future] = deque()
+        # Flushes come back through process_batch below, which owns the futures.
+        self.coalescer = RequestCoalescer(self, coalescer)
+        self._waiters: Deque["asyncio.Future[ServedTransaction]"] = deque()
         self._timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch: float = 0.0
@@ -80,7 +84,7 @@ class AsyncServingFrontEnd:
     # ------------------------------------------------------------------
     def submit_nowait(
         self,
-        request: "TransactionRequest",
+        request: TransactionRequest,
         *,
         was_fraud: Optional[bool] = None,
     ) -> "asyncio.Future[ServedTransaction]":
@@ -90,34 +94,57 @@ class AsyncServingFrontEnd:
         ``submit_nowait`` calls lands in the coalescer in call order even if
         the event loop never gets control in between.
         """
-        loop = self._ensure_loop()
+        future: "asyncio.Future[ServedTransaction]" = self._ensure_loop().create_future()
         now_ms = self.now_ms()
-        future: asyncio.Future = loop.create_future()
-        if self.alipay.admission is not None:
-            decision = self.alipay.admission.on_arrival(now_ms)
-            if decision is AdmissionDecision.DEGRADE:
-                future.set_result(
-                    self.alipay.process_degraded(request, was_fraud=was_fraud)
-                )
-                return future
+        # The arrival step of AlipayServer.replay_transactions, kept as a copy:
+        # the future must join the waiters after the admission decision and
+        # before the submit, which may flush (and settle it) right away.
+        admission = self.alipay.admission
+        if admission is not None and admission.on_arrival(now_ms) is AdmissionDecision.DEGRADE:
+            future.set_result(self.alipay.process_degraded(request, was_fraud=was_fraud))
+            return future
         self._waiters.append(future)
-        self._resolve(self.coalescer.submit(request, now_ms=now_ms, was_fraud=was_fraud))
+        self.coalescer.submit(request, now_ms=now_ms, was_fraud=was_fraud)
         self._arm_timer()
         return future
 
     async def submit(
         self,
-        request: "TransactionRequest",
+        request: TransactionRequest,
         *,
         was_fraud: Optional[bool] = None,
     ) -> "ServedTransaction":
         """Serve one request: buffered, coalesced, awaited until flushed."""
         return await self.submit_nowait(request, was_fraud=was_fraud)
 
-    def _resolve(self, served: List["ServedTransaction"]) -> None:
-        """Resolve the oldest waiters with one flush's results (both FIFO)."""
-        for transaction in served:
-            self._waiters.popleft().set_result(transaction)
+    def process_batch(
+        self,
+        requests: Sequence[TransactionRequest],
+        *,
+        was_fraud: Optional[Sequence[Optional[bool]]] = None,
+    ) -> List["ServedTransaction"]:
+        """Score one flushed batch and settle exactly its futures.
+
+        Called by the coalescer on every flush, whatever triggered it (a full
+        buffer, the deadline timer, :meth:`drain`).  When scoring raises —
+        no model loaded, a feature-width mismatch mid-rotation, an HBase
+        error — the exception is delivered through this batch's futures and
+        not re-raised: they are its only audience on an event loop, and the
+        batches behind it must still resolve their own waiters.
+        """
+        # A caller may have cancelled its own wait; its slot is still consumed.
+        waiters = [self._waiters.popleft() for _ in requests]
+        try:
+            served = self.alipay.process_batch(requests, was_fraud=was_fraud)
+        except Exception as error:  # delivered, not swallowed: see docstring
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_exception(error)
+            return []
+        for waiter, transaction in zip(waiters, served):
+            if not waiter.done():
+                waiter.set_result(transaction)
+        return served
 
     # ------------------------------------------------------------------
     def _arm_timer(self) -> None:
@@ -141,24 +168,37 @@ class AsyncServingFrontEnd:
         # Timers can fire marginally before the target instant; clamping to
         # the deadline guarantees the flush happens now and the recorded wait
         # is exactly the max_delay_ms budget, never more.
-        served = self.coalescer.advance(max(self.now_ms(), deadline_ms))
-        self._resolve(served)
+        self.coalescer.advance(max(self.now_ms(), deadline_ms))
         self._arm_timer()
 
     # ------------------------------------------------------------------
     async def drain(self) -> List["ServedTransaction"]:
         """Force-flush the buffer (end of stream) and disarm the timer.
 
-        Returns the flushed transactions; any outstanding futures from
-        :meth:`submit_nowait` resolve as a side effect.
+        Returns the flushed transactions (none if scoring them failed); any
+        outstanding futures from :meth:`submit_nowait` settle as a side effect.
         """
         self._ensure_loop()
         served = self.coalescer.flush()
-        self._resolve(served)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._arm_timer()  # nothing is buffered any more: cancels, arms nothing
         return served
+
+    async def replay(self, transactions: Iterable["Transaction"], *, interval_s: float) -> None:
+        """Submit labelled transactions ``interval_s`` apart and await them all.
+
+        The wall-clock half of ``AlipayServer.replay_transactions``: arrivals
+        are paced with event-loop sleeps, every request is submitted
+        concurrently, and the end-of-stream drain plus the gather cover every
+        submitted request — nothing is dropped, and a failed flush raises.
+        """
+        futures = []
+        for index, transaction in enumerate(transactions):
+            if index:
+                await asyncio.sleep(interval_s)
+            request = TransactionRequest.from_transaction(transaction)
+            futures.append(self.submit_nowait(request, was_fraud=transaction.is_fraud))
+        await self.drain()
+        await asyncio.gather(*futures)
 
     def stats(self) -> Dict[str, float]:
         """The underlying coalescer's batching statistics."""

@@ -19,13 +19,24 @@ real event loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.exceptions import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.alipay import AlipayServer, ServedTransaction
+    from repro.serving.alipay import ServedTransaction
     from repro.serving.model_server import TransactionRequest
+
+
+class BatchFrontEnd(Protocol):
+    """What a flush is handed to: ``AlipayServer`` or a wrapper around it."""
+
+    def process_batch(
+        self,
+        requests: Sequence["TransactionRequest"],
+        *,
+        was_fraud: Optional[Sequence[Optional[bool]]] = None,
+    ) -> List["ServedTransaction"]: ...
 
 
 @dataclass(frozen=True)
@@ -53,10 +64,12 @@ class RequestCoalescer:
 
     Drives an :class:`~repro.serving.alipay.AlipayServer`'s ``process_batch``
     (which routes each flushed batch through the configured fleet policy).
+    Memory is O(``max_batch``): batching statistics are running sums, never
+    per-request lists.
     """
 
     def __init__(
-        self, alipay: "AlipayServer", config: Optional[CoalescerConfig] = None
+        self, alipay: BatchFrontEnd, config: Optional[CoalescerConfig] = None
     ) -> None:
         self.alipay = alipay
         self.config = config or CoalescerConfig()
@@ -66,8 +79,8 @@ class RequestCoalescer:
         self.deadline_flushes = 0
         self.forced_flushes = 0
         self.requests_coalesced = 0
-        self._batch_sizes: List[int] = []
-        self._wait_ms: List[float] = []
+        self._wait_ms_sum = 0.0
+        self._wait_ms_max = 0.0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -114,28 +127,30 @@ class RequestCoalescer:
         driven at arrival instants, no request's recorded wait ever exceeds
         the ``max_delay_ms`` budget.
         """
-        if not self._pending:
+        deadline_ms = self.next_deadline_ms()
+        if deadline_ms is None or now_ms < deadline_ms:
             return []
-        deadline_ms = self._pending[0][2] + self.config.max_delay_ms
-        if now_ms >= deadline_ms:
-            self.deadline_flushes += 1
-            return self._flush(deadline_ms)
-        return []
+        self.deadline_flushes += 1
+        return self._flush(deadline_ms)
 
-    def flush(self, *, now_ms: Optional[float] = None) -> List["ServedTransaction"]:
-        """Force out whatever is buffered (end-of-stream drain)."""
+    def flush(self) -> List["ServedTransaction"]:
+        """Force out whatever is buffered (end-of-stream drain).
+
+        Stamped at the newest buffered arrival: the stream ended there.
+        """
         if not self._pending:
             return []
         self.forced_flushes += 1
-        if now_ms is None:
-            now_ms = self._pending[-1][2]
-        return self._flush(now_ms)
+        return self._flush(self._pending[-1][2])
 
     def _flush(self, now_ms: float) -> List["ServedTransaction"]:
         batch, self._pending = self._pending, []
-        self._batch_sizes.append(len(batch))
         self.requests_coalesced += len(batch)
-        self._wait_ms.extend(now_ms - arrival for _, _, arrival in batch)
+        for _, _, arrival in batch:
+            wait_ms = now_ms - arrival
+            self._wait_ms_sum += wait_ms
+            if wait_ms > self._wait_ms_max:
+                self._wait_ms_max = wait_ms
         return self.alipay.process_batch(
             [request for request, _, _ in batch],
             was_fraud=[label for _, label, _ in batch],
@@ -144,14 +159,15 @@ class RequestCoalescer:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         """Batching effectiveness: flush causes, batch sizes, queue waits."""
-        batches = len(self._batch_sizes)
+        batches = self.full_flushes + self.deadline_flushes + self.forced_flushes
+        requests = self.requests_coalesced
         return {
-            "requests": float(self.requests_coalesced),
+            "requests": float(requests),
             "batches": float(batches),
-            "mean_batch": self.requests_coalesced / batches if batches else 0.0,
+            "mean_batch": requests / batches if batches else 0.0,
             "full_flushes": float(self.full_flushes),
             "deadline_flushes": float(self.deadline_flushes),
             "forced_flushes": float(self.forced_flushes),
-            "mean_wait_ms": sum(self._wait_ms) / len(self._wait_ms) if self._wait_ms else 0.0,
-            "max_wait_ms": max(self._wait_ms) if self._wait_ms else 0.0,
+            "mean_wait_ms": self._wait_ms_sum / requests if requests else 0.0,
+            "max_wait_ms": self._wait_ms_max,
         }

@@ -9,8 +9,8 @@ millisecond-level claim on the in-process reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -37,17 +37,7 @@ class LatencyReport:
         return self.sla_violations / self.count if self.count else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "max_ms": self.max_ms,
-            "sla_budget_ms": self.sla_budget_ms,
-            "sla_violations": float(self.sla_violations),
-        }
+        return {name: float(value) for name, value in asdict(self).items()}
 
 
 class LatencyTracker:
@@ -89,64 +79,27 @@ class LatencyTracker:
         each tracker's own budget; the reported budget is the strictest one.
         """
         pooled: List[float] = []
-        violations = 0
-        budgets: List[float] = []
         for tracker in trackers:
             pooled.extend(tracker._latencies_ms)
-            violations += int(
-                np.sum(np.array(tracker._latencies_ms) > tracker.sla_budget_ms)
-            ) if tracker._latencies_ms else 0
-            budgets.append(tracker.sla_budget_ms)
-        budget = min(budgets) if budgets else 50.0
-        if not pooled:
-            return LatencyReport(
-                count=0,
-                mean_ms=0.0,
-                p50_ms=0.0,
-                p95_ms=0.0,
-                p99_ms=0.0,
-                max_ms=0.0,
-                sla_budget_ms=budget,
-                sla_violations=0,
-            )
-        values = np.array(pooled)
+        # With no samples every statistic below reads 0.0; count stays 0.
+        values = np.array(pooled or [0.0])
         return LatencyReport(
-            count=int(values.shape[0]),
+            count=len(pooled),
             mean_ms=float(values.mean()),
             p50_ms=float(np.percentile(values, 50)),
             p95_ms=float(np.percentile(values, 95)),
             p99_ms=float(np.percentile(values, 99)),
             p999_ms=float(np.percentile(values, 99.9)),
             max_ms=float(values.max()),
-            sla_budget_ms=budget,
-            sla_violations=violations,
+            sla_budget_ms=min((t.sla_budget_ms for t in trackers), default=50.0),
+            sla_violations=sum(
+                int(np.sum(np.array(t._latencies_ms) > t.sla_budget_ms)) for t in trackers
+            ),
         )
 
     # ------------------------------------------------------------------
     def report(self) -> LatencyReport:
-        if not self._latencies_ms:
-            return LatencyReport(
-                count=0,
-                mean_ms=0.0,
-                p50_ms=0.0,
-                p95_ms=0.0,
-                p99_ms=0.0,
-                max_ms=0.0,
-                sla_budget_ms=self.sla_budget_ms,
-                sla_violations=0,
-            )
-        values = np.array(self._latencies_ms)
-        return LatencyReport(
-            count=int(values.shape[0]),
-            mean_ms=float(values.mean()),
-            p50_ms=float(np.percentile(values, 50)),
-            p95_ms=float(np.percentile(values, 95)),
-            p99_ms=float(np.percentile(values, 99)),
-            p999_ms=float(np.percentile(values, 99.9)),
-            max_ms=float(values.max()),
-            sla_budget_ms=self.sla_budget_ms,
-            sla_violations=int(np.sum(values > self.sla_budget_ms)),
-        )
+        return self.merged_report([self])
 
     def within_sla(self, *, quantile: float = 0.95) -> bool:
         """True when the requested latency quantile fits inside the SLA budget."""

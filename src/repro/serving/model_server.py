@@ -187,8 +187,7 @@ class ModelServer:
         self._executor: Optional[FeaturePlanExecutor] = None
         self._shadow: Optional[ServingModel] = None
         self._shadow_executor: Optional[FeaturePlanExecutor] = None
-        self._shadow_abs_diffs: List[float] = []
-        self._shadow_flips = 0
+        self._reset_shadow_stats()
         self.latency = LatencyTracker(sla_budget_ms=self.config.sla_budget_ms)
         self.requests_served = 0
         self._feature_source: Optional[HBaseFeatureSource] = None
@@ -197,6 +196,21 @@ class ModelServer:
     # ------------------------------------------------------------------
     # Model lifecycle
     # ------------------------------------------------------------------
+    def _serving_model(
+        self,
+        model: BaseDetector,
+        version: str,
+        threshold: Optional[float],
+        plan: Optional[FeaturePlan],
+    ) -> ServingModel:
+        """The one way a model becomes servable, champion and shadow alike."""
+        return ServingModel(
+            model=model,
+            version=version,
+            threshold=self.config.alert_threshold if threshold is None else float(threshold),
+            plan=plan if plan is not None else FeaturePlan(),
+        )
+
     def load_model(
         self,
         model: BaseDetector,
@@ -204,23 +218,14 @@ class ModelServer:
         version: str,
         threshold: Optional[float] = None,
         plan: Optional[FeaturePlan] = None,
-        embedding_specs: Optional[Sequence[tuple]] = None,
-        embedding_side: Optional[str] = None,
     ) -> None:
         """Hot-swap the served model (the periodic T+1 update).
 
         The trainer exports a :class:`FeaturePlan` with every model; pass it
-        as ``plan``.  The legacy ``embedding_specs`` / ``embedding_side`` pair
-        is still accepted and converted into a plan.
+        as ``plan``.  Without one the model is served the basic features
+        only (an empty plan).
         """
-        if not model.is_fitted:
-            raise ServingError("cannot load an unfitted model into the Model Server")
-        self._active = ServingModel(
-            model=model,
-            version=version,
-            threshold=self.config.alert_threshold if threshold is None else float(threshold),
-            plan=self._resolve_plan(plan, embedding_specs, embedding_side),
-        )
+        self._active = self._serving_model(model, version, threshold, plan)
         self._rebuild_executor()
         logger.info(
             "model %s loaded (threshold %.3f, %d features)",
@@ -229,20 +234,6 @@ class ModelServer:
             self._active.plan.num_features,
         )
 
-    @staticmethod
-    def _resolve_plan(
-        plan: Optional[FeaturePlan],
-        embedding_specs: Optional[Sequence[tuple]],
-        embedding_side: Optional[str],
-    ) -> FeaturePlan:
-        if plan is not None and (embedding_specs is not None or embedding_side is not None):
-            raise ServingError("pass either a FeaturePlan or embedding specs, not both")
-        if plan is None:
-            plan = FeaturePlan.from_specs(
-                embedding_specs or (), embedding_side=embedding_side or "both"
-            )
-        return plan
-
     def load_shadow_model(
         self,
         model: BaseDetector,
@@ -250,8 +241,6 @@ class ModelServer:
         version: str,
         threshold: Optional[float] = None,
         plan: Optional[FeaturePlan] = None,
-        embedding_specs: Optional[Sequence[tuple]] = None,
-        embedding_side: Optional[str] = None,
     ) -> None:
         """Install a challenger that shadow-scores live traffic.
 
@@ -261,38 +250,35 @@ class ModelServer:
         between the two is accumulated for :meth:`shadow_report`.  Loading a
         new shadow resets the accumulated divergence stats.
         """
-        if not model.is_fitted:
-            raise ServingError("cannot shadow an unfitted model")
-        self._shadow = ServingModel(
-            model=model,
-            version=version,
-            threshold=self.config.alert_threshold if threshold is None else float(threshold),
-            plan=self._resolve_plan(plan, embedding_specs, embedding_side),
-        )
-        self._shadow_abs_diffs = []
-        self._shadow_flips = 0
+        self._shadow = self._serving_model(model, version, threshold, plan)
+        self._reset_shadow_stats()
         self._rebuild_executor()
+
+    def _reset_shadow_stats(self) -> None:
+        self._shadow_requests = 0
+        self._shadow_abs_diff_sum = 0.0
+        self._shadow_abs_diff_max = 0.0
+        self._shadow_flips = 0
 
     def clear_shadow_model(self) -> Optional[ShadowReport]:
         """Stop shadow scoring; returns the final divergence report (if any)."""
         report = self.shadow_report()
         self._shadow = None
         self._shadow_executor = None
-        self._shadow_abs_diffs = []
-        self._shadow_flips = 0
+        self._reset_shadow_stats()
         return report
 
     def shadow_report(self) -> Optional[ShadowReport]:
         """Champion-vs-challenger divergence so far (None without a shadow)."""
         if self._shadow is None or self._active is None:
             return None
-        diffs = self._shadow_abs_diffs
+        requests = self._shadow_requests
         return ShadowReport(
             champion_version=self._active.version,
             challenger_version=self._shadow.version,
-            requests=len(diffs),
-            mean_abs_divergence=float(np.mean(diffs)) if diffs else 0.0,
-            max_abs_divergence=float(np.max(diffs)) if diffs else 0.0,
+            requests=requests,
+            mean_abs_divergence=self._shadow_abs_diff_sum / requests if requests else 0.0,
+            max_abs_divergence=self._shadow_abs_diff_max,
             decision_flips=self._shadow_flips,
         )
 
@@ -413,9 +399,10 @@ class ModelServer:
             # caller's critical path.
             shadow_matrix = self._shadow_executor.assemble(transactions, with_labels=False)
             shadow_probabilities = self._shadow.model.predict_proba(shadow_matrix.values)
-            self._shadow_abs_diffs.extend(
-                np.abs(np.asarray(shadow_probabilities) - np.asarray(probabilities)).tolist()
-            )
+            abs_diffs = np.abs(np.asarray(shadow_probabilities) - np.asarray(probabilities))
+            self._shadow_requests += len(requests)
+            self._shadow_abs_diff_sum += float(abs_diffs.sum())
+            self._shadow_abs_diff_max = max(self._shadow_abs_diff_max, float(abs_diffs.max()))
             self._shadow_flips += int(
                 np.sum(
                     (np.asarray(probabilities) >= active.threshold)

@@ -69,22 +69,23 @@ class FleetController:
         """Version of an in-progress canary rollout (None when fully rolled)."""
         return self._canary_version
 
-    def _load(self, server: ModelServer, version: "ModelVersion") -> None:
-        if version.plan is not None:
-            server.load_model(
-                version.model,
-                version=version.version,
-                threshold=version.threshold,
-                plan=version.plan,
+    def _roll(
+        self, action: str, target: "ModelVersion", replicas: List[int]
+    ) -> RolloutReport:
+        """Install ``target`` on ``replicas``: every control-plane action ends here."""
+        for index in replicas:
+            self.fleet[index].load_model(
+                target.model,
+                version=target.version,
+                threshold=target.threshold,
+                plan=target.plan,
             )
-        else:
-            server.load_model(
-                version.model,
-                version=version.version,
-                threshold=version.threshold,
-                embedding_specs=version.embedding_specs,
-                embedding_side=version.embedding_side,
-            )
+        return RolloutReport(
+            action=action,
+            version=target.version,
+            replicas_updated=replicas,
+            fleet_versions=self.fleet_versions(),
+        )
 
     # ------------------------------------------------------------------
     def deploy(
@@ -100,43 +101,27 @@ class FleetController:
         serving the incumbent until :meth:`promote` or :meth:`rollback`.
         """
         target = self.registry.get(version) if version is not None else self.registry.latest()
-        if canary_fraction is None:
-            replicas = list(range(len(self.fleet)))
-            self._canary_version = None
-        else:
+        count = len(self.fleet)
+        if canary_fraction is not None:
             if not 0.0 < canary_fraction <= 1.0:
                 raise ServingError("canary_fraction must be in (0, 1]")
-            count = min(len(self.fleet), math.ceil(canary_fraction * len(self.fleet)))
-            replicas = list(range(count))
-            self._canary_version = target.version if count < len(self.fleet) else None
-        for index in replicas:
-            self._load(self.fleet[index], target)
-        return RolloutReport(
-            action="deploy",
-            version=target.version,
-            replicas_updated=replicas,
-            fleet_versions=self.fleet_versions(),
-        )
+            count = min(count, math.ceil(canary_fraction * count))
+        self._canary_version = target.version if count < len(self.fleet) else None
+        return self._roll("deploy", target, list(range(count)))
 
     def promote(self) -> RolloutReport:
         """Finish an in-progress canary: roll its version onto every replica."""
         if self._canary_version is None:
             raise ServingError("no canary rollout in progress")
         target = self.registry.get(self._canary_version)
-        updated = [
+        behind = [
             index
             for index, server in enumerate(self.fleet)
             if server.model_version != target.version
         ]
-        for index in updated:
-            self._load(self.fleet[index], target)
+        report = self._roll("promote", target, behind)
         self._canary_version = None
-        return RolloutReport(
-            action="promote",
-            version=target.version,
-            replicas_updated=updated,
-            fleet_versions=self.fleet_versions(),
-        )
+        return report
 
     def rollback(self, *, steps: int = 1) -> RolloutReport:
         """Re-install the version ``steps`` registrations before the latest.
@@ -146,35 +131,19 @@ class FleetController:
         """
         target = self.registry.rollback(steps=steps)
         self._canary_version = None
-        for server in self.fleet:
-            self._load(server, target)
-        return RolloutReport(
-            action="rollback",
-            version=target.version,
-            replicas_updated=list(range(len(self.fleet))),
-            fleet_versions=self.fleet_versions(),
-        )
+        return self._roll("rollback", target, list(range(len(self.fleet))))
 
     # ------------------------------------------------------------------
     def start_shadow(self, version: str) -> None:
         """Shadow-score a challenger registry version on every replica."""
         target = self.registry.get(version)
         for server in self.fleet:
-            if target.plan is not None:
-                server.load_shadow_model(
-                    target.model,
-                    version=target.version,
-                    threshold=target.threshold,
-                    plan=target.plan,
-                )
-            else:
-                server.load_shadow_model(
-                    target.model,
-                    version=target.version,
-                    threshold=target.threshold,
-                    embedding_specs=target.embedding_specs,
-                    embedding_side=target.embedding_side,
-                )
+            server.load_shadow_model(
+                target.model,
+                version=target.version,
+                threshold=target.threshold,
+                plan=target.plan,
+            )
 
     def stop_shadow(self) -> Optional[ShadowReport]:
         """Stop shadow scoring and pool the fleet's divergence stats."""

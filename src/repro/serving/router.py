@@ -1,27 +1,28 @@
 """Request routing across the Model Server fleet.
 
-The pre-sharding front end balanced requests round-robin, which spreads load
-perfectly but scatters each account's requests over every replica: every
-replica's client-side :class:`~repro.hbase.cache.RowCache` ends up caching
-every hot account (R× the compulsory misses fleet-wide) and no replica's
+Balancing requests round-robin spreads load perfectly but scatters each
+account's requests over every replica: every replica's client-side
+:class:`~repro.hbase.cache.RowCache` ends up caching every hot account (R×
+the compulsory misses fleet-wide) and no replica's
 :class:`~repro.features.streaming.SlidingWindowAggregator` state stays hot.
 
-:class:`ServingRouter` replaces that with consistent-hash sharding by
-*account* (the payer — the side whose behaviour the fraud check is about):
-every request of one account lands on the same replica, so that replica's
-cached rows for the account stay warm, and adding/removing a replica remaps
-only the accounts owned by the touched ring segment (~1/R of the keyspace)
-instead of reshuffling everything.
+:class:`ServingRouter` — the front end's default — shards by *account* with
+a consistent hash (the payer — the side whose behaviour the fraud check is
+about): every request of one account lands on the same replica, so that
+replica's cached rows for the account stay warm, and adding/removing a
+replica remaps only the accounts owned by the touched ring segment (~1/R of
+the keyspace) instead of reshuffling everything.
 
-``bench_serving_latency.py`` measures the resulting RowCache hit-rate lift of
-sharded routing over round-robin on the same replay.
+``bench_serving_latency.py`` keeps a round-robin :class:`Router` of its own
+and measures the RowCache hit-rate lift of sharded routing over it on the
+same replay.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence
 
 from repro.exceptions import ServingError
 
@@ -32,6 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def _stable_hash(key: str) -> int:
     """64-bit hash that is stable across processes (unlike builtin ``hash``)."""
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+class Router(Protocol):
+    """The routing policy ``AlipayServer`` needs: an account → replica map."""
+
+    @property
+    def num_replicas(self) -> int: ...
+
+    def route(self, account_id: str) -> int: ...
 
 
 class ServingRouter:

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.core.registry import ModelRegistry, ModelVersion
-from repro.exceptions import ServingError
+from repro.exceptions import ModelNotLoadedError, ServingError
 from repro.hbase import HBaseClient
 from repro.hbase.client import BASIC_FEATURES_FAMILY
 from repro.models.gbdt import GradientBoostingClassifier
@@ -165,6 +165,82 @@ class TestAsyncServingFrontEnd:
         asyncio.run(_first())
         with pytest.raises(ServingError, match="another event loop"):
             asyncio.run(_second())
+
+
+class TestFailedFlush:
+    """A flush that raises fails its own batch's futures, nobody else's.
+
+    Regression: the lost batch's futures used to stay at the head of the
+    waiter queue, so the next successful flush resolved them with other
+    requests' decisions and its own callers hung forever.
+    """
+
+    CONFIGS = {
+        "full": CoalescerConfig(max_batch=2, max_delay_ms=60_000.0),
+        "deadline": CoalescerConfig(max_batch=64, max_delay_ms=10.0),
+        "drain": CoalescerConfig(max_batch=64, max_delay_ms=60_000.0),
+    }
+
+    @pytest.mark.parametrize("trigger", sorted(CONFIGS))
+    def test_failed_flush_fails_exactly_its_batch(self, async_fleet, dataset, trigger):
+        champion = async_fleet[0].active_model
+        replica = ModelServer(async_fleet[0].hbase, ModelServerConfig())  # no model yet
+        server = AlipayServer(replica)
+        a, b, c, d = _requests(dataset, 4)
+
+        async def _flush(front_end, futures):
+            if trigger == "deadline":
+                await asyncio.wait(futures, timeout=5.0)
+            elif trigger == "drain":
+                assert len(await front_end.drain()) in (0, len(futures))
+            # "full": the second submit_nowait already flushed
+
+        async def _run():
+            front_end = AsyncServingFrontEnd(server, coalescer=self.CONFIGS[trigger])
+            lost = [front_end.submit_nowait(a), front_end.submit_nowait(b)]
+            await _flush(front_end, lost)
+            replica.load_model(
+                champion.model, version="v1", threshold=champion.threshold, plan=champion.plan
+            )
+            kept = [front_end.submit_nowait(c), front_end.submit_nowait(d)]
+            await _flush(front_end, kept)
+            return lost, kept, front_end.pending
+
+        lost, kept, pending = asyncio.run(_run())
+        assert pending == 0
+        assert all(future.done() for future in lost + kept)
+        assert all(isinstance(future.exception(), ModelNotLoadedError) for future in lost)
+        assert [future.result().request.transaction_id for future in kept] == [
+            c.transaction_id,
+            d.transaction_id,
+        ]
+        assert server.report().total == 2
+
+    def test_cancelled_wait_does_not_disturb_its_batch(self, async_fleet, dataset):
+        server = _fresh_server(async_fleet)
+        a, b, c = _requests(dataset, 3)
+
+        async def _run():
+            front_end = AsyncServingFrontEnd(
+                server, coalescer=CoalescerConfig(max_batch=3, max_delay_ms=60_000.0)
+            )
+            gone = front_end.submit_nowait(a)
+            gone.cancel()
+            return await asyncio.gather(front_end.submit(b), front_end.submit(c))
+
+        served = asyncio.run(_run())
+        assert [s.request.transaction_id for s in served] == [b.transaction_id, c.transaction_id]
+        assert server.report().total == 3
+
+    def test_wall_replay_raises_what_a_flush_raised(self, async_fleet, dataset):
+        server = AlipayServer(ModelServer(async_fleet[0].hbase, ModelServerConfig()))
+        with pytest.raises(ModelNotLoadedError):
+            server.replay_transactions(
+                dataset.test_transactions[:6],
+                arrival_rate_per_s=5000.0,
+                coalescer=CoalescerConfig(max_batch=4, max_delay_ms=2.0),
+                clock="wall",
+            )
 
 
 class TestWallClockReplay:

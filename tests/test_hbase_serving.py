@@ -285,18 +285,6 @@ class TestModelServer:
         assert a.alert_threshold == pytest.approx(0.9)
         assert b.alert_threshold == pytest.approx(0.1)
 
-    def test_rejects_plan_and_specs_together(self, serving_stack, feature_matrices):
-        hbase, _ = serving_stack
-        train, _ = feature_matrices
-        from repro.features.plan import FeaturePlan
-
-        model = GradientBoostingClassifier(num_trees=5, seed=4).fit(train.values, train.labels)
-        server = ModelServer(hbase)
-        with pytest.raises(ServingError):
-            server.load_model(
-                model, version="v", plan=FeaturePlan(), embedding_specs=[("dw", 8)]
-            )
-
     def test_latency_is_milliseconds_scale(self, serving_stack, dataset):
         _, server = serving_stack
         for txn in dataset.test_transactions[:30]:
@@ -331,7 +319,8 @@ class TestAlipayServer:
         assert 0.0 <= report.alert_precision <= 1.0
         assert 0.0 <= report.alert_recall <= 1.0
 
-    def test_round_robin_across_model_servers(self, serving_stack, feature_matrices, dataset):
+    def test_fleet_shards_requests_by_payer(self, serving_stack, feature_matrices, dataset):
+        """Without a router the front end shards: one payer → one replica."""
         hbase, first = serving_stack
         train, _ = feature_matrices
         second = ModelServer(hbase, ModelServerConfig())
@@ -340,9 +329,21 @@ class TestAlipayServer:
             version="replica",
         )
         alipay = AlipayServer([first, second])
-        for txn in dataset.test_transactions[:10]:
-            alipay.process(TransactionRequest.from_transaction(txn))
-        assert second.requests_served == 5
+        before = first.requests_served + second.requests_served
+        requests = [
+            TransactionRequest.from_transaction(txn)
+            for txn in dataset.test_transactions[:40]
+        ]
+        replicas_by_payer = {}
+        for request in requests:
+            version = alipay.process(request).response.model_version
+            replicas_by_payer.setdefault(request.payer_id, set()).add(version)
+        assert all(len(replicas) == 1 for replicas in replicas_by_payer.values())
+        assert {v for replicas in replicas_by_payer.values() for v in replicas} == {
+            first.model_version,
+            "replica",
+        }
+        assert first.requests_served + second.requests_served - before == len(requests)
 
     def test_latency_report_aggregates(self, serving_stack, dataset):
         _, server = serving_stack
@@ -398,8 +399,9 @@ class TestAlipayServer:
         assert [s.request.transaction_id for s in served] == [
             r.transaction_id for r in requests
         ]
-        assert first.requests_served - first_before == 20
-        assert second.requests_served == 20
+        # Sharded, not chunked: both replicas take part and nothing is lost.
+        assert first.requests_served > first_before and second.requests_served > 0
+        assert first.requests_served - first_before + second.requests_served == 40
 
 
 class TestEmbeddingWriteThroughInvalidation:
@@ -457,10 +459,10 @@ class TestMissingEmbeddingDefault:
 
     @pytest.fixture()
     def embedding_server(self, serving_stack):
-        from repro.features.plan import FeaturePlan
+        from repro.features.plan import EmbeddingBlockSpec, FeaturePlan
 
         hbase, _ = serving_stack
-        plan = FeaturePlan.from_specs([("s2v", 4)], embedding_side="both")
+        plan = FeaturePlan(embedding_blocks=(EmbeddingBlockSpec("s2v", 4),))
         rng = np.random.default_rng(0)
         model = GradientBoostingClassifier(num_trees=5, seed=0).fit(
             rng.normal(size=(64, plan.num_features)),

@@ -3,6 +3,8 @@ admission control and the registry ordering underneath hot rotation."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ class TestServingRouter:
             ServingRouter(1).remove_replica(0)
 
 
+class _RoundRobinRouter:
+    """The baseline sharding exists to beat: ignores the account, cycles replicas."""
+
+    def __init__(self, num_replicas: int) -> None:
+        self.num_replicas = num_replicas
+        self._calls = itertools.count()
+
+    def route(self, account_id: str) -> int:
+        return next(self._calls) % self.num_replicas
+
+
 class TestShardedFrontEnd:
     def test_account_affinity(self, fleet_stack, dataset):
         hbase, fleet, _, _ = fleet_stack
@@ -179,7 +192,7 @@ class TestShardedFrontEnd:
 
         transactions = dataset.test_transactions
         rr_fleet = build_fleet()
-        AlipayServer(rr_fleet).replay_transactions(transactions)
+        AlipayServer(rr_fleet, router=_RoundRobinRouter(3)).replay_transactions(transactions)
         rr_stats = fleet_cache_stats(rr_fleet)
 
         sharded_fleet = build_fleet()
@@ -291,6 +304,39 @@ class TestRequestCoalescer:
             coalescer.submit(request, now_ms=float(index))
         assert len(coalescer.flush()) == 3
         assert coalescer.forced_flushes == 1
+
+    def test_long_replay_keeps_no_per_request_state(self):
+        """Stats are running sums: 50k requests leave nothing that grew with them."""
+
+        class _CountingFrontEnd:
+            batches = 0
+
+            def process_batch(self, requests, *, was_fraud=None):
+                self.batches += 1
+                return []
+
+        front_end = _CountingFrontEnd()
+        config = CoalescerConfig(max_batch=64, max_delay_ms=5.0)
+        coalescer = RequestCoalescer(front_end, config)
+        total = 50_000
+        for index in range(total):
+            coalescer.submit(object(), now_ms=index * 0.5)
+        coalescer.flush()
+        for name, value in vars(coalescer).items():
+            if isinstance(value, (list, tuple, dict, set)):
+                assert len(value) <= config.max_batch, f"{name} grew with the stream"
+        # Arrivals 0.5 ms apart under a 5 ms budget: every flush is a deadline
+        # flush of 10 requests that waited 5.0, 4.5, ... 0.5 ms (27.5 in all),
+        # except the final drain, stamped at the last arrival (4.5 ... 0.0).
+        stats = coalescer.stats()
+        assert stats["requests"] == total
+        assert stats["batches"] == front_end.batches == total / 10
+        assert stats["mean_batch"] == 10.0
+        assert stats["forced_flushes"] == 1.0
+        assert stats["max_wait_ms"] == 5.0
+        assert stats["mean_wait_ms"] == pytest.approx(
+            ((total / 10 - 1) * 27.5 + 22.5) / total, rel=1e-12
+        )
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ServingError):
@@ -540,6 +586,17 @@ class TestFleetRotation:
         # Differently-seeded models must actually diverge somewhere.
         assert report.mean_abs_divergence > 0.0
         assert report.max_abs_divergence >= report.mean_abs_divergence
+        # The pooled running sums equal the per-request differences.
+        challenger = ModelServer(fleet[0].hbase, ModelServerConfig())
+        challenger.load_model(controller.registry.get("v2").model, version="v2")
+        diffs = [
+            abs(shadow.fraud_probability - served.response.fraud_probability)
+            for served, shadow in zip(
+                alipay.served, challenger.predict_batch([s.request for s in alipay.served])
+            )
+        ]
+        assert report.mean_abs_divergence == pytest.approx(np.mean(diffs), rel=1e-12)
+        assert report.max_abs_divergence == max(diffs)
         assert 0.0 <= report.decision_flip_rate <= 1.0
         # Shadow scoring never leaked into the served decisions.
         assert all(s.response.model_version == "v1" for s in alipay.served)
