@@ -4,8 +4,10 @@
 The typed core is ``src/repro/kunpeng`` (the process-parallel PS substrate,
 where a type confusion means corrupted shared-memory blocks) plus
 the serving request path (``serving/router.py``, ``serving/coalescer.py``,
-``serving/alipay.py``, ``serving/async_server.py``) and the compiled GBDT
-scorer ``models/tree/forest.py``.  The static-analysis CI
+``serving/alipay.py``, ``serving/async_server.py``), the compiled GBDT
+scorer ``models/tree/forest.py`` and the feature-assembly path
+(``features/plan.py``, ``features/basic.py``, ``serving/feature_source.py``).
+The static-analysis CI
 job installs mypy and runs this script; in environments without mypy (the
 offline reproduction container) it skips with a notice and exit code 0, so
 local tier-1 runs never depend on an uninstallable tool.

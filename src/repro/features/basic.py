@@ -19,7 +19,7 @@ Everything is observable at prediction time — the hidden generative attributes
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +122,25 @@ CATEGORICAL_BASIC_FEATURES: List[str] = [
 _NUM_CITY_BUCKETS = 10
 _HIGH_AMOUNT_THRESHOLD = 5000.0
 
+#: One account as the row builder reads it: its ten profile cells in
+#: ``BASIC_FEATURE_NAMES[:10]`` order, and its home city.
+ProfileCells = Tuple[Tuple[float, ...], str]
+
+#: The cold-account default: the one profile an account without a stored one
+#: is scored with, offline (absent from the profile dict) and online (absent
+#: cells of an HBase row, as production serves a brand-new account).
+DEFAULT_PROFILE = UserProfile(
+    user_id="__default__",
+    age=35,
+    gender=Gender.UNKNOWN,
+    home_city="city_000",
+    account_age_days=365,
+    kyc_level=2,
+    is_merchant=False,
+    device_count=1,
+    community=-1,
+)
+
 
 @lru_cache(maxsize=4096)
 def _city_bucket(city: str) -> int:
@@ -136,52 +155,174 @@ def _city_risk(city: str) -> float:
     return CITY_FRAUD_TIERS[city_tier(city)]
 
 
+def profile_cells(row: Mapping[str, Any]) -> ProfileCells:
+    """The :data:`ProfileCells` of one account from its attributes by name: a
+    basic-features HBase row online, ``vars(profile)`` of a
+    :class:`UserProfile` offline.  Absent cells read :data:`DEFAULT_PROFILE`'s,
+    so a cold account scores identically in both worlds."""
+    default = DEFAULT_PROFILE
+    gender = Gender(row.get("gender", default.gender))
+    home_city = str(row.get("home_city", default.home_city))
+    return (
+        (
+            float(row.get("age", default.age)),
+            1.0 if gender is Gender.FEMALE else 0.0,
+            1.0 if gender is Gender.MALE else 0.0,
+            1.0 if gender is Gender.UNKNOWN else 0.0,
+            float(row.get("account_age_days", default.account_age_days)),
+            float(row.get("kyc_level", default.kyc_level)),
+            1.0 if row.get("is_merchant", default.is_merchant) else 0.0,
+            float(row.get("device_count", default.device_count)),
+            _city_risk(home_city),
+            float(_city_bucket(home_city)),
+        ),
+        home_city,
+    )
+
+
+def cells_for(
+    profiles: Mapping[str, UserProfile], user_ids: Iterable[str]
+) -> Dict[str, ProfileCells]:
+    """:func:`profile_cells` of each of ``user_ids`` that has a profile."""
+    return {
+        user_id: profile_cells(vars(profiles[user_id]))
+        for user_id in user_ids
+        if user_id in profiles
+    }
+
+
+_DEFAULT_CELLS = profile_cells({})
+_LOG1P_COLUMNS = np.array(
+    [index for index, name in enumerate(BASIC_FEATURE_NAMES) if name.startswith("log_")]
+)
+_SIN_COLUMN = BASIC_FEATURE_NAMES.index("hour_sin")
+_COS_COLUMN = BASIC_FEATURE_NAMES.index("hour_cos")
+#: Row tuples are converted this many at a time, so a 100k-row training batch
+#: holds 512 tuples, not 100k (past a few thousand live tuples the per-row cost
+#: climbs ~35 % with cache misses and collector passes).  Not a tuning knob:
+#: 128 … 1024 measure the same, and a serving call is one block.
+_ROW_BLOCK = 512
+
+
+def fill_basic_block(
+    out: np.ndarray,
+    transactions: Sequence[Transaction],
+    profiles: Mapping[str, ProfileCells],
+) -> None:
+    """Write the 52 basic features of ``transactions`` into ``out`` (n, 52).
+
+    One tuple per transaction holds all 52 cells in column order — the
+    arithmetic of :meth:`BasicFeatureExtractor.extract_one` — except that the
+    seven transcendental cells carry their *argument*: after the ndarray
+    conversion ``log1p`` / ``sin`` / ``cos`` run once over those columns, on the
+    ufuncs the scalar path calls, so every value is bit-identical to it.
+    Accounts absent from ``profiles`` get the cold-account default.
+    """
+    for start in range(0, len(transactions), _ROW_BLOCK):
+        rows = []
+        for txn in transactions[start : start + _ROW_BLOCK]:
+            payer, payer_city = profiles.get(txn.payer_id, _DEFAULT_CELLS)
+            payee, payee_city = profiles.get(txn.payee_id, _DEFAULT_CELLS)
+            amount = float(txn.amount)
+            hour = txn.hour
+            hour_angle = 2.0 * np.pi * hour / 24.0
+            channel = txn.channel
+            trans_city = txn.trans_city
+            recent_amount = float(txn.payer_recent_amount)
+            inbound = float(txn.payee_recent_inbound_count)
+            payer_kyc, payee_kyc = payer[5], payee[5]
+            rows.append(
+                payer
+                + payee
+                + (
+                    # --- transfer environment (22) ---
+                    amount,
+                    amount,  # log1p below
+                    float(hour),
+                    hour_angle,  # sin below
+                    hour_angle,  # cos below
+                    1.0 if (hour >= 22 or hour < 6) else 0.0,
+                    1.0 if 9 <= hour <= 18 else 0.0,
+                    1.0 if channel is TransactionChannel.APP else 0.0,
+                    1.0 if channel is TransactionChannel.WEB else 0.0,
+                    1.0 if channel is TransactionChannel.QR_CODE else 0.0,
+                    1.0 if channel is TransactionChannel.BANK_CARD else 0.0,
+                    _city_risk(trans_city),
+                    float(_city_bucket(trans_city)),
+                    1.0 if trans_city == payer_city else 0.0,
+                    1.0 if txn.is_new_device else 0.0,
+                    float(txn.ip_risk_score),
+                    float(txn.payer_recent_txn_count),
+                    recent_amount,
+                    recent_amount,  # log1p below
+                    inbound,
+                    inbound,  # log1p below
+                    amount / (recent_amount + 1.0),
+                    # --- cross features (10) ---
+                    abs(payer[0] - payee[0]),
+                    1.0 if payer_city == payee_city else 0.0,
+                    abs(payer_kyc - payee_kyc),
+                    1.0 if (payer_kyc == 1.0 and payee_kyc == 1.0) else 0.0,
+                    payer[4],  # log1p below
+                    payee[4],  # log1p below
+                    amount / max(payer[7], 1.0),
+                    1.0 if abs(amount % 100.0) < 1e-9 else 0.0,
+                    1.0 if amount >= _HIGH_AMOUNT_THRESHOLD else 0.0,
+                    float(txn.day % 7),
+                )
+            )
+        if len(rows[0]) != len(BASIC_FEATURE_NAMES):
+            raise FeatureError(
+                f"expected {len(BASIC_FEATURE_NAMES)} features, produced {len(rows[0])}"
+            )
+        out[start : start + _ROW_BLOCK] = rows
+    out[:, _LOG1P_COLUMNS] = np.log1p(out[:, _LOG1P_COLUMNS])
+    sin_column, cos_column = out[:, _SIN_COLUMN], out[:, _COS_COLUMN]
+    np.sin(sin_column, out=sin_column)
+    np.cos(cos_column, out=cos_column)
+
+
+def labelled_matrix(
+    feature_names: List[str],
+    values: np.ndarray,
+    transactions: Sequence[Transaction],
+    with_labels: bool,
+) -> FeatureMatrix:
+    """``values`` with the transactions' ids and, optionally, fraud labels."""
+    labels = np.array([float(t.is_fraud) for t in transactions]) if with_labels else None
+    row_ids = [t.transaction_id for t in transactions]
+    return FeatureMatrix(feature_names, values, row_ids=row_ids, labels=labels)
+
+
 class BasicFeatureExtractor:
     """Extracts the 52 basic features for transactions.
 
     Parameters
     ----------
     profiles:
-        Mapping ``user_id -> UserProfile``.  Missing profiles fall back to a
-        neutral default (the production system would equally serve a default
-        row from HBase for a brand-new account).
+        Mapping ``user_id -> UserProfile``.  Missing profiles fall back to
+        :data:`DEFAULT_PROFILE`.
     """
 
-    def __init__(self, profiles: Dict[str, UserProfile]):
+    def __init__(self, profiles: Mapping[str, UserProfile]) -> None:
         self._profiles = profiles
-        self._default_profile = UserProfile(
-            user_id="__default__",
-            age=35,
-            gender=Gender.UNKNOWN,
-            home_city="city_000",
-            account_age_days=365,
-            kyc_level=2,
-            is_merchant=False,
-            device_count=1,
-            community=-1,
-        )
 
     # ------------------------------------------------------------------
-    @property
-    def feature_names(self) -> List[str]:
-        return list(BASIC_FEATURE_NAMES)
-
     def extract_one(self, transaction: Transaction) -> np.ndarray:
-        """Feature vector (length 52) for a single transaction."""
-        payer = self._profiles.get(transaction.payer_id, self._default_profile)
-        payee = self._profiles.get(transaction.payee_id, self._default_profile)
+        """Feature vector (length 52) for a single transaction.
+
+        The scalar reference: :func:`fill_basic_block` is tested bit-for-bit
+        against it, nothing on a serving or training path calls it.
+        """
+        payer = self._profiles.get(transaction.payer_id, DEFAULT_PROFILE)
+        payee = self._profiles.get(transaction.payee_id, DEFAULT_PROFILE)
         values = (
-            self._profile_block(payer)
-            + self._profile_block(payee)
+            list(profile_cells(vars(payer))[0])
+            + list(profile_cells(vars(payee))[0])
             + self._environment_block(transaction, payer)
             + self._cross_block(transaction, payer, payee)
         )
-        vector = np.array(values, dtype=np.float64)
-        if vector.shape[0] != len(BASIC_FEATURE_NAMES):
-            raise FeatureError(
-                f"expected {len(BASIC_FEATURE_NAMES)} features, produced {vector.shape[0]}"
-            )
-        return vector
+        return np.array(values, dtype=np.float64)
 
     def extract(
         self,
@@ -189,141 +330,14 @@ class BasicFeatureExtractor:
         *,
         with_labels: bool = True,
     ) -> FeatureMatrix:
-        """Design matrix for a batch of transactions.
-
-        The batch path is fully vectorised: raw attributes are gathered once
-        (profile rows deduplicated per unique user) and every feature column
-        is computed with one numpy expression, instead of stacking per-row
-        :meth:`extract_one` calls.  The two paths produce identical values.
-        """
-        if len(transactions) == 0:
-            return FeatureMatrix(
-                feature_names=self.feature_names,
-                values=np.zeros((0, len(BASIC_FEATURE_NAMES))),
-                row_ids=[],
-                labels=np.zeros(0) if with_labels else None,
-            )
-        payer_block, payer_cities = self._profile_matrix(
-            [t.payer_id for t in transactions]
+        """Design matrix for a batch of transactions (:func:`fill_basic_block`
+        over this extractor's profiles)."""
+        accounts = dict.fromkeys(
+            account for txn in transactions for account in (txn.payer_id, txn.payee_id)
         )
-        payee_block, payee_cities = self._profile_matrix(
-            [t.payee_id for t in transactions]
-        )
-        environment = self._environment_columns(transactions, payer_cities)
-        cross = self._cross_columns(transactions, payer_block, payee_block, payer_cities, payee_cities)
-        values = np.hstack([payer_block, payee_block, environment, cross])
-        if values.shape[1] != len(BASIC_FEATURE_NAMES):
-            raise FeatureError(
-                f"expected {len(BASIC_FEATURE_NAMES)} features, produced {values.shape[1]}"
-            )
-        labels = (
-            np.array([float(t.is_fraud) for t in transactions]) if with_labels else None
-        )
-        return FeatureMatrix(
-            feature_names=self.feature_names,
-            values=values,
-            row_ids=[t.transaction_id for t in transactions],
-            labels=labels,
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorised column builders for the batch path
-    # ------------------------------------------------------------------
-    def _profile_matrix(self, user_ids: Sequence[str]):
-        """(n, 10) profile block plus home cities, deduplicated per user."""
-        unique_rows: List[List[float]] = []
-        unique_cities: List[str] = []
-        index_of: Dict[str, int] = {}
-        index = np.empty(len(user_ids), dtype=np.intp)
-        for position, user_id in enumerate(user_ids):
-            row = index_of.get(user_id)
-            if row is None:
-                profile = self._profiles.get(user_id, self._default_profile)
-                row = len(unique_rows)
-                index_of[user_id] = row
-                unique_rows.append(self._profile_block(profile))
-                unique_cities.append(profile.home_city)
-            index[position] = row
-        block = np.asarray(unique_rows, dtype=np.float64)[index]
-        cities = [unique_cities[row] for row in index]
-        return block, cities
-
-    def _environment_columns(
-        self, transactions: Sequence[Transaction], payer_cities: Sequence[str]
-    ) -> np.ndarray:
-        amount = np.array([t.amount for t in transactions], dtype=np.float64)
-        hour = np.array([t.hour for t in transactions], dtype=np.float64)
-        hour_angle = 2.0 * np.pi * hour / 24.0
-        channels = [t.channel for t in transactions]
-        trans_cities = [t.trans_city for t in transactions]
-        recent_amount = np.array(
-            [t.payer_recent_amount for t in transactions], dtype=np.float64
-        )
-        inbound = np.array(
-            [t.payee_recent_inbound_count for t in transactions], dtype=np.float64
-        )
-        columns = [
-            amount,
-            np.log1p(amount),
-            hour,
-            np.sin(hour_angle),
-            np.cos(hour_angle),
-            ((hour >= 22) | (hour < 6)).astype(np.float64),
-            ((hour >= 9) & (hour <= 18)).astype(np.float64),
-            np.array([1.0 if c is TransactionChannel.APP else 0.0 for c in channels]),
-            np.array([1.0 if c is TransactionChannel.WEB else 0.0 for c in channels]),
-            np.array([1.0 if c is TransactionChannel.QR_CODE else 0.0 for c in channels]),
-            np.array([1.0 if c is TransactionChannel.BANK_CARD else 0.0 for c in channels]),
-            np.array([_city_risk(city) for city in trans_cities], dtype=np.float64),
-            np.array([float(_city_bucket(city)) for city in trans_cities]),
-            np.array(
-                [
-                    1.0 if trans_city == home_city else 0.0
-                    for trans_city, home_city in zip(trans_cities, payer_cities)
-                ]
-            ),
-            np.array([1.0 if t.is_new_device else 0.0 for t in transactions]),
-            np.array([t.ip_risk_score for t in transactions], dtype=np.float64),
-            np.array([t.payer_recent_txn_count for t in transactions], dtype=np.float64),
-            recent_amount,
-            np.log1p(recent_amount),
-            inbound,
-            np.log1p(inbound),
-            amount / (recent_amount + 1.0),
-        ]
-        return np.column_stack(columns)
-
-    def _cross_columns(
-        self,
-        transactions: Sequence[Transaction],
-        payer_block: np.ndarray,
-        payee_block: np.ndarray,
-        payer_cities: Sequence[str],
-        payee_cities: Sequence[str],
-    ) -> np.ndarray:
-        # Column offsets inside the 10-column profile block.
-        age, account_age, kyc, devices = 0, 4, 5, 7
-        amount = np.array([t.amount for t in transactions], dtype=np.float64)
-        columns = [
-            np.abs(payer_block[:, age] - payee_block[:, age]),
-            np.array(
-                [
-                    1.0 if payer_city == payee_city else 0.0
-                    for payer_city, payee_city in zip(payer_cities, payee_cities)
-                ]
-            ),
-            np.abs(payer_block[:, kyc] - payee_block[:, kyc]),
-            ((payer_block[:, kyc] == 1.0) & (payee_block[:, kyc] == 1.0)).astype(
-                np.float64
-            ),
-            np.log1p(payer_block[:, account_age]),
-            np.log1p(payee_block[:, account_age]),
-            amount / np.maximum(payer_block[:, devices], 1.0),
-            (np.abs(amount % 100.0) < 1e-9).astype(np.float64),
-            (amount >= _HIGH_AMOUNT_THRESHOLD).astype(np.float64),
-            np.array([float(t.day % 7) for t in transactions]),
-        ]
-        return np.column_stack(columns)
+        values = np.empty((len(transactions), len(BASIC_FEATURE_NAMES)))
+        fill_basic_block(values, transactions, cells_for(self._profiles, accounts))
+        return labelled_matrix(list(BASIC_FEATURE_NAMES), values, transactions, with_labels)
 
     def extract_user_features(self, user_id: str) -> Dict[str, float]:
         """Static per-user features for the HBase feature store (Figure 7).
@@ -331,26 +345,11 @@ class BasicFeatureExtractor:
         The online Model Server combines these stored per-user attributes with
         the per-transaction context available in the request itself.
         """
-        profile = self._profiles.get(user_id, self._default_profile)
+        values, _ = profile_cells(vars(self._profiles.get(user_id, DEFAULT_PROFILE)))
         names = BASIC_FEATURE_NAMES[:10]
-        values = self._profile_block(profile)
         return {name.replace("payer_", ""): value for name, value in zip(names, values)}
 
     # ------------------------------------------------------------------
-    def _profile_block(self, profile: UserProfile) -> List[float]:
-        return [
-            float(profile.age),
-            1.0 if profile.gender is Gender.FEMALE else 0.0,
-            1.0 if profile.gender is Gender.MALE else 0.0,
-            1.0 if profile.gender is Gender.UNKNOWN else 0.0,
-            float(profile.account_age_days),
-            float(profile.kyc_level),
-            1.0 if profile.is_merchant else 0.0,
-            float(profile.device_count),
-            _city_risk(profile.home_city),
-            float(_city_bucket(profile.home_city)),
-        ]
-
     def _environment_block(self, txn: Transaction, payer: UserProfile) -> List[float]:
         hour_angle = 2.0 * np.pi * txn.hour / 24.0
         return [
@@ -393,13 +392,3 @@ class BasicFeatureExtractor:
             1.0 if txn.amount >= _HIGH_AMOUNT_THRESHOLD else 0.0,
             float(txn.day % 7),
         ]
-
-
-def feature_matrix_from_transactions(
-    transactions: Sequence[Transaction],
-    profiles: Dict[str, UserProfile],
-    *,
-    with_labels: bool = True,
-) -> FeatureMatrix:
-    """One-call helper used by examples and tests."""
-    return BasicFeatureExtractor(profiles).extract(transactions, with_labels=with_labels)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,13 @@ from repro.features.aggregation import (
     PointInTimeAggregateProvider,
     aggregation_vector,
 )
-from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor
+from repro.features.basic import (
+    BASIC_FEATURE_NAMES,
+    ProfileCells,
+    cells_for,
+    fill_basic_block,
+    labelled_matrix,
+)
 from repro.features.matrix import FeatureMatrix
 from repro.nrl.embeddings import EmbeddingSet
 
@@ -60,7 +66,7 @@ class EmbeddingBlockSpec:
         return {"set_name": self.set_name, "dimension": int(self.dimension)}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EmbeddingBlockSpec":
+    def from_dict(cls, data: Mapping[str, Any]) -> "EmbeddingBlockSpec":
         return cls(set_name=str(data["set_name"]), dimension=int(data["dimension"]))
 
 
@@ -99,6 +105,12 @@ class FeaturePlan:
         names = [block.set_name for block in self.embedding_blocks]
         if len(set(names)) != len(names):
             raise FeatureError(f"duplicate embedding set names in plan: {names}")
+        if self.basic_feature_names != tuple(BASIC_FEATURE_NAMES):
+            # Fail at load_model, not by labelling canonical-order values with
+            # another code version's names.
+            raise FeatureError(
+                "plan's basic_feature_names differ from this build's BASIC_FEATURE_NAMES"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -124,13 +136,7 @@ class FeaturePlan:
     @property
     def num_features(self) -> int:
         """Total width of the assembled feature vector."""
-        per_block = sum(block.dimension for block in self.embedding_blocks)
-        aggregation_width = len(AGGREGATION_FEATURE_NAMES) if self.aggregation else 0
-        return (
-            len(self.basic_feature_names)
-            + aggregation_width
-            + per_block * len(self.sides)
-        )
+        return len(self.feature_names)
 
     @property
     def embedding_specs(self) -> List[Tuple[str, int]]:
@@ -168,7 +174,7 @@ class FeaturePlan:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FeaturePlan":
+    def from_dict(cls, data: Mapping[str, Any]) -> "FeaturePlan":
         """Rebuild a plan from :meth:`to_dict` output (legacy JSON accepted)."""
         blocks = tuple(
             EmbeddingBlockSpec.from_dict(item)
@@ -212,8 +218,10 @@ class FeatureSource(abc.ABC):
     """
 
     @abc.abstractmethod
-    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, UserProfile]:
-        """Profiles for ``user_ids``; callers tolerate missing entries."""
+    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, ProfileCells]:
+        """Per account, its decoded ten-float profile block and home city
+        (:func:`~repro.features.basic.profile_cells`); accounts left out are
+        scored with the cold-account default."""
 
     @abc.abstractmethod
     def embedding_matrix(
@@ -221,9 +229,7 @@ class FeatureSource(abc.ABC):
     ) -> np.ndarray:
         """(len(user_ids), block.dimension) matrix; unknown users are zeros."""
 
-    def aggregate_rows(
-        self, user_ids: Sequence[str]
-    ) -> Dict[str, Mapping[str, object]]:
+    def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
         """Per-user sliding-window aggregate rows (see ``AGGREGATE_ROW_FIELDS``).
 
         Non-abstract for backwards compatibility: sources without aggregate
@@ -257,22 +263,16 @@ class InMemoryFeatureSource(FeatureSource):
         self,
         profiles: Mapping[str, UserProfile],
         embedding_sets: Optional[Mapping[str, EmbeddingSet]] = None,
-        aggregates: Optional[object] = None,
+        aggregates: Optional[Any] = None,
     ) -> None:
         self._profiles = profiles
         self._embedding_sets = dict(embedding_sets or {})
         self._aggregates = aggregates
 
-    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, UserProfile]:
-        return {
-            user_id: self._profiles[user_id]
-            for user_id in user_ids
-            if user_id in self._profiles
-        }
+    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, ProfileCells]:
+        return cells_for(self._profiles, user_ids)
 
-    def aggregate_rows(
-        self, user_ids: Sequence[str]
-    ) -> Dict[str, Mapping[str, object]]:
+    def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
         if self._aggregates is None or isinstance(
             self._aggregates, PointInTimeAggregateProvider
         ):
@@ -320,74 +320,93 @@ class InMemoryFeatureSource(FeatureSource):
 
 
 class FeaturePlanExecutor:
-    """Executes a :class:`FeaturePlan` against a :class:`FeatureSource`."""
+    """Executes a :class:`FeaturePlan` against a :class:`FeatureSource`.
+
+    Column names, the matrix width and every block's column range are fixed
+    at construction; a call is then one pass over its transactions.
+    """
 
     def __init__(self, plan: FeaturePlan, source: FeatureSource) -> None:
         self.plan = plan
         self.source = source
+        self._feature_names = plan.feature_names
+        offset = len(BASIC_FEATURE_NAMES)
+        width = len(AGGREGATION_FEATURE_NAMES) if plan.aggregation is not None else 0
+        self._aggregation_columns = slice(offset, offset + width)
+        offset += width
+        #: Each embedding block with the columns of its per-side sub-blocks.
+        self._embedding_columns: List[Tuple[EmbeddingBlockSpec, slice]] = []
+        for block in plan.embedding_blocks:
+            width = block.dimension * len(plan.sides)
+            self._embedding_columns.append((block, slice(offset, offset + width)))
+            offset += width
 
     # ------------------------------------------------------------------
-    @property
-    def feature_names(self) -> List[str]:
-        """Column names of the matrices this executor assembles."""
-        return self.plan.feature_names
-
     def assemble(
         self,
         transactions: Sequence[Transaction],
         *,
         with_labels: bool = True,
     ) -> FeatureMatrix:
-        """One design matrix for a batch: basic block ⊕ embedding blocks."""
+        """One design matrix for a batch: basic ⊕ aggregation ⊕ embedding blocks.
+
+        The call's distinct accounts are indexed once and each family is read
+        once over them — ``profiles_for``, ``aggregate_rows`` (unless the
+        source computes the point-in-time block) and one ``embedding_matrix``
+        per block, gathered per side by index.  Every block writes into its
+        column range of the one preallocated matrix.  A row's values do not
+        depend on which other rows share its call.
+        """
         transactions = list(transactions)
-        payers = [t.payer_id for t in transactions]
-        payees = [t.payee_id for t in transactions]
-        profiles = self.source.profiles_for(list(dict.fromkeys(payers + payees)))
-        extractor = BasicFeatureExtractor(profiles)
-        basic = extractor.extract(transactions, with_labels=with_labels)
-        blocks: List[np.ndarray] = [basic.values]
-        if self.plan.aggregation is not None:
-            blocks.append(self._aggregation_block(transactions, payers, payees))
-        for block in self.plan.embedding_blocks:
-            for side in self.plan.sides:
-                user_ids = payers if side == "payer" else payees
-                blocks.append(self.source.embedding_matrix(block, user_ids))
-        if len(blocks) == 1:
-            return FeatureMatrix(
-                feature_names=self.plan.feature_names,
-                values=basic.values,
-                row_ids=basic.row_ids,
-                labels=basic.labels,
+        count = len(transactions)
+        values = np.empty((count, len(self._feature_names)))
+        if transactions:
+            ids = {
+                "payer": [t.payer_id for t in transactions],
+                "payee": [t.payee_id for t in transactions],
+            }
+            accounts = list(dict.fromkeys(ids["payer"] + ids["payee"]))
+            fill_basic_block(
+                values[:, : len(BASIC_FEATURE_NAMES)],
+                transactions,
+                self.source.profiles_for(accounts),
             )
-        return FeatureMatrix(
-            feature_names=self.plan.feature_names,
-            values=np.hstack(blocks) if transactions else
-            np.zeros((0, self.plan.num_features)),
-            row_ids=basic.row_ids,
-            labels=basic.labels,
-        )
+            if self.plan.aggregation is not None:
+                values[:, self._aggregation_columns] = self._aggregation_block(
+                    transactions, accounts
+                )
+            if self._embedding_columns:
+                slot = {account: index for index, account in enumerate(accounts)}
+                # (count, sides): row i gathers its payer's then payee's vector.
+                gather = np.array([[slot[a] for a in ids[side]] for side in self.plan.sides]).T
+                for block, columns in self._embedding_columns:
+                    matrix = self.source.embedding_matrix(block, accounts)
+                    if matrix.shape != (len(accounts), block.dimension):
+                        raise FeatureError(
+                            f"source returned a {matrix.shape} matrix for embedding "
+                            f"block {block.set_name!r} over {len(accounts)} accounts"
+                        )
+                    values[:, columns] = matrix.take(gather, axis=0).reshape(count, -1)
+        return labelled_matrix(list(self._feature_names), values, transactions, with_labels)
 
     def _aggregation_block(
-        self,
-        transactions: Sequence[Transaction],
-        payers: Sequence[str],
-        payees: Sequence[str],
-    ) -> np.ndarray:
+        self, transactions: Sequence[Transaction], accounts: Sequence[str]
+    ) -> Union[np.ndarray, List[List[float]]]:
         """The 12-column aggregation block: point-in-time when the source can
         compute it, otherwise from the source's precomputed per-user rows."""
         point_in_time = self.source.aggregation_block(transactions)
         if point_in_time is not None:
-            return np.asarray(point_in_time, dtype=np.float64)
-        rows = self.source.aggregate_rows(list(dict.fromkeys([*payers, *payees])))
-        block = np.zeros((len(transactions), len(AGGREGATION_FEATURE_NAMES)))
+            return point_in_time
+        rows = self.source.aggregate_rows(accounts)
         empty: Mapping[str, object] = {}
-        for index, txn in enumerate(transactions):
-            block[index] = aggregation_vector(
+        return [
+            aggregation_vector(
                 rows.get(txn.payer_id) or empty,
                 rows.get(txn.payee_id) or empty,
                 txn.payer_id,
             )
-        return block
+            for txn in transactions
+        ]
 
     def assemble_single(self, transaction: Transaction) -> np.ndarray:
         """Feature vector for one transaction (the scalar serving path)."""

@@ -71,7 +71,9 @@ class ServingReport:
     ``missing_embeddings`` counts (user, embedding-block) reads across the
     fleet that found no stored embedding row at all and were served the
     explicit zero default — cold accounts, observable instead of silently
-    indistinguishable from a trained all-zero vector.
+    indistinguishable from a trained all-zero vector.  A model call reads each
+    block once over its distinct accounts, so an account on both sides of one
+    call counts once per block, not once per side.
     """
 
     total: int

@@ -11,12 +11,13 @@ per column family per batch of transactions.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.datagen.schema import Gender, UserProfile
+from repro.datagen.schema import UserProfile
 from repro.exceptions import ServingError
+from repro.features.basic import DEFAULT_PROFILE, ProfileCells, profile_cells
 from repro.features.plan import EmbeddingBlockSpec, FeatureSource
 from repro.hbase.client import (
     AGGREGATES_FAMILY,
@@ -26,44 +27,37 @@ from repro.hbase.client import (
 )
 
 
-def profile_from_row(user_id: str, row: Dict[str, object]) -> UserProfile:
-    """Deserialise a basic-features HBase row; missing cells get the neutral
-    defaults the offline :class:`BasicFeatureExtractor` uses for unseen users,
-    so cold accounts score identically offline and online."""
-    return UserProfile(
-        user_id=user_id,
-        age=int(row.get("age", 35)),
-        gender=Gender(row.get("gender", "U")),
-        home_city=str(row.get("home_city", "city_000")),
-        account_age_days=int(row.get("account_age_days", 365)),
-        kyc_level=int(row.get("kyc_level", 2)),
-        is_merchant=bool(row.get("is_merchant", False)),
-        device_count=int(row.get("device_count", 1)),
-        community=int(row.get("community", -1)),
-    )
+def profile_from_row(user_id: str, row: Mapping[str, Any]) -> UserProfile:
+    """Deserialise a basic-features HBase row; missing cells get
+    :data:`~repro.features.basic.DEFAULT_PROFILE`'s, so a cold account is the
+    same profile offline and online."""
+    cells = {**vars(DEFAULT_PROFILE), **row, "user_id": user_id}
+    return UserProfile.from_row({name: cells[name] for name in vars(DEFAULT_PROFILE)})
 
 
 class HBaseFeatureSource(FeatureSource):
     """Reads profiles and embedding blocks from the TitAnt feature store."""
 
-    def __init__(self, hbase: HBaseClient, table_name: str = "titant_features"):
+    def __init__(self, hbase: HBaseClient, table_name: str = "titant_features") -> None:
         self.hbase = hbase
         self.table_name = table_name
         #: (user, block) reads that found no stored embedding cell at all —
         #: distinguishes a genuinely missing row (cold account, never
-        #: published) from a stored vector that happens to be all zeros.
+        #: published) from a stored vector that happens to be all zeros.  The
+        #: executor reads a block once per call over its distinct accounts, so
+        #: an account on both sides of a call counts once per block.
         self.missing_embeddings = 0
 
     # ------------------------------------------------------------------
-    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, UserProfile]:
+    def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, ProfileCells]:
+        """Profile cells decoded straight from the stored rows; an unpublished
+        account's empty default row decodes to the cold-account default."""
         rows = self.hbase.multi_get(
             self.table_name, list(user_ids), BASIC_FEATURES_FAMILY, default={}
         )
-        return {
-            user_id: profile_from_row(user_id, row) for user_id, row in rows.items()
-        }
+        return {user_id: profile_cells(row) for user_id, row in rows.items()}
 
-    def aggregate_rows(self, user_ids: Sequence[str]) -> Dict[str, Dict[str, object]]:
+    def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
         """Latest per-user sliding-window aggregate rows.
 
         Rows are written through by the online streaming engine on every
@@ -89,27 +83,19 @@ class HBaseFeatureSource(FeatureSource):
         rows = self.hbase.multi_get(
             self.table_name, list(user_ids), EMBEDDINGS_FAMILY, default={}
         )
-        vectors: Dict[str, np.ndarray] = {}
-        for user_id, row in rows.items():
-            vectors[user_id] = self._vector_from_row(block, row)
+        vectors = {
+            user_id: self._vector_from_row(block, row) for user_id, row in rows.items()
+        }
         result = np.zeros((len(user_ids), block.dimension), dtype=np.float64)
         for position, user_id in enumerate(user_ids):
             result[position] = vectors[user_id]
         return result
 
     def _vector_from_row(
-        self, block: EmbeddingBlockSpec, row: Dict[str, object]
+        self, block: EmbeddingBlockSpec, row: Mapping[str, Any]
     ) -> np.ndarray:
         value = row.get(block.set_name)
-        if value is not None:
-            vector = np.asarray(value, dtype=np.float64).ravel()
-            if vector.shape[0] != block.dimension:
-                raise ServingError(
-                    f"stored {block.set_name!r} embedding has "
-                    f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
-                )
-            return vector
-        if f"{block.set_name}_0" not in row:
+        if value is None and f"{block.set_name}_0" not in row:
             # No array cell and no legacy scalar cells: the embedding row was
             # never published for this account.  Serve the explicit neutral
             # default — the zero vector, exactly what the offline
@@ -118,8 +104,13 @@ class HBaseFeatureSource(FeatureSource):
             # trained all-zero embedding.
             self.missing_embeddings += 1
             return np.zeros(block.dimension, dtype=np.float64)
-        # Legacy layout: one scalar cell per dimension ("dw_0", "dw_1", ...).
-        vector = np.zeros(block.dimension, dtype=np.float64)
-        for dim in range(block.dimension):
-            vector[dim] = float(row.get(f"{block.set_name}_{dim}", 0.0))
+        if value is None:
+            # Legacy layout: one scalar cell per dimension ("dw_0", "dw_1", ...).
+            value = [row.get(f"{block.set_name}_{dim}", 0.0) for dim in range(block.dimension)]
+        vector = np.asarray(value, dtype=np.float64).ravel()
+        if vector.shape[0] != block.dimension:
+            raise ServingError(
+                f"stored {block.set_name!r} embedding has "
+                f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
+            )
         return vector

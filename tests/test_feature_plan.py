@@ -9,6 +9,8 @@ one it would have been trained on offline.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,27 @@ class TestFeaturePlan:
         with pytest.raises(FeatureError):
             EmbeddingBlockSpec("dw", 0)
 
+    def test_rejects_foreign_basic_feature_names(self):
+        # The basic block is always computed in BASIC_FEATURE_NAMES order; a
+        # plan that names it differently used to be accepted and to label
+        # canonical-order values with its own names (silent column skew).
+        with pytest.raises(FeatureError):
+            FeaturePlan(basic_feature_names=tuple(reversed(BASIC_FEATURE_NAMES)))
+        with pytest.raises(FeatureError):
+            FeaturePlan(basic_feature_names=tuple(BASIC_FEATURE_NAMES[:-1]))
+        payload = json.loads(FeaturePlan().to_json())
+        payload["basic_feature_names"][0], payload["basic_feature_names"][1] = (
+            payload["basic_feature_names"][1],
+            payload["basic_feature_names"][0],
+        )
+        with pytest.raises(FeatureError):
+            FeaturePlan.from_json(json.dumps(payload))
+        payload["basic_feature_names"] = list(BASIC_FEATURE_NAMES) + ["from_the_future"]
+        with pytest.raises(FeatureError):
+            FeaturePlan.from_json(json.dumps(payload))
+        # The canonical list, as a list (what JSON carries), still loads.
+        assert FeaturePlan(basic_feature_names=list(BASIC_FEATURE_NAMES)) == FeaturePlan()
+
     def test_feature_names_match_legacy_assembler_layout(self, world, embedding_sets):
         assembler = FeatureAssembler(
             world.profiles_by_id, embedding_sets, embedding_side=EmbeddingSide.BOTH
@@ -91,7 +114,7 @@ class TestVectorisedBasicExtraction:
         transactions = dataset.test_transactions[:250]
         batch = extractor.extract(transactions, with_labels=True)
         reference = np.vstack([extractor.extract_one(t) for t in transactions])
-        assert np.allclose(batch.values, reference)
+        np.testing.assert_array_equal(batch.values, reference)
         assert batch.values.shape == (250, 52)
 
     def test_unknown_users_fall_back_to_default(self, dataset):
@@ -99,7 +122,7 @@ class TestVectorisedBasicExtraction:
         transactions = dataset.test_transactions[:5]
         batch = extractor.extract(transactions, with_labels=False)
         reference = np.vstack([extractor.extract_one(t) for t in transactions])
-        assert np.allclose(batch.values, reference)
+        np.testing.assert_array_equal(batch.values, reference)
 
 
 class TestOfflineOnlineParity:

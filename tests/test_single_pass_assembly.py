@@ -1,0 +1,390 @@
+"""Single-pass feature assembly: one row builder, one matrix, one read per family.
+
+``FeaturePlanExecutor.assemble`` indexes a call's distinct accounts once, reads
+each family once over them and writes every block into one preallocated
+matrix.  These tests pin what that must not change — every cell bit-identical
+to a row-by-row oracle built from the scalar ``extract_one``,
+``aggregation_vector`` and ``EmbeddingSet.lookup`` — and what it does change:
+the number of source reads a call issues.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from functools import lru_cache
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datagen.schema import Gender, Transaction, TransactionChannel, UserProfile
+from repro.exceptions import ServingError
+from repro.features.aggregation import (
+    AggregationWindowSpec,
+    aggregation_vector,
+    build_aggregate_row,
+)
+from repro.features.basic import DEFAULT_PROFILE, BasicFeatureExtractor
+from repro.features.plan import (
+    EmbeddingBlockSpec,
+    FeaturePlan,
+    FeaturePlanExecutor,
+    FeatureSource,
+    InMemoryFeatureSource,
+)
+from repro.hbase.client import (
+    AGGREGATES_FAMILY,
+    BASIC_FEATURES_FAMILY,
+    EMBEDDINGS_FAMILY,
+    HBaseClient,
+)
+from repro.nrl.embeddings import EmbeddingSet
+from repro.serving.feature_source import HBaseFeatureSource
+
+TABLE = "titant_features"
+KNOWN = [f"u{index}" for index in range(6)]
+UNKNOWN = ["x0", "x1"]
+DIMENSIONS = {"dw": 3, "s2v": 2}
+
+
+def _profiles() -> Dict[str, UserProfile]:
+    rng = np.random.default_rng(7)
+    genders = list(Gender)
+    return {
+        user_id: UserProfile(
+            user_id=user_id,
+            age=int(rng.integers(18, 80)),
+            gender=genders[index % 3],
+            home_city=f"city_{int(rng.integers(0, 40)):03d}",
+            account_age_days=int(rng.integers(0, 4000)),
+            kyc_level=1 + index % 3,
+            is_merchant=bool(index % 2),
+            device_count=int(rng.integers(0, 5)),
+            community=index,
+        )
+        for index, user_id in enumerate(KNOWN)
+    }
+
+
+def _embedding_sets() -> Dict[str, EmbeddingSet]:
+    # u5 has a profile but no embedding row: known to one family only.
+    rng = np.random.default_rng(11)
+    return {
+        name: EmbeddingSet(KNOWN[:5], rng.normal(size=(5, dimension)), name=name)
+        for name, dimension in DIMENSIONS.items()
+    }
+
+
+def _aggregate_rows() -> Dict[str, Dict[str, object]]:
+    # u0 has a profile but no aggregate row.
+    rows: Dict[str, Dict[str, object]] = {}
+    for index, user_id in enumerate(KNOWN[1:], start=1):
+        row: Dict[str, object] = dict(
+            build_aggregate_row(
+                out_count=index,
+                out_amount_sum=101.25 * index,
+                out_amount_max=77.5 + index,
+                out_night_count=index // 2,
+                num_payees=index,
+                in_count=index + 1,
+                in_amount_sum=33.1 * index,
+                in_amount_max=20.0 + index,
+                num_payers=2,
+            )
+        )
+        row["payers"] = (KNOWN[index - 1], UNKNOWN[0])
+        rows[user_id] = row
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _world() -> Tuple[
+    Dict[str, UserProfile],
+    Dict[str, EmbeddingSet],
+    Dict[str, Dict[str, object]],
+    HBaseClient,
+]:
+    """The same accounts in both worlds: python objects and an HBase table."""
+    profiles, embedding_sets, aggregates = _profiles(), _embedding_sets(), _aggregate_rows()
+    hbase = HBaseClient()
+    hbase.create_feature_store(TABLE)
+    hbase.bulk_load(
+        TABLE,
+        BASIC_FEATURES_FAMILY,
+        {
+            user_id: {
+                "age": profile.age,
+                "gender": profile.gender.value,
+                "home_city": profile.home_city,
+                "account_age_days": profile.account_age_days,
+                "kyc_level": profile.kyc_level,
+                "is_merchant": profile.is_merchant,
+                "device_count": profile.device_count,
+                "community": profile.community,
+            }
+            for user_id, profile in profiles.items()
+        },
+        version=1,
+    )
+    hbase.bulk_load(
+        TABLE,
+        EMBEDDINGS_FAMILY,
+        {
+            user_id: {
+                name: tuple(float(v) for v in embeddings[user_id])
+                for name, embeddings in embedding_sets.items()
+            }
+            for user_id in KNOWN[:5]
+        },
+        version=1,
+    )
+    hbase.bulk_load(TABLE, AGGREGATES_FAMILY, aggregates, version=1)
+    return profiles, embedding_sets, aggregates, hbase
+
+
+def _sources() -> List[FeatureSource]:
+    profiles, embedding_sets, aggregates, hbase = _world()
+    return [
+        InMemoryFeatureSource(profiles, embedding_sets, aggregates=aggregates),
+        HBaseFeatureSource(hbase.connection(), TABLE),
+    ]
+
+
+def oracle_row(txn: Transaction, plan: FeaturePlan) -> np.ndarray:
+    """One row the slow way: scalar basic ⊕ aggregation_vector ⊕ lookups."""
+    profiles, embedding_sets, aggregates, _ = _world()
+    parts = [BasicFeatureExtractor(profiles).extract_one(txn)]
+    if plan.aggregation is not None:
+        parts.append(
+            np.array(
+                aggregation_vector(
+                    aggregates.get(txn.payer_id, {}),
+                    aggregates.get(txn.payee_id, {}),
+                    txn.payer_id,
+                )
+            )
+        )
+    for block in plan.embedding_blocks:
+        for side in plan.sides:
+            user_id = txn.payer_id if side == "payer" else txn.payee_id
+            parts.append(embedding_sets[block.set_name].lookup([user_id])[0])
+    return np.concatenate(parts)
+
+
+accounts = st.sampled_from(KNOWN + UNKNOWN)
+amounts = st.one_of(
+    st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+    st.sampled_from([0.0, 100.0, 300.0, 4999.99, 5000.0, 12000.0]),
+)
+transactions = st.builds(
+    Transaction,
+    transaction_id=st.uuids().map(str),
+    day=st.integers(0, 60),
+    hour=st.integers(0, 23),
+    payer_id=accounts,
+    payee_id=accounts,  # independent of the payer: self-transfers happen
+    amount=amounts,
+    channel=st.sampled_from(list(TransactionChannel)),
+    trans_city=st.sampled_from(["city_000", "city_003", "city_017", "city_x", "nowhere"]),
+    device_id=st.just("d0"),
+    is_new_device=st.booleans(),
+    ip_risk_score=st.floats(min_value=0.0, max_value=1.0),
+    payer_recent_txn_count=st.integers(0, 50),
+    payer_recent_amount=st.floats(min_value=0.0, max_value=1e6),
+    payee_recent_inbound_count=st.integers(0, 500),
+    is_fraud=st.booleans(),
+    label_available_day=st.just(0),
+)
+# Size first, so 64-row batches are as likely as 2-row ones (``st.lists`` alone
+# rarely grows past a few dozen elements).
+batches = st.integers(0, 70).flatmap(
+    lambda size: st.lists(transactions, min_size=size, max_size=size)
+)
+plans = st.builds(
+    FeaturePlan,
+    embedding_blocks=st.lists(
+        st.sampled_from(sorted(DIMENSIONS)), unique=True, max_size=2
+    ).map(lambda names: tuple(EmbeddingBlockSpec(n, DIMENSIONS[n]) for n in names)),
+    embedding_side=st.sampled_from(["payer", "payee", "both"]),
+    aggregation=st.sampled_from([None, AggregationWindowSpec()]),
+)
+
+
+class TestAssemblyMatchesRowOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=batches, plan=plans)
+    def test_bytes_equal_to_oracle_and_batch_invariant(self, batch, plan):
+        expected = [oracle_row(txn, plan).tobytes() for txn in batch]
+        for source in _sources():
+            executor = FeaturePlanExecutor(plan, source)
+            matrix = executor.assemble(batch, with_labels=True)
+            values = matrix.values
+            assert values.shape == (len(batch), plan.num_features)
+            assert values.dtype == np.float64 and values.flags.c_contiguous
+            assert matrix.feature_names == plan.feature_names
+            assert matrix.row_ids == [txn.transaction_id for txn in batch]
+            assert matrix.labels.tolist() == [float(txn.is_fraud) for txn in batch]
+            assert [row.tobytes() for row in values] == expected
+            # Batch-composition invariance: what lets the coalescer regroup
+            # requests without moving a probability.
+            for index in range(0, len(batch), 7):
+                alone = executor.assemble([batch[index]], with_labels=False).values[0]
+                assert alone.tobytes() == expected[index]
+
+    def test_batch_spanning_row_blocks(self, world, dataset):
+        # fill_basic_block converts row tuples a block at a time; 2.x blocks
+        # here, and the rows must not notice the seams.
+        from repro.features.basic import _ROW_BLOCK
+
+        pool = dataset.train_transactions + dataset.test_transactions
+        batch = (pool * (2 * _ROW_BLOCK // len(pool) + 2))[: 2 * _ROW_BLOCK + 77]
+        extractor = BasicFeatureExtractor(world.profiles_by_id)
+        values = extractor.extract(batch, with_labels=False).values
+        reference = np.vstack([extractor.extract_one(txn) for txn in batch])
+        assert values.tobytes() == reference.tobytes()
+
+    def test_empty_batch(self):
+        plan = FeaturePlan(
+            embedding_blocks=(EmbeddingBlockSpec("dw", 3),),
+            aggregation=AggregationWindowSpec(),
+        )
+        for source in _sources():
+            matrix = FeaturePlanExecutor(plan, source).assemble([])
+            assert matrix.values.shape == (0, plan.num_features)
+            assert matrix.values.dtype == np.float64
+            assert matrix.row_ids == [] and matrix.labels.shape == (0,)
+
+
+class CountingSource(FeatureSource):
+    """Records the ids of every read it forwards."""
+
+    def __init__(self, inner: FeatureSource) -> None:
+        self.inner = inner
+        self.reads: List[Tuple[str, Tuple[str, ...]]] = []
+
+    def profiles_for(self, user_ids: Sequence[str]):
+        self.reads.append(("profiles", tuple(user_ids)))
+        return self.inner.profiles_for(user_ids)
+
+    def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, object]]:
+        self.reads.append(("aggregates", tuple(user_ids)))
+        return self.inner.aggregate_rows(user_ids)
+
+    def embedding_matrix(self, block: EmbeddingBlockSpec, user_ids: Sequence[str]) -> np.ndarray:
+        self.reads.append((block.set_name, tuple(user_ids)))
+        return self.inner.embedding_matrix(block, user_ids)
+
+
+def _transfer(payer_id: str, payee_id: str, transaction_id: str = "t") -> Transaction:
+    return Transaction(
+        transaction_id=transaction_id,
+        day=3,
+        hour=23,
+        payer_id=payer_id,
+        payee_id=payee_id,
+        amount=250.0,
+        channel=TransactionChannel.APP,
+        trans_city="city_003",
+        device_id="d0",
+        is_new_device=True,
+        ip_risk_score=0.25,
+        payer_recent_txn_count=2,
+        payer_recent_amount=900.0,
+        payee_recent_inbound_count=4,
+        is_fraud=False,
+        label_available_day=0,
+    )
+
+
+FULL_PLAN = FeaturePlan(
+    embedding_blocks=(EmbeddingBlockSpec("dw", 3), EmbeddingBlockSpec("s2v", 2)),
+    aggregation=AggregationWindowSpec(),
+)
+
+
+class TestOneReadPerFamilyPerCall:
+    def test_each_family_read_once_over_distinct_accounts(self):
+        # u1 pays twice, u2 is on both sides, x0 → x0 is a self-transfer.
+        batch = [
+            _transfer("u1", "u2", "a"),
+            _transfer("u2", "u3", "b"),
+            _transfer("u1", "x0", "c"),
+            _transfer("x0", "x0", "d"),
+        ]
+        for inner in _sources():
+            source = CountingSource(inner)
+            FeaturePlanExecutor(FULL_PLAN, source).assemble(batch, with_labels=False)
+            assert sorted(name for name, _ in source.reads) == [
+                "aggregates",
+                "dw",
+                "profiles",
+                "s2v",
+            ]
+            for _, user_ids in source.reads:
+                assert len(set(user_ids)) == len(user_ids)
+                assert set(user_ids) == {"u1", "u2", "u3", "x0"}
+
+    def test_missing_embeddings_counts_user_block_pairs_not_sides(self):
+        # u5 and x0 have no embedding row.  u5 is a payee then a payer, x0
+        # transfers to itself: two unpublished accounts × two blocks, however
+        # many sides they appear on.
+        _, _, _, hbase = _world()
+        source = HBaseFeatureSource(hbase.connection(), TABLE)
+        executor = FeaturePlanExecutor(FULL_PLAN, source)
+        executor.assemble(
+            [_transfer("u1", "u5", "a"), _transfer("u5", "u2", "b"), _transfer("x0", "x0", "c")],
+            with_labels=False,
+        )
+        assert source.missing_embeddings == 4
+        executor.assemble([_transfer("x0", "x0")], with_labels=False)
+        assert source.missing_embeddings == 6
+
+
+class TestStoredEmbeddingLayouts:
+    def test_legacy_scalar_cells_and_wrong_width(self):
+        hbase = HBaseClient()
+        hbase.create_feature_store(TABLE)
+        hbase.put(TABLE, "old", EMBEDDINGS_FAMILY, {"dw_0": 1.5, "dw_2": -2.0}, version=1)
+        hbase.put(TABLE, "bad", EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
+        source = HBaseFeatureSource(hbase, TABLE)
+        block = EmbeddingBlockSpec("dw", 3)
+        matrix = source.embedding_matrix(block, ["old", "nobody", "old"])
+        assert matrix.tolist() == [[1.5, 0.0, -2.0], [0.0, 0.0, 0.0], [1.5, 0.0, -2.0]]
+        assert source.missing_embeddings == 1  # "nobody"; "old" has a stored row
+        with pytest.raises(ServingError):
+            source.embedding_matrix(block, ["bad"])
+
+
+class TestColdAccountDefault:
+    """One definition of the cold-account default, read by both worlds."""
+
+    def test_unpublished_account_is_bytes_equal_offline_and_online(self):
+        txn = _transfer("never_seen", "also_never_seen")
+        hbase = HBaseClient()
+        hbase.create_feature_store(TABLE)
+        _, embedding_sets, _, _ = _world()
+        offline = FeaturePlanExecutor(
+            FULL_PLAN, InMemoryFeatureSource({}, embedding_sets)
+        ).assemble_single(txn)
+        online = FeaturePlanExecutor(
+            FULL_PLAN, HBaseFeatureSource(hbase, TABLE)
+        ).assemble_single(txn)
+        assert offline.tobytes() == online.tobytes()
+        assert offline[:52].tobytes() == BasicFeatureExtractor({}).extract_one(txn).tobytes()
+
+    def test_absent_cells_of_a_stored_row_read_the_same_default(self):
+        hbase = HBaseClient()
+        hbase.create_feature_store(TABLE)
+        hbase.put(TABLE, "partial", BASIC_FEATURES_FAMILY, {"age": 61, "kyc_level": 1}, version=1)
+        partial = dataclasses.replace(DEFAULT_PROFILE, user_id="partial", age=61, kyc_level=1)
+        txn = _transfer("partial", "never_seen")
+        online = FeaturePlanExecutor(
+            FeaturePlan(), HBaseFeatureSource(hbase, TABLE)
+        ).assemble_single(txn)
+        offline = FeaturePlanExecutor(
+            FeaturePlan(), InMemoryFeatureSource({"partial": partial})
+        ).assemble_single(txn)
+        assert online.tobytes() == offline.tobytes()
+        assert online[0] == 61.0 and online[10] == float(DEFAULT_PROFILE.age)
