@@ -92,15 +92,7 @@ def test_serving_latency_milliseconds(benchmark, bench_runner):
 
 
 def test_batch_path_throughput_vs_scalar(benchmark, bench_runner):
-    """The batch path must beat the scalar loop ≥ 3× at batch 256.
-
-    The ratio is per-call overhead over per-row cost, so it *falls* when a PR
-    makes a one-row call cheaper: single-pass feature assembly took the scalar
-    loop from ~4.3k to ~7.0k req/s with the batch side at ~31k req/s either
-    way (5.9-7.3× → 4.5-4.7×; the bar was ≥ 5×).  The floor guards the batch
-    path against losing its amortisation, not the scalar path against
-    getting faster.
-    """
+    """The vectorised batch path must beat the scalar loop ≥ 5× at batch 256."""
     dataset, hbase, server, _ = _serving_stack(bench_runner)
     replay = dataset.test_transactions[:512]
 
@@ -137,7 +129,7 @@ def test_batch_path_throughput_vs_scalar(benchmark, bench_runner):
           f"(SLA budget {SLA_BUDGET_MS:.0f} ms)")
     print(f"  row cache         : {fleet_cache_stats([server])}")
 
-    assert speedup >= 3.0, f"batch path only {speedup:.1f}x faster than scalar"
+    assert speedup >= 5.0, f"batch path only {speedup:.1f}x faster than scalar"
     # Amortised per-request latency must still clear the paper's SLA budget.
     assert batch_latency.p99_ms < SLA_BUDGET_MS
 

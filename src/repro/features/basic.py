@@ -197,11 +197,8 @@ _LOG1P_COLUMNS = np.array(
 )
 _SIN_COLUMN = BASIC_FEATURE_NAMES.index("hour_sin")
 _COS_COLUMN = BASIC_FEATURE_NAMES.index("hour_cos")
-#: Row tuples are converted this many at a time, so a 100k-row training batch
-#: holds 512 tuples, not 100k (past a few thousand live tuples the per-row cost
-#: climbs ~35 % with cache misses and collector passes).  Not a tuning knob:
-#: 128 … 1024 measure the same, and a serving call is one block.
-_ROW_BLOCK = 512
+_RECENT_AMOUNT_COLUMN = BASIC_FEATURE_NAMES.index("payer_recent_amount")
+_RATIO_COLUMN = BASIC_FEATURE_NAMES.index("amount_over_recent_amount")
 
 
 def fill_basic_block(
@@ -213,69 +210,74 @@ def fill_basic_block(
 
     One tuple per transaction holds all 52 cells in column order — the
     arithmetic of :meth:`BasicFeatureExtractor.extract_one` — except that the
-    seven transcendental cells carry their *argument*: after the ndarray
-    conversion ``log1p`` / ``sin`` / ``cos`` run once over those columns, on the
-    ufuncs the scalar path calls, so every value is bit-identical to it.
+    seven transcendental cells carry their *argument* and the amount ratio its
+    numerator: after the ndarray conversion ``log1p`` / ``sin`` / ``cos`` (the
+    ufuncs the scalar path calls) and the division run once over those
+    columns, so every value is bit-identical to it, and a caller-supplied
+    ``payer_recent_amount`` of -1 is an ``inf`` in its own row, not a
+    ``ZeroDivisionError`` for every row of the call.
     Accounts absent from ``profiles`` get the cold-account default.
     """
-    for start in range(0, len(transactions), _ROW_BLOCK):
-        rows = []
-        for txn in transactions[start : start + _ROW_BLOCK]:
-            payer, payer_city = profiles.get(txn.payer_id, _DEFAULT_CELLS)
-            payee, payee_city = profiles.get(txn.payee_id, _DEFAULT_CELLS)
-            amount = float(txn.amount)
-            hour = txn.hour
-            hour_angle = 2.0 * np.pi * hour / 24.0
-            channel = txn.channel
-            trans_city = txn.trans_city
-            recent_amount = float(txn.payer_recent_amount)
-            inbound = float(txn.payee_recent_inbound_count)
-            payer_kyc, payee_kyc = payer[5], payee[5]
-            rows.append(
-                payer
-                + payee
-                + (
-                    # --- transfer environment (22) ---
-                    amount,
-                    amount,  # log1p below
-                    float(hour),
-                    hour_angle,  # sin below
-                    hour_angle,  # cos below
-                    1.0 if (hour >= 22 or hour < 6) else 0.0,
-                    1.0 if 9 <= hour <= 18 else 0.0,
-                    1.0 if channel is TransactionChannel.APP else 0.0,
-                    1.0 if channel is TransactionChannel.WEB else 0.0,
-                    1.0 if channel is TransactionChannel.QR_CODE else 0.0,
-                    1.0 if channel is TransactionChannel.BANK_CARD else 0.0,
-                    _city_risk(trans_city),
-                    float(_city_bucket(trans_city)),
-                    1.0 if trans_city == payer_city else 0.0,
-                    1.0 if txn.is_new_device else 0.0,
-                    float(txn.ip_risk_score),
-                    float(txn.payer_recent_txn_count),
-                    recent_amount,
-                    recent_amount,  # log1p below
-                    inbound,
-                    inbound,  # log1p below
-                    amount / (recent_amount + 1.0),
-                    # --- cross features (10) ---
-                    abs(payer[0] - payee[0]),
-                    1.0 if payer_city == payee_city else 0.0,
-                    abs(payer_kyc - payee_kyc),
-                    1.0 if (payer_kyc == 1.0 and payee_kyc == 1.0) else 0.0,
-                    payer[4],  # log1p below
-                    payee[4],  # log1p below
-                    amount / max(payer[7], 1.0),
-                    1.0 if abs(amount % 100.0) < 1e-9 else 0.0,
-                    1.0 if amount >= _HIGH_AMOUNT_THRESHOLD else 0.0,
-                    float(txn.day % 7),
-                )
+    if not transactions:
+        return
+    rows = []
+    for txn in transactions:
+        payer, payer_city = profiles.get(txn.payer_id, _DEFAULT_CELLS)
+        payee, payee_city = profiles.get(txn.payee_id, _DEFAULT_CELLS)
+        amount = float(txn.amount)
+        hour = txn.hour
+        hour_angle = 2.0 * np.pi * hour / 24.0
+        channel = txn.channel
+        trans_city = txn.trans_city
+        recent_amount = float(txn.payer_recent_amount)
+        inbound = float(txn.payee_recent_inbound_count)
+        payer_kyc, payee_kyc = payer[5], payee[5]
+        rows.append(
+            payer
+            + payee
+            + (
+                # --- transfer environment (22) ---
+                amount,
+                amount,  # log1p below
+                float(hour),
+                hour_angle,  # sin below
+                hour_angle,  # cos below
+                1.0 if (hour >= 22 or hour < 6) else 0.0,
+                1.0 if 9 <= hour <= 18 else 0.0,
+                1.0 if channel is TransactionChannel.APP else 0.0,
+                1.0 if channel is TransactionChannel.WEB else 0.0,
+                1.0 if channel is TransactionChannel.QR_CODE else 0.0,
+                1.0 if channel is TransactionChannel.BANK_CARD else 0.0,
+                _city_risk(trans_city),
+                float(_city_bucket(trans_city)),
+                1.0 if trans_city == payer_city else 0.0,
+                1.0 if txn.is_new_device else 0.0,
+                float(txn.ip_risk_score),
+                float(txn.payer_recent_txn_count),
+                recent_amount,
+                recent_amount,  # log1p below
+                inbound,
+                inbound,  # log1p below
+                amount,  # over (recent_amount + 1) below
+                # --- cross features (10) ---
+                abs(payer[0] - payee[0]),
+                1.0 if payer_city == payee_city else 0.0,
+                abs(payer_kyc - payee_kyc),
+                1.0 if (payer_kyc == 1.0 and payee_kyc == 1.0) else 0.0,
+                payer[4],  # log1p below
+                payee[4],  # log1p below
+                amount / max(payer[7], 1.0),
+                1.0 if abs(amount % 100.0) < 1e-9 else 0.0,
+                1.0 if amount >= _HIGH_AMOUNT_THRESHOLD else 0.0,
+                float(txn.day % 7),
             )
-        if len(rows[0]) != len(BASIC_FEATURE_NAMES):
-            raise FeatureError(
-                f"expected {len(BASIC_FEATURE_NAMES)} features, produced {len(rows[0])}"
-            )
-        out[start : start + _ROW_BLOCK] = rows
+        )
+    if len(rows[0]) != len(BASIC_FEATURE_NAMES):
+        raise FeatureError(
+            f"expected {len(BASIC_FEATURE_NAMES)} features, produced {len(rows[0])}"
+        )
+    out[:] = rows
+    out[:, _RATIO_COLUMN] /= out[:, _RECENT_AMOUNT_COLUMN] + 1.0
     out[:, _LOG1P_COLUMNS] = np.log1p(out[:, _LOG1P_COLUMNS])
     sin_column, cos_column = out[:, _SIN_COLUMN], out[:, _COS_COLUMN]
     np.sin(sin_column, out=sin_column)

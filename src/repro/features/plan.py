@@ -136,7 +136,13 @@ class FeaturePlan:
     @property
     def num_features(self) -> int:
         """Total width of the assembled feature vector."""
-        return len(self.feature_names)
+        per_block = sum(block.dimension for block in self.embedding_blocks)
+        aggregation_width = len(AGGREGATION_FEATURE_NAMES) if self.aggregation else 0
+        return (
+            len(self.basic_feature_names)
+            + aggregation_width
+            + per_block * len(self.sides)
+        )
 
     @property
     def embedding_specs(self) -> List[Tuple[str, int]]:

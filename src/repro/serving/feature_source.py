@@ -15,7 +15,7 @@ from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.datagen.schema import UserProfile
+from repro.datagen.schema import Gender, UserProfile
 from repro.exceptions import ServingError
 from repro.features.basic import DEFAULT_PROFILE, ProfileCells, profile_cells
 from repro.features.plan import EmbeddingBlockSpec, FeatureSource
@@ -31,8 +31,18 @@ def profile_from_row(user_id: str, row: Mapping[str, Any]) -> UserProfile:
     """Deserialise a basic-features HBase row; missing cells get
     :data:`~repro.features.basic.DEFAULT_PROFILE`'s, so a cold account is the
     same profile offline and online."""
-    cells = {**vars(DEFAULT_PROFILE), **row, "user_id": user_id}
-    return UserProfile.from_row({name: cells[name] for name in vars(DEFAULT_PROFILE)})
+    default = DEFAULT_PROFILE
+    return UserProfile(
+        user_id=user_id,
+        age=int(row.get("age", default.age)),
+        gender=Gender(row.get("gender", default.gender)),
+        home_city=str(row.get("home_city", default.home_city)),
+        account_age_days=int(row.get("account_age_days", default.account_age_days)),
+        kyc_level=int(row.get("kyc_level", default.kyc_level)),
+        is_merchant=bool(row.get("is_merchant", default.is_merchant)),
+        device_count=int(row.get("device_count", default.device_count)),
+        community=int(row.get("community", default.community)),
+    )
 
 
 class HBaseFeatureSource(FeatureSource):
@@ -83,9 +93,9 @@ class HBaseFeatureSource(FeatureSource):
         rows = self.hbase.multi_get(
             self.table_name, list(user_ids), EMBEDDINGS_FAMILY, default={}
         )
-        vectors = {
-            user_id: self._vector_from_row(block, row) for user_id, row in rows.items()
-        }
+        vectors: Dict[str, np.ndarray] = {}
+        for user_id, row in rows.items():
+            vectors[user_id] = self._vector_from_row(block, row)
         result = np.zeros((len(user_ids), block.dimension), dtype=np.float64)
         for position, user_id in enumerate(user_ids):
             result[position] = vectors[user_id]
@@ -95,7 +105,15 @@ class HBaseFeatureSource(FeatureSource):
         self, block: EmbeddingBlockSpec, row: Mapping[str, Any]
     ) -> np.ndarray:
         value = row.get(block.set_name)
-        if value is None and f"{block.set_name}_0" not in row:
+        if value is not None:
+            vector = np.asarray(value, dtype=np.float64).ravel()
+            if vector.shape[0] != block.dimension:
+                raise ServingError(
+                    f"stored {block.set_name!r} embedding has "
+                    f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
+                )
+            return vector
+        if f"{block.set_name}_0" not in row:
             # No array cell and no legacy scalar cells: the embedding row was
             # never published for this account.  Serve the explicit neutral
             # default — the zero vector, exactly what the offline
@@ -104,13 +122,8 @@ class HBaseFeatureSource(FeatureSource):
             # trained all-zero embedding.
             self.missing_embeddings += 1
             return np.zeros(block.dimension, dtype=np.float64)
-        if value is None:
-            # Legacy layout: one scalar cell per dimension ("dw_0", "dw_1", ...).
-            value = [row.get(f"{block.set_name}_{dim}", 0.0) for dim in range(block.dimension)]
-        vector = np.asarray(value, dtype=np.float64).ravel()
-        if vector.shape[0] != block.dimension:
-            raise ServingError(
-                f"stored {block.set_name!r} embedding has "
-                f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
-            )
+        # Legacy layout: one scalar cell per dimension ("dw_0", "dw_1", ...).
+        vector = np.zeros(block.dimension, dtype=np.float64)
+        for dim in range(block.dimension):
+            vector[dim] = float(row.get(f"{block.set_name}_{dim}", 0.0))
         return vector

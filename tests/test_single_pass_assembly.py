@@ -15,12 +15,10 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.schema import Gender, Transaction, TransactionChannel, UserProfile
-from repro.exceptions import ServingError
 from repro.features.aggregation import (
     AggregationWindowSpec,
     aggregation_vector,
@@ -41,7 +39,7 @@ from repro.hbase.client import (
     HBaseClient,
 )
 from repro.nrl.embeddings import EmbeddingSet
-from repro.serving.feature_source import HBaseFeatureSource
+from repro.serving.feature_source import HBaseFeatureSource, profile_from_row
 
 TABLE = "titant_features"
 KNOWN = [f"u{index}" for index in range(6)]
@@ -233,17 +231,22 @@ class TestAssemblyMatchesRowOracle:
                 alone = executor.assemble([batch[index]], with_labels=False).values[0]
                 assert alone.tobytes() == expected[index]
 
-    def test_batch_spanning_row_blocks(self, world, dataset):
-        # fill_basic_block converts row tuples a block at a time; 2.x blocks
-        # here, and the rows must not notice the seams.
-        from repro.features.basic import _ROW_BLOCK
-
-        pool = dataset.train_transactions + dataset.test_transactions
-        batch = (pool * (2 * _ROW_BLOCK // len(pool) + 2))[: 2 * _ROW_BLOCK + 77]
-        extractor = BasicFeatureExtractor(world.profiles_by_id)
-        values = extractor.extract(batch, with_labels=False).values
-        reference = np.vstack([extractor.extract_one(txn) for txn in batch])
-        assert values.tobytes() == reference.tobytes()
+    def test_zero_denominator_stays_in_its_own_row(self):
+        # payer_recent_amount is caller-supplied and unvalidated: -1 makes the
+        # amount ratio's denominator zero.  That is an inf cell in that row —
+        # not an exception that fails every request coalesced with it.
+        bad = dataclasses.replace(_transfer("u1", "u2", "bad"), payer_recent_amount=-1.0)
+        batch = [_transfer("u1", "u2", "a"), bad, _transfer("u3", "x0", "c")]
+        ratio = FULL_PLAN.feature_names.index("amount_over_recent_amount")
+        for source in _sources():
+            executor = FeaturePlanExecutor(FULL_PLAN, source)
+            with np.errstate(divide="ignore"):
+                values = executor.assemble(batch, with_labels=False).values
+            assert values[1, ratio] == np.inf
+            for index in (0, 2):
+                assert np.isfinite(values[index]).all()
+                alone = executor.assemble([batch[index]], with_labels=False).values[0]
+                assert values[index].tobytes() == alone.tobytes()
 
     def test_empty_batch(self):
         plan = FeaturePlan(
@@ -342,21 +345,6 @@ class TestOneReadPerFamilyPerCall:
         assert source.missing_embeddings == 6
 
 
-class TestStoredEmbeddingLayouts:
-    def test_legacy_scalar_cells_and_wrong_width(self):
-        hbase = HBaseClient()
-        hbase.create_feature_store(TABLE)
-        hbase.put(TABLE, "old", EMBEDDINGS_FAMILY, {"dw_0": 1.5, "dw_2": -2.0}, version=1)
-        hbase.put(TABLE, "bad", EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
-        source = HBaseFeatureSource(hbase, TABLE)
-        block = EmbeddingBlockSpec("dw", 3)
-        matrix = source.embedding_matrix(block, ["old", "nobody", "old"])
-        assert matrix.tolist() == [[1.5, 0.0, -2.0], [0.0, 0.0, 0.0], [1.5, 0.0, -2.0]]
-        assert source.missing_embeddings == 1  # "nobody"; "old" has a stored row
-        with pytest.raises(ServingError):
-            source.embedding_matrix(block, ["bad"])
-
-
 class TestColdAccountDefault:
     """One definition of the cold-account default, read by both worlds."""
 
@@ -388,3 +376,4 @@ class TestColdAccountDefault:
         ).assemble_single(txn)
         assert online.tobytes() == offline.tobytes()
         assert online[0] == 61.0 and online[10] == float(DEFAULT_PROFILE.age)
+        assert profile_from_row("partial", {"age": 61, "kyc_level": 1}) == partial
