@@ -191,7 +191,8 @@ def cells_for(
     }
 
 
-_DEFAULT_CELLS = profile_cells({})
+#: :func:`profile_cells` of an account with nothing stored, decoded once.
+DEFAULT_CELLS = profile_cells({})
 _LOG1P_COLUMNS = np.array(
     [index for index, name in enumerate(BASIC_FEATURE_NAMES) if name.startswith("log_")]
 )
@@ -222,8 +223,8 @@ def fill_basic_block(
         return
     rows = []
     for txn in transactions:
-        payer, payer_city = profiles.get(txn.payer_id, _DEFAULT_CELLS)
-        payee, payee_city = profiles.get(txn.payee_id, _DEFAULT_CELLS)
+        payer, payer_city = profiles.get(txn.payer_id, DEFAULT_CELLS)
+        payee, payee_city = profiles.get(txn.payee_id, DEFAULT_CELLS)
         amount = float(txn.amount)
         hour = txn.hour
         hour_angle = 2.0 * np.pi * hour / 24.0

@@ -6,30 +6,22 @@ patterns concentrates on few accounts), while the underlying rows only change
 once per day when the offline pipeline bulk-loads a new version.  A small
 time-bounded cache therefore absorbs most point reads.  Writes through the
 client invalidate the affected row eagerly, so a cache hit can never serve a
-value older than the last local write.
+value older than the last local write.  What it holds are the store's own
+immutable :class:`~repro.hbase.store.Row` snapshots, handed out by reference:
+a hit copies nothing, and time is whatever ``now`` the caller passes.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from repro.hbase.store import Row
 
 #: (column family, version) — the per-row cache sub-key.
 _SubKey = Tuple[str, Optional[int]]
 #: (table, row key) — the invalidation unit.
 _RowKey = Tuple[str, str]
-
-
-def _copy_row(row: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy a row deeply enough that callers cannot mutate cached state.
-
-    Cell values are scalars or array-valued embedding cells (lists/tuples of
-    floats); mutable list values get their own copy."""
-    return {
-        qualifier: list(value) if isinstance(value, list) else value
-        for qualifier, value in row.items()
-    }
 
 
 class RowCache:
@@ -42,9 +34,7 @@ class RowCache:
             raise ValueError("max_rows must be at least 1")
         self.ttl_seconds = float(ttl_seconds)
         self.max_rows = int(max_rows)
-        self._rows: "OrderedDict[_RowKey, Dict[_SubKey, Tuple[float, Dict[str, Any]]]]" = (
-            OrderedDict()
-        )
+        self._rows: "OrderedDict[_RowKey, Dict[_SubKey, Tuple[float, Row]]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -55,11 +45,9 @@ class RowCache:
         row_key: str,
         column_family: str,
         version: Optional[int],
-        *,
-        now: Optional[float] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Cached row dict, or None on miss/expiry (a copy, safe to mutate)."""
-        now = time.monotonic() if now is None else now
+        now: float,
+    ) -> Optional[Row]:
+        """The cached row — the store's own snapshot — or None on miss/expiry."""
         entry = self._rows.get((table, row_key))
         if entry is not None:
             cached = entry.get((column_family, version))
@@ -68,7 +56,7 @@ class RowCache:
                 if now < expires_at:
                     self.hits += 1
                     self._rows.move_to_end((table, row_key))
-                    return _copy_row(row)
+                    return row
                 del entry[(column_family, version)]
                 if not entry:
                     # Drop the empty row entry so expired rows stop occupying
@@ -83,13 +71,11 @@ class RowCache:
         row_key: str,
         column_family: str,
         version: Optional[int],
-        row: Dict[str, Any],
-        *,
-        now: Optional[float] = None,
+        row: Row,
+        now: float,
     ) -> None:
-        now = time.monotonic() if now is None else now
         entry = self._rows.setdefault((table, row_key), {})
-        entry[(column_family, version)] = (now + self.ttl_seconds, _copy_row(row))
+        entry[(column_family, version)] = (now + self.ttl_seconds, row)
         self._rows.move_to_end((table, row_key))
         while len(self._rows) > self.max_rows:
             self._rows.popitem(last=False)

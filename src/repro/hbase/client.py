@@ -7,18 +7,23 @@ The client is what both ends of the TitAnt system use:
 * the Model Server point-reads a user's latest row at prediction time.
 
 Writes go through the write-ahead log and the region router before reaching
-the column-family store, mirroring a real deployment's write path.
+the column-family store, mirroring a real deployment's write path.  Reads
+return the store's own immutable :class:`~repro.hbase.store.Row` snapshots:
+store, row caches and callers share one object per (row, family), so a hit
+costs a probe and no copy.
 """
 
 from __future__ import annotations
 
+import copy
+import time
 import weakref
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RowNotFoundError, StorageError, TableNotFoundError
 from repro.hbase.cache import RowCache
 from repro.hbase.region import RegionRouter
-from repro.hbase.store import HBaseTable
+from repro.hbase.store import EMPTY_ROW, HBaseTable, Row, freeze_row
 from repro.hbase.wal import WriteAheadLog
 
 #: Column-family names used by the TitAnt feature store (paper Figure 7).
@@ -36,7 +41,9 @@ class HBaseClient:
     ``row_cache_ttl_s`` enables a small client-side TTL row cache (0 turns it
     off).  Rows only change when the offline pipeline publishes a new daily
     version, and every write through this client invalidates the cached row,
-    so the cache is transparent to callers.
+    so the cache is transparent to callers.  ``clock`` is what the cache's TTL
+    is measured on, read once per ``get`` / ``multi_get`` call; tests pass a
+    fake one, and ``connection()`` handles share it.
     """
 
     def __init__(
@@ -47,19 +54,16 @@ class HBaseClient:
         row_cache_ttl_s: float = 30.0,
         row_cache_rows: int = 4096,
         wal_max_entries: Optional[int] = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self._tables: Dict[str, HBaseTable] = {}
+        self._clock = clock
         self._router = RegionRouter(num_regions=num_regions)
         # Unbounded by default (full crash recovery); long-running streaming
         # write-through deployments can cap retained entries like a real
         # region server rotates WALs.
         self._wal = WriteAheadLog(max_entries=wal_max_entries)
         self._max_versions = max_versions
-        self._cache: Optional[RowCache] = (
-            RowCache(ttl_seconds=row_cache_ttl_s, max_rows=row_cache_rows)
-            if row_cache_ttl_s > 0
-            else None
-        )
         # Every connection() handle registers its cache here, and writes
         # through ANY handle invalidate the row in EVERY attached cache —
         # the cross-connection analogue of the single-client invalidation
@@ -68,6 +72,12 @@ class HBaseClient:
         # discarded connection's cache must not stay pinned (and must not
         # keep costing an invalidation per write) for the cluster's lifetime.
         self._cache_registry: List["weakref.ref[RowCache]"] = []
+        self._attach_cache(row_cache_ttl_s, row_cache_rows)
+
+    def _attach_cache(self, ttl_s: float, max_rows: int) -> None:
+        """Give this handle its private row cache (none at TTL 0), registered
+        for invalidation by every handle's writes."""
+        self._cache = RowCache(ttl_seconds=ttl_s, max_rows=max_rows) if ttl_s > 0 else None
         if self._cache is not None:
             self._cache_registry.append(weakref.ref(self._cache))
 
@@ -92,19 +102,8 @@ class HBaseClient:
             row_cache_ttl_s = self._cache.ttl_seconds if self._cache is not None else 0.0
         if row_cache_rows is None:
             row_cache_rows = self._cache.max_rows if self._cache is not None else 4096
-        clone = object.__new__(HBaseClient)
-        clone._tables = self._tables
-        clone._router = self._router
-        clone._wal = self._wal
-        clone._max_versions = self._max_versions
-        clone._cache = (
-            RowCache(ttl_seconds=row_cache_ttl_s, max_rows=row_cache_rows)
-            if row_cache_ttl_s > 0
-            else None
-        )
-        clone._cache_registry = self._cache_registry
-        if clone._cache is not None:
-            self._cache_registry.append(weakref.ref(clone._cache))
+        clone = copy.copy(self)  # one cluster: tables, router, WAL, clock, registry shared
+        clone._attach_cache(row_cache_ttl_s, row_cache_rows)
         return clone
 
     # ------------------------------------------------------------------
@@ -154,6 +153,9 @@ class HBaseClient:
     ) -> None:
         """Write one row's column-family cells (WAL first, caches invalidated)."""
         table = self.table(table_name)
+        # Frozen before it is logged: log, store and every cache hold this
+        # one immutable value, whatever the caller does to its own afterwards.
+        values = freeze_row(values)
         self._wal.append(table_name, row_key, column_family, values, version=version)
         self._router.record_write(row_key)
         dead_refs = False
@@ -169,6 +171,37 @@ class HBaseClient:
             ]
         table.put(row_key, column_family, values, version=version)
 
+    def _read(
+        self,
+        table_name: str,
+        row_keys: Iterable[str],
+        column_family: str,
+        version: Optional[int],
+        absent: Row,
+    ) -> Dict[str, Row]:
+        """The one read path: per distinct key, cache probe → region routing →
+        one non-raising probe of the family.  A present row is cached and
+        returned as the store's own snapshot; an absent one maps to ``absent``
+        and is never cached, so every probe of it is a miss and a region read.
+        """
+        probe = self.table(table_name).family(column_family).latest
+        cache = self._cache
+        now = self._clock() if cache is not None else 0.0
+        rows = dict.fromkeys(row_keys, absent)
+        for row_key in rows:
+            row: Optional[Row] = None
+            if cache is not None:
+                row = cache.get(table_name, row_key, column_family, version, now)
+            if row is None:
+                self._router.record_read(row_key)
+                row = probe(row_key, version)
+                if row is None:
+                    continue
+                if cache is not None:
+                    cache.put(table_name, row_key, column_family, version, row, now)
+            rows[row_key] = row
+        return rows
+
     def get(
         self,
         table_name: str,
@@ -176,17 +209,14 @@ class HBaseClient:
         column_family: str,
         *,
         version: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Point read of one row's family (latest version unless pinned)."""
-        table = self.table(table_name)
-        if self._cache is not None:
-            cached = self._cache.get(table_name, row_key, column_family, version)
-            if cached is not None:
-                return cached
-        self._router.record_read(row_key)
-        row = table.get(row_key, column_family, version=version)
-        if self._cache is not None:
-            self._cache.put(table_name, row_key, column_family, version, row)
+    ) -> Row:
+        """Point read of one row's family (latest version unless pinned);
+        raises :class:`RowNotFoundError` when nothing is stored."""
+        row = self._read(table_name, (row_key,), column_family, version, EMPTY_ROW)[row_key]
+        if row is EMPTY_ROW:  # by identity: the store holds no empty row
+            raise RowNotFoundError(
+                f"row {row_key!r} not found in family {column_family!r} of {table_name!r}"
+            )
         return row
 
     def get_or_default(
@@ -196,8 +226,8 @@ class HBaseClient:
         column_family: str,
         *,
         version: Optional[int] = None,
-        default: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
+        default: Optional[Mapping[str, Any]] = None,
+    ) -> Row:
         """Point read that degrades to ``default`` for unseen users.
 
         A brand-new account has no row yet; the online predictor must still
@@ -205,11 +235,9 @@ class HBaseClient:
         is a deployment problem, not a cold user, and always raises
         :class:`TableNotFoundError` — only missing *rows* degrade.
         """
-        self.table(table_name)  # raises TableNotFoundError before degrading
-        try:
-            return self.get(table_name, row_key, column_family, version=version)
-        except RowNotFoundError:
-            return dict(default or {})
+        return self.multi_get(
+            table_name, (row_key,), column_family, version=version, default=default
+        )[row_key]
 
     def multi_get(
         self,
@@ -218,35 +246,20 @@ class HBaseClient:
         column_family: str,
         *,
         version: Optional[int] = None,
-        default: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Dict[str, Any]]:
+        default: Optional[Mapping[str, Any]] = None,
+    ) -> Dict[str, Row]:
         """Batched point read for N row keys in one client call.
 
         This is the online hot-path primitive — instead of one round trip per
         user per column family, the Model Server fetches every row a batch of
         transactions needs with one ``multi_get`` per family.  Keys are
         deduplicated, satisfied from the row cache where possible, and the
-        remainder read through the region router.  Missing rows map to a copy
-        of ``default``.
+        remainder read through the region router.  Rows are read-only
+        snapshots shared with the store; missing rows all map to one
+        read-only copy of ``default``.
         """
-        table = self.table(table_name)
-        results: Dict[str, Dict[str, Any]] = {}
-        for row_key in dict.fromkeys(row_keys):
-            if self._cache is not None:
-                cached = self._cache.get(table_name, row_key, column_family, version)
-                if cached is not None:
-                    results[row_key] = cached
-                    continue
-            self._router.record_read(row_key)
-            try:
-                row = table.get(row_key, column_family, version=version)
-            except RowNotFoundError:
-                results[row_key] = dict(default or {})
-                continue
-            if self._cache is not None:
-                self._cache.put(table_name, row_key, column_family, version, row)
-            results[row_key] = row
-        return results
+        absent = freeze_row(default) if default else EMPTY_ROW
+        return self._read(table_name, row_keys, column_family, version, absent)
 
     def bulk_load(
         self,
@@ -271,7 +284,7 @@ class HBaseClient:
         prefix: str = "",
         version: Optional[int] = None,
         limit: Optional[int] = None,
-    ) -> List[Tuple[str, Dict[str, Any]]]:
+    ) -> List[Tuple[str, Row]]:
         """Ordered prefix scan over one column family (offline tooling path)."""
         return self.table(table_name).scan(
             column_family, prefix=prefix, version=version, limit=limit

@@ -3,14 +3,16 @@
 HBase distributes a table's row-key space across region servers.  The
 simulation hashes row keys onto a configurable number of regions so that the
 client exercises the same routing step a real deployment performs, and so the
-tests can assert that load spreads across regions.
+tests can assert that load spreads across regions.  The hash is CRC-32: stable
+across processes and ``PYTHONHASHSEED``s, and cheap enough to pay on every read
+that misses the row cache.
 """
 
 from __future__ import annotations
 
-import hashlib
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.exceptions import StorageError
 
@@ -22,14 +24,11 @@ class RegionServer:
     server_id: int
     read_requests: int = 0
     write_requests: int = 0
-    rows_hosted: set = field(default_factory=set)
+    rows_hosted: Set[str] = field(default_factory=set)
 
     def record_write(self, row_key: str) -> None:
         self.write_requests += 1
         self.rows_hosted.add(row_key)
-
-    def record_read(self) -> None:
-        self.read_requests += 1
 
 
 class RegionRouter:
@@ -42,9 +41,7 @@ class RegionRouter:
 
     # ------------------------------------------------------------------
     def region_for(self, row_key: str) -> RegionServer:
-        digest = hashlib.md5(row_key.encode("utf-8")).digest()
-        index = int.from_bytes(digest[:4], "big") % len(self.servers)
-        return self.servers[index]
+        return self.servers[zlib.crc32(row_key.encode("utf-8")) % len(self.servers)]
 
     def record_write(self, row_key: str) -> RegionServer:
         server = self.region_for(row_key)
@@ -53,7 +50,7 @@ class RegionRouter:
 
     def record_read(self, row_key: str) -> RegionServer:
         server = self.region_for(row_key)
-        server.record_read()
+        server.read_requests += 1
         return server
 
     # ------------------------------------------------------------------

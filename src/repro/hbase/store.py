@@ -2,29 +2,55 @@
 
 The data model follows HBase/Bigtable: a table has named column families,
 each cell is addressed by (row key, column family, qualifier) and keeps
-multiple timestamped versions.  ``get`` returns the latest version by default
-or the latest at/before a requested version — exactly what the Model Server
-needs when it reads "the latest version of user node embeddings and basic
-features" uploaded by each offline training run.
+multiple timestamped versions.  The Model Server reads "the latest version of
+user node embeddings and basic features" uploaded by each offline training
+run, so every (row key, column family) keeps that latest view as one
+immutable :class:`Row` snapshot — rebuilt by each put, shared by reference
+with every reader — beside the per-cell version lists that version-pinned
+reads, trimming and scans walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from repro.exceptions import RowNotFoundError, StorageError
 
+#: qualifier -> [(version, value), ...] in version order, ties in put order.
+_CellHistory = Dict[str, List[Tuple[int, Any]]]
+_cell_version = itemgetter(0)
 
-@dataclass(frozen=True)
-class Cell:
-    """One versioned cell value."""
 
-    row_key: str
-    column_family: str
-    qualifier: str
-    value: Any
-    version: int
+def _read_only(self: Any, *args: Any, **kwargs: Any) -> NoReturn:
+    raise TypeError("an HBase row is a read-only snapshot; edit a dict(row) copy")
+
+
+class Row(Dict[str, Any]):
+    """One row's cells by qualifier, read-only: the store, the write-ahead
+    log, every connection's row cache and every caller hold the *same*
+    object, so it compares and reads like a dict but rejects every edit."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+#: The row of an account nothing was ever written for.
+EMPTY_ROW = Row()
+
+
+def freeze_row(values: Mapping[str, Any]) -> Row:
+    """``values`` as a :class:`Row` that no caller can reach to edit: list
+    cells (array-valued embeddings) become tuples; a ``Row`` is returned as is."""
+    if type(values) is Row:
+        return values
+    return Row(
+        {
+            qualifier: tuple(value) if isinstance(value, list) else value
+            for qualifier, value in values.items()
+        }
+    )
 
 
 class ColumnFamilyStore:
@@ -35,59 +61,69 @@ class ColumnFamilyStore:
             raise StorageError("max_versions must be at least 1")
         self.name = name
         self.max_versions = max_versions
-        #: row_key -> qualifier -> list of (version, value), newest last.
-        self._rows: Dict[str, Dict[str, List[Tuple[int, Any]]]] = {}
+        #: row key -> the row's latest view: per qualifier the cell with the
+        #: highest version (of equal versions, the later put).  Replaced,
+        #: never edited, by :meth:`put_row`; also the family's key index.
+        self._latest: Dict[str, Row] = {}
+        #: row key -> its cells' version lists — or, while a single put is the
+        #: row's whole history, that put's version alone (its cells are the
+        #: snapshot's, and a bulk-loaded row is not held twice).
+        self._history: Dict[str, Union[int, _CellHistory]] = {}
 
     # ------------------------------------------------------------------
-    def put(self, row_key: str, qualifier: str, value: Any, *, version: int) -> None:
-        qualifiers = self._rows.setdefault(row_key, {})
-        versions = qualifiers.setdefault(qualifier, [])
-        versions.append((version, value))
-        versions.sort(key=lambda item: item[0])
-        if len(versions) > self.max_versions:
-            del versions[: len(versions) - self.max_versions]
+    def put_row(self, row_key: str, values: Mapping[str, Any], *, version: int) -> None:
+        """Apply one put: file each cell under its version, swap the snapshot."""
+        frozen = freeze_row(values)
+        snapshot = self._latest.get(row_key)
+        if snapshot is None:
+            if frozen:  # its first put is the row's snapshot and whole history
+                self._latest[row_key] = frozen
+                self._history[row_key] = version
+            return
+        history = self._history[row_key] = self._cells(row_key)
+        cells = dict(snapshot)
+        for qualifier, value in frozen.items():
+            versions = history.setdefault(qualifier, [])
+            versions.append((version, value))
+            if len(versions) > 1 and version < versions[-2][0]:
+                # Out of order: file it behind its elders; the snapshot stands.
+                versions.sort(key=_cell_version)
+            else:
+                cells[qualifier] = value
+            if len(versions) > self.max_versions:
+                del versions[: len(versions) - self.max_versions]
+        self._latest[row_key] = Row(cells)
 
-    def get(
-        self, row_key: str, qualifier: str, *, version: Optional[int] = None
-    ) -> Any:
-        versions = self._rows.get(row_key, {}).get(qualifier)
-        if not versions:
-            raise RowNotFoundError(
-                f"no cell for row {row_key!r} qualifier {qualifier!r} in family {self.name!r}"
-            )
+    def _cells(self, row_key: str) -> _CellHistory:
+        """The row's per-cell version lists, spelled out of the snapshot while
+        one put is all of its history."""
+        history = self._history.get(row_key, {})
+        if isinstance(history, int):
+            return {
+                qualifier: [(history, value)]
+                for qualifier, value in self._latest[row_key].items()
+            }
+        return history
+
+    def latest(self, row_key: str, version: Optional[int] = None) -> Optional[Row]:
+        """The row's latest snapshot — one probe, nothing raised — or, pinned,
+        per qualifier its newest cell at or before ``version``; None when the
+        row has no such cell."""
         if version is None:
-            return versions[-1][1]
-        eligible = [value for cell_version, value in versions if cell_version <= version]
-        if not eligible:
-            raise RowNotFoundError(
-                f"no version <= {version} for row {row_key!r} qualifier {qualifier!r}"
-            )
-        return eligible[-1]
-
-    def get_row(self, row_key: str, *, version: Optional[int] = None) -> Dict[str, Any]:
-        qualifiers = self._rows.get(row_key)
-        if not qualifiers:
-            raise RowNotFoundError(f"row {row_key!r} not found in family {self.name!r}")
-        result: Dict[str, Any] = {}
-        for qualifier in qualifiers:
-            try:
-                result[qualifier] = self.get(row_key, qualifier, version=version)
-            except RowNotFoundError:
-                continue
-        if not result:
-            raise RowNotFoundError(
-                f"row {row_key!r} has no cells at or before version {version}"
-            )
-        return result
-
-    def has_row(self, row_key: str) -> bool:
-        return row_key in self._rows
+            return self._latest.get(row_key)
+        row: Dict[str, Any] = {}
+        for qualifier, versions in self._cells(row_key).items():
+            for cell_version, value in reversed(versions):
+                if cell_version <= version:
+                    row[qualifier] = value
+                    break
+        return Row(row) if row else None
 
     def row_keys(self) -> List[str]:
-        return sorted(self._rows)
+        return sorted(self._latest)
 
     def cell_versions(self, row_key: str, qualifier: str) -> List[int]:
-        return [version for version, _ in self._rows.get(row_key, {}).get(qualifier, [])]
+        return [version for version, _ in self._cells(row_key).get(qualifier, [])]
 
 
 class HBaseTable:
@@ -123,9 +159,7 @@ class HBaseTable:
         version: int,
     ) -> None:
         """Write several qualifiers of one row in one call."""
-        family = self.family(column_family)
-        for qualifier, value in values.items():
-            family.put(row_key, qualifier, value, version=version)
+        self.family(column_family).put_row(row_key, values, version=version)
 
     def get(
         self,
@@ -133,21 +167,12 @@ class HBaseTable:
         column_family: str,
         *,
         version: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        return self.family(column_family).get_row(row_key, version=version)
-
-    def get_cell(
-        self,
-        row_key: str,
-        column_family: str,
-        qualifier: str,
-        *,
-        version: Optional[int] = None,
-    ) -> Any:
-        return self.family(column_family).get(row_key, qualifier, version=version)
-
-    def has_row(self, row_key: str) -> bool:
-        return any(family.has_row(row_key) for family in self._families.values())
+    ) -> Row:
+        row = self.family(column_family).latest(row_key, version)
+        if row is None:
+            at = "" if version is None else f" at or before version {version}"
+            raise RowNotFoundError(f"row {row_key!r} has no {column_family!r} cells{at}")
+        return row
 
     def row_keys(self) -> List[str]:
         keys = set()
@@ -162,17 +187,16 @@ class HBaseTable:
         prefix: str = "",
         version: Optional[int] = None,
         limit: Optional[int] = None,
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Ordered scan of (row key, row dict) pairs, optionally prefix-filtered."""
+    ) -> List[Tuple[str, Row]]:
+        """Ordered scan of (row key, row) pairs, optionally prefix-filtered."""
         family = self.family(column_family)
-        results: List[Tuple[str, Dict[str, Any]]] = []
+        results: List[Tuple[str, Row]] = []
         for row_key in family.row_keys():
             if prefix and not row_key.startswith(prefix):
                 continue
-            try:
-                results.append((row_key, family.get_row(row_key, version=version)))
-            except RowNotFoundError:
-                continue
+            row = family.latest(row_key, version)
+            if row is not None:
+                results.append((row_key, row))
             if limit is not None and len(results) >= limit:
                 break
         return results

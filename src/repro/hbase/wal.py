@@ -9,9 +9,10 @@ the durability tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional
 
 from repro.exceptions import StorageError
+from repro.hbase.store import HBaseTable, Row, freeze_row
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class WALEntry:
     table: str
     row_key: str
     column_family: str
-    values: Dict[str, Any]
+    values: Row
     version: int
 
 
@@ -52,7 +53,7 @@ class WriteAheadLog:
             table=table,
             row_key=row_key,
             column_family=column_family,
-            values=dict(values),
+            values=freeze_row(values),
             version=version,
         )
         self._entries.append(entry)
@@ -72,7 +73,7 @@ class WriteAheadLog:
         return self._sequence
 
     # ------------------------------------------------------------------
-    def replay(self, table_object, *, table_name: Optional[str] = None) -> int:
+    def replay(self, table_object: HBaseTable, *, table_name: Optional[str] = None) -> int:
         """Re-apply the logged mutations to ``table_object``; returns the count."""
         replayed = 0
         for entry in self.entries(table=table_name):

@@ -6,7 +6,9 @@ per attribute) and embeddings from the embeddings family, where each set is
 stored as a single array-valued qualifier (``dw`` → list of floats) rather
 than one scalar cell per dimension, so a block read is one cell instead of
 ``d``.  All reads go through :meth:`HBaseClient.multi_get`, one batched call
-per column family per batch of transactions.
+per column family per batch of transactions; the rows it returns are the
+store's own read-only snapshots (an unpublished account's is the shared empty
+row), read here and never edited.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from repro.datagen.schema import Gender, UserProfile
 from repro.exceptions import ServingError
-from repro.features.basic import DEFAULT_PROFILE, ProfileCells, profile_cells
+from repro.features.basic import DEFAULT_CELLS, DEFAULT_PROFILE, ProfileCells, profile_cells
 from repro.features.plan import EmbeddingBlockSpec, FeatureSource
 from repro.hbase.client import (
     AGGREGATES_FAMILY,
@@ -60,12 +62,14 @@ class HBaseFeatureSource(FeatureSource):
 
     # ------------------------------------------------------------------
     def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, ProfileCells]:
-        """Profile cells decoded straight from the stored rows; an unpublished
-        account's empty default row decodes to the cold-account default."""
-        rows = self.hbase.multi_get(
-            self.table_name, list(user_ids), BASIC_FEATURES_FAMILY, default={}
-        )
-        return {user_id: profile_cells(row) for user_id, row in rows.items()}
+        """Profile cells decoded straight from the stored read-only rows; an
+        unpublished account's empty row is the shared cold-account default,
+        not decoded again."""
+        rows = self.hbase.multi_get(self.table_name, user_ids, BASIC_FEATURES_FAMILY)
+        return {
+            user_id: profile_cells(row) if row else DEFAULT_CELLS
+            for user_id, row in rows.items()
+        }
 
     def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
         """Latest per-user sliding-window aggregate rows.
@@ -79,20 +83,16 @@ class HBaseFeatureSource(FeatureSource):
         until the account's next transaction or the updater's periodic
         refresh (``refresh_interval_seconds``) re-anchors the row — with
         sub-day windows, configure the refresh to bound that decay lag.
-        Cold accounts get an empty row, which the plan executor scores as
-        all-zero aggregates — identical to the offline treatment of unseen
-        users.
+        Cold accounts get the shared empty row, which the plan executor scores
+        as all-zero aggregates — identical to the offline treatment of unseen
+        users.  Rows are read-only views of the store's snapshots.
         """
-        return self.hbase.multi_get(
-            self.table_name, list(user_ids), AGGREGATES_FAMILY, default={}
-        )
+        return self.hbase.multi_get(self.table_name, user_ids, AGGREGATES_FAMILY)
 
     def embedding_matrix(
         self, block: EmbeddingBlockSpec, user_ids: Sequence[str]
     ) -> np.ndarray:
-        rows = self.hbase.multi_get(
-            self.table_name, list(user_ids), EMBEDDINGS_FAMILY, default={}
-        )
+        rows = self.hbase.multi_get(self.table_name, user_ids, EMBEDDINGS_FAMILY)
         vectors: Dict[str, np.ndarray] = {}
         for user_id, row in rows.items():
             vectors[user_id] = self._vector_from_row(block, row)

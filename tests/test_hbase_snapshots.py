@@ -1,0 +1,437 @@
+"""The Ali-HBase read contract: one immutable snapshot per (row, family),
+shared by the store, the write-ahead log, every connection's row cache and
+the caller — checked against a brute-force model of every put, and pinned
+down case by case (aliasing, sharing, cold accounts, the injected clock).
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Any, Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.serving.feature_source as feature_source_module
+from repro.exceptions import RowNotFoundError
+from repro.features.basic import DEFAULT_CELLS
+from repro.hbase import HBaseClient, HBaseTable
+from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
+from repro.hbase.store import ColumnFamilyStore
+from repro.serving.feature_source import HBaseFeatureSource
+
+TABLE = "titant_features"
+TTL_S = 30.0
+
+
+class FakeClock:
+    """The clock a test hands to ``HBaseClient(clock=)`` and moves by hand."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _store(**kwargs: Any) -> HBaseClient:
+    client = HBaseClient(**kwargs)
+    client.create_feature_store(TABLE)
+    return client
+
+
+def _region_reads(client: HBaseClient) -> int:
+    return sum(stats["reads"] for stats in client.region_load_report().values())
+
+
+# ---------------------------------------------------------------------------
+# Model-based property: every read equals a brute-force fold of every put
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("f0", "f1", "f2")
+KEYS = ("a", "b", "c", "d", "ghost")  # "ghost" is never written
+#: Writes and reads favour one account, so histories get deep enough to trim.
+_written_keys = st.sampled_from(("a", "a", "a") + KEYS[:-1])
+_read_keys = st.sampled_from(("a", "a") + KEYS)
+QUALIFIERS = ("q0", "q1", "q2")
+_Put = Tuple[str, str, Dict[str, Any], int]
+
+
+def _plain(row: Any) -> Optional[Dict[str, Any]]:
+    """A row as a plain dict with array cells as tuples (what a put freezes to)."""
+    if row is None:
+        return None
+    return {q: tuple(v) if isinstance(v, (list, tuple)) else v for q, v in row.items()}
+
+
+def _model_cells(
+    puts: List[_Put], row_key: str, family: str, max_versions: int
+) -> Dict[str, List[Tuple[int, int, Any]]]:
+    """All puts in order; per cell the ``max_versions`` highest (version, put
+    sequence) pairs kept — of equal versions the later put is the higher."""
+    cells: Dict[str, List[Tuple[int, int, Any]]] = {}
+    for sequence, (key, put_family, values, version) in enumerate(puts):
+        if (key, put_family) != (row_key, family):
+            continue
+        for qualifier, value in values.items():
+            kept = cells.setdefault(qualifier, [])
+            kept.append((version, sequence, value))
+            kept.sort(key=lambda cell: cell[:2])
+            del kept[:-max_versions]
+    return cells
+
+
+def _model_read(
+    puts: List[_Put], row_key: str, family: str, pin: Optional[int], max_versions: int
+) -> Optional[Dict[str, Any]]:
+    """Per cell the highest kept version at or before ``pin`` (None: the highest)."""
+    row = {}
+    for qualifier, kept in _model_cells(puts, row_key, family, max_versions).items():
+        eligible = [value for version, _, value in kept if pin is None or version <= pin]
+        if eligible:
+            row[qualifier] = eligible[-1]
+    return _plain(row) if row else None
+
+
+_cell_values = st.one_of(
+    st.integers(0, 9), st.lists(st.floats(0.0, 1.0, width=16), min_size=1, max_size=3)
+)
+_puts = st.tuples(
+    st.just("put"),
+    st.integers(0, 1),
+    _written_keys,
+    st.sampled_from(FAMILIES),
+    st.dictionaries(st.sampled_from(QUALIFIERS), _cell_values, min_size=1),
+    st.integers(1, 4),
+    st.booleans(),
+)
+_pins = st.one_of(st.none(), st.integers(0, 4))
+_defaults = st.one_of(st.none(), st.just({}), st.just({"q0": -1}))
+_reads = st.tuples(
+    st.sampled_from(("get", "get_or_default", "multi_get")),
+    st.integers(0, 1),
+    st.lists(_read_keys, min_size=1, max_size=6),
+    st.sampled_from(FAMILIES),
+    _pins,
+    _defaults,
+)
+_others = st.one_of(
+    st.tuples(st.just("advance"), st.sampled_from((1.0, TTL_S / 2, TTL_S + 1.0))),
+    st.tuples(st.just("scan"), st.sampled_from(FAMILIES), _pins),
+    st.tuples(st.just("crash")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(st.one_of(_puts, _puts, _reads, _reads, _others), max_size=50),
+    max_versions=st.integers(1, 3),
+    cache_rows=st.integers(2, 4),
+)
+def test_reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
+    clock = FakeClock()
+    root = HBaseClient(
+        max_versions=max_versions, row_cache_ttl_s=TTL_S, row_cache_rows=cache_rows, clock=clock
+    )
+    root.create_table(TABLE, FAMILIES)
+    handles = [root, root.connection()]
+    puts: List[_Put] = []
+    probes = 0
+
+    def expected(row_key: str, family: str, pin: Optional[int]) -> Optional[Dict[str, Any]]:
+        return _model_read(puts, row_key, family, pin, max_versions)
+
+    for op in ops:
+        if op[0] == "put":
+            _, handle, row_key, family, values, version, check_now = op
+            handles[handle].put(TABLE, row_key, family, values, version=version)
+            puts.append((row_key, family, values, version))
+            stored = root.table(TABLE).family(family)
+            for qualifier, kept in _model_cells(puts, row_key, family, max_versions).items():
+                assert stored.cell_versions(row_key, qualifier) == [cell[0] for cell in kept]
+            if check_now:  # no stale serve, through either handle, right after the put
+                for reader in handles:
+                    assert _plain(reader.get(TABLE, row_key, family)) == expected(
+                        row_key, family, None
+                    )
+                    probes += 1
+        elif op[0] == "advance":
+            clock.now += op[1]
+        elif op[0] == "scan":
+            _, family, pin = op
+            scanned = {key: _plain(row) for key, row in root.scan(TABLE, family, version=pin)}
+            model = {key: expected(key, family, pin) for key in KEYS}
+            assert scanned == {key: row for key, row in model.items() if row is not None}
+        elif op[0] == "crash":
+            # The MemStore is lost; a fresh table replays the log, and every
+            # later op runs against the rebuilt rows and their rebuilt history.
+            views = [(family, pin) for family in FAMILIES for pin in (None, 2)]
+            before = [root.scan(TABLE, family, version=pin) for family, pin in views]
+            root._tables[TABLE] = HBaseTable(TABLE, FAMILIES, max_versions=max_versions)
+            assert root.replay_wal_into(TABLE) == len(puts)
+            assert [root.scan(TABLE, family, version=pin) for family, pin in views] == before
+        else:
+            kind, handle, keys, family, pin, default = op
+            client = handles[handle]
+            if kind == "multi_get":
+                rows = client.multi_get(TABLE, keys, family, version=pin, default=default)
+                assert list(rows) == list(dict.fromkeys(keys))  # one entry per distinct key
+                probes += len(rows)
+                for key, row in rows.items():
+                    model = expected(key, family, pin)
+                    assert _plain(row) == (model if model is not None else default or {})
+                continue
+            probes += 1
+            model = expected(keys[0], family, pin)
+            if kind == "get_or_default":
+                row = client.get_or_default(TABLE, keys[0], family, version=pin, default=default)
+                assert _plain(row) == (model if model is not None else default or {})
+            elif model is None:
+                with pytest.raises(RowNotFoundError):
+                    client.get(TABLE, keys[0], family, version=pin)
+            else:
+                assert _plain(client.get(TABLE, keys[0], family, version=pin)) == model
+
+    # Every probe was a cache hit, or a miss that went to a region — never both,
+    # never neither — and eviction kept each cache within its row budget.
+    stats = [handle.row_cache_stats() for handle in handles]
+    assert sum(s["hits"] + s["misses"] for s in stats) == probes
+    assert sum(s["misses"] for s in stats) == _region_reads(root)
+    assert all(s["rows"] <= cache_rows for s in stats)
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: stored rows must not alias the caller's lists, in either direction
+# ---------------------------------------------------------------------------
+
+
+def _read_via(kind: str, client: HBaseClient, row_key: str) -> Any:
+    if kind == "get":
+        return client.get(TABLE, row_key, EMBEDDINGS_FAMILY)
+    return client.multi_get(TABLE, [row_key], EMBEDDINGS_FAMILY)[row_key]
+
+
+@pytest.mark.parametrize("read", ["get", "multi_get"])
+@pytest.mark.parametrize("ttl", [0.0, 60.0], ids=["no-cache", "cache"])
+class TestNoAliasing:
+    def test_caller_edit_after_put_reaches_no_reader_and_no_log(self, read, ttl):
+        client = _store(row_cache_ttl_s=ttl)
+        vec = [1.0, 2.0]
+        client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": vec}, version=1)
+        cached_reader = client.connection()
+        assert _read_via(read, cached_reader, "u1")["dw"] == (1.0, 2.0)
+        vec[0] = 99.0
+        # One account, one vector: the handle that cached it, a fresh
+        # connection and the write-ahead log all still hold what was put.
+        assert _read_via(read, cached_reader, "u1")["dw"] == (1.0, 2.0)
+        assert _read_via(read, client.connection(), "u1")["dw"] == (1.0, 2.0)
+        assert client.wal.entries()[0].values == {"dw": (1.0, 2.0)}
+
+    def test_reader_cannot_edit_what_the_next_reader_sees(self, read, ttl):
+        client = _store(row_cache_ttl_s=ttl)
+        client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": [1.0, 2.0]}, version=1)
+        row = _read_via(read, client, "u1")
+        assert not hasattr(row["dw"], "append")
+        with pytest.raises(TypeError):
+            row["dw"][0] = 99.0
+        for edit in (
+            lambda: row.__setitem__("dw", (9.0,)),
+            lambda: row.__delitem__("dw"),
+            lambda: row.update(dw=(9.0,)),
+            lambda: row.pop("dw"),
+            lambda: row.popitem(),
+            lambda: row.setdefault("s2v", (0.0,)),
+            lambda: row.clear(),
+            lambda: row.__ior__({"dw": (9.0,)}),
+        ):
+            with pytest.raises(TypeError):
+                edit()
+        assert _read_via(read, client, "u1") == {"dw": (1.0, 2.0)}
+        assert _read_via(read, client.connection(), "u1") == {"dw": (1.0, 2.0)}
+
+
+def test_wal_replay_rebuilds_the_value_that_was_put_not_the_edited_list():
+    client = _store()
+    vec = [1.0, 2.0]
+    client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": vec}, version=1)
+    vec.append(3.0)
+    recovered = HBaseTable(TABLE, client.table(TABLE).column_families())
+    assert client.wal.replay(recovered, table_name=TABLE) == 1
+    assert recovered.get("u1", EMBEDDINGS_FAMILY) == {"dw": (1.0, 2.0)}
+    assert recovered.get("u1", EMBEDDINGS_FAMILY) == client.get(TABLE, "u1", EMBEDDINGS_FAMILY)
+
+
+# ---------------------------------------------------------------------------
+# The snapshot contract
+# ---------------------------------------------------------------------------
+
+
+class TestSharedSnapshots:
+    def test_hits_return_the_stores_own_object(self):
+        client = _store(row_cache_ttl_s=60.0)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+        first = client.get(TABLE, "u1", BASIC_FEATURES_FAMILY)  # miss
+        assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY) is first  # hit
+        assert client.multi_get(TABLE, ["u1"], BASIC_FEATURES_FAMILY)["u1"] is first
+        assert client.connection().get(TABLE, "u1", BASIC_FEATURES_FAMILY) is first
+        assert client.table(TABLE).family(BASIC_FEATURES_FAMILY).latest("u1") is first
+        assert client.row_cache_stats()["hits"] == 2.0
+
+    def test_a_put_through_any_handle_replaces_the_snapshot(self):
+        root = _store(row_cache_ttl_s=60.0)
+        root.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30, "kyc_level": 1}, version=1)
+        reader = root.connection()
+        held = reader.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        root.connection().put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 31}, version=2)
+        fresh = reader.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        assert fresh == {"age": 31, "kyc_level": 1} and fresh is not held
+        # A caller still holding the old snapshot keeps a consistent old row.
+        assert held == {"age": 30, "kyc_level": 1}
+
+    def test_a_lower_version_never_wins_the_latest_view(self):
+        client = _store()
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 31}, version=5)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30, "kyc_level": 1}, version=2)
+        # Equal versions: the later put wins.
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"kyc_level": 2}, version=2)
+        assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 31, "kyc_level": 2}
+        assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY, version=4) == {
+            "age": 30,
+            "kyc_level": 2,
+        }
+        family = client.table(TABLE).family(BASIC_FEATURES_FAMILY)
+        assert family.cell_versions("u1", "age") == [2, 5]
+
+
+class TestColdAccounts:
+    def test_an_absent_row_is_never_cached_and_always_a_miss_and_a_region_read(self):
+        client = _store(row_cache_ttl_s=60.0)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+        client.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        cache = client._cache
+        for probe in range(1, 4):
+            rows_before, reads_before = len(cache), _region_reads(client)
+            misses_before = client.row_cache_stats()["misses"]
+            assert client.get_or_default(TABLE, "ghost", BASIC_FEATURES_FAMILY) == {}
+            assert len(cache) == rows_before
+            assert client.row_cache_stats()["misses"] == misses_before + 1
+            assert _region_reads(client) == reads_before + 1
+
+    def test_absent_keys_of_one_call_share_one_read_only_default(self):
+        client = _store()
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+        default = {"age": -1}
+        rows = client.multi_get(
+            TABLE, ["g1", "u1", "g2", "g3", "g1"], BASIC_FEATURES_FAMILY, default=default
+        )
+        assert rows["g1"] == default and rows["g1"] is rows["g2"] is rows["g3"]
+        assert rows["g1"] is not default
+        with pytest.raises(TypeError):
+            rows["g1"]["age"] = 0
+        assert _region_reads(client) == 4  # one per distinct key, absent or not
+        empty = client.multi_get(TABLE, ["g1", "g2"], BASIC_FEATURES_FAMILY)
+        assert empty["g1"] == {} and empty["g1"] is empty["g2"]
+
+    def test_feature_source_serves_the_shared_default_without_decoding(self, monkeypatch):
+        client = _store()
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 52}, version=1)
+        decoded = []
+        real = feature_source_module.profile_cells
+        monkeypatch.setattr(
+            feature_source_module, "profile_cells", lambda row: decoded.append(row) or real(row)
+        )
+        cells = HBaseFeatureSource(client, TABLE).profiles_for(["g1", "u1", "g2"])
+        assert list(cells) == ["g1", "u1", "g2"]  # still one entry per distinct account
+        assert cells["g1"] is DEFAULT_CELLS and cells["g2"] is DEFAULT_CELLS
+        assert cells["u1"][0][0] == 52.0 and decoded == [{"age": 52}]
+
+    @pytest.mark.parametrize("ttl", [0.0, 60.0], ids=["no-cache", "cache"])
+    def test_latest_reads_probe_the_snapshot_and_nothing_else(self, ttl, monkeypatch):
+        """A latest-version read — present or absent — is one unpinned ``latest``
+        probe: the version lists are never walked and no exception is built."""
+        client = _store(row_cache_ttl_s=ttl)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+        pins: List[Optional[int]] = []
+        real = ColumnFamilyStore.latest
+
+        def spy(self, row_key, version=None):
+            pins.append(version)
+            return real(self, row_key, version)
+
+        monkeypatch.setattr(ColumnFamilyStore, "latest", spy)
+        monkeypatch.setattr(
+            ColumnFamilyStore, "_cells", lambda self, row_key: pytest.fail("walked the history")
+        )
+        for module in ("store", "client"):  # nothing is raised, so nothing is caught
+            monkeypatch.setattr(
+                f"repro.hbase.{module}.RowNotFoundError",
+                lambda message: pytest.fail(f"read path built an exception: {message}"),
+            )
+        rows = client.multi_get(TABLE, ["u1", "ghost"], BASIC_FEATURES_FAMILY)
+        assert rows == {"u1": {"age": 30}, "ghost": {}}
+        assert client.get_or_default(TABLE, "ghost", BASIC_FEATURES_FAMILY) == {}
+        assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 30}
+        assert pins == [None] * (4 if ttl == 0.0 else 3)  # the last read is a cache hit
+
+
+# ---------------------------------------------------------------------------
+# The injected clock and the stable routing hash
+# ---------------------------------------------------------------------------
+
+
+class TestInjectedClock:
+    def test_ttl_expiry_through_the_client(self):
+        clock = FakeClock()
+        root = _store(row_cache_ttl_s=TTL_S, clock=clock)
+        root.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+        conn = root.connection()  # shares the clock
+        for client in (root, conn):
+            client.get(TABLE, "u1", BASIC_FEATURES_FAMILY)  # miss, cached at t = 0
+        clock.now = TTL_S - 0.5
+        reads = _region_reads(root)
+        for client in (root, conn):
+            client.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+            assert client.row_cache_stats()["hits"] == 1.0
+        assert _region_reads(root) == reads
+        clock.now = TTL_S + 0.5  # past the expiry set at t = 0 (a hit does not renew it)
+        for client in (root, conn):
+            assert client.multi_get(TABLE, ["u1"], BASIC_FEATURES_FAMILY)["u1"] == {"age": 30}
+            assert client.row_cache_stats() == {
+                "rows": 1.0,  # re-read from the store and cached again
+                "hits": 1.0,
+                "misses": 2.0,
+                "hit_rate": 1 / 3,
+            }
+        assert _region_reads(root) == reads + 2
+
+    def test_the_clock_is_read_once_per_call_and_not_at_all_without_a_cache(self):
+        readings: List[float] = []
+
+        def clock() -> float:
+            readings.append(0.0)
+            return 0.0
+
+        cached = _store(row_cache_ttl_s=TTL_S, clock=clock)
+        cached.multi_get(TABLE, [f"u{i}" for i in range(50)], BASIC_FEATURES_FAMILY)
+        cached.get_or_default(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        assert len(readings) == 2
+        _store(row_cache_ttl_s=0.0, clock=clock).multi_get(TABLE, ["u1"], BASIC_FEATURES_FAMILY)
+        assert len(readings) == 2
+
+
+@pytest.mark.determinism
+def test_region_routing_is_stable_across_hash_seeds(record_checksum):
+    """CRC-32 routing: the same keys load the same regions in every process
+    (the sanitizer diffs the recorded report across ``PYTHONHASHSEED``s)."""
+    client = _store(num_regions=4, row_cache_ttl_s=0.0)
+    keys = [f"u{index:07d}" for index in range(400)]
+    for key in keys[::2]:
+        client.put(TABLE, key, BASIC_FEATURES_FAMILY, {"age": 1}, version=1)
+    client.multi_get(TABLE, keys, BASIC_FEATURES_FAMILY)
+    report = client.region_load_report()
+    assert sum(stats["reads"] for stats in report.values()) == 400
+    assert sum(stats["writes"] for stats in report.values()) == 200
+    assert all(stats["reads"] > 60 and stats["rows"] > 30 for stats in report.values())
+    assert [report[region]["reads"] for region in range(4)] == [100, 100, 100, 100]
+    record_checksum("region-load", hashlib.sha256(repr(report).encode()).hexdigest())
