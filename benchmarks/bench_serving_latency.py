@@ -7,53 +7,24 @@ replays a test day's transactions through the Alipay server → Model Server
 path, measuring the per-request wall-clock latency of the full online flow
 (HBase reads, plan execution, model scoring, alert decision).
 
-Two modes are compared:
+Both request shapes are held to the absolute 50 ms budget — the one bound
+``titant_bench`` does not make, because its bounds are relative to a parent
+commit:
 
-* **scalar** — one ``predict`` per request, the pre-refactor hot path,
-* **batch** — micro-batched ``predict_batch`` (one ``multi_get`` per column
-  family, one vectorised assembly, one ``predict_proba`` per batch).
-
-A third benchmark compares the fleet *routing* policies: every Model Server
-runs on its own HBase connection (a private client-side row cache, the real
-fleet shape), and consistent-hash sharding by payer account
-(:class:`~repro.serving.router.ServingRouter`, the front end's default) must
-lift the fleet-wide RowCache hit rate over round-robin on the same replay —
-the account's rows are cached once on its owning replica instead of missed
-once per replica.  Round-robin exists only to be beaten, so it lives here
-(:class:`RoundRobinRouter`), not in ``src/``.
+* **scalar** — one request per call: p95 < 50 ms,
+* **batch** — ``replay_transactions(batch_size=256)`` (one ``multi_get`` per
+  column family, one vectorised assembly, one ``predict_proba`` per batch):
+  amortised per-request p99 < 50 ms.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-
 from benchmarks.conftest import run_once
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
-from repro.serving import (
-    AlipayServer,
-    LatencyTracker,
-    ModelServer,
-    ModelServerConfig,
-    fleet_cache_stats,
-)
+from repro.serving import AlipayServer, LatencyTracker
 
 SLA_BUDGET_MS = 50.0
 BATCH_SIZE = 256
-ROUTING_FLEET_SIZE = 4
-#: Minimum relative fleet cache-hit-rate lift of sharded over round-robin.
-ROUTING_HIT_LIFT = 1.15
-
-
-class RoundRobinRouter:
-    """Baseline routing policy: ignores the account and cycles the replicas."""
-
-    def __init__(self, num_replicas: int) -> None:
-        self.num_replicas = num_replicas
-        self._calls = itertools.count()
-
-    def route(self, account_id: str) -> int:
-        return next(self._calls) % self.num_replicas
 
 
 def _serving_stack(bench_runner):
@@ -91,103 +62,29 @@ def test_serving_latency_milliseconds(benchmark, bench_runner):
     assert latency.p95_ms < SLA_BUDGET_MS
 
 
-def test_batch_path_throughput_vs_scalar(benchmark, bench_runner):
-    """Scalar vs batch-256 throughput (printed; ``titant_bench`` bounds both
-    sides) and the batch path's amortised p99 against the SLA (asserted)."""
+def test_batch_path_meets_sla(benchmark, bench_runner):
+    """The batch path's amortised per-request p99 against the SLA."""
     dataset, hbase, server, _ = _serving_stack(bench_runner)
     replay = dataset.test_transactions[:512]
 
-    # Warm the row cache and interned city lookups so both modes measure the
+    # Warm the row cache and interned city lookups so the run measures the
     # steady state rather than first-touch misses.
     AlipayServer(server).replay_transactions(replay[:64], batch_size=64)
 
-    def _compare():
-        scalar_front = AlipayServer(server)
-        started = time.perf_counter()
-        scalar_front.replay_transactions(replay)
-        scalar_seconds = time.perf_counter() - started
-
-        batch_front = AlipayServer(server)
+    def _run():
         batch_tracker = LatencyTracker(sla_budget_ms=SLA_BUDGET_MS)
         batch_start_index = len(server.latency)
-        started = time.perf_counter()
-        batch_front.replay_transactions(replay, batch_size=BATCH_SIZE)
-        batch_seconds = time.perf_counter() - started
+        AlipayServer(server).replay_transactions(replay, batch_size=BATCH_SIZE)
         for sample in server.latency.latencies_ms[batch_start_index:]:
             batch_tracker.record(sample)
-        return scalar_seconds, batch_seconds, batch_tracker.report()
+        return batch_tracker.report()
 
-    scalar_seconds, batch_seconds, batch_latency = run_once(benchmark, _compare)
-    scalar_rps = len(replay) / scalar_seconds
-    batch_rps = len(replay) / batch_seconds
-    speedup = batch_rps / scalar_rps
+    batch_latency = run_once(benchmark, _run)
 
-    print(f"\nScalar vs batch serving throughput ({len(replay)} requests)")
-    print(f"  scalar loop       : {scalar_rps:10.0f} req/s")
-    print(f"  batch (size {BATCH_SIZE}) : {batch_rps:10.0f} req/s")
-    print(f"  speedup           : {speedup:.1f}x")
-    print(f"  batch per-request p99 : {batch_latency.p99_ms:.3f} ms "
+    print(f"\nBatch serving (size {BATCH_SIZE}, {len(replay)} requests)")
+    print(f"  per-request p99 : {batch_latency.p99_ms:.3f} ms "
           f"(SLA budget {SLA_BUDGET_MS:.0f} ms)")
-    print(f"  row cache         : {fleet_cache_stats([server])}")
 
+    assert batch_latency.count == len(replay)
     # Amortised per-request latency must still clear the paper's SLA budget.
     assert batch_latency.p99_ms < SLA_BUDGET_MS
-
-
-def test_sharded_routing_lifts_cache_hit_rate(benchmark, bench_runner):
-    """Account-sharded routing must beat round-robin on RowCache hit rate.
-
-    Both fleets serve the identical replay from the same published HBase
-    store; only the front-end routing policy differs.  Each replica holds a
-    private per-connection cache, so round-robin pays up to fleet-size
-    compulsory misses per hot account while sharding pays exactly one.
-    """
-    dataset = bench_runner.datasets()[0]
-    preparation = bench_runner.preparation_for(dataset)
-    configuration = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
-    bundle, hbase, _, _ = bench_runner.build_serving_stack(
-        preparation, configuration, sla_budget_ms=SLA_BUDGET_MS
-    )
-    replay = dataset.test_transactions
-
-    def build_fleet():
-        fleet = [
-            ModelServer(
-                hbase.connection(row_cache_ttl_s=3600.0),
-                ModelServerConfig(sla_budget_ms=SLA_BUDGET_MS),
-            )
-            for _ in range(ROUTING_FLEET_SIZE)
-        ]
-        for server in fleet:
-            server.load_model(
-                bundle.detector,
-                version=bundle.version,
-                threshold=bundle.threshold,
-                plan=bundle.plan,
-            )
-        return fleet
-
-    def _compare():
-        round_robin_fleet = build_fleet()
-        AlipayServer(
-            round_robin_fleet, router=RoundRobinRouter(ROUTING_FLEET_SIZE)
-        ).replay_transactions(replay, batch_size=64)
-        sharded_fleet = build_fleet()
-        AlipayServer(sharded_fleet).replay_transactions(replay, batch_size=64)
-        return fleet_cache_stats(round_robin_fleet), fleet_cache_stats(sharded_fleet)
-
-    round_robin, sharded = run_once(benchmark, _compare)
-    lift = sharded["hit_rate"] / round_robin["hit_rate"] if round_robin["hit_rate"] else float("inf")
-
-    print(f"\nRouting policy vs fleet RowCache hit rate "
-          f"({len(replay)} requests, {ROUTING_FLEET_SIZE} replicas)")
-    print(f"  round-robin hit rate : {round_robin['hit_rate']:.2%} "
-          f"({round_robin['hits']:.0f} hits / {round_robin['misses']:.0f} misses)")
-    print(f"  sharded hit rate     : {sharded['hit_rate']:.2%} "
-          f"({sharded['hits']:.0f} hits / {sharded['misses']:.0f} misses)")
-    print(f"  lift                 : {lift:.2f}x")
-
-    assert sharded["hit_rate"] > round_robin["hit_rate"] * ROUTING_HIT_LIFT, (
-        f"sharded routing lifted the hit rate only {lift:.2f}x "
-        f"(required ≥ {ROUTING_HIT_LIFT}x)"
-    )

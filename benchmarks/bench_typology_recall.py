@@ -10,29 +10,19 @@ GBDT+S2V configuration on a T+1 slice, and reports recall *per typology* at
 the single deployed threshold via
 :func:`~repro.core.evaluation.typology_recall_report`.
 
-Always-on correctness asserts:
+Asserted on every run:
 
 * the labelled eval slice contains frauds from **all five** typologies (the
   per-typology report is meaningless if a scenario never occurs), and
 * every reported recall is a valid fraction backed by a positive fraud count.
 
-The headline throughput metric is eval rows scored per second through the
-offline assembler + GBDT (the same plan-driven path the Model Server runs).
-
 Run ``python -m benchmarks.bench_typology_recall --smoke`` (the CI job) or
-without flags for the full run.  Results are persisted to the repo-root
-``BENCH_typology_recall.json`` and validated/regression-gated by
-``scripts/check_bench.py``.
+without flags for the full run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.config import (
@@ -52,22 +42,7 @@ from repro.datagen import (
 )
 from repro.datagen.profiles import ProfileConfig
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_typology_recall.json"
-
 SEED = 23
-
-#: Perf floor on the headline metric, active only with real cores behind it
-#: (matching the other benches' honest ``perf_asserts_active`` convention).
-PERF_MIN_CPUS = 2
-ROWS_PER_SECOND_FLOOR = 500.0
-
-
-def cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _typology_world(params: Dict[str, int]) -> "WorldConfig":
@@ -91,9 +66,7 @@ def _typology_world(params: Dict[str, int]) -> "WorldConfig":
     )
 
 
-def run_bench(*, smoke: bool) -> Dict[str, object]:
-    cpus = cpu_count()
-    perf_asserts_active = cpus >= PERF_MIN_CPUS
+def run_bench(*, smoke: bool) -> None:
     if smoke:
         params = {"num_users": 300, "num_days": 30, "network_days": 14, "train_days": 7}
     else:
@@ -130,19 +103,15 @@ def run_bench(*, smoke: bool) -> Dict[str, object]:
     )
     bundle = pipeline.train(preparation, configuration)
 
-    # -- timed scoring path (assemble + score, the serving-plan flow) --------
+    # -- scoring path (assemble + score, the serving-plan flow) --------------
     assembler = pipeline.assembler_for(preparation, configuration.feature_set)
-    started = time.perf_counter()
     matrix = assembler.assemble(eval_transactions)
     scores = bundle.detector.predict_proba(matrix.values)
-    seconds = time.perf_counter() - started
-    rows_per_second = len(eval_transactions) / seconds
 
     report = typology_recall_report(
         eval_transactions, scores, threshold=bundle.threshold
     )
 
-    # -- correctness asserts (always on) ------------------------------------
     missing = sorted(set(FRAUD_TYPOLOGIES) - set(report))
     assert not missing, (
         f"eval slice has no frauds for typologies {missing}; "
@@ -152,55 +121,17 @@ def run_bench(*, smoke: bool) -> Dict[str, object]:
         assert entry.num_frauds > 0, f"{name}: empty slice in the report"
         assert 0.0 <= entry.recall <= 1.0, f"{name}: recall out of range"
 
-    # -- perf asserts (CPU-gated) -------------------------------------------
-    if perf_asserts_active:
-        assert rows_per_second >= ROWS_PER_SECOND_FLOOR, (
-            f"scored {rows_per_second:,.0f} eval rows/s, below the "
-            f"{ROWS_PER_SECOND_FLOOR:,.0f} floor"
-        )
-
-    results: Dict[str, object] = {
-        "benchmark": "typology_recall",
-        "mode": "smoke" if smoke else "full",
-        "platform": platform.platform(),
-        "cpu_count": cpus,
-        "perf_asserts_active": perf_asserts_active,
-        "params": {
-            **params,
-            "seed": SEED,
-            "detector": configuration.detector.value,
-            "feature_set": configuration.feature_set.value,
-            "threshold": bundle.threshold,
-            "eval_transactions": len(eval_transactions),
-            "eval_frauds": eval_frauds,
-        },
-        "scoring": {
-            "seconds": seconds,
-            "rows_per_second": rows_per_second,
-        },
-        "typology_recall": {
-            name: entry.as_dict() for name, entry in report.items()
-        },
-    }
-
-    print(f"\ntypology recall — {results['mode']} mode")
-    print(f"  scoring: {rows_per_second:10,.0f} eval rows/s")
+    print(f"\ntypology recall — {'smoke' if smoke else 'full'} mode")
     for name, entry in report.items():
         print(f"  {name:>18}: recall {entry.recall:6.2%} "
               f"({entry.num_detected}/{entry.num_frauds})")
-    return results
 
 
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--output", type=Path, default=BENCH_PATH, help="where to write the JSON artifact"
-    )
     args = parser.parse_args(argv)
-    results = run_bench(smoke=args.smoke)
-    args.output.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nresults written to {args.output}")
+    run_bench(smoke=args.smoke)
 
 
 if __name__ == "__main__":

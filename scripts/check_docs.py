@@ -1,19 +1,25 @@
 #!/usr/bin/env python
 """Link-check the documentation so file references cannot rot.
 
-Scans ``README.md`` and ``docs/*.md`` for
+Scans ``README.md``, ``docs/*.md`` and the verify skill for
 
 * relative Markdown links ``[text](path)`` — the target must exist on disk
   (anchors are stripped; ``http(s)``/``mailto`` links are skipped), and
 * inline-code file references — backticked tokens that name a repo file
   (``bench_*.py`` / ``test_*.py`` basenames, or any ``path/with/slash.py``
-  or ``.md``) must resolve to an existing file.
+  or ``.md``) must resolve to an existing file;
+
+and the commands of ``.github/workflows/*.yml`` and the verify skill for
+
+* repo paths (``scripts/lint_repo.py``, ``tests/test_x.py``) and
+  ``-m benchmarks.<module>`` tokens — each must resolve, so a CI step that
+  names a deleted file fails here instead of after the merge.
 
 Diagnostics are :class:`repro.analysis.Finding` records rendered through the
 shared reporters, so the output format (and ``--json`` schema) matches
-``scripts/lint_repo.py`` and ``scripts/check_bench.py``.  Exits non-zero
-listing every dangling reference.  Run by the docs CI job and locally with
-``python scripts/check_docs.py``.
+``scripts/lint_repo.py``.  Exits non-zero listing every dangling reference.
+Run by the docs CI job, by tier-1 (``tests/test_analysis.py``) and locally
+with ``python scripts/check_docs.py``.
 """
 
 from __future__ import annotations
@@ -36,16 +42,49 @@ BASENAME_PATTERN = re.compile(r"^(bench_|test_)\w+\.py$")
 BASENAME_DIRS = ("benchmarks", "tests")
 #: Backticked repo paths (contain a slash, end in .py or .md).
 PATH_PATTERN = re.compile(r"^[\w./-]+/[\w.-]+\.(?:py|md)$")
+#: The same paths as bare words of a command line (not absolute, not a URL).
+COMMAND_PATH = re.compile(r"(?<![\w./:-])(?:[\w.-]+/)+[\w.-]+\.(?:py|md)\b")
+#: ``python -m benchmarks.<module>`` invocations.
+COMMAND_MODULE = re.compile(r"-m\s+(benchmarks(?:\.\w+)+)")
+
+VERIFY_SKILL = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
 
 
-def doc_files() -> list:
-    files = [REPO_ROOT / "README.md"]
+def doc_files() -> List[Path]:
+    """Markdown files whose links and inline-code references are checked."""
+    files = [REPO_ROOT / "README.md", VERIFY_SKILL]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    return [path for path in files if path.exists()]
+
+
+def command_files() -> List[Path]:
+    """Files whose command lines are checked."""
+    files = sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml"))
+    files.append(VERIFY_SKILL)
     return [path for path in files if path.exists()]
 
 
 def _line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
+
+
+def check_commands(text: str, rel: str) -> List[Finding]:
+    """Dangling repo paths and ``-m benchmarks.<module>`` tokens in ``text``."""
+    dangling = [
+        (match, "command-file-ref", f"referenced file not found -> {match.group(0)}")
+        for match in COMMAND_PATH.finditer(text)
+        if not (REPO_ROOT / match.group(0)).exists()
+    ]
+    for match in COMMAND_MODULE.finditer(text):
+        module = REPO_ROOT / match.group(1).replace(".", "/")
+        if not (module.with_suffix(".py").exists() or (module / "__main__.py").exists()):
+            dangling.append(
+                (match, "command-module-ref", f"module not found -> {match.group(1)}")
+            )
+    return [
+        Finding(path=rel, line=_line_of(text, match.start()), rule=rule, message=message)
+        for match, rule, message in dangling
+    ]
 
 
 def check_file(path: Path) -> List[Finding]:
@@ -89,17 +128,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit the shared JSON report schema")
     args = parser.parse_args(argv)
 
-    files = doc_files()
+    docs, commands = doc_files(), command_files()
     findings: List[Finding] = []
-    for path in files:
+    for path in docs:
         findings.extend(check_file(path))
+    for path in commands:
+        findings.extend(
+            check_commands(path.read_text(), path.relative_to(REPO_ROOT).as_posix())
+        )
     if args.json:
         print(render_json(findings, tool="check_docs"), end="")
     else:
         stream = sys.stderr if findings else sys.stdout
         print(render_text(findings, tool="check_docs"), file=stream)
         if not findings:
-            print(f"doc link check passed ({len(files)} file(s))")
+            print(f"doc link check passed ({len(set(docs + commands))} file(s))")
     return 1 if findings else 0
 
 

@@ -246,10 +246,10 @@ PUBLIC_API = [
     (
         "Static analysis",
         "repro.analysis",
-        ["Finding", "Checker", "Baseline", "AnalysisReport", "run_analysis"],
+        ["Finding", "Checker", "AnalysisReport", "run_analysis"],
         "The AST-based invariant linter behind scripts/lint_repo.py: one "
         "shared diagnostic record for all repo tooling, the checker/rule "
-        "registry, baseline suppression and the analysis runner.",
+        "registry and the analysis runner.",
     ),
 ]
 

@@ -9,15 +9,13 @@ Runs the five AST checkers of :mod:`repro.analysis` over ``src/repro``:
 * ``layering`` — the subsystem import DAG holds,
 * ``iteration-order`` — no hash-order iteration feeds checksummed output.
 
-Deliberate violations live in ``src/repro/analysis/baseline.json`` with a
-reviewed reason; everything else fails the run with ``path:line: [rule]
+A deliberate violation carries ``# repro-lint: ignore[rule]`` and its reason
+on the flagged line; everything else fails the run with ``path:line: [rule]
 message`` diagnostics.  Usage::
 
-    PYTHONPATH=src python scripts/lint_repo.py              # lint src/repro
-    PYTHONPATH=src python scripts/lint_repo.py --check      # CI: also fail on stale baseline
+    PYTHONPATH=src python scripts/lint_repo.py              # lint src/repro (CI)
     PYTHONPATH=src python scripts/lint_repo.py --json       # machine-readable report
     PYTHONPATH=src python scripts/lint_repo.py --rules layering path/to/file.py
-    PYTHONPATH=src python scripts/lint_repo.py --write-baseline  # accept current findings
 
 (The script bootstraps ``sys.path`` itself, so plain
 ``python scripts/lint_repo.py`` works too.)
@@ -34,14 +32,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import (  # noqa: E402
-    Baseline,
     all_rule_ids,
     default_checkers,
+    render_json,
+    render_text,
     run_analysis,
 )
 
 DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
-DEFAULT_BASELINE = REPO_ROOT / "src" / "repro" / "analysis" / "baseline.json"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -52,33 +50,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         help="files or directories to lint (default: src/repro)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="CI mode: additionally fail when the baseline has stale entries",
-    )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help="baseline file of deliberate violations (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline (report every finding)",
-    )
     parser.add_argument(
         "--rules",
         nargs="+",
         metavar="RULE",
         help="run only these rule ids (see --list-rules)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept every current finding",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
@@ -91,65 +68,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     targets = args.paths or [DEFAULT_TARGET]
-    baseline = Baseline() if args.no_baseline else Baseline.load(args.baseline)
-    checkers = default_checkers(args.rules)
-
     findings = []
-    suppressed = []
-    stale = []
     files_scanned = 0
     for target in targets:
         if not target.exists():
             print(f"error: no such path: {target}", file=sys.stderr)
             return 2
         report = run_analysis(
-            target.resolve(),
-            repo_root=REPO_ROOT,
-            checkers=default_checkers(args.rules) if len(targets) > 1 else checkers,
-            baseline=baseline,
+            target.resolve(), repo_root=REPO_ROOT, checkers=default_checkers(args.rules)
         )
         findings.extend(report.all_findings())
-        suppressed.extend(report.suppressed)
-        stale.extend(report.stale_baseline)
         files_scanned += report.files_scanned
-    # Stale entries are per-run complements; with the default single target
-    # they are exact.  With multiple explicit targets an entry is stale only
-    # if no target matched it.
-    if len(targets) > 1:
-        matched = {f.fingerprint() for f in suppressed}
-        stale = [e for e in baseline.entries if e.fingerprint() not in matched]
-
-    if args.write_baseline:
-        new_baseline = Baseline.from_findings(
-            findings + suppressed, reason="accepted by --write-baseline; review me"
-        )
-        new_baseline.save(args.baseline)
-        print(
-            f"wrote {args.baseline.relative_to(REPO_ROOT)} "
-            f"({len(new_baseline.entries)} suppression(s))"
-        )
-        return 0
-
-    from repro.analysis.reporters import render_json, render_text
 
     if args.json:
-        print(
-            render_json(findings, suppressed=suppressed, stale_baseline=stale),
-            end="",
-        )
+        print(render_json(findings), end="")
     else:
-        print(render_text(findings, suppressed=suppressed, stale_baseline=stale))
+        print(render_text(findings))
         print(f"lint: scanned {files_scanned} file(s) across {len(args.rules or all_rule_ids())} rule(s)")
-    if findings:
-        return 1
-    if args.check and stale:
-        print(
-            "error: baseline has stale entries; remove them from "
-            f"{args.baseline} (the violations they suppressed are gone)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ package checks them mechanically:
 * :mod:`repro.analysis.framework` — the :class:`Checker` base class, module
   contexts and the rule registry,
 * :mod:`repro.analysis.checkers` — the five repo-specific invariant rules,
-* :mod:`repro.analysis.baseline` — deliberate-violation suppression,
 * :mod:`repro.analysis.reporters` — text and JSON rendering,
 * :mod:`repro.analysis.runner` — file discovery and orchestration.
 
@@ -22,7 +21,6 @@ The command-line entry point is ``scripts/lint_repo.py``; the complementary
 ``PYTHONHASHSEED`` values) is ``scripts/run_determinism_check.py``.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, ModuleContext, all_rule_ids, default_checkers
 from repro.analysis.reporters import render_json, render_text
@@ -30,8 +28,6 @@ from repro.analysis.runner import AnalysisReport, run_analysis
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "Finding",
     "ModuleContext",

@@ -10,10 +10,10 @@ two clocks silently disagree.
 Every module is checked except the explicit wall-clock allowlist: the async
 front end (its whole point is a real timer), the logging utilities (rate /
 ETA reporting), and anything outside ``src`` (benchmarks and scripts
-measure wall time by design — they are not scanned by default).  Deliberate
-wall-clock *defaults* in otherwise clock-explicit modules (the TTL row
-cache) are recorded in the committed baseline rather than allowlisted, so
-each one carries a reviewed reason.
+measure wall time by design — they are not scanned by default).  A
+deliberate wall-clock read in an otherwise clock-explicit module is accepted
+on its own line with ``# repro-lint: ignore[clock-discipline]`` and a reason,
+not allowlisted.
 """
 
 from __future__ import annotations

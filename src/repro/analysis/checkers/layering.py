@@ -73,17 +73,6 @@ def module_imports(ctx: ModuleContext) -> List[ImportEdge]:
     return edges
 
 
-def build_import_graph(contexts: List[ModuleContext]) -> Dict[str, Set[str]]:
-    """``module -> imported modules`` over a list of parsed modules."""
-    graph: Dict[str, Set[str]] = {}
-    for ctx in contexts:
-        edges = module_imports(ctx)
-        graph.setdefault(ctx.module_name or ctx.relpath, set()).update(
-            edge.target for edge in edges
-        )
-    return graph
-
-
 @register
 class LayeringChecker(Checker):
     """Flags import edges that violate the declared subsystem DAG."""

@@ -2,25 +2,23 @@
 
 One finding is one concrete problem at one location: a rule id, a
 repo-relative path, a 1-based line number and a human-readable message.
-The invariant linter, the doc link checker and the benchmark artifact
-validator all emit this type, so every tool renders and suppresses
-diagnostics the same way (see :mod:`repro.analysis.reporters` and
-:mod:`repro.analysis.baseline`).
+The invariant linter and the doc link checker both emit this type, so every
+tool renders diagnostics the same way (see :mod:`repro.analysis.reporters`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
     """One diagnostic: ``path:line: [rule] message``.
 
-    ``path`` is repo-relative with ``/`` separators so findings compare and
-    baseline-match identically across platforms.  Ordering sorts by path,
-    then line, then rule — the stable order every reporter emits.
+    ``path`` is repo-relative with ``/`` separators so findings compare
+    identically across platforms.  Ordering sorts by path, then line, then
+    rule — the stable order every reporter emits.
     """
 
     path: str
@@ -28,20 +26,12 @@ class Finding:
     rule: str
     message: str
 
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching: ``(rule, path, message)``.
-
-        The line number is deliberately excluded so a suppressed finding
-        stays suppressed when unrelated edits shift it a few lines.
-        """
-        return (self.rule, self.path, self.message)
-
     def format(self) -> str:
         """Render as the canonical one-line ``path:line: [rule] message``."""
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form used by the JSON reporter and baselines."""
+        """JSON-serialisable form used by the JSON reporter."""
         return {
             "rule": self.rule,
             "path": self.path,

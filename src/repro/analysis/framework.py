@@ -71,9 +71,9 @@ class Checker:
     """Base class of one invariant rule.
 
     Subclasses set ``rule_id`` (stable kebab-case id reported in findings
-    and matched by baselines) and ``description`` (one line, shown by
-    ``lint_repo.py --list-rules``), then override :meth:`check_module`
-    and/or :meth:`finalize`.
+    and named by ``# repro-lint: ignore[...]``) and ``description`` (one
+    line, shown by ``lint_repo.py --list-rules``), then override
+    :meth:`check_module` and/or :meth:`finalize`.
     """
 
     rule_id: str = ""

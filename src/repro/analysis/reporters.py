@@ -1,8 +1,8 @@
 """Render findings for humans (text) and machines (JSON).
 
-Every repo tool that reports diagnostics — the invariant linter, the doc
-link checker, the benchmark artifact validator — goes through these two
-functions, so all tooling output shares one format and one JSON schema.
+Every repo tool that reports diagnostics — the invariant linter and the doc
+link checker — goes through these two functions, so all tooling output shares
+one format and one JSON schema.
 """
 
 from __future__ import annotations
@@ -10,25 +10,14 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.findings import Finding
 
 #: Version of the JSON report schema (bumped on incompatible change).
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
-def render_text(
-    findings: Sequence[Finding],
-    *,
-    suppressed: Sequence[Finding] = (),
-    stale_baseline: Sequence[BaselineEntry] = (),
-    tool: str = "lint",
-) -> str:
-    """Human-readable report: one ``path:line: [rule] message`` per finding.
-
-    Suppressed findings and stale baseline entries are summarised after the
-    main listing so a clean run still shows what the baseline is hiding.
-    """
+def render_text(findings: Sequence[Finding], *, tool: str = "lint") -> str:
+    """Human-readable report: one ``path:line: [rule] message`` per finding."""
     lines: List[str] = []
     for finding in sorted(findings):
         lines.append(finding.format())
@@ -36,38 +25,19 @@ def render_text(
         lines.append(f"{tool}: {len(findings)} finding(s)")
     else:
         lines.append(f"{tool}: clean")
-    if suppressed:
-        lines.append(f"{tool}: {len(suppressed)} finding(s) suppressed by baseline")
-    for entry in stale_baseline:
-        lines.append(
-            f"{tool}: stale baseline entry [{entry.rule}] {entry.path}: {entry.message!r}"
-        )
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    *,
-    suppressed: Sequence[Finding] = (),
-    stale_baseline: Sequence[BaselineEntry] = (),
-    tool: str = "lint",
-) -> str:
+def render_json(findings: Sequence[Finding], *, tool: str = "lint") -> str:
     """Machine-readable report with a stable schema.
 
-    Top-level keys: ``schema_version``, ``tool``, ``counts`` (``findings`` /
-    ``suppressed`` / ``stale_baseline``), ``findings`` (sorted
-    ``Finding.to_dict`` records), ``suppressed`` and ``stale_baseline``.
+    Top-level keys: ``schema_version``, ``tool``, ``counts`` (``findings``)
+    and ``findings`` (sorted ``Finding.to_dict`` records).
     """
     payload: Dict[str, object] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": tool,
-        "counts": {
-            "findings": len(findings),
-            "suppressed": len(suppressed),
-            "stale_baseline": len(stale_baseline),
-        },
+        "counts": {"findings": len(findings)},
         "findings": [finding.to_dict() for finding in sorted(findings)],
-        "suppressed": [finding.to_dict() for finding in sorted(suppressed)],
-        "stale_baseline": [entry.to_dict() for entry in stale_baseline],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -1,8 +1,8 @@
 """File discovery and checker orchestration.
 
 :func:`run_analysis` walks a source tree, parses every ``*.py`` once, feeds
-each module to every checker, collects the whole-program findings, filters
-``# repro-lint: ignore`` lines and partitions the result against a baseline.
+each module to every checker, collects the whole-program findings and
+filters ``# repro-lint: ignore`` lines.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, ModuleContext, default_checkers
 from repro.analysis.reporters import render_json, render_text
@@ -20,45 +19,29 @@ from repro.analysis.reporters import render_json, render_text
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one analysis run.
-
-    ``findings`` are the *actionable* diagnostics (not baseline-suppressed);
-    ``suppressed`` are matched by the baseline; ``stale_baseline`` lists
-    baseline entries that matched nothing and should be deleted.
-    """
+    """Outcome of one analysis run: ``findings`` are the diagnostics no
+    ``# repro-lint: ignore`` comment accepts, sorted."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Whether the tree is clean (no actionable findings, parseable)."""
+        """Whether the tree is clean (no findings, parseable)."""
         return not self.findings and not self.parse_errors
 
     def all_findings(self) -> List[Finding]:
-        """Actionable findings plus parse errors, sorted."""
+        """Findings plus parse errors, sorted."""
         return sorted(self.findings + self.parse_errors)
 
     def render_text(self, *, tool: str = "lint") -> str:
         """Human-readable report (see :func:`repro.analysis.reporters.render_text`)."""
-        return render_text(
-            self.all_findings(),
-            suppressed=self.suppressed,
-            stale_baseline=self.stale_baseline,
-            tool=tool,
-        )
+        return render_text(self.all_findings(), tool=tool)
 
     def render_json(self, *, tool: str = "lint") -> str:
         """JSON report (see :func:`repro.analysis.reporters.render_json`)."""
-        return render_json(
-            self.all_findings(),
-            suppressed=self.suppressed,
-            stale_baseline=self.stale_baseline,
-            tool=tool,
-        )
+        return render_json(self.all_findings(), tool=tool)
 
 
 def iter_source_files(root: Path) -> List[Path]:
@@ -109,7 +92,6 @@ def run_analysis(
     repo_root: Optional[Path] = None,
     src_root: Optional[Path] = None,
     checkers: Optional[Sequence[Checker]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> AnalysisReport:
     """Run every checker over the tree rooted at ``root``.
 
@@ -117,7 +99,7 @@ def run_analysis(
     parent of ``src_root``, else ``root``); ``src_root`` is the import root
     used to derive dotted module names (default: the nearest ancestor of
     ``root`` named ``src``, if any).  ``checkers`` defaults to the full
-    registered rule set and ``baseline`` to an empty baseline.
+    registered rule set.
     """
     if src_root is None:
         for candidate in (root, *root.resolve().parents):
@@ -127,7 +109,6 @@ def run_analysis(
     if repo_root is None:
         repo_root = src_root.parent if src_root is not None else root
     active = list(checkers) if checkers is not None else default_checkers()
-    baseline = baseline or Baseline()
 
     report = AnalysisReport()
     raw: List[Finding] = []
@@ -161,14 +142,12 @@ def run_analysis(
     for checker in active:
         raw.extend(checker.finalize())
 
-    kept = [
+    report.findings = sorted(
         finding
         for finding in raw
         if not (
             finding.path in contexts
             and contexts[finding.path].line_ignored(finding.line, finding.rule)
         )
-    ]
-    report.findings, report.suppressed = baseline.partition(kept)
-    report.stale_baseline = baseline.stale_entries(kept)
+    )
     return report

@@ -212,13 +212,6 @@ def evaluate_detector(
     return evaluate_scores(np.asarray(test_labels), test_scores, threshold=threshold)
 
 
-def mean_metric(values: Sequence[float]) -> float:
-    """Mean of a metric over days (used for Table 1 averages)."""
-    if not values:
-        return 0.0
-    return float(np.mean(values))
-
-
 @dataclass
 class SliceRecall:
     """Recall of one labelled evaluation slice at a fixed threshold.
@@ -236,14 +229,6 @@ class SliceRecall:
     def recall(self) -> float:
         """Detected fraction of this slice's frauds (0.0 for an empty slice)."""
         return self.num_detected / self.num_frauds if self.num_frauds else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat-dict form used by the typology benchmark artifact."""
-        return {
-            "num_frauds": float(self.num_frauds),
-            "num_detected": float(self.num_detected),
-            "recall": self.recall,
-        }
 
 
 def recall_by_slice(

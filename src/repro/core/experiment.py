@@ -68,12 +68,6 @@ class ConfigurationResult:
     def mean_f1(self) -> float:
         return float(np.mean([d.f1 for d in self.daily])) if self.daily else 0.0
 
-    @property
-    def mean_recall_at_top_1pct(self) -> float:
-        if not self.daily:
-            return 0.0
-        return float(np.mean([d.metrics.recall_at_top_1pct for d in self.daily]))
-
     def f1_by_day(self) -> Dict[int, float]:
         return {d.test_day: d.f1 for d in self.daily}
 

@@ -42,7 +42,6 @@ from repro.features.aggregation import (
     TransactionAggregator,
 )
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
-from repro.features.basic import BasicFeatureExtractor
 from repro.features.matrix import FeatureMatrix
 from repro.features.plan import FeaturePlan
 from repro.features.streaming import (
@@ -76,6 +75,7 @@ from repro.nrl.structure2vec import (
 from repro.nrl.word2vec import SkipGramConfig
 from repro.graph.random_walk import RandomWalkConfig
 from repro.rng import derive_seed
+from repro.serving.feature_source import profile_row
 from repro.serving.model_server import ModelServer
 from repro.serving.rotation import FleetController
 from repro.serving.streaming import StreamingFeatureUpdater
@@ -407,24 +407,9 @@ class OfflineTrainingPipeline:
         self._published_versions[table_name] = max(
             version, self._published_versions.get(table_name, 0)
         )
-        extractor = BasicFeatureExtractor(self.profiles)
-
-        profile_rows: Dict[str, Dict[str, object]] = {}
-        for user_id, profile in self.profiles.items():
-            profile_rows[user_id] = {
-                "age": profile.age,
-                "gender": profile.gender.value,
-                "home_city": profile.home_city,
-                "account_age_days": profile.account_age_days,
-                "kyc_level": profile.kyc_level,
-                "is_merchant": profile.is_merchant,
-                "device_count": profile.device_count,
-                "community": profile.community,
-                **{
-                    f"derived_{name}": value
-                    for name, value in extractor.extract_user_features(user_id).items()
-                },
-            }
+        profile_rows = {
+            user_id: profile_row(profile) for user_id, profile in self.profiles.items()
+        }
         written = hbase.bulk_load(table_name, BASIC_FEATURES_FAMILY, profile_rows, version=version)
 
         # One array-valued cell per embedding set (instead of one scalar cell

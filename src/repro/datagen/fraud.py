@@ -629,12 +629,9 @@ class TypologyFraudSuite:
         if not normal:
             raise DataGenerationError("population contains no normal users")
         width = len(self.typologies.enabled)
-        self._assignments: Dict[str, str] = {}
         self._models: List[_TypologyFraudModel] = []
         for index, name in enumerate(self.typologies.enabled):
             assigned = fraudsters[index::width]
-            for profile in assigned:
-                self._assignments[profile.user_id] = name
             self._models.append(
                 TYPOLOGY_MODELS[name](
                     normal + assigned,
@@ -643,11 +640,6 @@ class TypologyFraudSuite:
                     rng=spawn_child(rng, salt=index + 1),
                 )
             )
-
-    @property
-    def assignments(self) -> Dict[str, str]:
-        """Fraudster user id -> assigned typology name."""
-        return dict(self._assignments)
 
     def plan_day(self, day: int) -> List[PlannedFraud]:
         """Concatenate every enabled typology's plan for ``day``."""

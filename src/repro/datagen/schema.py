@@ -188,18 +188,6 @@ PROFILE_COLUMNS: List[str] = [
 
 
 @dataclass
-class LabelRecord:
-    """A fraud report as collected from user feedback (delayed labels)."""
-
-    transaction_id: str
-    reported_day: int
-    is_fraud: bool
-
-    def to_row(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-@dataclass
 class WorldSummary:
     """Aggregate statistics of a generated world, used by tests and examples."""
 

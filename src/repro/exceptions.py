@@ -103,7 +103,3 @@ class ServingError(ReproError):
 
 class ModelNotLoadedError(ServingError):
     """Raised when the Model Server is asked to score before a model exists."""
-
-
-class LatencyBudgetExceededError(ServingError):
-    """Raised when a prediction breaches the configured latency SLA."""

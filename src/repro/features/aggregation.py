@@ -228,9 +228,6 @@ class AggregationWindowSpec:
             window_seconds=config.effective_window_seconds, bucket_seconds=bucket_seconds
         )
 
-    def to_config(self) -> AggregationConfig:
-        return AggregationConfig(window_seconds=self.window_seconds)
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "window_seconds": float(self.window_seconds),

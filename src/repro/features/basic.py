@@ -342,16 +342,6 @@ class BasicFeatureExtractor:
         fill_basic_block(values, transactions, cells_for(self._profiles, accounts))
         return labelled_matrix(list(BASIC_FEATURE_NAMES), values, transactions, with_labels)
 
-    def extract_user_features(self, user_id: str) -> Dict[str, float]:
-        """Static per-user features for the HBase feature store (Figure 7).
-
-        The online Model Server combines these stored per-user attributes with
-        the per-transaction context available in the request itself.
-        """
-        values, _ = profile_cells(vars(self._profiles.get(user_id, DEFAULT_PROFILE)))
-        names = BASIC_FEATURE_NAMES[:10]
-        return {name.replace("payer_", ""): value for name, value in zip(names, values)}
-
     # ------------------------------------------------------------------
     def _environment_block(self, txn: Transaction, payer: UserProfile) -> List[float]:
         hour_angle = 2.0 * np.pi * txn.hour / 24.0

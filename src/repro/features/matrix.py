@@ -112,12 +112,5 @@ class FeatureMatrix:
             metadata=dict(self.metadata),
         )
 
-    def to_rows(self) -> List[Dict[str, float]]:
-        """Dictionary-per-row view, used by the HBase feature upload."""
-        return [
-            {name: float(value) for name, value in zip(self.feature_names, row)}
-            for row in self.values
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FeatureMatrix(rows={self.num_rows}, features={self.num_features})"

@@ -69,9 +69,6 @@ class WriteAheadLog:
             return list(self._entries)
         return [entry for entry in self._entries if entry.table == table]
 
-    def last_sequence(self) -> int:
-        return self._sequence
-
     # ------------------------------------------------------------------
     def replay(self, table_object: HBaseTable, *, table_name: Optional[str] = None) -> int:
         """Re-apply the logged mutations to ``table_object``; returns the count."""

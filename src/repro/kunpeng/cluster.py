@@ -195,6 +195,10 @@ class KunPengCluster:
         self._placements[name] = placements
         self._dimensions[name] = int(matrix.shape[1])
 
+    def __contains__(self, name: str) -> bool:
+        """Whether the cluster hosts a parameter called ``name``."""
+        return name in self._placements
+
     def _owner(self, name: str, row: int) -> ParameterServerNode:
         for row_start, row_end, server_index in self._placements.get(name, []):
             if row_start <= row < row_end:

@@ -10,7 +10,7 @@ the average of the workers' copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class ParameterServerNode:
         self._shards[name] = _Shard(
             name=name, row_start=row_start, row_end=row_end, values=values.astype(np.float64)
         )
-
-    def has_parameter(self, name: str) -> bool:
-        return name in self._shards
-
-    def shard_range(self, name: str) -> Tuple[int, int]:
-        shard = self._get(name)
-        return shard.row_start, shard.row_end
 
     def _get(self, name: str) -> _Shard:
         try:

@@ -166,9 +166,6 @@ class MaxComputeClient:
         )
 
     # ------------------------------------------------------------------
-    def instance_status(self, instance_id: str) -> InstanceStatus:
-        return self.scheduler.ots.get(instance_id).status
-
     def job_summary(self) -> Dict[str, int]:
         """OTS status counts — the monitoring view a pipeline operator watches."""
         return self.scheduler.ots.summary()

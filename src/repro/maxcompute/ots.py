@@ -89,9 +89,6 @@ class OpenTableService:
             records = [record for record in records if record.status == status]
         return records
 
-    def running_count(self) -> int:
-        return len(self.list_instances(status=InstanceStatus.RUNNING))
-
     def summary(self) -> Dict[str, int]:
         """Count of instances per status (the web console's overview widget)."""
         counts: Dict[str, int] = {status.value: 0 for status in InstanceStatus}

@@ -350,16 +350,6 @@ class SQLExecutor:
                 if column not in source.schema:
                     raise SQLPlanError(f"unknown column {column!r} in WHERE clause")
 
-    def _output_columns(self, statement: SelectStatement, source: Table) -> List[str]:
-        if statement.select_all:
-            return source.schema.names()
-        names = list(statement.group_by)
-        for item in statement.items:
-            output = item.output_name
-            if output not in names:
-                names.append(output)
-        return names
-
     def _aggregate_type(self, item: Aggregate | WindowAggregate, source: Table) -> ColumnType:
         """Result type of an aggregate: COUNT→bigint, AVG→double, else source."""
         if item.function == "count":

@@ -50,10 +50,6 @@ class PanguStorage:
         return sorted(self._tables)
 
     # ------------------------------------------------------------------
-    def storage_report(self) -> Dict[str, int]:
-        """Rows stored per table (a stand-in for Pangu's capacity accounting)."""
-        return {name: table.num_rows for name, table in sorted(self._tables.items())}
-
     def total_rows(self) -> int:
         return sum(table.num_rows for table in self._tables.values())
 

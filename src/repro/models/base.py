@@ -91,14 +91,6 @@ class BaseDetector(ABC):
         """Binary fraud decision per row."""
         return (self.predict_proba(features) >= threshold).astype(np.int64)
 
-    def detect(self, features: np.ndarray, *, threshold: float = 0.5) -> DetectionResult:
-        """Score a batch and wrap the output in a :class:`DetectionResult`."""
-        return DetectionResult(
-            probabilities=self.predict_proba(features),
-            threshold=threshold,
-            model_name=self.name,
-        )
-
     # ------------------------------------------------------------------
     @property
     def is_fitted(self) -> bool:

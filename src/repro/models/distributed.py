@@ -239,9 +239,6 @@ class DistributedGBDT(GradientBoostingClassifier):
 
     name = "gbdt_distributed"
 
-    #: Parameter-server name of the per-level histogram accumulator block.
-    HIST_PARAMETER = "gbdt_histograms"
-
     def __init__(
         self,
         *,
@@ -266,7 +263,9 @@ class DistributedGBDT(GradientBoostingClassifier):
             rng=derive_seed(seed, "distributed-gbdt-failover"),
         )
         self.stats = DistributedTrainingStats()
-        self._hist_block_rows: Optional[int] = None
+        #: Parameter-server name of the current fit's per-level histogram
+        #: accumulator block; it carries the block's row count.
+        self._hist_parameter = ""
 
     # ------------------------------------------------------------------
     def _begin_fit(self, num_rows: int, features_per_tree: int) -> None:
@@ -277,11 +276,14 @@ class DistributedGBDT(GradientBoostingClassifier):
             # pass is a MaxCompute pre-pass).
             node_slots = 2 ** max(0, self.max_depth - 1)
             block_rows = node_slots * features_per_tree * self.num_bins
-            if block_rows != self._hist_block_rows:
-                # A refit of the same shape reuses the block (every level
-                # resets it); the servers refuse to re-create it otherwise.
-                self.cluster.create_parameter(self.HIST_PARAMETER, np.zeros((block_rows, 3)))
-                self._hist_block_rows = block_rows
+            # One block per shape: a refit of a shape the cluster already
+            # hosts reuses its block (every level resets it), a new shape
+            # gets its own.  All of them are freed by ``close()``.
+            self._hist_parameter = f"gbdt_histograms_{block_rows}"
+            if self._hist_parameter not in self.cluster:
+                self.cluster.create_parameter(
+                    self._hist_parameter, np.zeros((block_rows, 3))
+                )
 
     def _round_gradients(
         self, round_index: int, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
@@ -388,7 +390,7 @@ class DistributedGBDT(GradientBoostingClassifier):
                 break
             num_active = len(active)
             block_rows = num_active * num_features * num_bins
-            self.cluster.reset_parameter(self.HIST_PARAMETER)
+            self.cluster.reset_parameter(self._hist_parameter)
             for worker, rows, assign in shards:
                 if rows.size == 0:
                     continue
@@ -414,11 +416,11 @@ class DistributedGBDT(GradientBoostingClassifier):
                 )
                 if nonzero.size:
                     self.cluster.accumulate_row_block(
-                        self.HIST_PARAMETER, nonzero, values
+                        self._hist_parameter, nonzero, values
                     )
 
             merged = self.cluster.pull_row_block(
-                self.HIST_PARAMETER, np.arange(block_rows, dtype=np.int64)
+                self._hist_parameter, np.arange(block_rows, dtype=np.int64)
             ).reshape(num_active, num_features, num_bins, 3)
             if driver_rows.size:
                 grad_hist, hess_hist, count_hist = build_histograms(

@@ -102,10 +102,6 @@ class IsolationForest(BaseDetector):
         normalizer = self._normalizer if self._normalizer > 0 else 1.0
         return np.power(2.0, -mean_depth / normalizer)
 
-    def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`predict_proba` kept for anomaly-detection vocabulary."""
-        return self.predict_proba(features)
-
     # ------------------------------------------------------------------
     def _build_tree(
         self, features: np.ndarray, depth: int, height_limit: int

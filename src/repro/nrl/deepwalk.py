@@ -34,14 +34,6 @@ class DeepWalkConfig:
     seed: Optional[int] = None
 
     @classmethod
-    def paper_defaults(cls, *, dimension: int = 32, num_walks_per_node: int = 100) -> "DeepWalkConfig":
-        """The hyperparameters reported in Section 5.1 of the paper."""
-        return cls(
-            walk=RandomWalkConfig(walk_length=50, num_walks_per_node=num_walks_per_node),
-            skipgram=SkipGramConfig(dimension=dimension),
-        )
-
-    @classmethod
     def fast(cls, *, dimension: int = 32, seed: Optional[int] = None) -> "DeepWalkConfig":
         """A reduced configuration for tests and laptop-scale benchmarks."""
         return cls(
@@ -98,11 +90,3 @@ class DeepWalk(NRLModel):
         if self._embeddings is None:
             raise EmbeddingError("DeepWalk has not been fitted")
         return self._embeddings
-
-    @property
-    def final_loss(self) -> float:
-        """Mean skip-gram loss over the last few batches (training diagnostic)."""
-        if self._trainer is None or not self._trainer.loss_history:
-            raise EmbeddingError("DeepWalk has not been fitted")
-        tail = self._trainer.loss_history[-10:]
-        return float(sum(tail) / len(tail))

@@ -99,11 +99,6 @@ class AdmissionController:
         """Current modelled backlog, in requests."""
         return self._backlog
 
-    @property
-    def is_shedding(self) -> bool:
-        """True while the controller is diverting arrivals to the fallback."""
-        return self._shedding
-
     def on_arrival(self, now_ms: float) -> AdmissionDecision:
         """Decide one arrival at simulated time ``now_ms`` (non-decreasing)."""
         if self._last_ms is not None:

@@ -29,6 +29,22 @@ from repro.hbase.client import (
 )
 
 
+def profile_row(profile: UserProfile) -> Dict[str, Any]:
+    """The basic-features HBase row published for ``profile``: one cell per
+    attribute the readers decode (:func:`profile_from_row`,
+    :func:`~repro.features.basic.profile_cells`) and nothing else."""
+    return {
+        "age": profile.age,
+        "gender": profile.gender.value,
+        "home_city": profile.home_city,
+        "account_age_days": profile.account_age_days,
+        "kyc_level": profile.kyc_level,
+        "is_merchant": profile.is_merchant,
+        "device_count": profile.device_count,
+        "community": profile.community,
+    }
+
+
 def profile_from_row(user_id: str, row: Mapping[str, Any]) -> UserProfile:
     """Deserialise a basic-features HBase row; missing cells get
     :data:`~repro.features.basic.DEFAULT_PROFILE`'s, so a cold account is the

@@ -332,11 +332,6 @@ class ModelServer:
         return self._active
 
     @property
-    def shadow_version(self) -> str:
-        """Version of the shadow-scored challenger ('' when none installed)."""
-        return self._shadow.version if self._shadow is not None else ""
-
-    @property
     def plan_executor(self) -> Optional[FeaturePlanExecutor]:
         """The executor assembling this server's vectors (None before load).
 

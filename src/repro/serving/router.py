@@ -13,9 +13,9 @@ replica's cached rows for the account stay warm, and adding/removing a
 replica remaps only the accounts owned by the touched ring segment (~1/R of
 the keyspace) instead of reshuffling everything.
 
-``bench_serving_latency.py`` keeps a round-robin :class:`Router` of its own
-and measures the RowCache hit-rate lift of sharded routing over it on the
-same replay.
+``tests/test_serving_runtime.py`` keeps a round-robin :class:`Router` of its
+own and asserts that sharded routing beats it on RowCache hits on the same
+replay.
 """
 
 from __future__ import annotations

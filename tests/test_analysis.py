@@ -1,15 +1,16 @@
-"""Tests of the invariant linter (src/repro/analysis + scripts/lint_repo.py).
+"""Tests of the invariant linter (src/repro/analysis + scripts/lint_repo.py)
+and of the doc / workflow reference checker (scripts/check_docs.py).
 
 Each of the five rules gets known-bad and known-good fixture snippets; the
-baseline does a suppression round-trip; the JSON reporter's schema is
-pinned; the layering checker's import graph is inspected directly; and the
-CLI is exercised end to end — including the acceptance requirement that a
-violation of any invariant class exits non-zero with ``rule id`` +
-``file:line`` in the output.
+JSON reporter's schema is pinned; the layering checker's import graph is
+inspected directly; and the CLI is exercised end to end — including the
+acceptance requirement that a violation of any invariant class exits non-zero
+with ``rule id`` + ``file:line`` in the output.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
     Finding,
     all_rule_ids,
     default_checkers,
@@ -464,64 +464,6 @@ class TestIterationOrder:
 
 
 # ---------------------------------------------------------------------------
-# Baseline suppression round-trip
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    BAD = {"repro/models/bad.py": "import numpy as np\nx = np.random.rand(3)\n"}
-
-    def test_round_trip_suppresses_and_detects_stale(self, tmp_path):
-        report = analyze(tmp_path, self.BAD, rules=["rng-discipline"])
-        assert len(report.findings) == 1
-
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(report.findings, reason="known legacy draw").save(baseline_path)
-        baseline = Baseline.load(baseline_path)
-        assert baseline.entries[0].reason == "known legacy draw"
-
-        suppressed_report = run_analysis(
-            tmp_path / "src",
-            repo_root=tmp_path,
-            src_root=tmp_path / "src",
-            checkers=default_checkers(["rng-discipline"]),
-            baseline=baseline,
-        )
-        assert suppressed_report.findings == []
-        assert len(suppressed_report.suppressed) == 1
-        assert suppressed_report.stale_baseline == []
-
-        # Fix the violation: the entry must surface as stale, not linger.
-        (tmp_path / "src" / "repro" / "models" / "bad.py").write_text(
-            "from repro.rng import ensure_rng\n"
-        )
-        fixed_report = run_analysis(
-            tmp_path / "src",
-            repo_root=tmp_path,
-            src_root=tmp_path / "src",
-            checkers=default_checkers(["rng-discipline"]),
-            baseline=baseline,
-        )
-        assert fixed_report.findings == []
-        assert len(fixed_report.stale_baseline) == 1
-
-    def test_baseline_matching_ignores_line_numbers(self, tmp_path):
-        report = analyze(tmp_path, self.BAD, rules=["rng-discipline"])
-        baseline = Baseline.from_findings(report.findings)
-        shifted = Finding(
-            path=report.findings[0].path,
-            line=report.findings[0].line + 40,
-            rule=report.findings[0].rule,
-            message=report.findings[0].message,
-        )
-        assert baseline.suppresses(shifted)
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert baseline.entries == []
-
-
-# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -533,12 +475,12 @@ class TestReporters:
             Finding(path="a.py", line=9, rule="rng-discipline", message="bad draw"),
         ]
         payload = json.loads(render_json(findings, tool="lint"))
-        assert payload["schema_version"] == 1
+        assert set(payload) == {"schema_version", "tool", "counts", "findings"}
+        assert payload["schema_version"] == 2
         assert payload["tool"] == "lint"
-        assert payload["counts"] == {"findings": 2, "suppressed": 0, "stale_baseline": 0}
+        assert payload["counts"] == {"findings": 2}
         assert [f["path"] for f in payload["findings"]] == ["a.py", "b.py"]
         assert set(payload["findings"][0]) == {"rule", "path", "line", "message"}
-        assert payload["suppressed"] == [] and payload["stale_baseline"] == []
 
     def test_text_format_has_rule_and_location(self):
         finding = Finding(path="src/x.py", line=12, rule="layering", message="bad edge")
@@ -588,7 +530,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 class TestLintRepoCli:
     def test_merged_tree_is_clean(self):
-        result = run_cli("--check")
+        result = run_cli()
         assert result.returncode == 0, result.stdout + result.stderr
 
     @pytest.mark.parametrize("rule", sorted(VIOLATIONS))
@@ -596,7 +538,7 @@ class TestLintRepoCli:
         bad = tmp_path / "src" / VIOLATION_DIRS[rule] / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text(VIOLATIONS[rule])
-        result = run_cli("--no-baseline", str(bad))
+        result = run_cli(str(bad))
         assert result.returncode == 1, result.stdout + result.stderr
         assert f"[{rule}]" in result.stdout
         # file:line anchor present
@@ -609,7 +551,7 @@ class TestLintRepoCli:
         result = run_cli("--json")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_unknown_rule_errors(self):
         result = run_cli("--rules", "not-a-rule")
@@ -623,3 +565,36 @@ class TestLintRepoCli:
 
     def test_registry_exposes_exactly_the_bundled_rules(self):
         assert all_rule_ids() == sorted(VIOLATIONS)
+
+
+# ---------------------------------------------------------------------------
+# scripts/check_docs.py: docs, the CI workflow and the verify skill
+# ---------------------------------------------------------------------------
+
+
+def _load_check_docs():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "scripts" / "check_docs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCheckDocs:
+    def test_every_reference_in_the_repo_resolves(self):
+        assert _load_check_docs().main([]) == 0
+
+    def test_workflow_step_naming_a_deleted_file_is_flagged(self):
+        check_docs = _load_check_docs()
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert check_docs.check_commands(workflow, "ci.yml") == []
+        stale = workflow + (
+            "      - run: python scripts/retired_tool.py\n"
+            "      - run: PYTHONPATH=src python -m benchmarks.bench_retired --smoke\n"
+        )
+        findings = check_docs.check_commands(stale, "ci.yml")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("command-file-ref", stale.count("\n") - 1),
+            ("command-module-ref", stale.count("\n")),
+        ]

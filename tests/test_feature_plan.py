@@ -17,17 +17,18 @@ import pytest
 from repro.core.pipeline import OfflineTrainingPipeline, SlicePreparation
 from repro.exceptions import FeatureError
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
-from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor
+from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor, profile_cells
 from repro.features.plan import (
     EmbeddingBlockSpec,
     FeaturePlan,
     FeaturePlanExecutor,
     InMemoryFeatureSource,
 )
-from repro.hbase.client import HBaseClient
+from repro.hbase.client import BASIC_FEATURES_FAMILY, HBaseClient
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.nrl.embeddings import EmbeddingSet
 from repro.serving import ModelServer, ModelServerConfig, TransactionRequest
+from repro.serving.feature_source import profile_from_row, profile_row
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,43 @@ class TestOfflineOnlineParity:
         assembler, _, _ = deployed
         payload = assembler.plan.to_json()
         assert FeaturePlan.from_json(payload) == assembler.plan
+
+
+class _RecordingRow(dict):
+    """A row that records which qualifiers its decoders ask for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestPublishedProfileRow:
+    """A published profile row holds the cells its readers decode, no more."""
+
+    def test_row_round_trips_the_published_attributes(self, world):
+        for profile in world.profiles:
+            row = profile_row(profile)
+            restored = profile_from_row(profile.user_id, row)
+            assert {name: getattr(restored, name) for name in row} == {
+                name: getattr(profile, name) for name in row
+            }, profile.user_id
+
+    def test_published_keys_are_exactly_what_the_readers_decode(self, world, dataset):
+        pipeline = OfflineTrainingPipeline(world.profiles_by_id)
+        hbase = HBaseClient()
+        pipeline.publish_features(
+            SlicePreparation(dataset=dataset, network=None, embeddings={}), hbase
+        )
+        user_id = world.profiles[0].user_id
+        stored = _RecordingRow(hbase.get("titant_features", user_id, BASIC_FEATURES_FAMILY))
+        profile_cells(stored)
+        profile_from_row(user_id, stored)
+        assert set(stored) == stored.read
+        assert dict(stored) == profile_row(world.profiles_by_id[user_id])
 
 
 class TestAggregationBlockParity:

@@ -56,13 +56,6 @@ class TestBasicFeatures:
         )
         assert np.allclose(one_hot, 1.0)
 
-    def test_user_feature_row_for_hbase(self, world):
-        extractor = BasicFeatureExtractor(world.profiles_by_id)
-        user_id = world.profiles[0].user_id
-        row = extractor.extract_user_features(user_id)
-        assert "age" in row and "kyc_level" in row
-        assert row["age"] == float(world.profiles[0].age)
-
 
 class TestFeatureMatrix:
     def test_column_and_select(self):

@@ -24,7 +24,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ParameterServerError
+from repro.exceptions import ConfigurationError, ModelError, ParameterServerError
 from repro.kunpeng import (
     ClusterConfig,
     ClusterCostModel,
@@ -237,6 +237,25 @@ class TestBackendEquivalence:
             return probabilities
 
         assert np.array_equal(_train("inline"), _train("process"))
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_gbdt_refits_on_another_width(self, backend):
+        """One model, fit 10-wide -> 20-wide -> 10-wide: each histogram block
+        shape is hosted once and a later fit of that shape reuses it."""
+        rng = np.random.default_rng(5)
+        matrices = {width: rng.normal(size=(300, width)) for width in (10, 20)}
+        labels = (matrices[10][:, 0] + matrices[20][:, 1] > 0.0).astype(np.float64)
+        model = DistributedGBDT(
+            cluster=ClusterConfig(num_machines=4), num_trees=3, backend=backend, seed=0
+        )
+        try:
+            for width, other in ((10, 20), (20, 10), (10, 20)):
+                model.fit(matrices[width], labels)
+                assert model.predict_proba(matrices[width]).shape == (300,)
+                with pytest.raises(ModelError, match=f"was fitted on {width} features"):
+                    model.predict_proba(matrices[other])
+        finally:
+            model.close()
 
 
 class TestCostModelCalibration:

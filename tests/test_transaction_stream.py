@@ -12,17 +12,11 @@ Covers the PR-7 data-path refactor end to end:
   exceed the daily transaction budget (satellite a).
 * ``ProgressTracker`` counts and rates without requiring any logging setup
   (satellite b).
-* ``RollingDatasets.from_stream`` matches the materialized builder, the
-  serving replay consumes streams lazily, and ``scripts/check_bench.py``
-  enforces the shared artifact schema (satellites d/e plumbing).
+* ``RollingDatasets.from_stream`` matches the materialized builder and the
+  serving replay consumes streams lazily (satellite d plumbing).
 """
 
 from __future__ import annotations
-
-import importlib.util
-import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,8 +40,6 @@ from repro.logging_utils import ProgressTracker
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.serving.alipay import AlipayServer
 from repro.serving.model_server import ModelServer, ModelServerConfig
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _stream_config(num_users: int = 400, num_days: int = 6, seed: int = 7) -> WorldConfig:
@@ -343,55 +335,3 @@ class TestStreamingConsumers:
         assert lazy_report.interrupted == eager_report.interrupted
         assert lazy_report.true_alerts == eager_report.true_alerts
 
-
-# ---------------------------------------------------------------------------
-# Satellite e: the shared benchmark artifact schema
-# ---------------------------------------------------------------------------
-
-
-def _load_check_bench():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench", REPO_ROOT / "scripts" / "check_bench.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestCheckBench:
-    def test_committed_artifacts_validate(self):
-        check_bench = _load_check_bench()
-        assert check_bench.validate_all(REPO_ROOT) == 0
-
-    def test_schema_violations_reported(self, tmp_path):
-        check_bench = _load_check_bench()
-        bad = tmp_path / "BENCH_sustained_load.json"
-        bad.write_text(json.dumps({"benchmark": "sustained_load", "mode": "warp"}))
-        errors = check_bench.validate_artifact(bad, json.loads(bad.read_text()))
-        assert errors  # missing envelope fields must be flagged
-
-    def test_regression_gate_enforces_only_with_perf_asserts(self, tmp_path):
-        check_bench = _load_check_bench()
-
-        def artifact(name: str, rps: float, active: bool) -> Path:
-            path = tmp_path / name
-            path.write_text(
-                json.dumps(
-                    {
-                        "benchmark": "sustained_load",
-                        "mode": "smoke",
-                        "platform": "test",
-                        "cpu_count": 4,
-                        "perf_asserts_active": active,
-                        "serving": {"sustained_rps": rps},
-                    }
-                )
-            )
-            return path
-
-        baseline = artifact("base.json", 1000.0, True)
-        regressed = artifact("cand.json", 100.0, True)
-        assert check_bench.check_regression(regressed, baseline, 0.3) == 1
-        # Same regression is advisory when perf asserts were inactive.
-        advisory = artifact("cand2.json", 100.0, False)
-        assert check_bench.check_regression(advisory, baseline, 0.3) == 0
