@@ -3,7 +3,7 @@
 A single pooled recall number can hide an entire fraud scenario: a detector
 trained mostly on smurfing-style volume can post high overall recall while
 missing every bust-out.  This bench generates a world whose campaign frauds
-are emitted by the five labelled typology models (mule/relay chains, account
+are emitted by the five labelled typologies (mule/relay chains, account
 takeover, bust-out, merchant collusion, smurfing — see
 :class:`~repro.datagen.fraud.TypologyFraudSuite`), trains the paper's
 GBDT+S2V configuration on a T+1 slice, and reports recall *per typology* at
@@ -15,6 +15,28 @@ Asserted on every run:
 * the labelled eval slice contains frauds from **all five** typologies (the
   per-typology report is meaningless if a scenario never occurs), and
 * every reported recall is a valid fraction backed by a positive fraud count.
+
+The first holds by the world's parameters, not by the choice of ``SEED``.  The
+suite fires each campaign unit independently with probability ``p`` =
+``active_day_probability`` = 0.10 a day, so a typology with ``u`` units misses
+a ``w``-day eval window with probability ``0.9 ** (u * w)``; a tenth of the
+accounts are fraudsters, split evenly over the five typologies:
+
+* smoke — 300 accounts, 6 per typology, eval days 21–43 (``w`` = 23).  Mule
+  chains: 6 accounts in chains of 3, ``u`` = 2, miss 0.9 ** 46 = 0.008 (at the
+  30-day horizon this bench used to have, 0.9 ** 18 = 0.15).  Takeover,
+  collusion, smurfing: ``u`` = 6, miss < 1e-6.
+* full — 700 accounts, 14 per typology, eval days 24–35 (``w`` = 12).  Mule
+  chains: ``u`` = 5, miss 0.9 ** 60 = 0.002; the others < 1e-7.
+* bust-out accounts cash out once, on the first active day from
+  ``bust_out_buildup_days`` on.  That is set to the test day, so an account
+  misses the window only by staying quiet through all of it: 0.9 ** 23 = 0.09
+  for each of 6 accounts (all six: < 1e-6), 0.9 ** 12 = 0.28 for each of 14
+  (< 1e-7).  With the default buildup of 5 days an account has already fired
+  before day 21 with probability 1 - 0.9 ** 16 = 0.81, and all six had with
+  probability 0.49 — which seed 23 then hit.
+
+Every typology is therefore in the slice with probability > 0.99 for any seed.
 
 Run ``python -m benchmarks.bench_typology_recall --smoke`` (the CI job) or
 without flags for the full run.
@@ -48,9 +70,8 @@ SEED = 23
 def _typology_world(params: Dict[str, int]) -> "WorldConfig":
     """World config whose campaign frauds come from the labelled suite.
 
-    ``active_day_probability`` is kept low so the one-shot bust-out campaigns
-    spread across the horizon instead of all firing right after their buildup
-    window — the eval slice needs live examples of every typology.
+    ``active_day_probability`` is kept low so fraud stays a few percent of the
+    traffic; bust-out cash-outs start on the test day (module docstring).
     """
     return WorldConfig(
         profile=ProfileConfig(
@@ -61,14 +82,17 @@ def _typology_world(params: Dict[str, int]) -> "WorldConfig":
         ),
         num_days=params["num_days"],
         transactions_per_user_per_day=0.6,
-        typologies=TypologyConfig(active_day_probability=0.10),
+        typologies=TypologyConfig(
+            active_day_probability=0.10,
+            bust_out_buildup_days=params["network_days"] + params["train_days"],
+        ),
         seed=SEED,
     )
 
 
 def run_bench(*, smoke: bool) -> None:
     if smoke:
-        params = {"num_users": 300, "num_days": 30, "network_days": 14, "train_days": 7}
+        params = {"num_users": 300, "num_days": 44, "network_days": 14, "train_days": 7}
     else:
         params = {"num_users": 700, "num_days": 36, "network_days": 16, "train_days": 8}
 
@@ -85,6 +109,7 @@ def run_bench(*, smoke: bool) -> None:
     # The labelled eval slice pools every day from the test day to the
     # horizon: a single day is too small a sample for five typologies, and
     # the one-shot bust-outs in particular land on different days per account.
+    assert test_day == world.config.typologies.bust_out_buildup_days
     eval_transactions = world.transactions_in_days(test_day, params["num_days"])
     eval_frauds = sum(1 for t in eval_transactions if t.is_fraud)
     print(f"  train day {test_day}; eval slice days [{test_day}, "

@@ -181,11 +181,11 @@ PUBLIC_API = [
     (
         "Fraud typologies",
         "repro.datagen.fraud",
-        ["TypologyConfig", "TypologyFraudSuite", "ColumnarTypologySuite"],
+        ["TypologyConfig", "TypologyFraudSuite"],
         "Five labelled fraud scenarios — mule/relay chains, account "
-        "takeover, bust-out, merchant collusion, smurfing — as seeded "
-        "behaviour-model variants emitting typology-tagged transactions "
-        "through both stream generators.",
+        "takeover, bust-out, merchant collusion, smurfing — planned by one "
+        "seeded suite that emits typology-tagged transactions through both "
+        "stream generators.",
     ),
     (
         "Per-slice evaluation",

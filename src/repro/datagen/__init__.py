@@ -33,7 +33,6 @@ from repro.datagen.profiles import ColumnarAccounts, ProfileConfig, ProfileGener
 from repro.datagen.fraud import (
     FRAUD_TYPOLOGIES,
     ColumnarFraudPlanner,
-    ColumnarTypologySuite,
     FraudConfig,
     FraudsterBehaviorModel,
     FraudsterState,
@@ -69,7 +68,6 @@ __all__ = [
     "ProfileGenerator",
     "FRAUD_TYPOLOGIES",
     "ColumnarFraudPlanner",
-    "ColumnarTypologySuite",
     "FraudConfig",
     "FraudsterBehaviorModel",
     "FraudsterState",

@@ -17,12 +17,11 @@ This module models each fraudster as a small campaign process:
 * victims file fraud reports after a random delay, producing delayed labels.
 
 Beyond the single gathering campaign, :class:`TypologyFraudSuite` partitions
-the fraudster population across five distinct, individually seeded fraud
-typologies (mule/relay chains, account takeover, bust-out, merchant collusion,
-smurfing).  Each typology is a :class:`FraudsterBehaviorModel` variant whose
-planned transfers carry a ``typology`` tag, which the generators thread onto
-:attr:`~repro.datagen.schema.Transaction.fraud_typology` — the labeled eval
-slices behind the per-typology recall report.
+the fraudster population across five distinct fraud typologies (mule/relay
+chains, account takeover, bust-out, merchant collusion, smurfing).  Every
+planned transfer carries a typology code, which both stream generators thread
+onto :attr:`~repro.datagen.schema.Transaction.fraud_typology` — the labeled
+eval slices behind the per-typology recall report.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.datagen.schema import UserProfile
 from repro.exceptions import DataGenerationError
-from repro.rng import SeedLike, ensure_rng, spawn_child
+from repro.rng import SeedLike, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datagen.profiles import ColumnarAccounts
@@ -358,307 +357,6 @@ class TypologyConfig:
         return total
 
 
-class _TypologyFraudModel(FraudsterBehaviorModel):
-    """Base class of the five typology variants.
-
-    Inherits the campaign substrate (seeded rng, per-fraudster states,
-    community-sticky victim pools, shifted amount/hour/delay samplers and the
-    ``capture_state``/``restore_state`` checkpoint contract) and adds the
-    typology configuration.  Subclasses override :meth:`plan_day` only.
-    """
-
-    #: Typology tag stamped on every planned transfer (set per subclass).
-    typology: str = ""
-
-    def __init__(
-        self,
-        profiles: Sequence[UserProfile],
-        config: FraudConfig | None = None,
-        typologies: TypologyConfig | None = None,
-        *,
-        rng: SeedLike = None,
-    ):
-        super().__init__(profiles, config, rng=rng)
-        self.typologies = typologies or TypologyConfig()
-
-    def _planned(
-        self, day: int, payer_id: str, payee_id: str, amount: float, hour: int, delay: int
-    ) -> PlannedFraud:
-        return PlannedFraud(
-            day=day,
-            fraudster_id=payee_id,
-            victim_id=payer_id,
-            amount=amount,
-            hour=min(23, max(0, hour)),
-            report_delay_days=delay,
-            typology=self.typology,
-        )
-
-
-class MuleChainFraudModel(_TypologyFraudModel):
-    """Mule/relay chains: one stolen amount hops through consecutive mules.
-
-    Assigned fraudsters are grouped (deterministically, in population order)
-    into chains of ``chain_length``.  On an active day a chain lures one
-    victim into paying its head, then relays the money mule-to-mule at
-    consecutive hours with a small skim at each hop — the classic layering
-    pattern, producing directed paths in the transaction network rather than
-    the gathering star.
-    """
-
-    typology = "mule_chain"
-
-    def __init__(
-        self,
-        profiles: Sequence[UserProfile],
-        config: FraudConfig | None = None,
-        typologies: TypologyConfig | None = None,
-        *,
-        rng: SeedLike = None,
-    ):
-        super().__init__(profiles, config, typologies, rng=rng)
-        width = max(2, self.typologies.chain_length)
-        ids = [p.user_id for p in self._fraudsters]
-        self._chains = [ids[i : i + width] for i in range(0, len(ids), width)]
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Schedule one relayed theft per active chain."""
-        planned: List[PlannedFraud] = []
-        for chain in self._chains:
-            if self._rng.random() >= self.typologies.active_day_probability:
-                continue
-            head_state = self._states[chain[0]]
-            victim = self._pick_victim(head_state)
-            amount = self._sample_amount()
-            hour = self._sample_hour()
-            delay = self._sample_report_delay()
-            route = [victim.user_id] + chain
-            for hop, (payer, payee) in enumerate(zip(route, route[1:])):
-                planned.append(
-                    self._planned(day, payer, payee, amount * (0.92**hop), hour + hop, delay)
-                )
-                self._states[payee].fraud_count += 1
-            head_state.victims.append(victim.user_id)
-            if victim.community not in head_state.preferred_communities:
-                head_state.preferred_communities.append(victim.community)
-        return planned
-
-
-class AccountTakeoverFraudModel(_TypologyFraudModel):
-    """Account takeover: a compromised victim is drained in a rapid burst.
-
-    On an active day the fraudster picks one victim and fires a burst of
-    same-hour small-hours transfers from that single account to itself —
-    repeated payer->payee edges in a tight time window.
-    """
-
-    typology = "account_takeover"
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Schedule one same-victim drain burst per active fraudster."""
-        planned: List[PlannedFraud] = []
-        for state in self._states.values():
-            if self._rng.random() >= self.typologies.active_day_probability:
-                continue
-            victim = self._pick_victim(state)
-            burst = max(2, int(self._rng.poisson(self.typologies.takeover_burst)))
-            base_hour = int(self._rng.integers(0, 5))
-            delay = self._sample_report_delay()
-            for index in range(burst):
-                planned.append(
-                    self._planned(
-                        day,
-                        victim.user_id,
-                        state.user_id,
-                        self._sample_amount() * 0.5,
-                        base_hour + index // 2,
-                        delay,
-                    )
-                )
-                state.fraud_count += 1
-            state.victims.append(victim.user_id)
-            if victim.community not in state.preferred_communities:
-                state.preferred_communities.append(victim.community)
-        return planned
-
-
-class BustOutFraudModel(_TypologyFraudModel):
-    """Bust-out: quiet buildup, then one burst of outbound cash-outs.
-
-    The account behaves normally through ``bust_out_buildup_days``, then on
-    one active day moves everything *out* — the fraudster is the payer and
-    the receiving counterparties the payees, the reverse direction of the
-    gathering pattern.  Each account busts at most once.
-    """
-
-    typology = "bust_out"
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Schedule the (single) cash-out burst for eligible accounts."""
-        planned: List[PlannedFraud] = []
-        cfg = self.typologies
-        for state in self._states.values():
-            if state.one_shot_done or day < cfg.bust_out_buildup_days:
-                continue
-            if self._rng.random() >= cfg.active_day_probability:
-                continue
-            state.one_shot_done = True
-            count = max(2, int(self._rng.poisson(cfg.bust_out_cashouts)))
-            hour = self._sample_hour()
-            delay = self._sample_report_delay()
-            for _ in range(count):
-                counterparty = self._pick_victim(state)
-                planned.append(
-                    self._planned(
-                        day, state.user_id, counterparty.user_id, self._sample_amount(), hour, delay
-                    )
-                )
-                state.fraud_count += 1
-        return planned
-
-
-class MerchantCollusionFraudModel(_TypologyFraudModel):
-    """Merchant collusion: a fixed ring cycles round amounts through a merchant.
-
-    Each fraudster owns a static ring of ``collusion_ring_size`` counterparties
-    (chosen once, preferring its home community).  On an active day every ring
-    member pays the merchant a suspiciously round business-hours amount —
-    repeated identical edges with low amount variance.
-    """
-
-    typology = "merchant_collusion"
-
-    def __init__(
-        self,
-        profiles: Sequence[UserProfile],
-        config: FraudConfig | None = None,
-        typologies: TypologyConfig | None = None,
-        *,
-        rng: SeedLike = None,
-    ):
-        super().__init__(profiles, config, typologies, rng=rng)
-        self._rings: Dict[str, List[str]] = {}
-        for profile in self._fraudsters:
-            pool = self._normal_by_community.get(profile.community) or self._normal_users
-            size = min(self.typologies.collusion_ring_size, len(pool))
-            picks = self._rng.choice(len(pool), size=size, replace=False)
-            self._rings[profile.user_id] = [pool[int(i)].user_id for i in picks]
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Schedule one full ring rotation per active merchant."""
-        planned: List[PlannedFraud] = []
-        for state in self._states.values():
-            if self._rng.random() >= self.typologies.active_day_probability:
-                continue
-            delay = self._sample_report_delay()
-            for member in self._rings[state.user_id]:
-                amount = float(self._rng.integers(2, 20)) * 50.0
-                hour = int(self._rng.integers(9, 18))
-                planned.append(self._planned(day, member, state.user_id, amount, hour, delay))
-                state.fraud_count += 1
-        return planned
-
-
-class SmurfingFraudModel(_TypologyFraudModel):
-    """Smurfing: many small sub-threshold transfers from many payers.
-
-    On an active day the fraudster collects a swarm of transfers, each kept
-    below ``smurf_threshold`` (structuring), from community-sticky victims
-    spread across daytime hours — high edge count, low individual amounts.
-    """
-
-    typology = "smurfing"
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Schedule one sub-threshold swarm per active fraudster."""
-        planned: List[PlannedFraud] = []
-        cfg = self.typologies
-        for state in self._states.values():
-            if self._rng.random() >= cfg.active_day_probability:
-                continue
-            count = max(3, int(self._rng.poisson(cfg.smurf_transfers)))
-            delay = self._sample_report_delay()
-            for _ in range(count):
-                victim = self._pick_victim(state)
-                amount = float(cfg.smurf_threshold * self._rng.uniform(0.62, 0.98))
-                hour = int(self._rng.integers(8, 23))
-                planned.append(self._planned(day, victim.user_id, state.user_id, amount, hour, delay))
-                state.victims.append(victim.user_id)
-                state.fraud_count += 1
-        return planned
-
-
-#: Typology name -> behaviour-model class, in canonical order.
-TYPOLOGY_MODELS: Dict[str, type] = {
-    "mule_chain": MuleChainFraudModel,
-    "account_takeover": AccountTakeoverFraudModel,
-    "bust_out": BustOutFraudModel,
-    "merchant_collusion": MerchantCollusionFraudModel,
-    "smurfing": SmurfingFraudModel,
-}
-
-
-class TypologyFraudSuite:
-    """Runs the five typology models side by side over one population.
-
-    Fraudster profiles are partitioned round-robin (in population order)
-    across the enabled typologies, each sub-model gets its own spawned child
-    rng (salted by typology position), and :meth:`plan_day` concatenates the
-    sub-plans in canonical order — so the suite is exactly as deterministic,
-    checkpointable and budget-bounded as a single
-    :class:`FraudsterBehaviorModel`.  Drop-in compatible with the
-    ``plan_day``/``capture_state``/``restore_state`` contract
-    :class:`~repro.datagen.stream.WorldStream` expects.
-    """
-
-    def __init__(
-        self,
-        profiles: Sequence[UserProfile],
-        config: FraudConfig | None = None,
-        typologies: TypologyConfig | None = None,
-        *,
-        rng: SeedLike = None,
-    ):
-        self.config = config or FraudConfig()
-        self.config.validate()
-        self.typologies = typologies or TypologyConfig()
-        self.typologies.validate()
-        rng = ensure_rng(rng)
-        normal = [p for p in profiles if not p.is_fraudster]
-        fraudsters = [p for p in profiles if p.is_fraudster]
-        if not normal:
-            raise DataGenerationError("population contains no normal users")
-        width = len(self.typologies.enabled)
-        self._models: List[_TypologyFraudModel] = []
-        for index, name in enumerate(self.typologies.enabled):
-            assigned = fraudsters[index::width]
-            self._models.append(
-                TYPOLOGY_MODELS[name](
-                    normal + assigned,
-                    self.config,
-                    self.typologies,
-                    rng=spawn_child(rng, salt=index + 1),
-                )
-            )
-
-    def plan_day(self, day: int) -> List[PlannedFraud]:
-        """Concatenate every enabled typology's plan for ``day``."""
-        planned: List[PlannedFraud] = []
-        for model in self._models:
-            planned.extend(model.plan_day(day))
-        return planned
-
-    def capture_state(self) -> Dict[str, object]:
-        """Snapshot all sub-model states for stream checkpointing."""
-        return {"models": [model.capture_state() for model in self._models]}
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot previously produced by :meth:`capture_state`."""
-        snapshots = state["models"]
-        for model, snapshot in zip(self._models, snapshots):  # type: ignore[arg-type]
-            model.restore_state(snapshot)
-
-
 @dataclass
 class PlannedFraudBatch:
     """One day of planned frauds in columnar form (parallel numpy arrays)."""
@@ -824,24 +522,29 @@ def _empty_planned_batch() -> PlannedFraudBatch:
     )
 
 
-class ColumnarTypologySuite:
-    """Vectorized five-typology planner over a :class:`ColumnarAccounts` population.
+class TypologyFraudSuite:
+    """The five labeled typologies planned over one fraudster mask.
 
-    The million-account analogue of :class:`TypologyFraudSuite`: fraudster
-    *indices* are partitioned round-robin across the enabled typologies and
-    each day is planned with whole-population numpy draws in canonical
-    typology order (one rng, fixed draw order, so the plan is a deterministic
-    function of the rng state).  Static structure (chain grouping, collusion
-    rings) is built once at construction; the only mutable state beyond the
-    rng is the bust-out flags, so checkpoints stay O(fraudsters).  Emitted
-    batches carry per-transfer typology codes which
-    :class:`~repro.datagen.stream.ScalableWorldStream` threads onto
-    ``Transaction.fraud_typology``.
+    The suite knows the population only as ``is_fraudster`` — one flag per
+    account position — so the same planner serves
+    :class:`~repro.datagen.stream.WorldStream` (positions in its profile
+    list) and :class:`~repro.datagen.stream.ScalableWorldStream` (indices of
+    its :class:`~repro.datagen.profiles.ColumnarAccounts`), and a typology tag
+    names one event process whichever stream emitted the row.
+
+    Fraudster positions are partitioned round-robin across the enabled
+    typologies and each day is planned with whole-population numpy draws in
+    canonical typology order (one rng, fixed draw order, so the plan is a
+    deterministic function of the rng state).  Static structure (chain
+    grouping, collusion rings) is built once at construction; the only
+    mutable state beyond the rng is the bust-out flags, so checkpoints stay
+    O(fraudsters).  Emitted batches carry per-transfer typology codes which
+    the streams thread onto ``Transaction.fraud_typology``.
     """
 
     def __init__(
         self,
-        accounts: "ColumnarAccounts",
+        is_fraudster: np.ndarray,
         config: FraudConfig | None = None,
         typologies: TypologyConfig | None = None,
         *,
@@ -852,9 +555,9 @@ class ColumnarTypologySuite:
         self.typologies = typologies or TypologyConfig()
         self.typologies.validate()
         self._rng = ensure_rng(rng)
-        self._accounts = accounts
-        fraudsters = np.flatnonzero(accounts.is_fraudster)
-        self._normal_index = np.flatnonzero(~accounts.is_fraudster)
+        is_fraudster = np.asarray(is_fraudster, dtype=bool)
+        fraudsters = np.flatnonzero(is_fraudster)
+        self._normal_index = np.flatnonzero(~is_fraudster)
         if self._normal_index.size == 0:
             raise DataGenerationError("population contains no normal users")
         width = len(self.typologies.enabled)

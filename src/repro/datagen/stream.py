@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.datagen.fraud import (
     ColumnarFraudPlanner,
-    ColumnarTypologySuite,
     FraudsterBehaviorModel,
+    PlannedFraud,
     PlannedFraudBatch,
     TypologyFraudSuite,
     typology_name,
@@ -238,7 +238,7 @@ class WorldStream(TransactionStream):
         self._fraud_model: FraudsterBehaviorModel | TypologyFraudSuite
         if self._config.typologies is not None:
             self._fraud_model = TypologyFraudSuite(
-                self._profiles,
+                np.array([p.is_fraudster for p in self._profiles]),
                 self._config.fraud,
                 self._config.typologies,
                 rng=fraud_rng,
@@ -303,10 +303,29 @@ class WorldStream(TransactionStream):
 
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:
         planned = self._fraud_model.plan_day(day)
+        if isinstance(planned, PlannedFraudBatch):
+            planned = self._planned_frauds(day, planned)
         records = self._generator.generate_day(day, planned)
         if self._order == "event":
             records = sorted(records, key=transaction_sort_key)
         yield records
+
+    def _planned_frauds(self, day: int, batch: PlannedFraudBatch) -> List[PlannedFraud]:
+        """The suite's columnar plan as the per-transfer records the day
+        generator consumes; batch indices are positions in ``self._profiles``."""
+        profiles = self._profiles
+        return [
+            PlannedFraud(
+                day=day,
+                fraudster_id=profiles[batch.fraudster_index[i]].user_id,
+                victim_id=profiles[batch.victim_index[i]].user_id,
+                amount=float(batch.amount[i]),
+                hour=int(batch.hour[i]),
+                report_delay_days=int(batch.report_delay_days[i]),
+                typology=typology_name(int(batch.typology[i])),
+            )
+            for i in range(len(batch))
+        ]
 
 
 class ScalableWorldStream(TransactionStream):
@@ -334,10 +353,10 @@ class ScalableWorldStream(TransactionStream):
         self._config.validate()
         master_rng = ensure_rng(self._config.seed if rng is None else rng)
         self._accounts = ColumnarAccounts(self._config.profile, rng=spawn_child(master_rng, salt=1))
-        self._planner: ColumnarFraudPlanner | ColumnarTypologySuite
+        self._planner: ColumnarFraudPlanner | TypologyFraudSuite
         if self._config.typologies is not None:
-            self._planner = ColumnarTypologySuite(
-                self._accounts,
+            self._planner = TypologyFraudSuite(
+                self._accounts.is_fraudster,
                 self._config.fraud,
                 self._config.typologies,
                 rng=spawn_child(master_rng, salt=2),

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.datagen.schema import Transaction
 from repro.exceptions import FeatureError
-from repro.features.matrix import FeatureMatrix
 
 SECONDS_PER_DAY = 86_400
 SECONDS_PER_HOUR = 3_600
@@ -148,9 +147,9 @@ def aggregation_vector(
     ``payer_row`` supplies the out-going side, ``payee_row`` the in-coming side;
     missing fields degrade to the cold-account zeros, and an unseen payee makes
     the payer a "new payer" (fraction 1.0) exactly as the batch path does.
-    Every producer of aggregation features (batch transform, streaming engine,
-    plan executor over HBase rows) goes through this one function so the three
-    paths cannot drift.
+    Every producer of aggregation features (the streaming engine, the plan
+    executor over batch-aggregator, SQL-backfilled or HBase rows) goes through
+    this one function so the paths cannot drift.
     """
     known_payers = payee_row.get("payers", ())
     return [
@@ -399,37 +398,3 @@ class TransactionAggregator:
     def snapshot_rows(self) -> Dict[str, Dict[str, object]]:
         """``user_id -> hbase_row`` for every account with in-window activity."""
         return {user_id: self.hbase_row(user_id) for user_id in self.account_ids()}
-
-    def transform(self, transactions: Sequence[Transaction]) -> FeatureMatrix:
-        """Aggregation feature matrix for a batch of transactions."""
-        if not self._fitted:
-            raise FeatureError("TransactionAggregator must be fitted before transform")
-        rows = np.zeros((len(transactions), len(AGGREGATION_FEATURE_NAMES)))
-        # Rows are memoized per unique user, and the payee row carries the raw
-        # payer *set* (aggregation_vector only needs membership) — a hot
-        # merchant payee costs O(1) per transaction, not O(payers log payers).
-        empty: Dict[str, object] = {}
-        row_cache: Dict[str, Dict[str, object]] = {}
-
-        def row_for(user_id: str) -> Dict[str, object]:
-            row = row_cache.get(user_id)
-            if row is None:
-                aggregate = self._aggregates.get(user_id)
-                if aggregate is None:
-                    row = empty
-                else:
-                    row = dict(self.user_row(user_id))
-                    row["payers"] = aggregate.payers
-                row_cache[user_id] = row
-            return row
-
-        for index, txn in enumerate(transactions):
-            rows[index] = aggregation_vector(
-                row_for(txn.payer_id), row_for(txn.payee_id), txn.payer_id
-            )
-        return FeatureMatrix(
-            feature_names=self.feature_names,
-            values=rows,
-            row_ids=[t.transaction_id for t in transactions],
-            labels=np.array([float(t.is_fraud) for t in transactions]),
-        )

@@ -67,7 +67,6 @@ from repro.features.aggregation import (
     is_night_hour,
     transaction_event_time,
 )
-from repro.features.matrix import FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -410,25 +409,6 @@ class SlidingWindowAggregator:
             enriched["payers"] = payee_payers
             values.extend(aggregation_vector(payer_row, enriched, txn.payer_id))
         return np.asarray(values, dtype=np.float64)
-
-    def transform(
-        self, transactions: Sequence[Transaction], *, as_of: Optional[float] = None
-    ) -> FeatureMatrix:
-        """Batch-compatible feature matrix (read-only; nothing is ingested).
-
-        With ``as_of`` unset every row is computed at the watermark, mirroring
-        the batch aggregator's frozen-window ``transform``.
-        """
-        at = self._resolve_as_of(as_of)
-        rows = np.zeros((len(transactions), len(self.feature_names)))
-        for index, txn in enumerate(transactions):
-            rows[index] = self.features_for(txn, as_of=at)
-        return FeatureMatrix(
-            feature_names=self.feature_names,
-            values=rows,
-            row_ids=[t.transaction_id for t in transactions],
-            labels=np.array([float(t.is_fraud) for t in transactions]),
-        )
 
 
 class PointInTimeAggregationSource(PointInTimeAggregateProvider):

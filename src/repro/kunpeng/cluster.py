@@ -11,7 +11,7 @@ Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,11 +172,25 @@ class KunPengCluster:
     # ------------------------------------------------------------------
     def create_parameter(self, name: str, matrix: np.ndarray) -> None:
         """Partition ``matrix`` row-wise across the server nodes."""
+        if name in self._placements:
+            raise ParameterServerError(f"parameter {name!r} already exists")
+        self.replace_parameter(name, matrix)
+
+    def replace_parameter(self, name: str, matrix: np.ndarray) -> None:
+        """Host ``matrix`` as ``name``, dropping whatever the name held.
+
+        The call a trainer makes at the top of ``fit``: a refit starts from
+        the new values on shards sized for the new shape, and the blocks of
+        the previous fit are released rather than left to ``close()``.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ParameterServerError("parameters must be 2-dimensional matrices")
-        if name in self._placements:
-            raise ParameterServerError(f"parameter {name!r} already exists")
+        for _row_start, _row_end, server_index in self._placements.pop(name, []):
+            if self.backend == "process":
+                self.runtime.drop(server_index, name)
+            else:
+                self.servers[server_index].drop_shard(name)
         num_rows = matrix.shape[0]
         num_servers = len(self.servers)
         boundaries = np.linspace(0, num_rows, num_servers + 1).astype(int)
@@ -194,33 +208,6 @@ class KunPengCluster:
             placements.append((row_start, row_end, server_index))
         self._placements[name] = placements
         self._dimensions[name] = int(matrix.shape[1])
-
-    def __contains__(self, name: str) -> bool:
-        """Whether the cluster hosts a parameter called ``name``."""
-        return name in self._placements
-
-    def _owner(self, name: str, row: int) -> ParameterServerNode:
-        for row_start, row_end, server_index in self._placements.get(name, []):
-            if row_start <= row < row_end:
-                return self.servers[server_index]
-        raise ParameterServerError(f"no server hosts row {row} of parameter {name!r}")
-
-    def pull_rows(self, name: str, rows: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Pull a set of global rows, fanning out to the owning servers."""
-        rows = list(rows)
-        by_server: Dict[int, List[int]] = {}
-        for row in rows:
-            server = self._owner(name, row)
-            by_server.setdefault(server.node_id, []).append(row)
-        result: Dict[int, np.ndarray] = {}
-        for server_id, server_rows in by_server.items():
-            if self.backend == "process":
-                block = self.runtime.read(server_id, name, np.asarray(server_rows, dtype=np.int64))
-                result.update({row: block[i].copy() for i, row in enumerate(server_rows)})
-            else:
-                result.update(self.servers[server_id].pull(name, server_rows))
-            self.communication.record_pull(len(server_rows))
-        return result
 
     def pull_row_block(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Vectorised sparse pull: stacked rows in request order.
@@ -326,31 +313,6 @@ class KunPengCluster:
             self.communication.record_pull(row_end - row_start)
             pieces.append(shard)
         return np.vstack(pieces)
-
-    def push_gradients(
-        self,
-        name: str,
-        gradients: Dict[int, np.ndarray],
-        *,
-        learning_rate: float = 1.0,
-    ) -> None:
-        """Push sparse row gradients to their owning servers."""
-        by_server: Dict[int, Dict[int, np.ndarray]] = {}
-        for row, gradient in gradients.items():
-            server = self._owner(name, row)
-            by_server.setdefault(server.node_id, {})[row] = gradient
-        for server_id, server_gradients in by_server.items():
-            if self.backend == "process":
-                # Dict keys are unique rows, so the vectorised ``subtract.at``
-                # in the shard process matches the inline per-row loop exactly.
-                grad_rows = np.fromiter(server_gradients, dtype=np.int64, count=len(server_gradients))
-                stacked = np.stack(
-                    [np.asarray(g, dtype=np.float64) for g in server_gradients.values()]
-                )
-                self.runtime.push(server_id, name, grad_rows, stacked, learning_rate=learning_rate)
-            else:
-                self.servers[server_id].push(name, server_gradients, learning_rate=learning_rate)
-            self.communication.record_push(len(server_gradients))
 
     def push_model_average(self, name: str, replicas: Sequence[np.ndarray]) -> None:
         """Average full worker replicas of a parameter matrix (word2vec style)."""

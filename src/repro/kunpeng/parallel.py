@@ -52,6 +52,7 @@ logger = get_logger("kunpeng.parallel")
 
 #: Shard-process command opcodes (element 0 of every pipe message).
 _HOST = "host"
+_DROP = "drop"
 _PUSH = "push"
 _RESET = "reset"
 _AVERAGE = "average"
@@ -137,6 +138,20 @@ class SharedBlockManager:
         return self._closed
 
     # ------------------------------------------------------------------
+    def release(self, key: str) -> None:
+        """Unlink the segment behind block ``key`` (owner process only)."""
+        self.view(key)  # rejects an unknown key
+        del self._views[key]
+        segment = self._segments.pop(key)
+        try:
+            segment.close()
+        except BufferError:  # a live numpy view still maps the buffer;
+            pass  # unlink below still reclaims the segment at process exit
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already reclaimed
+            pass
+
     def close(self) -> None:
         """Unlink every owned segment (idempotent, owner-process only)."""
         if self._closed or os.getpid() != self._owner_pid:
@@ -144,16 +159,7 @@ class SharedBlockManager:
         self._closed = True
         atexit.unregister(self.close)
         for key in list(self._segments):
-            segment = self._segments.pop(key)
-            self._views.pop(key, None)
-            try:
-                segment.close()
-            except BufferError:  # a live numpy view still maps the buffer;
-                pass  # unlink below still reclaims the segment at process exit
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                pass
+            self.release(key)
 
     def __enter__(self) -> "SharedBlockManager":
         """Enter a ``with`` block that unlinks all segments on exit."""
@@ -206,6 +212,8 @@ def _shard_worker_main(conn: Connection) -> None:
                 _, key, segment_name, shape, dtype_str, row_start = message
                 segment, view = SharedBlockManager.attach(segment_name, shape, dtype_str)
                 blocks[key] = (segment, view, int(row_start))
+            elif op == _DROP:
+                _unmap(blocks, message[1])
             elif op == _PUSH:
                 _, key, rows, gradients, learning_rate = message
                 _, view, row_start = blocks[key]
@@ -221,13 +229,20 @@ def _shard_worker_main(conn: Connection) -> None:
         except Exception as exc:  # latched and surfaced on the next fence
             error = f"{type(exc).__name__}: {exc}"
     for key in list(blocks):
-        segment, view, _ = blocks.pop(key)
-        del view
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - view lifetime race
-            pass
+        _unmap(blocks, key)
     conn.close()
+
+
+def _unmap(
+    blocks: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray, int]], key: str
+) -> None:
+    """Close a shard process's mapping of attached block ``key``."""
+    segment, view, _ = blocks.pop(key)
+    del view
+    try:
+        segment.close()
+    except BufferError:  # pragma: no cover - view lifetime race
+        pass
 
 
 class _ShardHandle:
@@ -348,6 +363,14 @@ class ProcessShardRuntime:
                 int(row_start),
             )
         )
+
+    def drop(self, shard_index: int, name: str) -> None:
+        """Retire a hosted block: the driver unlinks it, the shard unmaps it
+        when the command reaches the head of its queue (so before any re-host)."""
+        key = self._key(name, shard_index)
+        self._handle(shard_index).send((_DROP, key))
+        del self._row_starts[(name, shard_index)]
+        self.blocks.release(key)
 
     def push(
         self,

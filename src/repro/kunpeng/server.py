@@ -1,16 +1,16 @@
 """Parameter-server nodes.
 
 A server node owns a contiguous row range of each named parameter matrix.
-Workers ``pull`` the rows they need, compute gradients locally, and ``push``
-them back; the server applies the update (plain SGD step) or, for the model
-averaging used by the paper's word2vec reimplementation, replaces rows with
-the average of the workers' copies.
+Workers pull the row block they need, compute gradients locally, and push a
+row block back; the server applies the update (plain SGD step) or, for the
+model averaging used by the paper's word2vec reimplementation, replaces rows
+with the average of the workers' copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class _Shard:
     row_start: int
     row_end: int
     values: np.ndarray
-
-    def contains(self, row: int) -> bool:
-        return self.row_start <= row < self.row_end
 
 
 class ParameterServerNode:
@@ -52,6 +49,11 @@ class ParameterServerNode:
             name=name, row_start=row_start, row_end=row_end, values=values.astype(np.float64)
         )
 
+    def drop_shard(self, name: str) -> None:
+        """Forget the hosted shard of ``name`` (its parameter is being replaced)."""
+        self._get(name)
+        del self._shards[name]
+
     def _get(self, name: str) -> _Shard:
         try:
             return self._shards[name]
@@ -61,19 +63,6 @@ class ParameterServerNode:
             ) from exc
 
     # ------------------------------------------------------------------
-    def pull(self, name: str, rows: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Return copies of the requested rows (global row indices)."""
-        shard = self._get(name)
-        self.pull_count += 1
-        result: Dict[int, np.ndarray] = {}
-        for row in rows:
-            if not shard.contains(row):
-                raise ParameterServerError(
-                    f"row {row} of {name!r} is not hosted on server {self.node_id}"
-                )
-            result[row] = shard.values[row - shard.row_start].copy()
-        return result
-
     def pull_block(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Vectorised pull: stacked copies of ``rows`` (global indices), in order."""
         shard = self._get(name)
@@ -92,23 +81,6 @@ class ParameterServerNode:
         """Copy of the whole shard (used by model averaging and checkpoints)."""
         self.pull_count += 1
         return self._get(name).values.copy()
-
-    def push(
-        self,
-        name: str,
-        gradients: Dict[int, np.ndarray],
-        *,
-        learning_rate: float = 1.0,
-    ) -> None:
-        """Apply ``values -= learning_rate * gradient`` for each pushed row."""
-        shard = self._get(name)
-        self.push_count += 1
-        for row, gradient in gradients.items():
-            if not shard.contains(row):
-                raise ParameterServerError(
-                    f"row {row} of {name!r} is not hosted on server {self.node_id}"
-                )
-            shard.values[row - shard.row_start] -= learning_rate * gradient
 
     def push_block(
         self,

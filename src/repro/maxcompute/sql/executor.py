@@ -16,6 +16,8 @@ are evaluated in a single pass per partition with two monotone pointers.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -104,10 +106,12 @@ def _aggregate_value(aggregate: Aggregate, rows: Sequence[Dict[str, Any]]) -> An
     values = [row[aggregate.column] for row in rows if row.get(aggregate.column) is not None]
     if not values:
         return None
-    if aggregate.function == "sum":
-        return sum(values)
-    if aggregate.function == "avg":
-        return sum(values) / len(values)
+    if aggregate.function in ("sum", "avg"):
+        # A plain left fold in scan order, like the windowed running ``+=``:
+        # the builtin ``sum`` is compensated from Python 3.12 on, so it would
+        # differ from the window query (and from itself across versions).
+        total = functools.reduce(operator.add, values)
+        return total if aggregate.function == "sum" else total / len(values)
     if aggregate.function == "min":
         return min(values)
     if aggregate.function == "max":

@@ -118,7 +118,7 @@ class DistributedLogisticRegression(BaseDetector):
         num_features = design.shape[1]
 
         # Weight vector (plus intercept) lives on the servers as a 1-row matrix.
-        self.cluster.create_parameter("weights", np.zeros((1, num_features + 1)))
+        self.cluster.replace_parameter("weights", np.zeros((1, num_features + 1)))
 
         # Scatter row indices across workers.
         indices = np.arange(design.shape[0])
@@ -162,8 +162,8 @@ class DistributedLogisticRegression(BaseDetector):
                 continue
             gradient_mean = gradient_sum / total_rows
             gradient_mean[:-1] += self.l2 * weights
-            self.cluster.push_gradients(
-                "weights", {0: step * gradient_mean}, learning_rate=1.0
+            self.cluster.push_row_block(
+                "weights", np.zeros(1, dtype=np.int64), step * gradient_mean[np.newaxis]
             )
             self.stats.rounds += 1
             self.cluster.end_round()
@@ -263,9 +263,6 @@ class DistributedGBDT(GradientBoostingClassifier):
             rng=derive_seed(seed, "distributed-gbdt-failover"),
         )
         self.stats = DistributedTrainingStats()
-        #: Parameter-server name of the current fit's per-level histogram
-        #: accumulator block; it carries the block's row count.
-        self._hist_parameter = ""
 
     # ------------------------------------------------------------------
     def _begin_fit(self, num_rows: int, features_per_tree: int) -> None:
@@ -276,14 +273,7 @@ class DistributedGBDT(GradientBoostingClassifier):
             # pass is a MaxCompute pre-pass).
             node_slots = 2 ** max(0, self.max_depth - 1)
             block_rows = node_slots * features_per_tree * self.num_bins
-            # One block per shape: a refit of a shape the cluster already
-            # hosts reuses its block (every level resets it), a new shape
-            # gets its own.  All of them are freed by ``close()``.
-            self._hist_parameter = f"gbdt_histograms_{block_rows}"
-            if self._hist_parameter not in self.cluster:
-                self.cluster.create_parameter(
-                    self._hist_parameter, np.zeros((block_rows, 3))
-                )
+            self.cluster.replace_parameter("gbdt_histograms", np.zeros((block_rows, 3)))
 
     def _round_gradients(
         self, round_index: int, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
@@ -390,7 +380,7 @@ class DistributedGBDT(GradientBoostingClassifier):
                 break
             num_active = len(active)
             block_rows = num_active * num_features * num_bins
-            self.cluster.reset_parameter(self._hist_parameter)
+            self.cluster.reset_parameter("gbdt_histograms")
             for worker, rows, assign in shards:
                 if rows.size == 0:
                     continue
@@ -415,12 +405,10 @@ class DistributedGBDT(GradientBoostingClassifier):
                     _local_histograms, compute_units=float(rows.size)
                 )
                 if nonzero.size:
-                    self.cluster.accumulate_row_block(
-                        self._hist_parameter, nonzero, values
-                    )
+                    self.cluster.accumulate_row_block("gbdt_histograms", nonzero, values)
 
             merged = self.cluster.pull_row_block(
-                self._hist_parameter, np.arange(block_rows, dtype=np.int64)
+                "gbdt_histograms", np.arange(block_rows, dtype=np.int64)
             ).reshape(num_active, num_features, num_bins, 3)
             if driver_rows.size:
                 grad_hist, hess_hist, count_hist = build_histograms(

@@ -201,8 +201,8 @@ class DistributedDeepWalk(NRLModel):
         init_rng = spawn_child(self._rng, salt=13)
         w_in = (init_rng.random((len(vocabulary), dimension)) - 0.5) / dimension
         w_out = np.zeros((len(vocabulary), dimension))
-        self.cluster.create_parameter("w_in", w_in)
-        self.cluster.create_parameter("w_out", w_out)
+        self.cluster.replace_parameter("w_in", w_in)
+        self.cluster.replace_parameter("w_out", w_out)
 
         # 3. Train.
         pair_rng = spawn_child(self._rng, salt=17)

@@ -129,17 +129,10 @@ class HBaseFeatureSource(FeatureSource):
                     f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
                 )
             return vector
-        if f"{block.set_name}_0" not in row:
-            # No array cell and no legacy scalar cells: the embedding row was
-            # never published for this account.  Serve the explicit neutral
-            # default — the zero vector, exactly what the offline
-            # ``EmbeddingSet.lookup`` uses for unknown users — and count it,
-            # so missing rows are observable instead of masquerading as a
-            # trained all-zero embedding.
-            self.missing_embeddings += 1
-            return np.zeros(block.dimension, dtype=np.float64)
-        # Legacy layout: one scalar cell per dimension ("dw_0", "dw_1", ...).
-        vector = np.zeros(block.dimension, dtype=np.float64)
-        for dim in range(block.dimension):
-            vector[dim] = float(row.get(f"{block.set_name}_{dim}", 0.0))
-        return vector
+        # No array cell: the embedding row was never published for this
+        # account.  Serve the explicit neutral default — the zero vector,
+        # exactly what the offline ``EmbeddingSet.lookup`` uses for unknown
+        # users — and count it, so missing rows are observable instead of
+        # masquerading as a trained all-zero embedding.
+        self.missing_embeddings += 1
+        return np.zeros(block.dimension, dtype=np.float64)

@@ -21,7 +21,8 @@ import pytest
 
 from repro.datagen import generate_world
 from repro.datagen.profiles import ProfileConfig
-from repro.datagen.stream import WorldStream
+from repro.datagen.fraud import TypologyConfig
+from repro.datagen.stream import ScalableWorldStream, WorldStream
 from repro.datagen.transactions import WorldConfig
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
 from repro.models.gbdt import GradientBoostingClassifier
@@ -79,6 +80,30 @@ def test_streamed_world_matches_materialized(record_checksum):
     digest = _transaction_digest(streamed)
     assert digest == _transaction_digest(materialized)
     record_checksum("stream-vs-materialized", digest)
+
+
+def test_typology_world_checksums(record_checksum):
+    """The one typology suite plans bit-stably behind either stream."""
+
+    def config() -> WorldConfig:
+        return WorldConfig(
+            profile=ProfileConfig(
+                num_users=200, num_communities=4, fraudster_fraction=0.1, seed=17
+            ),
+            num_days=8,
+            transactions_per_user_per_day=0.6,
+            typologies=TypologyConfig(),
+            seed=17,
+        )
+
+    for name, stream_class in (("world", WorldStream), ("scalable", ScalableWorldStream)):
+        transactions = list(stream_class(config()))
+        tags = "|".join(txn.fraud_typology for txn in transactions)
+        assert tags.strip("|"), "no tagged fraud in the probe world"
+        digest = hashlib.sha256((_transaction_digest(transactions) + tags).encode()).hexdigest()
+        again = list(stream_class(config()))
+        assert again == transactions
+        record_checksum(f"typology-{name}-stream", digest)
 
 
 def test_feature_matrix_checksum(feature_matrices, record_checksum):

@@ -147,16 +147,16 @@ class TestAggregation:
         assert row["out_amount_sum"] == pytest.approx(sum(t.amount for t in manual))
 
     def test_transform_shape(self, dataset):
+        """Transactions -> aggregation columns, through the assembler (the
+        aggregator itself only serves per-user rows)."""
         aggregator = TransactionAggregator().fit(
             dataset.train_transactions, as_of_day=dataset.spec.test_day
         )
-        matrix = aggregator.transform(dataset.test_transactions[:50])
+        matrix = FeatureAssembler({}, aggregator=aggregator).assemble(
+            dataset.test_transactions[:50]
+        )
         assert matrix.num_rows == 50
-        assert matrix.num_features == len(aggregator.feature_names)
-
-    def test_transform_before_fit_raises(self, dataset):
-        with pytest.raises(FeatureError):
-            TransactionAggregator().transform(dataset.test_transactions[:5])
+        assert matrix.feature_names[len(BASIC_FEATURE_NAMES):] == aggregator.feature_names
 
 
 class TestFeatureAssembler:

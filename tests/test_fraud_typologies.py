@@ -1,10 +1,13 @@
-"""Labelled fraud-typology suite regression tests (PR 10).
+"""Labelled fraud-typology suite regression tests (PR 10), per stream.
 
-The five typology behaviour models (mule/relay chains, account takeover,
-bust-out, merchant collusion, smurfing — :mod:`repro.datagen.fraud`) must be
-seeded and deterministic, batch-size invariant, checkpoint/resume safe, and
-respect :meth:`WorldConfig.validate`'s fraud budget — the same contracts the
-legacy campaign model carries, now per typology.  Each scenario's structural
+One planner — :class:`~repro.datagen.fraud.TypologyFraudSuite` — sits behind
+both stream generators, so every contract is asserted on both: each test
+class below runs against :class:`WorldStream` at 260 accounts, and its
+``...Scalable`` subclass reruns the same assertions against
+:class:`ScalableWorldStream` at 1 500.  The typologies (mule/relay chains,
+account takeover, bust-out, merchant collusion, smurfing) must be seeded and
+deterministic, batch-size invariant, checkpoint/resume safe, and respect
+:meth:`WorldConfig.validate`'s fraud budget.  Each scenario's structural
 signature (chain hops, sub-threshold amounts, one-shot bust-outs, business
 hours rings) is asserted directly on the emitted, labelled transactions.
 """
@@ -46,10 +49,32 @@ def typology_config(num_users: int = 260, num_days: int = 12, seed: int = 17) ->
     )
 
 
-@pytest.fixture(scope="module")
-def typology_transactions():
-    """One drained typology world shared by the signature assertions."""
-    return list(WorldStream(typology_config()))
+class StreamCase:
+    """The stream a test class drains; ``Scalable`` swaps it in the subclasses."""
+
+    stream_class = WorldStream
+    num_users = 260
+
+    def config(self, **overrides) -> WorldConfig:
+        return typology_config(num_users=self.num_users, **overrides)
+
+    def stream(self, **overrides):
+        """A fresh stream over this case's population."""
+        return self.stream_class(self.config(**overrides))
+
+
+class Scalable:
+    """Mixin (listed first): the columnar stream, at a size no other test
+    asserts the signatures on."""
+
+    stream_class = ScalableWorldStream
+    num_users = 1_500
+
+
+@pytest.fixture(scope="class")
+def typology_transactions(request):
+    """One drained typology world per test class, shared by its assertions."""
+    return list(request.cls().stream())
 
 
 def by_typology(transactions):
@@ -60,18 +85,27 @@ def by_typology(transactions):
     return groups
 
 
-class TestDeterminismAndCoverage:
-    def test_world_stream_deterministic_and_emits_all_five(self, typology_transactions):
-        again = list(WorldStream(typology_config()))
-        assert again == typology_transactions
-        assert set(by_typology(typology_transactions)) == set(FRAUD_TYPOLOGIES)
+def test_both_streams_emit_the_same_typology_schedule():
+    """One suite fed the same fraud generator: at equal seed the two streams
+    carry the same tagged transfers, so a tag names one event process.  Only
+    the accounts the transfers land on differ with the population layout."""
 
-    def test_scalable_stream_deterministic_and_emits_all_five(self):
-        config = typology_config(num_users=2_000, num_days=10, seed=29)
-        first = list(ScalableWorldStream(config))
-        second = list(ScalableWorldStream(typology_config(num_users=2_000, num_days=10, seed=29)))
-        assert second == first
-        assert set(by_typology(first)) == set(FRAUD_TYPOLOGIES)
+    def schedule(stream):
+        return sorted(
+            (txn.day, txn.hour, txn.fraud_typology, txn.amount, txn.label_available_day)
+            for txn in stream
+            if txn.fraud_typology
+        )
+
+    world = schedule(WorldStream(typology_config(num_users=600)))
+    assert world == schedule(ScalableWorldStream(typology_config(num_users=600)))
+    assert {tag for _, _, tag, _, _ in world} == set(FRAUD_TYPOLOGIES)
+
+
+class TestDeterminismAndCoverage(StreamCase):
+    def test_world_stream_deterministic_and_emits_all_five(self, typology_transactions):
+        assert list(self.stream()) == typology_transactions
+        assert set(by_typology(typology_transactions)) == set(FRAUD_TYPOLOGIES)
 
     def test_only_fraud_rows_carry_typology_tags(self, typology_transactions):
         for txn in typology_transactions:
@@ -82,47 +116,43 @@ class TestDeterminismAndCoverage:
                 # fraud (if any at this rate) stays untagged by design.
                 assert txn.fraud_typology in FRAUD_TYPOLOGIES + ("",)
 
-    @settings(max_examples=8, deadline=None)
-    @given(batch_size=st.integers(min_value=1, max_value=500))
-    def test_batch_size_invariance(self, batch_size):
-        config = typology_config(num_users=120, num_days=8, seed=3)
-        expected = list(WorldStream(config))
-        rebatched = [
-            txn
-            for batch in WorldStream(
-                typology_config(num_users=120, num_days=8, seed=3)
-            ).batches(batch_size)
-            for txn in batch
-        ]
-        assert rebatched == expected
+    def test_batch_size_invariance(self):
+        expected = list(self.stream(num_days=8, seed=3))
+
+        # Wrapped here, not on the method: hypothesis refuses one @given
+        # test run from two classes (``differing_executors``).
+        @settings(max_examples=8, deadline=None)
+        @given(batch_size=st.integers(min_value=1, max_value=500))
+        def check(batch_size):
+            batches = self.stream(num_days=8, seed=3).batches(batch_size)
+            assert [txn for batch in batches for txn in batch] == expected
+
+        check()
 
 
-class TestCheckpointResume:
+class TestCoverageScalable(Scalable, TestDeterminismAndCoverage):
+    pass
+
+
+class TestCheckpointResume(StreamCase):
     def test_mid_day_resume_continues_the_exact_sequence(self):
-        reference = list(WorldStream(typology_config(seed=41)))
-        stream = WorldStream(typology_config(seed=41))
+        reference = list(self.stream(seed=41))
+        stream = self.stream(seed=41)
         events = stream.events()
         consumed = [next(events) for _ in range(len(reference) // 3)]
         checkpoint = stream.checkpoint()
         assert checkpoint.offset > 0 or checkpoint.day > 0
 
-        resumed = WorldStream(typology_config(seed=41))
-        resumed.seek(checkpoint)
-        assert consumed + list(resumed) == reference
-
-    def test_scalable_stream_resumes_mid_day(self):
-        config = typology_config(num_users=1_500, num_days=8, seed=43)
-        reference = list(ScalableWorldStream(config))
-        stream = ScalableWorldStream(typology_config(num_users=1_500, num_days=8, seed=43))
-        events = stream.events()
-        consumed = [next(events) for _ in range(len(reference) // 2)]
-        checkpoint = stream.checkpoint()
-        resumed = ScalableWorldStream(typology_config(num_users=1_500, num_days=8, seed=43))
+        resumed = self.stream(seed=41)
         resumed.seek(checkpoint)
         assert consumed + list(resumed) == reference
 
 
-class TestBudgetAndConfigValidation:
+class TestResumeScalable(Scalable, TestCheckpointResume):
+    pass
+
+
+class TestBudgetAndConfigValidation(StreamCase):
     def test_typology_volume_exceeding_budget_rejected(self):
         config = typology_config(num_users=100)
         config.profile.fraudster_fraction = 0.2
@@ -153,14 +183,21 @@ class TestBudgetAndConfigValidation:
         TypologyConfig().validate()
 
     def test_enabled_subset_limits_emitted_typologies(self):
-        config = typology_config(seed=47)
+        config = self.config(seed=47)
         config.typologies = TypologyConfig(enabled=("smurfing", "account_takeover"))
-        tagged = by_typology(WorldStream(config))
+        tagged = by_typology(self.stream_class(config))
         assert set(tagged) <= {"smurfing", "account_takeover"}
         assert tagged
 
 
-class TestTypologySignatures:
+class TestEnabledSubsetScalable(Scalable, StreamCase):
+    # The class's other two tests read no stream, so only this one reruns.
+    test_enabled_subset_limits_emitted_typologies = (
+        TestBudgetAndConfigValidation.test_enabled_subset_limits_emitted_typologies
+    )
+
+
+class TestTypologySignatures(StreamCase):
     def test_merchant_collusion_is_round_amounts_in_business_hours(self, typology_transactions):
         rings = by_typology(typology_transactions)["merchant_collusion"]
         assert rings
@@ -205,3 +242,7 @@ class TestTypologySignatures:
             for upstream, downstream in zip(chain, chain[1:]):
                 if upstream.payee_id == downstream.payer_id:  # consecutive hop
                     assert downstream.amount < upstream.amount  # the skim
+
+
+class TestSignaturesScalable(Scalable, TestTypologySignatures):
+    pass

@@ -33,15 +33,15 @@ class TestServerNode:
     def test_pull_push_round_trip(self):
         server = ParameterServerNode(0)
         server.host_shard("w", 0, 4, np.zeros((4, 2)))
-        server.push("w", {1: np.array([1.0, 2.0])}, learning_rate=0.5)
-        pulled = server.pull("w", [1])
-        assert pulled[1].tolist() == [-0.5, -1.0]
+        server.push_block("w", np.array([1]), np.array([[1.0, 2.0]]), learning_rate=0.5)
+        pulled = server.pull_block("w", np.array([1]))
+        assert pulled[0].tolist() == [-0.5, -1.0]
 
     def test_out_of_range_row_rejected(self):
         server = ParameterServerNode(0)
         server.host_shard("w", 0, 4, np.zeros((4, 2)))
         with pytest.raises(ParameterServerError):
-            server.pull("w", [10])
+            server.pull_block("w", np.array([10]))
 
     def test_model_average(self):
         server = ParameterServerNode(0)
@@ -84,7 +84,7 @@ class TestCluster:
     def test_push_routes_to_owning_server(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=4))
         cluster.create_parameter("emb", np.zeros((8, 2)))
-        cluster.push_gradients("emb", {0: np.array([1.0, 1.0]), 7: np.array([2.0, 2.0])})
+        cluster.push_row_block("emb", np.array([0, 7]), np.array([[1.0, 1.0], [2.0, 2.0]]))
         updated = cluster.pull_matrix("emb")
         assert updated[0].tolist() == [-1.0, -1.0]
         assert updated[7].tolist() == [-2.0, -2.0]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +400,33 @@ class TestWindowFunctions:
                 "RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) AS w "
                 "FROM events GROUP BY account"
             )
+
+    def test_group_by_sum_folds_left_like_the_window_sum(self):
+        """``GROUP BY`` SUM / AVG add in scan order, exactly as the windowed
+        running sum does — not with the builtin ``sum``, which is compensated
+        from Python 3.12 on (ten 0.1s: 1.0 there, 0.9999999999999999 folded).
+        Before the fix this fails on 3.12 only; 3.10 / 3.11 ``sum`` is the fold.
+        """
+        amounts = {"a": [0.1] * 10, "b": [0.3, 0.7, 1e16, -1e16, 0.1]}
+        rows = [
+            {"account": account, "ts": ts, "amount": amount}
+            for account, values in amounts.items()
+            for ts, amount in enumerate(values)
+        ]
+        executor = SQLExecutor(_window_client(rows).catalog)
+        grouped = executor.execute(
+            "SELECT account, SUM(amount) AS s, AVG(amount) AS m FROM events GROUP BY account"
+        )
+        windowed = executor.execute(
+            "SELECT account, SUM(amount) OVER (PARTITION BY account ORDER BY ts "
+            "RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW) AS w FROM events"
+        )
+        last_window = {row["account"]: row["w"] for row in windowed.rows()}
+        assert {row["account"] for row in grouped.rows()} == set(amounts)
+        for row in grouped.rows():
+            folded = functools.reduce(operator.add, amounts[row["account"]])
+            assert row["s"] == folded == last_window[row["account"]]
+            assert row["m"] == folded / len(amounts[row["account"]])
 
     def test_window_unknown_partition_column(self):
         client = _window_client([{"account": "a", "ts": 1, "amount": 1.0}])

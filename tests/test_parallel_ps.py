@@ -33,7 +33,7 @@ from repro.kunpeng import (
     ProcessShardRuntime,
     SharedBlockManager,
 )
-from repro.models.distributed import DistributedGBDT
+from repro.models.distributed import DistributedGBDT, DistributedLogisticRegression
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.graph.random_walk import RandomWalkConfig
 from repro.nrl.word2vec import SkipGramConfig
@@ -174,14 +174,33 @@ def _cluster_exercise(backend: str):
         cluster.push_row_block("p", rows, grads, learning_rate=0.2)
         pulled = cluster.pull_row_block("p", rows)
         cluster.accumulate_row_block("p", rows, grads)
-        cluster.push_gradients("p", {5: np.ones(6), 31: -np.ones(6)}, learning_rate=0.3)
+        cluster.push_row_block(
+            "p", np.array([5, 31]), np.stack([np.ones(6), -np.ones(6)]), learning_rate=0.3
+        )
         cluster.push_model_average("p", [matrix, matrix + 0.5])
         cluster.reset_parameter("p")
         cluster.push_row_block("p", rows, -grads)
         full = cluster.pull_matrix("p")
-        singles = cluster.pull_rows("p", [0, 29, 59])
+        singles = cluster.pull_row_block("p", np.array([0, 29, 59]))
         summary = cluster.workload_summary()
     return pulled, full, singles, summary
+
+
+def _deepwalk_config(backend: str) -> DistributedDeepWalkConfig:
+    return DistributedDeepWalkConfig(
+        cluster=ClusterConfig(num_machines=4),
+        walk=RandomWalkConfig(walk_length=8, num_walks_per_node=2),
+        skipgram=SkipGramConfig(dimension=8, window=3, epochs=1, batch_size=128),
+        mode="sparse",
+        rounds_per_epoch=2,
+        backend=backend,
+        seed=11,
+    )
+
+
+def _embedding_matrix(model: DistributedDeepWalk) -> np.ndarray:
+    embeddings = model.embeddings()
+    return embeddings.lookup(embeddings.node_ids())
 
 
 class TestBackendEquivalence:
@@ -190,8 +209,7 @@ class TestBackendEquivalence:
         process = _cluster_exercise("process")
         assert np.array_equal(inline[0], process[0])
         assert np.array_equal(inline[1], process[1])
-        for row in inline[2]:
-            assert np.array_equal(inline[2][row], process[2][row])
+        assert np.array_equal(inline[2], process[2])
         # routing/accounting is backend-independent, so traffic matches too
         assert inline[3] == process[3]
 
@@ -201,18 +219,8 @@ class TestBackendEquivalence:
 
     def test_deepwalk_sparse_bit_exact_across_backends(self, network):
         def _train(backend):
-            config = DistributedDeepWalkConfig(
-                cluster=ClusterConfig(num_machines=4),
-                walk=RandomWalkConfig(walk_length=8, num_walks_per_node=2),
-                skipgram=SkipGramConfig(dimension=8, window=3, epochs=1, batch_size=128),
-                mode="sparse",
-                rounds_per_epoch=2,
-                backend=backend,
-                seed=11,
-            )
-            model = DistributedDeepWalk(config).fit(network)
-            embeddings = model.embeddings()
-            matrix = embeddings.lookup(embeddings.node_ids())
+            model = DistributedDeepWalk(_deepwalk_config(backend)).fit(network)
+            matrix = _embedding_matrix(model)
             model.close()
             return matrix, model.loss_history
 
@@ -239,9 +247,66 @@ class TestBackendEquivalence:
         assert np.array_equal(_train("inline"), _train("process"))
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_replace_parameter_rehosts_and_frees_the_old_blocks(self, backend):
+        with KunPengCluster(ClusterConfig(num_machines=6), backend=backend) as cluster:
+            cluster.create_parameter("p", np.ones((9, 4)))
+            cluster.push_row_block("p", np.arange(9), np.ones((9, 4)))
+            # One row on three servers: two of the old shards have no successor.
+            for matrix in (np.full((1, 2), 7.0), np.arange(24.0).reshape(12, 2)):
+                cluster.replace_parameter("p", matrix)
+                assert np.array_equal(cluster.pull_matrix("p"), matrix)
+                if backend == "process":
+                    blocks = cluster.runtime.blocks
+                    assert len(_shm_segments(blocks.prefix)) == len(blocks.keys())
+                    assert len(blocks.keys()) == min(3, matrix.shape[0])
+            with pytest.raises(ParameterServerError, match="already exists"):
+                cluster.create_parameter("p", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_lr_refit_equals_a_fresh_fit(self, backend, small_classification_data):
+        """The second ``fit`` starts from zero weights, not from the first
+        fit's, and a fit on another feature width re-shards the vector."""
+        features, labels = small_classification_data
+
+        def _model():
+            return DistributedLogisticRegression(
+                cluster=ClusterConfig(num_machines=6), iterations=20, backend=backend, seed=4
+            )
+
+        model, fresh = _model(), _model()
+        try:
+            refit = model.fit(features, labels).fit(features, labels)
+            fresh.fit(features, labels)
+            assert refit.coef_.tobytes() == fresh.coef_.tobytes()
+            assert refit.intercept_ == fresh.intercept_
+            assert model.fit(features[:, :3], labels).coef_.shape == (3,)
+        finally:
+            model.close()
+            fresh.close()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_deepwalk_refit_equals_a_fresh_fit(self, backend, network):
+        """Nothing of the first fit stays on the servers.  A fit continues the
+        model's generator (as ``DeepWalk.fit`` does), so the fresh model is
+        placed where the first fit left the refitted one's."""
+        config = _deepwalk_config(backend)
+        model, fresh = DistributedDeepWalk(config), DistributedDeepWalk(config)
+        try:
+            model.fit(network)
+            fresh._rng.bit_generator.state = model._rng.bit_generator.state
+            refit = _embedding_matrix(model.fit(network))
+            assert refit.tobytes() == _embedding_matrix(fresh.fit(network)).tobytes()
+            # Another network, another vocabulary size: the matrices re-shard.
+            smaller = network.subgraph(network.nodes()[: network.num_nodes // 2])
+            assert _embedding_matrix(model.fit(smaller)).shape[0] < refit.shape[0]
+        finally:
+            model.close()
+            fresh.close()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_gbdt_refits_on_another_width(self, backend):
-        """One model, fit 10-wide -> 20-wide -> 10-wide: each histogram block
-        shape is hosted once and a later fit of that shape reuses it."""
+        """One model, fit 10-wide -> 20-wide -> 10-wide: every fit replaces the
+        histogram block with one of its own shape."""
         rng = np.random.default_rng(5)
         matrices = {width: rng.normal(size=(300, width)) for width in (10, 20)}
         labels = (matrices[10][:, 0] + matrices[20][:, 1] > 0.0).astype(np.float64)

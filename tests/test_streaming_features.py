@@ -30,6 +30,7 @@ from repro.features.aggregation import (
     TransactionAggregator,
     transaction_event_time,
 )
+from repro.features.assembler import FeatureAssembler
 from repro.features.basic import BASIC_FEATURE_NAMES
 from repro.features.streaming import (
     STANDARD_WINDOWS,
@@ -44,6 +45,16 @@ from repro.hbase.store import HBaseTable
 # ---------------------------------------------------------------------------
 # Stream construction helpers
 # ---------------------------------------------------------------------------
+
+
+def assembled_aggregates(aggregator, transactions) -> np.ndarray:
+    """The aggregation columns ``FeatureAssembler`` — the path that ships —
+    builds from ``aggregator``'s per-user rows."""
+    matrix = FeatureAssembler({}, aggregator=aggregator).assemble(
+        transactions, with_labels=False
+    )
+    start = len(BASIC_FEATURE_NAMES)
+    return matrix.values[:, start : start + len(AGGREGATION_FEATURE_NAMES)]
 
 
 def make_txn(index, day, hour, payer, payee, amount) -> Transaction:
@@ -182,8 +193,6 @@ class TestAggregationConfig:
     def test_unfitted_aggregator_cannot_serve_rows(self):
         """Regression: an unfitted batch aggregator must raise, not silently
         supply all-zero aggregates to a training assembly."""
-        from repro.features.assembler import FeatureAssembler
-
         with pytest.raises(FeatureError):
             TransactionAggregator().user_row("a")
         with pytest.raises(FeatureError):
@@ -346,16 +355,18 @@ class TestSlidingWindowBoundaries:
             )
 
     def test_transform_matches_batch_transform(self):
+        """Streaming and batch state assemble to the same twelve columns."""
         rng = np.random.default_rng(21)
         events = random_stream(rng, num_events=500, num_accounts=30, num_days=10)
         config = AggregationConfig(window_days=4)
         engine = SlidingWindowAggregator(config).replay(events)
         batch = TransactionAggregator(config).fit(events, as_of_time=engine.watermark)
         probes = random_stream(rng, num_events=40, num_accounts=30, num_days=10)
-        streaming_matrix = engine.transform(probes)  # defaults to the watermark
-        batch_matrix = batch.transform(probes)
-        assert streaming_matrix.feature_names == batch_matrix.feature_names
-        np.testing.assert_array_equal(streaming_matrix.values, batch_matrix.values)
+        assert engine.feature_names == batch.feature_names
+        np.testing.assert_array_equal(
+            assembled_aggregates(engine, probes),  # rows as of the watermark
+            assembled_aggregates(batch, probes),
+        )
 
     def test_rejects_bad_engine_configuration(self):
         with pytest.raises(FeatureError):
@@ -433,7 +444,7 @@ def test_prefix_parity_property(data, window_seconds):
         # Serve-before-ingest: the feature vector at the event's own time.
         served = engine.features_for(event)
         reference = TransactionAggregator(config).fit(ingested, as_of_time=event_time)
-        expected = reference.transform([event]).values[0]
+        expected = assembled_aggregates(reference, [event])[0]
         np.testing.assert_array_equal(served, expected)
 
         engine.ingest(event)
@@ -578,7 +589,6 @@ class TestCrashRecovery:
 def streaming_stack(world, dataset):
     """A served model whose plan includes the aggregation block, backed by an
     HBase store with a long-TTL row cache and a streaming updater."""
-    from repro.features.assembler import FeatureAssembler
     from repro.models.gbdt import GradientBoostingClassifier
     from repro.serving import (
         AlipayServer,
