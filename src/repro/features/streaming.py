@@ -18,9 +18,19 @@ Design
   every bucket holds exactly one distinct timestamp and window membership is
   *exact*, not approximate).  Each bucket keeps subtotals (count, sum, max,
   night count) and the multiset of counterparties.
-* **Costs.**  Ingest is O(1) amortised (update two buckets, occasionally evict
-  expired buckets of the two touched accounts — each bucket is evicted at most
-  once).  A feature query scans the account's O(window/bucket) live buckets.
+* **Costs.**  Ingest is O(1) amortised (update two buckets, keep each
+  account's bucket times sorted, evict by a peek at the oldest — each bucket
+  is evicted at most once).  A read of the primary window *at the watermark*
+  — every write-through row, most ``features_for`` calls of an in-order
+  replay — costs O(buckets touched since the account's last such read): from
+  its first one on, the account's row is maintained (counts as running
+  totals, distinct sets as per-counterparty reference counts, running
+  maxima, and the two sums' running left fold per bucket).  Any other query
+  (``as_of`` off the watermark, an extra window) is a full fold,
+  O(window/bucket).  The bits are the same because a running fold is never
+  read from at or after a bucket an event touched and is dropped when the
+  window edge passes a bucket, so finishing it repeats the full fold's
+  additions exactly.
 * **Out-of-order arrivals.**  A late event lands in its (possibly older)
   bucket as long as it is still inside the retention horizon
   ``max_window + allowed_lateness``; an older event can never re-enter any
@@ -47,8 +57,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -129,6 +140,64 @@ class _Bucket:
         self.payers: Set[str] = set()
 
 
+class _LiveWindow:
+    """One account's primary-window fold over ``times[start:]``, maintained:
+    at all times equal to a full fold of exactly those buckets.  ``ingest``
+    applies each event to it; a watermark read moves ``start`` up to the
+    window edge and finishes the two sum folds."""
+
+    __slots__ = (
+        "start", "out_count", "out_night", "in_count", "out_max", "in_max",
+        "payees", "payers", "payers_cell", "out_prefix", "in_prefix",
+    )
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+        self.out_count = self.out_night = self.in_count = 0
+        self.out_max = self.in_max = 0.0
+        #: counterparty -> number of buckets in the range holding it.
+        self.payees: Dict[str, int] = {}
+        self.payers: Dict[str, int] = {}
+        #: ``frozenset(payers)``, rebuilt only after a key entered or left.
+        self.payers_cell: Optional[FrozenSet[str]] = None
+        #: ``prefix[i]`` = left fold of the sums of ``times[start : start+i+1]``;
+        #: the two lists are always cut together, so they have one length.
+        self.out_prefix: List[float] = []
+        self.in_prefix: List[float] = []
+
+    def fold(self, bucket: _Bucket, sign: int) -> None:
+        """Add (+1) or remove (-1) a whole bucket's order-free subtotals
+        (a removal leaves the maxima to ``_advance``)."""
+        self.out_count += sign * bucket.out_count
+        self.out_night += sign * bucket.out_night
+        self.in_count += sign * bucket.in_count
+        if sign > 0:
+            self.out_max = max(self.out_max, bucket.out_max)
+            self.in_max = max(self.in_max, bucket.in_max)
+        distinct_payers = len(self.payers)
+        for refs, keys in ((self.payees, bucket.payees), (self.payers, bucket.payers)):
+            for key in keys:
+                count = refs.get(key, 0) + sign
+                if count:
+                    refs[key] = count
+                else:
+                    del refs[key]
+        if len(self.payers) != distinct_payers:
+            self.payers_cell = None
+
+
+class _Account:
+    """One account's buckets, their times ascending, and — from its first
+    read at the watermark — its maintained primary-window row."""
+
+    __slots__ = ("buckets", "times", "live")
+
+    def __init__(self) -> None:
+        self.buckets: Dict[float, _Bucket] = {}
+        self.times: List[float] = []
+        self.live: Optional[_LiveWindow] = None
+
+
 class SlidingWindowAggregator:
     """Event-time, bucketed, multi-window per-account aggregate accumulator."""
 
@@ -164,8 +233,8 @@ class SlidingWindowAggregator:
         #: Retention horizon: a bucket older than the longest window plus the
         #: allowed lateness can never be seen by a permitted query again.
         self._horizon = max(spec.window_seconds for spec in self.windows) + lateness
-        #: account -> bucket time -> :class:`_Bucket`.
-        self._accounts: Dict[str, Dict[float, _Bucket]] = {}
+        #: account -> its buckets (an account is tracked while it has any).
+        self._accounts: Dict[str, _Account] = {}
         self._watermark = -math.inf
         self.events_ingested = 0
         self.late_events_dropped = 0
@@ -222,7 +291,7 @@ class SlidingWindowAggregator:
             "late_events_dropped": float(self.late_events_dropped),
             "buckets_evicted": float(self.buckets_evicted),
             "accounts": float(len(self._accounts)),
-            "buckets": float(sum(len(b) for b in self._accounts.values())),
+            "buckets": float(sum(len(a.times) for a in self._accounts.values())),
         }
 
     # ------------------------------------------------------------------
@@ -233,16 +302,52 @@ class SlidingWindowAggregator:
 
     def _evict(self, user_id: str) -> None:
         """Drop the touched account's buckets that no window can ever see."""
-        buckets = self._accounts.get(user_id)
-        if not buckets:
+        account = self._accounts.get(user_id)
+        if account is None:
             return
+        times = account.times
         cutoff = self._watermark - self._horizon
-        expired = [bucket_time for bucket_time in buckets if bucket_time <= cutoff]
-        for bucket_time in expired:
-            del buckets[bucket_time]
-        self.buckets_evicted += len(expired)
-        if not buckets:
+        if times[0] > cutoff:
+            return
+        stop = bisect_right(times, cutoff)
+        live = account.live
+        if live is not None:
+            # The maintained range lets go of a bucket before the bucket goes
+            # (the horizon is never shorter than the primary window).
+            self._advance(account, live)
+            live.start -= stop
+        for bucket_time in times[:stop]:
+            del account.buckets[bucket_time]
+        del times[:stop]
+        self.buckets_evicted += stop
+        if not times:
             del self._accounts[user_id]
+
+    def _touch(self, user_id: str, bucket_time: float) -> Tuple[_Bucket, Optional[_LiveWindow]]:
+        """The account's bucket at ``bucket_time`` (created, and its time
+        filed in order, when new) and, if the bucket lies inside the account's
+        maintained range, the state the caller must apply the event to."""
+        account = self._accounts.get(user_id)
+        if account is None:
+            account = self._accounts[user_id] = _Account()
+        bucket = account.buckets.get(bucket_time)
+        live = account.live
+        if bucket is not None and live is None:
+            return bucket, None
+        position = bisect_left(account.times, bucket_time)
+        if bucket is None:
+            bucket = account.buckets[bucket_time] = _Bucket()
+            account.times.insert(position, bucket_time)
+            if live is not None and position < live.start:
+                live.start += 1  # filed before the range: the range only shifts
+        if live is None or position < live.start:
+            return bucket, None
+        # Soundness of the maintained sums: a running fold is never read from
+        # at or after a bucket an event touched (cut here), and is dropped
+        # whole when the window edge passes a bucket (``_advance``).
+        del live.out_prefix[position - live.start :]
+        del live.in_prefix[position - live.start :]
+        return bucket, live
 
     def ingest(self, txn: Transaction) -> bool:
         """Fold one transaction into the window state.
@@ -257,23 +362,34 @@ class SlidingWindowAggregator:
             self.late_events_dropped += 1
             return False
         bucket_time = self._bucket_time(event_time)
+        amount = txn.amount
+        night = 1 if is_night_hour(txn.hour) else 0
 
-        payer_bucket = self._accounts.setdefault(txn.payer_id, {}).get(bucket_time)
-        if payer_bucket is None:
-            payer_bucket = self._accounts[txn.payer_id][bucket_time] = _Bucket()
+        payer_bucket, live = self._touch(txn.payer_id, bucket_time)
+        if live is not None:
+            live.out_count += 1
+            live.out_night += night
+            live.out_max = max(live.out_max, amount)
+            if txn.payee_id not in payer_bucket.payees:
+                live.payees[txn.payee_id] = live.payees.get(txn.payee_id, 0) + 1
         payer_bucket.out_count += 1
-        payer_bucket.out_sum += txn.amount
-        payer_bucket.out_max = max(payer_bucket.out_max, txn.amount)
-        if is_night_hour(txn.hour):
-            payer_bucket.out_night += 1
+        payer_bucket.out_sum += amount
+        payer_bucket.out_max = max(payer_bucket.out_max, amount)
+        payer_bucket.out_night += night
         payer_bucket.payees.add(txn.payee_id)
 
-        payee_bucket = self._accounts.setdefault(txn.payee_id, {}).get(bucket_time)
-        if payee_bucket is None:
-            payee_bucket = self._accounts[txn.payee_id][bucket_time] = _Bucket()
+        payee_bucket, live = self._touch(txn.payee_id, bucket_time)
+        if live is not None:
+            live.in_count += 1
+            live.in_max = max(live.in_max, amount)
+            if txn.payer_id not in payee_bucket.payers:
+                holders = live.payers.get(txn.payer_id, 0)
+                live.payers[txn.payer_id] = holders + 1
+                if not holders:
+                    live.payers_cell = None
         payee_bucket.in_count += 1
-        payee_bucket.in_sum += txn.amount
-        payee_bucket.in_max = max(payee_bucket.in_max, txn.amount)
+        payee_bucket.in_sum += amount
+        payee_bucket.in_max = max(payee_bucket.in_max, amount)
         payee_bucket.payers.add(txn.payer_id)
 
         self.events_ingested += 1
@@ -317,8 +433,10 @@ class SlidingWindowAggregator:
     # ------------------------------------------------------------------
     def _window_row(
         self, user_id: str, window_seconds: float, as_of: float
-    ) -> Tuple[Dict[str, float], Set[str]]:
-        """(aggregate row, in-window payer set) for one account and window.
+    ) -> Tuple[Dict[str, float], FrozenSet[str]]:
+        """(aggregate row, in-window payer set) for one account and window,
+        by a full fold of its buckets — the only path for an ``as_of`` off the
+        watermark or an extra window, and the oracle of the maintained one.
 
         Buckets are folded in ascending time order so the result is a pure
         function of the in-window event set, independent of arrival order.
@@ -332,15 +450,14 @@ class SlidingWindowAggregator:
         in_max = 0.0
         payees: Set[str] = set()
         payers: Set[str] = set()
-        buckets = self._accounts.get(user_id)
-        if buckets:
-            window_start = as_of - window_seconds
-            # Filter to the in-window keys before sorting: a short window over
-            # a long retention horizon folds only its own few buckets.
-            for bucket_time in sorted(
-                key for key in buckets if window_start < key <= as_of
-            ):
-                bucket = buckets[bucket_time]
+        account = self._accounts.get(user_id)
+        if account is not None:
+            times = account.times
+            # A short window over a long retention horizon folds only its own
+            # few buckets.
+            first = bisect_right(times, as_of - window_seconds)
+            for bucket_time in times[first : bisect_right(times, as_of)]:
+                bucket = account.buckets[bucket_time]
                 out_count += bucket.out_count
                 out_sum += bucket.out_sum
                 out_max = max(out_max, bucket.out_max)
@@ -361,14 +478,83 @@ class SlidingWindowAggregator:
             in_amount_max=in_max,
             num_payers=len(payers),
         )
-        return row, payers
+        return row, frozenset(payers)
+
+    def _advance(self, account: _Account, live: _LiveWindow) -> None:
+        """Move the maintained range's start up to the primary window's edge."""
+        times = account.times
+        edge = self._watermark - self.primary_window.window_seconds
+        start = live.start
+        if start == len(times) or times[start] > edge:
+            return
+        live.start = bisect_right(times, edge, start)
+        expired = [account.buckets[bucket_time] for bucket_time in times[start : live.start]]
+        for bucket in expired:
+            live.fold(bucket, -1)
+        # The fold now starts at a later bucket; no kept partial sum is one of
+        # its prefixes.
+        live.out_prefix.clear()
+        live.in_prefix.clear()
+        if any(
+            b.out_max >= live.out_max > 0.0 or b.in_max >= live.in_max > 0.0 for b in expired
+        ):  # a maximum left with its bucket: take it over what remains
+            window = [account.buckets[bucket_time] for bucket_time in times[live.start :]]
+            live.out_max = max([0.0, *(bucket.out_max for bucket in window)])
+            live.in_max = max([0.0, *(bucket.in_max for bucket in window)])
+
+    def _maintained_row(self, user_id: str) -> Tuple[Dict[str, float], FrozenSet[str]]:
+        """The primary-window row at the watermark, from the maintained state
+        (built by one full fold the first time the account is read here)."""
+        # A cold account reads as an empty one and stays untracked.
+        account = self._accounts.get(user_id) or _Account()
+        times = account.times
+        live = account.live
+        if live is None:
+            edge = self._watermark - self.primary_window.window_seconds
+            live = account.live = _LiveWindow(bisect_right(times, edge))
+            for bucket_time in times[live.start :]:
+                live.fold(account.buckets[bucket_time], 1)
+        else:
+            self._advance(account, live)
+        out_prefix, in_prefix = live.out_prefix, live.in_prefix
+        out_sum = out_prefix[-1] if out_prefix else 0.0
+        in_sum = in_prefix[-1] if in_prefix else 0.0
+        for bucket_time in times[live.start + len(out_prefix) :]:
+            bucket = account.buckets[bucket_time]
+            out_sum += bucket.out_sum
+            out_prefix.append(out_sum)
+            in_sum += bucket.in_sum
+            in_prefix.append(in_sum)
+        if live.payers_cell is None:
+            live.payers_cell = frozenset(live.payers)
+        row = build_aggregate_row(
+            out_count=live.out_count,
+            out_amount_sum=out_sum,
+            out_amount_max=live.out_max,
+            out_night_count=live.out_night,
+            num_payees=len(live.payees),
+            in_count=live.in_count,
+            in_amount_sum=in_sum,
+            in_amount_max=live.in_max,
+            num_payers=len(live.payers),
+        )
+        return row, live.payers_cell
+
+    def _row(
+        self, user_id: str, window_seconds: float, as_of: float
+    ) -> Tuple[Dict[str, float], FrozenSet[str]]:
+        """Every query's one way in: the maintained row where one exists to
+        read — the primary window at the watermark — else the full fold."""
+        if window_seconds == self.primary_window.window_seconds and as_of == self._watermark:
+            return self._maintained_row(user_id)
+        return self._window_row(user_id, window_seconds, as_of)
 
     def _resolve_as_of(self, as_of: Optional[float]) -> float:
         return self._watermark if as_of is None else float(as_of)
 
     def user_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, float]:
         """Primary-window aggregate row (same keys as the batch ``user_row``)."""
-        row, _ = self._window_row(
+        row, _ = self._row(
             user_id, self.primary_window.window_seconds, self._resolve_as_of(as_of)
         )
         return row
@@ -378,14 +564,16 @@ class SlidingWindowAggregator:
 
         ``payers`` is a frozenset cell: equality is order-free and the online
         new-payer membership check stays O(1) however many in-window payers a
-        hot merchant accumulates.
+        hot merchant accumulates.  The dict is fresh on every call and the
+        caller's to edit; the ``payers`` cell is immutable and may be the very
+        object an earlier row of the account carried (it is rebuilt only when
+        a payer enters or leaves the window), so stores, WAL entries and row
+        caches can hold it without a copy.
         """
-        row, payers = self._window_row(
+        row, payers = self._row(
             user_id, self.primary_window.window_seconds, self._resolve_as_of(as_of)
         )
-        serialised: Dict[str, object] = dict(row)
-        serialised["payers"] = frozenset(payers)
-        return serialised
+        return {**row, "payers": payers}
 
     def snapshot_rows(self, *, as_of: Optional[float] = None) -> Dict[str, Dict[str, object]]:
         """``user_id -> hbase_row`` for every tracked account (deterministic)."""
@@ -401,12 +589,9 @@ class SlidingWindowAggregator:
         at = transaction_event_time(txn) if as_of is None else float(as_of)
         values: List[float] = []
         for spec in self.windows:
-            payer_row, _ = self._window_row(txn.payer_id, spec.window_seconds, at)
-            payee_row, payee_payers = self._window_row(
-                txn.payee_id, spec.window_seconds, at
-            )
-            enriched: Dict[str, object] = dict(payee_row)
-            enriched["payers"] = payee_payers
+            payer_row, _ = self._row(txn.payer_id, spec.window_seconds, at)
+            payee_row, payee_payers = self._row(txn.payee_id, spec.window_seconds, at)
+            enriched: Dict[str, object] = {**payee_row, "payers": payee_payers}
             values.extend(aggregation_vector(payer_row, enriched, txn.payer_id))
         return np.asarray(values, dtype=np.float64)
 

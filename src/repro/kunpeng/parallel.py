@@ -365,12 +365,22 @@ class ProcessShardRuntime:
         )
 
     def drop(self, shard_index: int, name: str) -> None:
-        """Retire a hosted block: the driver unlinks it, the shard unmaps it
-        when the command reaches the head of its queue (so before any re-host)."""
+        """Retire a hosted block: the shard unmaps it, then the driver unlinks it.
+
+        Segment names are reused per ``(parameter, shard)`` and a shard
+        attaches *by name*, so the unlink waits (one fence per refit per
+        shard) until the shard has worked through its queue up to and
+        including this ``_DROP``: a shard still behind on the block's own
+        ``_HOST`` would otherwise map the next generation's segment.
+        """
         key = self._key(name, shard_index)
-        self._handle(shard_index).send((_DROP, key))
+        handle = self._handle(shard_index)
         del self._row_starts[(name, shard_index)]
-        self.blocks.release(key)
+        try:
+            handle.send((_DROP, key))
+            handle.fence()
+        finally:  # a dead shard maps nothing; the segment is still reclaimed
+            self.blocks.release(key)
 
     def push(
         self,

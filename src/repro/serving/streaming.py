@@ -15,12 +15,12 @@ state, and the write-ahead log orders the updates for crash recovery: a
 recovered region server replays the WAL and ends up with bit-identical
 aggregate rows.
 
-Cost note: while the engine's *ingest* is O(1) amortised, each write-through
-materialises the two touched accounts' full rows (folding their in-window
-buckets and payer sets), so per-event cost is proportional to those accounts'
-window state.  That is the price of serving plain scalar rows to any HBase
-reader; a deployment dominated by hot merchants with huge payer sets would
-delta-encode the set cells instead.
+Cost note: each write-through reads the two touched accounts' rows at the
+watermark, which the engine maintains, so a row costs what the event changed
+(the buckets touched since the account's last read), not its window state.
+What is still paid per event is storage: two full-row puts, each its own WAL
+entry and cache invalidation (``payers`` cells are shared between an account's
+successive rows, not copied).
 """
 
 from __future__ import annotations

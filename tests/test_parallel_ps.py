@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import glob
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -261,6 +263,33 @@ class TestBackendEquivalence:
                     assert len(blocks.keys()) == min(3, matrix.shape[0])
             with pytest.raises(ParameterServerError, match="already exists"):
                 cluster.create_parameter("p", np.zeros((2, 2)))
+
+    def test_replace_parameter_waits_for_a_lagging_shard(self):
+        """A shard stopped before it reaches its first ``_HOST`` must never
+        attach, by the reused segment name, to a later generation's block
+        (wrong size → ``buffer is too small``; a larger one → a stale push
+        lands in the new parameter).  Deterministic: the shard is SIGSTOPped,
+        not merely slow."""
+        with KunPengCluster(ClusterConfig(num_machines=6), backend="process") as cluster:
+            runtime = cluster.runtime
+            lagging = runtime._handle(2).process
+            os.kill(lagging.pid, signal.SIGSTOP)
+            resume = threading.Timer(0.3, os.kill, (lagging.pid, signal.SIGCONT))
+            resume.start()
+            try:
+                cluster.create_parameter("p", np.ones((9, 4)))
+                cluster.push_row_block("p", np.arange(9), np.ones((9, 4)))
+                last = np.arange(24.0).reshape(12, 2)
+                for matrix in (np.full((6, 2), 7.0), last):
+                    cluster.replace_parameter("p", matrix)
+            finally:
+                resume.cancel()
+                os.kill(lagging.pid, signal.SIGCONT)
+                resume.join(5.0)
+            assert not resume.is_alive()
+            assert np.array_equal(cluster.pull_matrix("p"), last)
+            assert len(runtime.blocks.keys()) == 3
+            assert len(_shm_segments(runtime.blocks.prefix)) == 3
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_lr_refit_equals_a_fresh_fit(self, backend, small_classification_data):

@@ -14,6 +14,8 @@ what is under test, not float rounding.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -523,6 +525,273 @@ class TestParityAcceptance:
             )
             assert engine.hbase_row(event.payer_id) == reference.hbase_row(event.payer_id)
             assert engine.hbase_row(event.payee_id) == reference.hbase_row(event.payee_id)
+
+
+# ---------------------------------------------------------------------------
+# Maintained primary-window row == the same engine's full fold, bit for bit
+# ---------------------------------------------------------------------------
+#
+# The parity tests above draw dyadic amounts, whose sums are exact in any
+# order, and so cannot see a change of fold order.  These draw arbitrary
+# floats and compare under ``float.hex``: a row read at the watermark (the
+# maintained state) must carry exactly the bits ``_window_row`` (the full
+# fold every other query takes) computes from the same buckets.
+
+
+def full_fold(engine, user_id):
+    return engine._window_row(
+        user_id, engine.primary_window.window_seconds, engine.watermark
+    )
+
+
+def assert_maintained_is_full_fold(engine, user_id):
+    served = engine.hbase_row(user_id)
+    folded, payers = full_fold(engine, user_id)
+    assert served.keys() == folded.keys() | {"payers"}
+    for field, value in folded.items():
+        assert served[field].hex() == value.hex(), (user_id, field)
+    assert set(served["payers"]) == set(payers)
+
+
+#: Hours added to the running watermark hour: mostly forward, some late.
+_STEP_HOURS = [-40, -31, -6, -5, -2, -1, 0, 0, 0, 0, 1, 1, 2, 7, 30]
+_WINDOW_CHOICES = [
+    (WindowSpec("primary", 3.0 * SECONDS_PER_HOUR),),
+    (WindowSpec("primary", 30.0 * SECONDS_PER_HOUR),),
+    (WindowSpec("primary", 54_321.0),),
+    (WindowSpec("2d", 2.0 * SECONDS_PER_DAY), WindowSpec("1h", 1.0 * SECONDS_PER_HOUR)),
+    STANDARD_WINDOWS,
+]
+_MAINTAINED_STREAM = dict(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(_STEP_HOURS),
+            st.integers(0, 6),  # payer slot
+            st.integers(0, 6),  # payee offset (shifted to avoid self-transfer)
+            st.floats(0.01, 1e6, allow_nan=False),  # amount: any float
+        ),
+        min_size=1,
+        max_size=70,
+    ),
+    windows=st.sampled_from(_WINDOW_CHOICES),
+    lateness_hours=st.sampled_from([0, 5, 30]),
+    prune_interval=st.sampled_from([7, 50, None]),
+    read_seed=st.integers(0, 2**16),
+)
+
+
+def _maintained_equals_full_fold(steps, windows, lateness_hours, prune_interval, read_seed):
+    engine = SlidingWindowAggregator(
+        windows=windows, allowed_lateness_seconds=lateness_hours * SECONDS_PER_HOUR
+    )
+    if prune_interval is not None:
+        engine.prune_interval = prune_interval
+    reads = np.random.default_rng(read_seed)
+    # STANDARD_WINDOWS' 14-day primary needs a longer stream to move its edge.
+    stretch = 9 if windows is STANDARD_WINDOWS else 1
+    hour = 0
+    for index, (step, payer, offset, amount) in enumerate(steps):
+        slot = max(0, hour + step * stretch)
+        hour = max(hour, slot)
+        event = make_txn(
+            index, slot // 24, slot % 24, f"u{payer}", f"u{(payer + 1 + offset) % 8}", amount
+        )
+        engine.ingest(event)
+        # Read probability < 1: accounts are first read (materialised)
+        # mid-stream, some with buckets already outside the primary window.
+        for user_id in (event.payer_id, event.payee_id, f"u{reads.integers(0, 8)}"):
+            if reads.random() < 0.6:
+                assert_maintained_is_full_fold(engine, user_id)
+    for user_id in engine.account_ids():
+        assert_maintained_is_full_fold(engine, user_id)
+    assert engine.stats()["buckets"] == sum(
+        len(account.buckets) for account in engine._accounts.values()
+    )
+
+
+test_maintained_row_equals_full_fold_property = settings(max_examples=60, deadline=None)(
+    given(**_MAINTAINED_STREAM)(_maintained_equals_full_fold)
+)
+test_maintained_row_equals_full_fold_soak = pytest.mark.slow(
+    settings(max_examples=3000, deadline=None)(
+        given(**_MAINTAINED_STREAM)(_maintained_equals_full_fold)
+    )
+)
+
+
+class TestMaintainedRowEdges:
+    """Named straddles of the maintained state's edges.  Amounts are thirds
+    and tenths (fold order shows in the last bit); every check compares the
+    watermark read with the same engine's full fold bit for bit *and* with a
+    brute-force loop-engine fit of the ingested events."""
+
+    CONFIG = AggregationConfig(window_seconds=6 * SECONDS_PER_HOUR)
+
+    def _engine(self, **kwargs):
+        return SlidingWindowAggregator(self.CONFIG, **kwargs), []
+
+    @staticmethod
+    def _ingest(engine, ingested, hour, payer, payee, amount):
+        event = make_txn(len(ingested), hour // 24, hour % 24, payer, payee, amount)
+        assert engine.ingest(event)
+        ingested.append(event)
+        return event
+
+    def _check(self, engine, ingested, *user_ids):
+        expected = brute_rows(self.CONFIG, ingested, engine.watermark, user_ids)
+        for user_id in user_ids:
+            assert_maintained_is_full_fold(engine, user_id)
+            assert_rows_close(engine.hbase_row(user_id), expected[user_id])
+
+    def test_late_event_into_a_closed_bucket_of_a_materialised_account(self):
+        engine, ingested = self._engine(allowed_lateness_seconds=4 * SECONDS_PER_HOUR)
+        for hour in range(10, 15):
+            self._ingest(engine, ingested, hour, "a", "b", 0.1 * (hour - 8))
+        self._check(engine, ingested, "a", "b")  # materialises both
+        self._ingest(engine, ingested, 11, "a", "b", 1 / 3)  # closed, in window
+        self._check(engine, ingested, "a", "b")
+        self._ingest(engine, ingested, 11, "c", "b", 0.7)
+        self._check(engine, ingested, "a", "b", "c")
+
+    def test_eviction_between_two_reads_by_other_accounts_events(self):
+        engine, ingested = self._engine()
+        for hour in (0, 1, 2, 3):
+            self._ingest(engine, ingested, hour, "a", "b", 0.1 + hour / 3)
+        self._check(engine, ingested, "a", "b")
+        # Only x/y transact: a and b are never touched, so never evicted
+        # inline — the read itself must move their window edge.
+        self._ingest(engine, ingested, 7, "x", "y", 0.3)
+        self._check(engine, ingested, "a", "b")
+        assert engine.hbase_row("a")["out_count"] == 2.0
+        self._ingest(engine, ingested, 30, "x", "y", 0.3)
+        self._check(engine, ingested, "a", "b")
+        assert engine.hbase_row("a")["out_count"] == 0.0
+        assert engine.hbase_row("b")["payers"] == frozenset()
+
+    def test_counterparty_leaves_the_window_and_re_enters(self):
+        engine, ingested = self._engine()
+        self._ingest(engine, ingested, 0, "p", "m", 0.1)
+        self._ingest(engine, ingested, 1, "q", "m", 0.2)
+        self._check(engine, ingested, "m")
+        assert engine.hbase_row("m")["payers"] == {"p", "q"}
+        self._ingest(engine, ingested, 6, "q", "m", 0.3)  # p's only bucket expires
+        self._check(engine, ingested, "m", "p", "q")
+        assert engine.hbase_row("m")["payers"] == {"q"}
+        self._ingest(engine, ingested, 8, "p", "m", 0.7)  # p is back
+        self._check(engine, ingested, "m", "p", "q")
+        assert engine.hbase_row("m")["payers"] == {"p", "q"}
+        assert engine.hbase_row("m")["distinct_payers"] == 2.0
+
+    def test_expiring_bucket_held_the_maximum(self):
+        engine, ingested = self._engine()
+        self._ingest(engine, ingested, 0, "a", "b", 900.1)
+        self._ingest(engine, ingested, 2, "a", "b", 0.3)
+        self._ingest(engine, ingested, 3, "a", "b", 7.7)
+        self._check(engine, ingested, "a", "b")
+        assert engine.hbase_row("a")["out_amount_max"] == 900.1
+        self._ingest(engine, ingested, 6, "x", "y", 1.0)  # hour 0 leaves (0, 6]
+        self._check(engine, ingested, "a", "b")
+        assert engine.hbase_row("a")["out_amount_max"] == 7.7
+        assert engine.hbase_row("b")["in_amount_max"] == 7.7
+
+    def test_new_bucket_before_the_window_start_under_lateness(self):
+        engine, ingested = self._engine(allowed_lateness_seconds=10 * SECONDS_PER_HOUR)
+        for hour in (12, 18, 19, 20):
+            self._ingest(engine, ingested, hour, "a", "b", hour / 7)
+        self._check(engine, ingested, "a", "b")
+        before = engine.hbase_row("a")
+        # Retained (inside window + lateness) but outside (14, 20]: a new
+        # bucket filed before, and one between, buckets the row does not see.
+        self._ingest(engine, ingested, 11, "a", "b", 0.9)
+        self._ingest(engine, ingested, 13, "a", "c", 0.9)
+        self._check(engine, ingested, "a", "b", "c")
+        assert engine.hbase_row("a") == before
+        self._ingest(engine, ingested, 15, "a", "c", 1 / 3)  # new, inside
+        self._check(engine, ingested, "a", "b", "c")
+        assert engine.hbase_row("a")["out_count"] == 4.0
+
+    def test_as_of_off_the_watermark_is_the_full_fold(self):
+        engine, ingested = self._engine(allowed_lateness_seconds=8 * SECONDS_PER_HOUR)
+        for hour in range(4, 16):
+            self._ingest(engine, ingested, hour, "a", "b", 0.1 * hour)
+        self._check(engine, ingested, "a", "b")
+        self._ingest(engine, ingested, 12, "a", "b", 1 / 3)
+        watermark = engine.watermark
+        for as_of in (watermark - 3 * SECONDS_PER_HOUR, watermark + 2 * SECONDS_PER_HOUR):
+            expected = brute_rows(self.CONFIG, ingested, as_of, ("a", "b"))
+            for user_id in ("a", "b"):
+                served = engine.hbase_row(user_id, as_of=as_of)
+                folded, payers = engine._window_row(
+                    user_id, engine.primary_window.window_seconds, as_of
+                )
+                assert served == {**folded, "payers": payers}
+                assert_rows_close(served, expected[user_id])
+        self._check(engine, ingested, "a", "b")  # and the maintained row is unmoved
+
+    def test_replayed_engine_equals_the_live_one_after_mixed_reads(self):
+        rng = np.random.default_rng(91)
+        events = random_stream(
+            rng, num_events=600, num_accounts=25, num_days=12, jitter_positions=30
+        )
+        events = [
+            make_txn(i, e.day, e.hour, e.payer_id, e.payee_id, e.amount / 3)
+            for i, e in enumerate(events)
+        ]
+        config = AggregationConfig(window_days=2)
+        lateness = float(SECONDS_PER_DAY)
+        live = SlidingWindowAggregator(config, allowed_lateness_seconds=lateness)
+        for event in events:
+            live.ingest(event)
+            if rng.random() < 0.5:
+                live.hbase_row(event.payer_id)
+            if rng.random() < 0.2:
+                live.features_for(event)
+        replayed = SlidingWindowAggregator(config, allowed_lateness_seconds=lateness)
+        replayed.ingest_many(events)  # the WAL-rebuild path: nothing read on the way
+        assert replayed.snapshot_rows() == live.snapshot_rows()
+        assert replayed.stats() == live.stats()
+        for user_id in live.account_ids():
+            assert_maintained_is_full_fold(live, user_id)
+
+    def test_features_for_at_the_watermark_equals_a_never_read_twin(self):
+        rng = np.random.default_rng(92)
+        events = [
+            make_txn(i, e.day, e.hour, e.payer_id, e.payee_id, e.amount / 7)
+            for i, e in enumerate(
+                random_stream(rng, num_events=400, num_accounts=12, num_days=6)
+            )
+        ]
+        windows = STANDARD_WINDOWS[1:]  # 24 h primary (maintained) + 1 h (full fold)
+        read = SlidingWindowAggregator(windows=windows)
+        twin = SlidingWindowAggregator(windows=windows)  # ingests, is never asked
+        at_watermark = 0
+        for event in events:
+            at_watermark += transaction_event_time(event) == read.watermark
+            served = read.features_for(event)
+            never_read = copy.deepcopy(twin)
+            assert served.tobytes() == never_read.features_for(event).tobytes()
+            read.ingest(event)
+            twin.ingest(event)
+        assert at_watermark > len(events) // 2
+        assert all(account.live is None for account in twin._accounts.values())
+
+    def test_returned_row_is_the_callers_and_the_payers_cell_is_shared(self):
+        engine, ingested = self._engine()
+        self._ingest(engine, ingested, 0, "p", "m", 0.1)
+        self._ingest(engine, ingested, 1, "q", "m", 0.2)
+        first = engine.hbase_row("m")
+        expected = dict(first)
+        first["in_count"] = -1.0
+        first["payers"] = frozenset({"forged"})
+        first["extra"] = 1.0
+        assert engine.hbase_row("m") == expected
+        self._ingest(engine, ingested, 2, "q", "m", 0.3)  # no payer enters or leaves
+        second = engine.hbase_row("m")
+        assert second["in_count"] == 3.0
+        assert second["payers"] is expected["payers"]  # one cell, shared
+        self._ingest(engine, ingested, 3, "r", "m", 0.3)
+        assert engine.hbase_row("m")["payers"] == {"p", "q", "r"}
+        assert expected["payers"] == {"p", "q"}  # the earlier row did not move
 
 
 # ---------------------------------------------------------------------------
