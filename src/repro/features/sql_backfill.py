@@ -25,6 +25,7 @@ amounts are dyadic (the parity-harness convention).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ from repro.features.aggregation import (
     is_night_hour,
     transaction_event_time,
 )
-from repro.maxcompute import MaxComputeClient, Schema
+from repro.maxcompute import MaxComputeClient, Table
 from repro.maxcompute.sql.executor import QueryStats
 
 #: Schema of the staged transactions table the generated queries run over.
@@ -115,18 +116,18 @@ class SQLBackfillEngine:
         table = self.client.create_partitioned_table(
             self.STAGING_TABLE, dict(STAGING_SCHEMA), partition_key="day"
         )
-        for txn in history:
-            event_time = transaction_event_time(txn)
-            table.append(
-                {
-                    "payer_id": txn.payer_id,
-                    "payee_id": txn.payee_id,
-                    "event_time": event_time,
-                    "amount": txn.amount,
-                    "night_flag": 1 if is_night_hour(txn.hour) else 0,
-                    "day": event_time // SECONDS_PER_DAY,
-                }
-            )
+        event_times = [transaction_event_time(txn) for txn in history]
+        table.extend_columns(
+            {
+                "payer_id": [txn.payer_id for txn in history],
+                "payee_id": [txn.payee_id for txn in history],
+                "event_time": event_times,
+                "amount": [txn.amount for txn in history],
+                "night_flag": [1 if is_night_hour(txn.hour) else 0 for txn in history],
+                "day": [event_time // SECONDS_PER_DAY for event_time in event_times],
+            },
+            len(history),
+        )
         return table.num_rows
 
     def backfill(
@@ -144,38 +145,47 @@ class SQLBackfillEngine:
             f"event_time > {_sql_number(window_start)} "
             f"AND event_time <= {_sql_number(as_of_time)}"
         )
-        aggregates: Dict[str, _UserAggregate] = {}
+        # A miss builds its aggregate on first touch (no throwaway per lookup).
+        aggregates: Dict[str, _UserAggregate] = defaultdict(_UserAggregate)
 
-        payer_rows = self._run(self._window_sql("payer_id", "payee_id", where), stats)
-        payee_rows = self._run(self._window_sql("payee_id", "payer_id", where), stats)
-        pair_rows = self._run(
+        payer_table = self._run(self._window_sql("payer_id", "payee_id", where), stats)
+        payee_table = self._run(self._window_sql("payee_id", "payer_id", where), stats)
+        pair_table = self._run(
             f"SELECT payer_id, payee_id, COUNT(*) AS n "
             f"FROM {self.STAGING_TABLE} WHERE {where} GROUP BY payer_id, payee_id",
             stats,
         )
         self._finalize_stats(stats)
 
-        for account, row in self._last_row_per_account("payer_id", payer_rows):
-            aggregate = aggregates.setdefault(account, _UserAggregate())
-            aggregate.out_count = int(row["out_count"])
-            aggregate.out_amount_sum = row["out_amount_sum"]
+        payer_last = self._last_row_per_account("payer_id", payer_table)
+        counts, sums = payer_table.column("out_count"), payer_table.column("out_amount_sum")
+        maxima, nights = payer_table.column("out_amount_max"), payer_table.column("out_night_count")
+        for account, row in payer_last:
+            aggregate = aggregates[account]
+            aggregate.out_count = int(counts[row])
+            aggregate.out_amount_sum = sums[row]
             # The loop's max-fold starts from the dataclass default 0.0.
-            aggregate.out_amount_max = max(0.0, row["out_amount_max"])
-            aggregate.out_night_count = int(row["out_night_count"])
-        for account, row in self._last_row_per_account("payee_id", payee_rows):
-            aggregate = aggregates.setdefault(account, _UserAggregate())
-            aggregate.in_count = int(row["in_count"])
-            aggregate.in_amount_sum = row["in_amount_sum"]
-            aggregate.in_amount_max = max(0.0, row["in_amount_max"])
+            aggregate.out_amount_max = max(0.0, maxima[row])
+            aggregate.out_night_count = int(nights[row])
+        payee_last = self._last_row_per_account("payee_id", payee_table)
+        counts, sums = payee_table.column("in_count"), payee_table.column("in_amount_sum")
+        maxima = payee_table.column("in_amount_max")
+        for account, row in payee_last:
+            aggregate = aggregates[account]
+            aggregate.in_count = int(counts[row])
+            aggregate.in_amount_sum = sums[row]
+            aggregate.in_amount_max = max(0.0, maxima[row])
 
-        for row in pair_rows:
-            payer, payee = row["payer_id"], row["payee_id"]
-            aggregates.setdefault(payer, _UserAggregate()).payees.add(payee)
-            aggregates.setdefault(payee, _UserAggregate()).payers.add(payer)
+        for payer, payee in zip(pair_table.column("payer_id"), pair_table.column("payee_id")):
+            aggregates[payer].payees.add(payee)
+            aggregates[payee].payers.add(payer)
 
-        self._cross_check_distinct_counts(aggregates, payer_rows, payee_rows)
+        distinct_payees = payer_table.column("distinct_payees")
+        self._cross_check_distinct_counts(aggregates, "payees", payer_last, distinct_payees)
+        distinct_payers = payee_table.column("distinct_payers")
+        self._cross_check_distinct_counts(aggregates, "payers", payee_last, distinct_payers)
         self.last_stats = stats
-        return aggregates
+        return dict(aggregates)
 
     # ------------------------------------------------------------------
     def _window_sql(self, side: str, counter_side: str, where: str) -> str:
@@ -200,13 +210,13 @@ class SQLBackfillEngine:
             f"FROM {self.STAGING_TABLE} WHERE {where}"
         )
 
-    def _run(self, sql: str, stats: BackfillStats) -> List[Dict[str, object]]:
+    def _run(self, sql: str, stats: BackfillStats) -> Table:
         result = self.client.submit_sql(sql, prune_partitions=self.prune_partitions)
         if not result.succeeded or result.result_table is None:
             raise FeatureError(f"backfill query failed: {sql}")
         if result.query_stats is not None:
             stats.per_query.append(result.query_stats)
-        return result.result_table.to_records()
+        return result.result_table
 
     def _finalize_stats(self, stats: BackfillStats) -> None:
         if not stats.per_query:
@@ -219,29 +229,27 @@ class SQLBackfillEngine:
         stats.rows_scanned = sum(query.rows_scanned for query in stats.per_query)
 
     @staticmethod
-    def _last_row_per_account(
-        key: str, rows: List[Dict[str, object]]
-    ) -> List[Tuple[str, Dict[str, object]]]:
-        """The final window row per account — its frame spans the whole window.
+    def _last_row_per_account(key: str, table: Table) -> List[Tuple[str, int]]:
+        """Each account's final window row (its index), in sorted account order.
 
         Every staged row's frame start precedes every staged time (WHERE
         already clipped to the window), so the last row of each partition
         carries the aggregate over the account's entire in-window history.
         """
-        last: Dict[str, Tuple[int, Dict[str, object]]] = {}
-        for row in rows:
-            account = row[key]  # type: ignore[index]
-            event_time = row["event_time"]  # type: ignore[index]
+        times = table.column("event_time")
+        last: Dict[str, int] = {}
+        for row, account in enumerate(table.column(key)):
             current = last.get(account)
-            if current is None or event_time >= current[0]:
-                last[account] = (event_time, row)  # type: ignore[assignment]
-        return [(account, last[account][1]) for account in sorted(last)]
+            if current is None or times[row] >= times[current]:
+                last[account] = row
+        return sorted(last.items())
 
+    @staticmethod
     def _cross_check_distinct_counts(
-        self,
         aggregates: Dict[str, _UserAggregate],
-        payer_rows: List[Dict[str, object]],
-        payee_rows: List[Dict[str, object]],
+        counterparties: str,
+        last_rows: List[Tuple[str, int]],
+        distinct: List[int],
     ) -> None:
         """COUNT(DISTINCT ...) from the window path must equal the pair sets.
 
@@ -249,17 +257,10 @@ class SQLBackfillEngine:
         GROUP BY); a mismatch means an engine bug, and silently publishing
         either number would poison the aggregate rows — fail loudly instead.
         """
-        for account, row in self._last_row_per_account("payer_id", payer_rows):
-            expected = len(aggregates[account].payees)
-            if int(row["distinct_payees"]) != expected:
+        for account, row in last_rows:
+            expected = len(getattr(aggregates[account], counterparties))
+            if int(distinct[row]) != expected:
                 raise FeatureError(
-                    f"distinct-payee mismatch for {account!r}: window query says "
-                    f"{row['distinct_payees']}, pair sets say {expected}"
-                )
-        for account, row in self._last_row_per_account("payee_id", payee_rows):
-            expected = len(aggregates[account].payers)
-            if int(row["distinct_payers"]) != expected:
-                raise FeatureError(
-                    f"distinct-payer mismatch for {account!r}: window query says "
-                    f"{row['distinct_payers']}, pair sets say {expected}"
+                    f"distinct-{counterparties} mismatch for {account!r}: window query "
+                    f"says {distinct[row]}, pair sets say {expected}"
                 )

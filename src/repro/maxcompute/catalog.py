@@ -74,13 +74,10 @@ class TableCatalog:
 
     # ------------------------------------------------------------------
     def insert_rows(self, name: str, rows: Iterable[Dict[str, object]]) -> int:
-        """Append rows to an existing table; returns the number inserted."""
-        table = self.get_table(name)
-        count = 0
-        for row in rows:
-            table.append(row)
-            count += 1
-        return count
+        """Append rows to an existing table as one block; returns the number inserted."""
+        rows = list(rows)
+        self.get_table(name).extend(rows)
+        return len(rows)
 
     def register(self, table: Table, *, overwrite: bool = True) -> None:
         """Register a fully built table (e.g. a SQL result) under its name."""

@@ -3,11 +3,11 @@
 The paper's backfill scans a transactions table partitioned by day; MaxCompute
 prunes partitions whose metadata proves no row can match the query predicate
 (the "Provenance-based Data Skipping" shape from PAPERS.md).  This module
-reproduces that storage layer: :class:`PartitionedTable` routes every appended
-row into a partition keyed by one column's value and maintains a
-:class:`ZoneMap` (per-column min / max / null count) per partition.  The SQL
-executor consults :func:`condition_may_match` to skip partitions and reports
-the decision in its query stats.
+reproduces that storage layer: :class:`PartitionedTable` routes every written
+block's row indices into partitions keyed by one column's value and builds a
+partition's :class:`ZoneMap` (per-column min / max / null count) on first use
+after a write.  The SQL executor consults :func:`condition_may_match` to skip
+partitions and reports the decision in its query stats.
 
 Pruning is *conservative*: a partition is skipped only when the zone map
 proves no row in it can satisfy the WHERE condition under the executor's
@@ -19,10 +19,10 @@ comparisons fall back to "may match" — correctness never depends on pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
-from repro.maxcompute.table import Schema, Table
+from repro.maxcompute.table import Columns, Schema, Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: sql.executor needs this module
     from repro.maxcompute.sql.parser import Condition
@@ -38,27 +38,19 @@ class ColumnZone:
     value_count: int = 0
     bounds_valid: bool = True
 
-    def observe(self, value: Any) -> None:
-        """Fold one stored (already coerced) value into the statistics."""
-        if value is None:
-            self.null_count += 1
-            return
-        if self.value_count == 0:
-            self.min_value = value
-            self.max_value = value
-        elif self.bounds_valid:
+    @classmethod
+    def from_values(cls, values: Sequence[Any]) -> "ColumnZone":
+        """Statistics of one stored (already coerced) column slice."""
+        present = [value for value in values if value is not None]
+        zone = cls(null_count=len(values) - len(present), value_count=len(present))
+        if present:
             try:
-                if value < self.min_value:
-                    self.min_value = value
-                elif value > self.max_value:
-                    self.max_value = value
+                zone.min_value, zone.max_value = min(present), max(present)
             except TypeError:
                 # Mixed un-orderable values (should not happen post-coercion);
                 # widen to "unknown" so pruning stays conservative.
-                self.min_value = None
-                self.max_value = None
-                self.bounds_valid = False
-        self.value_count += 1
+                zone.bounds_valid = False
+        return zone
 
     @property
     def bounds(self) -> Optional[Tuple[Any, Any]]:
@@ -75,14 +67,8 @@ class ZoneMap:
     columns: Dict[str, ColumnZone] = field(default_factory=dict)
     row_count: int = 0
 
-    def observe_row(self, row: Dict[str, Any]) -> None:
-        """Fold one stored row into every column's statistics."""
-        for name, value in row.items():
-            self.columns.setdefault(name, ColumnZone()).observe(value)
-        self.row_count += 1
-
     def zone(self, column: str) -> Optional[ColumnZone]:
-        """The named column's statistics, or ``None`` if never observed."""
+        """The named column's statistics, or ``None`` if the map has no such column."""
         return self.columns.get(column)
 
 
@@ -208,10 +194,11 @@ class PartitionedTable(Table):
     """A :class:`Table` whose rows are routed into partitions by a key column.
 
     Storage stays columnar in the base table (so every :class:`Table` API —
-    ``rows``, ``column``, ``select_rows`` — keeps working); the partition
-    layer adds per-key row-index lists plus a :class:`ZoneMap` per partition.
-    Iteration order over partitions is sorted by key for determinism, with
-    insertion order preserved within a partition.
+    ``rows``, ``column``, ``extend_columns`` — keeps working); the partition
+    layer adds per-key row-index lists plus a :class:`ZoneMap` per partition,
+    built from the partition's column slices the first time it is asked for
+    after a write.  Iteration order over partitions is sorted by key for
+    determinism, with insertion order preserved within a partition.
     """
 
     def __init__(self, name: str, schema: Schema, *, partition_key: str, comment: str = ""):
@@ -225,18 +212,27 @@ class PartitionedTable(Table):
         self._zone_maps: Dict[Any, ZoneMap] = {}
 
     # ------------------------------------------------------------------
-    def append(self, row: Dict[str, Any]) -> None:
-        """Append one row, routing it into its partition and zone map."""
-        super().append(row)
-        index = self._num_rows - 1
-        stored = {name: values[index] for name, values in self._columns.items()}
-        key = stored[self.partition_key]
-        if key is None:
+    def _store_block(self, block: Columns, count: int) -> None:
+        """Store a block and route its row indices by the key column.
+
+        A NULL key rejects the whole block before anything is stored.
+        """
+        keys = block[self.partition_key]
+        if None in keys:
             raise SchemaError(
                 f"partition key {self.partition_key!r} must be non-NULL in table {self.name!r}"
             )
-        self._partition_indices.setdefault(key, []).append(index)
-        self._zone_maps.setdefault(key, ZoneMap()).observe_row(stored)
+        first = self._num_rows
+        super()._store_block(block, count)
+        partitions = self._partition_indices
+        for index, key in enumerate(keys, first):
+            indices = partitions.get(key)
+            if indices is None:
+                indices = partitions[key] = []
+            indices.append(index)
+            # Invariant: a zone map is never older than its partition's last
+            # write — the write drops it, the next reader rebuilds it.
+            self._zone_maps.pop(key, None)
 
     # ------------------------------------------------------------------
     @property
@@ -255,15 +251,23 @@ class PartitionedTable(Table):
         return list(self._partition_indices[key])
 
     def zone_map(self, key: Any) -> ZoneMap:
-        """The zone map of one partition."""
-        if key not in self._zone_maps:
-            raise SchemaError(f"unknown partition {key!r} in table {self.name!r}")
-        return self._zone_maps[key]
+        """The zone map of one partition (built on first use after a write)."""
+        zone_map = self._zone_maps.get(key)
+        if zone_map is None:
+            indices = self.partition_indices(key)
+            zone_map = self._zone_maps[key] = ZoneMap(
+                columns={
+                    name: ColumnZone.from_values([values[i] for i in indices])
+                    for name, values in self._columns.items()
+                },
+                row_count=len(indices),
+            )
+        return zone_map
 
     def iter_partitions(self) -> Iterator[Tuple[Any, List[int], ZoneMap]]:
         """Yield ``(key, row_indices, zone_map)`` in sorted key order."""
         for key in self.partition_keys():
-            yield key, self._partition_indices[key], self._zone_maps[key]
+            yield key, self._partition_indices[key], self.zone_map(key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -4,9 +4,11 @@ The executor evaluates a parsed :class:`~repro.maxcompute.sql.parser.SelectState
 against the catalog: scan (with zone-map partition pruning on
 :class:`~repro.maxcompute.partitioned.PartitionedTable` sources) → filter
 (WHERE) → group / aggregate (GROUP BY) or windowed aggregation (OVER) →
-project → sort (ORDER BY) → truncate (LIMIT).  Results are returned as new
-in-memory :class:`~repro.maxcompute.table.Table` objects so downstream jobs
-can consume them like any other table.
+project → sort (ORDER BY) → truncate (LIMIT).  Every stage works on the
+source's column lists and a list of row indices — no row dict is built — and
+the result is one column block, returned as a new in-memory
+:class:`~repro.maxcompute.table.Table` so downstream jobs can consume it like
+any other table.
 
 Window frames are *left-open / right-closed* over the ordering column —
 ``(current - preceding, current]`` — matching the feature layer's
@@ -20,7 +22,7 @@ import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SQLPlanError
 from repro.maxcompute.catalog import TableCatalog
@@ -37,47 +39,63 @@ from repro.maxcompute.sql.parser import (
     WindowAggregate,
     parse_sql,
 )
-from repro.maxcompute.table import Column, ColumnType, Schema, Table
+from repro.maxcompute.table import Column, Columns, ColumnType, Schema, Table
 
 
-def _compare(left: Any, operator: str, right: Any) -> bool:
-    if left is None or right is None:
-        # SQL three-valued logic collapsed to False for simplicity.
-        return False
-    if operator == "=":
-        return left == right
-    if operator == "!=":
-        return left != right
-    try:
-        if operator == "<":
-            return left < right
-        if operator == "<=":
-            return left <= right
-        if operator == ">":
-            return left > right
-        if operator == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise SQLPlanError(f"cannot compare {left!r} and {right!r}") from exc
-    raise SQLPlanError(f"unknown operator {operator!r}")
+_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: Per PARTITION BY value of one OVER clause, in ORDER BY order (ties by input
+#: position): positions into the scanned index list, the source row indices at
+#: those positions, and their ORDER BY values.
+_WindowLayout = List[Tuple[List[int], List[int], List[Any]]]
 
 
-def evaluate_condition(condition: Condition, row: Dict[str, Any]) -> bool:
-    """Evaluate a WHERE condition against one row."""
+def _select(condition: Condition, columns: Columns, indices: List[int]) -> List[int]:
+    """The rows of ``indices`` (order kept) that satisfy a WHERE condition.
+
+    A selection vector over columns that evaluates exactly the rows a per-row
+    short circuit would: ``AND`` hands each operand only the survivors of the
+    previous ones, ``OR`` only the rows no earlier operand accepted, so a type
+    error in a later operand surfaces for the same statements.  SQL's
+    three-valued logic is collapsed: a comparison against NULL is False.
+    """
     if isinstance(condition, Comparison):
-        if condition.column not in row:
-            raise SQLPlanError(f"unknown column {condition.column!r} in WHERE clause")
-        return _compare(row[condition.column], condition.operator, condition.value)
+        compare = _COMPARATORS.get(condition.operator)
+        if compare is None:
+            raise SQLPlanError(f"unknown operator {condition.operator!r}")
+        values, literal = columns[condition.column], condition.value
+        if literal is None:
+            return []
+        try:
+            return [i for i in indices if (v := values[i]) is not None and compare(v, literal)]
+        except TypeError as exc:
+            raise SQLPlanError(
+                f"cannot compare column {condition.column!r} with {literal!r}"
+            ) from exc
     if isinstance(condition, InList):
-        if condition.column not in row:
-            raise SQLPlanError(f"unknown column {condition.column!r} in WHERE clause")
-        return row[condition.column] in condition.values
+        values, listed = columns[condition.column], condition.values
+        return [i for i in indices if values[i] in listed]
     if isinstance(condition, Not):
-        return not evaluate_condition(condition.operand, row)
+        rejected = set(_select(condition.operand, columns, indices))
+        return [i for i in indices if i not in rejected]
     if isinstance(condition, BooleanOp):
         if condition.operator == "and":
-            return all(evaluate_condition(op, row) for op in condition.operands)
-        return any(evaluate_condition(op, row) for op in condition.operands)
+            for operand in condition.operands:
+                indices = _select(operand, columns, indices)
+            return indices
+        accepted: Set[int] = set()
+        undecided = indices
+        for operand in condition.operands:
+            accepted.update(_select(operand, columns, undecided))
+            undecided = [i for i in undecided if i not in accepted]
+        return [i for i in indices if i in accepted]
     raise SQLPlanError(f"unsupported condition node {condition!r}")
 
 
@@ -92,18 +110,16 @@ def _condition_columns(condition: Condition) -> Iterator[str]:
             yield from _condition_columns(operand)
 
 
-def _aggregate_value(aggregate: Aggregate, rows: Sequence[Dict[str, Any]]) -> Any:
-    if aggregate.function == "count":
-        if aggregate.column is None:
-            return len(rows)
-        if aggregate.distinct:
-            return len(
-                {row[aggregate.column] for row in rows if row.get(aggregate.column) is not None}
-            )
-        return sum(1 for row in rows if row.get(aggregate.column) is not None)
+def _aggregate_value(aggregate: Aggregate, columns: Columns, rows: List[int]) -> Any:
+    """One GROUP BY aggregate over the source rows ``rows`` of one group."""
     if aggregate.column is None:
+        if aggregate.function == "count":
+            return len(rows)
         raise SQLPlanError(f"{aggregate.function.upper()} requires a column")
-    values = [row[aggregate.column] for row in rows if row.get(aggregate.column) is not None]
+    column = columns[aggregate.column]
+    values = [v for i in rows if (v := column[i]) is not None]
+    if aggregate.function == "count":
+        return len(set(values)) if aggregate.distinct else len(values)
     if not values:
         return None
     if aggregate.function in ("sum", "avg"):
@@ -119,57 +135,70 @@ def _aggregate_value(aggregate: Aggregate, rows: Sequence[Dict[str, Any]]) -> An
     raise SQLPlanError(f"unknown aggregate {aggregate.function!r}")
 
 
-def _window_values(aggregate: WindowAggregate, rows: Sequence[Dict[str, Any]]) -> List[Any]:
-    """Evaluate one windowed aggregate for every input row (single pass).
+def _window_layout(
+    columns: Columns, indices: List[int], partition_by: str, order_by: str
+) -> _WindowLayout:
+    """Bucket the scanned rows by ``partition_by`` and sort each bucket once.
 
-    Rows are bucketed by the partition column, sorted by the ordering column
-    (ties broken by input position), and swept once with two monotone
+    Shared by every aggregate of a statement that names the same OVER clause.
+    """
+    partition_values, order_values = columns[partition_by], columns[order_by]
+    times = [order_values[index] for index in indices]
+    if None in times:
+        raise SQLPlanError(f"window ORDER BY column {order_by!r} must be non-NULL")
+    buckets: Dict[Any, List[int]] = {}
+    for position, index in enumerate(indices):
+        buckets.setdefault(partition_values[index], []).append(position)
+    try:
+        # Stable, and positions ascend within a bucket: ties keep input order.
+        orders = [sorted(bucket, key=times.__getitem__) for bucket in buckets.values()]
+    except TypeError as exc:
+        raise SQLPlanError(
+            f"window ORDER BY column {order_by!r} mixes incomparable values"
+        ) from exc
+    return [(order, [indices[p] for p in order], [times[p] for p in order]) for order in orders]
+
+
+def _window_values(
+    aggregate: WindowAggregate, columns: Columns, layout: _WindowLayout, num_rows: int
+) -> List[Any]:
+    """Evaluate one windowed aggregate for every scanned row (single pass).
+
+    Each partition of the OVER clause's layout is swept once with two monotone
     pointers bounding the ``(t - preceding, t]`` frame.  count/sum/avg keep
     running accumulators, min/max a monotonic deque, COUNT(DISTINCT) a
     multiset — every row costs amortised O(1).
     """
     function = aggregate.function
+    if function not in ("count", "sum", "avg", "min", "max"):
+        raise SQLPlanError(f"unknown window aggregate {function!r}")
     if function != "count" and aggregate.column is None:
         raise SQLPlanError(f"{function.upper()} requires a column")
-    partitions: Dict[Any, List[int]] = {}
-    for index, row in enumerate(rows):
-        partitions.setdefault(row[aggregate.partition_by], []).append(index)
-    results: List[Any] = [None] * len(rows)
+    column = None if aggregate.column is None else columns[aggregate.column]
+    distinct = aggregate.distinct
+    summing = function in ("sum", "avg")
+    extremal = function in ("min", "max")
+    is_min = function == "min"
+    results: List[Any] = [None] * num_rows
     width = aggregate.frame.preceding
-    for key in partitions:
-        indices = partitions[key]
-        for index in indices:
-            if rows[index][aggregate.order_by] is None:
-                raise SQLPlanError(
-                    f"window ORDER BY column {aggregate.order_by!r} must be non-NULL"
-                )
-        try:
-            order = sorted(indices, key=lambda i: (rows[i][aggregate.order_by], i))
-        except TypeError as exc:
-            raise SQLPlanError(
-                f"window ORDER BY column {aggregate.order_by!r} mixes incomparable values"
-            ) from exc
-        times = [rows[i][aggregate.order_by] for i in order]
-        values: Optional[List[Any]] = None
-        if aggregate.column is not None:
-            values = [rows[i][aggregate.column] for i in order]
+    for order, rows, times in layout:
+        size = len(order)
+        values: List[Any] = [None] * size if column is None else [column[i] for i in rows]
         start = end = 0
         count_nonnull = 0
         running_sum: Any = 0
         distinct_counts: Dict[Any, int] = {}
-        extrema: deque = deque()  # positions into `order`, values monotone
-        is_min = function == "min"
-        for position, index in enumerate(order):
-            current_time = times[position]
-            while end < len(order) and times[end] <= current_time:
-                value = None if values is None else values[end]
+        extrema: Deque[int] = deque()  # positions into `times`, values monotone
+        for position, current_time in zip(order, times):
+            while end < size and times[end] <= current_time:
+                value = values[end]
                 if value is not None:
-                    if aggregate.distinct:
+                    if distinct:
                         distinct_counts[value] = distinct_counts.get(value, 0) + 1
-                    elif function in ("sum", "avg"):
+                    elif summing:
                         running_sum += value
                         count_nonnull += 1
-                    elif function in ("min", "max"):
+                    elif extremal:
                         while extrema and (
                             values[extrema[-1]] >= value
                             if is_min
@@ -180,37 +209,37 @@ def _window_values(aggregate: WindowAggregate, rows: Sequence[Dict[str, Any]]) -
                     else:  # count(col)
                         count_nonnull += 1
                 end += 1
-            while times[start] <= current_time - width:
-                value = None if values is None else values[start]
+            expired = current_time - width
+            while start < end and times[start] <= expired:
+                value = values[start]
                 if value is not None:
-                    if aggregate.distinct:
+                    if distinct:
                         distinct_counts[value] -= 1
                         if distinct_counts[value] == 0:
                             del distinct_counts[value]
-                    elif function in ("sum", "avg"):
+                    elif summing:
                         running_sum -= value
                         count_nonnull -= 1
-                    elif function in ("min", "max"):
+                    elif extremal:
                         if extrema and extrema[0] == start:
                             extrema.popleft()
                     else:
                         count_nonnull -= 1
                 start += 1
-            if function == "count":
-                if aggregate.column is None:
-                    results[index] = end - start
-                elif aggregate.distinct:
-                    results[index] = len(distinct_counts)
-                else:
-                    results[index] = count_nonnull
+            if column is None:
+                results[position] = end - start
+            elif distinct:
+                results[position] = len(distinct_counts)
+            elif extremal:
+                results[position] = values[extrema[0]] if extrema else None
+            elif function == "count":
+                results[position] = count_nonnull
+            elif not count_nonnull:
+                results[position] = None
             elif function == "sum":
-                results[index] = running_sum if count_nonnull else None
-            elif function == "avg":
-                results[index] = running_sum / count_nonnull if count_nonnull else None
-            elif function in ("min", "max"):
-                results[index] = values[extrema[0]] if extrema else None
+                results[position] = running_sum
             else:
-                raise SQLPlanError(f"unknown window aggregate {function!r}")
+                results[position] = running_sum / count_nonnull
     return results
 
 
@@ -261,34 +290,41 @@ class SQLExecutor:
         source = self.catalog.get_table(statement.table)
         self._validate_columns(statement, source)
         stats = QueryStats(pruning_enabled=prune_partitions)
+        columns: Columns = {name: source.column(name) for name in source.schema.names()}
 
-        rows = self._scan(statement, source, stats, prune_partitions)
-        stats.rows_matched = len(rows)
+        indices = self._scan(statement, source, columns, stats, prune_partitions)
+        stats.rows_matched = count = len(indices)  # output rows, unless GROUP BY collapses them
 
         if statement.has_window_functions:
             if statement.group_by or statement.has_aggregates:
                 raise SQLPlanError(
                     "window functions cannot be combined with GROUP BY or plain aggregates"
                 )
-            output_rows = self._window(statement, rows)
+            block = self._window(statement, columns, indices)
         elif statement.group_by or statement.has_aggregates:
-            output_rows = self._aggregate(statement, rows)
+            block, count = self._aggregate(statement, columns, indices)
         else:
-            output_rows = self._project(statement, rows)
+            block = self._project(statement, columns, indices)
 
         schema = self._output_schema(statement, source)
+        order: Optional[Sequence[int]] = None
         if statement.order_by is not None:
             if statement.order_by not in schema:
                 raise SQLPlanError(f"ORDER BY column {statement.order_by!r} not in result")
-            output_rows.sort(
-                key=lambda row: (row[statement.order_by] is None, row[statement.order_by]),
+            keys = block[statement.order_by]
+            order = sorted(
+                range(count),
+                key=lambda position: (keys[position] is None, keys[position]),
                 reverse=statement.order_desc,
             )
         if statement.limit is not None:
-            output_rows = output_rows[: statement.limit]
+            order = (range(count) if order is None else order)[: statement.limit]
+        if order is not None:
+            block = {name: [values[p] for p in order] for name, values in block.items()}
+            count = len(order)
 
         result = Table(result_name, schema)
-        result.extend(output_rows)
+        result.extend_columns(block, count)
         self.last_stats = stats
         return result
 
@@ -297,10 +333,11 @@ class SQLExecutor:
         self,
         statement: SelectStatement,
         source: Table,
+        columns: Columns,
         stats: QueryStats,
         prune_partitions: bool,
-    ) -> List[Dict[str, Any]]:
-        """Read matching rows, skipping provably non-matching partitions.
+    ) -> List[int]:
+        """Indices of the matching rows, skipping provably non-matching partitions.
 
         On a partitioned source, rows come out in sorted-partition-key order
         (insertion order within a partition); on a plain table, in insertion
@@ -309,29 +346,24 @@ class SQLExecutor:
         if isinstance(source, PartitionedTable):
             stats.partitions_total = source.num_partitions
             stats.partitions_scanned = 0
-            kept: List[Dict[str, Any]] = []
-            for _, indices, zone_map in source.iter_partitions():
+            indices: List[int] = []
+            for key in source.partition_keys():
                 if (
                     prune_partitions
                     and statement.where is not None
-                    and not condition_may_match(statement.where, zone_map)
+                    and not condition_may_match(statement.where, source.zone_map(key))
                 ):
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_scanned += 1
-                stats.rows_scanned += len(indices)
-                for index in indices:
-                    row = source.row(index)
-                    if self._keep(statement, row):
-                        kept.append(row)
-            return kept
-        stats.rows_scanned = source.num_rows
-        return [row for row in source.rows() if self._keep(statement, row)]
-
-    def _keep(self, statement: SelectStatement, row: Dict[str, Any]) -> bool:
+                indices.extend(source.partition_indices(key))
+            stats.rows_scanned = len(indices)
+        else:
+            stats.rows_scanned = source.num_rows
+            indices = list(range(source.num_rows))
         if statement.where is None:
-            return True
-        return evaluate_condition(statement.where, row)
+            return indices
+        return _select(statement.where, columns, indices)
 
     def _validate_columns(self, statement: SelectStatement, source: Table) -> None:
         for item in statement.items:
@@ -372,7 +404,7 @@ class SQLExecutor:
         if statement.select_all:
             return Schema(columns=list(source.schema.columns))
         columns: List[Column] = []
-        seen: set = set()
+        seen: Set[str] = set()
         for name in statement.group_by:
             columns.append(Column(name, source.schema.column(name).type))
             seen.add(name)
@@ -387,42 +419,35 @@ class SQLExecutor:
                 columns.append(Column(output, self._aggregate_type(item, source)))
         return Schema(columns=columns)
 
-    def _project(
-        self, statement: SelectStatement, rows: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
+    def _project(self, statement: SelectStatement, columns: Columns, indices: List[int]) -> Columns:
+        """Gather the matching rows of the projected (or, for ``*``, all) columns."""
         if statement.select_all:
-            return rows
-        projected = []
-        for row in rows:
-            projected.append(
-                {item.output_name: row[item.name] for item in statement.items}  # type: ignore[union-attr]
-            )
-        return projected
+            return {name: [values[i] for i in indices] for name, values in columns.items()}
+        return {
+            item.output_name: [columns[item.name][i] for i in indices]  # type: ignore[union-attr]
+            for item in statement.items
+        }
 
-    def _window(
-        self, statement: SelectStatement, rows: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Project plain columns and windowed aggregates, one output per input row."""
-        values_by_item: List[Optional[List[Any]]] = []
+    def _window(self, statement: SelectStatement, columns: Columns, indices: List[int]) -> Columns:
+        """Project plain columns and windowed aggregates, one output per scanned row."""
+        layouts: Dict[Tuple[str, str], _WindowLayout] = {}
+        block: Columns = {}
         for item in statement.items:
             if isinstance(item, WindowAggregate):
-                values_by_item.append(_window_values(item, rows))
+                clause = (item.partition_by, item.order_by)
+                if clause not in layouts:
+                    layouts[clause] = _window_layout(columns, indices, *clause)
+                block[item.output_name] = _window_values(
+                    item, columns, layouts[clause], len(indices)
+                )
             else:
-                values_by_item.append(None)
-        output: List[Dict[str, Any]] = []
-        for index, row in enumerate(rows):
-            record: Dict[str, Any] = {}
-            for item, values in zip(statement.items, values_by_item):
-                if values is not None:
-                    record[item.output_name] = values[index]
-                else:
-                    record[item.output_name] = row[item.name]  # type: ignore[union-attr]
-            output.append(record)
-        return output
+                values = columns[item.name]  # type: ignore[union-attr]
+                block[item.output_name] = [values[i] for i in indices]
+        return block
 
     def _aggregate(
-        self, statement: SelectStatement, rows: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
+        self, statement: SelectStatement, columns: Columns, indices: List[int]
+    ) -> Tuple[Columns, int]:
         aggregates = [item for item in statement.items if isinstance(item, Aggregate)]
         plain = [item for item in statement.items if isinstance(item, ColumnRef)]
         for item in plain:
@@ -431,22 +456,22 @@ class SQLExecutor:
                     f"column {item.name!r} must appear in GROUP BY or inside an aggregate"
                 )
 
-        groups: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+        groups: Dict[Tuple[Any, ...], List[int]] = {}
         if statement.group_by:
-            for row in rows:
-                key = tuple(row[column] for column in statement.group_by)
-                groups.setdefault(key, []).append(row)
+            keys = zip(*[[columns[name][i] for i in indices] for name in statement.group_by])
+            for key, index in zip(keys, indices):
+                groups.setdefault(key, []).append(index)
         else:
-            groups[()] = rows
+            groups[()] = indices
 
-        output: List[Dict[str, Any]] = []
-        for key, group_rows in groups.items():
-            record: Dict[str, Any] = {
-                column: value for column, value in zip(statement.group_by, key)
-            }
-            for item in plain:
-                record[item.output_name] = record.get(item.name)
-            for aggregate in aggregates:
-                record[aggregate.output_name] = _aggregate_value(aggregate, group_rows)
-            output.append(record)
-        return output
+        block: Columns = {
+            name: [key[position] for key in groups]
+            for position, name in enumerate(statement.group_by)
+        }
+        for item in plain:
+            block[item.output_name] = block[item.name]
+        for aggregate in aggregates:
+            block[aggregate.output_name] = [
+                _aggregate_value(aggregate, columns, rows) for rows in groups.values()
+            ]
+        return block, len(groups)

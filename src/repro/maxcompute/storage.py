@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.exceptions import StorageError, TableNotFoundError
-from repro.maxcompute.table import Schema, Table, table_from_records
+from repro.maxcompute.partitioned import PartitionedTable
+from repro.maxcompute.table import Schema, Table
 
 
 class PanguStorage:
@@ -65,11 +66,13 @@ class PanguStorage:
             "schema": {column.name: column.type.value for column in table.schema.columns},
             "rows": table.to_records(),
         }
+        if isinstance(table, PartitionedTable):
+            payload["partition_key"] = table.partition_key
         path.write_text(json.dumps(payload))
         return path
 
     def restore(self, name: str) -> Table:
-        """Load a previously snapshotted table back into the store."""
+        """Load a snapshot back into the store (partitioned if it names a key)."""
         if self._root is None:
             raise StorageError("PanguStorage was created without a root directory")
         path = self._root / f"{name}.json"
@@ -77,6 +80,12 @@ class PanguStorage:
             raise TableNotFoundError(f"no snapshot for table {name!r} at {path}")
         payload = json.loads(path.read_text())
         schema = Schema.from_dict(payload["schema"])
-        table = table_from_records(payload["name"], payload["rows"], schema=schema)
+        partition_key = payload.get("partition_key")
+        table = (
+            Table(payload["name"], schema)
+            if partition_key is None
+            else PartitionedTable(payload["name"], schema, partition_key=partition_key)
+        )
+        table.extend(payload["rows"])
         self.put(table)
         return table

@@ -2,17 +2,22 @@
 
 Tables store data column-wise (lists per column) with a typed schema, the
 storage layout a MaxCompute-like warehouse would use for scan-heavy analytical
-jobs.  Rows are plain dictionaries at the API boundary so that the data
-generator's records load directly.
+jobs.  :meth:`Table.extend_columns` is the one write path and takes a block of
+columns; rows are plain dictionaries only at the API boundary (``append`` /
+``extend`` / ``rows``) so that the data generator's records load directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import SchemaError
+
+#: A block of rows held column-wise: ``name -> values``, all of one length.
+Columns = Dict[str, List[Any]]
 
 
 class ColumnType(str, Enum):
@@ -41,6 +46,16 @@ class ColumnType(str, Enum):
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"cannot coerce {value!r} to {self.value}") from exc
         raise SchemaError(f"unsupported column type {self!r}")  # pragma: no cover
+
+    def _coerce_column(self, values: Sequence[Any]) -> List[Any]:
+        """Coerce a whole column in one pass; values already stored-typed pass through."""
+        stored = _STORED_TYPES[self.value]
+        coerce = self.coerce
+        return [v if v is None or type(v) is stored else coerce(v) for v in values]
+
+
+#: The exact Python type a coerced non-NULL value of each column type has.
+_STORED_TYPES: Dict[str, type] = {"string": str, "bigint": int, "double": float, "boolean": bool}
 
 
 @dataclass(frozen=True)
@@ -147,19 +162,49 @@ class Table:
     def __len__(self) -> int:
         return self._num_rows
 
-    def append(self, row: Dict[str, Any]) -> None:
-        """Append one row (missing columns become NULL, extras are rejected)."""
-        unknown = set(row) - set(self._columns)
+    def extend_columns(self, columns: Columns, count: int) -> None:
+        """Append ``count`` rows given column-wise — the one write path.
+
+        A column missing from ``columns`` is NULL in every row of the block;
+        unknown columns and columns whose length is not ``count`` are
+        rejected.  The block is all-or-nothing: every column is coerced before
+        anything is stored, so a rejected value leaves the table untouched.
+        """
+        unknown = set(columns) - set(self._columns)
         if unknown:
             raise SchemaError(f"row contains unknown columns {sorted(unknown)}")
+        if count < 0:
+            raise SchemaError(f"a block cannot hold {count} rows")
+        block: Columns = {}
         for column in self.schema.columns:
-            value = row.get(column.name)
-            self._columns[column.name].append(column.type.coerce(value))
-        self._num_rows += 1
+            values = columns.get(column.name)
+            if values is None:
+                block[column.name] = [None] * count
+            elif len(values) != count:
+                raise SchemaError(
+                    f"column {column.name!r} holds {len(values)} values, expected {count}"
+                )
+            else:
+                block[column.name] = column.type._coerce_column(values)
+        self._store_block(block, count)
+
+    def _store_block(self, block: Columns, count: int) -> None:
+        """Store an already coerced, full-width block (subclasses route it)."""
+        for name, values in block.items():
+            self._columns[name].extend(values)
+        self._num_rows += count
+
+    def append(self, row: Dict[str, Any]) -> None:
+        """Append one row (missing columns become NULL, extras are rejected)."""
+        self.extend_columns({name: [value] for name, value in row.items()}, 1)
 
     def extend(self, rows: Iterable[Dict[str, Any]]) -> None:
-        for row in rows:
-            self.append(row)
+        """Append ``rows`` as one block: a rejected row stores none of them."""
+        records = list(rows)
+        names = dict.fromkeys(chain.from_iterable(records))
+        self.extend_columns(
+            {name: [row.get(name) for row in records] for name in names}, len(records)
+        )
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> List[Any]:
@@ -180,17 +225,7 @@ class Table:
     def to_records(self) -> List[Dict[str, Any]]:
         return list(self.rows())
 
-    def head(self, limit: int = 5) -> List[Dict[str, Any]]:
-        return [self.row(i) for i in range(min(limit, self._num_rows))]
-
     # ------------------------------------------------------------------
-    def select_rows(self, indices: Sequence[int]) -> "Table":
-        """New table containing only ``indices`` (used by the SQL executor)."""
-        result = Table(self.name, self.schema, comment=self.comment)
-        for index in indices:
-            result.append(self.row(index))
-        return result
-
     def partition_rows(self, num_splits: int) -> List[List[int]]:
         """Split row indices into ``num_splits`` contiguous chunks (for subtasks).
 

@@ -165,6 +165,25 @@ class TestPartitionSkipping:
         )
 
 
+def test_distinct_count_cross_check_fails_loudly(rng, monkeypatch):
+    """The window path's COUNT(DISTINCT) and the GROUP BY pair sets are two
+    query shapes for one number; an engine bug in either must not publish."""
+    from repro.maxcompute.sql import executor as executor_module
+
+    window_values = executor_module._window_values
+
+    def off_by_one(aggregate, *args):
+        values = window_values(aggregate, *args)
+        return [value + 1 for value in values] if aggregate.distinct else values
+
+    monkeypatch.setattr(executor_module, "_window_values", off_by_one)
+    events = random_stream(rng, num_events=80, num_accounts=10, num_days=4)
+    with pytest.raises(FeatureError, match="distinct-payees mismatch"):
+        SQLBackfillEngine(AggregationConfig(window_days=3)).backfill(
+            events, as_of_time=4 * SECONDS_PER_DAY - 1
+        )
+
+
 class TestSQLNumberLiterals:
     def test_integral_floats_render_as_integers(self):
         assert _sql_number(1209600.0) == "1209600"
