@@ -36,7 +36,6 @@ from repro.serving import (
     FleetController,
     ModelServer,
     ModelServerConfig,
-    ServingRouter,
     fleet_cache_stats,
 )
 
@@ -94,9 +93,7 @@ def main() -> None:
           f"window {champion.plan.aggregation}")
 
     print("3. Online: coalesced replay through the account-sharded fleet ...")
-    alipay = AlipayServer(
-        fleet, feature_updater=updater, router=ServingRouter(FLEET_SIZE)
-    )
+    alipay = AlipayServer(fleet, feature_updater=updater)
     test_transactions = dataset.test_transactions
     half = len(test_transactions) // 2
     report = alipay.replay_transactions(
@@ -144,11 +141,7 @@ def main() -> None:
     # No feature updater here: sections 3-4 already streamed this test day
     # into the shared window engine, and re-ingesting the same transactions
     # would double-count every account's aggregates.
-    burst_front = AlipayServer(
-        fleet,
-        router=ServingRouter(FLEET_SIZE),
-        admission=admission,
-    )
+    burst_front = AlipayServer(fleet, admission=admission)
     burst_report = burst_front.replay_transactions(
         test_transactions, arrival_rate_per_s=3000.0
     )

@@ -230,6 +230,22 @@ PUBLIC_API = [
         "PS-side histogram-aggregated GBDT on the KunPeng substrate.",
     ),
     (
+        "Level-wise tree growth",
+        "repro.models.tree.histogram",
+        ["grow_level_wise", "apply_decisions", "HistogramTreeBuilder"],
+        "One histogram tree grower: the local builder runs it over one "
+        "partition, DistributedGBDT over the workers' partitions with the "
+        "parameter servers summing each level's histograms.",
+    ),
+    (
+        "Shared training numerics",
+        "repro.numerics",
+        ["sigmoid", "class_weights", "column_scaling"],
+        "The arithmetic every trainer in models/ and nrl/ imports instead of "
+        "spelling: clipped sigmoid, balanced class weights, zero-variance-safe "
+        "column scaling.",
+    ),
+    (
         "Compiled forest",
         "repro.models.tree.forest",
         ["CompiledForest"],

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Invariant linter: statically enforce the repo's correctness contracts.
 
-Runs the five AST checkers of :mod:`repro.analysis` over ``src/repro``:
+Runs the six AST checkers of :mod:`repro.analysis` over ``src/repro``:
 
 * ``rng-discipline`` — all randomness flows through seeded Generators,
 * ``clock-discipline`` — simulated-clock code never reads the wall clock,
 * ``shm-lifecycle`` — shared-memory allocations have a reachable release,
 * ``layering`` — the subsystem import DAG holds,
-* ``iteration-order`` — no hash-order iteration feeds checksummed output.
+* ``iteration-order`` — no hash-order iteration feeds checksummed output,
+* ``duplicate-definition`` — a function body or module constant is defined in
+  one module and imported by the rest.
 
 A deliberate violation carries ``# repro-lint: ignore[rule]`` and its reason
 on the flagged line; everything else fails the run with ``path:line: [rule]

@@ -5,7 +5,9 @@ The typed core is ``src/repro/kunpeng`` (the process-parallel PS substrate,
 where a type confusion means corrupted shared-memory blocks) plus
 the serving request path (``serving/router.py``, ``serving/coalescer.py``,
 ``serving/alipay.py``, ``serving/async_server.py``), the compiled GBDT
-scorer ``models/tree/forest.py`` and the feature-assembly path
+scorer ``models/tree/forest.py``, the level-wise grower
+``models/tree/histogram.py`` with the trainers' ``numerics.py`` and the
+feature-assembly path
 (``features/plan.py``, ``features/basic.py``, ``serving/feature_source.py``).
 The static-analysis CI
 job installs mypy and runs this script; in environments without mypy (the

@@ -5,14 +5,15 @@ materialized generation, simulated-vs-wall clock agreement, bit-exact
 inline-vs-process PS shards, online==offline feature parity — all rest on
 coding invariants (seeded RNG threading, no wall-clock reads in simulated
 paths, paired shared-memory allocate/unlink, a strict import DAG,
-deterministic iteration order) that break silently when violated.  This
+deterministic iteration order, one definition per decision) that break
+silently when violated.  This
 package checks them mechanically:
 
 * :mod:`repro.analysis.findings` — the :class:`Finding` diagnostic record
   shared by every repo tool that reports problems,
 * :mod:`repro.analysis.framework` — the :class:`Checker` base class, module
   contexts and the rule registry,
-* :mod:`repro.analysis.checkers` — the five repo-specific invariant rules,
+* :mod:`repro.analysis.checkers` — the six repo-specific invariant rules,
 * :mod:`repro.analysis.reporters` — text and JSON rendering,
 * :mod:`repro.analysis.runner` — file discovery and orchestration.
 

@@ -1,4 +1,4 @@
-"""The five repo-specific invariant rules.
+"""The six repo-specific invariant rules.
 
 Importing this package registers every bundled checker with the framework
 registry (see :func:`repro.analysis.framework.register`):
@@ -10,10 +10,13 @@ registry (see :func:`repro.analysis.framework.register`):
   release,
 * ``layering`` — the import DAG between subsystems holds,
 * ``iteration-order`` — no hash-order-dependent iteration feeds
-  deterministic output.
+  deterministic output,
+* ``duplicate-definition`` — a function body or a module constant has one
+  defining site.
 """
 
 from repro.analysis.checkers import clock  # noqa: F401
+from repro.analysis.checkers import duplicates  # noqa: F401
 from repro.analysis.checkers import iteration  # noqa: F401
 from repro.analysis.checkers import layering  # noqa: F401
 from repro.analysis.checkers import rng  # noqa: F401

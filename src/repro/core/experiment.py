@@ -220,8 +220,8 @@ class ExperimentRunner:
         size it with ``row_cache_ttl_s``/``row_cache_rows``).  ``router``
         replaces the front end's default policy (a
         :class:`~repro.serving.router.ServingRouter` sharding by account);
-        ``registry`` routes the fleet load through the registry-driven
-        :class:`~repro.serving.rotation.FleetController` path.
+        ``registry`` is where the fleet load registers the bundle (a private
+        registry when omitted).
         """
         bundle = self.pipeline.train(preparation, configuration)
         hbase = HBaseClient()

@@ -40,6 +40,7 @@ from repro.features.aggregation import (
     SECONDS_PER_DAY,
     AggregationConfig,
     TransactionAggregator,
+    batch_as_of_time,
 )
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
 from repro.features.matrix import FeatureMatrix
@@ -53,6 +54,7 @@ from repro.graph.network import TransactionNetwork
 from repro.hbase.client import (
     AGGREGATES_FAMILY,
     BASIC_FEATURES_FAMILY,
+    DEFAULT_FEATURE_TABLE,
     EMBEDDINGS_FAMILY,
     HBaseClient,
 )
@@ -75,7 +77,7 @@ from repro.nrl.structure2vec import (
 from repro.nrl.word2vec import SkipGramConfig
 from repro.graph.random_walk import RandomWalkConfig
 from repro.rng import derive_seed
-from repro.serving.feature_source import profile_row
+from repro.serving.feature_source import embedding_cell, profile_row
 from repro.serving.model_server import ModelServer
 from repro.serving.rotation import FleetController
 from repro.serving.streaming import StreamingFeatureUpdater
@@ -392,7 +394,7 @@ class OfflineTrainingPipeline:
         preparation: SlicePreparation,
         hbase: HBaseClient,
         *,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         version: Optional[int] = None,
         include_aggregates: bool = True,
     ) -> int:
@@ -412,14 +414,11 @@ class OfflineTrainingPipeline:
         }
         written = hbase.bulk_load(table_name, BASIC_FEATURES_FAMILY, profile_rows, version=version)
 
-        # One array-valued cell per embedding set (instead of one scalar cell
-        # per dimension): a block read online is a single cell fetch.  Stored
-        # as tuples so readers sharing the cell object cannot corrupt it.
         embedding_rows: Dict[str, Dict[str, object]] = {}
         for set_name, embeddings in preparation.embeddings.items():
             for node in embeddings.node_ids():
                 row = embedding_rows.setdefault(node, {})
-                row[set_name] = tuple(float(value) for value in embeddings[node])
+                row[set_name] = embedding_cell(embeddings[node])
         if embedding_rows:
             written += hbase.bulk_load(
                 table_name, EMBEDDINGS_FAMILY, embedding_rows, version=version
@@ -442,7 +441,7 @@ class OfflineTrainingPipeline:
         preparation: SlicePreparation,
         hbase: HBaseClient,
         *,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         start_version: Optional[int] = None,
         refresh_interval_seconds: Optional[float] = None,
     ) -> StreamingFeatureUpdater:
@@ -452,7 +451,7 @@ class OfflineTrainingPipeline:
         :class:`SlidingWindowAggregator` configured from the *same*
         :class:`AggregationConfig` the offline assembler used: querying the
         seeded engine at the batch as-of instant —
-        ``test_day * SECONDS_PER_DAY - 1``, one second before test-day
+        ``batch_as_of_time(test_day)``, one second before test-day
         midnight (``aggregator_for(...).as_of_time``; at midnight itself the
         left-open window already drops events exactly one window old) —
         reproduces the batch aggregator's published rows, and from the first
@@ -500,7 +499,7 @@ class OfflineTrainingPipeline:
         hbase: HBaseClient,
         model_server: ModelServer,
         *,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         streaming_updater: bool = True,
         registry: Optional[ModelRegistry] = None,
     ) -> Optional[StreamingFeatureUpdater]:
@@ -522,7 +521,7 @@ class OfflineTrainingPipeline:
         hbase: HBaseClient,
         model_servers: List[ModelServer],
         *,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         streaming_updater: bool = True,
         registry: Optional[ModelRegistry] = None,
     ) -> Optional[StreamingFeatureUpdater]:
@@ -535,12 +534,17 @@ class OfflineTrainingPipeline:
         serve the frozen published rows can skip the (history-replay) updater
         build with ``streaming_updater=False``.
 
-        With a ``registry``, the bundle is registered (if its version is not
-        yet known) and the fleet load runs through a
-        :class:`~repro.serving.rotation.FleetController` deploy — the same
+        The bundle is registered (if its version is not yet known) in
+        ``registry`` — a private one when the caller passes none — and the
+        fleet load runs through a
+        :class:`~repro.serving.rotation.FleetController` deploy: the same
         registry-driven path later hot rotations (``deploy``/``rollback``/
         canary/shadow on the live fleet) use, so day-one deployment and every
-        subsequent T+1 rotation exercise one code path.
+        subsequent T+1 rotation exercise one code path.  An unfitted detector
+        is therefore rejected by :meth:`ModelRegistry.register`
+        (:class:`~repro.exceptions.ModelError`) after the rows are published
+        and before any server is touched, and an empty fleet by
+        :class:`FleetController` (:class:`~repro.exceptions.ServingError`).
         """
         updater: Optional[StreamingFeatureUpdater] = None
         if self.aggregation is not None and streaming_updater:
@@ -555,30 +559,19 @@ class OfflineTrainingPipeline:
         )
         if updater is not None:
             test_day = preparation.dataset.spec.test_day
-            updater.publish_snapshot(
-                as_of=test_day * SECONDS_PER_DAY - 1, version=test_day
-            )
+            updater.publish_snapshot(as_of=batch_as_of_time(test_day), version=test_day)
         for model_server in model_servers:
             model_server.feature_table = table_name
-        if registry is not None:
-            # Re-register (superseding) when the registry holds a *different*
-            # trained detector under this version string — e.g. the same
-            # day/configuration retrained — so the fleet always gets the
-            # bundle the caller just trained, never a stale registration.
-            if (
-                bundle.version not in registry
-                or registry.get(bundle.version).model is not bundle.detector
-            ):
-                self.register_model(
-                    registry, bundle, overwrite=bundle.version in registry
-                )
-            FleetController(model_servers, registry).deploy(bundle.version)
-        else:
-            for model_server in model_servers:
-                model_server.load_model(
-                    bundle.detector,
-                    version=bundle.version,
-                    threshold=bundle.threshold,
-                    plan=bundle.plan,
-                )
+        if registry is None:
+            registry = ModelRegistry()
+        # Re-register (superseding) when the registry holds a *different*
+        # trained detector under this version string — e.g. the same
+        # day/configuration retrained — so the fleet always gets the
+        # bundle the caller just trained, never a stale registration.
+        if (
+            bundle.version not in registry
+            or registry.get(bundle.version).model is not bundle.detector
+        ):
+            self.register_model(registry, bundle, overwrite=bundle.version in registry)
+        FleetController(model_servers, registry).deploy(bundle.version)
         return updater

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class Gender(str, Enum):
@@ -216,14 +216,18 @@ SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
 
 
-def transaction_sort_key(txn: Transaction) -> tuple:
-    """Canonical event-time total order for the data layer.
+def transaction_event_time(txn: Transaction) -> int:
+    """Event time of a transaction in seconds (the schema is hour-granular)."""
+    return txn.day * SECONDS_PER_DAY + txn.hour * SECONDS_PER_HOUR
 
-    Mirrors ``repro.features.streaming.event_order`` — (event-time seconds,
-    transaction id) — but lives in ``datagen`` so stream generators can order
-    their output without importing the feature layer.
-    """
-    return (txn.day * SECONDS_PER_DAY + txn.hour * SECONDS_PER_HOUR, txn.transaction_id)
+
+def transaction_sort_key(txn: Transaction) -> Tuple[int, str]:
+    """The canonical total order of a stream: event time, ties broken by
+    transaction id.  Every path that orders transactions — stream generators,
+    the online Alipay replay, engine seeding, the point-in-time training
+    source — sorts with this one key, so replayed state can never depend on
+    which path ordered the stream."""
+    return (transaction_event_time(txn), txn.transaction_id)
 
 
 def validate_transaction(txn: Transaction) -> Optional[str]:

@@ -12,7 +12,9 @@ This module holds the *batch* path (fit a look-back window once, apply it to
 a scoring batch) plus the pieces shared with the *streaming* path in
 :mod:`repro.features.streaming`:
 
-* :func:`transaction_event_time` — the canonical event-time mapping,
+* :func:`~repro.datagen.schema.transaction_event_time` — the canonical
+  event-time mapping (re-exported here), and :func:`batch_as_of_time`, the
+  instant a day's T+1 snapshot is taken at,
 * :class:`AggregationWindowSpec` — the serialisable window definition a
   :class:`~repro.features.plan.FeaturePlan` exports alongside a model,
 * :func:`aggregation_vector` — the one place that turns a payer row and a
@@ -21,7 +23,7 @@ a scoring batch) plus the pieces shared with the *streaming* path in
 Window semantics are event-time and left-open/right-closed: an event at time
 ``t`` is inside the window ending at ``as_of`` iff ``as_of - W < t <= as_of``.
 The legacy day-based API (``fit(..., as_of_day=d)``) maps onto the same rule
-with ``as_of = d * SECONDS_PER_DAY - 1`` and is bit-compatible with the
+with ``as_of = batch_as_of_time(d)`` and is bit-compatible with the
 historical ``start_day <= txn.day < as_of_day`` filter.
 """
 
@@ -34,11 +36,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import (
+    SECONDS_PER_DAY,
+    SECONDS_PER_HOUR,
+    Transaction,
+    transaction_event_time,
+)
 from repro.exceptions import FeatureError
-
-SECONDS_PER_DAY = 86_400
-SECONDS_PER_HOUR = 3_600
 
 AGGREGATION_FEATURE_NAMES: List[str] = [
     "agg_payer_out_count",
@@ -74,9 +78,10 @@ AGGREGATE_ROW_FIELDS: List[str] = [
 ]
 
 
-def transaction_event_time(txn: Transaction) -> int:
-    """Event time of a transaction in seconds (the schema is hour-granular)."""
-    return txn.day * SECONDS_PER_DAY + txn.hour * SECONDS_PER_HOUR
+def batch_as_of_time(day: int) -> int:
+    """The instant a T+1 snapshot for ``day`` is taken at: the last second of
+    the day before, so ``start_day <= txn.day < day`` is the window's content."""
+    return day * SECONDS_PER_DAY - 1
 
 
 def is_night_hour(hour: int) -> bool:
@@ -310,7 +315,7 @@ class TransactionAggregator:
         The window is event-time and left-open/right-closed: a transaction at
         time ``t`` counts iff ``as_of_time - W < t <= as_of_time``.  The
         day-based form ``as_of_day=d`` is shorthand for
-        ``as_of_time = d * SECONDS_PER_DAY - 1`` and reproduces the historical
+        ``as_of_time = batch_as_of_time(d)`` and reproduces the historical
         ``start_day <= txn.day < as_of_day`` behaviour exactly.
 
         ``engine="loop"`` is the in-process per-transaction fold;
@@ -325,7 +330,7 @@ class TransactionAggregator:
         if as_of_time is None:
             if as_of_day is None:
                 as_of_day = max((t.day for t in history), default=0) + 1
-            as_of_time = as_of_day * SECONDS_PER_DAY - 1
+            as_of_time = batch_as_of_time(as_of_day)
         if engine == "sql":
             # Imported here: the SQL engine lives on the MaxCompute side and
             # itself imports this module's aggregate state.

@@ -16,7 +16,6 @@ the *same* plan against Ali-HBase, so the two paths cannot drift.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -24,19 +23,12 @@ import numpy as np
 from repro.datagen.schema import Transaction, UserProfile
 from repro.features.matrix import FeatureMatrix
 from repro.features.plan import (
+    EmbeddingSide,
     FeaturePlan,
     FeaturePlanExecutor,
     InMemoryFeatureSource,
 )
 from repro.nrl.embeddings import EmbeddingSet
-
-
-class EmbeddingSide(str, Enum):
-    """Which transaction endpoint's embedding to attach."""
-
-    PAYER = "payer"
-    PAYEE = "payee"
-    BOTH = "both"
 
 
 class FeatureAssembler:

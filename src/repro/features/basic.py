@@ -32,6 +32,7 @@ from repro.datagen.schema import (
     city_tier,
 )
 from repro.exceptions import FeatureError
+from repro.features.aggregation import is_night_hour
 from repro.features.matrix import FeatureMatrix
 
 #: Names of the 52 basic features, in column order.
@@ -243,7 +244,7 @@ def fill_basic_block(
                 float(hour),
                 hour_angle,  # sin below
                 hour_angle,  # cos below
-                1.0 if (hour >= 22 or hour < 6) else 0.0,
+                1.0 if is_night_hour(hour) else 0.0,
                 1.0 if 9 <= hour <= 18 else 0.0,
                 1.0 if channel is TransactionChannel.APP else 0.0,
                 1.0 if channel is TransactionChannel.WEB else 0.0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,8 +44,16 @@ from repro.features.basic import (
 from repro.features.matrix import FeatureMatrix
 from repro.nrl.embeddings import EmbeddingSet
 
+class EmbeddingSide(str, Enum):
+    """Which transaction endpoint's embedding to attach."""
+
+    PAYER = "payer"
+    PAYEE = "payee"
+    BOTH = "both"
+
+
 #: Valid values of :attr:`FeaturePlan.embedding_side`.
-EMBEDDING_SIDES = ("payer", "payee", "both")
+EMBEDDING_SIDES = tuple(side.value for side in EmbeddingSide)
 
 
 @dataclass(frozen=True)

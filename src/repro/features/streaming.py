@@ -63,7 +63,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import Transaction, transaction_sort_key
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
     AGGREGATION_FEATURE_NAMES,
@@ -96,12 +96,9 @@ class WindowSpec:
         _require_positive_finite(f"window {self.name!r} window_seconds", self.window_seconds)
 
 
-def event_order(txn: Transaction) -> Tuple[int, str]:
-    """The stream's canonical total order: event time, ties broken by
-    transaction id.  Every replay path — the online Alipay replay, engine
-    seeding, and the point-in-time training source — sorts with this one key,
-    so replayed state can never depend on which path ordered the stream."""
-    return (transaction_event_time(txn), txn.transaction_id)
+#: :func:`~repro.datagen.schema.transaction_sort_key` under the name the
+#: serving side and the harness import.
+event_order = transaction_sort_key
 
 
 #: The "1h / 24h / 14d" short-/mid-/long-horizon triple from the issue;

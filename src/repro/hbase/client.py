@@ -33,6 +33,8 @@ EMBEDDINGS_FAMILY = "user_node_embeddings"
 #: streaming feature engine on every ingested transaction (and bulk-seeded by
 #: the offline pipeline from the same windowing definition).
 AGGREGATES_FAMILY = "transaction_aggregates"
+#: The table those families live in unless a caller names another one.
+DEFAULT_FEATURE_TABLE = "titant_features"
 
 
 class HBaseClient:
@@ -132,7 +134,7 @@ class HBaseClient:
         """Names of every table in the store, sorted."""
         return sorted(self._tables)
 
-    def create_feature_store(self, name: str = "titant_features") -> HBaseTable:
+    def create_feature_store(self, name: str = DEFAULT_FEATURE_TABLE) -> HBaseTable:
         """Create the feature-store table: basic features + embeddings
         (paper Figure 7) plus the streaming transaction-aggregate family."""
         return self.create_table(

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.kunpeng.cluster import ClusterConfig
+from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,27 @@ class ClusterCostModel:
             synchronization_seconds=synchronization,
             overhead_seconds=overhead,
             total_seconds=total,
+        )
+
+    def estimate_recorded(self, cluster: KunPengCluster, num_rounds: int) -> "TrainingTimeEstimate":
+        """Estimate of a finished run, fed with its *measured* workload.
+
+        Rounds are recorded through ``CommunicationLog.begin_round`` /
+        ``end_round`` windows, so checkpoint downloads and other out-of-round
+        transfers do not inflate the per-round volume, and dense and sparse
+        runs are costed by what they really moved.
+        """
+        summary = cluster.workload_summary()
+        num_rounds = max(num_rounds, 1)
+        if summary["rounds_recorded"] > 0:
+            comm_values_per_round = summary["values_per_round"]
+        else:  # no windows recorded (e.g. model never fitted) — fall back
+            comm_values_per_round = summary["values_transferred"] / num_rounds
+        return self.estimate(
+            total_compute_units=summary["worker_compute_units"],
+            comm_values_per_round=comm_values_per_round,
+            num_rounds=num_rounds,
+            cluster=cluster.config,
         )
 
     # ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from multiprocessing.context import BaseContext
 from numpy.typing import DTypeLike
 
 from repro.exceptions import ParameterServerError
+from repro.kunpeng.server import replica_mean, sgd_update, zero_fill
 from repro.logging_utils import get_logger
 
 logger = get_logger("kunpeng.parallel")
@@ -217,13 +218,13 @@ def _shard_worker_main(conn: Connection) -> None:
             elif op == _PUSH:
                 _, key, rows, gradients, learning_rate = message
                 _, view, row_start = blocks[key]
-                np.subtract.at(view, rows - row_start, learning_rate * gradients)
+                sgd_update(view, rows - row_start, gradients, learning_rate)
             elif op == _RESET:
-                blocks[message[1]][1].fill(0.0)
+                zero_fill(blocks[message[1]][1])
             elif op == _AVERAGE:
                 _, key, stacked = message
                 _, view, _ = blocks[key]
-                view[:] = stacked.mean(axis=0)
+                view[:] = replica_mean(stacked)
             else:
                 raise ParameterServerError(f"unknown shard opcode {op!r}")
         except Exception as exc:  # latched and surfaced on the next fence

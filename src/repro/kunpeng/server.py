@@ -17,6 +17,29 @@ import numpy as np
 from repro.exceptions import ParameterServerError
 
 
+# The update arithmetic of a shard, applied to whatever array backs it: a
+# :class:`ParameterServerNode` calls these after its checks, a shard process
+# (:mod:`repro.kunpeng.parallel`) directly on its shared-memory view.
+
+
+def sgd_update(
+    values: np.ndarray, local_rows: np.ndarray, gradients: np.ndarray, learning_rate: float
+) -> None:
+    """``values[local_rows] -= learning_rate * gradients`` in place;
+    ``np.subtract.at`` accumulates correctly even if a row repeats."""
+    np.subtract.at(values, local_rows, learning_rate * gradients)
+
+
+def zero_fill(values: np.ndarray) -> None:
+    """Zero an accumulator shard in place."""
+    values.fill(0.0)
+
+
+def replica_mean(stacked: np.ndarray) -> np.ndarray:
+    """Model averaging: the mean of the workers' stacked replicas."""
+    return stacked.mean(axis=0)
+
+
 @dataclass
 class _Shard:
     """One server-resident shard: rows [row_start, row_end) of a matrix."""
@@ -90,10 +113,7 @@ class ParameterServerNode:
         *,
         learning_rate: float = 1.0,
     ) -> None:
-        """Vectorised push: ``values[rows] -= learning_rate * gradients``.
-
-        ``np.subtract.at`` accumulates correctly even if ``rows`` repeats.
-        """
+        """Vectorised push: :func:`sgd_update` on the shard's ``rows``."""
         shard = self._get(name)
         self.push_count += 1
         rows = np.asarray(rows, dtype=np.int64)
@@ -106,7 +126,7 @@ class ParameterServerNode:
             )
         if gradients.shape != (rows.shape[0], shard.values.shape[1]):
             raise ParameterServerError("pushed gradient block shape does not match rows")
-        np.subtract.at(shard.values, rows - shard.row_start, learning_rate * gradients)
+        sgd_update(shard.values, rows - shard.row_start, gradients, learning_rate)
 
     def reset_shard(self, name: str) -> None:
         """Zero the shard in place (server-local; no worker traffic involved).
@@ -114,7 +134,7 @@ class ParameterServerNode:
         Used by accumulator-style parameters (GBDT gradient histograms) that
         are summed afresh each aggregation window.
         """
-        self._get(name).values.fill(0.0)
+        zero_fill(self._get(name).values)
 
     def push_average(self, name: str, replicas: List[np.ndarray]) -> None:
         """Model averaging: replace the shard with the mean of worker replicas.
@@ -130,7 +150,7 @@ class ParameterServerNode:
         stacked = np.stack([np.asarray(r, dtype=np.float64) for r in replicas])
         if stacked.shape[1:] != shard.values.shape:
             raise ParameterServerError("replica shape does not match the hosted shard")
-        shard.values = stacked.mean(axis=0)
+        shard.values = replica_mean(stacked)
 
     # ------------------------------------------------------------------
     def traffic(self) -> Dict[str, int]:

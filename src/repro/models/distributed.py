@@ -34,14 +34,15 @@ from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
 from repro.kunpeng.failover import FailureInjector
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.gbdt import GradientBoostingClassifier
-from repro.models.tree.histogram import HistogramTree, build_histograms, realize_split
-from repro.models.tree.node import TreeNode
-from repro.models.tree.splitter import best_histogram_split
+from repro.models.tree.histogram import (
+    HistogramTree,
+    SplitDecision,
+    apply_decisions,
+    build_histograms,
+    grow_level_wise,
+)
+from repro.numerics import class_weights, column_scaling, sigmoid
 from repro.rng import SeedLike, derive_seed, ensure_rng, spawn_child
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
 @dataclass
@@ -111,9 +112,7 @@ class DistributedLogisticRegression(BaseDetector):
         features, labels = validate_training_inputs(features, labels)
         if labels is None:
             raise ModelError("DistributedLogisticRegression requires labels")
-        self._mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        self._std = np.where(std == 0.0, 1.0, std)
+        self._mean, self._std = column_scaling(features)
         design = (features - self._mean) / self._std
         num_features = design.shape[1]
 
@@ -124,10 +123,7 @@ class DistributedLogisticRegression(BaseDetector):
         indices = np.arange(design.shape[0])
         self.cluster.scatter_data(indices.tolist())
 
-        positives = labels.sum()
-        negatives = labels.shape[0] - positives
-        positive_weight = (negatives / positives) if positives and negatives else 1.0
-        sample_weights = np.where(labels > 0.5, positive_weight, 1.0)
+        sample_weights = class_weights(labels, balanced=True)
 
         for iteration in range(self.iterations):
             self.failure_injector.maybe_fail(iteration)
@@ -148,7 +144,7 @@ class DistributedLogisticRegression(BaseDetector):
                     local_labels = labels[rows]
                     local_sample_weights = sample_weights[rows]
                     scores = local @ weights + intercept
-                    residual = local_sample_weights * (_sigmoid(scores) - local_labels)
+                    residual = local_sample_weights * (sigmoid(scores) - local_labels)
                     gradient = np.concatenate(
                         [local.T @ residual, np.array([residual.sum()])]
                     )
@@ -178,53 +174,28 @@ class DistributedLogisticRegression(BaseDetector):
         features = self._check_predict_inputs(features)
         assert self.coef_ is not None and self._mean is not None and self._std is not None
         design = (features - self._mean) / self._std
-        return _sigmoid(design @ self.coef_ + self.intercept_)
+        return sigmoid(design @ self.coef_ + self.intercept_)
 
     def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
-        return _estimate_from_rounds(self.cluster, self.stats, self.cluster_config, cost_model)
+        return (cost_model or ClusterCostModel()).estimate_recorded(self.cluster, self.stats.rounds)
 
     def close(self) -> None:
         """Release the cluster backend (shard processes, shared memory)."""
         self.cluster.close()
 
 
-def _estimate_from_rounds(
-    cluster: KunPengCluster,
-    stats: DistributedTrainingStats,
-    config: ClusterConfig,
-    cost_model: ClusterCostModel | None,
-) -> TrainingTimeEstimate:
-    """Cost-model estimate fed with *measured* per-round communication.
-
-    Rounds are recorded through ``CommunicationLog.begin_round``/``end_round``
-    windows, so checkpoint downloads and other out-of-round transfers do not
-    inflate the per-round volume (the old lifetime-total / round-count
-    quotient did).
-    """
-    summary = cluster.workload_summary()
-    model = cost_model or ClusterCostModel()
-    num_rounds = max(stats.rounds, 1)
-    if summary["rounds_recorded"] > 0:
-        comm_values_per_round = summary["values_per_round"]
-    else:  # no windows recorded (e.g. model never fitted) — fall back
-        comm_values_per_round = summary["values_transferred"] / num_rounds
-    return model.estimate(
-        total_compute_units=summary["worker_compute_units"],
-        comm_values_per_round=comm_values_per_round,
-        num_rounds=num_rounds,
-        cluster=config,
-    )
-
-
 class DistributedGBDT(GradientBoostingClassifier):
     """GBDT trained on the PS cluster, histogram-aggregated by default.
 
-    ``tree_method="hist"``: each worker keeps its binned partition, builds
-    per-node (gradient, hessian, count) histograms every tree level and
-    accumulates them into a fixed-size parameter block on the servers; the
-    driver pulls the merged block, finds the splits and broadcasts them.
-    Per-round traffic is bounded by ``levels x nodes x features x bins`` —
-    independent of the row count.
+    ``tree_method="hist"``: the single-machine grower
+    (:func:`~repro.models.tree.histogram.grow_level_wise`) with its two
+    callbacks moved onto the cluster.  ``level_histograms``: each worker
+    builds per-node (gradient, hessian, count) histograms over its binned
+    partition and accumulates them into a fixed-size parameter block on the
+    servers, which the driver pulls merged.  ``reroute``: the driver's split
+    decisions are broadcast and every worker moves its own rows.  Per-round
+    traffic is bounded by ``levels x nodes x features x bins`` — independent
+    of the row count.
 
     ``tree_method="exact"``: the legacy driver — workers push per-row
     gradient/hessian pairs (2 values per row per round) and the driver fits a
@@ -335,14 +306,17 @@ class DistributedGBDT(GradientBoostingClassifier):
         row_sample: np.ndarray,
         feature_sample: np.ndarray,
     ) -> HistogramTree:
-        """Grow one tree with PS-side histogram aggregation.
+        """Grow one tree with PS-side histogram aggregation:
+        :func:`~repro.models.tree.histogram.grow_level_wise` over the workers'
+        partitions.
 
-        Per level: every alive worker builds local per-node histograms over
-        its slice of the row subsample and accumulates only the non-empty
-        (node, feature, bin) rows into the servers' histogram block; the
-        driver pulls the merged block once, chooses the splits and tells the
-        workers how to reroute their rows.  Rows of dead workers are
-        histogrammed by the driver (counted as a recovery).
+        ``level_histograms``: every alive worker builds local per-node
+        histograms over its slice of the row subsample and accumulates only
+        the non-empty (node, feature, bin) rows into the servers' histogram
+        block, which sums them; the driver pulls the merged block once.
+        ``reroute``: the split decisions are broadcast and each worker
+        reroutes its own rows.  Rows of dead workers are one more partition,
+        histogrammed and rerouted by the driver (counted as a recovery).
         """
         assert self._binner is not None
         num_bins = self.num_bins
@@ -351,48 +325,38 @@ class DistributedGBDT(GradientBoostingClassifier):
 
         sampled = np.zeros(binned.shape[0], dtype=bool)
         sampled[row_sample] = True
-        # Worker-local views of the subsample: (worker, rows, node assignment).
-        shards: List[Tuple[object, np.ndarray, np.ndarray]] = []
+        # The partitions of the subsample: [worker, rows, node assignment].
+        shards: List[List[Any]] = []
         covered = np.zeros(binned.shape[0], dtype=bool)
         for worker in self.cluster.alive_workers():
             rows = np.array(worker.partition, dtype=np.int64)
             rows = rows[sampled[rows]] if rows.size else rows
             covered[rows] = True
-            shards.append((worker, rows, np.zeros(rows.shape[0], dtype=np.int64)))
+            shards.append([worker, rows, np.zeros(rows.shape[0], dtype=np.int64)])
         # Rows of dead workers (already counted as a recovery by the gradient
-        # phase this round) are histogrammed by the driver below.
+        # phase this round) form one more partition, worked by the driver.
         driver_rows = np.nonzero(sampled & ~covered)[0]
         driver_assign = np.zeros(driver_rows.shape[0], dtype=np.int64)
 
-        total_gradient = float(gradients[row_sample].sum())
-        total_hessian = float(hessians[row_sample].sum())
-        root_value = total_gradient / (total_hessian + self.reg_lambda)
-        root = TreeNode(
-            is_leaf=True,
-            value=root_value,
-            num_samples=int(row_sample.shape[0]),
-            fallback_value=root_value,
-        )
-        active = [(root, total_gradient, total_hessian, int(row_sample.shape[0]))]
+        def local_histograms(rows: np.ndarray, assign: np.ndarray, num_active: int):
+            return build_histograms(
+                sub[rows],
+                gradients[rows],
+                hessians[rows],
+                num_bins=num_bins,
+                node_ids=assign,
+                num_nodes=num_active,
+            )
 
-        for _depth in range(self.max_depth):
-            if not active:
-                break
-            num_active = len(active)
-            block_rows = num_active * num_features * num_bins
+        def level_histograms(num_active: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             self.cluster.reset_parameter("gbdt_histograms")
             for worker, rows, assign in shards:
                 if rows.size == 0:
                     continue
 
                 def _local_histograms(_worker, rows=rows, assign=assign):
-                    grad_hist, hess_hist, count_hist = build_histograms(
-                        sub[rows],
-                        gradients[rows],
-                        hessians[rows],
-                        num_bins=num_bins,
-                        node_ids=assign,
-                        num_nodes=num_active,
+                    grad_hist, hess_hist, count_hist = local_histograms(
+                        rows, assign, num_active
                     )
                     stacked = np.stack(
                         [grad_hist.ravel(), hess_hist.ravel(), count_hist.ravel()],
@@ -407,103 +371,52 @@ class DistributedGBDT(GradientBoostingClassifier):
                 if nonzero.size:
                     self.cluster.accumulate_row_block("gbdt_histograms", nonzero, values)
 
+            block_rows = num_active * num_features * num_bins
             merged = self.cluster.pull_row_block(
                 "gbdt_histograms", np.arange(block_rows, dtype=np.int64)
             ).reshape(num_active, num_features, num_bins, 3)
             if driver_rows.size:
-                grad_hist, hess_hist, count_hist = build_histograms(
-                    sub[driver_rows],
-                    gradients[driver_rows],
-                    hessians[driver_rows],
-                    num_bins=num_bins,
-                    node_ids=driver_assign,
-                    num_nodes=num_active,
+                merged = merged + np.stack(
+                    local_histograms(driver_rows, driver_assign, num_active), axis=-1
                 )
-                merged = merged + np.stack([grad_hist, hess_hist, count_hist], axis=-1)
+            return merged[..., 0], merged[..., 1], merged[..., 2]
 
-            decisions: List[Optional[Tuple[int, int, int]]] = []
-            next_active: List[Tuple[TreeNode, float, float, int]] = []
-            for slot, (node, _grad, _hess, count) in enumerate(active):
-                split = None
-                if count >= 2 * self.min_samples_leaf:
-                    split = best_histogram_split(
-                        merged[slot, :, :, 0],
-                        merged[slot, :, :, 1],
-                        merged[slot, :, :, 2],
-                        min_leaf=self.min_samples_leaf,
-                        reg_lambda=self.reg_lambda,
-                    )
-                if split is None:
-                    decisions.append(None)
-                    continue
-                left, right = realize_split(
-                    node,
-                    split,
-                    int(feature_sample[split.feature_slot]),
-                    self._binner,
-                    reg_lambda=self.reg_lambda,
-                )
-                left_slot = len(next_active)
-                decisions.append((split.feature_slot, split.bin_index, left_slot))
-                next_active.append(
-                    (left, split.left_gradient, split.left_hessian, split.left_count)
-                )
-                next_active.append(
-                    (right, split.right_gradient, split.right_hessian, split.right_count)
-                )
-
+        def reroute(decisions: List[Optional[SplitDecision]]) -> None:
+            nonlocal driver_rows, driver_assign
             # Broadcast the split decisions; each worker reroutes its own rows.
-            new_shards = []
-            for worker, rows, assign in shards:
+            for shard in shards:
+                worker, rows, assign = shard
                 if rows.size == 0:
-                    new_shards.append((worker, rows, assign))
                     continue
 
                 def _reroute(_worker, rows=rows, assign=assign):
-                    return _apply_decisions(sub, rows, assign, decisions)
+                    return apply_decisions(sub, rows, assign, decisions)
 
-                rows, assign = worker.run(_reroute, compute_units=float(rows.size))
-                new_shards.append((worker, rows, assign))
-            shards = new_shards
-            driver_rows, driver_assign = _apply_decisions(
+                shard[1:] = worker.run(_reroute, compute_units=float(rows.size))
+            driver_rows, driver_assign = apply_decisions(
                 sub, driver_rows, driver_assign, decisions
             )
-            active = next_active
 
+        root = grow_level_wise(
+            self._binner,
+            feature_sample,
+            total_gradient=float(gradients[row_sample].sum()),
+            total_hessian=float(hessians[row_sample].sum()),
+            num_rows=int(row_sample.shape[0]),
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            reg_lambda=self.reg_lambda,
+            level_histograms=level_histograms,
+            reroute=reroute,
+        )
         return HistogramTree(root, feature_indices=feature_sample)
 
     # ------------------------------------------------------------------
     def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
         """Analytic wall-clock estimate fed by the measured per-round volumes."""
-        return _estimate_from_rounds(self.cluster, self.stats, self.cluster_config, cost_model)
+        return (cost_model or ClusterCostModel()).estimate_recorded(self.cluster, self.stats.rounds)
 
     def close(self) -> None:
         """Release the cluster backend (shard processes, shared memory)."""
         self.cluster.close()
 
-
-def _apply_decisions(
-    sub: np.ndarray,
-    rows: np.ndarray,
-    assign: np.ndarray,
-    decisions: List[Optional[Tuple[int, int, int]]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reroute ``rows`` to next-level node slots given the split decisions.
-
-    ``decisions[slot]`` is ``None`` when the node became a leaf (its rows
-    retire) or ``(feature_slot, bin_index, left_slot)`` with the right child
-    at ``left_slot + 1``.
-    """
-    if rows.size == 0:
-        return rows, assign
-    new_assign = np.full(rows.shape[0], -1, dtype=np.int64)
-    for slot, decision in enumerate(decisions):
-        if decision is None:
-            continue
-        feature_slot, bin_index, left_slot = decision
-        members = assign == slot
-        goes_left = sub[rows[members], feature_slot] <= bin_index
-        slot_ids = np.where(goes_left, left_slot, left_slot + 1)
-        new_assign[members] = slot_ids
-    keep = new_assign >= 0
-    return rows[keep], new_assign[keep]

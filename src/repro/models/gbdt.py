@@ -25,6 +25,7 @@ from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.cart import RegressionTree
 from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import HistogramBinner, HistogramTree, HistogramTreeBuilder
+from repro.numerics import class_weights, sigmoid
 from repro.rng import SeedLike, ensure_rng
 
 Objective = Literal["logistic", "squared"]
@@ -33,10 +34,6 @@ TreeMethod = Literal["hist", "exact"]
 #: Weak learners produced by the two tree methods; both expose ``tree_`` (the
 #: :class:`TreeNode` root that ``fit`` compiles into the scoring forest).
 BoostedTree = Union[RegressionTree, HistogramTree]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
 class GradientBoostingClassifier(BaseDetector):
@@ -131,7 +128,7 @@ class GradientBoostingClassifier(BaseDetector):
         features, labels = validate_training_inputs(features, labels)
         if labels is None:
             raise ModelError(f"{type(self).__name__} is supervised and requires labels")
-        weights = self._sample_weights(labels)
+        weights = class_weights(labels, balanced=self.class_weight == "balanced")
 
         self._initial_score = self._initial_prediction(labels, weights)
         scores = np.full(labels.shape[0], self._initial_score)
@@ -242,7 +239,7 @@ class GradientBoostingClassifier(BaseDetector):
 
     def _probabilities(self, scores: np.ndarray) -> np.ndarray:
         if self.objective == "logistic":
-            return _sigmoid(scores)
+            return sigmoid(scores)
         return np.clip(scores, 0.0, 1.0)
 
     @property
@@ -258,16 +255,6 @@ class GradientBoostingClassifier(BaseDetector):
         return counts / total if total > 0 else counts
 
     # ------------------------------------------------------------------
-    def _sample_weights(self, labels: np.ndarray) -> np.ndarray:
-        if self.class_weight != "balanced":
-            return np.ones_like(labels)
-        positives = labels.sum()
-        negatives = labels.shape[0] - positives
-        if positives == 0 or negatives == 0:
-            return np.ones_like(labels)
-        positive_weight = negatives / positives
-        return np.where(labels > 0.5, positive_weight, 1.0)
-
     def _initial_prediction(self, labels: np.ndarray, weights: np.ndarray) -> float:
         mean = float(np.average(labels, weights=weights))
         mean = min(max(mean, 1e-6), 1.0 - 1e-6)
@@ -280,7 +267,7 @@ class GradientBoostingClassifier(BaseDetector):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Negative gradients and hessians of the objective at ``scores``."""
         if self.objective == "logistic":
-            probabilities = _sigmoid(scores)
+            probabilities = sigmoid(scores)
             gradients = weights * (labels - probabilities)
             hessians = weights * probabilities * (1.0 - probabilities)
             return gradients, np.maximum(hessians, 1e-6)
@@ -289,7 +276,7 @@ class GradientBoostingClassifier(BaseDetector):
 
     def _loss(self, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray) -> float:
         if self.objective == "logistic":
-            probabilities = _sigmoid(scores)
+            probabilities = sigmoid(scores)
             eps = 1e-10
             return float(
                 -np.average(

@@ -19,10 +19,14 @@ from repro.exceptions import ModelError
 from repro.features.discretization import Discretizer, DiscretizerConfig
 from repro.features.matrix import FeatureMatrix
 from repro.models.base import BaseDetector, validate_training_inputs
+from repro.numerics import class_weights, column_scaling, sigmoid
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+def _as_matrix(features: np.ndarray) -> FeatureMatrix:
+    """The unnamed-column matrix the :class:`Discretizer` works on."""
+    return FeatureMatrix(
+        feature_names=[f"f{i}" for i in range(features.shape[1])], values=features
+    )
 
 
 def soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
@@ -93,7 +97,7 @@ class LogisticRegression(BaseDetector):
         if labels is None:
             raise ModelError("LogisticRegression is supervised and requires labels")
         design = self._fit_preprocess(features)
-        weights = self._sample_weights(labels)
+        weights = class_weights(labels, balanced=self.class_weight == "balanced")
 
         num_features = design.shape[1]
         coef = np.zeros(num_features)
@@ -102,7 +106,7 @@ class LogisticRegression(BaseDetector):
         for iteration in range(self.iterations):
             step = self.learning_rate / (1.0 + 0.01 * iteration)
             scores = design @ coef + intercept
-            probabilities = _sigmoid(scores)
+            probabilities = sigmoid(scores)
             residual = weights * (probabilities - labels)
             gradient = design.T @ residual / design.shape[0]
             coef = soft_threshold(coef - step * gradient, step * self.l1 / design.shape[0])
@@ -127,7 +131,7 @@ class LogisticRegression(BaseDetector):
         features = self._check_predict_inputs(features)
         design = self._apply_preprocess(features)
         assert self.coef_ is not None
-        return _sigmoid(design @ self.coef_ + self.intercept_)
+        return sigmoid(design @ self.coef_ + self.intercept_)
 
     @property
     def nonzero_coefficients(self) -> int:
@@ -137,41 +141,19 @@ class LogisticRegression(BaseDetector):
         return int(np.count_nonzero(self.coef_))
 
     # ------------------------------------------------------------------
-    def _sample_weights(self, labels: np.ndarray) -> np.ndarray:
-        if self.class_weight != "balanced":
-            return np.ones_like(labels)
-        positives = labels.sum()
-        negatives = labels.shape[0] - positives
-        if positives == 0 or negatives == 0:
-            return np.ones_like(labels)
-        positive_weight = negatives / positives
-        return np.where(labels > 0.5, positive_weight, 1.0)
-
     def _fit_preprocess(self, features: np.ndarray) -> np.ndarray:
+        self._discretizer = None
+        self._mean = self._std = None
         if self.discretize_bins and self.discretize_bins > 1:
-            matrix = FeatureMatrix(
-                feature_names=[f"f{i}" for i in range(features.shape[1])],
-                values=features,
-            )
             self._discretizer = Discretizer(
                 DiscretizerConfig(num_bins=self.discretize_bins, kind="quantile", one_hot=True)
-            )
-            transformed = self._discretizer.fit_transform(matrix).values
-            self._mean = None
-            self._std = None
-            return transformed
-        self._discretizer = None
-        self._mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        self._std = np.where(std == 0.0, 1.0, std)
-        return (features - self._mean) / self._std
+            ).fit(_as_matrix(features))
+        else:
+            self._mean, self._std = column_scaling(features)
+        return self._apply_preprocess(features)
 
     def _apply_preprocess(self, features: np.ndarray) -> np.ndarray:
         if self._discretizer is not None:
-            matrix = FeatureMatrix(
-                feature_names=[f"f{i}" for i in range(features.shape[1])],
-                values=features,
-            )
-            return self._discretizer.transform(matrix).values
+            return self._discretizer.transform(_as_matrix(features)).values
         assert self._mean is not None and self._std is not None
         return (features - self._mean) / self._std

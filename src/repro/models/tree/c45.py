@@ -93,12 +93,7 @@ class C45Classifier(BaseDetector):
     # ------------------------------------------------------------------
     def _build(self, features: np.ndarray, labels: np.ndarray, *, depth: int) -> TreeNode:
         positive_rate = float(labels.mean()) if labels.size else 0.0
-        node = TreeNode(
-            is_leaf=True,
-            value=positive_rate,
-            num_samples=int(labels.size),
-            fallback_value=positive_rate,
-        )
+        node = TreeNode.leaf(positive_rate, int(labels.size))
         if (
             depth >= self.max_depth
             or labels.size < self.min_samples_split

@@ -106,12 +106,7 @@ class RegressionTree:
         depth: int,
     ) -> TreeNode:
         value = self._leaf_value(gradients, hessians)
-        node = TreeNode(
-            is_leaf=True,
-            value=value,
-            num_samples=int(gradients.shape[0]),
-            fallback_value=value,
-        )
+        node = TreeNode.leaf(value, int(gradients.shape[0]))
         if depth >= self.max_depth or gradients.shape[0] < 2 * self.min_samples_leaf:
             return node
 

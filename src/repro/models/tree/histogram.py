@@ -10,9 +10,10 @@ histogram engine follows the design of production boosted-tree systems
   cut points as :func:`repro.features.discretization.quantile_edges`),
 * :func:`build_histograms` accumulates per-node (gradient, hessian, count)
   histograms with a single ``np.bincount`` sweep per statistic,
-* :class:`HistogramTreeBuilder` grows a depth-limited tree level by level,
+* :func:`grow_level_wise` grows a depth-limited tree level by level,
   scanning bin boundaries with prefix sums
-  (:func:`repro.models.tree.splitter.best_histogram_split`).
+  (:func:`repro.models.tree.splitter.best_histogram_split`);
+  :class:`HistogramTreeBuilder` runs it over one in-memory partition.
 
 Because a node's histogram is a fixed ``features x bins`` block regardless of
 how many rows it holds, the distributed driver can aggregate worker-local
@@ -27,8 +28,7 @@ route pre-binned rows without touching floats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,55 +177,109 @@ def _fill_predictions(
         out[indices] = node.value
         return
     assert node.left is not None and node.right is not None
+    assert node.bin_threshold is not None
     goes_left = binned[indices, node.feature_index] <= node.bin_threshold
     _fill_predictions(node.left, binned, indices[goes_left], out)
     _fill_predictions(node.right, binned, indices[~goes_left], out)
 
 
-@dataclass
-class _GrowingNode:
-    """Bookkeeping for one node still eligible for splitting."""
-
-    node: TreeNode
-    gradient: float
-    hessian: float
-    count: int
+def _newton_leaf(gradient: float, hessian: float, count: int, reg_lambda: float) -> TreeNode:
+    """A leaf holding the second-order optimal value ``G / (H + λ)``."""
+    return TreeNode.leaf(gradient / (hessian + reg_lambda), count)
 
 
-def realize_split(
-    node: TreeNode,
-    split,
-    feature_index: int,
+#: What the grower tells whoever holds the rows about one active node slot:
+#: ``None`` — the node stays a leaf and its rows retire — or ``(feature_slot,
+#: bin_index, left_slot)`` with the right child at ``left_slot + 1``.
+SplitDecision = Tuple[int, int, int]
+
+
+def grow_level_wise(
     binner: HistogramBinner,
+    columns: np.ndarray,
     *,
+    total_gradient: float,
+    total_hessian: float,
+    num_rows: int,
+    max_depth: int,
+    min_samples_leaf: int,
     reg_lambda: float,
-) -> Tuple[TreeNode, TreeNode]:
-    """Turn a leaf ``node`` into the internal node described by ``split``.
+    level_histograms: Callable[[int], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    reroute: Callable[[List[Optional[SplitDecision]]], None],
+) -> TreeNode:
+    """Grow one depth-limited tree level by level; returns its root.
 
-    Shared by the local :class:`HistogramTreeBuilder` and the distributed
-    driver (:class:`repro.models.distributed.DistributedGBDT`) so the growth
-    rules — Newton leaf values and the bin→raw threshold mapping — exist in
-    exactly one place.  Returns the created ``(left, right)`` children.
+    The growth rules — Newton root value, ``min_samples_leaf`` on both
+    children, the split search per active node, child slots numbered in
+    active order — live here once.  Who holds the rows is the caller's
+    business, through two callbacks: ``level_histograms(num_active)`` returns
+    the level's summed ``(num_active, features, bins)`` gradient / hessian /
+    count histograms, and ``reroute(decisions)`` moves the rows to next-level
+    slots (:func:`apply_decisions`).  ``columns[slot]`` is the matrix column
+    behind histogram feature ``slot``.
     """
-    node.is_leaf = False
-    node.feature_index = int(feature_index)
-    node.bin_threshold = int(split.bin_index)
-    node.threshold = binner.threshold(int(feature_index), split.bin_index)
-    left_value = split.left_gradient / (split.left_hessian + reg_lambda)
-    right_value = split.right_gradient / (split.right_hessian + reg_lambda)
-    node.left = TreeNode(
-        is_leaf=True,
-        value=left_value,
-        num_samples=split.left_count,
-        fallback_value=left_value,
-    )
-    node.right = TreeNode(
-        is_leaf=True,
-        value=right_value,
-        num_samples=split.right_count,
-        fallback_value=right_value,
-    )
-    return node.left, node.right
+    root = _newton_leaf(total_gradient, total_hessian, num_rows, reg_lambda)
+    active: List[Tuple[TreeNode, int]] = [(root, num_rows)]
+    for _depth in range(max_depth):
+        if not active:
+            break
+        grad_hist, hess_hist, count_hist = level_histograms(len(active))
+        decisions: List[Optional[SplitDecision]] = []
+        next_active: List[Tuple[TreeNode, int]] = []
+        for slot, (node, count) in enumerate(active):
+            split = None
+            if count >= 2 * min_samples_leaf:
+                split = best_histogram_split(
+                    grad_hist[slot],
+                    hess_hist[slot],
+                    count_hist[slot],
+                    min_leaf=min_samples_leaf,
+                    reg_lambda=reg_lambda,
+                )
+            if split is None:
+                decisions.append(None)
+                continue
+            # The leaf becomes the split: the bin→raw threshold mapping and
+            # two Newton leaves.
+            feature_index = int(columns[split.feature_slot])
+            node.is_leaf = False
+            node.feature_index = feature_index
+            node.bin_threshold = int(split.bin_index)
+            node.threshold = binner.threshold(feature_index, split.bin_index)
+            node.left = left = _newton_leaf(
+                split.left_gradient, split.left_hessian, split.left_count, reg_lambda
+            )
+            node.right = right = _newton_leaf(
+                split.right_gradient, split.right_hessian, split.right_count, reg_lambda
+            )
+            decisions.append((split.feature_slot, split.bin_index, len(next_active)))
+            next_active.append((left, split.left_count))
+            next_active.append((right, split.right_count))
+        reroute(decisions)
+        active = next_active
+    return root
+
+
+def apply_decisions(
+    sub: np.ndarray,
+    rows: np.ndarray,
+    assign: np.ndarray,
+    decisions: List[Optional[SplitDecision]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reroute ``rows`` (indices into ``sub``, currently in node slots
+    ``assign``) to next-level slots; rows of nodes that became leaves drop out."""
+    if rows.size == 0:
+        return rows, assign
+    new_assign = np.full(rows.shape[0], -1, dtype=np.int64)
+    for slot, decision in enumerate(decisions):
+        if decision is None:
+            continue
+        feature_slot, bin_index, left_slot = decision
+        members = assign == slot
+        goes_left = sub[rows[members], feature_slot] <= bin_index
+        new_assign[members] = np.where(goes_left, left_slot, left_slot + 1)
+    keep = new_assign >= 0
+    return rows[keep], new_assign[keep]
 
 
 class HistogramTree:
@@ -250,10 +304,14 @@ class HistogramTree:
 class HistogramTreeBuilder:
     """Grow a depth-limited regression tree from a pre-binned matrix.
 
-    The builder mirrors :class:`~repro.models.tree.cart.RegressionTree`'s
-    growth rules (second-order gain, ``min_samples_leaf`` on both children,
-    strictly positive gain, candidate features scanned in the given order)
-    but replaces per-node sorting with level-wise histogram accumulation.
+    :func:`grow_level_wise` over one partition: it follows
+    :class:`~repro.models.tree.cart.RegressionTree`'s growth rules
+    (second-order gain, ``min_samples_leaf`` on both children, strictly
+    positive gain, candidate features scanned in the given order) but
+    replaces per-node sorting with level-wise histogram accumulation.  Its
+    ``level_histograms`` callback is one :func:`build_histograms` sweep over
+    the rows still in a growing node, its ``reroute`` callback one
+    :func:`apply_decisions` over the same rows.
     """
 
     def __init__(
@@ -276,9 +334,6 @@ class HistogramTreeBuilder:
         self.feature_indices = feature_indices
 
     # ------------------------------------------------------------------
-    def _leaf_value(self, gradient: float, hessian: float) -> float:
-        return gradient / (hessian + self.reg_lambda)
-
     def build(
         self,
         binned: np.ndarray,
@@ -297,94 +352,34 @@ class HistogramTreeBuilder:
             else np.arange(binned.shape[1], dtype=np.int64)
         )
         sub = np.ascontiguousarray(binned[:, columns])
-        num_rows = sub.shape[0]
-        num_bins = self.binner.num_bins
+        # The one partition: rows still in a growing node, and their slots.
+        rows = np.arange(sub.shape[0], dtype=np.int64)
+        assign = np.zeros(sub.shape[0], dtype=np.int64)
 
-        value = self._leaf_value(float(gradients.sum()), float(hessians.sum()))
-        root = TreeNode(
-            is_leaf=True, value=value, num_samples=num_rows, fallback_value=value
+        def level_histograms(num_active: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return build_histograms(
+                sub[rows],
+                gradients[rows],
+                hessians[rows],
+                num_bins=self.binner.num_bins,
+                node_ids=assign,
+                num_nodes=num_active,
+            )
+
+        def reroute(decisions: List[Optional[SplitDecision]]) -> None:
+            nonlocal rows, assign
+            rows, assign = apply_decisions(sub, rows, assign, decisions)
+
+        root = grow_level_wise(
+            self.binner,
+            columns,
+            total_gradient=float(gradients.sum()),
+            total_hessian=float(hessians.sum()),
+            num_rows=sub.shape[0],
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            reg_lambda=self.reg_lambda,
+            level_histograms=level_histograms,
+            reroute=reroute,
         )
-        active: List[_GrowingNode] = [
-            _GrowingNode(
-                node=root,
-                gradient=float(gradients.sum()),
-                hessian=float(hessians.sum()),
-                count=num_rows,
-            )
-        ]
-        node_ids = np.zeros(num_rows, dtype=np.int64)
-        live = np.ones(num_rows, dtype=bool)
-
-        for _depth in range(self.max_depth):
-            if not active:
-                break
-            grad_hist, hess_hist, count_hist = build_histograms(
-                sub[live],
-                gradients[live],
-                hessians[live],
-                num_bins=num_bins,
-                node_ids=node_ids[live],
-                num_nodes=len(active),
-            )
-            splits = []
-            for slot, growing in enumerate(active):
-                split = None
-                if growing.count >= 2 * self.min_samples_leaf:
-                    split = best_histogram_split(
-                        grad_hist[slot],
-                        hess_hist[slot],
-                        count_hist[slot],
-                        min_leaf=self.min_samples_leaf,
-                        reg_lambda=self.reg_lambda,
-                    )
-                splits.append(split)
-            active, node_ids, live = self._apply_splits(
-                active, splits, columns, sub, node_ids, live
-            )
         return HistogramTree(root, feature_indices=self.feature_indices)
-
-    # ------------------------------------------------------------------
-    def _apply_splits(
-        self,
-        active: List[_GrowingNode],
-        splits: List[object],
-        columns: np.ndarray,
-        sub: np.ndarray,
-        node_ids: np.ndarray,
-        live: np.ndarray,
-    ) -> Tuple[List[_GrowingNode], np.ndarray, np.ndarray]:
-        """Realise the chosen splits and reassign rows to next-level slots."""
-        next_active: List[_GrowingNode] = []
-        new_ids = np.full(node_ids.shape[0], -1, dtype=np.int64)
-        for slot, (growing, split) in enumerate(zip(active, splits)):
-            if split is None:
-                continue  # the node stays a leaf; its rows retire
-            left, right = realize_split(
-                growing.node,
-                split,
-                int(columns[split.feature_slot]),
-                self.binner,
-                reg_lambda=self.reg_lambda,
-            )
-            rows = np.nonzero(live & (node_ids == slot))[0]
-            goes_left = sub[rows, split.feature_slot] <= split.bin_index
-            left_slot = len(next_active)
-            new_ids[rows[goes_left]] = left_slot
-            new_ids[rows[~goes_left]] = left_slot + 1
-            next_active.append(
-                _GrowingNode(
-                    node=left,
-                    gradient=split.left_gradient,
-                    hessian=split.left_hessian,
-                    count=split.left_count,
-                )
-            )
-            next_active.append(
-                _GrowingNode(
-                    node=right,
-                    gradient=split.right_gradient,
-                    hessian=split.right_hessian,
-                    count=split.right_count,
-                )
-            )
-        return next_active, new_ids, new_ids >= 0

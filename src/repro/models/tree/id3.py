@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.features.discretization import discretize_array
+from repro.features.discretization import quantile_edges
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.node import TreeNode
 from repro.models.tree.splitter import best_categorical_split
@@ -89,18 +89,16 @@ class ID3Classifier(BaseDetector):
             self._bin_edges = None
             return features
         edges: List[Optional[np.ndarray]] = []
-        encoded = features.copy()
         for column_index in range(features.shape[1]):
             column = features[:, column_index]
             if np.unique(column).size <= self.discretize_bins:
                 edges.append(None)
-                continue
-            quantiles = np.linspace(0.0, 1.0, self.discretize_bins + 1)[1:-1]
-            column_edges = np.unique(np.quantile(column, quantiles))
-            edges.append(column_edges)
-            encoded[:, column_index] = np.searchsorted(column_edges, column, side="right")
+            elif self.discretize_bins == 1:
+                edges.append(np.empty(0))  # one bin has no cut points
+            else:
+                edges.append(quantile_edges(column, self.discretize_bins))
         self._bin_edges = edges
-        return encoded
+        return self._apply_discretizer(features)
 
     def _apply_discretizer(self, features: np.ndarray) -> np.ndarray:
         if self._bin_edges is None:
@@ -117,12 +115,7 @@ class ID3Classifier(BaseDetector):
     # ------------------------------------------------------------------
     def _build(self, features: np.ndarray, labels: np.ndarray, *, depth: int) -> TreeNode:
         positive_rate = float(labels.mean()) if labels.size else 0.0
-        node = TreeNode(
-            is_leaf=True,
-            value=positive_rate,
-            num_samples=int(labels.size),
-            fallback_value=positive_rate,
-        )
+        node = TreeNode.leaf(positive_rate, int(labels.size))
         if (
             depth >= self.max_depth
             or labels.size < self.min_samples_split

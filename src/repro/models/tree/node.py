@@ -41,6 +41,11 @@ class TreeNode:
     #: seen during training.
     fallback_value: float = 0.0
 
+    @classmethod
+    def leaf(cls, value: float, num_samples: int) -> "TreeNode":
+        """A fresh leaf: ``value`` is also what it answers for an unseen category."""
+        return cls(is_leaf=True, value=value, num_samples=num_samples, fallback_value=value)
+
     # ------------------------------------------------------------------
     def predict_row(self, row: np.ndarray) -> float:
         """Route one feature row to a leaf and return its value."""

@@ -443,22 +443,7 @@ class DistributedDeepWalk(NRLModel):
         return self.cluster.workload_summary()
 
     def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
-        """Convert the recorded workload into an estimated wall-clock time.
-
-        Uses the actual per-round transferred row counts recorded by the
-        cluster (excluding out-of-round traffic such as the final checkpoint
-        download), so dense and sparse runs are costed by what they really
-        moved.
-        """
-        summary = self.workload_summary()
-        model = cost_model or ClusterCostModel()
-        if summary["rounds_recorded"] > 0:
-            per_round = summary["values_per_round"]
-        else:
-            per_round = summary["values_transferred"] / max(self.rounds_completed, 1)
-        return model.estimate(
-            total_compute_units=summary["worker_compute_units"],
-            comm_values_per_round=per_round,
-            num_rounds=max(self.rounds_completed, 1),
-            cluster=self.config.cluster,
+        """Convert the recorded workload into an estimated wall-clock time."""
+        return (cost_model or ClusterCostModel()).estimate_recorded(
+            self.cluster, self.rounds_completed
         )

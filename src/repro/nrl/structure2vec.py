@@ -29,6 +29,7 @@ from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.nrl.base import NRLModel
 from repro.nrl.embeddings import EmbeddingSet
+from repro.numerics import class_weights, sigmoid
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -138,7 +139,7 @@ class Structure2Vec(NRLModel):
         nodes, features = node_structural_features(network)
         adjacency = self._normalized_adjacency(network, nodes)
         labels = np.array([float(node_labels.get(node, 0)) for node in nodes])
-        weights = self._sample_weights(labels)
+        weights = class_weights(labels, balanced=self.config.balance_classes)
 
         params = self._initialize(features.shape[1])
         for _ in range(self.config.epochs):
@@ -206,24 +207,10 @@ class Structure2Vec(NRLModel):
 
         ball, features = node_structural_features(network, nodes=order)
         index = {node: i for i, node in enumerate(ball)}
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for node in ball:
-            if distance[node] >= rounds:
-                # Boundary nodes only contribute mu^(0) = 0 to the targets;
-                # their own aggregation rows are never consumed.
-                continue
-            neighbors = network.neighbors(node)
-            if not neighbors:
-                continue
-            total = sum(neighbors.values())
-            for neighbor, weight in neighbors.items():
-                rows.append(index[node])
-                cols.append(index[neighbor])
-                vals.append(weight / total)
-        adjacency = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(ball), len(ball)), dtype=np.float64
+        # Boundary nodes only contribute mu^(0) = 0 to the targets; their own
+        # aggregation rows are never consumed.
+        adjacency = self._normalized_adjacency(
+            network, ball, [node for node in ball if distance[node] < rounds]
         )
         activations, _ = self._forward(self._params, features, adjacency)
         final = activations[-1]
@@ -242,14 +229,18 @@ class Structure2Vec(NRLModel):
         }
 
     def _normalized_adjacency(
-        self, network: TransactionNetwork, nodes: List[str]
+        self,
+        network: TransactionNetwork,
+        nodes: List[str],
+        row_nodes: Optional[List[str]] = None,
     ) -> sparse.csr_matrix:
-        """Row-normalised undirected adjacency (mean aggregation operator)."""
+        """Row-normalised undirected adjacency (mean aggregation operator)
+        over ``nodes``; only ``row_nodes`` (default: all) get a row."""
         index = {node: i for i, node in enumerate(nodes)}
         rows: List[int] = []
         cols: List[int] = []
         vals: List[float] = []
-        for node in nodes:
+        for node in nodes if row_nodes is None else row_nodes:
             neighbors = network.neighbors(node)
             if not neighbors:
                 continue
@@ -261,16 +252,6 @@ class Structure2Vec(NRLModel):
         return sparse.csr_matrix(
             (vals, (rows, cols)), shape=(len(nodes), len(nodes)), dtype=np.float64
         )
-
-    def _sample_weights(self, labels: np.ndarray) -> np.ndarray:
-        if not self.config.balance_classes:
-            return np.ones_like(labels)
-        positives = labels.sum()
-        negatives = labels.shape[0] - positives
-        if positives == 0 or negatives == 0:
-            return np.ones_like(labels)
-        positive_weight = negatives / positives
-        return np.where(labels > 0.5, positive_weight, 1.0)
 
     def _forward(
         self,
@@ -304,7 +285,7 @@ class Structure2Vec(NRLModel):
         activations, pre_activations = self._forward(params, features, adjacency)
         final = activations[-1]
         scores = final @ params["w"] + params["b"][0]
-        probabilities = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+        probabilities = sigmoid(scores)
         eps = 1e-10
         loss = -np.mean(
             weights

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.exceptions import EmbeddingError
 from repro.nrl.embeddings import EmbeddingSet
+from repro.numerics import sigmoid
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -202,8 +203,25 @@ def build_negative_table(counts: np.ndarray, table_size: int, power: float = 0.7
     return np.searchsorted(cumulative, positions).astype(np.int64)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+def _sgns_pair_gradients(
+    v_in: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The SGNS arithmetic over gathered center ``(B, d)``, context ``(B, d)``
+    and negative ``(B, K, d)`` rows: one gradient row per gathered row, and
+    the mean batch loss.  Scattering them back is the caller's business."""
+    pos_score = sigmoid(np.einsum("bd,bd->b", v_in, v_pos))
+    neg_score = sigmoid(np.einsum("bkd,bd->bk", v_neg, v_in))
+
+    g_pos = (pos_score - 1.0)[:, None]  # (B, 1)
+    grad_in = g_pos * v_pos + np.einsum("bk,bkd->bd", neg_score, v_neg)
+    grad_pos = g_pos * v_in
+    grad_neg = neg_score[:, :, None] * v_in[:, None, :]
+
+    eps = 1e-10
+    loss = -np.mean(np.log(pos_score + eps)) - np.mean(
+        np.sum(np.log(1.0 - neg_score + eps), axis=1)
+    )
+    return grad_in, grad_pos, grad_neg, float(loss)
 
 
 def sgns_batch_update(
@@ -215,28 +233,14 @@ def sgns_batch_update(
     learning_rate: float,
 ) -> float:
     """One in-place SGNS mini-batch update; returns the mean batch loss."""
-    v_in = w_in[centers]  # (B, d)
-    v_pos = w_out[contexts]  # (B, d)
-    v_neg = w_out[negatives]  # (B, K, d)
-
-    pos_score = _sigmoid(np.einsum("bd,bd->b", v_in, v_pos))
-    neg_score = _sigmoid(np.einsum("bkd,bd->bk", v_neg, v_in))
-
-    g_pos = (pos_score - 1.0)[:, None]  # (B, 1)
-    grad_in = g_pos * v_pos + np.einsum("bk,bkd->bd", neg_score, v_neg)
-    grad_pos = g_pos * v_in
-    grad_neg = neg_score[:, :, None] * v_in[:, None, :]
-
+    grad_in, grad_pos, grad_neg, loss = _sgns_pair_gradients(
+        w_in[centers], w_out[contexts], w_out[negatives]
+    )
     dimension = w_in.shape[1]
     np.add.at(w_in, centers, -learning_rate * grad_in)
     np.add.at(w_out, contexts, -learning_rate * grad_pos)
     np.add.at(w_out, negatives.reshape(-1), -learning_rate * grad_neg.reshape(-1, dimension))
-
-    eps = 1e-10
-    loss = -np.mean(np.log(pos_score + eps)) - np.mean(
-        np.sum(np.log(1.0 - neg_score + eps), axis=1)
-    )
-    return float(loss)
+    return loss
 
 
 @dataclass
@@ -289,18 +293,9 @@ def sgns_sparse_step(
     blocks of the same shapes plus the mean batch loss; the caller pushes the
     blocks back row-sparsely.
     """
-    c_in = v_in[batch.center_idx]  # (B, d)
-    c_pos = v_out[batch.context_idx]  # (B, d)
-    c_neg = v_out[batch.negative_idx]  # (B, K, d)
-
-    pos_score = _sigmoid(np.einsum("bd,bd->b", c_in, c_pos))
-    neg_score = _sigmoid(np.einsum("bkd,bd->bk", c_neg, c_in))
-
-    g_pos = (pos_score - 1.0)[:, None]
-    grad_in_rows = g_pos * c_pos + np.einsum("bk,bkd->bd", neg_score, c_neg)
-    grad_pos_rows = g_pos * c_in
-    grad_neg_rows = neg_score[:, :, None] * c_in[:, None, :]
-
+    grad_in_rows, grad_pos_rows, grad_neg_rows, loss = _sgns_pair_gradients(
+        v_in[batch.center_idx], v_out[batch.context_idx], v_out[batch.negative_idx]
+    )
     dimension = v_in.shape[1]
     grad_in = np.zeros_like(v_in)
     grad_out = np.zeros_like(v_out)
@@ -309,12 +304,7 @@ def sgns_sparse_step(
     np.add.at(
         grad_out, batch.negative_idx.reshape(-1), grad_neg_rows.reshape(-1, dimension)
     )
-
-    eps = 1e-10
-    loss = -np.mean(np.log(pos_score + eps)) - np.mean(
-        np.sum(np.log(1.0 - neg_score + eps), axis=1)
-    )
-    return grad_in, grad_out, float(loss)
+    return grad_in, grad_out, loss
 
 
 def sgns_sparse_gradients(

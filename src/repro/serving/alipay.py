@@ -198,6 +198,20 @@ class AlipayServer:
             self.feature_updater.observe_request(request)
         return self._record(request, response, was_fraud, degraded=True)
 
+    def arrive(
+        self, request: TransactionRequest, now_ms: float, *, was_fraud: Optional[bool] = None
+    ) -> Optional[ServedTransaction]:
+        """The arrival step under an arrival clock: ask the admission
+        controller, and shed a ``DEGRADE`` to the rules — answered (and
+        recorded) now, at arrival.  ``None`` means admitted: the caller
+        buffers the request in its coalescer, which answers it at a flush."""
+        if (
+            self.admission is not None
+            and self.admission.on_arrival(now_ms) is AdmissionDecision.DEGRADE
+        ):
+            return self.process_degraded(request, was_fraud=was_fraud)
+        return None
+
     def _record(
         self,
         request: TransactionRequest,
@@ -378,14 +392,7 @@ class AlipayServer:
         clock_ms = self._arrival_clock_ms(arrival_rate_per_s, arrival_times_s)
         for transaction, now_ms in zip(ordered, clock_ms):
             request = TransactionRequest.from_transaction(transaction)
-            if (
-                self.admission is not None
-                and self.admission.on_arrival(now_ms) is AdmissionDecision.DEGRADE
-            ):
-                # shed to rules: answered (and recorded) now, at arrival
-                self.process_degraded(request, was_fraud=transaction.is_fraud)
-            else:
-                # buffered: answered when the policy flushes it to process_batch
+            if self.arrive(request, now_ms, was_fraud=transaction.is_fraud) is None:
                 batcher.submit(request, now_ms=now_ms, was_fraud=transaction.is_fraud)
         batcher.flush()
         if coalescer is not None:

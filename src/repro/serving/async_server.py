@@ -34,7 +34,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ServingError
-from repro.serving.admission import AdmissionDecision
 from repro.serving.coalescer import CoalescerConfig, RequestCoalescer
 from repro.serving.model_server import TransactionRequest
 
@@ -96,13 +95,12 @@ class AsyncServingFrontEnd:
         """
         future: "asyncio.Future[ServedTransaction]" = self._ensure_loop().create_future()
         now_ms = self.now_ms()
-        # The arrival step of AlipayServer.replay_transactions, kept as a copy:
-        # the future must join the waiters after the admission decision and
-        # before the submit, which may flush (and settle it) right away.
-        admission = self.alipay.admission
-        if admission is not None and admission.on_arrival(now_ms) is AdmissionDecision.DEGRADE:
-            future.set_result(self.alipay.process_degraded(request, was_fraud=was_fraud))
+        shed = self.alipay.arrive(request, now_ms, was_fraud=was_fraud)
+        if shed is not None:
+            future.set_result(shed)
             return future
+        # Joins the waiters before the submit, which may flush (and settle
+        # it) right away.
         self._waiters.append(future)
         self.coalescer.submit(request, now_ms=now_ms, was_fraud=was_fraud)
         self._arm_timer()

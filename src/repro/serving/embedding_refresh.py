@@ -41,8 +41,9 @@ from repro.datagen.schema import Transaction
 from repro.exceptions import ServingError
 from repro.graph.builder import EdgeWeighting, NetworkBuilder
 from repro.graph.network import TransactionNetwork
-from repro.hbase.client import EMBEDDINGS_FAMILY, HBaseClient
+from repro.hbase.client import DEFAULT_FEATURE_TABLE, EMBEDDINGS_FAMILY, HBaseClient
 from repro.nrl.structure2vec import Structure2Vec
+from repro.serving.feature_source import embedding_cell
 
 #: Refresh strategies understood by :class:`EmbeddingRefreshConfig`.
 REFRESH_MODES: Tuple[str, ...] = ("propagate", "retrain")
@@ -175,7 +176,7 @@ class EmbeddingRefresher:
         self,
         model: Structure2Vec,
         hbase: HBaseClient,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         *,
         config: Optional[EmbeddingRefreshConfig] = None,
         warmup_transactions: Optional[Iterable[Transaction]] = None,
@@ -292,7 +293,7 @@ class EmbeddingRefresher:
                 self.table_name,
                 node,
                 EMBEDDINGS_FAMILY,
-                {self.config.set_name: tuple(float(v) for v in vectors[node])},
+                {self.config.set_name: embedding_cell(vectors[node])},
                 version=self._version,
             )
         self.rows_written += len(targets)

@@ -13,7 +13,7 @@ row), read here and never edited.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.features.plan import EmbeddingBlockSpec, FeatureSource
 from repro.hbase.client import (
     AGGREGATES_FAMILY,
     BASIC_FEATURES_FAMILY,
+    DEFAULT_FEATURE_TABLE,
     EMBEDDINGS_FAMILY,
     HBaseClient,
 )
@@ -63,10 +64,22 @@ def profile_from_row(user_id: str, row: Mapping[str, Any]) -> UserProfile:
     )
 
 
+def embedding_cell(vector: Iterable[float]) -> Tuple[float, ...]:
+    """One embedding set's cell in the embeddings family: the whole vector in
+    one array-valued qualifier (a block read online is a single cell fetch,
+    not ``d``), as a tuple so readers sharing the cell cannot corrupt it."""
+    return tuple(float(value) for value in vector)
+
+
+def embedding_from_cell(cell: Any) -> np.ndarray:
+    """The vector :func:`embedding_cell` stored."""
+    return np.asarray(cell, dtype=np.float64).ravel()
+
+
 class HBaseFeatureSource(FeatureSource):
     """Reads profiles and embedding blocks from the TitAnt feature store."""
 
-    def __init__(self, hbase: HBaseClient, table_name: str = "titant_features") -> None:
+    def __init__(self, hbase: HBaseClient, table_name: str = DEFAULT_FEATURE_TABLE) -> None:
         self.hbase = hbase
         self.table_name = table_name
         #: (user, block) reads that found no stored embedding cell at all —
@@ -122,7 +135,7 @@ class HBaseFeatureSource(FeatureSource):
     ) -> np.ndarray:
         value = row.get(block.set_name)
         if value is not None:
-            vector = np.asarray(value, dtype=np.float64).ravel()
+            vector = embedding_from_cell(value)
             if vector.shape[0] != block.dimension:
                 raise ServingError(
                     f"stored {block.set_name!r} embedding has "

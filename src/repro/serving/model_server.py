@@ -28,7 +28,7 @@ import numpy as np
 from repro.datagen.schema import Transaction, TransactionChannel
 from repro.exceptions import ModelNotLoadedError, ServingError
 from repro.features.plan import FeaturePlan, FeaturePlanExecutor
-from repro.hbase.client import HBaseClient
+from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
 from repro.logging_utils import Stopwatch, get_logger
 from repro.models.base import BaseDetector
 from repro.serving.feature_source import HBaseFeatureSource
@@ -121,7 +121,7 @@ class ModelServerConfig:
     calibrated threshold.
     """
 
-    feature_table: str = "titant_features"
+    feature_table: str = DEFAULT_FEATURE_TABLE
     alert_threshold: float = 0.5
     sla_budget_ms: float = 50.0
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Set
 
 from repro.datagen.schema import Transaction
 from repro.features.streaming import SlidingWindowAggregator
-from repro.hbase.client import AGGREGATES_FAMILY, HBaseClient
+from repro.hbase.client import AGGREGATES_FAMILY, DEFAULT_FEATURE_TABLE, HBaseClient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.embedding_refresh import EmbeddingRefresher
@@ -73,7 +73,7 @@ class StreamingFeatureUpdater:
         self,
         aggregator: SlidingWindowAggregator,
         hbase: HBaseClient,
-        table_name: str = "titant_features",
+        table_name: str = DEFAULT_FEATURE_TABLE,
         *,
         start_version: int = 0,
         refresh_interval_seconds: Optional[float] = None,

@@ -1,7 +1,7 @@
 """Tests of the invariant linter (src/repro/analysis + scripts/lint_repo.py)
 and of the doc / workflow reference checker (scripts/check_docs.py).
 
-Each of the five rules gets known-bad and known-good fixture snippets; the
+Each of the six rules gets known-bad and known-good fixture snippets; the
 JSON reporter's schema is pinned; the layering checker's import graph is
 inspected directly; and the CLI is exercised end to end — including the
 acceptance requirement that a violation of any invariant class exits non-zero
@@ -464,6 +464,68 @@ class TestIterationOrder:
 
 
 # ---------------------------------------------------------------------------
+# Rule 6: duplicate-definition
+# ---------------------------------------------------------------------------
+
+
+class TestDuplicateDefinition:
+    def test_flags_a_copied_body_and_a_respelled_constant(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/models/gbdt.py": """
+                SECONDS_PER_DAY = 86_400
+                def sample_weights(labels):
+                    \"\"\"The owner.\"\"\"
+                    positives = labels.sum()
+                    negatives = len(labels) - positives
+                    return negatives / positives
+                """,
+                # the same statements under another docstring; an equal constant
+                "repro/models/lr.py": """
+                SECONDS_PER_DAY = 24 * 3600
+                class LR:
+                    def _sample_weights(labels):
+                        \"\"\"Reworded, still a copy.\"\"\"
+                        positives = labels.sum()
+                        negatives = len(labels) - positives
+                        return negatives / positives
+                """,
+            },
+            rules=["duplicate-definition"],
+        )
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("src/repro/models/lr.py", 2),
+            ("src/repro/models/lr.py", 4),
+        ]
+        constant, body = report.findings
+        assert "SECONDS_PER_DAY" in constant.message
+        assert "_sample_weights()" in body.message
+        assert "src/repro/models/gbdt.py:3" in body.message  # names the owner
+
+    def test_short_bodies_imports_and_accepted_lines_are_clean(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/a.py": """
+                LIMIT = 3
+                ALLOWED = {"repro.a"}
+                def close(self):
+                    self.cluster.close()
+                """,
+                "repro/b.py": """
+                from repro.a import LIMIT
+                ALLOWED = {"repro.b"}  # repro-lint: ignore[duplicate-definition] another list
+                def close(self):
+                    self.cluster.close()
+                """,
+            },
+            rules=["duplicate-definition"],
+        )
+        assert report.findings == []
+
+
+# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -564,7 +626,9 @@ class TestLintRepoCli:
             assert rule in result.stdout
 
     def test_registry_exposes_exactly_the_bundled_rules(self):
-        assert all_rule_ids() == sorted(VIOLATIONS)
+        # duplicate-definition needs two modules, so it has no one-file
+        # snippet in VIOLATIONS; TestDuplicateDefinition plants its tree.
+        assert all_rule_ids() == sorted([*VIOLATIONS, "duplicate-definition"])
 
 
 # ---------------------------------------------------------------------------

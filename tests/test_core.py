@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,25 @@ class TestPipelineAndExperiment:
         pipeline.deploy_fleet(retrained, preparation, hbase, [server], registry=registry)
         assert registry.get(retrained.version).model is retrained.detector
         assert server.active_model.model is retrained.detector
+
+    def test_deploy_fleet_without_a_registry_still_deploys_through_one(self, experiment_runner):
+        """``deploy_fleet`` has one install path: with no caller registry the
+        bundle is registered in a private one, so an unfitted detector is
+        turned away by ``ModelRegistry.register`` (``ModelError``), not by the
+        first server's ``load_model`` (``ServingError``)."""
+        dataset = experiment_runner.datasets()[0]
+        preparation = experiment_runner.preparation_for(dataset)
+        configuration = Table1Configuration(5, DetectorName.GBDT, FeatureSetName.BASIC)
+        bundle = experiment_runner.pipeline.train(preparation, configuration)
+        hbase = HBaseClient()
+        server = ModelServer(hbase, ModelServerConfig())
+        unfitted = dataclasses.replace(bundle, detector=GradientBoostingClassifier())
+        with pytest.raises(ModelError):
+            experiment_runner.pipeline.deploy_fleet(unfitted, preparation, hbase, [server])
+        assert server.active_model is None
+        experiment_runner.pipeline.deploy_fleet(bundle, preparation, hbase, [server])
+        assert server.active_model.model is bundle.detector
+        assert server.model_version == bundle.version
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,74 @@
+"""One owner per decision (docs/ARCHITECTURE.md, "Decisions and their owners").
+
+A rule both halves of the system apply is defined once and imported; these
+assertions fail when a module grows its own spelling again.  The function
+bodies and constants the linter can see are covered by its
+``duplicate-definition`` rule (tests/test_analysis.py); what is pinned here is
+what an AST comparison cannot see — that two names are the same object, and
+that a default argument is the shared constant rather than an equal literal.
+"""
+
+from __future__ import annotations
+
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro.core.pipeline import OfflineTrainingPipeline
+from repro.datagen import schema
+from repro.features import aggregation, assembler, plan, streaming
+from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
+from repro.serving.embedding_refresh import EmbeddingRefresher
+from repro.serving.feature_source import HBaseFeatureSource
+from repro.serving.model_server import ModelServerConfig
+from repro.serving.streaming import StreamingFeatureUpdater
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_time_rules_are_the_schemas_objects():
+    assert aggregation.SECONDS_PER_DAY is schema.SECONDS_PER_DAY
+    assert aggregation.SECONDS_PER_HOUR is schema.SECONDS_PER_HOUR
+    assert aggregation.transaction_event_time is schema.transaction_event_time
+    assert streaming.event_order is schema.transaction_sort_key
+
+
+def test_batch_as_of_time_is_the_last_second_of_the_day_before():
+    assert aggregation.batch_as_of_time(3) == 3 * schema.SECONDS_PER_DAY - 1
+
+
+def test_embedding_sides_are_the_enums_values():
+    assert assembler.EmbeddingSide is plan.EmbeddingSide
+    assert plan.EMBEDDING_SIDES == tuple(side.value for side in plan.EmbeddingSide)
+
+
+TABLE_NAME_SITES = [
+    (ModelServerConfig, "feature_table"),
+    (HBaseFeatureSource, "table_name"),
+    (StreamingFeatureUpdater, "table_name"),
+    (EmbeddingRefresher, "table_name"),
+    (HBaseClient.create_feature_store, "name"),
+    (OfflineTrainingPipeline.publish_features, "table_name"),
+    (OfflineTrainingPipeline.build_streaming_updater, "table_name"),
+    (OfflineTrainingPipeline.deploy, "table_name"),
+    (OfflineTrainingPipeline.deploy_fleet, "table_name"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, parameter", TABLE_NAME_SITES, ids=[site.__qualname__ for site, _ in TABLE_NAME_SITES]
+)
+def test_default_table_name_is_the_one_constant(site, parameter):
+    assert inspect.signature(site).parameters[parameter].default is DEFAULT_FEATURE_TABLE
+
+
+def test_the_table_name_literal_is_written_once():
+    """CPython interns equal literals, so the ``is`` above cannot tell a second
+    spelling from an import; the source can."""
+    spelled = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if f'"{DEFAULT_FEATURE_TABLE}"' in path.read_text()
+    ]
+    assert spelled == ["src/repro/hbase/client.py"]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError, NotFittedError
+from repro.features import discretization
 from repro.models.rules import extract_rules
 from repro.models.tree.c45 import C45Classifier
 from repro.models.tree.cart import RegressionTree
@@ -104,6 +107,32 @@ class TestID3:
         fraud_mean = scores[test.labels == 1].mean() if test.labels.sum() else 1.0
         normal_mean = scores[test.labels == 0].mean()
         assert fraud_mean > normal_mean
+
+
+    @pytest.mark.parametrize(
+        "bins, digest",
+        [
+            (0, "6bb9b02ad5ce743c"),
+            (1, "6bb9b02ad5ce743c"),  # one bin has no cut points: every column collapses
+            (2, "e6ddbcb548a36753"),
+            (10, "365fae3ba15f23eb"),
+        ],
+    )
+    def test_predictions_unmoved_by_sharing_quantile_edges(
+        self, small_classification_data, bins, digest
+    ):
+        """ID3 takes its cut points from ``discretization.quantile_edges``
+        (which rejects fewer than two bins — ID3 keeps its own guard for 0 and
+        1); the digests were recorded before it did."""
+        features, labels = small_classification_data
+        scores = ID3Classifier(discretize_bins=bins).fit(features, labels).predict_proba(features)
+        assert hashlib.sha256(scores.tobytes()).hexdigest()[:16] == digest
+
+    def test_imports_only_the_discretisation_it_calls(self):
+        import repro.models.tree.id3 as id3
+
+        assert id3.quantile_edges is discretization.quantile_edges
+        assert not hasattr(id3, "discretize_array")
 
 
 class TestC45:

@@ -36,6 +36,7 @@ from repro.kunpeng import (
     SharedBlockManager,
 )
 from repro.models.distributed import DistributedGBDT, DistributedLogisticRegression
+from repro.models.tree.histogram import HistogramBinner, HistogramTreeBuilder
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.graph.random_walk import RandomWalkConfig
 from repro.nrl.word2vec import SkipGramConfig
@@ -247,6 +248,44 @@ class TestBackendEquivalence:
             return probabilities
 
         assert np.array_equal(_train("inline"), _train("process"))
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_one_worker_hist_tree_is_the_local_builders_bit_for_bit(
+        self, small_classification_data, backend
+    ):
+        """``grow_level_wise`` has two callers.  With one server and one
+        worker nothing is re-associated, so over the same rows in the same
+        order the distributed callbacks grow the local builder's tree to the
+        last bit.  (A whole same-seed fit is only ``allclose``: the local fit
+        histograms its subsample in draw order, a worker in partition order.)"""
+        features, _ = small_classification_data
+        num_rows = features.shape[0]
+        rng = np.random.default_rng(3)
+        gradients = rng.normal(size=num_rows)
+        hessians = rng.uniform(0.1, 1.0, size=num_rows)
+        rows = np.sort(rng.choice(num_rows, size=240, replace=False))
+        columns = rng.choice(features.shape[1], size=3, replace=False)
+
+        model = DistributedGBDT(
+            cluster=ClusterConfig(num_machines=2), backend=backend, min_samples_leaf=7, seed=0
+        )
+        try:
+            assert (model.cluster_config.num_servers, model.cluster_config.num_workers) == (1, 1)
+            model._binner = HistogramBinner(num_bins=model.num_bins).fit(features)
+            binned = model._binner.transform(features)
+            model._begin_fit(num_rows, columns.shape[0])
+            distributed = model._grow_histogram_tree(binned, gradients, hessians, rows, columns)
+        finally:
+            model.close()
+        local = HistogramTreeBuilder(
+            model._binner,
+            max_depth=model.max_depth,
+            min_samples_leaf=model.min_samples_leaf,
+            reg_lambda=model.reg_lambda,
+            feature_indices=columns,
+        ).build(binned[rows], gradients[rows], hessians[rows])
+        assert not local.tree_.is_leaf
+        assert distributed.tree_ == local.tree_  # dataclass equality: exact floats, recursively
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_replace_parameter_rehosts_and_frees_the_old_blocks(self, backend):
