@@ -9,13 +9,16 @@ class ``scripts/run_determinism_check.py`` hunts dynamically by running the
 tagged tests under two hash seeds.  This rule catches the static shape:
 
 * ``for``-loop or comprehension iteration directly over ``set(...)``, a set
-  literal, a set comprehension, or a binary set expression (``a | b``),
+  literal, a set comprehension, or a binary set expression (``a | b``, also
+  with a dict-view operand: ``a - d.keys()``),
+* the same iteration over a bare name that every assignment in the
+  enclosing function binds to such a set expression,
 * ``os.listdir`` / ``os.scandir`` / ``Path.iterdir`` / ``glob.glob`` /
   ``Path.glob``/``rglob`` results used without a wrapping ``sorted(...)``.
 
-Dict iteration is fine (insertion-ordered since Python 3.7), and iterating
-a *variable* that happens to hold a set is out of static reach — the
-dynamic sanitizer covers that remainder.
+Dict iteration is fine (insertion-ordered since Python 3.7).  A set that
+reaches a loop any other way (a parameter, an attribute, a function's return
+value) is out of static reach — the dynamic sanitizer covers that remainder.
 """
 
 from __future__ import annotations
@@ -36,8 +39,29 @@ def _is_set_expression(node: ast.AST) -> bool:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "set":
         return True
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
-        return _is_set_expression(node.left) or _is_set_expression(node.right)
+        sides = (node.left, node.right)
+        return any(_is_set_expression(side) or _is_dict_view(side) for side in sides)
     return False
+
+
+def _is_dict_view(node: ast.AST) -> bool:
+    """``d.keys()`` / ``d.items()``: ordered alone, a set once in set algebra."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and func.attr in {"keys", "items"}
+
+
+def _names_a_set(node: ast.AST) -> bool:
+    """A bare name every assignment in its enclosing function binds to a set."""
+    scope = parent_of(node)
+    while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = parent_of(scope)
+    if not isinstance(node, ast.Name) or scope is None:
+        return False
+    values = [
+        assign.value for assign in ast.walk(scope) if isinstance(assign, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == node.id for t in assign.targets)
+    ]
+    return bool(values) and all(_is_set_expression(value) for value in values)
 
 
 def _is_listing_call(node: ast.AST) -> bool:
@@ -86,7 +110,7 @@ class IterationOrderChecker(Checker):
                 for generator in node.generators:
                     iter_targets.append(generator.iter)
         for target in iter_targets:
-            if _is_set_expression(target):
+            if _is_set_expression(target) or _names_a_set(target):
                 findings.append(
                     ctx.finding(
                         target,

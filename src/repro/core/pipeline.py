@@ -442,8 +442,6 @@ class OfflineTrainingPipeline:
         hbase: HBaseClient,
         *,
         table_name: str = DEFAULT_FEATURE_TABLE,
-        start_version: Optional[int] = None,
-        refresh_interval_seconds: Optional[float] = None,
     ) -> StreamingFeatureUpdater:
         """The online half of the windowing definition exported with the plan.
 
@@ -458,15 +456,14 @@ class OfflineTrainingPipeline:
         online ingest onwards every written row is anchored at the live
         watermark — one windowing definition for both worlds.
 
-        ``start_version`` must be at least the version ``publish_features``
-        bulk-loaded at (the default derives it from the recorded publish
-        versions), so streaming write-throughs always supersede the published
-        snapshot.
+        Write-throughs start at the highest version ``publish_features``
+        bulk-loaded at (or the test day), so they always supersede the
+        published snapshot.
 
-        ``refresh_interval_seconds`` defaults to the window length for
-        sub-day windows — idle accounts' rows decay fast there, so the
-        periodic re-anchoring sweep is on by default — and to off for
-        day-scale windows, where decay between publishes is negligible.
+        The refresh interval is the window length for sub-day windows — idle
+        accounts' rows decay fast there, so the periodic re-anchoring sweep
+        is on — and off for day-scale windows, where decay between publishes
+        is negligible.
         """
         if self.aggregation is None:
             raise ConfigurationError(
@@ -476,42 +473,16 @@ class OfflineTrainingPipeline:
         aggregator = SlidingWindowAggregator(self.aggregation)
         aggregator.replay(self._slice_history(preparation))
         hbase.create_feature_store(table_name)
-        if start_version is None:
-            start_version = max(
-                preparation.dataset.spec.test_day,
-                self._published_versions.get(table_name, 0),
-            )
         window_seconds = self.aggregation.effective_window_seconds
-        if refresh_interval_seconds is None and window_seconds < SECONDS_PER_DAY:
-            refresh_interval_seconds = window_seconds
         return StreamingFeatureUpdater(
             aggregator,
             hbase,
             table_name,
-            start_version=start_version,
-            refresh_interval_seconds=refresh_interval_seconds,
-        )
-
-    def deploy(
-        self,
-        bundle: TrainedModelBundle,
-        preparation: SlicePreparation,
-        hbase: HBaseClient,
-        model_server: ModelServer,
-        *,
-        table_name: str = DEFAULT_FEATURE_TABLE,
-        streaming_updater: bool = True,
-        registry: Optional[ModelRegistry] = None,
-    ) -> Optional[StreamingFeatureUpdater]:
-        """Publish features and hot-load the model + plan into a Model Server."""
-        return self.deploy_fleet(
-            bundle,
-            preparation,
-            hbase,
-            [model_server],
-            table_name=table_name,
-            streaming_updater=streaming_updater,
-            registry=registry,
+            start_version=max(
+                preparation.dataset.spec.test_day,
+                self._published_versions.get(table_name, 0),
+            ),
+            refresh_interval_seconds=window_seconds if window_seconds < SECONDS_PER_DAY else None,
         )
 
     def deploy_fleet(

@@ -31,12 +31,7 @@ from repro.features.aggregation import (
     aggregation_vector,
     transaction_event_time,
 )
-from repro.features.streaming import (
-    STANDARD_WINDOWS,
-    PointInTimeAggregationSource,
-    SlidingWindowAggregator,
-    WindowSpec,
-)
+from repro.features.streaming import PointInTimeAggregationSource, SlidingWindowAggregator
 from repro.features.plan import (
     EmbeddingBlockSpec,
     FeaturePlan,
@@ -66,8 +61,6 @@ __all__ = [
     "transaction_event_time",
     "SlidingWindowAggregator",
     "PointInTimeAggregationSource",
-    "WindowSpec",
-    "STANDARD_WINDOWS",
     "FeatureAssembler",
     "EmbeddingSide",
 ]

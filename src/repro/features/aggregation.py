@@ -96,19 +96,6 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
-def _require_bucket_divides_event_granularity(bucket_seconds: float) -> float:
-    """Buckets must divide the schema's hour-granular event times so every
-    bucket holds a single timestamp and window membership stays exact."""
-    bucket_seconds = _require_positive_finite("bucket_seconds", bucket_seconds)
-    if math.fmod(SECONDS_PER_HOUR, bucket_seconds) != 0.0:
-        raise FeatureError(
-            f"bucket_seconds must divide {SECONDS_PER_HOUR} (the schema's "
-            f"event-time granularity) so streaming buckets hold a single "
-            f"timestamp and windows stay exact; got {bucket_seconds!r}"
-        )
-    return bucket_seconds
-
-
 def build_aggregate_row(
     *,
     out_count: int,
@@ -217,33 +204,32 @@ class AggregationWindowSpec:
     """
 
     window_seconds: float = float(14 * SECONDS_PER_DAY)
-    bucket_seconds: float = float(SECONDS_PER_HOUR)
 
     def __post_init__(self) -> None:
         _require_positive_finite("window_seconds", self.window_seconds)
-        _require_bucket_divides_event_granularity(self.bucket_seconds)
 
     @classmethod
-    def from_config(
-        cls, config: AggregationConfig, *, bucket_seconds: float = float(SECONDS_PER_HOUR)
-    ) -> "AggregationWindowSpec":
+    def from_config(cls, config: AggregationConfig) -> "AggregationWindowSpec":
         config.validate()
-        return cls(
-            window_seconds=config.effective_window_seconds, bucket_seconds=bucket_seconds
-        )
+        return cls(window_seconds=config.effective_window_seconds)
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "window_seconds": float(self.window_seconds),
-            "bucket_seconds": float(self.bucket_seconds),
-        }
+        return {"window_seconds": float(self.window_seconds)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "AggregationWindowSpec":
-        return cls(
-            window_seconds=float(data["window_seconds"]),
-            bucket_seconds=float(data.get("bucket_seconds", SECONDS_PER_HOUR)),
+        spec = cls(window_seconds=float(data["window_seconds"]))
+        # Older plans carry a bucket width.  Every width that divides the
+        # hour-granular event times gave the same buckets (one per event
+        # instant); any other width was rejected then and still is.
+        bucket_seconds = _require_positive_finite(
+            "bucket_seconds", data.get("bucket_seconds", SECONDS_PER_HOUR)
         )
+        if math.fmod(SECONDS_PER_HOUR, bucket_seconds) != 0.0:
+            raise FeatureError(
+                f"bucket_seconds must divide {SECONDS_PER_HOUR}, got {bucket_seconds!r}"
+            )
+        return spec
 
 
 class PointInTimeAggregateProvider(abc.ABC):

@@ -13,36 +13,34 @@ Design
   :func:`~repro.features.aggregation.transaction_event_time` seconds.  Windows
   are left-open/right-closed: an event at ``t`` is inside the window ending at
   ``as_of`` iff ``as_of - W < t <= as_of``.
-* **Buckets.**  Per account, events are accumulated into time buckets of
-  ``bucket_seconds`` (default one hour — the schema's native granularity, so
-  every bucket holds exactly one distinct timestamp and window membership is
-  *exact*, not approximate).  Each bucket keeps subtotals (count, sum, max,
-  night count) and the multiset of counterparties.
+* **One window.**  The engine serves the one window its
+  :class:`AggregationConfig` names — the window a
+  :class:`~repro.features.plan.FeaturePlan` exports — and emits the exact
+  :data:`AGGREGATION_FEATURE_NAMES` vector of the batch path.
+* **Buckets.**  Per account, events are accumulated into one bucket per
+  event instant (the schema's event times are hour-granular, so window
+  membership is *exact*, not approximate).  Each bucket keeps subtotals
+  (count, sum, max, night count) and the multiset of counterparties.
 * **Costs.**  Ingest is O(1) amortised (update two buckets, keep each
   account's bucket times sorted, evict by a peek at the oldest — each bucket
-  is evicted at most once).  A read of the primary window *at the watermark*
-  — every write-through row, most ``features_for`` calls of an in-order
-  replay — costs O(buckets touched since the account's last such read): from
-  its first one on, the account's row is maintained (counts as running
-  totals, distinct sets as per-counterparty reference counts, running
-  maxima, and the two sums' running left fold per bucket).  Any other query
-  (``as_of`` off the watermark, an extra window) is a full fold,
-  O(window/bucket).  The bits are the same because a running fold is never
-  read from at or after a bucket an event touched and is dropped when the
-  window edge passes a bucket, so finishing it repeats the full fold's
-  additions exactly.
+  is evicted at most once).  A read *at the watermark* — every
+  write-through row, most ``features_for`` calls of an in-order replay —
+  costs O(buckets touched since the account's last such read): from its
+  first one on, the account's row is maintained (counts as running totals,
+  distinct sets as per-counterparty reference counts, running maxima, and
+  the two sums' running left fold per bucket).  A query with ``as_of`` off
+  the watermark is a full fold, O(buckets in the window).  The bits are the
+  same because a running fold is never read from at or after a bucket an
+  event touched and is dropped when the window edge passes a bucket, so
+  finishing it repeats the full fold's additions exactly.
 * **Out-of-order arrivals.**  A late event lands in its (possibly older)
   bucket as long as it is still inside the retention horizon
-  ``max_window + allowed_lateness``; an older event can never re-enter any
+  ``window + allowed_lateness``; an older event can never re-enter any
   permitted window (event-time windows only move forward) and is counted in
   ``late_events_dropped``.  Queries are exact for any
   ``as_of >= watermark - allowed_lateness`` (and for any ``as_of`` at or
   beyond the watermark); with the default lateness of 0 the engine retains
   exactly one window of buckets.
-* **Multi-window.**  One bucket store serves any number of window lengths
-  (e.g. 1 h / 24 h / 14 d); the first window is the *primary* one and emits
-  the exact :data:`AGGREGATION_FEATURE_NAMES` vector of the batch path, extra
-  windows append suffixed copies.
 
 Determinism: queries fold buckets in ascending bucket-time order, so counts,
 maxima, night fractions and distinct/payer sets depend only on the *set* of
@@ -58,7 +56,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -69,10 +66,7 @@ from repro.features.aggregation import (
     AGGREGATION_FEATURE_NAMES,
     AggregationConfig,
     AggregationWindowSpec,
-    SECONDS_PER_HOUR,
     PointInTimeAggregateProvider,
-    _require_bucket_divides_event_granularity,
-    _require_positive_finite,
     aggregation_vector,
     build_aggregate_row,
     is_night_hour,
@@ -80,34 +74,9 @@ from repro.features.aggregation import (
 )
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """One sliding window: a name and a length in seconds.
-
-    The first window of an aggregator is the *primary* window and emits the
-    unprefixed :data:`AGGREGATION_FEATURE_NAMES`; additional windows need a
-    non-empty unique name used as a feature-name suffix.
-    """
-
-    name: str
-    window_seconds: float
-
-    def __post_init__(self) -> None:
-        _require_positive_finite(f"window {self.name!r} window_seconds", self.window_seconds)
-
-
 #: :func:`~repro.datagen.schema.transaction_sort_key` under the name the
 #: serving side and the harness import.
 event_order = transaction_sort_key
-
-
-#: The "1h / 24h / 14d" short-/mid-/long-horizon triple from the issue;
-#: the 14-day window leads so the primary features match the batch default.
-STANDARD_WINDOWS: Tuple[WindowSpec, ...] = (
-    WindowSpec("14d", 14.0 * 24 * SECONDS_PER_HOUR),
-    WindowSpec("24h", 24.0 * SECONDS_PER_HOUR),
-    WindowSpec("1h", 1.0 * SECONDS_PER_HOUR),
-)
 
 
 class _Bucket:
@@ -138,7 +107,7 @@ class _Bucket:
 
 
 class _LiveWindow:
-    """One account's primary-window fold over ``times[start:]``, maintained:
+    """One account's window fold over ``times[start:]``, maintained:
     at all times equal to a full fold of exactly those buckets.  ``ingest``
     applies each event to it; a watermark read moves ``start`` up to the
     window edge and finishes the two sum folds."""
@@ -185,7 +154,7 @@ class _LiveWindow:
 
 class _Account:
     """One account's buckets, their times ascending, and — from its first
-    read at the watermark — its maintained primary-window row."""
+    read at the watermark — its maintained window row."""
 
     __slots__ = ("buckets", "times", "live")
 
@@ -196,40 +165,27 @@ class _Account:
 
 
 class SlidingWindowAggregator:
-    """Event-time, bucketed, multi-window per-account aggregate accumulator."""
+    """Event-time, bucketed, single-window per-account aggregate accumulator."""
 
     def __init__(
         self,
         config: Optional[AggregationConfig] = None,
         *,
-        windows: Optional[Sequence[WindowSpec]] = None,
-        bucket_seconds: Optional[float] = None,
         allowed_lateness_seconds: float = 0.0,
     ) -> None:
-        if windows is not None and config is not None:
-            raise FeatureError("pass an AggregationConfig or explicit windows, not both")
-        if windows is None:
-            resolved = config or AggregationConfig()
-            resolved.validate()
-            windows = (WindowSpec("primary", resolved.effective_window_seconds),)
-        self.windows: Tuple[WindowSpec, ...] = tuple(windows)
-        if not self.windows:
-            raise FeatureError("SlidingWindowAggregator needs at least one window")
-        suffixes = [spec.name for spec in self.windows[1:]]
-        if any(not name for name in suffixes) or len(set(suffixes)) != len(suffixes):
-            raise FeatureError("extra windows need non-empty, unique names")
-        self.bucket_seconds = _require_bucket_divides_event_granularity(
-            SECONDS_PER_HOUR if bucket_seconds is None else bucket_seconds
-        )
+        config = config or AggregationConfig()
+        config.validate()
+        #: Length of the one window every row covers, in seconds.
+        self.window_seconds = config.effective_window_seconds
         lateness = float(allowed_lateness_seconds)
         if math.isnan(lateness) or math.isinf(lateness) or lateness < 0.0:
             raise FeatureError(
                 f"allowed_lateness_seconds must be a finite number >= 0, got {lateness!r}"
             )
         self.allowed_lateness_seconds = lateness
-        #: Retention horizon: a bucket older than the longest window plus the
-        #: allowed lateness can never be seen by a permitted query again.
-        self._horizon = max(spec.window_seconds for spec in self.windows) + lateness
+        #: Retention horizon: a bucket older than the window plus the allowed
+        #: lateness can never be seen by a permitted query again.
+        self._horizon = self.window_seconds + lateness
         #: account -> its buckets (an account is tracked while it has any).
         self._accounts: Dict[str, _Account] = {}
         self._watermark = -math.inf
@@ -242,27 +198,11 @@ class SlidingWindowAggregator:
         self.prune_interval = 10_000
         self._ingests_since_prune = 0
 
-    @classmethod
-    def from_window_spec(cls, spec: AggregationWindowSpec) -> "SlidingWindowAggregator":
-        """Aggregator configured from the window spec a FeaturePlan exports."""
-        return cls(
-            windows=(WindowSpec("primary", spec.window_seconds),),
-            bucket_seconds=spec.bucket_seconds,
-        )
-
     # ------------------------------------------------------------------
     @property
-    def primary_window(self) -> WindowSpec:
-        """The first configured window (emits the unprefixed feature names)."""
-        return self.windows[0]
-
-    @property
     def window_spec(self) -> AggregationWindowSpec:
-        """The primary window as a serialisable plan spec."""
-        return AggregationWindowSpec(
-            window_seconds=self.primary_window.window_seconds,
-            bucket_seconds=self.bucket_seconds,
-        )
+        """The window as a serialisable plan spec."""
+        return AggregationWindowSpec(window_seconds=self.window_seconds)
 
     @property
     def watermark(self) -> float:
@@ -271,11 +211,8 @@ class SlidingWindowAggregator:
 
     @property
     def feature_names(self) -> List[str]:
-        """Primary-window names plus suffixed copies per extra window."""
-        names = list(AGGREGATION_FEATURE_NAMES)
-        for spec in self.windows[1:]:
-            names.extend(f"{base}_{spec.name}" for base in AGGREGATION_FEATURE_NAMES)
-        return names
+        """The :data:`AGGREGATION_FEATURE_NAMES` columns ``features_for`` fills."""
+        return list(AGGREGATION_FEATURE_NAMES)
 
     def account_ids(self) -> List[str]:
         """Accounts with any non-evicted bucket (sorted)."""
@@ -294,9 +231,6 @@ class SlidingWindowAggregator:
     # ------------------------------------------------------------------
     # Ingest path
     # ------------------------------------------------------------------
-    def _bucket_time(self, event_time: float) -> float:
-        return math.floor(event_time / self.bucket_seconds) * self.bucket_seconds
-
     def _evict(self, user_id: str) -> None:
         """Drop the touched account's buckets that no window can ever see."""
         account = self._accounts.get(user_id)
@@ -310,7 +244,7 @@ class SlidingWindowAggregator:
         live = account.live
         if live is not None:
             # The maintained range lets go of a bucket before the bucket goes
-            # (the horizon is never shorter than the primary window).
+            # (the horizon is never shorter than the window).
             self._advance(account, live)
             live.start -= stop
         for bucket_time in times[:stop]:
@@ -351,18 +285,17 @@ class SlidingWindowAggregator:
 
         Returns False (and counts the event as dropped) when the event is at
         or beyond the retention horizon — older than
-        ``watermark - (max_window + allowed_lateness)`` — since no permitted
+        ``watermark - (window + allowed_lateness)`` — since no permitted
         query can ever see it.
         """
         event_time = transaction_event_time(txn)
         if event_time <= self._watermark - self._horizon:
             self.late_events_dropped += 1
             return False
-        bucket_time = self._bucket_time(event_time)
         amount = txn.amount
         night = 1 if is_night_hour(txn.hour) else 0
 
-        payer_bucket, live = self._touch(txn.payer_id, bucket_time)
+        payer_bucket, live = self._touch(txn.payer_id, event_time)
         if live is not None:
             live.out_count += 1
             live.out_night += night
@@ -375,7 +308,7 @@ class SlidingWindowAggregator:
         payer_bucket.out_night += night
         payer_bucket.payees.add(txn.payee_id)
 
-        payee_bucket, live = self._touch(txn.payee_id, bucket_time)
+        payee_bucket, live = self._touch(txn.payee_id, event_time)
         if live is not None:
             live.in_count += 1
             live.in_max = max(live.in_max, amount)
@@ -428,12 +361,10 @@ class SlidingWindowAggregator:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def _window_row(
-        self, user_id: str, window_seconds: float, as_of: float
-    ) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """(aggregate row, in-window payer set) for one account and window,
-        by a full fold of its buckets — the only path for an ``as_of`` off the
-        watermark or an extra window, and the oracle of the maintained one.
+    def _window_row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
+        """(aggregate row, in-window payer set) for one account, by a full
+        fold of its buckets — the only path for an ``as_of`` off the
+        watermark, and the oracle of the maintained one.
 
         Buckets are folded in ascending time order so the result is a pure
         function of the in-window event set, independent of arrival order.
@@ -450,9 +381,8 @@ class SlidingWindowAggregator:
         account = self._accounts.get(user_id)
         if account is not None:
             times = account.times
-            # A short window over a long retention horizon folds only its own
-            # few buckets.
-            first = bisect_right(times, as_of - window_seconds)
+            # Buckets kept only for the allowed lateness are not folded.
+            first = bisect_right(times, as_of - self.window_seconds)
             for bucket_time in times[first : bisect_right(times, as_of)]:
                 bucket = account.buckets[bucket_time]
                 out_count += bucket.out_count
@@ -478,9 +408,9 @@ class SlidingWindowAggregator:
         return row, frozenset(payers)
 
     def _advance(self, account: _Account, live: _LiveWindow) -> None:
-        """Move the maintained range's start up to the primary window's edge."""
+        """Move the maintained range's start up to the window's edge."""
         times = account.times
-        edge = self._watermark - self.primary_window.window_seconds
+        edge = self._watermark - self.window_seconds
         start = live.start
         if start == len(times) or times[start] > edge:
             return
@@ -500,14 +430,14 @@ class SlidingWindowAggregator:
             live.in_max = max([0.0, *(bucket.in_max for bucket in window)])
 
     def _maintained_row(self, user_id: str) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """The primary-window row at the watermark, from the maintained state
-        (built by one full fold the first time the account is read here)."""
+        """The row at the watermark, from the maintained state (built by one
+        full fold the first time the account is read here)."""
         # A cold account reads as an empty one and stays untracked.
         account = self._accounts.get(user_id) or _Account()
         times = account.times
         live = account.live
         if live is None:
-            edge = self._watermark - self.primary_window.window_seconds
+            edge = self._watermark - self.window_seconds
             live = account.live = _LiveWindow(bisect_right(times, edge))
             for bucket_time in times[live.start :]:
                 live.fold(account.buckets[bucket_time], 1)
@@ -537,23 +467,19 @@ class SlidingWindowAggregator:
         )
         return row, live.payers_cell
 
-    def _row(
-        self, user_id: str, window_seconds: float, as_of: float
-    ) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """Every query's one way in: the maintained row where one exists to
-        read — the primary window at the watermark — else the full fold."""
-        if window_seconds == self.primary_window.window_seconds and as_of == self._watermark:
+    def _row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
+        """Every query's one way in: the maintained row at the watermark,
+        else the full fold."""
+        if as_of == self._watermark:
             return self._maintained_row(user_id)
-        return self._window_row(user_id, window_seconds, as_of)
+        return self._window_row(user_id, as_of)
 
     def _resolve_as_of(self, as_of: Optional[float]) -> float:
         return self._watermark if as_of is None else float(as_of)
 
     def user_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, float]:
-        """Primary-window aggregate row (same keys as the batch ``user_row``)."""
-        row, _ = self._row(
-            user_id, self.primary_window.window_seconds, self._resolve_as_of(as_of)
-        )
+        """Aggregate row (same keys as the batch ``user_row``)."""
+        row, _ = self._row(user_id, self._resolve_as_of(as_of))
         return row
 
     def hbase_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, object]:
@@ -567,9 +493,7 @@ class SlidingWindowAggregator:
         a payer enters or leaves the window), so stores, WAL entries and row
         caches can hold it without a copy.
         """
-        row, payers = self._row(
-            user_id, self.primary_window.window_seconds, self._resolve_as_of(as_of)
-        )
+        row, payers = self._row(user_id, self._resolve_as_of(as_of))
         return {**row, "payers": payers}
 
     def snapshot_rows(self, *, as_of: Optional[float] = None) -> Dict[str, Dict[str, object]]:
@@ -577,20 +501,17 @@ class SlidingWindowAggregator:
         return {user_id: self.hbase_row(user_id, as_of=as_of) for user_id in self.account_ids()}
 
     def features_for(self, txn: Transaction, *, as_of: Optional[float] = None) -> np.ndarray:
-        """The multi-window feature vector for one transaction.
+        """The :data:`AGGREGATION_FEATURE_NAMES` vector for one transaction.
 
         ``as_of`` defaults to the transaction's own event time — the true
         event-time semantics: the window ends at this transaction, and
         (because serving scores *before* ingesting) does not include it.
         """
         at = transaction_event_time(txn) if as_of is None else float(as_of)
-        values: List[float] = []
-        for spec in self.windows:
-            payer_row, _ = self._row(txn.payer_id, spec.window_seconds, at)
-            payee_row, payee_payers = self._row(txn.payee_id, spec.window_seconds, at)
-            enriched: Dict[str, object] = {**payee_row, "payers": payee_payers}
-            values.extend(aggregation_vector(payer_row, enriched, txn.payer_id))
-        return np.asarray(values, dtype=np.float64)
+        payer_row, _ = self._row(txn.payer_id, at)
+        payee_row, payee_payers = self._row(txn.payee_id, at)
+        enriched: Dict[str, object] = {**payee_row, "payers": payee_payers}
+        return np.asarray(aggregation_vector(payer_row, enriched, txn.payer_id), dtype=np.float64)
 
 
 class PointInTimeAggregationSource(PointInTimeAggregateProvider):

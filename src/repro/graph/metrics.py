@@ -51,7 +51,8 @@ def two_hop_neighbors(network: TransactionNetwork, node: str) -> Set[str]:
     """
     one_hop = set(network.neighbors(node))
     two_hop: Set[str] = set()
-    for neighbor in one_hop:
+    # Order-free: the loop only feeds set.update.
+    for neighbor in one_hop:  # repro-lint: ignore[iteration-order]
         two_hop.update(network.neighbors(neighbor))
     two_hop.discard(node)
     return two_hop - one_hop

@@ -146,8 +146,9 @@ class TransactionNetwork:
         return graph
 
     def subgraph(self, nodes: Iterable[str]) -> "TransactionNetwork":
-        """Induced subgraph on ``nodes`` (unknown ids are ignored)."""
-        keep = {n for n in nodes if n in self._node_index}
+        """Induced subgraph on ``nodes`` (unknown ids are ignored), its node
+        index in the caller's first-seen order."""
+        keep = dict.fromkeys(n for n in nodes if n in self._node_index)
         sub = TransactionNetwork()
         for node in keep:
             sub.add_node(node)

@@ -167,27 +167,19 @@ def default_fraud_rules() -> RuleSet:
 class RuleBasedFallback:
     """Scores shed requests from request-local fields only — no HBase reads.
 
-    Wraps a :class:`~repro.models.rules.RuleSet` (by default
-    :func:`default_fraud_rules`; pass rules extracted from a fitted tree via
-    :func:`~repro.models.rules.extract_rules` to keep the fallback aligned
-    with a trained policy) and answers in the same
+    Evaluates :func:`default_fraud_rules` and answers in the same
     :class:`~repro.serving.model_server.PredictionResponse` shape as the ML
     path, tagged with its own model version so reports can tell the paths
     apart.
     """
 
-    def __init__(
-        self,
-        rules: Optional[RuleSet] = None,
-        *,
-        threshold: float = 0.5,
-        version: str = "rules-fallback",
-    ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ServingError("threshold must be in [0, 1]")
-        self.rules = rules or default_fraud_rules()
-        self.threshold = float(threshold)
-        self.version = version
+    #: Rule score at or above which a shed request raises an alert.
+    THRESHOLD = 0.5
+    #: Model version every fallback response carries.
+    VERSION = "rules-fallback"
+
+    def __init__(self) -> None:
+        self.rules = default_fraud_rules()
         self.requests_served = 0
 
     @staticmethod
@@ -213,8 +205,8 @@ class RuleBasedFallback:
         return PredictionResponse(
             transaction_id=request.transaction_id,
             fraud_probability=probability,
-            is_fraud_alert=probability >= self.threshold,
-            threshold=self.threshold,
-            model_version=self.version,
+            is_fraud_alert=probability >= self.THRESHOLD,
+            threshold=self.THRESHOLD,
+            model_version=self.VERSION,
             latency_ms=0.0,
         )

@@ -124,9 +124,9 @@ class AlipayServer:
     ``router`` maps a payer account to a replica index; ``None`` means a
     :class:`~repro.serving.router.ServingRouter` over the whole fleet
     (consistent-hash sharding by payer, so each replica's client-side row
-    cache stays hot).  ``admission`` + ``fallback`` enable overload shedding
-    during rate-driven replays: past the bounded backlog, arrivals are
-    answered by the rule-based fallback instead of queueing unboundedly.
+    cache stays hot).  ``admission`` enables overload shedding during
+    rate-driven replays: past the bounded backlog, arrivals are answered by
+    a :class:`RuleBasedFallback` instead of queueing unboundedly.
 
     ``retain_served=False`` keeps only the running outcome counters instead
     of the per-request :class:`ServedTransaction` list (and drops
@@ -142,7 +142,6 @@ class AlipayServer:
         feature_updater: Optional[StreamingFeatureUpdater] = None,
         router: Optional[Router] = None,
         admission: Optional[AdmissionController] = None,
-        fallback: Optional[RuleBasedFallback] = None,
         retain_served: bool = True,
     ) -> None:
         if isinstance(model_servers, ModelServer):
@@ -159,9 +158,7 @@ class AlipayServer:
             )
         self.router: Router = router
         self.admission = admission
-        self.fallback = fallback if fallback is not None else (
-            RuleBasedFallback() if admission is not None else None
-        )
+        self.fallback = RuleBasedFallback() if admission is not None else None
         self.feature_updater = feature_updater
         self.retain_served = retain_served
         self.served: List[ServedTransaction] = []

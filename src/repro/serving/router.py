@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.model_server import ModelServer
 
 
+#: Ring points per replica of a :class:`ServingRouter`.
+VIRTUAL_NODES = 64
+
+
 def _stable_hash(key: str) -> int:
     """64-bit hash that is stable across processes (unlike builtin ``hash``)."""
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
@@ -47,7 +51,7 @@ class Router(Protocol):
 class ServingRouter:
     """Consistent-hash router sharding requests by account id.
 
-    Each replica owns ``virtual_nodes`` points on a 64-bit hash ring; an
+    Each replica owns :data:`VIRTUAL_NODES` points on a 64-bit hash ring; an
     account maps to the replica owning the first ring point at or after the
     account's hash.  Virtual nodes keep the per-replica keyspace share close
     to uniform, and :meth:`remove_replica` / :meth:`add_replica` move only the
@@ -55,12 +59,9 @@ class ServingRouter:
     resizes cheap for the replicas' warm caches.
     """
 
-    def __init__(self, num_replicas: int, *, virtual_nodes: int = 64) -> None:
+    def __init__(self, num_replicas: int) -> None:
         if num_replicas < 1:
             raise ServingError("a router needs at least one replica")
-        if virtual_nodes < 1:
-            raise ServingError("virtual_nodes must be at least 1")
-        self.virtual_nodes = int(virtual_nodes)
         self._ring_points: List[int] = []
         self._ring_owners: List[int] = []
         self._replicas: List[int] = []
@@ -82,7 +83,7 @@ class ServingRouter:
         if replica in self._replicas:
             raise ServingError(f"replica {replica} is already on the ring")
         self._replicas.append(replica)
-        for vnode in range(self.virtual_nodes):
+        for vnode in range(VIRTUAL_NODES):
             point = _stable_hash(f"replica:{replica}:vnode:{vnode}")
             index = bisect.bisect_left(self._ring_points, point)
             self._ring_points.insert(index, point)

@@ -170,7 +170,7 @@ class StreamingFeatureUpdater:
             self._version = max(self._version, int(version))
         rows = self.aggregator.snapshot_rows(as_of=as_of)
         stale = self._published - rows.keys()
-        for user_id in stale:
+        for user_id in sorted(stale):  # the WAL order must not depend on hashing
             rows[user_id] = self.aggregator.hbase_row(user_id, as_of=as_of)
         self._published.update(rows)
         # Once re-anchored to the cold all-zero row, a pruned account needs

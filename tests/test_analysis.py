@@ -400,6 +400,27 @@ class TestIterationOrder:
         assert len(report.findings) == 2
         assert all("PYTHONHASHSEED" in f.message for f in report.findings)
 
+    def test_flags_set_bound_names_and_dict_view_algebra(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/serving/bad.py": """
+                def sweep(published, rows):
+                    stale = published - rows.keys()
+                    for user_id in stale:
+                        yield user_id
+                    keep = {n for n in rows if n}
+                    yield [n for n in keep]
+                    yield [key for key in rows.keys() | published]
+                    ordered = [n for n in rows]
+                    for user_id in ordered:
+                        yield user_id
+                """
+            },
+            rules=["iteration-order"],
+        )
+        assert [f.line for f in report.findings] == [4, 7, 8]
+
     def test_flags_unsorted_listdir(self, tmp_path):
         report = analyze(
             tmp_path,

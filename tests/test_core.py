@@ -220,7 +220,7 @@ class TestPipelineAndExperiment:
 
         hbase = HBaseClient()
         server = ModelServer(hbase, ModelServerConfig())
-        experiment_runner.pipeline.deploy(bundle, preparation, hbase, server)
+        experiment_runner.pipeline.deploy_fleet(bundle, preparation, hbase, [server])
         assert server.has_model
 
         # Online scoring equals offline scoring on the same transaction.

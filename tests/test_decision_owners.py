@@ -51,7 +51,6 @@ TABLE_NAME_SITES = [
     (HBaseClient.create_feature_store, "name"),
     (OfflineTrainingPipeline.publish_features, "table_name"),
     (OfflineTrainingPipeline.build_streaming_updater, "table_name"),
-    (OfflineTrainingPipeline.deploy, "table_name"),
     (OfflineTrainingPipeline.deploy_fleet, "table_name"),
 ]
 

@@ -5,8 +5,8 @@ checksum of a deterministic artifact via the ``record_checksum`` fixture.
 ``scripts/run_determinism_check.py`` runs this tagged subset twice under
 *different* ``PYTHONHASHSEED`` values and fails when any recorded checksum
 differs — catching hash-order-dependent iteration that the static
-``iteration-order`` lint rule cannot see (a variable that happens to hold a
-set, dict keys built from hashing, ...).
+``iteration-order`` lint rule cannot see (a set passed in or held by an
+attribute, dict keys built from hashing, ...).
 
 The tests also assert within-process repeatability, so they pull their
 weight in a plain tier-1 run too.
@@ -24,9 +24,13 @@ from repro.datagen.profiles import ProfileConfig
 from repro.datagen.fraud import TypologyConfig
 from repro.datagen.stream import ScalableWorldStream, WorldStream
 from repro.datagen.transactions import WorldConfig
+from repro.features.aggregation import SECONDS_PER_HOUR, AggregationConfig
+from repro.features.streaming import SlidingWindowAggregator
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
+from repro.hbase.client import HBaseClient
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.rng import ensure_rng
+from repro.serving.streaming import StreamingFeatureUpdater
 
 pytestmark = pytest.mark.determinism
 
@@ -132,6 +136,35 @@ def test_walk_corpus_checksum(network, record_checksum):
         "\n".join(" ".join(walk) for walk in walks_a).encode()
     ).hexdigest()
     record_checksum("walk-corpus", digest)
+
+
+def test_subgraph_node_order_checksum(network, record_checksum):
+    """A sub-network's node index follows the caller's order, not hashing."""
+    wanted = network.nodes()[::3]
+    sub = network.subgraph(wanted)
+    assert sub.nodes() == wanted
+    digest = hashlib.sha256(
+        ("|".join(sub.nodes()) + "\n" + repr(list(sub.edges()))).encode()
+    ).hexdigest()
+    record_checksum("subgraph-nodes", digest)
+
+
+def test_refresh_sweep_wal_order_checksum(record_checksum):
+    """A refresh sweep re-anchors pruned accounts in an order the WAL keeps,
+    so that order must not depend on hashing."""
+    hbase = HBaseClient()
+    hbase.create_feature_store()
+    engine = SlidingWindowAggregator(AggregationConfig(window_seconds=SECONDS_PER_HOUR))
+    engine.prune_interval = 3
+    updater = StreamingFeatureUpdater(
+        engine, hbase, refresh_interval_seconds=float(SECONDS_PER_HOUR)
+    )
+    updater.observe_stream(generate_world(_small_config()).transactions)
+    assert updater.refreshes > 0
+    digest = hashlib.sha256(
+        "|".join(f"{e.row_key}@{e.version}" for e in hbase.wal.entries()).encode()
+    ).hexdigest()
+    record_checksum("refresh-sweep-wal-order", digest)
 
 
 def test_gbdt_predictions_checksum(small_classification_data, record_checksum):

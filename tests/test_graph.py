@@ -62,6 +62,13 @@ class TestTransactionNetwork:
         assert sub.has_edge("a", "b") and sub.has_edge("b", "c")
         assert not sub.has_edge("c", "d")
 
+    def test_subgraph_keeps_the_callers_first_seen_order(self):
+        network = TransactionNetwork()
+        network.add_edge("a", "b")
+        network.add_edge("b", "c")
+        sub = network.subgraph(["c", "a", "ghost", "b", "c"])
+        assert sub.nodes() == ["c", "a", "b"]
+
     def test_to_networkx(self):
         network = TransactionNetwork()
         network.add_edge("a", "b", 2.0)

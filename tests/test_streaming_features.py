@@ -34,12 +34,7 @@ from repro.features.aggregation import (
 )
 from repro.features.assembler import FeatureAssembler
 from repro.features.basic import BASIC_FEATURE_NAMES
-from repro.features.streaming import (
-    STANDARD_WINDOWS,
-    PointInTimeAggregationSource,
-    SlidingWindowAggregator,
-    WindowSpec,
-)
+from repro.features.streaming import PointInTimeAggregationSource, SlidingWindowAggregator
 from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY, HBaseClient
 from repro.hbase.store import HBaseTable
 
@@ -180,8 +175,6 @@ class TestAggregationConfig:
         with pytest.raises(FeatureError):
             AggregationWindowSpec(window_seconds=bad)
         with pytest.raises(FeatureError):
-            AggregationWindowSpec(bucket_seconds=bad)
-        with pytest.raises(FeatureError):
             SlidingWindowAggregator(AggregationConfig(window_seconds=bad))
 
     def test_rejects_both_granularities(self):
@@ -204,13 +197,29 @@ class TestAggregationConfig:
             assembler.assemble([make_txn(0, 1, 2, "a", "b", 1.0)], with_labels=False)
 
     def test_window_spec_round_trip(self):
-        spec = AggregationWindowSpec(window_seconds=36_000.0, bucket_seconds=600.0)
+        spec = AggregationWindowSpec(window_seconds=36_000.0)
         assert AggregationWindowSpec.from_dict(spec.to_dict()) == spec
         from_config = AggregationWindowSpec.from_config(AggregationConfig(window_days=2))
         assert from_config.window_seconds == 2 * SECONDS_PER_DAY
-        engine = SlidingWindowAggregator.from_window_spec(spec)
-        assert engine.primary_window.window_seconds == 36_000.0
-        assert engine.bucket_seconds == 600.0
+
+    def test_plan_json_with_a_bucket_width_still_loads(self):
+        """Plans written while the engine took a bucket width load as the
+        same window when the width divides the hour, and are rejected
+        otherwise — the set of accepted files is unchanged."""
+        import json
+
+        from repro.features.plan import FeaturePlan
+
+        plan = FeaturePlan(aggregation=AggregationWindowSpec(window_seconds=36_000.0))
+        data = json.loads(plan.to_json())
+        assert data["aggregation"] == {"window_seconds": 36_000.0}
+        for width, accepted in ((3600.0, True), (600.0, True), (7200.0, False), (0.0, False)):
+            data["aggregation"]["bucket_seconds"] = width
+            if accepted:
+                assert FeaturePlan.from_json(json.dumps(data)) == plan
+            else:
+                with pytest.raises(FeatureError):
+                    FeaturePlan.from_json(json.dumps(data))
 
 
 # ---------------------------------------------------------------------------
@@ -330,32 +339,6 @@ class TestSlidingWindowBoundaries:
         # Output is a pure function of the event set, not the arrival order.
         assert in_order.snapshot_rows() == shuffled.snapshot_rows()
 
-    def test_multi_window_matches_independent_single_windows(self):
-        rng = np.random.default_rng(11)
-        events = random_stream(rng, num_events=400, num_accounts=25, num_days=20)
-        multi = SlidingWindowAggregator(windows=STANDARD_WINDOWS)
-        singles = [
-            SlidingWindowAggregator(
-                AggregationConfig(window_seconds=spec.window_seconds)
-            )
-            for spec in STANDARD_WINDOWS
-        ]
-        for event in events:
-            multi.ingest(event)
-            for single in singles:
-                single.ingest(event)
-        assert len(multi.feature_names) == 3 * len(AGGREGATION_FEATURE_NAMES)
-        assert multi.feature_names[: len(AGGREGATION_FEATURE_NAMES)] == AGGREGATION_FEATURE_NAMES
-        assert multi.feature_names[len(AGGREGATION_FEATURE_NAMES)].endswith("_24h")
-        probe = make_txn(9999, 20, 3, "u001", "u002", 3.5)
-        combined = multi.features_for(probe)
-        width = len(AGGREGATION_FEATURE_NAMES)
-        for position, single in enumerate(singles):
-            expected = single.features_for(probe)
-            np.testing.assert_array_equal(
-                combined[position * width : (position + 1) * width], expected
-            )
-
     def test_transform_matches_batch_transform(self):
         """Streaming and batch state assemble to the same twelve columns."""
         rng = np.random.default_rng(21)
@@ -372,29 +355,7 @@ class TestSlidingWindowBoundaries:
 
     def test_rejects_bad_engine_configuration(self):
         with pytest.raises(FeatureError):
-            SlidingWindowAggregator(windows=())
-        with pytest.raises(FeatureError):
-            SlidingWindowAggregator(
-                windows=(WindowSpec("a", 60.0), WindowSpec("", 120.0))
-            )
-        with pytest.raises(FeatureError):
-            SlidingWindowAggregator(
-                windows=(WindowSpec("a", 60.0), WindowSpec("x", 120.0), WindowSpec("x", 180.0))
-            )
-        with pytest.raises(FeatureError):
-            SlidingWindowAggregator(AggregationConfig(), bucket_seconds=0.0)
-        with pytest.raises(FeatureError):
             SlidingWindowAggregator(AggregationConfig(), allowed_lateness_seconds=-1.0)
-        with pytest.raises(FeatureError):
-            WindowSpec("w", float("nan"))
-        with pytest.raises(FeatureError):
-            SlidingWindowAggregator(AggregationConfig(), windows=STANDARD_WINDOWS)
-        # Buckets coarser than the hour-granular event times would make
-        # window membership approximate — rejected, not silently wrong.
-        with pytest.raises(FeatureError):
-            SlidingWindowAggregator(AggregationConfig(), bucket_seconds=7200.0)
-        with pytest.raises(FeatureError):
-            AggregationWindowSpec(bucket_seconds=7200.0)
 
     def test_dormant_accounts_are_swept_automatically(self):
         engine = SlidingWindowAggregator(AggregationConfig(window_days=1))
@@ -528,7 +489,7 @@ class TestParityAcceptance:
 
 
 # ---------------------------------------------------------------------------
-# Maintained primary-window row == the same engine's full fold, bit for bit
+# Maintained window row == the same engine's full fold, bit for bit
 # ---------------------------------------------------------------------------
 #
 # The parity tests above draw dyadic amounts, whose sums are exact in any
@@ -539,9 +500,7 @@ class TestParityAcceptance:
 
 
 def full_fold(engine, user_id):
-    return engine._window_row(
-        user_id, engine.primary_window.window_seconds, engine.watermark
-    )
+    return engine._window_row(user_id, engine.watermark)
 
 
 def assert_maintained_is_full_fold(engine, user_id):
@@ -555,12 +514,13 @@ def assert_maintained_is_full_fold(engine, user_id):
 
 #: Hours added to the running watermark hour: mostly forward, some late.
 _STEP_HOURS = [-40, -31, -6, -5, -2, -1, 0, 0, 0, 0, 1, 1, 2, 7, 30]
+_FORTNIGHT = 14.0 * SECONDS_PER_DAY
 _WINDOW_CHOICES = [
-    (WindowSpec("primary", 3.0 * SECONDS_PER_HOUR),),
-    (WindowSpec("primary", 30.0 * SECONDS_PER_HOUR),),
-    (WindowSpec("primary", 54_321.0),),
-    (WindowSpec("2d", 2.0 * SECONDS_PER_DAY), WindowSpec("1h", 1.0 * SECONDS_PER_HOUR)),
-    STANDARD_WINDOWS,
+    3.0 * SECONDS_PER_HOUR,
+    30.0 * SECONDS_PER_HOUR,
+    54_321.0,
+    2.0 * SECONDS_PER_DAY,
+    _FORTNIGHT,
 ]
 _MAINTAINED_STREAM = dict(
     steps=st.lists(
@@ -573,22 +533,23 @@ _MAINTAINED_STREAM = dict(
         min_size=1,
         max_size=70,
     ),
-    windows=st.sampled_from(_WINDOW_CHOICES),
+    window_seconds=st.sampled_from(_WINDOW_CHOICES),
     lateness_hours=st.sampled_from([0, 5, 30]),
     prune_interval=st.sampled_from([7, 50, None]),
     read_seed=st.integers(0, 2**16),
 )
 
 
-def _maintained_equals_full_fold(steps, windows, lateness_hours, prune_interval, read_seed):
+def _maintained_equals_full_fold(steps, window_seconds, lateness_hours, prune_interval, read_seed):
     engine = SlidingWindowAggregator(
-        windows=windows, allowed_lateness_seconds=lateness_hours * SECONDS_PER_HOUR
+        AggregationConfig(window_seconds=window_seconds),
+        allowed_lateness_seconds=lateness_hours * SECONDS_PER_HOUR,
     )
     if prune_interval is not None:
         engine.prune_interval = prune_interval
     reads = np.random.default_rng(read_seed)
-    # STANDARD_WINDOWS' 14-day primary needs a longer stream to move its edge.
-    stretch = 9 if windows is STANDARD_WINDOWS else 1
+    # A 14-day window needs a longer stream to move its edge.
+    stretch = 9 if window_seconds == _FORTNIGHT else 1
     hour = 0
     for index, (step, payer, offset, amount) in enumerate(steps):
         slot = max(0, hour + step * stretch)
@@ -598,7 +559,7 @@ def _maintained_equals_full_fold(steps, windows, lateness_hours, prune_interval,
         )
         engine.ingest(event)
         # Read probability < 1: accounts are first read (materialised)
-        # mid-stream, some with buckets already outside the primary window.
+        # mid-stream, some with buckets already outside the window.
         for user_id in (event.payer_id, event.payee_id, f"u{reads.integers(0, 8)}"):
             if reads.random() < 0.6:
                 assert_maintained_is_full_fold(engine, user_id)
@@ -721,9 +682,7 @@ class TestMaintainedRowEdges:
             expected = brute_rows(self.CONFIG, ingested, as_of, ("a", "b"))
             for user_id in ("a", "b"):
                 served = engine.hbase_row(user_id, as_of=as_of)
-                folded, payers = engine._window_row(
-                    user_id, engine.primary_window.window_seconds, as_of
-                )
+                folded, payers = engine._window_row(user_id, as_of)
                 assert served == {**folded, "payers": payers}
                 assert_rows_close(served, expected[user_id])
         self._check(engine, ingested, "a", "b")  # and the maintained row is unmoved
@@ -761,9 +720,9 @@ class TestMaintainedRowEdges:
                 random_stream(rng, num_events=400, num_accounts=12, num_days=6)
             )
         ]
-        windows = STANDARD_WINDOWS[1:]  # 24 h primary (maintained) + 1 h (full fold)
-        read = SlidingWindowAggregator(windows=windows)
-        twin = SlidingWindowAggregator(windows=windows)  # ingests, is never asked
+        config = AggregationConfig(window_seconds=24 * SECONDS_PER_HOUR)
+        read = SlidingWindowAggregator(config)
+        twin = SlidingWindowAggregator(config)  # ingests, is never asked
         at_watermark = 0
         for event in events:
             at_watermark += transaction_event_time(event) == read.watermark
@@ -1161,13 +1120,13 @@ class TestPipelineWindowExport:
         server = ModelServer(hbase)
         frozen_hbase = HBaseClient()
         assert (
-            pipeline.deploy(
-                bundle, preparation, frozen_hbase, ModelServer(frozen_hbase),
+            pipeline.deploy_fleet(
+                bundle, preparation, frozen_hbase, [ModelServer(frozen_hbase)],
                 streaming_updater=False,
             )
             is None
         )
-        updater = pipeline.deploy(bundle, preparation, hbase, server)
+        updater = pipeline.deploy_fleet(bundle, preparation, hbase, [server])
         assert updater is not None
 
         # Handoff parity: the streaming engine, seeded by replaying the same
@@ -1187,7 +1146,7 @@ class TestPipelineWindowExport:
         pipeline, preparation, bundle = trained
         hbase = HBaseClient()
         server = ModelServer(hbase)
-        updater = pipeline.deploy(bundle, preparation, hbase, server)
+        updater = pipeline.deploy_fleet(bundle, preparation, hbase, [server])
         alipay = AlipayServer(server, feature_updater=updater)
         report = alipay.replay_transactions(dataset.test_transactions[:60])
         assert report.total == 60
@@ -1269,7 +1228,7 @@ class TestPipelineWindowExport:
         for replay_input in (transactions, shuffled):
             hbase = HBaseClient()
             server = ModelServer(hbase)
-            updater = pipeline.deploy(bundle, preparation, hbase, server)
+            updater = pipeline.deploy_fleet(bundle, preparation, hbase, [server])
             AlipayServer(server, feature_updater=updater).replay_transactions(replay_input)
             states.append(updater.aggregator.snapshot_rows())
         assert states[0] == states[1]
