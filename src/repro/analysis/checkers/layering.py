@@ -2,7 +2,8 @@
 
 The repo's layer boundaries keep the offline side paper-faithful and the
 online side deployable: data generation, features, models and NRL must not
-know the serving runtime exists (``serving`` imports *them*); the serving
+know the serving runtime exists (``serving`` imports *them*); the HBase store
+knows neither features nor serving (its readers bring their decoders); the serving
 runtime must not reach back into the offline MaxCompute substrate (online
 reads go through Ali-HBase); and library code never imports the benchmark
 or test trees.  The checker builds the *actual* module import graph from
@@ -23,6 +24,8 @@ from repro.analysis.framework import Checker, ModuleContext, register
 FORBIDDEN_IMPORTS: Dict[str, Set[str]] = {
     "datagen": {"serving"},
     "features": {"serving"},
+    # The store decodes nothing itself: readers hand ``Row.decoded`` a decoder.
+    "hbase": {"features", "serving"},
     "models": {"serving"},
     "nrl": {"serving"},
     "serving": {"maxcompute"},
@@ -80,7 +83,8 @@ class LayeringChecker(Checker):
     rule_id = "layering"
     description = (
         "import DAG: datagen/features/models/nrl never import serving; "
-        "serving never imports maxcompute; nothing imports benchmarks/tests"
+        "hbase never imports features/serving; serving never imports maxcompute; "
+        "nothing imports benchmarks/tests"
     )
 
     def __init__(self) -> None:

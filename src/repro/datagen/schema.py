@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 
 class Gender(str, Enum):
@@ -148,6 +148,24 @@ class Transaction:
         data = dict(row)
         data["channel"] = TransactionChannel(data["channel"])
         return cls(**data)  # type: ignore[arg-type]
+
+
+class TransferFields(Protocol):
+    """The fields of one transfer that feature assembly reads: a labelled
+    :class:`Transaction` offline, the Model Server's unlabelled request online."""
+
+    payer_id: str
+    payee_id: str
+    amount: float
+    hour: int
+    day: int
+    channel: TransactionChannel
+    trans_city: str
+    is_new_device: bool
+    ip_risk_score: float
+    payer_recent_txn_count: int
+    payer_recent_amount: float
+    payee_recent_inbound_count: int
 
 
 #: Column order used when materialising transactions as MaxCompute tables.

@@ -28,6 +28,7 @@ from repro.datagen.schema import (
     Gender,
     Transaction,
     TransactionChannel,
+    TransferFields,
     UserProfile,
     city_tier,
 )
@@ -158,7 +159,8 @@ def _city_risk(city: str) -> float:
 
 def profile_cells(row: Mapping[str, Any]) -> ProfileCells:
     """The :data:`ProfileCells` of one account from its attributes by name: a
-    basic-features HBase row online, ``vars(profile)`` of a
+    basic-features HBase row online (once per stored snapshot, through
+    ``Row.decoded``), ``vars(profile)`` of a
     :class:`UserProfile` offline.  Absent cells read :data:`DEFAULT_PROFILE`'s,
     so a cold account scores identically in both worlds."""
     default = DEFAULT_PROFILE
@@ -205,10 +207,11 @@ _RATIO_COLUMN = BASIC_FEATURE_NAMES.index("amount_over_recent_amount")
 
 def fill_basic_block(
     out: np.ndarray,
-    transactions: Sequence[Transaction],
+    transactions: Sequence[TransferFields],
     profiles: Mapping[str, ProfileCells],
 ) -> None:
-    """Write the 52 basic features of ``transactions`` into ``out`` (n, 52).
+    """Write the 52 basic features of ``transactions`` — transactions or
+    requests, read as they are — into ``out`` (n, 52).
 
     One tuple per transaction holds all 52 cells in column order — the
     arithmetic of :meth:`BasicFeatureExtractor.extract_one` — except that the

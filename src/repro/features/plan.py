@@ -22,11 +22,11 @@ import abc
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
-from repro.datagen.schema import Transaction, UserProfile
+from repro.datagen.schema import Transaction, TransferFields, UserProfile
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
     AGGREGATION_FEATURE_NAMES,
@@ -253,7 +253,7 @@ class FeatureSource(abc.ABC):
         return {}
 
     def aggregation_block(
-        self, transactions: Sequence[Transaction]
+        self, transactions: Sequence[TransferFields]
     ) -> Optional[np.ndarray]:
         """Optional point-in-time aggregation block for a transaction batch.
 
@@ -303,13 +303,14 @@ class InMemoryFeatureSource(FeatureSource):
         }
 
     def aggregation_block(
-        self, transactions: Sequence[Transaction]
+        self, transactions: Sequence[TransferFields]
     ) -> Optional[np.ndarray]:
         # Explicit capability dispatch: only providers that opted into the
         # marker base compute per-transaction blocks; every other provider
-        # serves per-user rows.
+        # serves per-user rows.  The point-in-time providers are offline
+        # training's, which assembles whole Transaction records.
         if isinstance(self._aggregates, PointInTimeAggregateProvider):
-            return self._aggregates.aggregation_block(transactions)
+            return self._aggregates.aggregation_block(cast(Sequence[Transaction], transactions))
         return None
 
     def embedding_matrix(
@@ -363,7 +364,16 @@ class FeaturePlanExecutor:
         *,
         with_labels: bool = True,
     ) -> FeatureMatrix:
-        """One design matrix for a batch: basic ⊕ aggregation ⊕ embedding blocks.
+        """:meth:`feature_values` as a design matrix with the column names, the
+        transaction ids and (``with_labels``) the fraud labels."""
+        transactions = list(transactions)
+        values = self.feature_values(transactions)
+        return labelled_matrix(list(self._feature_names), values, transactions, with_labels)
+
+    def feature_values(self, transactions: Sequence[TransferFields]) -> np.ndarray:
+        """The ``(n, num_features)`` matrix of a batch: basic ⊕ aggregation ⊕
+        embedding blocks, read straight off the given records (transactions
+        or the Model Server's requests — nothing is copied per record).
 
         The call's distinct accounts are indexed once and each family is read
         once over them — ``profiles_for``, ``aggregate_rows`` (unless the
@@ -372,7 +382,6 @@ class FeaturePlanExecutor:
         column range of the one preallocated matrix.  A row's values do not
         depend on which other rows share its call.
         """
-        transactions = list(transactions)
         count = len(transactions)
         values = np.empty((count, len(self._feature_names)))
         if transactions:
@@ -402,10 +411,10 @@ class FeaturePlanExecutor:
                             f"block {block.set_name!r} over {len(accounts)} accounts"
                         )
                     values[:, columns] = matrix.take(gather, axis=0).reshape(count, -1)
-        return labelled_matrix(list(self._feature_names), values, transactions, with_labels)
+        return values
 
     def _aggregation_block(
-        self, transactions: Sequence[Transaction], accounts: Sequence[str]
+        self, transactions: Sequence[TransferFields], accounts: Sequence[str]
     ) -> Union[np.ndarray, List[List[float]]]:
         """The 12-column aggregation block: point-in-time when the source can
         compute it, otherwise from the source's precomputed per-user rows."""
@@ -425,4 +434,4 @@ class FeaturePlanExecutor:
 
     def assemble_single(self, transaction: Transaction) -> np.ndarray:
         """Feature vector for one transaction (the scalar serving path)."""
-        return self.assemble([transaction], with_labels=False).values[0]
+        return self.feature_values([transaction])[0]

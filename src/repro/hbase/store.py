@@ -13,13 +13,15 @@ reads, trimming and scans walk.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Mapping, NoReturn, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NoReturn, Optional, Tuple
+from typing import TypeVar, Union
 
 from repro.exceptions import RowNotFoundError, StorageError
 
 #: qualifier -> [(version, value), ...] in version order, ties in put order.
 _CellHistory = Dict[str, List[Tuple[int, Any]]]
 _cell_version = itemgetter(0)
+_Decoded = TypeVar("_Decoded")
 
 
 def _read_only(self: Any, *args: Any, **kwargs: Any) -> NoReturn:
@@ -29,11 +31,29 @@ def _read_only(self: Any, *args: Any, **kwargs: Any) -> NoReturn:
 class Row(Dict[str, Any]):
     """One row's cells by qualifier, read-only: the store, the write-ahead
     log, every connection's row cache and every caller hold the *same*
-    object, so it compares and reads like a dict but rejects every edit."""
+    object, so it compares and reads like a dict but rejects every edit —
+    and what a reader decodes from it is decoded once (:meth:`decoded`)."""
 
-    __slots__ = ()
+    __slots__ = ("_decoded",)
+    _decoded: Dict[Callable[["Row"], Any], Any]
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+    def decoded(self, decode: Callable[["Row"], _Decoded]) -> _Decoded:
+        """``decode(self)``, memoised on this snapshot per decoder: every
+        connection holding it shares the value, and a put swaps in a new
+        ``Row``, so no memo outlives the cells it was decoded from.  The
+        value is shared too — a decoder returns something no reader can edit —
+        and a decoder is pure, so two threads racing on a first call at worst
+        decode twice and keep equal values."""
+        try:
+            return self._decoded[decode]
+        except AttributeError:
+            self._decoded = {}
+        except KeyError:
+            pass
+        value = self._decoded[decode] = decode(self)
+        return value
 
 
 #: The row of an account nothing was ever written for.

@@ -29,7 +29,7 @@ sequential order.  The running sums are also what staged prediction reads.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -66,11 +66,14 @@ class CompiledForest:
             self._fill(root, tree, 0, learning_rate)
         # Gathers read column 0 at padding slots; both children agree there.
         self._column = np.maximum(self.feature, 0)
-        # With g = node_offset + k the flat index of heap slot k, the child
-        # taken is 2k + 2 - (x <= t), i.e. 2g + _descend - (x <= t); after D
-        # levels g + _to_leaf is the flat leaf index.
-        self._descend = 2 - self.node_offset
-        self._to_leaf = self.leaf_offset - self.node_offset - splits
+        # A split's two children are adjacent flat indices — heap slots 2k + 1
+        # and 2k + 2, or the two leaves under a last-level split — so a row
+        # moves to _right[g] - (x <= t), and after D levels holds a flat leaf
+        # index (a depth-0 forest starts there).
+        child = 2 * np.arange(splits, dtype=np.int64) + 2
+        start = np.where(child < splits, self.node_offset[:, None], self.leaf_offset[:, None] - splits)
+        self._right = (start + child).reshape(-1)
+        self._roots = self.node_offset if self.depth else self.leaf_offset
 
     def _fill(self, node: TreeNode, tree: int, slot: int, learning_rate: float) -> None:
         splits = (1 << self.depth) - 1
@@ -92,7 +95,23 @@ class CompiledForest:
 
     # ------------------------------------------------------------------
     def scores_after(self, features: np.ndarray, tree_counts: Sequence[int]) -> np.ndarray:
-        """``(rows, len(tree_counts))`` scores using the first ``k`` trees each.
+        """``(rows, len(tree_counts))`` scores using the first ``k`` trees each."""
+        counts = np.asarray(tree_counts, dtype=np.int64)
+        out = np.empty((len(features), counts.shape[0]))
+        for rows, sums in self._running_sums(features):
+            out[rows] = sums.take(counts, axis=1)
+        return out
+
+    def decision_function(self, features: np.ndarray) -> np.ndarray:
+        """Score of the whole ensemble per row: its last running sum."""
+        out = np.empty(len(features))
+        for rows, sums in self._running_sums(features):
+            out[rows] = sums[:, -1]
+        return out
+
+    def _running_sums(self, features: np.ndarray) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Per block of rows, ``(rows, sums)`` with ``sums[:, k]`` the initial
+        score plus the first ``k`` trees, added in tree order.
 
         ``features`` is a validated 2-d float matrix at least as wide as the
         largest split feature (the detectors check the training width).
@@ -100,27 +119,20 @@ class CompiledForest:
         features = np.ascontiguousarray(features, dtype=np.float64)
         num_rows, width = features.shape
         flat = features.reshape(-1)
-        counts = np.asarray(tree_counts, dtype=np.int64)
-        out = np.empty((num_rows, counts.shape[0]))
         block = max(1, _BLOCK_CELLS // self.num_trees)
         running = np.empty((min(block, num_rows), self.num_trees + 1))
         running[:, 0] = self.initial_score
         for start in range(0, num_rows, block):
             stop = min(start + block, num_rows)
             row_base = np.arange(start * width, stop * width, width, dtype=np.int64)[:, None]
-            node = self.node_offset  # (trees,) at the roots, (rows, trees) below
+            node = self._roots  # (trees,) at the roots, (rows, trees) below
             for _level in range(self.depth):
                 cell = self._column.take(node) + row_base
                 goes_left = flat.take(cell) <= self.threshold.take(node)
-                node = node * 2 + self._descend - goes_left
+                node = self._right.take(node) - goes_left
             contributions = running[: stop - start]
-            contributions[:, 1:] = self.leaf_value.take(node + self._to_leaf)
-            out[start:stop] = np.cumsum(contributions, axis=1).take(counts, axis=1)
-        return out
-
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Score of the whole ensemble per row."""
-        return self.scores_after(features, (self.num_trees,))[:, 0]
+            contributions[:, 1:] = self.leaf_value.take(node)
+            yield slice(start, stop), np.cumsum(contributions, axis=1)
 
     def split_counts(self, num_features: int) -> np.ndarray:
         """How many split nodes test each feature (padding slots excluded)."""

@@ -22,6 +22,7 @@ wall-clock speed of the test host never changes the admission decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
@@ -56,9 +57,9 @@ class AdmissionConfig:
     resume_queue_depth: Optional[int] = None
 
     def validate(self) -> None:
-        """Reject non-positive capacity and inconsistent queue watermarks."""
-        if self.capacity_rps <= 0:
-            raise ServingError("capacity_rps must be positive")
+        """Reject non-positive or NaN capacity and inconsistent queue watermarks."""
+        if not self.capacity_rps > 0:  # NaN fails every comparison
+            raise ServingError("capacity_rps must be a positive number")
         if self.max_queue_depth < 1:
             raise ServingError("max_queue_depth must be at least 1")
         resume = self.effective_resume_depth
@@ -100,7 +101,11 @@ class AdmissionController:
         return self._backlog
 
     def on_arrival(self, now_ms: float) -> AdmissionDecision:
-        """Decide one arrival at simulated time ``now_ms`` (non-decreasing)."""
+        """Decide one arrival at simulated time ``now_ms`` (finite, non-decreasing)."""
+        if not math.isfinite(now_ms):
+            # Checked before it is kept: a NaN clock would pass every later
+            # ``now_ms < last`` test and switch the ordering check off.
+            raise ServingError(f"admission clock must be finite, got {now_ms!r}")
         if self._last_ms is not None:
             if now_ms < self._last_ms:
                 raise ServingError("admission clock must be non-decreasing")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -410,6 +411,8 @@ class AlipayServer:
             last_now_ms = float("-inf")
             for arrival_s in arrival_times_s:
                 now_ms = float(arrival_s) * 1000.0
+                if not math.isfinite(now_ms):  # NaN would pass the order check below
+                    raise ServingError(f"arrival_times_s must be finite, got {arrival_s!r}")
                 if now_ms < last_now_ms:
                     raise ServingError("arrival_times_s must be non-decreasing")
                 last_now_ms = now_ms

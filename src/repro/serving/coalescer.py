@@ -52,11 +52,11 @@ class CoalescerConfig:
     max_delay_ms: float = 5.0
 
     def validate(self) -> None:
-        """Reject empty batches and negative delay budgets."""
+        """Reject empty batches and negative or NaN delay budgets."""
         if self.max_batch < 1:
             raise ServingError("max_batch must be at least 1")
-        if self.max_delay_ms < 0:
-            raise ServingError("max_delay_ms cannot be negative")
+        if not self.max_delay_ms >= 0:  # NaN fails every comparison
+            raise ServingError("max_delay_ms must be a non-negative number")
 
 
 class RequestCoalescer:

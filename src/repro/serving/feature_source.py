@@ -8,7 +8,8 @@ than one scalar cell per dimension, so a block read is one cell instead of
 ``d``.  All reads go through :meth:`HBaseClient.multi_get`, one batched call
 per column family per batch of transactions; the rows it returns are the
 store's own read-only snapshots (an unpublished account's is the shared empty
-row), read here and never edited.
+row), read here and never edited, and decoded once per snapshot: the decoded
+profile cells and vectors are memoised on the ``Row`` every connection shares.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.hbase.client import (
     EMBEDDINGS_FAMILY,
     HBaseClient,
 )
+from repro.hbase.store import Row
 
 
 def profile_row(profile: UserProfile) -> Dict[str, Any]:
@@ -71,9 +73,14 @@ def embedding_cell(vector: Iterable[float]) -> Tuple[float, ...]:
     return tuple(float(value) for value in vector)
 
 
-def embedding_from_cell(cell: Any) -> np.ndarray:
-    """The vector :func:`embedding_cell` stored."""
-    return np.asarray(cell, dtype=np.float64).ravel()
+def embedding_vectors(row: Mapping[str, Any]) -> Dict[str, np.ndarray]:
+    """Every vector :func:`embedding_cell` stored in an embeddings row, by set
+    name, read-only: :meth:`Row.decoded` shares them with every reader."""
+    vectors: Dict[str, np.ndarray] = {}
+    for set_name, cell in row.items():
+        vector = vectors[set_name] = np.array(cell, dtype=np.float64).ravel()
+        vector.flags.writeable = False
+    return vectors
 
 
 class HBaseFeatureSource(FeatureSource):
@@ -91,12 +98,12 @@ class HBaseFeatureSource(FeatureSource):
 
     # ------------------------------------------------------------------
     def profiles_for(self, user_ids: Sequence[str]) -> Dict[str, ProfileCells]:
-        """Profile cells decoded straight from the stored read-only rows; an
-        unpublished account's empty row is the shared cold-account default,
-        not decoded again."""
+        """Profile cells decoded straight from the stored read-only rows, once
+        per snapshot (:meth:`Row.decoded`); an unpublished account's empty row
+        is the shared cold-account default, not decoded at all."""
         rows = self.hbase.multi_get(self.table_name, user_ids, BASIC_FEATURES_FAMILY)
         return {
-            user_id: profile_cells(row) if row else DEFAULT_CELLS
+            user_id: row.decoded(profile_cells) if row else DEFAULT_CELLS
             for user_id, row in rows.items()
         }
 
@@ -122,20 +129,15 @@ class HBaseFeatureSource(FeatureSource):
         self, block: EmbeddingBlockSpec, user_ids: Sequence[str]
     ) -> np.ndarray:
         rows = self.hbase.multi_get(self.table_name, user_ids, EMBEDDINGS_FAMILY)
-        vectors: Dict[str, np.ndarray] = {}
-        for user_id, row in rows.items():
-            vectors[user_id] = self._vector_from_row(block, row)
-        result = np.zeros((len(user_ids), block.dimension), dtype=np.float64)
-        for position, user_id in enumerate(user_ids):
-            result[position] = vectors[user_id]
-        return result
+        vectors = {user_id: self._vector_from_row(block, row) for user_id, row in rows.items()}
+        # One np.array call copies the block out: no caller aliases a stored vector.
+        return np.array(
+            [vectors[user_id] for user_id in user_ids], dtype=np.float64
+        ).reshape(len(user_ids), block.dimension)
 
-    def _vector_from_row(
-        self, block: EmbeddingBlockSpec, row: Mapping[str, Any]
-    ) -> np.ndarray:
-        value = row.get(block.set_name)
-        if value is not None:
-            vector = embedding_from_cell(value)
+    def _vector_from_row(self, block: EmbeddingBlockSpec, row: Row) -> np.ndarray:
+        vector = row.decoded(embedding_vectors).get(block.set_name)
+        if vector is not None:
             if vector.shape[0] != block.dimension:
                 raise ServingError(
                     f"stored {block.set_name!r} embedding has "

@@ -44,8 +44,8 @@ class LatencyTracker:
     """Records per-request latencies against an SLA budget."""
 
     def __init__(self, *, sla_budget_ms: float = 50.0):
-        if sla_budget_ms <= 0:
-            raise ServingError("sla_budget_ms must be positive")
+        if not sla_budget_ms > 0:  # NaN fails every comparison
+            raise ServingError("sla_budget_ms must be a positive number")
         self.sla_budget_ms = sla_budget_ms
         self._latencies_ms: List[float] = []
 

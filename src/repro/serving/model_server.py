@@ -126,11 +126,11 @@ class ModelServerConfig:
     sla_budget_ms: float = 50.0
 
     def validate(self) -> None:
-        """Reject out-of-range thresholds and non-positive SLA budgets."""
+        """Reject out-of-range thresholds and non-positive or NaN SLA budgets."""
         if not 0.0 <= self.alert_threshold <= 1.0:
             raise ServingError("alert_threshold must be in [0, 1]")
-        if self.sla_budget_ms <= 0:
-            raise ServingError("sla_budget_ms must be positive")
+        if not self.sla_budget_ms > 0:  # NaN fails every comparison
+            raise ServingError("sla_budget_ms must be a positive number")
 
 
 @dataclass(frozen=True)
@@ -384,16 +384,15 @@ class ModelServer:
         if not requests:
             return []
         watch = Stopwatch().start()
-        transactions = [request.to_transaction() for request in requests]
-        matrix = executor.assemble(transactions, with_labels=False)
-        probabilities = active.model.predict_proba(matrix.values)
+        probabilities = active.model.predict_proba(executor.feature_values(requests))
         per_request_ms = watch.stop() * 1000.0 / len(requests)
         if self._shadow is not None and self._shadow_executor is not None:
             # Shadow scoring is off the latency clock: in production the
             # challenger scores on a mirrored copy of the traffic, not in the
             # caller's critical path.
-            shadow_matrix = self._shadow_executor.assemble(transactions, with_labels=False)
-            shadow_probabilities = self._shadow.model.predict_proba(shadow_matrix.values)
+            shadow_probabilities = self._shadow.model.predict_proba(
+                self._shadow_executor.feature_values(requests)
+            )
             abs_diffs = np.abs(np.asarray(shadow_probabilities) - np.asarray(probabilities))
             self._shadow_requests += len(requests)
             self._shadow_abs_diff_sum += float(abs_diffs.sum())

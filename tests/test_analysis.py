@@ -320,6 +320,20 @@ class TestLayering:
         assert len(report.findings) == 1
         assert "'repro.maxcompute'" in report.findings[0].message
 
+    def test_the_store_must_not_import_its_decoders(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/hbase/bad.py": "from repro.features.basic import profile_cells\n"
+                "import repro.serving.feature_source\n"
+            },
+            rules=["layering"],
+        )
+        assert sorted(f.message.split("'")[3] for f in report.findings) == [
+            "repro.features",
+            "repro.serving",
+        ]
+
     def test_relative_imports_are_resolved(self, tmp_path):
         report = analyze(
             tmp_path,

@@ -23,6 +23,7 @@ from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree import forest as forest_module
 from repro.models.tree.forest import CompiledForest
 from repro.models.tree.node import TreeNode
+from repro.numerics import sigmoid
 
 WIDTH = 5
 #: Few enough distinct thresholds that inputs land exactly on them.
@@ -181,6 +182,19 @@ def test_fitted_models_score_like_the_oracle(
     assert np.array_equal(
         model.feature_importances(features.shape[1]), walked / walked.sum()
     )
+
+
+def test_sigmoid_is_the_clip_spelling_bit_for_bit():
+    """``predict_proba``'s mapping skips ``np.clip``'s wrapper, not its bits."""
+    scores = np.concatenate(
+        [
+            SPECIALS,
+            [-0.0, 0.0, -30.0, 30.0, -30.5, 30.5, 1e308, -1e308, 5e-324],
+            np.random.default_rng(2).normal(scale=20.0, size=2000),
+        ]
+    )
+    reference = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
+    assert sigmoid(scores).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["single", "distributed"])

@@ -9,17 +9,19 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.feature_source as feature_source_module
 from repro.exceptions import RowNotFoundError
-from repro.features.basic import DEFAULT_CELLS
+from repro.features.basic import DEFAULT_CELLS, profile_cells
+from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
 from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
 from repro.hbase.store import ColumnFamilyStore
-from repro.serving.feature_source import HBaseFeatureSource
+from repro.serving.feature_source import HBaseFeatureSource, embedding_vectors
 
 TABLE = "titant_features"
 TTL_S = 30.0
@@ -373,6 +375,93 @@ class TestColdAccounts:
         assert client.get_or_default(TABLE, "ghost", BASIC_FEATURES_FAMILY) == {}
         assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 30}
         assert pins == [None] * (4 if ttl == 0.0 else 3)  # the last read is a cache hit
+
+
+# ---------------------------------------------------------------------------
+# Decode once per snapshot: the memo lives and dies with its Row
+# ---------------------------------------------------------------------------
+
+DW = EmbeddingBlockSpec("dw", 2)
+
+
+def _profile(age: int) -> Dict[str, Any]:
+    return {"age": age, "gender": "F", "home_city": "city_003", "kyc_level": 2}
+
+
+def _write(kind: str, client: HBaseClient, family: str, rows: Dict[str, Dict[str, Any]], version: int):
+    if kind == "bulk_load":
+        client.bulk_load(TABLE, family, rows, version=version)
+    else:
+        for row_key, values in rows.items():
+            client.put(TABLE, row_key, family, values, version=version)
+
+
+def _served(source: HBaseFeatureSource, accounts: List[str]) -> Tuple[List[float], List[List[float]]]:
+    """What a replica decodes for ``accounts``: their ages and their dw vectors."""
+    cells = source.profiles_for(accounts)
+    return [cells[a][0][0] for a in accounts], source.embedding_matrix(DW, accounts).tolist()
+
+
+class TestDecodeOncePerSnapshot:
+    @pytest.mark.parametrize("kind", ["put", "bulk_load"])
+    def test_a_new_row_is_served_on_the_next_read_from_every_connection(self, kind):
+        root = _store(row_cache_ttl_s=3600.0)
+        root.put(TABLE, "u1", BASIC_FEATURES_FAMILY, _profile(30), version=1)
+        root.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
+        replicas = [HBaseFeatureSource(root.connection(), TABLE) for _ in range(4)]
+        for source in replicas:  # every connection caches the rows and decodes them
+            assert _served(source, ["u1", "u2"]) == ([30.0, 35.0], [[1.0, 2.0], [0.0, 0.0]])
+        # Through one connection: u1 changes, and cold u2 gets its first rows.
+        writer = replicas[0].hbase
+        _write(kind, writer, BASIC_FEATURES_FAMILY, {"u1": _profile(31), "u2": _profile(62)}, 2)
+        _write(kind, writer, EMBEDDINGS_FAMILY, {"u1": {"dw": (3.0, 4.0)}, "u2": {"dw": [5.0, 6.0]}}, 2)
+        for source in replicas:
+            assert _served(source, ["u1", "u2"]) == ([31.0, 62.0], [[3.0, 4.0], [5.0, 6.0]])
+
+    def test_decoded_vectors_are_read_only_and_the_matrix_does_not_alias_them(self):
+        client = _store(row_cache_ttl_s=60.0)
+        client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": [1.0, 2.0]}, version=1)
+        stored = client.get(TABLE, "u1", EMBEDDINGS_FAMILY).decoded(embedding_vectors)["dw"]
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 99.0
+        source = HBaseFeatureSource(client, TABLE)
+        matrix = source.embedding_matrix(DW, ["u1", "ghost"])
+        assert matrix.flags.writeable and not np.shares_memory(matrix, stored)
+        matrix[:] = -1.0  # the caller owns its matrix
+        assert source.embedding_matrix(DW, ["u1"]).tolist() == [[1.0, 2.0]]
+        assert stored.tolist() == [1.0, 2.0]
+
+    def test_one_snapshot_is_decoded_once_across_four_replicas(self, monkeypatch):
+        decoded: List[str] = []
+
+        def counting(decoder: Any, name: str) -> Any:
+            return lambda row: decoded.append(name) or decoder(row)
+
+        for name in ("profile_cells", "embedding_vectors"):
+            real = getattr(feature_source_module, name)
+            monkeypatch.setattr(feature_source_module, name, counting(real, name))
+        root = _store(row_cache_ttl_s=60.0)
+        for account in ("u1", "u2"):
+            root.put(TABLE, account, BASIC_FEATURES_FAMILY, _profile(40), version=1)
+            root.put(TABLE, account, EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
+        for _ in range(4):
+            source = HBaseFeatureSource(root.connection(), TABLE)
+            for _ in range(3):
+                assert _served(source, ["u1", "u2"]) == ([40.0, 40.0], [[1.0, 2.0]] * 2)
+        assert sorted(decoded) == ["embedding_vectors"] * 2 + ["profile_cells"] * 2
+
+    def test_a_version_pinned_read_decodes_its_own_row(self):
+        client = _store(row_cache_ttl_s=60.0)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, _profile(30), version=1)
+        client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, _profile(31), version=2)
+        latest = client.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        assert latest.decoded(profile_cells)[0][0] == 31.0
+        pinned = client.get(TABLE, "u1", BASIC_FEATURES_FAMILY, version=1)
+        assert pinned is not latest and pinned.decoded(profile_cells)[0][0] == 30.0
+        # Each keeps its own memo: neither read changed what the other serves.
+        assert latest.decoded(profile_cells)[0][0] == 31.0
+        assert HBaseFeatureSource(client, TABLE).profiles_for(["u1"])["u1"][0][0] == 31.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ counters, same write-through state — on one replica and on a sharded fleet.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.features.aggregation import AggregationConfig, TransactionAggregator
 from repro.features.assembler import FeatureAssembler
+from repro.features.plan import FeaturePlanExecutor
 from repro.features.streaming import SlidingWindowAggregator, event_order
 from repro.hbase import HBaseClient
 from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY
@@ -22,8 +24,10 @@ from repro.serving import (
     AdmissionController,
     AlipayServer,
     CoalescerConfig,
+    HBaseFeatureSource,
     ModelServer,
     ModelServerConfig,
+    ShadowReport,
     StreamingFeatureUpdater,
     TransactionRequest,
 )
@@ -129,6 +133,38 @@ def test_every_entry_point_makes_the_same_decisions(world, dataset, trained, ref
     assert probabilities == expected[0]
     assert report == expected[1]
     assert aggregates == expected[2]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_requests_score_like_their_transactions_with_a_shadow(world, dataset, trained, count):
+    """``predict_batch`` scores the requests themselves, champion and shadow;
+    that is bit-identical to assembling ``to_transaction()`` copies."""
+    config, aggregator, model, plan = trained
+    train = FeatureAssembler(world.profiles_by_id, aggregator=aggregator).assemble(
+        dataset.train_transactions[:400]
+    )
+    challenger = GradientBoostingClassifier(num_trees=3, seed=11).fit(train.values, train.labels)
+    server = _front_end(world, dataset, trained, replicas=1).model_servers[0]
+    server.load_shadow_model(challenger, version="v2", threshold=0.2, plan=plan)
+    requests = [
+        TransactionRequest.from_transaction(txn)
+        for txn in sorted(dataset.test_transactions, key=event_order)[:count]
+    ]
+    served = [response.fraud_probability for response in server.predict_batch(requests)]
+
+    executor = FeaturePlanExecutor(plan, HBaseFeatureSource(server.hbase, TABLE))
+    values = executor.assemble([r.to_transaction() for r in requests], with_labels=False).values
+    champion, shadow = model.predict_proba(values), challenger.predict_proba(values)
+    assert np.array(served).tobytes() == champion.tobytes()
+    diffs = np.abs(shadow - champion)
+    assert server.shadow_report() == ShadowReport(
+        champion_version="v1",
+        challenger_version="v2",
+        requests=count,
+        mean_abs_divergence=float(diffs.sum()) / count if count else 0.0,
+        max_abs_divergence=float(diffs.max()) if count else 0.0,
+        decision_flips=int(np.sum((champion >= 0.5) != (shadow >= 0.2))),
+    )
 
 
 @pytest.mark.parametrize("clock", ["simulated", "wall"])

@@ -20,6 +20,7 @@ from repro.serving import (
     AlipayServer,
     CoalescerConfig,
     FleetController,
+    LatencyTracker,
     ModelServer,
     ModelServerConfig,
     RequestCoalescer,
@@ -29,6 +30,8 @@ from repro.serving import (
     default_fraud_rules,
     fleet_cache_stats,
 )
+
+NAN = float("nan")
 
 
 def _publish_profiles(hbase, world, version):
@@ -410,6 +413,26 @@ class TestAdmissionControl:
         with pytest.raises(ServingError):
             controller.on_arrival(50.0)
 
+    def test_a_non_finite_arrival_is_rejected_and_keeps_the_clock_check_on(self):
+        controller = AdmissionController(AdmissionConfig(capacity_rps=10.0))
+        controller.on_arrival(0.0)
+        for bad in (NAN, float("inf")):
+            with pytest.raises(ServingError):
+                controller.on_arrival(bad)
+        with pytest.raises(ServingError):  # still ordered against the arrival at 0
+            controller.on_arrival(-1.0)
+        assert controller.admitted == 1
+
+    def test_a_non_finite_arrival_time_is_rejected_by_the_replay(self, fleet_stack, dataset):
+        _, fleet, _, _ = fleet_stack
+        alipay = AlipayServer(fleet)
+        with pytest.raises(ServingError, match="finite"):
+            alipay.replay_transactions(
+                dataset.test_transactions[:3],
+                arrival_times_s=[0.0, NAN, 0.001],
+                coalescer=CoalescerConfig(),
+            )
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ServingError):
             AdmissionConfig(capacity_rps=0.0).validate()
@@ -432,6 +455,23 @@ class TestAdmissionControl:
         benign = np.array([25.0, 0.0, 0.0, 0.05, 3.0])
         assert rules.predict_row(risky) > 0.5
         assert rules.predict_row(benign) < 0.5
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        lambda: CoalescerConfig(max_delay_ms=NAN).validate(),
+        lambda: AdmissionConfig(capacity_rps=NAN).validate(),
+        lambda: ModelServerConfig(sla_budget_ms=NAN).validate(),
+        lambda: LatencyTracker(sla_budget_ms=NAN),
+    ],
+    ids=["max_delay_ms", "capacity_rps", "ModelServerConfig.sla_budget_ms", "LatencyTracker"],
+)
+def test_nan_serving_settings_are_rejected(setting):
+    """NaN passed every ``<= 0`` check: a NaN SLA budget counted no violation
+    for any sample while ``within_sla()`` said False."""
+    with pytest.raises(ServingError, match="number"):
+        setting()
 
 
 class TestOverloadReplay:
