@@ -240,10 +240,11 @@ PUBLIC_API = [
     (
         "Shared training numerics",
         "repro.numerics",
-        ["sigmoid", "class_weights", "column_scaling"],
+        ["sigmoid", "class_weights", "column_scaling", "scatter_add_rows"],
         "The arithmetic every trainer in models/ and nrl/ imports instead of "
         "spelling: clipped sigmoid, balanced class weights, zero-variance-safe "
-        "column scaling.",
+        "column scaling, and the row scatter-add the SGNS updates and the PS "
+        "SGD step share.",
     ),
     (
         "Compiled forest",

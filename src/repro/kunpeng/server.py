@@ -15,6 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.exceptions import ParameterServerError
+from repro.numerics import scatter_add_rows
 
 
 # The update arithmetic of a shard, applied to whatever array backs it: a
@@ -25,9 +26,12 @@ from repro.exceptions import ParameterServerError
 def sgd_update(
     values: np.ndarray, local_rows: np.ndarray, gradients: np.ndarray, learning_rate: float
 ) -> None:
-    """``values[local_rows] -= learning_rate * gradients`` in place;
-    ``np.subtract.at`` accumulates correctly even if a row repeats."""
-    np.subtract.at(values, local_rows, learning_rate * gradients)
+    """``values[local_rows] -= learning_rate * gradients`` in place, as the
+    row scatter-add of ``-(learning_rate * gradients)``, which accumulates a
+    repeated row correctly.  Negation is exact and ``x + (-y)`` is ``x - y``
+    in IEEE arithmetic, so every non-NaN result has the bits of
+    ``np.subtract.at``; a NaN result may carry a different sign or payload."""
+    scatter_add_rows(values, local_rows, -(learning_rate * gradients))
 
 
 def zero_fill(values: np.ndarray) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import EmbeddingError
 from repro.nrl.embeddings import EmbeddingSet
-from repro.numerics import sigmoid
+from repro.numerics import scatter_add_rows, sigmoid
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -200,7 +200,14 @@ def build_negative_table(counts: np.ndarray, table_size: int, power: float = 0.7
     probabilities = weights / weights.sum()
     cumulative = np.cumsum(probabilities)
     positions = (np.arange(table_size) + 0.5) / table_size
-    return np.searchsorted(cumulative, positions).astype(np.int64)
+    # table[j] = #{i : cumulative[i] < positions[j]}, the left search of each
+    # position in ``cumulative``, built from V bounds instead of T searches
+    # (it reaches V where cumulative[-1] falls below a position, as when the
+    # weights' sum overflows and every probability is 0).
+    bounds = np.searchsorted(positions, cumulative, side="right")
+    return np.repeat(
+        np.arange(cumulative.shape[0] + 1), np.diff(bounds, prepend=0, append=table_size)
+    )
 
 
 def _sgns_pair_gradients(
@@ -236,10 +243,9 @@ def sgns_batch_update(
     grad_in, grad_pos, grad_neg, loss = _sgns_pair_gradients(
         w_in[centers], w_out[contexts], w_out[negatives]
     )
-    dimension = w_in.shape[1]
-    np.add.at(w_in, centers, -learning_rate * grad_in)
-    np.add.at(w_out, contexts, -learning_rate * grad_pos)
-    np.add.at(w_out, negatives.reshape(-1), -learning_rate * grad_neg.reshape(-1, dimension))
+    scatter_add_rows(w_in, centers, -learning_rate * grad_in)
+    scatter_add_rows(w_out, contexts, -learning_rate * grad_pos)
+    scatter_add_rows(w_out, negatives, -learning_rate * grad_neg)
     return loss
 
 
@@ -296,14 +302,11 @@ def sgns_sparse_step(
     grad_in_rows, grad_pos_rows, grad_neg_rows, loss = _sgns_pair_gradients(
         v_in[batch.center_idx], v_out[batch.context_idx], v_out[batch.negative_idx]
     )
-    dimension = v_in.shape[1]
     grad_in = np.zeros_like(v_in)
     grad_out = np.zeros_like(v_out)
-    np.add.at(grad_in, batch.center_idx, grad_in_rows)
-    np.add.at(grad_out, batch.context_idx, grad_pos_rows)
-    np.add.at(
-        grad_out, batch.negative_idx.reshape(-1), grad_neg_rows.reshape(-1, dimension)
-    )
+    scatter_add_rows(grad_in, batch.center_idx, grad_in_rows)
+    scatter_add_rows(grad_out, batch.context_idx, grad_pos_rows)
+    scatter_add_rows(grad_out, batch.negative_idx, grad_neg_rows)
     return grad_in, grad_out, loss
 
 
@@ -332,7 +335,7 @@ def sgns_sparse_gradients(
 class SkipGramTrainer:
     """Single-process SGNS trainer over a corpus of node sequences."""
 
-    def __init__(self, config: SkipGramConfig | None = None, *, rng: SeedLike = None):
+    def __init__(self, config: SkipGramConfig | None = None, *, rng: SeedLike = None) -> None:
         self.config = config or SkipGramConfig()
         self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)

@@ -71,3 +71,15 @@ def test_the_table_name_literal_is_written_once():
         if f'"{DEFAULT_FEATURE_TABLE}"' in path.read_text()
     ]
     assert spelled == ["src/repro/hbase/client.py"]
+
+
+def test_row_scatters_go_through_scatter_add_rows():
+    """Row 24: the SGNS trainer and the PS update accumulate rows only via
+    ``numerics.scatter_add_rows``, never by their own ``ufunc.at`` call."""
+    spelled = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for tree in ("nrl", "kunpeng")
+        for path in sorted((REPO_ROOT / "src" / "repro" / tree).rglob("*.py"))
+        if ".add.at(" in path.read_text() or ".subtract.at(" in path.read_text()
+    ]
+    assert spelled == []

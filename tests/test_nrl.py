@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import EmbeddingError
@@ -31,6 +31,7 @@ from repro.nrl.word2vec import (
     sgns_sparse_gradients,
     sgns_sparse_step,
 )
+from repro.numerics import scatter_add_rows
 
 
 def _two_cluster_network() -> TransactionNetwork:
@@ -264,3 +265,150 @@ def test_embedding_lookup_dimension_property(dimension):
     matrix = embeddings.lookup(["a", "b", "c"])
     assert matrix.shape == (3, dimension)
     assert np.allclose(matrix[1:], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The SGNS scatter and negative table against the spellings they replaced.
+
+_SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, 1e-16]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def _scatter_cases(draw):
+    """A ``(V, d)`` target, ``n`` row indices (duplicate-heavy, negative ones
+    included) and ``(n, d)`` values, all drawn with IEEE special values."""
+    vocab, width, n = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(0, 40))
+    rows = draw(
+        st.lists(
+            st.one_of(st.integers(0, 1).map(lambda r: r % vocab), st.integers(-vocab, vocab - 1)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    size = (vocab + n) * width
+    cells = draw(st.lists(_SPECIAL_FLOATS, min_size=size, max_size=size))
+    grid = np.array(cells, dtype=np.float64).reshape(vocab + n, width)
+    return grid[:vocab].copy(), np.array(rows, dtype=np.int64), grid[vocab:].copy()
+
+
+def _scatter_matches_2d_add_at(case):
+    """Every non-NaN cell byte-equal, NaN exactly where the reference has it.
+    Only *which* NaN may differ: when both operands of an add are NaN, IEEE
+    754 leaves the propagated payload open, and numpy's 2-D loop keeps the
+    addend's where the flat one keeps the target's."""
+    target, rows, values = case
+    expected = target.copy()
+    with np.errstate(all="ignore"):  # inf - inf and overflow are the point here
+        np.add.at(expected, rows, values)
+        scatter_add_rows(target, rows, values)
+    nan = np.isnan(expected)
+    assert target.dtype == expected.dtype and np.array_equal(np.isnan(target), nan)
+    assert target[~nan].tobytes() == expected[~nan].tobytes()
+
+
+# (1 + 1e-16) + 1e-16 is 1 but 1 + (1e-16 + 1e-16) is not: a scatter that sums
+# a row's addends before adding them (bincount, reduceat) re-associates.
+_REASSOCIATION = (np.ones((2, 1)), np.array([0, 0]), np.full((2, 1), 1e-16))
+# -0.0 + 0.0 is +0.0: a scatter that adds zeros to untouched rows flips them.
+_UNTOUCHED_NEGATIVE_ZERO = (np.full((3, 2), -0.0), np.array([1]), np.ones((1, 2)))
+_EMPTY_ROWS = (np.arange(6.0).reshape(3, 2), np.empty(0, dtype=np.int64), np.empty((0, 2)))
+
+
+def _negative_table_oracle(counts, table_size, power=0.75):
+    """The table's previous body: one left search per table position."""
+    weights = np.power(np.maximum(counts, 1e-12), power)
+    cumulative = np.cumsum(weights / weights.sum())
+    positions = (np.arange(table_size) + 0.5) / table_size
+    return np.searchsorted(cumulative, positions).astype(np.int64)
+
+
+@st.composite
+def _negative_table_cases(draw):
+    """Counts (zeros, ties, heavy tails, overflowing weights), a table size
+    (1, primes, small and mid-sized) and a power."""
+    vocab = draw(st.integers(1, 30))
+    counts = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 3).map(float),
+                st.floats(0.0, 1e6),
+                st.sampled_from([0.0, 1e9, 1e308]),
+            ),
+            min_size=vocab,
+            max_size=vocab,
+        )
+    )
+    table_size = draw(st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3, 7919, 104729])))
+    power = draw(st.sampled_from([0.75, 0.0, 1.0]))
+    return np.array(counts, dtype=np.float64), table_size, power
+
+
+def _negative_table_matches_oracle(case):
+    counts, table_size, power = case
+    with np.errstate(all="ignore"):  # the 1e308 counts overflow the weights' sum
+        table = build_negative_table(counts, table_size, power)
+        expected = _negative_table_oracle(counts, table_size, power)
+    assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
+
+
+def _with_examples(check, strategy, examples, max_examples):
+    for case in examples:
+        check = example(case=case)(check)
+    return settings(max_examples=max_examples, deadline=None)(given(case=strategy)(check))
+
+
+_SCATTER_EXAMPLES = (_REASSOCIATION, _UNTOUCHED_NEGATIVE_ZERO, _EMPTY_ROWS)
+_NEGATIVE_TABLE_EXAMPLES = (
+    (np.array([5.0]), 1, 0.75),  # V = 1, T = 1
+    (np.zeros(4), 7919, 0.75),  # all-zero counts, T prime
+    (np.array([1.0, 1.0]), 1, 0.75),  # cumulative[0] == positions[0]: the search side matters
+    # weights.sum() overflows, every probability is 0: the whole table is V
+    (np.array([1e308, 1e308]), 13, 1.0),
+)
+
+test_scatter_add_rows_matches_2d_add_at = _with_examples(
+    _scatter_matches_2d_add_at, _scatter_cases(), _SCATTER_EXAMPLES, 60
+)
+test_scatter_add_rows_matches_2d_add_at_soak = pytest.mark.slow(
+    _with_examples(_scatter_matches_2d_add_at, _scatter_cases(), _SCATTER_EXAMPLES, 1000)
+)
+test_negative_table_matches_searchsorted_oracle = _with_examples(
+    _negative_table_matches_oracle, _negative_table_cases(), _NEGATIVE_TABLE_EXAMPLES, 60
+)
+test_negative_table_matches_searchsorted_oracle_soak = pytest.mark.slow(
+    _with_examples(
+        _negative_table_matches_oracle, _negative_table_cases(), _NEGATIVE_TABLE_EXAMPLES, 1000
+    )
+)
+
+
+class TestScatterAddRows:
+    def test_one_dimensional_target_is_plain_add_at(self):
+        target, expected = np.zeros(4), np.zeros(4)
+        rows, values = np.array([3, 1, 3]), np.array([0.5, 2.0, 0.25])
+        np.add.at(expected, rows, values)
+        scatter_add_rows(target, rows, values)
+        assert target.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "target",
+        [np.zeros((4, 3), order="F"), np.zeros((4, 6))[:, :3], np.zeros((4, 3, 1))],
+        ids=["fortran-ordered", "column-sliced", "three-dimensional"],
+    )
+    def test_non_contiguous_target_raises_instead_of_losing_updates(self, target):
+        """``reshape(-1)`` of the first two is a copy, so a flat scatter would
+        land in the copy, and a 3-D target's row is not ``shape[1]`` wide; the
+        guard refuses them and leaves the target alone."""
+        with pytest.raises(ValueError):
+            scatter_add_rows(target, np.array([0, 2]), np.ones((2, 3)))
+        assert not target.any()
+
+    def test_row_range_view_is_accepted(self):
+        """A shard's shared-memory block is a row range: contiguous, so the
+        flat view writes through to the parent matrix."""
+        matrix = np.zeros((6, 2))
+        scatter_add_rows(matrix[2:5], np.array([0, 2, 0]), np.ones((3, 2)))
+        assert matrix[:, 0].tolist() == [0.0, 0.0, 2.0, 0.0, 1.0, 0.0]
