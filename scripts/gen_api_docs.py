@@ -84,8 +84,10 @@ PUBLIC_API = [
     (
         "Streaming feature engine",
         "repro.features.streaming",
-        ["SlidingWindowAggregator"],
-        "Event-time sliding-window aggregates with exact batch parity.",
+        ["SlidingWindowAggregator", "PointInTimeAggregationSource"],
+        "Event-time sliding-window aggregates with exact batch parity, and "
+        "the point-in-time training source that owns replaying a slice's "
+        "history (its training pass's engine seeds the streaming updater).",
     ),
     (
         "SQL backfill engine",
@@ -236,6 +238,20 @@ PUBLIC_API = [
         "One histogram tree grower: the local builder runs it over one "
         "partition, DistributedGBDT over the workers' partitions with the "
         "parameter servers summing each level's histograms.",
+    ),
+    (
+        "Histogram split search",
+        "repro.models.tree.splitter",
+        ["best_histogram_splits", "best_histogram_split"],
+        "The best bin-boundary split of every node of a tree level in one "
+        "call; the one-node form is its view.",
+    ),
+    (
+        "Quantile cut points",
+        "repro.features.discretization",
+        ["column_quantiles", "column_quantile_edges", "quantile_edges"],
+        "The one owner of quantile cut points: every column of a matrix from "
+        "one np.quantile call, byte-equal to per-column calls.",
     ),
     (
         "Shared training numerics",

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.features.discretization import column_quantiles
 from repro.models.base import BaseDetector
 
 
@@ -131,7 +132,7 @@ def select_threshold(
     if labels.sum() == 0:
         return 0.5
     quantiles = np.linspace(0.01, 0.99, grid_size)
-    candidates = np.unique(np.quantile(scores, quantiles))
+    candidates = column_quantiles(scores[:, None], quantiles)[0]
     best_threshold, best_f1 = 0.5, -1.0
     for candidate in candidates:
         score = f1_score(labels, scores, threshold=float(candidate))

@@ -45,10 +45,7 @@ from repro.features.aggregation import (
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
 from repro.features.matrix import FeatureMatrix
 from repro.features.plan import FeaturePlan
-from repro.features.streaming import (
-    PointInTimeAggregationSource,
-    SlidingWindowAggregator,
-)
+from repro.features.streaming import PointInTimeAggregationSource
 from repro.graph.builder import build_network
 from repro.graph.network import TransactionNetwork
 from repro.hbase.client import (
@@ -127,7 +124,8 @@ class SlicePreparation:
     #: built when the pipeline has an aggregation window configured).
     aggregator: Optional[TransactionAggregator] = None
     #: Point-in-time aggregation provider shared by every assembler of this
-    #: slice (holds the pre-sorted history once).
+    #: slice (holds the pre-sorted history once, and at most one engine that
+    #: replayed it, until ``deploy_fleet`` takes that engine).
     aggregation_source: Optional[PointInTimeAggregationSource] = None
 
     def embedding_sets_for(self, feature_set: FeatureSetName) -> Dict[str, EmbeddingSet]:
@@ -445,9 +443,10 @@ class OfflineTrainingPipeline:
     ) -> StreamingFeatureUpdater:
         """The online half of the windowing definition exported with the plan.
 
-        Replays the slice's pre-test-day history through a
-        :class:`SlidingWindowAggregator` configured from the *same*
-        :class:`AggregationConfig` the offline assembler used: querying the
+        Its engine is the slice's pre-test-day history replayed under the
+        *same* :class:`AggregationConfig` the offline assembler used — the
+        training pass's own engine when it kept one, handed over by
+        :meth:`PointInTimeAggregationSource.seeded_engine`.  Querying the
         seeded engine at the batch as-of instant —
         ``batch_as_of_time(test_day)``, one second before test-day
         midnight (``aggregator_for(...).as_of_time``; at midnight itself the
@@ -465,17 +464,16 @@ class OfflineTrainingPipeline:
         is on — and off for day-scale windows, where decay between publishes
         is negligible.
         """
-        if self.aggregation is None:
+        source = self.aggregation_source_for(preparation)
+        if source is None:
             raise ConfigurationError(
                 "pipeline has no aggregation window configured; pass "
                 "aggregation=AggregationConfig(...) to enable streaming features"
             )
-        aggregator = SlidingWindowAggregator(self.aggregation)
-        aggregator.replay(self._slice_history(preparation))
         hbase.create_feature_store(table_name)
-        window_seconds = self.aggregation.effective_window_seconds
+        window_seconds = source.config.effective_window_seconds
         return StreamingFeatureUpdater(
-            aggregator,
+            source.seeded_engine(),
             hbase,
             table_name,
             start_version=max(
@@ -502,8 +500,10 @@ class OfflineTrainingPipeline:
         the pre-seeded :class:`StreamingFeatureUpdater` the front end should
         attach (``AlipayServer(fleet, feature_updater=...)``) so online
         ingest keeps the served aggregates fresh.  Callers that intentionally
-        serve the frozen published rows can skip the (history-replay) updater
-        build with ``streaming_updater=False``.
+        serve the frozen published rows can skip the updater build with
+        ``streaming_updater=False``.  Either way the engine the training pass
+        kept on the preparation is taken: the updater adopts it, or it is
+        released.
 
         The bundle is registered (if its version is not yet known) in
         ``registry`` — a private one when the caller passes none — and the
@@ -522,6 +522,8 @@ class OfflineTrainingPipeline:
             updater = self.build_streaming_updater(
                 preparation, hbase, table_name=table_name
             )
+        elif preparation.aggregation_source is not None:
+            preparation.aggregation_source.release_engine()
         # When the updater exists, its seeded engine publishes the aggregate
         # snapshot (anchored at the batch as-of instant) — one history walk
         # instead of fitting a second, throwaway batch aggregator.

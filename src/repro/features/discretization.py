@@ -70,20 +70,33 @@ class EqualWidthBinner(_BaseBinner):
         return np.linspace(low, high, self.num_bins + 1)[1:-1]
 
 
+def column_quantiles(features: np.ndarray, levels: np.ndarray) -> List[np.ndarray]:
+    """The deduplicated ``levels``-quantiles of every column of a 2-D matrix,
+    from one ``np.quantile`` call: each column goes through the partition and
+    interpolation a call on it alone would, so the bytes are the same."""
+    cuts = np.quantile(np.asarray(features, dtype=np.float64), levels, axis=0)
+    return [np.unique(cuts[:, column]) for column in range(cuts.shape[1])]
+
+
+def column_quantile_edges(features: np.ndarray, num_bins: int) -> List[np.ndarray]:
+    """:func:`quantile_edges` of every column of a 2-D matrix, in one pass."""
+    return column_quantiles(features, np.linspace(0.0, 1.0, num_bins + 1)[1:-1])
+
+
 def quantile_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Deduplicated quantile cut points splitting ``values`` into ``num_bins``.
 
-    Shared by :class:`QuantileBinner` and the GBDT histogram binner
-    (:class:`repro.models.tree.histogram.HistogramBinner`), so the offline
-    discretiser and the boosting engine agree on bin boundaries.
+    The one-column case of :func:`column_quantile_edges`, which the GBDT
+    histogram binner (:class:`repro.models.tree.histogram.HistogramBinner`)
+    calls, so the offline discretiser and the boosting engine agree on bin
+    boundaries.
     """
     if num_bins < 2:
         raise FeatureError("num_bins must be at least 2")
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise FeatureError("cannot compute bin edges of an empty column")
-    quantiles = np.linspace(0.0, 1.0, num_bins + 1)[1:-1]
-    return np.unique(np.quantile(values, quantiles))
+    return column_quantile_edges(values[:, None], num_bins)[0]
 
 
 class QuantileBinner(_BaseBinner):

@@ -28,8 +28,9 @@ Design
   costs O(buckets touched since the account's last such read): from its
   first one on, the account's row is maintained (counts as running totals,
   distinct sets as per-counterparty reference counts, running maxima, and
-  the two sums' running left fold per bucket).  A query with ``as_of`` off
-  the watermark is a full fold, O(buckets in the window).  The bits are the
+  the two sums' running left fold per bucket), and so is a read past it
+  when no bucket lies in ``(watermark - W, as_of - W]`` (two bisections).
+  Any other query is a full fold, O(buckets in the window).  The bits are the
   same because a running fold is never read from at or after a bucket an
   event touched and is dropped when the window edge passes a bucket, so
   finishing it repeats the full fold's additions exactly.
@@ -39,8 +40,8 @@ Design
   permitted window (event-time windows only move forward) and is counted in
   ``late_events_dropped``.  Queries are exact for any
   ``as_of >= watermark - allowed_lateness`` (and for any ``as_of`` at or
-  beyond the watermark); with the default lateness of 0 the engine retains
-  exactly one window of buckets.
+  beyond the watermark), and an older one raises :class:`FeatureError`;
+  with the default lateness of 0 the engine retains one window of buckets.
 
 Determinism: queries fold buckets in ascending bucket-time order, so counts,
 maxima, night fractions and distinct/payer sets depend only on the *set* of
@@ -363,8 +364,8 @@ class SlidingWindowAggregator:
     # ------------------------------------------------------------------
     def _window_row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
         """(aggregate row, in-window payer set) for one account, by a full
-        fold of its buckets — the only path for an ``as_of`` off the
-        watermark, and the oracle of the maintained one.
+        fold of its buckets — the path ``_row`` takes when the maintained
+        row does not apply, and the oracle of the maintained one.
 
         Buckets are folded in ascending time order so the result is a pure
         function of the in-window event set, independent of arrival order.
@@ -468,9 +469,17 @@ class SlidingWindowAggregator:
         return row, live.payers_cell
 
     def _row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """Every query's one way in: the maintained row at the watermark,
-        else the full fold."""
-        if as_of == self._watermark:
+        """Every query's one way in: the maintained row when the window at
+        ``as_of`` holds the watermark's buckets — none lies in
+        ``(watermark - W, as_of - W]`` — else the full fold."""
+        watermark, window = self._watermark, self.window_seconds
+        if as_of == watermark:
+            return self._maintained_row(user_id)
+        if as_of < watermark - self.allowed_lateness_seconds:
+            raise FeatureError(f"as_of {as_of!r} is below the watermark minus the allowed lateness")
+        times = self._accounts[user_id].times if user_id in self._accounts else []
+        cut = bisect_right(times, watermark - window)
+        if as_of > watermark and bisect_right(times, as_of - window, cut) == cut:
             return self._maintained_row(user_id)
         return self._window_row(user_id, as_of)
 
@@ -529,6 +538,11 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
     :class:`SlidingWindowAggregator`, serving each requested transaction the
     instant before it is ingested — byte-for-byte the contract the
     :class:`~repro.serving.alipay.AlipayServer` replay applies online.
+
+    It also owns replaying the history: a pass whose merged stream *was* the
+    history (distinct batch ids, each equal to the history record with that
+    id — the training window, not a test-day or oversampled batch) keeps its
+    engine, at most one, for :meth:`seeded_engine` to hand over.
     """
 
     def __init__(
@@ -545,9 +559,12 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
         #: batches, so repeats cost O(1) instead of a full replay.
         self._block_cache: Dict[Tuple, np.ndarray] = {}
         self._block_cache_limit = 8
+        #: The engine of the last pass that replayed exactly ``history``.
+        self._engine: Optional[SlidingWindowAggregator] = None
 
     @property
     def window_spec(self) -> AggregationWindowSpec:
+        """The window as a serialisable plan spec."""
         return AggregationWindowSpec.from_config(self.config)
 
     def aggregation_block(self, transactions: Sequence[Transaction]) -> np.ndarray:
@@ -571,11 +588,10 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
         positions: Dict[str, List[int]] = {}
         for index, txn in enumerate(transactions):
             positions.setdefault(txn.transaction_id, []).append(index)
-        stream = heapq.merge(
-            (e for e in self.history if e.transaction_id not in positions),
-            sorted(transactions, key=event_order),
-            key=event_order,
-        )
+        batch = sorted(transactions, key=event_order)
+        replaced = [e for e in self.history if e.transaction_id in positions]
+        rest = (e for e in self.history if e.transaction_id not in positions)
+        stream = heapq.merge(rest, batch, key=event_order)
         engine = SlidingWindowAggregator(self.config)
         block = np.zeros((len(transactions), len(AGGREGATION_FEATURE_NAMES)))
         served: Dict[str, int] = {}
@@ -586,7 +602,24 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
                 block[occurrences[occurrence]] = engine.features_for(event)
                 served[event.transaction_id] = occurrence + 1
             engine.ingest(event)
+        if len(replaced) == len(batch) == len(positions) and all(
+            old is new or old == new for old, new in zip(replaced, batch)
+        ):  # the merged stream was the history itself
+            self._engine = engine
         if len(self._block_cache) >= self._block_cache_limit:
             self._block_cache.pop(next(iter(self._block_cache)))
         self._block_cache[cache_key] = block
         return block.copy()
+
+    def seeded_engine(self) -> SlidingWindowAggregator:
+        """An engine that has ingested exactly the history, now the caller's:
+        the kept one (the source drops it, so a second call replays), else a
+        replay of the history.  Both answer every row bit-equal."""
+        engine, self._engine = self._engine, None
+        if engine is None:
+            engine = SlidingWindowAggregator(self.config).replay(self.history)
+        return engine
+
+    def release_engine(self) -> None:
+        """Drop the kept engine, for a caller that will not adopt it."""
+        self._engine = None

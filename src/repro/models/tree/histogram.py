@@ -6,13 +6,14 @@ histogram engine follows the design of production boosted-tree systems
 (XGBoost/LightGBM and the paper's KunPeng training platform):
 
 * :class:`HistogramBinner` quantile-bins the full training matrix **once**
-  into compact ``uint8``/``uint16`` bin indices (reusing the same quantile
-  cut points as :func:`repro.features.discretization.quantile_edges`),
+  into compact ``uint8``/``uint16`` bin indices (the cut points of every
+  column from one
+  :func:`repro.features.discretization.column_quantile_edges` call),
 * :func:`build_histograms` accumulates per-node (gradient, hessian, count)
   histograms with a single ``np.bincount`` sweep per statistic,
 * :func:`grow_level_wise` grows a depth-limited tree level by level,
-  scanning bin boundaries with prefix sums
-  (:func:`repro.models.tree.splitter.best_histogram_split`);
+  scanning every eligible node's bin boundaries with prefix sums in one
+  call per level (:func:`repro.models.tree.splitter.best_histogram_splits`);
   :class:`HistogramTreeBuilder` runs it over one in-memory partition.
 
 Because a node's histogram is a fixed ``features x bins`` block regardless of
@@ -33,9 +34,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ModelError, NotFittedError
-from repro.features.discretization import quantile_edges
+from repro.features.discretization import column_quantile_edges
 from repro.models.tree.node import TreeNode
-from repro.models.tree.splitter import best_histogram_split
+from repro.models.tree.splitter import best_histogram_splits
 
 
 class HistogramBinner:
@@ -62,10 +63,7 @@ class HistogramBinner:
             raise ModelError("features must be a 2-dimensional array")
         if features.shape[0] == 0:
             raise ModelError("cannot fit a binner on an empty matrix")
-        self.edges_ = [
-            quantile_edges(features[:, column], self.num_bins)
-            for column in range(features.shape[1])
-        ]
+        self.edges_ = column_quantile_edges(features, self.num_bins)
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:
@@ -79,9 +77,10 @@ class HistogramBinner:
             )
         dtype = np.uint8 if self.num_bins <= 256 else np.uint16
         binned = np.empty(features.shape, dtype=dtype)
+        columns = np.ascontiguousarray(features.T)
+        # At most len(edges) <= num_bins - 1: every index fits its bin range.
         for column, edges in enumerate(self.edges_):
-            bins = np.searchsorted(edges, features[:, column], side="right")
-            binned[:, column] = np.clip(bins, 0, self.num_bins - 1)
+            binned[:, column] = np.searchsorted(edges, columns[column], side="right")
         return binned
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
@@ -210,32 +209,31 @@ def grow_level_wise(
     """Grow one depth-limited tree level by level; returns its root.
 
     The growth rules — Newton root value, ``min_samples_leaf`` on both
-    children, the split search per active node, child slots numbered in
-    active order — live here once.  Who holds the rows is the caller's
-    business, through two callbacks: ``level_histograms(num_active)`` returns
-    the level's summed ``(num_active, features, bins)`` gradient / hessian /
+    children (a node with fewer than twice that many rows has no valid
+    boundary, so it stays a leaf), one split search per level, child slots
+    numbered in active order — live here once.  Who holds the rows is the
+    caller's business, through two callbacks: ``level_histograms(num_active)``
+    returns the level's summed ``(num_active, features, bins)`` gradient / hessian /
     count histograms, and ``reroute(decisions)`` moves the rows to next-level
     slots (:func:`apply_decisions`).  ``columns[slot]`` is the matrix column
     behind histogram feature ``slot``.
     """
     root = _newton_leaf(total_gradient, total_hessian, num_rows, reg_lambda)
-    active: List[Tuple[TreeNode, int]] = [(root, num_rows)]
+    active: List[TreeNode] = [root]
     for _depth in range(max_depth):
         if not active:
             break
         grad_hist, hess_hist, count_hist = level_histograms(len(active))
+        splits = best_histogram_splits(
+            grad_hist,
+            hess_hist,
+            count_hist,
+            min_leaf=min_samples_leaf,
+            reg_lambda=reg_lambda,
+        )
         decisions: List[Optional[SplitDecision]] = []
-        next_active: List[Tuple[TreeNode, int]] = []
-        for slot, (node, count) in enumerate(active):
-            split = None
-            if count >= 2 * min_samples_leaf:
-                split = best_histogram_split(
-                    grad_hist[slot],
-                    hess_hist[slot],
-                    count_hist[slot],
-                    min_leaf=min_samples_leaf,
-                    reg_lambda=reg_lambda,
-                )
+        next_active: List[TreeNode] = []
+        for node, split in zip(active, splits):
             if split is None:
                 decisions.append(None)
                 continue
@@ -253,8 +251,8 @@ def grow_level_wise(
                 split.right_gradient, split.right_hessian, split.right_count, reg_lambda
             )
             decisions.append((split.feature_slot, split.bin_index, len(next_active)))
-            next_active.append((left, split.left_count))
-            next_active.append((right, split.right_count))
+            next_active.append(left)
+            next_active.append(right)
         reroute(decisions)
         active = next_active
     return root

@@ -11,7 +11,7 @@ fitting hundreds of boosted trees stays fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -234,6 +234,81 @@ class HistogramSplit:
     right_count: int
 
 
+def best_histogram_splits(
+    grad_hist: np.ndarray,
+    hess_hist: np.ndarray,
+    count_hist: np.ndarray,
+    *,
+    min_leaf: int = 1,
+    reg_lambda: float = 1.0,
+) -> List[Optional[HistogramSplit]]:
+    """Best bin-boundary split of each node of ``(nodes, features, bins)``
+    histograms — one tree level in one call.
+
+    Scans every boundary of every feature with prefix sums and the same
+    second-order gain as :func:`best_regression_split`; the boundaries are the
+    at most ``num_bins - 1`` bin edges instead of the per-node sorted values,
+    which is what makes histogram tree growth independent of the row count.
+    Per node, features are scanned in slot order and ties keep the first
+    maximum, so a histogram with one bin per distinct value reproduces the
+    exact search.  Each step is elementwise or along the bin axis: a node's
+    split has the bits a search of that node alone would give.
+    """
+    grad_hist = np.asarray(grad_hist, dtype=np.float64)
+    hess_hist = np.asarray(hess_hist, dtype=np.float64)
+    count_hist = np.asarray(count_hist, dtype=np.float64)
+    if grad_hist.ndim != 3:
+        raise ModelError("histogram arrays must be 3-dimensional (nodes, features, bins)")
+    if grad_hist.shape != hess_hist.shape or grad_hist.shape != count_hist.shape:
+        raise ModelError("histogram arrays must share one (nodes, features, bins) shape")
+    num_nodes, num_features, num_bins = grad_hist.shape
+    if num_bins < 2 or num_features == 0:
+        return [None] * num_nodes
+
+    # Left sums for a split "bin <= b", b in [0, num_bins - 2].
+    left_gradient = np.cumsum(grad_hist, axis=2)[..., :-1]
+    left_hessian = np.cumsum(hess_hist, axis=2)[..., :-1]
+    left_count = np.cumsum(count_hist, axis=2)[..., :-1]
+    total_gradient = left_gradient[..., -1] + grad_hist[..., -1]
+    total_hessian = left_hessian[..., -1] + hess_hist[..., -1]
+    total_count = left_count[..., -1] + count_hist[..., -1]
+    right_gradient = total_gradient[..., None] - left_gradient
+    right_hessian = total_hessian[..., None] - left_hessian
+    right_count = total_count[..., None] - left_count
+
+    valid = (left_count >= min_leaf) & (right_count >= min_leaf)
+    parent_score = total_gradient**2 / (total_hessian + reg_lambda)
+    gains = (
+        left_gradient**2 / (left_hessian + reg_lambda)
+        + right_gradient**2 / (right_hessian + reg_lambda)
+        - parent_score[..., None]
+    )
+    gains = np.where(valid, gains, -np.inf)
+    # First maximum per node over the features-major flattening.
+    best = np.argmax(gains.reshape(num_nodes, num_features * (num_bins - 1)), axis=1)
+    splits: List[Optional[HistogramSplit]] = []
+    for node, flat in enumerate(best.tolist()):
+        feature_slot, bin_index = divmod(flat, num_bins - 1)
+        at = (node, feature_slot, bin_index)
+        if not np.isfinite(gains[at]) or gains[at] <= 1e-12:
+            splits.append(None)
+            continue
+        splits.append(
+            HistogramSplit(
+                feature_slot=feature_slot,
+                bin_index=bin_index,
+                score=float(gains[at]),
+                left_gradient=float(left_gradient[at]),
+                left_hessian=float(left_hessian[at]),
+                left_count=int(left_count[at]),
+                right_gradient=float(right_gradient[at]),
+                right_hessian=float(right_hessian[at]),
+                right_count=int(right_count[at]),
+            )
+        )
+    return splits
+
+
 def best_histogram_split(
     grad_hist: np.ndarray,
     hess_hist: np.ndarray,
@@ -242,62 +317,12 @@ def best_histogram_split(
     min_leaf: int = 1,
     reg_lambda: float = 1.0,
 ) -> Optional[HistogramSplit]:
-    """Best bin-boundary split over ``(num_features, num_bins)`` histograms.
-
-    Scans every boundary of every feature with prefix sums and the same
-    second-order gain as :func:`best_regression_split`; the boundaries are the
-    at most ``num_bins - 1`` bin edges instead of the per-node sorted values,
-    which is what makes histogram tree growth independent of the row count.
-    Features are scanned in slot order and ties keep the first maximum, so a
-    histogram with one bin per distinct value reproduces the exact search.
-    """
-    grad_hist = np.asarray(grad_hist, dtype=np.float64)
-    hess_hist = np.asarray(hess_hist, dtype=np.float64)
-    count_hist = np.asarray(count_hist, dtype=np.float64)
-    if grad_hist.ndim != 2:
+    """Best bin-boundary split over one node's ``(num_features, num_bins)``
+    histograms: the one-node view of :func:`best_histogram_splits`."""
+    if np.ndim(grad_hist) != 2:
         raise ModelError("histogram arrays must be 2-dimensional (features, bins)")
-    if grad_hist.shape != hess_hist.shape or grad_hist.shape != count_hist.shape:
-        raise ModelError("histogram arrays must share one (features, bins) shape")
-    num_bins = grad_hist.shape[1]
-    if num_bins < 2:
-        return None
-
-    # Left sums for a split "bin <= b", b in [0, num_bins - 2].
-    left_gradient = np.cumsum(grad_hist, axis=1)[:, :-1]
-    left_hessian = np.cumsum(hess_hist, axis=1)[:, :-1]
-    left_count = np.cumsum(count_hist, axis=1)[:, :-1]
-    total_gradient = left_gradient[:, -1] + grad_hist[:, -1]
-    total_hessian = left_hessian[:, -1] + hess_hist[:, -1]
-    total_count = left_count[:, -1] + count_hist[:, -1]
-    right_gradient = total_gradient[:, None] - left_gradient
-    right_hessian = total_hessian[:, None] - left_hessian
-    right_count = total_count[:, None] - left_count
-
-    valid = (left_count >= min_leaf) & (right_count >= min_leaf)
-    if not np.any(valid):
-        return None
-    parent_score = total_gradient**2 / (total_hessian + reg_lambda)
-    gains = (
-        left_gradient**2 / (left_hessian + reg_lambda)
-        + right_gradient**2 / (right_hessian + reg_lambda)
-        - parent_score[:, None]
-    )
-    gains = np.where(valid, gains, -np.inf)
-    best = int(np.argmax(gains))
-    feature_slot, bin_index = divmod(best, num_bins - 1)
-    if not np.isfinite(gains[feature_slot, bin_index]) or gains[feature_slot, bin_index] <= 1e-12:
-        return None
-    return HistogramSplit(
-        feature_slot=feature_slot,
-        bin_index=bin_index,
-        score=float(gains[feature_slot, bin_index]),
-        left_gradient=float(left_gradient[feature_slot, bin_index]),
-        left_hessian=float(left_hessian[feature_slot, bin_index]),
-        left_count=int(left_count[feature_slot, bin_index]),
-        right_gradient=float(right_gradient[feature_slot, bin_index]),
-        right_hessian=float(right_hessian[feature_slot, bin_index]),
-        right_count=int(right_count[feature_slot, bin_index]),
-    )
+    stacked = (np.asarray(hist)[None] for hist in (grad_hist, hess_hist, count_hist))
+    return best_histogram_splits(*stacked, min_leaf=min_leaf, reg_lambda=reg_lambda)[0]
 
 
 def best_regression_split(

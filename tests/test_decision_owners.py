@@ -10,15 +10,18 @@ that a default argument is the shared constant rather than an equal literal.
 
 from __future__ import annotations
 
+import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import OfflineTrainingPipeline
 from repro.datagen import schema
 from repro.features import aggregation, assembler, plan, streaming
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
+from repro.models.tree import splitter
 from repro.serving.embedding_refresh import EmbeddingRefresher
 from repro.serving.feature_source import HBaseFeatureSource
 from repro.serving.model_server import ModelServerConfig
@@ -83,3 +86,56 @@ def test_row_scatters_go_through_scatter_add_rows():
         if ".add.at(" in path.read_text() or ".subtract.at(" in path.read_text()
     ]
     assert spelled == []
+
+
+def _calls_outside(name: str, owner_class: str):
+    """``src/`` call sites of ``name(...)`` outside the class ``owner_class``."""
+    found = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == owner_class:
+                inside.update(id(child) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == name
+                and id(node) not in inside
+            ):
+                found.append(f"{path.relative_to(REPO_ROOT).as_posix()}:{node.lineno}")
+    return found
+
+
+def test_only_the_point_in_time_source_replays_a_history():
+    """Row 25: a window engine is built (and fed a slice's history) only by
+    ``PointInTimeAggregationSource`` — its pass, or ``seeded_engine``."""
+    assert _calls_outside("SlidingWindowAggregator", "PointInTimeAggregationSource") == []
+    assert inspect.getsource(OfflineTrainingPipeline).count(".seeded_engine()") == 1
+
+
+def test_quantiles_are_taken_only_in_discretization():
+    """Row 11: every quantile cut point in ``src/`` comes from one module."""
+    spelled = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if "np.quantile(" in path.read_text()
+    ]
+    assert spelled == ["src/repro/features/discretization.py"]
+
+
+def test_best_histogram_split_is_the_level_searchs_one_node_view(monkeypatch):
+    calls = []
+    level_search = splitter.best_histogram_splits
+
+    def spy(*histograms, **kwargs):
+        calls.append([hist.shape for hist in histograms])
+        return level_search(*histograms, **kwargs)
+
+    monkeypatch.setattr(splitter, "best_histogram_splits", spy)
+    grad = np.array([[-1.0, 1.0]])
+    count = np.array([[3.0, 3.0]])
+    split = splitter.best_histogram_split(grad, count, count)
+    assert calls == [[(1, 1, 2)] * 3]
+    assert split is not None and split.bin_index == 0

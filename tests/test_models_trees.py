@@ -20,6 +20,7 @@ from repro.models.tree.histogram import (
     HistogramTreeBuilder,
     build_histograms,
 )
+from repro.models.tree import splitter
 from repro.models.tree.id3 import ID3Classifier
 from repro.models.tree.splitter import (
     best_categorical_split,
@@ -369,3 +370,203 @@ def test_entropy_information_gain_properties(labels):
         gain = information_gain(array, [array[:half], array[half:]])
         assert gain >= -1e-9
         assert gain <= value + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the level-wise split search and the column-wise cut
+# points against the per-node / per-column bodies they replaced
+# ---------------------------------------------------------------------------
+#
+# The oracles below are the previous implementations, kept verbatim as
+# references.  Every field is compared bit for bit (floats under
+# ``float.hex``, cut points under ``tobytes``).
+
+
+def _per_node_histogram_split(grad_hist, hess_hist, count_hist, *, min_leaf, reg_lambda):
+    """Oracle: the one-node split search as it was before the level-wise call."""
+    num_bins = grad_hist.shape[1]
+    if num_bins < 2:
+        return None
+    left_gradient = np.cumsum(grad_hist, axis=1)[:, :-1]
+    left_hessian = np.cumsum(hess_hist, axis=1)[:, :-1]
+    left_count = np.cumsum(count_hist, axis=1)[:, :-1]
+    total_gradient = left_gradient[:, -1] + grad_hist[:, -1]
+    total_hessian = left_hessian[:, -1] + hess_hist[:, -1]
+    total_count = left_count[:, -1] + count_hist[:, -1]
+    right_gradient = total_gradient[:, None] - left_gradient
+    right_hessian = total_hessian[:, None] - left_hessian
+    right_count = total_count[:, None] - left_count
+    valid = (left_count >= min_leaf) & (right_count >= min_leaf)
+    if not np.any(valid):
+        return None
+    parent_score = total_gradient**2 / (total_hessian + reg_lambda)
+    gains = (
+        left_gradient**2 / (left_hessian + reg_lambda)
+        + right_gradient**2 / (right_hessian + reg_lambda)
+        - parent_score[:, None]
+    )
+    gains = np.where(valid, gains, -np.inf)
+    best = int(np.argmax(gains))
+    feature_slot, bin_index = divmod(best, num_bins - 1)
+    if not np.isfinite(gains[feature_slot, bin_index]) or gains[feature_slot, bin_index] <= 1e-12:
+        return None
+    return (
+        feature_slot,
+        bin_index,
+        float(gains[feature_slot, bin_index]).hex(),
+        float(left_gradient[feature_slot, bin_index]).hex(),
+        float(left_hessian[feature_slot, bin_index]).hex(),
+        int(left_count[feature_slot, bin_index]),
+        float(right_gradient[feature_slot, bin_index]).hex(),
+        float(right_hessian[feature_slot, bin_index]).hex(),
+        int(right_count[feature_slot, bin_index]),
+    )
+
+
+def _split_bits(split):
+    if split is None:
+        return None
+    return (
+        split.feature_slot,
+        split.bin_index,
+        split.score.hex(),
+        split.left_gradient.hex(),
+        split.left_hessian.hex(),
+        split.left_count,
+        split.right_gradient.hex(),
+        split.right_hessian.hex(),
+        split.right_count,
+    )
+
+
+_LEVEL = dict(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 7)),
+    seed=st.integers(0, 2**32 - 1),
+    tie_features=st.booleans(),
+    dense_gradients=st.booleans(),
+    min_leaf=st.integers(1, 12),
+    reg_lambda=st.sampled_from([0.5, 1.0, 3.0]),
+)
+
+
+def _level_search_matches_per_node(shape, seed, tie_features, dense_gradients, min_leaf, reg_lambda):
+    rng = np.random.default_rng(seed)
+    num_nodes, num_features, num_bins = shape
+    # Small counts put min_leaf at and around the children's sizes, and make
+    # whole nodes invalid; coarse gradients make gains tie.
+    count_hist = rng.integers(0, 5, size=shape).astype(np.float64)
+    if dense_gradients:
+        grad_hist = rng.normal(size=shape) * count_hist
+    else:
+        grad_hist = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=shape) * count_hist
+    hess_hist = count_hist * rng.choice([0.25, 0.5, 1.0])
+    if tie_features:  # every feature of a node holds the same histogram
+        for hist in (grad_hist, hess_hist, count_hist):
+            hist[:] = hist[:, :1, :]
+    found = splitter.best_histogram_splits(
+        grad_hist, hess_hist, count_hist, min_leaf=min_leaf, reg_lambda=reg_lambda
+    )
+    assert len(found) == num_nodes
+    for node in range(num_nodes):
+        expected = _per_node_histogram_split(
+            grad_hist[node], hess_hist[node], count_hist[node],
+            min_leaf=min_leaf, reg_lambda=reg_lambda,
+        )
+        assert _split_bits(found[node]) == expected
+        one = best_histogram_split(
+            grad_hist[node], hess_hist[node], count_hist[node],
+            min_leaf=min_leaf, reg_lambda=reg_lambda,
+        )
+        assert _split_bits(one) == expected
+
+
+test_level_search_matches_per_node_property = settings(max_examples=80, deadline=None)(
+    given(**_LEVEL)(_level_search_matches_per_node)
+)
+test_level_search_matches_per_node_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(given(**_LEVEL)(_level_search_matches_per_node))
+)
+
+
+def test_level_search_breaks_ties_features_first():
+    """Two features with equal best gains at different bins: the lower slot
+    wins although its bin is later — the first maximum of the
+    features-major flattening, not the bins-major one."""
+    count = np.full((1, 2, 4), 2.0)
+    # Mirror images: feature 0 splits best after bin 2, feature 1 after bin 0,
+    # with the same gain 9/7 + 9/3.
+    grad = np.array([[[-1.0, -1.0, -1.0, 3.0], [3.0, -1.0, -1.0, -1.0]]])
+    (split,) = splitter.best_histogram_splits(grad, count.copy(), count)
+    assert (split.feature_slot, split.bin_index) == (0, 2)
+    assert split.score == 9.0 / 7.0 + 9.0 / 3.0
+
+
+def _unique_quantiles_per_column(features, levels):
+    """Oracle: the per-column cut points as computed before the one-call form."""
+    return [np.unique(np.quantile(features[:, column], levels)) for column in range(features.shape[1])]
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, 1e300, -1e300, np.inf, -np.inf]
+_CUTS = dict(
+    rows=st.integers(1, 40),
+    columns=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["special", "normal", "constant", "mixed"]),
+    num_bins=st.integers(2, 70),
+)
+
+
+def _column_cuts_match_per_column(rows, columns, seed, kind, num_bins):
+    rng = np.random.default_rng(seed)
+    if kind == "special":  # heavy duplicates, signed zeros, +-inf
+        features = rng.choice(_SPECIAL_VALUES, size=(rows, columns))
+    elif kind == "constant":
+        features = np.repeat(rng.normal(size=(1, columns)), rows, axis=0)
+    elif kind == "normal":
+        features = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        features = np.where(
+            rng.random((rows, columns)) < 0.3,
+            rng.choice(_SPECIAL_VALUES, size=(rows, columns)),
+            rng.normal(size=(rows, columns)),
+        )
+    bin_levels = np.linspace(0.0, 1.0, num_bins + 1)[1:-1]
+    threshold_grid = np.linspace(0.01, 0.99, num_bins)
+    with np.errstate(invalid="ignore"):  # inf - inf inside the interpolation
+        edges = discretization.column_quantile_edges(features, num_bins)
+        expected = _unique_quantiles_per_column(features, bin_levels)
+        grid = discretization.column_quantiles(features, threshold_grid)
+        expected_grid = _unique_quantiles_per_column(features, threshold_grid)
+        one = [discretization.quantile_edges(features[:, c], num_bins) for c in range(columns)]
+    for got, want in zip(edges, expected):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(one, expected):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(grid, expected_grid):
+        assert got.tobytes() == want.tobytes()
+
+
+test_column_cut_points_match_per_column_property = settings(max_examples=80, deadline=None)(
+    given(**_CUTS)(_column_cuts_match_per_column)
+)
+test_column_cut_points_match_per_column_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(given(**_CUTS)(_column_cuts_match_per_column))
+)
+
+
+def test_transform_bins_fit_without_clipping():
+    """``searchsorted`` returns at most ``len(edges) <= num_bins - 1``, so the
+    dropped clip never had anything to do, NaN and +inf included."""
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(300, 3))
+    features[::7, 1] = np.inf
+    for num_bins in (2, 3, 16, 256):
+        with np.errstate(invalid="ignore"):  # inf - inf inside the interpolation
+            binner = HistogramBinner(num_bins=num_bins).fit(features)
+        probe = np.vstack([features, [[np.nan, np.inf, 1e308]]])
+        binned = binner.transform(probe)
+        assert int(binned.max()) <= num_bins - 1
+        for column, edges in enumerate(binner.edges_):
+            assert np.array_equal(
+                binned[:, column], np.searchsorted(edges, probe[:, column], side="right")
+            )

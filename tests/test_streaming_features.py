@@ -15,6 +15,7 @@ what is under test, not float rounding.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -703,7 +704,8 @@ class TestMaintainedRowEdges:
             live.ingest(event)
             if rng.random() < 0.5:
                 live.hbase_row(event.payer_id)
-            if rng.random() < 0.2:
+            # A read older than the watermark minus the lateness raises.
+            if rng.random() < 0.2 and transaction_event_time(event) >= live.watermark - lateness:
                 live.features_for(event)
         replayed = SlidingWindowAggregator(config, allowed_lateness_seconds=lateness)
         replayed.ingest_many(events)  # the WAL-rebuild path: nothing read on the way
@@ -1232,3 +1234,253 @@ class TestPipelineWindowExport:
             AlipayServer(server, feature_updater=updater).replay_transactions(replay_input)
             states.append(updater.aggregator.snapshot_rows())
         assert states[0] == states[1]
+
+
+# ---------------------------------------------------------------------------
+# One replay: the training pass's engine seeds the streaming updater, reads
+# past the watermark stay on the maintained rows, older reads raise
+# ---------------------------------------------------------------------------
+
+
+def row_bits(row):
+    """An hbase row with every float as its exact bits."""
+    return {
+        key: (value.hex() if isinstance(value, float) else value) for key, value in row.items()
+    }
+
+
+def snapshot_bits(engine, as_of):
+    return {user_id: row_bits(row) for user_id, row in engine.snapshot_rows(as_of=as_of).items()}
+
+
+def test_query_older_than_the_lateness_bound_raises():
+    """Regression: with lateness 0 the 09:00 ingest evicts a's 01:00 and 03:00
+    buckets, and a query at 03:00 used to answer 0.0 (the truth is 2.0)."""
+    engine = SlidingWindowAggregator(AggregationConfig(window_seconds=6 * SECONDS_PER_HOUR))
+    for index, hour in enumerate((1, 3, 9)):
+        engine.ingest(make_txn(index, 0, hour, "a", "b", 1.0))
+    with pytest.raises(FeatureError):
+        engine.user_row("a", as_of=3 * SECONDS_PER_HOUR)
+    with pytest.raises(FeatureError):
+        engine.features_for(make_txn(9, 0, 3, "a", "b", 1.0))
+    assert engine.user_row("a", as_of=9 * SECONDS_PER_HOUR)["out_count"] == 1.0
+    late = SlidingWindowAggregator(
+        AggregationConfig(window_seconds=6 * SECONDS_PER_HOUR),
+        allowed_lateness_seconds=6 * SECONDS_PER_HOUR,
+    )
+    for index, hour in enumerate((1, 3, 9)):
+        late.ingest(make_txn(index, 0, hour, "a", "b", 1.0))
+    assert late.user_row("a", as_of=3 * SECONDS_PER_HOUR)["out_count"] == 2.0
+
+
+def _stream(steps, *, hour=0, prefix=""):
+    """One event per step, ``step`` hours after the latest so far (a negative
+    step is a late event), with arbitrary float amounts: fold order shows."""
+    events = []
+    for index, (step, payer, offset, amount) in enumerate(steps):
+        slot = max(0, hour + step)
+        hour = max(hour, slot)
+        payee = f"u{(payer + 1 + offset) % 8}"
+        events.append(make_txn(f"{prefix}{index}", slot // 24, slot % 24, f"u{payer}", payee, amount))
+    return events
+
+
+_PAST_WATERMARK = dict(
+    steps=_MAINTAINED_STREAM["steps"],
+    window_seconds=st.sampled_from(_WINDOW_CHOICES[:4]),
+    lateness_hours=st.sampled_from([0, 5]),
+    read_seed=st.integers(0, 2**16),
+    offsets=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+)
+
+
+def _past_watermark_read_is_the_full_fold(steps, window_seconds, lateness_hours, read_seed, offsets):
+    engine = SlidingWindowAggregator(
+        AggregationConfig(window_seconds=window_seconds),
+        allowed_lateness_seconds=lateness_hours * SECONDS_PER_HOUR,
+    )
+    reads = np.random.default_rng(read_seed)
+    for event in _stream(steps):
+        engine.ingest(event)
+        if reads.random() < 0.5:  # materialise some accounts mid-stream
+            engine.hbase_row(f"u{reads.integers(0, 8)}")
+    watermark = engine.watermark
+    # Drawn offsets in [0, 2W], plus every as_of whose window edge lands
+    # exactly on a bucket (the bucket leaves at that instant).
+    candidates = {watermark + fraction * window_seconds for fraction in offsets}
+    for account in engine._accounts.values():
+        candidates.update(t + window_seconds for t in account.times if t + window_seconds >= watermark)
+    for as_of in sorted(candidates):
+        for user_id in [*engine.account_ids(), "cold"]:
+            folded, payers = engine._window_row(user_id, as_of)
+            served = engine.hbase_row(user_id, as_of=as_of)
+            assert row_bits(served) == row_bits({**folded, "payers": payers})
+    for user_id in engine.account_ids():  # the maintained rows did not move
+        assert_maintained_is_full_fold(engine, user_id)
+
+
+test_past_watermark_read_is_the_full_fold_property = settings(max_examples=60, deadline=None)(
+    given(**_PAST_WATERMARK)(_past_watermark_read_is_the_full_fold)
+)
+test_past_watermark_read_is_the_full_fold_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(
+        given(**_PAST_WATERMARK)(_past_watermark_read_is_the_full_fold)
+    )
+)
+
+
+_STEP = st.tuples(
+    st.sampled_from([0, 0, 1, 1, 2, 5, 13]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.floats(0.01, 1e6, allow_nan=False),
+)
+_ADOPTION = dict(
+    steps=st.lists(_STEP, min_size=1, max_size=60),
+    more=st.lists(_STEP, min_size=0, max_size=25),
+    window_seconds=st.sampled_from(_WINDOW_CHOICES[:4]),
+    batch_seed=st.integers(0, 2**16),
+    offset=st.floats(0.0, 2.0),
+)
+
+
+def _adopted_engine_equals_a_fresh_replay(steps, more, window_seconds, batch_seed, offset):
+    config = AggregationConfig(window_seconds=window_seconds)
+    history = _stream(steps)
+    rng = np.random.default_rng(batch_seed)
+    batch = [event for event in history if rng.random() < 0.6]  # the training window
+    source = PointInTimeAggregationSource(config, history)
+    source.aggregation_block(batch)
+    kept = source._engine
+    assert kept is not None
+    adopted = source.seeded_engine()
+    assert adopted is kept and source._engine is None  # ownership moved
+    fresh = SlidingWindowAggregator(config)
+    fresh.ingest_many(sorted(history, key=lambda t: (transaction_event_time(t), t.transaction_id)))
+    assert adopted.stats() == fresh.stats()
+    as_of = adopted.watermark + offset * window_seconds  # the publish instant
+    assert snapshot_bits(adopted, as_of) == snapshot_bits(fresh, as_of)
+    # Write-through after more events, reads interleaved on the adopted side.
+    last_hour = history[-1].day * 24 + history[-1].hour
+    for event in _stream(more, hour=last_hour, prefix="m"):
+        adopted.ingest(event)
+        fresh.ingest(event)
+        if rng.random() < 0.5:
+            adopted.hbase_row(f"u{rng.integers(0, 8)}", as_of=adopted.watermark + rng.random() * window_seconds)
+        for user_id in (event.payer_id, event.payee_id):
+            assert row_bits(adopted.hbase_row(user_id)) == row_bits(fresh.hbase_row(user_id))
+    assert snapshot_bits(adopted, adopted.watermark) == snapshot_bits(fresh, fresh.watermark)
+
+
+test_adopted_engine_equals_a_fresh_replay_property = settings(max_examples=50, deadline=None)(
+    given(**_ADOPTION)(_adopted_engine_equals_a_fresh_replay)
+)
+test_adopted_engine_equals_a_fresh_replay_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(
+        given(**_ADOPTION)(_adopted_engine_equals_a_fresh_replay)
+    )
+)
+
+
+class TestEngineAdoption:
+    CONFIG = AggregationConfig(window_days=2)
+
+    @pytest.fixture()
+    def history(self):
+        rng = np.random.default_rng(17)
+        return [
+            make_txn(i, e.day, e.hour, e.payer_id, e.payee_id, e.amount / 3)
+            for i, e in enumerate(random_stream(rng, num_events=300, num_accounts=20, num_days=6))
+        ]
+
+    def _fresh(self, history):
+        return SlidingWindowAggregator(self.CONFIG).replay(history)
+
+    def test_the_training_window_is_kept(self, history):
+        source = PointInTimeAggregationSource(self.CONFIG, history)
+        source.aggregation_block(history[100:250])
+        assert source._engine is not None
+
+    @pytest.mark.parametrize("case", ["duplicate id", "test-day record", "changed content"])
+    def test_no_adoption_unless_the_stream_was_the_history(self, history, case):
+        batch = list(history[100:250])
+        if case == "duplicate id":
+            batch.append(batch[0])
+        elif case == "test-day record":
+            batch.append(make_txn("new", 7, 1, "u001", "u002", 1.0))
+        else:
+            batch[5] = dataclasses.replace(batch[5], amount=batch[5].amount + 1.0)
+        source = PointInTimeAggregationSource(self.CONFIG, history)
+        source.aggregation_block(batch)
+        assert source._engine is None
+        seeded = source.seeded_engine()  # a replay of the history alone
+        assert seeded.stats() == self._fresh(history).stats()
+        assert snapshot_bits(seeded, seeded.watermark) == snapshot_bits(
+            self._fresh(history), seeded.watermark
+        )
+
+    def test_a_second_seed_replays_and_release_drops(self, history):
+        source = PointInTimeAggregationSource(self.CONFIG, history)
+        source.aggregation_block(history)
+        first, second = source.seeded_engine(), source.seeded_engine()
+        assert first is not second
+        assert snapshot_bits(first, first.watermark) == snapshot_bits(second, second.watermark)
+        source.aggregation_block(history[:50] + history[60:])  # uncached: kept again
+        assert source._engine is not None
+        source.release_engine()
+        assert source._engine is None
+
+
+class TestDeployTakesTheTrainingEngine:
+    @pytest.fixture()
+    def trained(self, world, dataset, network):
+        from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
+        from repro.core.pipeline import OfflineTrainingPipeline, SlicePreparation
+
+        pipeline = OfflineTrainingPipeline(
+            world.profiles_by_id, aggregation=AggregationConfig(window_days=14)
+        )
+        preparation = SlicePreparation(dataset=dataset, network=network)
+        configuration = Table1Configuration(1, DetectorName.GBDT, FeatureSetName.BASIC)
+        return pipeline, preparation, pipeline.train(preparation, configuration)
+
+    def test_adopted_and_replayed_deploys_publish_the_same_rows(self, trained, dataset):
+        from repro.serving import ModelServer
+
+        pipeline, preparation, bundle = trained
+        kept = preparation.aggregation_source._engine
+        assert kept is not None
+        deployed = []
+        for _ in range(2):  # the first adopts the kept engine, the second replays
+            hbase = HBaseClient()
+            updater = pipeline.deploy_fleet(bundle, preparation, hbase, [ModelServer(hbase)])
+            deployed.append((hbase, updater))
+            assert preparation.aggregation_source._engine is None
+        (adopted_hbase, adopted), (replayed_hbase, replayed) = deployed
+        assert adopted.aggregator is kept
+        assert replayed.aggregator is not kept
+        accounts = adopted.aggregator.account_ids()
+        assert accounts and accounts == replayed.aggregator.account_ids()
+        for user_id in accounts:
+            assert row_bits(
+                adopted_hbase.get("titant_features", user_id, AGGREGATES_FAMILY)
+            ) == row_bits(replayed_hbase.get("titant_features", user_id, AGGREGATES_FAMILY))
+        # Two deploys never share an engine: online ingest on one leaves the
+        # other where it was.
+        before = snapshot_bits(replayed.aggregator, replayed.aggregator.watermark)
+        for txn in dataset.test_transactions[:30]:
+            adopted.observe_transaction(txn)
+        assert snapshot_bits(replayed.aggregator, replayed.aggregator.watermark) == before
+
+    def test_a_deploy_without_an_updater_releases_the_engine(self, trained):
+        from repro.serving import ModelServer
+
+        pipeline, preparation, bundle = trained
+        assert preparation.aggregation_source._engine is not None
+        hbase = HBaseClient()
+        updater = pipeline.deploy_fleet(
+            bundle, preparation, hbase, [ModelServer(hbase)], streaming_updater=False
+        )
+        assert updater is None
+        assert preparation.aggregation_source._engine is None
+
