@@ -13,7 +13,7 @@ Package map
 ``repro.nrl``          DeepWalk, Structure2Vec, embeddings, PS-distributed DeepWalk
 ``repro.features``     52 basic features, discretisation, aggregation, assembly
 ``repro.models``       ID3, C5.0, Isolation Forest, LR, GBDT, rules, PS drivers
-``repro.maxcompute``   columnar tables, SQL subset, MapReduce, Fuxi/OTS scheduling
+``repro.maxcompute``   columnar tables, SQL subset, MapReduce, synchronous job client
 ``repro.kunpeng``      parameter-server cluster, failover, scalability cost model
 ``repro.hbase``        versioned column-family store, regions, WAL, client
 ``repro.serving``      Model Server, Alipay front end, latency tracking

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.features.aggregation import AggregationConfig
+from repro.features.plan import EMBEDDING_SIDES
 
 
 class FeatureSetName(str, Enum):
@@ -206,8 +207,8 @@ class ExperimentConfig:
             raise ConfigurationError("num_datasets must be at least 1")
         if self.network_days < 1 or self.train_days < 1:
             raise ConfigurationError("network_days and train_days must be positive")
-        if self.embedding_side not in ("payer", "payee", "both"):
-            raise ConfigurationError("embedding_side must be 'payer', 'payee' or 'both'")
+        if self.embedding_side not in EMBEDDING_SIDES:
+            raise ConfigurationError(f"embedding_side must be one of {EMBEDDING_SIDES}")
         if self.aggregation is not None:
             self.aggregation.validate()
         self.hyperparameters.validate()

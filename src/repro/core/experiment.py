@@ -34,7 +34,6 @@ from repro.datagen.transactions import TransactionWorld
 from repro.exceptions import ConfigurationError
 from repro.hbase.client import HBaseClient
 from repro.logging_utils import get_logger
-from repro.models.gbdt import GradientBoostingClassifier
 from repro.serving.alipay import AlipayServer
 from repro.serving.model_server import ModelServer, ModelServerConfig
 
@@ -342,12 +341,8 @@ class ExperimentRunner:
             assembler = self.pipeline.assembler_for(preparation, feature_set)
             train_matrix = assembler.assemble(dataset.train_transactions)
             test_matrix = assembler.assemble(dataset.test_transactions)
-            model = GradientBoostingClassifier(
-                num_trees=tree_counts[-1],
-                max_depth=hp.gbdt_max_depth,
-                subsample_rows=hp.gbdt_subsample,
-                subsample_features=hp.gbdt_subsample,
-                seed=hp.seed,
+            model = build_detector(
+                DetectorName.GBDT, hp.with_overrides(gbdt_num_trees=tree_counts[-1])
             )
             model.fit(train_matrix.values, train_matrix.labels)
             per_count: Dict[int, float] = {}

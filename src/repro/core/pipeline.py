@@ -177,7 +177,6 @@ class OfflineTrainingPipeline:
         embedding_side: str = "both",
         aggregation: Optional[AggregationConfig] = None,
         use_maxcompute: bool = False,
-        maxcompute_client: Optional[MaxComputeClient] = None,
     ) -> None:
         self.profiles = profiles
         self.hyperparameters = hyperparameters or ModelHyperparameters.laptop_scale()
@@ -186,8 +185,7 @@ class OfflineTrainingPipeline:
         self.aggregation = aggregation
         if aggregation is not None:
             aggregation.validate()
-        self.use_maxcompute = use_maxcompute
-        self.maxcompute = maxcompute_client or (MaxComputeClient() if use_maxcompute else None)
+        self.maxcompute = MaxComputeClient() if use_maxcompute else None
         #: Highest version bulk-loaded per table by publish_features, so the
         #: streaming updater's write versions always supersede the snapshot.
         self._published_versions: Dict[str, int] = {}
@@ -252,7 +250,7 @@ class OfflineTrainingPipeline:
         MaxCompute table (the production path); otherwise the network is built
         directly in memory (identical result, used by the fast harness).
         """
-        if not self.use_maxcompute or self.maxcompute is None:
+        if self.maxcompute is None:
             return build_network(dataset.network_transactions)
         table_name = f"transactions_day{dataset.spec.test_day}"
         self.maxcompute.load_records(
@@ -262,7 +260,7 @@ class OfflineTrainingPipeline:
             transaction_edge_job(), table_name, result_table=f"edges_day{dataset.spec.test_day}"
         )
         if not result.succeeded or result.result_table is None:
-            raise ConfigurationError("edge aggregation job failed")
+            raise ConfigurationError(f"edge aggregation job failed: {result.error}")
         network = TransactionNetwork()
         for row in result.result_table.rows():
             network.add_edge(str(row["payer_id"]), str(row["payee_id"]), float(row["weight"]))

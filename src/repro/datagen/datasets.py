@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import Transaction, label_as_of
 from repro.datagen.transactions import TransactionWorld
 from repro.exceptions import DataGenerationError
 
@@ -259,10 +259,7 @@ class RollingDatasets:
             train = window(spec.train_start, spec.train_end)
             if respect_label_delay:
                 as_of = spec.train_end - 1
-                train = [
-                    _hide_late_label(t) if t.is_fraud and t.label_available_day > as_of else t
-                    for t in train
-                ]
+                train = [label_as_of(t, as_of) for t in train]
             slices.append(
                 DatasetSlice(
                     spec=spec,
@@ -272,11 +269,6 @@ class RollingDatasets:
                 )
             )
         return cls(slices=slices)
-
-
-def _hide_late_label(txn: Transaction) -> Transaction:
-    """A copy of ``txn`` whose fraud label is not yet observable (delayed report)."""
-    return Transaction(**{**txn.to_row(), "channel": txn.channel, "is_fraud": False})
 
 
 def small_world_config(

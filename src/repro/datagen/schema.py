@@ -248,6 +248,14 @@ def transaction_sort_key(txn: Transaction) -> Tuple[int, str]:
     return (transaction_event_time(txn), txn.transaction_id)
 
 
+def label_as_of(txn: Transaction, as_of_day: int) -> Transaction:
+    """``txn`` as the training pipeline sees it on ``as_of_day``: a fraud report
+    filed after that day has not arrived, so the copy it gets reads non-fraud."""
+    if txn.is_fraud and txn.label_available_day > as_of_day:
+        return Transaction(**{**txn.to_row(), "channel": txn.channel, "is_fraud": False})
+    return txn
+
+
 def validate_transaction(txn: Transaction) -> Optional[str]:
     """Return an error string if ``txn`` violates schema invariants, else None."""
     if txn.amount <= 0:

@@ -32,6 +32,7 @@ from repro.datagen.schema import (
     WorldSummary,
     city_name,
     city_tier,
+    label_as_of,
     CITY_FRAUD_TIERS,
 )
 from repro.exceptions import DataGenerationError
@@ -263,14 +264,7 @@ class TransactionWorld:
         window = self.transactions_in_days(start_day, end_day)
         if as_of_day is None:
             return window
-        visible: List[Transaction] = []
-        for txn in window:
-            if txn.is_fraud and txn.label_available_day > as_of_day:
-                adjusted = Transaction(**{**txn.to_row(), "channel": txn.channel, "is_fraud": False})
-                visible.append(adjusted)
-            else:
-                visible.append(txn)
-        return visible
+        return [label_as_of(txn, as_of_day) for txn in window]
 
     def summary(self) -> WorldSummary:
         """Aggregate statistics of the world."""

@@ -78,15 +78,7 @@ class SQLPlanError(SQLError):
 
 
 class JobError(ReproError):
-    """Raised by the MaxCompute job scheduler (Fuxi/OTS simulation)."""
-
-
-class JobNotFoundError(JobError):
-    """Raised when an instance id is unknown to OTS."""
-
-
-class ResourceExhaustedError(JobError):
-    """Raised when the scheduler cannot satisfy a resource request."""
+    """Raised by the MaxCompute job layer (account check, invalid job)."""
 
 
 class ParameterServerError(ReproError):

@@ -99,12 +99,11 @@ class SQLBackfillEngine:
         self,
         config: Optional[AggregationConfig] = None,
         *,
-        client: Optional[MaxComputeClient] = None,
         prune_partitions: bool = True,
     ):
         self.config = config or AggregationConfig()
         self.config.validate()
-        self.client = client or MaxComputeClient()
+        self.client = MaxComputeClient()
         self.prune_partitions = prune_partitions
         #: Scan accounting of the most recent :meth:`backfill` call.
         self.last_stats: Optional[BackfillStats] = None
@@ -213,7 +212,7 @@ class SQLBackfillEngine:
     def _run(self, sql: str, stats: BackfillStats) -> Table:
         result = self.client.submit_sql(sql, prune_partitions=self.prune_partitions)
         if not result.succeeded or result.result_table is None:
-            raise FeatureError(f"backfill query failed: {sql}")
+            raise FeatureError(f"backfill query failed ({result.error}): {sql}")
         if result.query_stats is not None:
             stats.per_query.append(result.query_stats)
         return result.result_table

@@ -8,21 +8,21 @@ HTTP server), a server layer (workers, executors, scheduler, the OTS instance
 status service) and a storage & compute layer (Pangu storage, Fuxi resource
 scheduling).
 
-This package reproduces that execution model in process:
+This package reproduces what a job's caller sees of that stack, in process:
 
-* :mod:`repro.maxcompute.table` / :mod:`repro.maxcompute.storage` — columnar
-  tables persisted in a Pangu-like store,
+* :mod:`repro.maxcompute.table` / :mod:`repro.maxcompute.partitioned` —
+  columnar tables, and key-partitioned tables with per-partition zone maps,
+* :mod:`repro.maxcompute.catalog` — the tables by name, with JSON snapshots,
 * :mod:`repro.maxcompute.sql` — a small SQL subset (SELECT / WHERE / GROUP BY /
-  ORDER BY / LIMIT with aggregates) with a parser, planner and executor,
+  ORDER BY / LIMIT with aggregates and window functions) with a parser,
+  planner and executor,
 * :mod:`repro.maxcompute.mapreduce` — a MapReduce engine over tables,
-* :mod:`repro.maxcompute.ots` / :mod:`repro.maxcompute.scheduler` — job
-  instances, subtasks, resource slots and status tracking,
-* :mod:`repro.maxcompute.client` — the developer-facing client that submits
-  SQL / MapReduce jobs and waits for their completion.
+* :mod:`repro.maxcompute.client` — the developer-facing client: a SQL or
+  MapReduce job runs synchronously as one task and ends terminated or failed
+  (its docstring walks the Figure 4 call sequence).
 """
 
 from repro.maxcompute.table import Column, ColumnType, Schema, Table
-from repro.maxcompute.storage import PanguStorage
 from repro.maxcompute.partitioned import (
     ColumnZone,
     PartitionedTable,
@@ -30,28 +30,20 @@ from repro.maxcompute.partitioned import (
     condition_may_match,
 )
 from repro.maxcompute.catalog import TableCatalog
-from repro.maxcompute.ots import OpenTableService, InstanceStatus, InstanceRecord
-from repro.maxcompute.scheduler import FuxiScheduler, JobInstance, SubTask
 from repro.maxcompute.mapreduce import MapReduceJob, run_mapreduce
-from repro.maxcompute.client import MaxComputeClient, JobResult
+from repro.maxcompute.client import InstanceStatus, JobResult, MaxComputeClient
 
 __all__ = [
     "Column",
     "ColumnType",
     "Schema",
     "Table",
-    "PanguStorage",
     "ColumnZone",
     "PartitionedTable",
     "ZoneMap",
     "condition_may_match",
     "TableCatalog",
-    "OpenTableService",
     "InstanceStatus",
-    "InstanceRecord",
-    "FuxiScheduler",
-    "JobInstance",
-    "SubTask",
     "MapReduceJob",
     "run_mapreduce",
     "MaxComputeClient",

@@ -1,20 +1,27 @@
-"""Table catalog: the metadata service in front of Pangu storage."""
+"""Table catalog: the tables of a MaxCompute project, by name.
+
+Pangu is MaxCompute's distributed disk storage; the simulation keeps the
+tables in memory and can snapshot one to a JSON file in a given directory and
+restore it — enough to exercise the store/load code path the offline pipeline
+depends on.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import json
+from pathlib import Path
+from typing import Dict, Iterable, List
 
 from repro.exceptions import TableAlreadyExistsError, TableNotFoundError
 from repro.maxcompute.partitioned import PartitionedTable
-from repro.maxcompute.storage import PanguStorage
 from repro.maxcompute.table import Schema, Table
 
 
 class TableCatalog:
-    """Create / drop / lookup tables; all data lives in the backing storage."""
+    """Create / drop / lookup tables, and snapshot them to JSON files."""
 
-    def __init__(self, storage: Optional[PanguStorage] = None):
-        self.storage = storage or PanguStorage()
+    def __init__(self) -> None:
+        self._tables: Dict[str, Table] = {}
 
     # ------------------------------------------------------------------
     def create_table(
@@ -25,12 +32,12 @@ class TableCatalog:
         if_not_exists: bool = False,
         comment: str = "",
     ) -> Table:
-        if name in self.storage:
+        if name in self._tables:
             if if_not_exists:
-                return self.storage.get(name)
+                return self._tables[name]
             raise TableAlreadyExistsError(f"table {name!r} already exists")
         table = Table(name, schema, comment=comment)
-        self.storage.put(table)
+        self._tables[name] = table
         return table
 
     def create_partitioned_table(
@@ -43,9 +50,9 @@ class TableCatalog:
         comment: str = "",
     ) -> PartitionedTable:
         """Create a :class:`PartitionedTable` routed by ``partition_key`` values."""
-        if name in self.storage:
+        if name in self._tables:
             if if_not_exists:
-                existing = self.storage.get(name)
+                existing = self._tables[name]
                 if not isinstance(existing, PartitionedTable):
                     raise TableAlreadyExistsError(
                         f"table {name!r} exists but is not partitioned"
@@ -53,37 +60,40 @@ class TableCatalog:
                 return existing
             raise TableAlreadyExistsError(f"table {name!r} already exists")
         table = PartitionedTable(name, schema, partition_key=partition_key, comment=comment)
-        self.storage.put(table)
+        self._tables[name] = table
         return table
 
     def drop_table(self, name: str, *, if_exists: bool = False) -> None:
-        if name not in self.storage:
+        if name not in self._tables:
             if if_exists:
                 return
             raise TableNotFoundError(f"table {name!r} does not exist")
-        self.storage.delete(name)
+        del self._tables[name]
 
     def get_table(self, name: str) -> Table:
-        return self.storage.get(name)
+        try:
+            return self._tables[name]
+        except KeyError as exc:
+            raise TableNotFoundError(f"table {name!r} does not exist") from exc
 
     def has_table(self, name: str) -> bool:
-        return name in self.storage
+        return name in self._tables
 
     def list_tables(self) -> List[str]:
-        return self.storage.list_tables()
+        return sorted(self._tables)
 
     # ------------------------------------------------------------------
     def insert_rows(self, name: str, rows: Iterable[Dict[str, object]]) -> int:
         """Append rows to an existing table as one block; returns the number inserted."""
-        rows = list(rows)
-        self.get_table(name).extend(rows)
-        return len(rows)
+        records = list(rows)
+        self.get_table(name).extend(records)
+        return len(records)
 
     def register(self, table: Table, *, overwrite: bool = True) -> None:
         """Register a fully built table (e.g. a SQL result) under its name."""
-        if not overwrite and table.name in self.storage:
+        if not overwrite and table.name in self._tables:
             raise TableAlreadyExistsError(f"table {table.name!r} already exists")
-        self.storage.put(table)
+        self._tables[table.name] = table
 
     def describe(self, name: str) -> Dict[str, object]:
         table = self.get_table(name)
@@ -93,3 +103,36 @@ class TableCatalog:
             "num_rows": table.num_rows,
             "columns": {column.name: column.type.value for column in table.schema.columns},
         }
+
+    # ------------------------------------------------------------------
+    def snapshot(self, name: str, directory: str | Path) -> Path:
+        """Persist one table to ``<directory>/<name>.json``."""
+        table = self.get_table(name)
+        path = Path(directory) / f"{name}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload: Dict[str, object] = {
+            "name": table.name,
+            "schema": {column.name: column.type.value for column in table.schema.columns},
+            "rows": table.to_records(),
+        }
+        if isinstance(table, PartitionedTable):
+            payload["partition_key"] = table.partition_key
+        path.write_text(json.dumps(payload))
+        return path
+
+    def restore(self, name: str, directory: str | Path) -> Table:
+        """Load a snapshot back into the catalog (partitioned if it names a key)."""
+        path = Path(directory) / f"{name}.json"
+        if not path.exists():
+            raise TableNotFoundError(f"no snapshot for table {name!r} at {path}")
+        payload = json.loads(path.read_text())
+        schema = Schema.from_dict(payload["schema"])
+        partition_key = payload.get("partition_key")
+        table = (
+            Table(payload["name"], schema)
+            if partition_key is None
+            else PartitionedTable(payload["name"], schema, partition_key=partition_key)
+        )
+        table.extend(payload["rows"])
+        self.register(table)
+        return table

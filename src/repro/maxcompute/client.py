@@ -4,26 +4,38 @@ Mirrors the web-console flow of Figure 4: the client authenticates, submits a
 SQL or MapReduce job, the HTTP server hands it to a worker, the scheduler
 registers the instance in OTS, splits it into subtasks, runs them on
 executors, and the result lands in Pangu storage under the requested table
-name.  The simulation keeps the same call sequence; authentication is a simple
-account allow-list.
+name.  The simulation keeps that call sequence inside one synchronous call:
+the job takes the next instance id, runs its work once as its one task, ends
+``TERMINATED`` or ``FAILED`` (with the error it raised), and a named result is
+registered in the catalog.  Authentication is a simple account allow-list.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from enum import Enum
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobError, StorageError
 from repro.logging_utils import get_logger
 from repro.maxcompute.catalog import TableCatalog
 from repro.maxcompute.mapreduce import MapReduceJob, MapReduceStats, run_mapreduce
-from repro.maxcompute.ots import InstanceStatus
-from repro.maxcompute.scheduler import FuxiScheduler
 from repro.maxcompute.partitioned import PartitionedTable
 from repro.maxcompute.sql.executor import QueryStats, SQLExecutor
 from repro.maxcompute.table import Schema, Table, table_from_records
 
 logger = get_logger("maxcompute.client")
+
+#: What a job's work returns: its result table and the stats of its kind.
+_JobOutput = Tuple[Table, Optional[MapReduceStats], Optional[QueryStats]]
+
+
+class InstanceStatus(str, Enum):
+    """The two states a synchronous job instance can end in."""
+
+    TERMINATED = "terminated"
+    FAILED = "failed"
 
 
 @dataclass
@@ -35,6 +47,8 @@ class JobResult:
     result_table: Optional[Table] = None
     stats: Optional[MapReduceStats] = None
     query_stats: Optional[QueryStats] = None
+    #: ``"<ExceptionType>: <message>"`` of the error a failed job raised.
+    error: Optional[str] = None
 
     @property
     def succeeded(self) -> bool:
@@ -49,16 +63,15 @@ class MaxComputeClient:
         *,
         account: str = "titant_offline",
         authorized_accounts: Optional[Sequence[str]] = None,
-        scheduler: Optional[FuxiScheduler] = None,
-        catalog: Optional[TableCatalog] = None,
     ) -> None:
         authorized = set(authorized_accounts or {account})
         if account not in authorized:
             raise JobError(f"account {account!r} failed cloud-account verification")
         self.account = account
-        self.catalog = catalog or TableCatalog()
-        self.scheduler = scheduler or FuxiScheduler()
+        self.catalog = TableCatalog()
         self._sql = SQLExecutor(self.catalog)
+        self._instance_ids = itertools.count(1)
+        self._status_counts: Dict[str, int] = {status.value: 0 for status in InstanceStatus}
 
     # ------------------------------------------------------------------
     # Table management (the parts of DDL the pipeline needs)
@@ -85,13 +98,13 @@ class MaxComputeClient:
 
     def load_records(self, name: str, records: Iterable[Dict[str, Any]]) -> int:
         """Bulk-load dictionaries into ``name`` (table must exist or is inferred)."""
-        records = list(records)
-        if not records:
+        rows = list(records)
+        if not rows:
             return 0
         if not self.catalog.has_table(name):
-            self.catalog.register(table_from_records(name, records))
-            return len(records)
-        return self.catalog.insert_rows(name, records)
+            self.catalog.register(table_from_records(name, rows))
+            return len(rows)
+        return self.catalog.insert_rows(name, rows)
 
     def get_table(self, name: str) -> Table:
         return self.catalog.get_table(name)
@@ -109,29 +122,14 @@ class MaxComputeClient:
         result_table: Optional[str] = None,
         prune_partitions: bool = True,
     ) -> JobResult:
-        """Submit a SQL job and wait for it (the simulation is synchronous)."""
+        """Run a SQL job and return its outcome (the simulation is synchronous)."""
 
-        def _run() -> Table:
+        def work() -> _JobOutput:
             name = result_table or "query_result"
-            return self._sql.execute(sql, result_name=name, prune_partitions=prune_partitions)
+            table = self._sql.execute(sql, result_name=name, prune_partitions=prune_partitions)
+            return table, None, self._sql.last_stats
 
-        instance = self.scheduler.submit("sql_query", "sql", [_run])
-        self.scheduler.run_instance(instance.instance_id)
-        record = self.scheduler.ots.get(instance.instance_id)
-        result: Optional[Table] = None
-        query_stats: Optional[QueryStats] = None
-        if record.status is InstanceStatus.TERMINATED:
-            result = instance.results()[0]
-            query_stats = self._sql.last_stats
-            if result_table is not None and result is not None:
-                self.catalog.register(result)
-        logger.debug("sql instance %s finished with %s", instance.instance_id, record.status)
-        return JobResult(
-            instance_id=instance.instance_id,
-            status=record.status,
-            result_table=result,
-            query_stats=query_stats,
-        )
+        return self._run(work, result_table)
 
     def submit_mapreduce(
         self,
@@ -140,35 +138,36 @@ class MaxComputeClient:
         *,
         result_table: Optional[str] = None,
     ) -> JobResult:
-        """Submit a MapReduce job over ``input_table`` and wait for it."""
+        """Run a MapReduce job over ``input_table`` and return its outcome."""
         source = self.catalog.get_table(input_table)
 
-        holder: Dict[str, Any] = {}
-
-        def _run() -> Table:
+        def work() -> _JobOutput:
             table, stats = run_mapreduce(job, source, result_name=result_table or None)
-            holder["stats"] = stats
-            return table
+            return table, stats, None
 
-        instance = self.scheduler.submit(job.name, "mapreduce", [_run])
-        self.scheduler.run_instance(instance.instance_id)
-        record = self.scheduler.ots.get(instance.instance_id)
-        result: Optional[Table] = None
-        if record.status is InstanceStatus.TERMINATED:
-            result = instance.results()[0]
-            if result_table is not None and result is not None:
-                self.catalog.register(result)
-        return JobResult(
-            instance_id=instance.instance_id,
-            status=record.status,
-            result_table=result,
-            stats=holder.get("stats"),
-        )
+        return self._run(work, result_table)
+
+    def _run(self, work: Callable[[], _JobOutput], result_table: Optional[str]) -> JobResult:
+        """One job instance: ``work`` runs once, and an error it raises fails
+        the job (reported in :attr:`JobResult.error`), not the caller."""
+        instance_id = f"inst_{next(self._instance_ids):08d}"
+        try:
+            table, stats, query_stats = work()
+        except Exception as exc:  # noqa: BLE001 - the job fails; JobResult.error says why
+            error = f"{type(exc).__name__}: {exc}"
+            logger.warning("instance %s failed: %s", instance_id, error)
+            result = JobResult(instance_id, InstanceStatus.FAILED, error=error)
+        else:
+            if result_table is not None:
+                self.catalog.register(table)
+            result = JobResult(instance_id, InstanceStatus.TERMINATED, table, stats, query_stats)
+        self._status_counts[result.status.value] += 1
+        return result
 
     # ------------------------------------------------------------------
     def job_summary(self) -> Dict[str, int]:
-        """OTS status counts — the monitoring view a pipeline operator watches."""
-        return self.scheduler.ots.summary()
+        """Finished jobs per final status — the view a pipeline operator watches."""
+        return dict(self._status_counts)
 
     def store_artifact(self, name: str, records: List[Dict[str, Any]]) -> Table:
         """Persist a pipeline artefact (embeddings, model metadata) as a table."""

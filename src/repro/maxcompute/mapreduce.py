@@ -7,8 +7,8 @@ transaction records into the weighted transaction-network edge list.
 
 A job is defined by a ``map`` function (row → iterable of (key, value) pairs)
 and a ``reduce`` function ((key, list of values) → output row or rows).  The
-engine splits the input table, runs mappers per split (optionally through the
-Fuxi scheduler's subtask machinery), shuffles by key and reduces.
+engine splits the input table, runs mappers per split, shuffles by key and
+reduces.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class MapReduceJob:
 
 @dataclass
 class MapReduceStats:
-    """Execution counters (exposed for tests and the scheduler's reporting)."""
+    """Execution counters, surfaced through ``JobResult.stats``."""
 
     input_rows: int = 0
     map_output_pairs: int = 0

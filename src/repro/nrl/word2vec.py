@@ -310,28 +310,6 @@ def sgns_sparse_step(
     return grad_in, grad_out, loss
 
 
-def sgns_sparse_gradients(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    centers: np.ndarray,
-    contexts: np.ndarray,
-    negatives: np.ndarray,
-) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray], float]:
-    """Compute sparse SGNS gradients without applying them.
-
-    Returns ``(grads_in, grads_out, loss)`` where each gradient dict maps a row
-    index to its accumulated gradient.  This is the worker-side computation of
-    the parameter-server training loop: the worker pulls the needed rows,
-    computes these gradients and pushes them back to the servers.  The heavy
-    lifting happens in :func:`sgns_sparse_step` on compacted row blocks.
-    """
-    batch = SparseBatch.from_pairs(centers, contexts, negatives)
-    grad_in, grad_out, loss = sgns_sparse_step(w_in[batch.rows_in], w_out[batch.rows_out], batch)
-    grads_in = {int(row): grad_in[i] for i, row in enumerate(batch.rows_in)}
-    grads_out = {int(row): grad_out[i] for i, row in enumerate(batch.rows_out)}
-    return grads_in, grads_out, loss
-
-
 class SkipGramTrainer:
     """Single-process SGNS trainer over a corpus of node sequences."""
 

@@ -199,6 +199,13 @@ class TestPipelineAndExperiment:
         results = experiment_runner.run_node_sampling_sweep(sampling_counts=(2, 4))
         assert set(results) == {2, 4}
 
+    def test_tree_sweep_uses_the_staged_gbdt(self, experiment_runner):
+        results = experiment_runner.run_tree_sweep(
+            tree_counts=(4, 2), feature_sets=(FeatureSetName.BASIC,)
+        )
+        assert list(results) == ["basic"] and sorted(results["basic"]) == [2, 4]
+        assert all(0.0 <= f1 <= 1.0 for f1 in results["basic"].values())
+
     def test_maxcompute_backed_network_matches_direct(self, world, dataset):
         direct = OfflineTrainingPipeline(
             world.profiles_by_id, ModelHyperparameters.fast_test_scale()

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import config as core_config
+from repro.core.config import ExperimentConfig
 from repro.core.pipeline import OfflineTrainingPipeline
 from repro.datagen import schema
 from repro.features import aggregation, assembler, plan, streaming
@@ -44,6 +46,26 @@ def test_batch_as_of_time_is_the_last_second_of_the_day_before():
 def test_embedding_sides_are_the_enums_values():
     assert assembler.EmbeddingSide is plan.EmbeddingSide
     assert plan.EMBEDDING_SIDES == tuple(side.value for side in plan.EmbeddingSide)
+    assert core_config.EMBEDDING_SIDES is plan.EMBEDDING_SIDES
+    assert "EMBEDDING_SIDES" in inspect.getsource(ExperimentConfig.validate)
+
+
+def test_a_late_label_is_hidden_in_one_place():
+    """Row 26: the delayed-label rule and the relabelled copy are spelled only
+    in ``schema.label_as_of``; the world and the streamed slices call it."""
+    spellings = ("label_available_day >", '"is_fraud": False')
+    spelled = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if any(text in path.read_text() for text in spellings)
+    ]
+    assert spelled == ["src/repro/datagen/schema.py"]
+
+
+def test_the_gbdt_is_built_only_from_hyperparameters():
+    """Row 27: ``GradientBoostingClassifier(...)`` is called in ``src/`` only
+    inside ``build_detector``; the tree-count sweep overrides ``gbdt_num_trees``."""
+    assert _calls_outside("GradientBoostingClassifier", "build_detector") == []
 
 
 TABLE_NAME_SITES = [
@@ -88,14 +110,14 @@ def test_row_scatters_go_through_scatter_add_rows():
     assert spelled == []
 
 
-def _calls_outside(name: str, owner_class: str):
-    """``src/`` call sites of ``name(...)`` outside the class ``owner_class``."""
+def _calls_outside(name: str, owner: str):
+    """``src/`` call sites of ``name(...)`` outside the class or function ``owner``."""
     found = []
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
         inside = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == owner_class:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == owner:
                 inside.update(id(child) for child in ast.walk(node))
         for node in ast.walk(tree):
             if (

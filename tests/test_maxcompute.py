@@ -1,4 +1,4 @@
-"""Tests of the MaxCompute substrate: tables, SQL, MapReduce, scheduling."""
+"""Tests of the MaxCompute substrate: tables, SQL, MapReduce, the job client."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
+    FeatureError,
     JobError,
-    ResourceExhaustedError,
     SchemaError,
     SQLParseError,
     SQLPlanError,
@@ -23,17 +23,16 @@ from repro.exceptions import (
 from repro.maxcompute import (
     Column,
     ColumnType,
-    FuxiScheduler,
     InstanceStatus,
     MapReduceJob,
     MaxComputeClient,
-    OpenTableService,
-    PanguStorage,
     Schema,
     Table,
     TableCatalog,
     run_mapreduce,
 )
+from repro.features.aggregation import SECONDS_PER_DAY, AggregationConfig
+from repro.features.sql_backfill import SQLBackfillEngine
 from repro.graph.builder import build_network
 from repro.maxcompute import PartitionedTable, condition_may_match
 from repro.maxcompute.mapreduce import daily_fraud_rate_job, transaction_edge_job
@@ -90,18 +89,17 @@ class TestTables:
         assert not hasattr(table, "partition_column")
 
     def test_storage_and_catalog_lifecycle(self, tmp_path):
-        storage = PanguStorage(root_directory=tmp_path)
-        catalog = TableCatalog(storage)
+        catalog = TableCatalog()
         schema = Schema.from_dict({"user": "string", "score": "double"})
         catalog.create_table("scores", schema)
         catalog.insert_rows("scores", [{"user": "u1", "score": 0.5}])
         with pytest.raises(TableAlreadyExistsError):
             catalog.create_table("scores", schema)
-        storage.snapshot("scores")
-        storage.delete("scores")
+        catalog.snapshot("scores", tmp_path)
+        catalog.drop_table("scores")
         with pytest.raises(TableNotFoundError):
             catalog.get_table("scores")
-        restored = storage.restore("scores")
+        restored = catalog.restore("scores", tmp_path)
         assert restored.num_rows == 1
 
     @staticmethod
@@ -163,7 +161,7 @@ class TestTables:
     def test_partitioned_snapshot_round_trip(self, tmp_path):
         """A snapshotted ``PartitionedTable`` used to come back as a plain
         ``Table``: the key was not in the payload, so nothing was ever pruned."""
-        storage = PanguStorage(root_directory=tmp_path)
+        catalog = TableCatalog()
         table = PartitionedTable(
             "p",
             Schema.from_dict({"day": "bigint", "ts": "bigint", "amount": "double"}),
@@ -175,12 +173,12 @@ class TestTables:
                 for ts in range(0, 500, 9)
             ]
         )
-        storage.put(table)
-        executor = SQLExecutor(TableCatalog(storage))
+        catalog.register(table)
+        executor = SQLExecutor(catalog)
         sql = "SELECT ts, amount FROM p WHERE ts > 250"
 
         def view():
-            current = storage.get("p")
+            current = catalog.get_table("p")
             rows = executor.execute(sql).to_records()
             bounds = {
                 key: {
@@ -192,9 +190,9 @@ class TestTables:
             return type(current), current.partition_keys(), bounds, rows, executor.last_stats
 
         before = view()
-        storage.snapshot("p")
-        storage.delete("p")
-        restored = storage.restore("p")
+        catalog.snapshot("p", tmp_path)
+        catalog.drop_table("p")
+        restored = catalog.restore("p", tmp_path)
         assert restored is not table and isinstance(restored, PartitionedTable)
         assert restored.partition_key == "day"
         assert view() == before
@@ -204,7 +202,7 @@ class TestTables:
         payload = json.loads(path.read_text())
         del payload["partition_key"]
         path.write_text(json.dumps(payload))
-        old = storage.restore("p")
+        old = catalog.restore("p", tmp_path)
         assert type(old) is Table and old.to_records() == table.to_records()
 
 
@@ -301,48 +299,6 @@ class TestMapReduce:
             run_mapreduce(job, table)
 
 
-class TestScheduler:
-    def test_job_lifecycle_in_ots(self):
-        scheduler = FuxiScheduler()
-        instance = scheduler.submit("demo", "sql", [lambda: 1, lambda: 2])
-        assert scheduler.ots.get(instance.instance_id).status is InstanceStatus.RUNNING
-        scheduler.run_instance(instance.instance_id)
-        record = scheduler.ots.get(instance.instance_id)
-        assert record.status is InstanceStatus.TERMINATED
-        assert record.progress == pytest.approx(1.0)
-        assert instance.results() == [1, 2]
-
-    def test_failed_subtask_marks_instance_failed(self):
-        scheduler = FuxiScheduler()
-
-        def _boom():
-            raise ValueError("broken subtask")
-
-        instance = scheduler.submit("demo", "sql", [_boom])
-        scheduler.run_instance(instance.instance_id)
-        assert scheduler.ots.get(instance.instance_id).status is InstanceStatus.FAILED
-
-    def test_priority_order(self):
-        scheduler = FuxiScheduler()
-        executed = []
-        scheduler.submit("low", "sql", [lambda: executed.append("low")], priority=20)
-        scheduler.submit("high", "sql", [lambda: executed.append("high")], priority=1)
-        scheduler.run_pending()
-        assert executed[0] == "high"
-
-    def test_resource_exhaustion(self):
-        scheduler = FuxiScheduler(total_slots=2)
-        with pytest.raises(ResourceExhaustedError):
-            scheduler.submit("big", "sql", [lambda: None], slots_per_task=5)
-
-    def test_ots_summary_counts(self):
-        ots = OpenTableService()
-        record = ots.register("a", "sql")
-        ots.set_status(record.instance_id, InstanceStatus.RUNNING)
-        summary = ots.summary()
-        assert summary["running"] == 1
-
-
 class TestClient:
     def test_unauthorized_account_rejected(self):
         with pytest.raises(JobError):
@@ -364,6 +320,41 @@ class TestClient:
     def test_job_summary_counts_terminated_instances(self, client):
         client.submit_sql("SELECT COUNT(*) AS n FROM transactions")
         assert client.job_summary()["terminated"] >= 1
+
+    @staticmethod
+    def _assert_failed(client, result, failed_before, result_table):
+        assert result.status is InstanceStatus.FAILED
+        assert not result.succeeded and result.result_table is None
+        assert not client.catalog.has_table(result_table)
+        assert client.job_summary()["failed"] == failed_before + 1
+
+    def test_failed_sql_job_reports_why(self, client):
+        failed_before = client.job_summary()["failed"]
+        result = client.submit_sql("SELECT nope FROM transactions", result_table="bad_sql")
+        self._assert_failed(client, result, failed_before, "bad_sql")
+        assert result.instance_id == "inst_00000001" and result.query_stats is None
+        assert result.error == "SQLPlanError: unknown column 'nope' in table 'transactions'"
+
+    def test_failed_mapreduce_job_reports_why(self, client):
+        def broken_map(row):
+            raise ValueError("broken map")
+
+        job = MapReduceJob(
+            name="broken", map_function=broken_map, reduce_function=lambda key, values: []
+        )
+        failed_before = client.job_summary()["failed"]
+        result = client.submit_mapreduce(job, "transactions", result_table="bad_mr")
+        self._assert_failed(client, result, failed_before, "bad_mr")
+        assert result.stats is None and result.error == "ValueError: broken map"
+
+    def test_backfill_error_names_the_sql_error(self, world, monkeypatch):
+        """The backfill's error used to carry only the SQL text; the cause
+        reached nothing but the job's status record."""
+        engine = SQLBackfillEngine(AggregationConfig(window_days=1))
+        bogus = f"SELECT bogus FROM {engine.STAGING_TABLE}"
+        monkeypatch.setattr(engine, "_window_sql", lambda *args: bogus)
+        with pytest.raises(FeatureError, match=r"SQLPlanError: unknown column 'bogus'"):
+            engine.backfill(world.transactions[:50], as_of_time=10 * SECONDS_PER_DAY)
 
 
 def _window_client(rows):

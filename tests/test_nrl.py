@@ -28,7 +28,6 @@ from repro.nrl.word2vec import (
     generate_skipgram_pairs,
     generate_skipgram_pairs_batch,
     sgns_batch_update,
-    sgns_sparse_gradients,
     sgns_sparse_step,
 )
 from repro.numerics import scatter_add_rows
@@ -118,24 +117,6 @@ class TestWord2Vec:
         for _ in range(30):
             last = sgns_batch_update(w_in, w_out, centers, contexts, negatives, 0.1)
         assert last < first
-
-    def test_sparse_gradients_match_dense_update(self):
-        rng = np.random.default_rng(1)
-        w_in = rng.normal(scale=0.1, size=(10, 4))
-        w_out = rng.normal(scale=0.1, size=(10, 4))
-        centers = np.array([0, 1, 2])
-        contexts = np.array([3, 4, 5])
-        negatives = np.array([[6, 7], [8, 9], [6, 9]])
-        dense_in, dense_out = w_in.copy(), w_out.copy()
-        sgns_batch_update(dense_in, dense_out, centers, contexts, negatives, 0.5)
-        grads_in, grads_out, _ = sgns_sparse_gradients(w_in, w_out, centers, contexts, negatives)
-        sparse_in, sparse_out = w_in.copy(), w_out.copy()
-        for row, grad in grads_in.items():
-            sparse_in[row] -= 0.5 * grad
-        for row, grad in grads_out.items():
-            sparse_out[row] -= 0.5 * grad
-        assert np.allclose(sparse_in, dense_in)
-        assert np.allclose(sparse_out, dense_out)
 
     def test_batch_pair_generation_matches_per_sentence(self):
         """Padded-matrix pair generation covers the same pair multiset."""
