@@ -17,8 +17,9 @@ a scoring batch) plus the pieces shared with the *streaming* path in
   instant a day's T+1 snapshot is taken at,
 * :class:`AggregationWindowSpec` — the serialisable window definition a
   :class:`~repro.features.plan.FeaturePlan` exports alongside a model,
-* :func:`aggregation_vector` — the one place that turns a payer row and a
-  payee row into the :data:`AGGREGATION_FEATURE_NAMES` vector.
+* :func:`aggregate_cells`, the one owner of an account's aggregate values, and
+  :func:`aggregation_vector` over rows (:func:`splice_aggregate_cells` over
+  cells), the one way two accounts become the feature vector.
 
 Window semantics are event-time and left-open/right-closed: an event at time
 ``t`` is inside the window ending at ``as_of`` iff ``as_of - W < t <= as_of``.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Container, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from repro.datagen.schema import (
     transaction_event_time,
 )
 from repro.exceptions import FeatureError
+
+if TYPE_CHECKING:  # the SQL engine imports this module
+    from repro.features.sql_backfill import BackfillStats
 
 AGGREGATION_FEATURE_NAMES: List[str] = [
     "agg_payer_out_count",
@@ -96,7 +100,11 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
-def build_aggregate_row(
+#: One account's :data:`AGGREGATE_ROW_FIELDS` values, in that order.
+AggregateCells = Tuple[float, ...]
+
+
+def aggregate_cells(
     *,
     out_count: int,
     out_amount_sum: float,
@@ -107,31 +115,36 @@ def build_aggregate_row(
     in_amount_sum: float,
     in_amount_max: float,
     num_payers: int,
-) -> Dict[str, float]:
-    """The canonical per-user aggregate row (:data:`AGGREGATE_ROW_FIELDS`).
+) -> AggregateCells:
+    """The canonical per-user aggregate cells (:data:`AGGREGATE_ROW_FIELDS` order).
 
-    Both the batch and the streaming engines build their rows through this
+    Both the batch and the streaming engines compute their rows through this
     one function, so the derived-field conventions (zero-count means and
     night fractions are 0.0) cannot drift between the two paths.
     """
-    return {
-        "out_count": float(out_count),
-        "out_amount_sum": out_amount_sum,
-        "out_amount_mean": out_amount_sum / out_count if out_count else 0.0,
-        "out_amount_max": out_amount_max,
-        "distinct_payees": float(num_payees),
-        "night_fraction": out_night_count / out_count if out_count else 0.0,
-        "in_count": float(in_count),
-        "in_amount_sum": in_amount_sum,
-        "in_amount_mean": in_amount_sum / in_count if in_count else 0.0,
-        "in_amount_max": in_amount_max,
-        "distinct_payers": float(num_payers),
-    }
+    return (
+        float(out_count),
+        out_amount_sum,
+        out_amount_sum / out_count if out_count else 0.0,
+        out_amount_max,
+        float(num_payees),
+        out_night_count / out_count if out_count else 0.0,
+        float(in_count),
+        in_amount_sum,
+        in_amount_sum / in_count if in_count else 0.0,
+        in_amount_max,
+        float(num_payers),
+    )
+
+
+def build_aggregate_row(**fields: Any) -> Dict[str, float]:
+    """The canonical per-user row: :func:`aggregate_cells` keyed by field."""
+    return dict(zip(AGGREGATE_ROW_FIELDS, aggregate_cells(**fields)))
 
 
 def aggregation_vector(
-    payer_row: Mapping[str, object],
-    payee_row: Mapping[str, object],
+    payer_row: Mapping[str, Any],
+    payee_row: Mapping[str, Any],
     payer_id: str,
 ) -> List[float]:
     """The 12-column :data:`AGGREGATION_FEATURE_NAMES` vector for one transaction.
@@ -139,9 +152,9 @@ def aggregation_vector(
     ``payer_row`` supplies the out-going side, ``payee_row`` the in-coming side;
     missing fields degrade to the cold-account zeros, and an unseen payee makes
     the payer a "new payer" (fraction 1.0) exactly as the batch path does.
-    Every producer of aggregation features (the streaming engine, the plan
-    executor over batch-aggregator, SQL-backfilled or HBase rows) goes through
-    this one function so the paths cannot drift.
+    Every producer of aggregation features (the plan executor over batch,
+    SQL-backfilled or HBase rows; the streaming engine over its cells, with
+    :func:`splice_aggregate_cells`) goes through it so the paths cannot drift.
     """
     known_payers = payee_row.get("payers", ())
     return [
@@ -158,6 +171,17 @@ def aggregation_vector(
         float(payee_row.get("distinct_payers", 0.0)),
         0.0 if payer_id in known_payers else 1.0,
     ]
+
+
+def splice_aggregate_cells(
+    payer_cells: AggregateCells,
+    payee_cells: AggregateCells,
+    payee_payers: Container[str],
+    payer_id: str,
+) -> List[float]:
+    """:func:`aggregation_vector` over cells: the payer's out-cells, the
+    payee's in-cells and the new-payer flag (``payee_payers``: any container)."""
+    return [*payer_cells[:6], *payee_cells[6:], 0.0 if payer_id in payee_payers else 1.0]
 
 
 @dataclass
@@ -217,7 +241,7 @@ class AggregationWindowSpec:
         return {"window_seconds": float(self.window_seconds)}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AggregationWindowSpec":
+    def from_dict(cls, data: Mapping[str, Any]) -> "AggregationWindowSpec":
         spec = cls(window_seconds=float(data["window_seconds"]))
         # Older plans carry a bucket width.  Every width that divides the
         # hour-granular event times gave the same buckets (one per event
@@ -271,7 +295,7 @@ class TransactionAggregator:
         self._fitted = False
         self._as_of_time: Optional[float] = None
         #: Scan accounting of the last ``fit(engine="sql")`` (None for the loop).
-        self.last_backfill_stats = None
+        self.last_backfill_stats: Optional[BackfillStats] = None
 
     # ------------------------------------------------------------------
     @property
@@ -304,12 +328,13 @@ class TransactionAggregator:
         ``as_of_time = batch_as_of_time(d)`` and reproduces the historical
         ``start_day <= txn.day < as_of_day`` behaviour exactly.
 
-        ``engine="loop"`` is the in-process per-transaction fold;
-        ``engine="sql"`` pushes the same computation through the MaxCompute
-        substrate as windowed SQL over a day-partitioned staging table
+        ``engine="loop"`` is the in-process fold in history order;
+        ``engine="sql"`` pushes it through the MaxCompute substrate as
+        per-account GROUP BY queries over a day-partitioned staging table
         (:class:`~repro.features.sql_backfill.SQLBackfillEngine`), leaving
-        its scan accounting in :attr:`last_backfill_stats`.  Both engines
-        produce the same aggregate state.
+        its scan accounting in :attr:`last_backfill_stats`.  Its sums fold
+        in (day partition, staged position) order, so both engines produce
+        the same state, bit for bit, for a history in day order.
         """
         if as_of_day is not None and as_of_time is not None:
             raise FeatureError("pass as_of_day or as_of_time, not both")

@@ -5,29 +5,34 @@ windowed SQL over day-partitioned transaction tables; the pure-Python loop in
 :meth:`~repro.features.aggregation.TransactionAggregator.fit` was the last
 seed-era stand-in.  :class:`SQLBackfillEngine` closes that gap: it stages the
 history into a :class:`~repro.maxcompute.partitioned.PartitionedTable` keyed
-by day, runs generated ``... OVER (PARTITION BY account ORDER BY event_time
-RANGE BETWEEN <W> PRECEDING AND CURRENT ROW)`` queries for the payer and
-payee sides plus one GROUP BY for the distinct payer/payee pair sets, and
+by day, runs one generated ``GROUP BY payer_id`` and one ``GROUP BY
+payee_id`` query (count, sum, max, night count and distinct counterparties
+per account) plus one GROUP BY for the distinct payer/payee pair sets, and
 assembles the exact per-user state the loop produces.  Zone maps let the
 executor skip every partition outside ``(as_of - W, as_of]``, and the scan
 accounting lands in :class:`BackfillStats`.
 
-Why the results are *bit-identical* to the loop: the WHERE clause restricts
-the staged rows to ``(as_of - W, as_of]``, so for every row at time ``t`` the
-frame start ``t - W`` lies strictly before every staged time — the frame is
-always the full partition prefix, no value ever leaves the window, and the
-running sum is the same pure left fold of additions the loop performs.  The
-fold *order* is ascending ``(event_time, input position)``; the loop folds in
-raw history order, so float sums agree to the last bit whenever each
-account's history is event-time-ordered (as the datagen streams are) or the
-amounts are dyadic (the parity-harness convention).
+Why GROUP BY and not ``OVER (... RANGE BETWEEN W PRECEDING AND CURRENT
+ROW)``: the WHERE clause already clips the staged rows to ``(as_of - W,
+as_of]``, so every account's window is the whole of its group.  A window
+query would compute a row per event only for the backfill to keep each
+account's last one; the GROUP BY asks for exactly the row it keeps.
+
+Why the results are *bit-identical* to the loop: counts, maxima and distinct
+sets do not depend on order, and each SUM is a pure left fold of additions,
+to which the backfill adds the loop's starting ``0.0`` (so an all ``-0.0``
+sum becomes ``+0.0``, as in the loop).  The fold *order* is the scan order,
+``(day partition, staged position)``; the loop folds in raw history order,
+so float sums agree to the last bit whenever each account's history is in
+day order (as the event-ordered datagen streams are) or the amounts are
+dyadic (the parity-harness convention).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.datagen.schema import Transaction
 from repro.exceptions import FeatureError
@@ -83,13 +88,13 @@ class BackfillStats:
 
 
 class SQLBackfillEngine:
-    """Runs the aggregation backfill as windowed SQL on the MaxCompute substrate.
+    """Runs the aggregation backfill as SQL on the MaxCompute substrate.
 
     Produces the same ``account -> _UserAggregate`` state as the Python loop
     in :class:`~repro.features.aggregation.TransactionAggregator` (see the
     module docstring for the bit-identity argument), while exercising the
-    real scan path: partitioned staging table, zone-map pruning, window
-    evaluation.  :attr:`last_stats` reports the scan accounting of the most
+    real scan path: partitioned staging table, zone-map pruning, grouped
+    aggregation.  :attr:`last_stats` reports the scan accounting of the most
     recent :meth:`backfill`.
     """
 
@@ -147,8 +152,8 @@ class SQLBackfillEngine:
         # A miss builds its aggregate on first touch (no throwaway per lookup).
         aggregates: Dict[str, _UserAggregate] = defaultdict(_UserAggregate)
 
-        payer_table = self._run(self._window_sql("payer_id", "payee_id", where), stats)
-        payee_table = self._run(self._window_sql("payee_id", "payer_id", where), stats)
+        payer_table = self._run(self._group_sql("payer_id", where), stats)
+        payee_table = self._run(self._group_sql("payee_id", where), stats)
         pair_table = self._run(
             f"SELECT payer_id, payee_id, COUNT(*) AS n "
             f"FROM {self.STAGING_TABLE} WHERE {where} GROUP BY payer_id, payee_id",
@@ -156,57 +161,43 @@ class SQLBackfillEngine:
         )
         self._finalize_stats(stats)
 
-        payer_last = self._last_row_per_account("payer_id", payer_table)
-        counts, sums = payer_table.column("out_count"), payer_table.column("out_amount_sum")
-        maxima, nights = payer_table.column("out_amount_max"), payer_table.column("out_night_count")
-        for account, row in payer_last:
+        # The loop's sums and maxima start from 0.0, so these do too (only an
+        # all -0.0 sum moves, to +0.0).
+        out = ("payer_id", "out_count", "out_amount_sum", "out_amount_max", "out_night_count")
+        for account, count, total, peak, nights in zip(*map(payer_table.column, out)):
             aggregate = aggregates[account]
-            aggregate.out_count = int(counts[row])
-            aggregate.out_amount_sum = sums[row]
-            # The loop's max-fold starts from the dataclass default 0.0.
-            aggregate.out_amount_max = max(0.0, maxima[row])
-            aggregate.out_night_count = int(nights[row])
-        payee_last = self._last_row_per_account("payee_id", payee_table)
-        counts, sums = payee_table.column("in_count"), payee_table.column("in_amount_sum")
-        maxima = payee_table.column("in_amount_max")
-        for account, row in payee_last:
+            aggregate.out_count = int(count)
+            aggregate.out_amount_sum = 0.0 + total
+            aggregate.out_amount_max = max(0.0, peak)
+            aggregate.out_night_count = int(nights)
+        in_ = ("payee_id", "in_count", "in_amount_sum", "in_amount_max")
+        for account, count, total, peak in zip(*map(payee_table.column, in_)):
             aggregate = aggregates[account]
-            aggregate.in_count = int(counts[row])
-            aggregate.in_amount_sum = sums[row]
-            aggregate.in_amount_max = max(0.0, maxima[row])
+            aggregate.in_count = int(count)
+            aggregate.in_amount_sum = 0.0 + total
+            aggregate.in_amount_max = max(0.0, peak)
 
         for payer, payee in zip(pair_table.column("payer_id"), pair_table.column("payee_id")):
             aggregates[payer].payees.add(payee)
             aggregates[payee].payers.add(payer)
 
-        distinct_payees = payer_table.column("distinct_payees")
-        self._cross_check_distinct_counts(aggregates, "payees", payer_last, distinct_payees)
-        distinct_payers = payee_table.column("distinct_payers")
-        self._cross_check_distinct_counts(aggregates, "payers", payee_last, distinct_payers)
+        self._cross_check_distinct_counts(aggregates, "payees", payer_table, "payer_id")
+        self._cross_check_distinct_counts(aggregates, "payers", payee_table, "payee_id")
         self.last_stats = stats
         return dict(aggregates)
 
     # ------------------------------------------------------------------
-    def _window_sql(self, side: str, counter_side: str, where: str) -> str:
-        """The generated per-side window query (payer or payee view)."""
-        prefix = "out" if side == "payer_id" else "in"
-        width = _sql_number(self.config.effective_window_seconds)
-        over = (
-            f"OVER (PARTITION BY {side} ORDER BY event_time "
-            f"RANGE BETWEEN {width} PRECEDING AND CURRENT ROW)"
-        )
-        night = (
-            f"SUM(night_flag) {over} AS out_night_count, " if prefix == "out" else ""
-        )
-        distinct_name = "distinct_payees" if prefix == "out" else "distinct_payers"
+    def _group_sql(self, side: str, where: str) -> str:
+        """The generated per-side GROUP BY: one row per payer (payee) with its
+        count, sum, max, (payer) night count and distinct counterparties."""
+        payer_side = side == "payer_id"
+        prefix, counter = ("out", "payee_id") if payer_side else ("in", "payer_id")
+        night = "SUM(night_flag) AS out_night_count, " if payer_side else ""
         return (
-            f"SELECT {side}, event_time, "
-            f"COUNT(amount) {over} AS {prefix}_count, "
-            f"SUM(amount) {over} AS {prefix}_amount_sum, "
-            f"MAX(amount) {over} AS {prefix}_amount_max, "
-            f"{night}"
-            f"COUNT(DISTINCT {counter_side}) {over} AS {distinct_name} "
-            f"FROM {self.STAGING_TABLE} WHERE {where}"
+            f"SELECT {side}, COUNT(amount) AS {prefix}_count, "
+            f"SUM(amount) AS {prefix}_amount_sum, MAX(amount) AS {prefix}_amount_max, "
+            f"{night}COUNT(DISTINCT {counter}) AS distinct_counterparties "
+            f"FROM {self.STAGING_TABLE} WHERE {where} GROUP BY {side}"
         )
 
     def _run(self, sql: str, stats: BackfillStats) -> Table:
@@ -228,38 +219,20 @@ class SQLBackfillEngine:
         stats.rows_scanned = sum(query.rows_scanned for query in stats.per_query)
 
     @staticmethod
-    def _last_row_per_account(key: str, table: Table) -> List[Tuple[str, int]]:
-        """Each account's final window row (its index), in sorted account order.
-
-        Every staged row's frame start precedes every staged time (WHERE
-        already clipped to the window), so the last row of each partition
-        carries the aggregate over the account's entire in-window history.
-        """
-        times = table.column("event_time")
-        last: Dict[str, int] = {}
-        for row, account in enumerate(table.column(key)):
-            current = last.get(account)
-            if current is None or times[row] >= times[current]:
-                last[account] = row
-        return sorted(last.items())
-
-    @staticmethod
     def _cross_check_distinct_counts(
-        aggregates: Dict[str, _UserAggregate],
-        counterparties: str,
-        last_rows: List[Tuple[str, int]],
-        distinct: List[int],
+        aggregates: Dict[str, _UserAggregate], counterparties: str, table: Table, key: str
     ) -> None:
-        """COUNT(DISTINCT ...) from the window path must equal the pair sets.
+        """COUNT(DISTINCT ...) per account must equal the pair sets.
 
-        The two are computed by independent query shapes (sliding multiset vs
-        GROUP BY); a mismatch means an engine bug, and silently publishing
-        either number would poison the aggregate rows — fail loudly instead.
+        The two are computed by independent query shapes (one account's
+        distinct counterparties vs the distinct pairs); a mismatch means an
+        engine bug, and silently publishing either number would poison the
+        aggregate rows — fail loudly instead.
         """
-        for account, row in last_rows:
+        for account, distinct in zip(table.column(key), table.column("distinct_counterparties")):
             expected = len(getattr(aggregates[account], counterparties))
-            if int(distinct[row]) != expected:
+            if int(distinct) != expected:
                 raise FeatureError(
-                    f"distinct-{counterparties} mismatch for {account!r}: window query "
-                    f"says {distinct[row]}, pair sets say {expected}"
+                    f"distinct-{counterparties} mismatch for {account!r}: per-account "
+                    f"query says {distinct}, pair sets say {expected}"
                 )

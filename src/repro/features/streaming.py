@@ -56,21 +56,25 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as np
 
 from repro.datagen.schema import Transaction, transaction_sort_key
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
+    AGGREGATE_ROW_FIELDS,
     AGGREGATION_FEATURE_NAMES,
+    AggregateCells,
     AggregationConfig,
     AggregationWindowSpec,
     PointInTimeAggregateProvider,
-    aggregation_vector,
-    build_aggregate_row,
+    aggregate_cells,
     is_night_hour,
+    splice_aggregate_cells,
     transaction_event_time,
 )
 
@@ -78,6 +82,11 @@ from repro.features.aggregation import (
 #: :func:`~repro.datagen.schema.transaction_sort_key` under the name the
 #: serving side and the harness import.
 event_order = transaction_sort_key
+
+
+#: A bucket side's counterparties before its first event: shared, so frozen.  An
+#: empty side is this set (or its copy in a copied engine): it gets its own first.
+_NO_KEYS = cast(Set[str], frozenset())
 
 
 class _Bucket:
@@ -100,11 +109,11 @@ class _Bucket:
         self.out_sum = 0.0
         self.out_max = 0.0
         self.out_night = 0
-        self.payees: Set[str] = set()
+        self.payees = _NO_KEYS
         self.in_count = 0
         self.in_sum = 0.0
         self.in_max = 0.0
-        self.payers: Set[str] = set()
+        self.payers = _NO_KEYS
 
 
 class _LiveWindow:
@@ -289,7 +298,10 @@ class SlidingWindowAggregator:
         ``watermark - (window + allowed_lateness)`` — since no permitted
         query can ever see it.
         """
-        event_time = transaction_event_time(txn)
+        return self._ingest(txn, transaction_event_time(txn))
+
+    def _ingest(self, txn: Transaction, event_time: float) -> bool:
+        """:meth:`ingest` of an event whose time the caller already has."""
         if event_time <= self._watermark - self._horizon:
             self.late_events_dropped += 1
             return False
@@ -307,6 +319,8 @@ class SlidingWindowAggregator:
         payer_bucket.out_sum += amount
         payer_bucket.out_max = max(payer_bucket.out_max, amount)
         payer_bucket.out_night += night
+        if not payer_bucket.payees:
+            payer_bucket.payees = set()
         payer_bucket.payees.add(txn.payee_id)
 
         payee_bucket, live = self._touch(txn.payee_id, event_time)
@@ -321,6 +335,8 @@ class SlidingWindowAggregator:
         payee_bucket.in_count += 1
         payee_bucket.in_sum += amount
         payee_bucket.in_max = max(payee_bucket.in_max, amount)
+        if not payee_bucket.payers:
+            payee_bucket.payers = set()
         payee_bucket.payers.add(txn.payer_id)
 
         self.events_ingested += 1
@@ -362,8 +378,8 @@ class SlidingWindowAggregator:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def _window_row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """(aggregate row, in-window payer set) for one account, by a full
+    def _window_row(self, user_id: str, as_of: float) -> Tuple[AggregateCells, Set[str]]:
+        """(aggregate cells, in-window payer set) for one account, by a full
         fold of its buckets — the path ``_row`` takes when the maintained
         row does not apply, and the oracle of the maintained one.
 
@@ -395,7 +411,7 @@ class SlidingWindowAggregator:
                 in_sum += bucket.in_sum
                 in_max = max(in_max, bucket.in_max)
                 payers.update(bucket.payers)
-        row = build_aggregate_row(
+        cells = aggregate_cells(
             out_count=out_count,
             out_amount_sum=out_sum,
             out_amount_max=out_max,
@@ -406,7 +422,7 @@ class SlidingWindowAggregator:
             in_amount_max=in_max,
             num_payers=len(payers),
         )
-        return row, frozenset(payers)
+        return cells, payers
 
     def _advance(self, account: _Account, live: _LiveWindow) -> None:
         """Move the maintained range's start up to the window's edge."""
@@ -430,7 +446,7 @@ class SlidingWindowAggregator:
             live.out_max = max([0.0, *(bucket.out_max for bucket in window)])
             live.in_max = max([0.0, *(bucket.in_max for bucket in window)])
 
-    def _maintained_row(self, user_id: str) -> Tuple[Dict[str, float], FrozenSet[str]]:
+    def _maintained_row(self, user_id: str) -> Tuple[AggregateCells, Collection[str]]:
         """The row at the watermark, from the maintained state (built by one
         full fold the first time the account is read here)."""
         # A cold account reads as an empty one and stays untracked.
@@ -453,9 +469,7 @@ class SlidingWindowAggregator:
             out_prefix.append(out_sum)
             in_sum += bucket.in_sum
             in_prefix.append(in_sum)
-        if live.payers_cell is None:
-            live.payers_cell = frozenset(live.payers)
-        row = build_aggregate_row(
+        cells = aggregate_cells(
             out_count=live.out_count,
             out_amount_sum=out_sum,
             out_amount_max=live.out_max,
@@ -466,10 +480,11 @@ class SlidingWindowAggregator:
             in_amount_max=live.in_max,
             num_payers=len(live.payers),
         )
-        return row, live.payers_cell
+        return cells, live.payers
 
-    def _row(self, user_id: str, as_of: float) -> Tuple[Dict[str, float], FrozenSet[str]]:
-        """Every query's one way in: the maintained row when the window at
+    def _row(self, user_id: str, as_of: float) -> Tuple[AggregateCells, Collection[str]]:
+        """Every query's one way in, as (cells, a view of the in-window
+        payers): the maintained row when the window at
         ``as_of`` holds the watermark's buckets — none lies in
         ``(watermark - W, as_of - W]`` — else the full fold."""
         watermark, window = self._watermark, self.window_seconds
@@ -488,8 +503,8 @@ class SlidingWindowAggregator:
 
     def user_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, float]:
         """Aggregate row (same keys as the batch ``user_row``)."""
-        row, _ = self._row(user_id, self._resolve_as_of(as_of))
-        return row
+        cells, _ = self._row(user_id, self._resolve_as_of(as_of))
+        return dict(zip(AGGREGATE_ROW_FIELDS, cells))
 
     def hbase_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, object]:
         """The serialised aggregate row written through to Ali-HBase.
@@ -502,8 +517,17 @@ class SlidingWindowAggregator:
         a payer enters or leaves the window), so stores, WAL entries and row
         caches can hold it without a copy.
         """
-        row, payers = self._row(user_id, self._resolve_as_of(as_of))
-        return {**row, "payers": payers}
+        cells, payers = self._row(user_id, self._resolve_as_of(as_of))
+        row: Dict[str, object] = dict(zip(AGGREGATE_ROW_FIELDS, cells))
+        account = self._accounts.get(user_id)
+        live = None if account is None else account.live
+        if live is not None and payers is live.payers:  # the maintained row's cell
+            if live.payers_cell is None:
+                live.payers_cell = frozenset(payers)
+            row["payers"] = live.payers_cell
+        else:
+            row["payers"] = frozenset(payers)
+        return row
 
     def snapshot_rows(self, *, as_of: Optional[float] = None) -> Dict[str, Dict[str, object]]:
         """``user_id -> hbase_row`` for every tracked account (deterministic)."""
@@ -517,10 +541,13 @@ class SlidingWindowAggregator:
         (because serving scores *before* ingesting) does not include it.
         """
         at = transaction_event_time(txn) if as_of is None else float(as_of)
-        payer_row, _ = self._row(txn.payer_id, at)
-        payee_row, payee_payers = self._row(txn.payee_id, at)
-        enriched: Dict[str, object] = {**payee_row, "payers": payee_payers}
-        return np.asarray(aggregation_vector(payer_row, enriched, txn.payer_id), dtype=np.float64)
+        return np.asarray(self._vector(txn, at), dtype=np.float64)
+
+    def _vector(self, txn: Transaction, at: float) -> List[float]:
+        """``features_for`` as a list: the two accounts' cells spliced."""
+        payer_cells, _ = self._row(txn.payer_id, at)
+        payee_cells, payers = self._row(txn.payee_id, at)
+        return splice_aggregate_cells(payer_cells, payee_cells, payers, txn.payer_id)
 
 
 class PointInTimeAggregationSource(PointInTimeAggregateProvider):
@@ -588,22 +615,22 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
         positions: Dict[str, List[int]] = {}
         for index, txn in enumerate(transactions):
             positions.setdefault(txn.transaction_id, []).append(index)
-        batch = sorted(transactions, key=event_order)
+        batch = sorted(((event_order(t), t) for t in transactions), key=itemgetter(0))
         replaced = [e for e in self.history if e.transaction_id in positions]
-        rest = (e for e in self.history if e.transaction_id not in positions)
-        stream = heapq.merge(rest, batch, key=event_order)
+        rest = ((event_order(e), e) for e in self.history if e.transaction_id not in positions)
         engine = SlidingWindowAggregator(self.config)
-        block = np.zeros((len(transactions), len(AGGREGATION_FEATURE_NAMES)))
-        served: Dict[str, int] = {}
-        for event in stream:
+        rows = array("d")  # in stream order; scattered into place once below
+        order: List[int] = []
+        for (event_time, _), event in heapq.merge(rest, batch, key=itemgetter(0)):
             occurrences = positions.get(event.transaction_id)
-            if occurrences is not None:
-                occurrence = served.get(event.transaction_id, 0)
-                block[occurrences[occurrence]] = engine.features_for(event)
-                served[event.transaction_id] = occurrence + 1
-            engine.ingest(event)
+            if occurrences is not None:  # the k-th copy served fills the k-th position
+                order.append(occurrences.pop(0))
+                rows.extend(engine._vector(event, event_time))
+            engine._ingest(event, event_time)
+        block = np.empty((len(transactions), len(AGGREGATION_FEATURE_NAMES)))
+        block[order] = np.frombuffer(rows).reshape(-1, len(AGGREGATION_FEATURE_NAMES))
         if len(replaced) == len(batch) == len(positions) and all(
-            old is new or old == new for old, new in zip(replaced, batch)
+            old is new or old == new for old, (_, new) in zip(replaced, batch)
         ):  # the merged stream was the history itself
             self._engine = engine
         if len(self._block_cache) >= self._block_cache_limit:

@@ -28,8 +28,8 @@ class RowCache:
     """Bounded TTL cache of row reads, invalidated per (table, row key)."""
 
     def __init__(self, *, ttl_seconds: float = 30.0, max_rows: int = 4096):
-        if ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive")
+        if not ttl_seconds > 0:  # NaN fails every comparison
+            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds!r}")
         if max_rows < 1:
             raise ValueError("max_rows must be at least 1")
         self.ttl_seconds = float(ttl_seconds)

@@ -77,9 +77,9 @@ class HBaseClient:
         self._attach_cache(row_cache_ttl_s, row_cache_rows)
 
     def _attach_cache(self, ttl_s: float, max_rows: int) -> None:
-        """Give this handle its private row cache (none at TTL 0), registered
-        for invalidation by every handle's writes."""
-        self._cache = RowCache(ttl_seconds=ttl_s, max_rows=max_rows) if ttl_s > 0 else None
+        """Give this handle its private row cache (none at TTL 0, NaN or < 0
+        rejected), registered for invalidation by every handle's writes."""
+        self._cache = None if ttl_s == 0 else RowCache(ttl_seconds=ttl_s, max_rows=max_rows)
         if self._cache is not None:
             self._cache_registry.append(weakref.ref(self._cache))
 

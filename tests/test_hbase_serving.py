@@ -181,6 +181,27 @@ class TestRegionsAndWAL:
             "hit_rate": 0.0,
         }
 
+    @pytest.mark.parametrize("ttl", [float("nan"), -1.0])
+    def test_nan_or_negative_client_ttl_is_rejected(self, ttl):
+        """A NaN TTL used to fail ``ttl > 0`` and build no cache, silently."""
+        with pytest.raises(ValueError, match="ttl_seconds must be positive"):
+            HBaseClient(row_cache_ttl_s=ttl)
+
+    @pytest.mark.parametrize("ttl", [float("nan"), -1.0])
+    def test_nan_or_negative_connection_ttl_is_rejected(self, ttl):
+        parent = HBaseClient(row_cache_ttl_s=60.0)
+        with pytest.raises(ValueError, match="ttl_seconds must be positive"):
+            parent.connection(row_cache_ttl_s=ttl)
+        assert parent.connection(row_cache_ttl_s=0.0).row_cache_stats()["rows"] == 0.0
+
+    def test_nan_row_cache_ttl_is_rejected(self):
+        """A NaN TTL used to be accepted, and then every read missed
+        (``now < nan`` is False)."""
+        from repro.hbase.cache import RowCache
+
+        with pytest.raises(ValueError, match="ttl_seconds must be positive"):
+            RowCache(ttl_seconds=float("nan"))
+
 
 class TestLatencyTracker:
     def test_report_percentiles(self):

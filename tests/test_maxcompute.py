@@ -352,7 +352,7 @@ class TestClient:
         reached nothing but the job's status record."""
         engine = SQLBackfillEngine(AggregationConfig(window_days=1))
         bogus = f"SELECT bogus FROM {engine.STAGING_TABLE}"
-        monkeypatch.setattr(engine, "_window_sql", lambda *args: bogus)
+        monkeypatch.setattr(engine, "_group_sql", lambda *args: bogus)
         with pytest.raises(FeatureError, match=r"SQLPlanError: unknown column 'bogus'"):
             engine.backfill(world.transactions[:50], as_of_time=10 * SECONDS_PER_DAY)
 

@@ -1,18 +1,18 @@
-"""SQL-engine backfill parity: loop vs windowed SQL vs streaming prefix.
+"""SQL-engine backfill parity: loop vs grouped SQL vs streaming prefix.
 
 The contract under test: ``TransactionAggregator.fit(..., engine="sql")``
 produces *bit-identical* aggregate state to the in-process loop and to the
 streaming ``SlidingWindowAggregator`` prefix at the same window spec, while
 scanning a fraction of the day partitions thanks to zone-map pruning.
 
-Fold-order note: the SQL path folds each account's amounts in ascending
-``(event_time, input position)`` order, the loop in raw history order.  The
+Fold-order note: the SQL path folds each account's amounts in
+``(day partition, staged position)`` order, the loop in raw history order.  The
 parity streams here use the harness's dyadic amounts (integer multiples of
 1/64), which float64 sums represent exactly under any association — so every
 comparison is ``==``, even for jittered streams.  For event-time-ordered
 histories the two folds are literally the same sequence of additions, so
 bit-identity holds for arbitrary float amounts too (checked against the
-session world in the last test).
+session world, and by the hypothesis differential at the end).
 """
 
 from __future__ import annotations
@@ -166,17 +166,17 @@ class TestPartitionSkipping:
 
 
 def test_distinct_count_cross_check_fails_loudly(rng, monkeypatch):
-    """The window path's COUNT(DISTINCT) and the GROUP BY pair sets are two
+    """The per-account COUNT(DISTINCT) and the GROUP BY pair sets are two
     query shapes for one number; an engine bug in either must not publish."""
     from repro.maxcompute.sql import executor as executor_module
 
-    window_values = executor_module._window_values
+    aggregate_value = executor_module._aggregate_value
 
     def off_by_one(aggregate, *args):
-        values = window_values(aggregate, *args)
-        return [value + 1 for value in values] if aggregate.distinct else values
+        value = aggregate_value(aggregate, *args)
+        return value + 1 if aggregate.distinct else value
 
-    monkeypatch.setattr(executor_module, "_window_values", off_by_one)
+    monkeypatch.setattr(executor_module, "_aggregate_value", off_by_one)
     events = random_stream(rng, num_events=80, num_accounts=10, num_days=4)
     with pytest.raises(FeatureError, match="distinct-payees mismatch"):
         SQLBackfillEngine(AggregationConfig(window_days=3)).backfill(
@@ -220,3 +220,91 @@ def test_bit_identity_on_event_ordered_world(world):
     )
     for uid in sql.account_ids():
         assert_rows_close(raw_loop.hbase_row(uid), sql.hbase_row(uid))
+
+
+# ---------------------------------------------------------------------------
+# GROUP BY backfill == loop engine, bit for bit, on arbitrary finite amounts
+# ---------------------------------------------------------------------------
+#
+# The parity tests above draw dyadic amounts.  These draw any finite float,
+# with signed zeros and subnormals weighted in, and compare under
+# ``float.hex``: on an event-ordered stream the backfill's per-account folds
+# must be the loop's, addition for addition, from the loop's 0.0 on.
+
+_EDGE_AMOUNTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310, 1e308, -1e308]
+
+
+@st.composite
+def _ordered_backfill(draw):
+    window_hours = draw(st.sampled_from([1, 3, 30]))
+    as_of_hour = draw(st.integers(0, 72))
+    # Events at the window's two edges — as_of - W (out) and as_of (in) —
+    # are drawn as often as any other instant, plus instants outside it.
+    slot = st.one_of(
+        st.sampled_from([as_of_hour - window_hours, as_of_hour, as_of_hour + 1]),
+        st.integers(max(0, as_of_hour - 2 * window_hours), as_of_hour + 2),
+    )
+    # -0.0 on its own as often as the other edges together: an account whose
+    # in-window amounts are all -0.0 is where a fold's start value shows.
+    amount = st.one_of(
+        st.just(-0.0),
+        st.sampled_from(_EDGE_AMOUNTS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(slot, st.integers(0, 4), st.integers(1, 4), amount), max_size=40
+        )
+    )
+    events = [
+        make_txn(i, h // 24, h % 24, f"u{payer}", f"u{(payer + offset) % 5}", amount)
+        for i, (h, payer, offset, amount) in enumerate(steps)
+        if h >= 0
+    ]
+    events.sort(key=event_order)
+    return events, window_hours * 3600, as_of_hour * 3600
+
+
+def _aggregate_bits(aggregate):
+    return {
+        key: value.hex() if isinstance(value, float) else value
+        for key, value in vars(aggregate).items()
+    }
+
+
+def _group_by_backfill_is_the_loop(case):
+    events, window_seconds, as_of = case
+    config = AggregationConfig(window_seconds=window_seconds)
+    loop = TransactionAggregator(config).fit(events, as_of_time=as_of)
+    sql = TransactionAggregator(config).fit(events, as_of_time=as_of, engine="sql")
+    assert loop.account_ids() == sql.account_ids()
+    for uid in loop.account_ids():
+        assert _aggregate_bits(sql._aggregates[uid]) == _aggregate_bits(loop._aggregates[uid]), uid
+        assert sql._aggregates[uid].payees == loop._aggregates[uid].payees
+        assert sql._aggregates[uid].payers == loop._aggregates[uid].payers
+
+
+test_group_by_backfill_is_the_loop_property = settings(max_examples=60, deadline=None)(
+    given(_ordered_backfill())(_group_by_backfill_is_the_loop)
+)
+test_group_by_backfill_is_the_loop_soak = pytest.mark.slow(
+    settings(max_examples=3000, deadline=None)(
+        given(_ordered_backfill())(_group_by_backfill_is_the_loop)
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "amounts",
+    [[-0.0], [-0.0, -0.0], [-5e-324, 5e-324], [5e-324, -0.0], [1e308, 1e308, -1e308]],
+)
+def test_group_by_backfill_edge_sums(amounts):
+    """Named folds: an all -0.0 account (the loop's 0.0 start makes it
+    +0.0), cancelling subnormals and an overflow to inf, one account each."""
+    events = [make_txn(i, 0, 5, "a", "b", amount) for i, amount in enumerate(amounts)]
+    config = AggregationConfig(window_seconds=3600)
+    as_of = 5 * 3600
+    loop = TransactionAggregator(config).fit(events, as_of_time=as_of)
+    sql = TransactionAggregator(config).fit(events, as_of_time=as_of, engine="sql")
+    for uid in ("a", "b"):
+        assert _aggregate_bits(sql._aggregates[uid]) == _aggregate_bits(loop._aggregates[uid])

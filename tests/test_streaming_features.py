@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -25,17 +26,23 @@ from hypothesis import strategies as st
 from repro.datagen.schema import Transaction, TransactionChannel
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
+    AGGREGATE_ROW_FIELDS,
     AGGREGATION_FEATURE_NAMES,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     AggregationConfig,
     AggregationWindowSpec,
     TransactionAggregator,
+    aggregation_vector,
     transaction_event_time,
 )
 from repro.features.assembler import FeatureAssembler
 from repro.features.basic import BASIC_FEATURE_NAMES
-from repro.features.streaming import PointInTimeAggregationSource, SlidingWindowAggregator
+from repro.features.streaming import (
+    PointInTimeAggregationSource,
+    SlidingWindowAggregator,
+    event_order,
+)
 from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY, HBaseClient
 from repro.hbase.store import HBaseTable
 
@@ -500,8 +507,11 @@ class TestParityAcceptance:
 # fold every other query takes) computes from the same buckets.
 
 
-def full_fold(engine, user_id):
-    return engine._window_row(user_id, engine.watermark)
+def full_fold(engine, user_id, as_of=None):
+    """(row dict, payer set) of the engine's full fold at ``as_of`` (default:
+    the watermark)."""
+    cells, payers = engine._window_row(user_id, engine.watermark if as_of is None else as_of)
+    return dict(zip(AGGREGATE_ROW_FIELDS, cells)), payers
 
 
 def assert_maintained_is_full_fold(engine, user_id):
@@ -683,7 +693,7 @@ class TestMaintainedRowEdges:
             expected = brute_rows(self.CONFIG, ingested, as_of, ("a", "b"))
             for user_id in ("a", "b"):
                 served = engine.hbase_row(user_id, as_of=as_of)
-                folded, payers = engine._window_row(user_id, as_of)
+                folded, payers = full_fold(engine, user_id, as_of)
                 assert served == {**folded, "payers": payers}
                 assert_rows_close(served, expected[user_id])
         self._check(engine, ingested, "a", "b")  # and the maintained row is unmoved
@@ -735,6 +745,20 @@ class TestMaintainedRowEdges:
             twin.ingest(event)
         assert at_watermark > len(events) // 2
         assert all(account.live is None for account in twin._accounts.values())
+
+    def test_a_copied_or_unpickled_engine_ingests_on_its_own(self):
+        """Bucket sides share one empty counterparty set until their first
+        event; in a deep copy or an unpickled engine they share a copy of it,
+        which must not take keys either."""
+        engine, ingested = self._engine()
+        self._ingest(engine, ingested, 5, "a", "b", 0.1)  # a receives nothing, b pays nothing
+        copies = [copy.deepcopy(engine), pickle.loads(pickle.dumps(engine))]
+        later = [make_txn(1, 0, 5, "b", "c", 0.2), make_txn(2, 0, 6, "d", "e", 0.3)]
+        fresh = SlidingWindowAggregator(self.CONFIG)
+        fresh.ingest_many(ingested + later)
+        for copied in copies:
+            copied.ingest_many(later)
+            assert snapshot_bits(copied, copied.watermark) == snapshot_bits(fresh, fresh.watermark)
 
     def test_returned_row_is_the_callers_and_the_payers_cell_is_shared(self):
         engine, ingested = self._engine()
@@ -1312,7 +1336,7 @@ def _past_watermark_read_is_the_full_fold(steps, window_seconds, lateness_hours,
         candidates.update(t + window_seconds for t in account.times if t + window_seconds >= watermark)
     for as_of in sorted(candidates):
         for user_id in [*engine.account_ids(), "cold"]:
-            folded, payers = engine._window_row(user_id, as_of)
+            folded, payers = full_fold(engine, user_id, as_of)
             served = engine.hbase_row(user_id, as_of=as_of)
             assert row_bits(served) == row_bits({**folded, "payers": payers})
     for user_id in engine.account_ids():  # the maintained rows did not move
@@ -1484,3 +1508,127 @@ class TestDeployTakesTheTrainingEngine:
         assert updater is None
         assert preparation.aggregation_source._engine is None
 
+
+
+# ---------------------------------------------------------------------------
+# Spliced window cells == aggregation_vector over hbase_row dicts, bit for bit
+# ---------------------------------------------------------------------------
+#
+# ``features_for`` and the point-in-time block splice the engine's cells
+# without building a row dict; the oracle is the dict path every other
+# producer takes.  Amounts are any finite float (compared under
+# ``float.hex``), and the order-free columns — counts, maxima, distinct
+# counterparties, the night and new-payer fractions — are also checked
+# against a loop-engine fit of the ingested events, so a defect both paths
+# share cannot hide.  Accounts u1..u3 pay and receive, often in one hour.
+
+_ORDER_FREE_COLUMNS = [0, 3, 4, 5, 6, 9, 10, 11]
+
+_SPLICE = dict(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([-6, -1, 0, 0, 0, 1, 2, 9]),
+            st.integers(0, 3),  # payer u0..u3
+            st.integers(0, 2),  # payee u1..u6
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    window_seconds=st.sampled_from(_WINDOW_CHOICES[:4]),
+    lateness_hours=st.sampled_from([0, 5]),
+    read_seed=st.integers(0, 2**16),
+)
+
+
+def vector_bits(vector):
+    return [float(value).hex() for value in vector]
+
+
+def assert_is_the_row_vector(served, engine, txn, as_of, ingested):
+    """``served`` == aggregation_vector over the engine's two hbase rows (bits),
+    and its order-free columns == a loop fit of the ingested events."""
+    expected = aggregation_vector(
+        engine.hbase_row(txn.payer_id, as_of=as_of),
+        engine.hbase_row(txn.payee_id, as_of=as_of),
+        txn.payer_id,
+    )
+    assert vector_bits(served) == vector_bits(expected)
+    loop = TransactionAggregator(AggregationConfig(window_seconds=engine.window_seconds))
+    loop.fit(ingested, as_of_time=as_of)
+    brute = aggregation_vector(
+        loop.hbase_row(txn.payer_id), loop.hbase_row(txn.payee_id), txn.payer_id
+    )
+    assert [served[i] for i in _ORDER_FREE_COLUMNS] == [brute[i] for i in _ORDER_FREE_COLUMNS]
+
+
+def _spliced_cells_are_the_row_vector(steps, window_seconds, lateness_hours, read_seed):
+    lateness = lateness_hours * SECONDS_PER_HOUR
+    engine = SlidingWindowAggregator(
+        AggregationConfig(window_seconds=window_seconds), allowed_lateness_seconds=lateness
+    )
+    reads = np.random.default_rng(read_seed)
+    ingested = []
+    for txn in _stream(steps):
+        watermark = engine.watermark
+        at_event = transaction_event_time(txn)
+        if at_event < watermark - lateness:  # a late event, below the bound
+            with pytest.raises(FeatureError):
+                engine.features_for(txn)
+        else:
+            assert_is_the_row_vector(engine.features_for(txn), engine, txn, at_event, ingested)
+        if watermark > -np.inf:
+            past = watermark + reads.random() * 2 * window_seconds
+            for as_of in (watermark, past):
+                served = engine.features_for(txn, as_of=as_of)
+                assert_is_the_row_vector(served, engine, txn, as_of, ingested)
+            with pytest.raises(FeatureError):
+                engine.features_for(txn, as_of=watermark - lateness - 1)
+        if engine.ingest(txn):
+            ingested.append(txn)
+
+
+test_spliced_cells_are_the_row_vector_property = settings(max_examples=60, deadline=None)(
+    given(**_SPLICE)(_spliced_cells_are_the_row_vector)
+)
+test_spliced_cells_are_the_row_vector_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(
+        given(**_SPLICE)(_spliced_cells_are_the_row_vector)
+    )
+)
+
+
+def _point_in_time_block_is_the_row_vectors(steps, window_seconds, lateness_hours, read_seed):
+    config = AggregationConfig(window_seconds=window_seconds)
+    history = _stream(steps)
+    rng = np.random.default_rng(read_seed)
+    batch = [event for event in history if rng.random() < 0.6]
+    if batch and rng.random() < 0.5:
+        batch.append(batch[int(rng.integers(0, len(batch)))])  # an oversampled row
+    block = PointInTimeAggregationSource(config, history).aggregation_block(batch)
+    assert block.shape == (len(batch), len(AGGREGATION_FEATURE_NAMES))
+    # The oracle: the same score-then-ingest replay, reading hbase rows; the
+    # k-th copy of an oversampled row is served k-th.
+    positions = {}
+    for index, txn in enumerate(batch):
+        positions.setdefault(txn.transaction_id, []).append(index)
+    rest = [event for event in history if event.transaction_id not in positions]
+    engine = SlidingWindowAggregator(config)
+    ingested = []
+    for event in sorted(rest + batch, key=event_order):
+        if event.transaction_id in positions:
+            index = positions[event.transaction_id].pop(0)
+            at = transaction_event_time(event)
+            assert_is_the_row_vector(block[index], engine, event, at, ingested)
+        engine.ingest(event)
+        ingested.append(event)
+
+
+test_point_in_time_block_is_the_row_vectors_property = settings(
+    max_examples=60, deadline=None
+)(given(**_SPLICE)(_point_in_time_block_is_the_row_vectors))
+test_point_in_time_block_is_the_row_vectors_soak = pytest.mark.slow(
+    settings(max_examples=1000, deadline=None)(
+        given(**_SPLICE)(_point_in_time_block_is_the_row_vectors)
+    )
+)
