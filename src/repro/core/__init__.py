@@ -24,7 +24,6 @@ from repro.core.evaluation import (
     recall_at_top_percent,
     recall_by_slice,
     select_threshold,
-    evaluate_detector,
     typology_recall_report,
 )
 from repro.core.config import (
@@ -48,7 +47,6 @@ __all__ = [
     "recall_at_top_percent",
     "recall_by_slice",
     "select_threshold",
-    "evaluate_detector",
     "typology_recall_report",
     "FeatureSetName",
     "DetectorName",

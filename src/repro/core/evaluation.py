@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.exceptions import ModelError
 from repro.features.discretization import column_quantiles
-from repro.models.base import BaseDetector
 
 
 @dataclass
@@ -192,25 +191,6 @@ def evaluate_scores(
         num_transactions=int(labels.shape[0]),
         num_frauds=int(labels.sum()),
     )
-
-
-def evaluate_detector(
-    detector: BaseDetector,
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
-) -> EvaluationMetrics:
-    """Fit-free evaluation helper: threshold from train scores, metrics on test.
-
-    The detector must already be fitted; this mirrors the production T+1 flow
-    where the day's model is calibrated on the training window and applied
-    unchanged to the next day.
-    """
-    train_scores = detector.predict_proba(train_features)
-    threshold = select_threshold(np.asarray(train_labels), train_scores)
-    test_scores = detector.predict_proba(test_features)
-    return evaluate_scores(np.asarray(test_labels), test_scores, threshold=threshold)
 
 
 @dataclass

@@ -5,9 +5,11 @@ each cell is addressed by (row key, column family, qualifier) and keeps
 multiple timestamped versions.  The Model Server reads "the latest version of
 user node embeddings and basic features" uploaded by each offline training
 run, so every (row key, column family) keeps that latest view as one
-immutable :class:`Row` snapshot — rebuilt by each put, shared by reference
-with every reader — beside the per-cell version lists that version-pinned
-reads, trimming and scans walk.
+immutable :class:`Row` snapshot — swapped in by each put, shared by reference
+with every reader — beside the history that version-pinned reads walk.  A
+row's history takes the cheapest form its puts allow: one put's version; while
+every put writes the whole row in version order, the list of those rows, so
+such a put appends and *is* the new snapshot; otherwise per-cell version lists.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.exceptions import RowNotFoundError, StorageError
 
 #: qualifier -> [(version, value), ...] in version order, ties in put order.
 _CellHistory = Dict[str, List[Tuple[int, Any]]]
+#: [(version, whole row), ...] in version order, ties in put order.
+_RowHistory = List[Tuple[int, "Row"]]
 _cell_version = itemgetter(0)
 _Decoded = TypeVar("_Decoded")
 
@@ -62,15 +66,15 @@ EMPTY_ROW = Row()
 
 def freeze_row(values: Mapping[str, Any]) -> Row:
     """``values`` as a :class:`Row` that no caller can reach to edit: list
-    cells (array-valued embeddings) become tuples; a ``Row`` is returned as is."""
+    cells (array-valued embeddings) become tuples; a ``Row`` is returned as is.
+    The row is copied once, and again only if it holds a list cell."""
     if type(values) is Row:
         return values
-    return Row(
-        {
-            qualifier: tuple(value) if isinstance(value, list) else value
-            for qualifier, value in values.items()
-        }
-    )
+    row = Row(values)
+    for value in row.values():
+        if isinstance(value, list):
+            return Row({q: tuple(v) if isinstance(v, list) else v for q, v in row.items()})
+    return row
 
 
 class ColumnFamilyStore:
@@ -85,10 +89,12 @@ class ColumnFamilyStore:
         #: highest version (of equal versions, the later put).  Replaced,
         #: never edited, by :meth:`put_row`; also the family's key index.
         self._latest: Dict[str, Row] = {}
-        #: row key -> its cells' version lists — or, while a single put is the
+        #: row key -> its cells' version lists; or, while a single put is the
         #: row's whole history, that put's version alone (its cells are the
-        #: snapshot's, and a bulk-loaded row is not held twice).
-        self._history: Dict[str, Union[int, _CellHistory]] = {}
+        #: snapshot's, and a bulk-loaded row is not held twice); or, while
+        #: every put wrote the whole row in version order, those puts' rows,
+        #: oldest first, the last being the snapshot.
+        self._history: Dict[str, Union[int, _RowHistory, _CellHistory]] = {}
 
     # ------------------------------------------------------------------
     def put_row(self, row_key: str, values: Mapping[str, Any], *, version: int) -> None:
@@ -100,6 +106,16 @@ class ColumnFamilyStore:
                 self._latest[row_key] = frozen
                 self._history[row_key] = version
             return
+        history = self._history[row_key]
+        if not isinstance(history, dict) and frozen.keys() == snapshot.keys():
+            if isinstance(history, int):  # its second put: its first is a whole row
+                history = self._history[row_key] = [(history, snapshot)]
+            if version >= history[-1][0]:  # a whole row in order is the snapshot
+                history.append((version, frozen))
+                if len(history) > self.max_versions:
+                    del history[0]
+                self._latest[row_key] = frozen
+                return
         history = self._history[row_key] = self._cells(row_key)
         cells = dict(snapshot)
         for qualifier, value in frozen.items():
@@ -116,13 +132,15 @@ class ColumnFamilyStore:
 
     def _cells(self, row_key: str) -> _CellHistory:
         """The row's per-cell version lists, spelled out of the snapshot while
-        one put is all of its history."""
+        one put is all of its history, or of its whole-row puts."""
         history = self._history.get(row_key, {})
         if isinstance(history, int):
             return {
                 qualifier: [(history, value)]
                 for qualifier, value in self._latest[row_key].items()
             }
+        if isinstance(history, list):
+            return {q: [(v, row[q]) for v, row in history] for q in self._latest[row_key]}
         return history
 
     def latest(self, row_key: str, version: Optional[int] = None) -> Optional[Row]:
@@ -208,15 +226,18 @@ class HBaseTable:
         version: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> List[Tuple[str, Row]]:
-        """Ordered scan of (row key, row) pairs, optionally prefix-filtered."""
+        """Ordered scan of (row key, row) pairs, optionally prefix-filtered,
+        of at most ``limit`` rows (a negative limit raises)."""
         family = self.family(column_family)
+        if limit is not None and limit < 0:
+            raise StorageError(f"scan limit must be non-negative, got {limit}")
         results: List[Tuple[str, Row]] = []
         for row_key in family.row_keys():
+            if limit is not None and len(results) >= limit:
+                break
             if prefix and not row_key.startswith(prefix):
                 continue
             row = family.latest(row_key, version)
             if row is not None:
                 results.append((row_key, row))
-            if limit is not None and len(results) >= limit:
-                break
         return results

@@ -8,8 +8,9 @@ the durability tests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional
+from typing import Any, Deque, List, Mapping, Optional
 
 from repro.exceptions import StorageError
 from repro.hbase.store import HBaseTable, Row, freeze_row
@@ -33,7 +34,8 @@ class WriteAheadLog:
     def __init__(self, *, max_entries: Optional[int] = None):
         if max_entries is not None and max_entries < 1:
             raise StorageError("max_entries must be positive when set")
-        self._entries: List[WALEntry] = []
+        # A full log drops its oldest entry as it appends, in O(1).
+        self._entries: Deque[WALEntry] = deque(maxlen=max_entries)
         self._sequence = 0
         self.max_entries = max_entries
 
@@ -57,8 +59,6 @@ class WriteAheadLog:
             version=version,
         )
         self._entries.append(entry)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            del self._entries[: len(self._entries) - self.max_entries]
         return entry
 
     def __len__(self) -> int:

@@ -20,7 +20,9 @@ watermark, which the engine maintains, so a row costs what the event changed
 (the buckets touched since the account's last read), not its window state.
 What is still paid per event is storage: two full-row puts, each its own WAL
 entry and cache invalidation (``payers`` cells are shared between an account's
-successive rows, not copied).
+successive rows, not copied).  A full-row put in version order costs its row,
+not its history: the store appends the frozen row to the account's short list
+of whole rows and swaps it in as the snapshot, with no per-cell work.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,26 @@ class TestHBaseTable:
         assert len(results) == 5
         assert all(key.startswith("u0") for key, _ in results)
 
+    @pytest.mark.parametrize("through", ["table", "client"])
+    def test_scan_limit_zero_returns_no_rows(self, through):
+        """Regression: the limit was tested only after a row was appended, so
+        ``limit=0`` returned the first row."""
+        client = HBaseClient()
+        table = client.create_table("features", ["cf"])
+        for key in ("a", "b", "c"):
+            client.put("features", key, "cf", {"x": 1}, version=1)
+        scan = table.scan if through == "table" else functools.partial(client.scan, "features")
+        assert scan("cf", limit=0) == []
+        assert scan("cf", limit=1) == [("a", {"x": 1})]
+        assert len(scan("cf", limit=3)) == 3
+
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_scan_negative_limit_raises(self, limit):
+        table = HBaseTable("features", ["cf"])
+        table.put("a", "cf", {"x": 1}, version=1)
+        with pytest.raises(StorageError, match="limit"):
+            table.scan("cf", limit=limit)
+
 
 class TestRegionsAndWAL:
     def test_routing_is_deterministic_and_spread(self):
@@ -79,6 +101,31 @@ class TestRegionsAndWAL:
         recovered = HBaseTable("t", ["cf"])
         assert wal.replay(recovered, table_name="t") == 5
         assert recovered.get("u3", "cf") == original.get("u3", "cf")
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_a_capped_wal_keeps_the_newest_entries(self, cap):
+        wal = WriteAheadLog(max_entries=cap)
+        for index in range(10):
+            wal.append("t" if index % 2 else "s", f"u{index}", "cf", {"x": index}, version=index)
+        newest = list(range(10 - cap, 10))
+        assert len(wal) == cap
+        assert [entry.sequence for entry in wal.entries()] == [i + 1 for i in newest]
+        assert [entry.row_key for entry in wal.entries(table="t")] == [
+            f"u{i}" for i in newest if i % 2
+        ]
+        recovered = HBaseTable("t", ["cf"])
+        assert wal.replay(recovered, table_name="t") == sum(i % 2 for i in newest)
+        assert recovered.row_keys() == [f"u{i}" for i in newest if i % 2]
+        assert all(recovered.get(f"u{i}", "cf") == {"x": i} for i in newest if i % 2)
+
+    def test_an_uncapped_wal_keeps_every_entry(self):
+        wal = WriteAheadLog()
+        for index in range(50):
+            wal.append("t", f"u{index}", "cf", {"x": index}, version=1)
+        assert [entry.sequence for entry in wal.entries()] == list(range(1, 51))
+        recovered = HBaseTable("t", ["cf"])
+        assert wal.replay(recovered) == 50
+        assert len(recovered.row_keys()) == 50
 
     def test_client_end_to_end(self):
         client = HBaseClient()

@@ -108,6 +108,18 @@ _puts = st.tuples(
     st.integers(1, 4),
     st.booleans(),
 )
+#: A whole-row put: every qualifier, at a version relative to the row's newest
+#: (above, equal, below), so rows reach the store's whole-row history, its trim
+#: at ``max_versions``, equal-version ties, and its fall-back to per-cell lists.
+_whole_row_puts = st.tuples(
+    st.just("whole"),
+    st.integers(0, 1),
+    _written_keys,
+    st.sampled_from(FAMILIES),
+    st.tuples(*[_cell_values] * len(QUALIFIERS)),
+    st.sampled_from((1, 1, 0, -1)),
+    st.booleans(),
+)
 _pins = st.one_of(st.none(), st.integers(0, 4))
 _defaults = st.one_of(st.none(), st.just({}), st.just({"q0": -1}))
 _reads = st.tuples(
@@ -125,13 +137,16 @@ _others = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    ops=st.lists(st.one_of(_puts, _puts, _reads, _reads, _others), max_size=50),
+_model_runs = given(
+    ops=st.lists(
+        st.one_of(_puts, _whole_row_puts, _whole_row_puts, _reads, _reads, _others), max_size=50
+    ),
     max_versions=st.integers(1, 3),
     cache_rows=st.integers(2, 4),
 )
-def test_reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
+
+
+def _reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
     clock = FakeClock()
     root = HBaseClient(
         max_versions=max_versions, row_cache_ttl_s=TTL_S, row_cache_rows=cache_rows, clock=clock
@@ -145,6 +160,11 @@ def test_reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
         return _model_read(puts, row_key, family, pin, max_versions)
 
     for op in ops:
+        if op[0] == "whole":
+            _, handle, row_key, family, cells, offset, check_now = op
+            newest = max((p[3] for p in puts if p[:2] == (row_key, family)), default=2)
+            values = dict(zip(QUALIFIERS, cells))
+            op = ("put", handle, row_key, family, values, newest + offset, check_now)
         if op[0] == "put":
             _, handle, row_key, family, values, version, check_now = op
             handles[handle].put(TABLE, row_key, family, values, version=version)
@@ -201,6 +221,14 @@ def test_reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
     assert sum(s["hits"] + s["misses"] for s in stats) == probes
     assert sum(s["misses"] for s in stats) == _region_reads(root)
     assert all(s["rows"] <= cache_rows for s in stats)
+
+
+test_reads_equal_a_brute_force_model = settings(max_examples=200, deadline=None)(
+    _model_runs(_reads_equal_a_brute_force_model)
+)
+test_reads_equal_a_brute_force_model_soak = pytest.mark.slow(
+    settings(max_examples=2000, deadline=None)(_model_runs(_reads_equal_a_brute_force_model))
+)
 
 
 # ---------------------------------------------------------------------------
