@@ -8,14 +8,14 @@ good as S2V; DW+S2V brings no further gain over DW alone.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core import ExperimentRunner
+from benchmarks.paper.table1 import format_table1, run_table1
 
 
 def test_table1_configurations(benchmark, bench_runner):
-    results = run_once(benchmark, bench_runner.run_table1)
+    results = run_once(benchmark, lambda: run_table1(bench_runner))
 
     print("\nTable 1 — F1 per configuration and day (synthetic world)")
-    print(ExperimentRunner.format_table1(results))
+    print(format_table1(results))
 
     by_label = {r.label: r.mean_f1 for r in results}
     # Headline orderings of the paper (checked on the mean over days).

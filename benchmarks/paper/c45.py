@@ -15,10 +15,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from benchmarks.paper.criteria import best_categorical_split, best_numeric_split
 from repro.exceptions import ModelError
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.node import TreeNode
-from repro.models.tree.splitter import best_categorical_split, best_numeric_split
 
 
 class C45Classifier(BaseDetector):

@@ -3,7 +3,7 @@
 The paper's first rule-based baseline.  ID3 treats every feature as a
 categorical attribute and splits multiway on the attribute with the highest
 information gain.  Continuous basic features must therefore be discretised
-first — the experiment harness bins them exactly as Section 5.1 describes
+first — the Table 1 driver bins them exactly as Section 5.1 describes
 ("we discretize the data into different bins").
 """
 
@@ -13,11 +13,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from benchmarks.paper.criteria import best_categorical_split
 from repro.exceptions import ModelError
 from repro.features.discretization import quantile_edges
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.node import TreeNode
-from repro.models.tree.splitter import best_categorical_split
 
 
 class ID3Classifier(BaseDetector):

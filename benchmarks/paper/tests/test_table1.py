@@ -1,0 +1,42 @@
+"""The Table 1 and Figure 9 drivers on the tier-1 session world."""
+
+from __future__ import annotations
+
+import pytest
+
+from benchmarks.paper.table1 import format_table1, run_recall_at_top, run_table1
+from repro.core import ExperimentConfig, ExperimentRunner, ModelHyperparameters
+from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
+
+import tests.conftest as conftest_module
+
+
+@pytest.fixture(scope="module")
+def experiment_runner(world):
+    config = ExperimentConfig(
+        num_datasets=1,
+        network_days=conftest_module.TEST_NETWORK_DAYS,
+        train_days=conftest_module.TEST_TRAIN_DAYS,
+        hyperparameters=ModelHyperparameters.fast_test_scale(),
+    )
+    return ExperimentRunner(world, config)
+
+
+def test_run_table1_subset(experiment_runner):
+    subset = [
+        Table1Configuration(1, DetectorName.ISOLATION_FOREST, FeatureSetName.BASIC),
+        Table1Configuration(5, DetectorName.GBDT, FeatureSetName.BASIC),
+        Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW),
+    ]
+    results = run_table1(experiment_runner, configurations=subset)
+    assert len(results) == 3
+    assert all(len(r.daily) == 1 for r in results)
+    assert all(0.0 <= r.mean_f1 <= 1.0 for r in results)
+    rendered = format_table1(results)
+    assert "Basic Features+GBDT" in rendered
+
+
+def test_recall_at_top_runs_for_all_detectors(experiment_runner):
+    results = run_recall_at_top(experiment_runner)
+    assert set(results) == {"if", "id3", "c50", "lr", "gbdt"}
+    assert all(0.0 <= value <= 1.0 for value in results.values())

@@ -64,8 +64,10 @@ PUBLIC_API = [
         "Experiment harness",
         "repro.core.experiment",
         ["ExperimentRunner"],
-        "Regenerates the paper's tables and figures, and builds ready-wired "
-        "online serving stacks for the benchmarks.",
+        "Regenerates the paper's GBDT sweeps, scores a trained configuration "
+        "on its test day (the Table 1 / Figure 9 drivers in benchmarks/paper "
+        "call it), and builds ready-wired online serving stacks for the "
+        "benchmarks.",
     ),
     (
         "Model registry",

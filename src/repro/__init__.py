@@ -12,7 +12,7 @@ Package map
 ``repro.graph``        transaction network, random walks, graph statistics
 ``repro.nrl``          DeepWalk, Structure2Vec, embeddings, PS-distributed DeepWalk
 ``repro.features``     52 basic features, discretisation, aggregation, assembly
-``repro.models``       ID3, C5.0, Isolation Forest, LR, GBDT, rules, PS drivers
+``repro.models``       GBDT, LR, rules, PS drivers (Table 1's IF, ID3 and C5.0: ``benchmarks/paper``)
 ``repro.maxcompute``   columnar tables, SQL subset, MapReduce, synchronous job client
 ``repro.kunpeng``      parameter-server cluster, failover, scalability cost model
 ``repro.hbase``        versioned column-family store, regions, WAL, client
@@ -24,9 +24,15 @@ Quick start
 >>> from repro.datagen import generate_world
 >>> from repro.datagen.datasets import small_world_config
 >>> from repro.core import ExperimentRunner, ExperimentConfig
+>>> from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 >>> world = generate_world(small_world_config())
 >>> runner = ExperimentRunner(world, ExperimentConfig.laptop_scale(num_datasets=1))
->>> results = runner.run_table1()
+>>> preparation = runner.preparation_for(runner.datasets()[0])
+>>> gbdt = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
+>>> metrics = runner.score_test_day(preparation, runner.pipeline.train(preparation, gbdt))
+
+The whole of Table 1, baselines included, is ``run_table1(runner)`` from
+``benchmarks/paper/table1.py``.
 """
 
 __version__ = "1.0.0"

@@ -10,7 +10,8 @@ This package ties every substrate together into the system of Figure 3:
   (MaxCompute ETL → transaction network → NRL on KunPeng → classifier →
   upload to Ali-HBase / Model Server),
 * :mod:`repro.core.experiment` — the rolling-evaluation harness that
-  regenerates the paper's tables and figures,
+  regenerates the paper's GBDT sweeps and scores a configuration on its test
+  day (the Table 1 / Figure 9 drivers in ``benchmarks/paper`` call it),
 * :mod:`repro.core.registry` — versioned model registry shared by the offline
   trainer and the online Model Server.
 """
@@ -35,7 +36,7 @@ from repro.core.config import (
     Table1Configuration,
 )
 from repro.core.pipeline import OfflineTrainingPipeline, TrainedModelBundle
-from repro.core.experiment import ExperimentRunner, ConfigurationResult, DailyResult
+from repro.core.experiment import ExperimentRunner
 from repro.core.registry import ModelRegistry, ModelVersion
 
 __all__ = [
@@ -57,8 +58,6 @@ __all__ = [
     "OfflineTrainingPipeline",
     "TrainedModelBundle",
     "ExperimentRunner",
-    "ConfigurationResult",
-    "DailyResult",
     "ModelRegistry",
     "ModelVersion",
 ]

@@ -8,6 +8,7 @@ Table 1 (detector × feature set) by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional
@@ -105,8 +106,6 @@ class ModelHyperparameters:
     deepwalk_epochs: int = 2
     s2v_epochs: int = 150
     s2v_propagation_rounds: int = 2
-    # Isolation Forest
-    if_num_trees: int = 100
     # Logistic Regression
     lr_l1: float = 0.1
     lr_iterations: int = 300
@@ -115,10 +114,6 @@ class ModelHyperparameters:
     gbdt_num_trees: int = 400
     gbdt_max_depth: int = 3
     gbdt_subsample: float = 0.4
-    # Rule-based trees
-    id3_max_depth: int = 6
-    id3_bins: int = 10
-    c50_max_depth: int = 8
     seed: int = 17
 
     def validate(self) -> None:
@@ -126,17 +121,20 @@ class ModelHyperparameters:
             raise ConfigurationError("embedding_dimension must be positive")
         if not 0.0 < self.gbdt_subsample <= 1.0:
             raise ConfigurationError("gbdt_subsample must be in (0, 1]")
+        if not 0.0 <= self.lr_l1 < math.inf:
+            raise ConfigurationError("lr_l1 must be finite and non-negative")
+        if self.lr_discretize_bins < 0:
+            raise ConfigurationError("lr_discretize_bins must be non-negative")
         for name in (
             "deepwalk_walk_length",
             "deepwalk_num_walks",
+            "deepwalk_window",
             "deepwalk_epochs",
             "s2v_epochs",
-            "if_num_trees",
+            "s2v_propagation_rounds",
             "lr_iterations",
             "gbdt_num_trees",
             "gbdt_max_depth",
-            "id3_max_depth",
-            "c50_max_depth",
         ):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
@@ -155,7 +153,6 @@ class ModelHyperparameters:
             deepwalk_window=5,
             deepwalk_epochs=2,
             s2v_epochs=80,
-            if_num_trees=60,
             lr_iterations=150,
             lr_discretize_bins=30,
             gbdt_num_trees=80,
@@ -172,7 +169,6 @@ class ModelHyperparameters:
             deepwalk_window=3,
             deepwalk_epochs=1,
             s2v_epochs=15,
-            if_num_trees=20,
             lr_iterations=40,
             lr_discretize_bins=8,
             gbdt_num_trees=15,

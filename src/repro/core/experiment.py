@@ -1,74 +1,36 @@
 """Rolling T+1 experiment harness.
 
-Regenerates the paper's evaluation: Table 1 (eleven configurations × seven
-consecutive test days), Figure 9 (rec@top 1 % per detector), Figure 11
-(embedding-dimension sweep), Figure 12 (GBDT tree-count sweep) and Table 2
-(DeepWalk node-sampling sweep).  Absolute numbers depend on the synthetic
-world; the harness is written so the orderings and trends the paper reports
-can be checked programmatically.
+Regenerates the paper's GBDT sweeps: Figure 11 (embedding dimension),
+Figure 12 (tree count) and Table 2 (DeepWalk node sampling), and owns how a
+trained configuration is scored on its test day.  Table 1 and Figure 9, which
+also train the IF, ID3 and C5.0 baselines, are driven from
+``benchmarks/paper/table1.py`` through the same runner.  Absolute numbers
+depend on the synthetic world; the harness is written so the orderings and
+trends the paper reports can be checked programmatically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.core.config import (
     DetectorName,
     ExperimentConfig,
     FeatureSetName,
     Table1Configuration,
-    TABLE1_CONFIGURATIONS,
 )
-from repro.core.evaluation import (
-    EvaluationMetrics,
-    evaluate_scores,
-    recall_at_top_percent,
-    select_threshold,
+from repro.core.evaluation import EvaluationMetrics, evaluate_scores, select_threshold
+from repro.core.pipeline import (
+    OfflineTrainingPipeline,
+    SlicePreparation,
+    TrainedModelBundle,
+    build_detector,
 )
-from repro.core.pipeline import OfflineTrainingPipeline, SlicePreparation, build_detector
 from repro.datagen.datasets import RollingDatasets
-from repro.datagen.transactions import TransactionWorld
 from repro.exceptions import ConfigurationError
 from repro.hbase.client import HBaseClient
-from repro.logging_utils import get_logger
 from repro.serving.alipay import AlipayServer
 from repro.serving.model_server import ModelServer, ModelServerConfig
-
-logger = get_logger("core.experiment")
-
-
-@dataclass
-class DailyResult:
-    """Metrics of one configuration on one test day."""
-
-    test_day: int
-    metrics: EvaluationMetrics
-
-    @property
-    def f1(self) -> float:
-        return self.metrics.f1
-
-
-@dataclass
-class ConfigurationResult:
-    """One row of Table 1: per-day metrics plus the average."""
-
-    configuration: Table1Configuration
-    daily: List[DailyResult] = field(default_factory=list)
-
-    @property
-    def label(self) -> str:
-        return self.configuration.label
-
-    @property
-    def mean_f1(self) -> float:
-        return float(np.mean([d.f1 for d in self.daily])) if self.daily else 0.0
-
-    def f1_by_day(self) -> Dict[int, float]:
-        return {d.test_day: d.f1 for d in self.daily}
 
 
 class ExperimentRunner:
@@ -144,36 +106,10 @@ class ExperimentRunner:
     def _prepare(self, dataset, **kwargs) -> SlicePreparation:
         return self.pipeline.prepare(dataset, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Table 1
-    # ------------------------------------------------------------------
-    def run_table1(
-        self,
-        *,
-        configurations: Optional[Sequence[Table1Configuration]] = None,
-    ) -> List[ConfigurationResult]:
-        """Run every configuration over every rolling dataset."""
-        configurations = list(configurations or self.config.configurations)
-        results = [ConfigurationResult(configuration=c) for c in configurations]
-        for dataset in self.datasets():
-            preparation = self.preparation_for(dataset)
-            for result in results:
-                metrics = self._run_configuration(preparation, result.configuration)
-                result.daily.append(DailyResult(test_day=dataset.spec.test_day, metrics=metrics))
-                logger.debug(
-                    "day %d %s F1=%.4f",
-                    dataset.spec.test_day,
-                    result.label,
-                    metrics.f1,
-                )
-        return results
-
-    def _run_configuration(
-        self,
-        preparation: SlicePreparation,
-        configuration: Table1Configuration,
+    def score_test_day(
+        self, preparation: SlicePreparation, bundle: TrainedModelBundle
     ) -> EvaluationMetrics:
-        """Train one configuration and score the test day.
+        """Score a trained bundle on its slice's test day.
 
         The paper does not state how the F1 decision threshold is chosen, and
         several detectors produce very differently calibrated scores (IF
@@ -184,7 +120,6 @@ class ExperimentRunner:
         deployment path (ModelServer) keeps using the threshold calibrated on
         the training window (``bundle.threshold``).
         """
-        bundle = self.pipeline.train(preparation, configuration)
         test_matrix = self.pipeline.evaluate(preparation, bundle)
         scores = bundle.detector.predict_proba(test_matrix.values)
         return evaluate_scores(test_matrix.labels, scores, threshold=None)
@@ -241,47 +176,6 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    # Figure 9: rec@top 1 % per detection method
-    # ------------------------------------------------------------------
-    def run_recall_at_top(
-        self,
-        *,
-        percent: float = 1.0,
-        detectors: Sequence[DetectorName] = (
-            DetectorName.ISOLATION_FOREST,
-            DetectorName.ID3,
-            DetectorName.C50,
-            DetectorName.LOGISTIC_REGRESSION,
-            DetectorName.GBDT,
-        ),
-        feature_set: FeatureSetName = FeatureSetName.BASIC_DW,
-    ) -> Dict[str, float]:
-        """rec@top percent for each detector on Dataset 1.
-
-        IF, ID3 and C5.0 are always evaluated on basic features only (as in
-        Table 1); LR and GBDT use ``feature_set``.
-        """
-        dataset = self.datasets()[0]
-        preparation = self.preparation_for(dataset)
-        results: Dict[str, float] = {}
-        for detector_name in detectors:
-            if detector_name in (
-                DetectorName.ISOLATION_FOREST,
-                DetectorName.ID3,
-                DetectorName.C50,
-            ):
-                configuration = Table1Configuration(0, detector_name, FeatureSetName.BASIC)
-            else:
-                configuration = Table1Configuration(0, detector_name, feature_set)
-            bundle = self.pipeline.train(preparation, configuration)
-            test_matrix = self.pipeline.evaluate(preparation, bundle)
-            scores = bundle.detector.predict_proba(test_matrix.values)
-            results[detector_name.value] = recall_at_top_percent(
-                test_matrix.labels, scores, percent=percent
-            )
-        return results
-
-    # ------------------------------------------------------------------
     # Figure 11: embedding-dimension sweep
     # ------------------------------------------------------------------
     def run_dimension_sweep(
@@ -306,7 +200,8 @@ class ExperimentRunner:
             )
             for feature_set in feature_sets:
                 configuration = Table1Configuration(0, DetectorName.GBDT, feature_set)
-                metrics = self._run_configuration(preparation, configuration)
+                bundle = self.pipeline.train(preparation, configuration)
+                metrics = self.score_test_day(preparation, bundle)
                 results[feature_set.value][int(dimension)] = metrics.f1
         return results
 
@@ -377,27 +272,7 @@ class ExperimentRunner:
                 deepwalk_num_walks=int(count),
             )
             configuration = Table1Configuration(0, DetectorName.GBDT, FeatureSetName.BASIC_DW)
-            metrics = self._run_configuration(preparation, configuration)
+            bundle = self.pipeline.train(preparation, configuration)
+            metrics = self.score_test_day(preparation, bundle)
             results[int(count)] = metrics.f1
         return results
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def format_table1(results: Sequence[ConfigurationResult]) -> str:
-        """Render Table 1 as fixed-width text (rows = configurations, columns = days)."""
-        if not results:
-            return "(no results)"
-        days = sorted({d.test_day for r in results for d in r.daily})
-        header = ["#", "Configuration"] + [f"day {d}" for d in days] + ["mean"]
-        lines = ["  ".join(f"{h:>18}" if i > 1 else f"{h:<28}" for i, h in enumerate(header))]
-        for result in results:
-            by_day = result.f1_by_day()
-            cells = [f"{result.configuration.number}", result.label]
-            cells += [f"{by_day.get(d, float('nan')):.2%}" for d in days]
-            cells += [f"{result.mean_f1:.2%}"]
-            lines.append(
-                "  ".join(f"{c:>18}" if i > 1 else f"{c:<28}" for i, c in enumerate(cells))
-            )
-        return "\n".join(lines)

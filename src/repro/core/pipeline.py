@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.config import (
     DetectorName,
     FeatureSetName,
@@ -60,10 +58,7 @@ from repro.maxcompute.client import MaxComputeClient
 from repro.maxcompute.mapreduce import transaction_edge_job
 from repro.models.base import BaseDetector
 from repro.models.gbdt import GradientBoostingClassifier
-from repro.models.isolation_forest import IsolationForest
 from repro.models.logistic_regression import LogisticRegression
-from repro.models.tree.c45 import C45Classifier
-from repro.models.tree.id3 import ID3Classifier
 from repro.nrl.deepwalk import DeepWalk, DeepWalkConfig
 from repro.nrl.embeddings import EmbeddingSet
 from repro.nrl.structure2vec import (
@@ -82,20 +77,12 @@ from repro.serving.streaming import StreamingFeatureUpdater
 logger = get_logger("core.pipeline")
 
 
-def build_detector(
-    name: DetectorName, hyperparameters: ModelHyperparameters, *, seed: Optional[int] = None
-) -> BaseDetector:
-    """Instantiate a detector with the configured hyperparameters."""
-    seed = hyperparameters.seed if seed is None else seed
-    if name is DetectorName.ISOLATION_FOREST:
-        return IsolationForest(num_trees=hyperparameters.if_num_trees, seed=seed)
-    if name is DetectorName.ID3:
-        return ID3Classifier(
-            max_depth=hyperparameters.id3_max_depth,
-            discretize_bins=hyperparameters.id3_bins,
-        )
-    if name is DetectorName.C50:
-        return C45Classifier(max_depth=hyperparameters.c50_max_depth)
+def build_detector(name: DetectorName, hyperparameters: ModelHyperparameters) -> BaseDetector:
+    """Instantiate GBDT or LR with the configured hyperparameters.
+
+    Table 1's IF, ID3 and C5.0 baselines are built in ``benchmarks/paper``
+    and handed to :meth:`OfflineTrainingPipeline.train` as its ``detector``.
+    """
     if name is DetectorName.LOGISTIC_REGRESSION:
         return LogisticRegression(
             l1=hyperparameters.lr_l1,
@@ -108,9 +95,12 @@ def build_detector(
             max_depth=hyperparameters.gbdt_max_depth,
             subsample_rows=hyperparameters.gbdt_subsample,
             subsample_features=hyperparameters.gbdt_subsample,
-            seed=seed,
+            seed=hyperparameters.seed,
         )
-    raise ConfigurationError(f"unknown detector {name!r}")
+    raise ConfigurationError(
+        f"build_detector builds GBDT and LR only, not {name!r}; Table 1's "
+        "baselines are built by build_table1_detector in benchmarks/paper/table1.py"
+    )
 
 
 @dataclass
@@ -337,7 +327,12 @@ class OfflineTrainingPipeline:
         *,
         detector: Optional[BaseDetector] = None,
     ) -> TrainedModelBundle:
-        """Train one Table 1 configuration on the slice's training window."""
+        """Train one Table 1 configuration on the slice's training window.
+
+        ``detector`` is an unfitted model to train instead of
+        :func:`build_detector`'s — how the Table 1 baselines of
+        ``benchmarks/paper`` get trained.
+        """
         assembler = self.assembler_for(preparation, configuration.feature_set)
         train_matrix = assembler.assemble(preparation.dataset.train_transactions)
         detector = detector or build_detector(configuration.detector, self.hyperparameters)

@@ -1,39 +1,29 @@
-"""Detection methods.
+"""Detection methods TitAnt deploys.
 
-The paper "extensively investigates and validates rule-based methods, anomaly
-detection approaches and classification models":
-
-* rule-based: ID3 and C5.0 decision trees operating on discretised
-  features-as-rules (:mod:`repro.models.tree`),
-* anomaly detection: Isolation Forest, which needs no labels
-  (:mod:`repro.models.isolation_forest`),
-* classification: Logistic Regression with feature discretisation and L1
-  regularisation, and Gradient Boosting Decision Trees
-  (:mod:`repro.models.logistic_regression`, :mod:`repro.models.gbdt`).
+The production model is Gradient Boosting Decision Trees on basic features ⊕
+node embeddings; Logistic Regression with feature discretisation and L1
+regularisation is the second trained model
+(:mod:`repro.models.gbdt`, :mod:`repro.models.logistic_regression`).
+:mod:`repro.models.rules` holds the IF/THEN rule sets the overload fallback
+scores with, and extracts them from any fitted :class:`TreeNode` tree.
 
 All models are implemented from scratch on NumPy and share the
 :class:`~repro.models.base.BaseDetector` interface (``fit`` / ``predict_proba``
-/ ``predict``), so the experiment harness can swap them freely.  The
-parameter-server training drivers used for Figure 10 live in
-:mod:`repro.models.distributed`.
+/ ``predict``).  The parameter-server training drivers used for Figure 10
+live in :mod:`repro.models.distributed`.  Table 1's comparison baselines
+(Isolation Forest, ID3, C5.0) are not deployed and live in
+``benchmarks/paper``.
 """
 
-from repro.models.base import BaseDetector, DetectionResult
-from repro.models.tree.id3 import ID3Classifier
-from repro.models.tree.c45 import C45Classifier
+from repro.models.base import BaseDetector
 from repro.models.tree.cart import RegressionTree
-from repro.models.isolation_forest import IsolationForest
 from repro.models.logistic_regression import LogisticRegression
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.rules import Rule, RuleSet, extract_rules
 
 __all__ = [
     "BaseDetector",
-    "DetectionResult",
-    "ID3Classifier",
-    "C45Classifier",
     "RegressionTree",
-    "IsolationForest",
     "LogisticRegression",
     "GradientBoostingClassifier",
     "Rule",

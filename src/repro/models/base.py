@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,31 +36,6 @@ def validate_training_inputs(
     if not np.all(np.isin(unique, [0.0, 1.0])):
         raise ModelError(f"labels must be binary (0/1), found values {unique[:5]}")
     return features, labels
-
-
-@dataclass
-class DetectionResult:
-    """Scored transactions: fraud probabilities plus the decision threshold."""
-
-    probabilities: np.ndarray
-    threshold: float = 0.5
-    model_name: str = ""
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def predictions(self) -> np.ndarray:
-        """Binary fraud decisions at ``threshold``."""
-        return (self.probabilities >= self.threshold).astype(np.int64)
-
-    def top_fraction(self, fraction: float) -> np.ndarray:
-        """Indices of the most suspicious ``fraction`` of transactions.
-
-        Used by the rec@top-k% metric of Figure 9.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ModelError("fraction must be in (0, 1]")
-        count = max(1, int(round(fraction * self.probabilities.shape[0])))
-        return np.argsort(-self.probabilities)[:count]
 
 
 class BaseDetector(ABC):

@@ -94,8 +94,8 @@ class GradientBoostingClassifier(BaseDetector):
             raise ModelError("subsample_features must be in (0, 1]")
         if min_samples_leaf < 1:
             raise ModelError("min_samples_leaf must be at least 1")
-        if reg_lambda < 0.0:
-            raise ModelError("reg_lambda must be non-negative")
+        if not 0.0 <= reg_lambda < np.inf:
+            raise ModelError("reg_lambda must be finite and non-negative")
         if objective not in ("logistic", "squared"):
             raise ModelError(f"unknown objective {objective!r}")
         if class_weight not in (None, "balanced"):

@@ -16,17 +16,9 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.features.discretization import Discretizer, DiscretizerConfig
-from repro.features.matrix import FeatureMatrix
+from repro.features.discretization import Discretizer
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.numerics import class_weights, column_scaling, sigmoid
-
-
-def _as_matrix(features: np.ndarray) -> FeatureMatrix:
-    """The unnamed-column matrix the :class:`Discretizer` works on."""
-    return FeatureMatrix(
-        feature_names=[f"f{i}" for i in range(features.shape[1])], values=features
-    )
 
 
 def soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
@@ -69,12 +61,12 @@ class LogisticRegression(BaseDetector):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
-        if l1 < 0:
-            raise ModelError("l1 must be non-negative")
+        if not 0.0 <= l1 < np.inf:
+            raise ModelError("l1 must be finite and non-negative")
         if iterations < 1:
             raise ModelError("iterations must be at least 1")
-        if learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
+        if not 0.0 < learning_rate < np.inf:
+            raise ModelError("learning_rate must be finite and positive")
         if class_weight not in (None, "balanced"):
             raise ModelError("class_weight must be None or 'balanced'")
         self.l1 = l1
@@ -145,15 +137,13 @@ class LogisticRegression(BaseDetector):
         self._discretizer = None
         self._mean = self._std = None
         if self.discretize_bins and self.discretize_bins > 1:
-            self._discretizer = Discretizer(
-                DiscretizerConfig(num_bins=self.discretize_bins, kind="quantile", one_hot=True)
-            ).fit(_as_matrix(features))
+            self._discretizer = Discretizer(self.discretize_bins).fit(features)
         else:
             self._mean, self._std = column_scaling(features)
         return self._apply_preprocess(features)
 
     def _apply_preprocess(self, features: np.ndarray) -> np.ndarray:
         if self._discretizer is not None:
-            return self._discretizer.transform(_as_matrix(features)).values
+            return self._discretizer.transform(features)
         assert self._mean is not None and self._std is not None
         return (features - self._mean) / self._std

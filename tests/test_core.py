@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 from repro.core.evaluation import confusion_counts, evaluate_scores, precision_recall
-from repro.core.pipeline import OfflineTrainingPipeline, build_detector
+from repro.core.pipeline import OfflineTrainingPipeline
 from repro.exceptions import ConfigurationError, ModelError, ServingError
 from repro.hbase import HBaseClient
 from repro.models.gbdt import GradientBoostingClassifier
@@ -105,11 +105,22 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(embedding_side="middle").validate()
 
-    def test_build_detector_covers_all_names(self):
-        hp = ModelHyperparameters.fast_test_scale()
-        for name in DetectorName:
-            detector = build_detector(name, hp)
-            assert hasattr(detector, "fit")
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lr_l1", float("nan")),
+            ("lr_l1", float("inf")),
+            ("lr_l1", -0.1),
+            ("lr_discretize_bins", -1),
+            ("deepwalk_window", 0),
+            ("s2v_propagation_rounds", 0),
+        ],
+    )
+    def test_hyperparameters_reject_what_the_models_cannot_train_on(self, name, value):
+        """A NaN L1 weight would make LR answer NaN for every row (never an
+        alert); the window and the propagation rounds need one step each."""
+        with pytest.raises(ConfigurationError):
+            ModelHyperparameters.laptop_scale().with_overrides(**{name: value}).validate()
 
 
 class TestRegistry:
@@ -176,24 +187,6 @@ class TestPipelineAndExperiment:
         assert 0.0 <= bundle.threshold <= 1.0
         test_matrix = experiment_runner.pipeline.evaluate(preparation, bundle)
         assert test_matrix.num_features == len(bundle.feature_names)
-
-    def test_run_table1_subset(self, experiment_runner):
-        subset = [
-            Table1Configuration(1, DetectorName.ISOLATION_FOREST, FeatureSetName.BASIC),
-            Table1Configuration(5, DetectorName.GBDT, FeatureSetName.BASIC),
-            Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW),
-        ]
-        results = experiment_runner.run_table1(configurations=subset)
-        assert len(results) == 3
-        assert all(len(r.daily) == 1 for r in results)
-        assert all(0.0 <= r.mean_f1 <= 1.0 for r in results)
-        rendered = ExperimentRunner.format_table1(results)
-        assert "Basic Features+GBDT" in rendered
-
-    def test_recall_at_top_runs_for_all_detectors(self, experiment_runner):
-        results = experiment_runner.run_recall_at_top()
-        assert set(results) == {"if", "id3", "c50", "lr", "gbdt"}
-        assert all(0.0 <= value <= 1.0 for value in results.values())
 
     def test_node_sampling_sweep(self, experiment_runner):
         results = experiment_runner.run_node_sampling_sweep(sampling_counts=(2, 4))

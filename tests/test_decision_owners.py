@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.paper.table1 import build_table1_detector
 from repro.core import config as core_config
-from repro.core.config import ExperimentConfig
-from repro.core.pipeline import OfflineTrainingPipeline
+from repro.core.config import DetectorName, ExperimentConfig, ModelHyperparameters
+from repro.core.pipeline import OfflineTrainingPipeline, build_detector
 from repro.datagen import schema
+from repro.exceptions import ConfigurationError
 from repro.features import aggregation, assembler, plan, streaming
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
 from repro.models.tree import splitter
@@ -60,6 +62,40 @@ def test_a_late_label_is_hidden_in_one_place():
         if any(text in path.read_text() for text in spellings)
     ]
     assert spelled == ["src/repro/datagen/schema.py"]
+
+
+TABLE1_BASELINES = ("IsolationForest", "ID3Classifier", "C45Classifier")
+
+
+@pytest.mark.parametrize(
+    "name", [DetectorName.ISOLATION_FOREST, DetectorName.ID3, DetectorName.C50]
+)
+def test_build_detector_sends_the_baselines_to_benchmarks(name):
+    """``src/`` builds the detectors TitAnt deploys; Table 1's baselines are
+    built beside the benchmark that compares them."""
+    with pytest.raises(ConfigurationError, match="benchmarks/paper"):
+        build_detector(name, ModelHyperparameters.fast_test_scale())
+
+
+def test_no_baseline_is_defined_in_src():
+    defined = [
+        f"{path.relative_to(REPO_ROOT).as_posix()}:{node.name}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name in TABLE1_BASELINES
+    ]
+    assert defined == []
+
+
+def test_the_table1_factory_builds_every_detector():
+    hp = ModelHyperparameters.fast_test_scale()
+    built = {name: build_table1_detector(name, hp) for name in DetectorName}
+    assert [type(built[name]).__name__ for name in DetectorName] == [
+        *TABLE1_BASELINES,
+        "LogisticRegression",
+        "GradientBoostingClassifier",
+    ]
+    assert not any(detector.is_fitted for detector in built.values())
 
 
 def test_the_gbdt_is_built_only_from_hyperparameters():

@@ -11,13 +11,7 @@ from repro.exceptions import FeatureError, NotFittedError
 from repro.features.aggregation import AggregationConfig, TransactionAggregator
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
 from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor
-from repro.features.discretization import (
-    Discretizer,
-    DiscretizerConfig,
-    EqualWidthBinner,
-    QuantileBinner,
-    discretize_array,
-)
+from repro.features.discretization import Discretizer, QuantileBinner
 from repro.features.matrix import FeatureMatrix
 from repro.nrl.embeddings import EmbeddingSet
 
@@ -97,38 +91,21 @@ class TestDiscretization:
         counts = np.bincount(bins.astype(int), minlength=10)
         assert counts.min() > 50  # roughly equal-frequency
 
-    def test_equal_width_binner_monotonic(self):
-        values = np.linspace(0, 100, 500)
-        binner = EqualWidthBinner(5).fit(values)
-        bins = binner.transform(values)
-        assert (np.diff(bins) >= 0).all()
-        assert bins.min() == 0 and bins.max() == 4
-
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             QuantileBinner(4).transform(np.array([1.0, 2.0]))
 
-    def test_discretizer_passthrough_binary_columns(self, feature_matrices):
-        train, _ = feature_matrices
-        discretizer = Discretizer(DiscretizerConfig(num_bins=8))
-        transformed = discretizer.fit_transform(train)
-        # Binary flags stay binary.
-        assert set(np.unique(transformed.column("is_new_device"))) <= {0.0, 1.0}
-        # Continuous columns become small bin indices.
-        assert transformed.column("amount").max() <= 7
-
     def test_discretizer_one_hot_expands_columns(self, feature_matrices):
         train, _ = feature_matrices
-        discretizer = Discretizer(DiscretizerConfig(num_bins=6, one_hot=True))
-        transformed = discretizer.fit_transform(train)
-        assert transformed.num_features > train.num_features
-        assert set(np.unique(transformed.values)) <= {0.0, 1.0} | set(
+        discretizer = Discretizer(6)
+        transformed = discretizer.fit_transform(train.values)
+        assert transformed.shape[1] > train.num_features
+        assert set(np.unique(transformed)) <= {0.0, 1.0} | set(
             np.unique(train.values[:, [train.feature_names.index(n) for n in train.feature_names if n in ("payer_home_city_bucket",)]]).tolist()
-        ) or transformed.values.max() <= train.values.max()
-
-    def test_discretize_array_requires_2d(self):
-        with pytest.raises(FeatureError):
-            discretize_array(np.arange(5))
+        ) or transformed.max() <= train.values.max()
+        # Binary flags pass through unbinned.
+        flag = train.values[:, [train.feature_names.index("is_new_device")]]
+        assert np.array_equal(Discretizer(6).fit_transform(flag), flag)
 
 
 class TestAggregation:

@@ -1,6 +1,8 @@
-"""Tests of Isolation Forest, Logistic Regression and GBDT."""
+"""Tests of Logistic Regression and GBDT."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError, NotFittedError
-from repro.models.base import DetectionResult, validate_training_inputs
+from repro.models.base import validate_training_inputs
 from repro.models.gbdt import GradientBoostingClassifier
-from repro.models.isolation_forest import IsolationForest, average_path_length
 from repro.models.logistic_regression import LogisticRegression, soft_threshold
 
 
@@ -30,48 +31,6 @@ class TestBaseValidation:
             validate_training_inputs(np.zeros((0, 2)), None)
         with pytest.raises(ModelError):
             validate_training_inputs(np.ones((3, 2)), np.array([0, 1]))
-
-    def test_detection_result_top_fraction(self):
-        result = DetectionResult(probabilities=np.array([0.1, 0.9, 0.5, 0.7]))
-        top = result.top_fraction(0.5)
-        assert set(top.tolist()) == {1, 3}
-        assert result.predictions.tolist() == [0, 1, 1, 1]
-        with pytest.raises(ModelError):
-            result.top_fraction(0.0)
-
-
-class TestIsolationForest:
-    def test_average_path_length_monotonic(self):
-        values = [average_path_length(n) for n in (2, 10, 100, 1000)]
-        assert values == sorted(values)
-
-    def test_outliers_score_higher(self):
-        rng = np.random.default_rng(0)
-        inliers = rng.normal(0, 1, size=(500, 2))
-        outliers = rng.normal(8, 0.5, size=(10, 2))
-        model = IsolationForest(num_trees=50, seed=1).fit(np.vstack([inliers, outliers]))
-        scores = model.predict_proba(np.vstack([inliers[:50], outliers]))
-        assert scores[50:].mean() > scores[:50].mean()
-
-    def test_scores_in_unit_interval(self, feature_matrices):
-        train, test = feature_matrices
-        model = IsolationForest(num_trees=30, seed=2).fit(train.values)
-        scores = model.predict_proba(test.values)
-        assert np.all((scores > 0.0) & (scores < 1.0))
-
-    def test_unsupervised_ignores_labels(self, feature_matrices):
-        train, test = feature_matrices
-        with_labels = IsolationForest(num_trees=20, seed=3).fit(train.values, train.labels)
-        without = IsolationForest(num_trees=20, seed=3).fit(train.values)
-        assert np.allclose(
-            with_labels.predict_proba(test.values[:20]), without.predict_proba(test.values[:20])
-        )
-
-    def test_invalid_params(self):
-        with pytest.raises(ModelError):
-            IsolationForest(num_trees=0)
-        with pytest.raises(ModelError):
-            IsolationForest(subsample_size=1)
 
 
 class TestLogisticRegression:
@@ -109,6 +68,44 @@ class TestLogisticRegression:
         features, _ = small_classification_data
         with pytest.raises(ModelError):
             LogisticRegression().fit(features, None)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"l1": float("nan")},
+            {"l1": float("inf")},
+            {"l1": -0.1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+        ],
+        ids=repr,
+    )
+    def test_non_finite_settings_are_rejected(self, setting):
+        """A NaN L1 weight trained a model answering NaN for every row, and
+        ``p >= threshold`` is false for NaN: it would approve every transfer."""
+        with pytest.raises(ModelError):
+            LogisticRegression(**setting)
+
+    @pytest.mark.parametrize(
+        "bins, digest",
+        [
+            (0, "b48873de11400f18"),  # standardised raw features
+            (2, "a0bac60f3ba08083"),
+            (10, "197bae2da98e8ec9"),
+            (200, "b5a8d6c6629fe042"),
+        ],
+    )
+    def test_predictions_unmoved_by_the_one_discretiser_mode(
+        self, small_classification_data, bins, digest
+    ):
+        """Digests recorded before the discretiser lost its equal-width and
+        bin-index modes; column 5 is a flag, which passes through."""
+        features, labels = small_classification_data
+        features = features.copy()
+        features[:, 5] = (features[:, 5] > 0).astype(float)
+        model = LogisticRegression(discretize_bins=bins, iterations=50).fit(features, labels)
+        scores = model.predict_proba(features)
+        assert hashlib.sha256(scores.tobytes()).hexdigest()[:16] == digest
 
 
 class TestGBDT:
@@ -163,6 +160,12 @@ class TestGBDT:
             GradientBoostingClassifier(subsample_rows=0.0)
         with pytest.raises(ModelError):
             GradientBoostingClassifier(objective="absolute")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("reg_lambda", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_reg_lambda_is_rejected(self, reg_lambda):
+        """A NaN ``reg_lambda`` trained a forest answering NaN for every row."""
+        with pytest.raises(ModelError):
+            GradientBoostingClassifier(reg_lambda=reg_lambda)
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
