@@ -95,15 +95,16 @@ PUBLIC_API = [
         "SQL backfill engine",
         "repro.features.sql_backfill",
         ["SQLBackfillEngine", "BackfillStats"],
-        "The T+1 aggregate backfill as generated windowed SQL over a "
-        "day-partitioned staging table, bit-identical to the Python loop.",
+        "The T+1 aggregate backfill as three generated GROUP BY statements "
+        "over a day-partitioned staging table, bit-identical to the Python loop.",
     ),
     (
         "MaxCompute SQL engine",
         "repro.maxcompute.sql",
-        ["parse_sql", "SQLExecutor", "QueryStats", "WindowAggregate", "WindowFrame"],
-        "The mini SQL dialect: parser, aggregate window functions over RANGE "
-        "frames, and per-query scan/pruning statistics.",
+        ["parse_sql", "SQLExecutor", "QueryStats"],
+        "The mini SQL dialect the backfill issues (column and COUNT / SUM / MAX "
+        "select items, a conjunctive WHERE, GROUP BY): parser, executor and "
+        "per-query scan/pruning statistics.",
     ),
     (
         "Partitioned tables",

@@ -12,11 +12,12 @@ assembles the exact per-user state the loop produces.  Zone maps let the
 executor skip every partition outside ``(as_of - W, as_of]``, and the scan
 accounting lands in :class:`BackfillStats`.
 
-Why GROUP BY and not ``OVER (... RANGE BETWEEN W PRECEDING AND CURRENT
-ROW)``: the WHERE clause already clips the staged rows to ``(as_of - W,
-as_of]``, so every account's window is the whole of its group.  A window
-query would compute a row per event only for the backfill to keep each
-account's last one; the GROUP BY asks for exactly the row it keeps.
+Why GROUP BY suffices: the WHERE clause already clips the staged rows to
+``(as_of - W, as_of]``, so every account's window is the whole of its group.
+A window query (``OVER (... RANGE BETWEEN W PRECEDING AND CURRENT ROW)``)
+would compute a row per event only for the backfill to keep each account's
+last one; the GROUP BY asks for exactly the row it keeps, and these three
+statements are the whole of the SQL dialect the executor speaks.
 
 Why the results are *bit-identical* to the loop: counts, maxima and distinct
 sets do not depend on order, and each SUM is a pure left fold of additions,
@@ -100,16 +101,10 @@ class SQLBackfillEngine:
 
     STAGING_TABLE = "txn_backfill_staging"
 
-    def __init__(
-        self,
-        config: Optional[AggregationConfig] = None,
-        *,
-        prune_partitions: bool = True,
-    ):
+    def __init__(self, config: Optional[AggregationConfig] = None):
         self.config = config or AggregationConfig()
         self.config.validate()
         self.client = MaxComputeClient()
-        self.prune_partitions = prune_partitions
         #: Scan accounting of the most recent :meth:`backfill` call.
         self.last_stats: Optional[BackfillStats] = None
 
@@ -201,7 +196,7 @@ class SQLBackfillEngine:
         )
 
     def _run(self, sql: str, stats: BackfillStats) -> Table:
-        result = self.client.submit_sql(sql, prune_partitions=self.prune_partitions)
+        result = self.client.submit_sql(sql)
         if not result.succeeded or result.result_table is None:
             raise FeatureError(f"backfill query failed ({result.error}): {sql}")
         if result.query_stats is not None:

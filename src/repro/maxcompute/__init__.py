@@ -13,9 +13,9 @@ This package reproduces what a job's caller sees of that stack, in process:
 * :mod:`repro.maxcompute.table` / :mod:`repro.maxcompute.partitioned` —
   columnar tables, and key-partitioned tables with per-partition zone maps,
 * :mod:`repro.maxcompute.catalog` — the tables by name, with JSON snapshots,
-* :mod:`repro.maxcompute.sql` — a small SQL subset (SELECT / WHERE / GROUP BY /
-  ORDER BY / LIMIT with aggregates and window functions) with a parser,
-  planner and executor,
+* :mod:`repro.maxcompute.sql` — the SQL the T+1 backfill issues (SELECT of
+  columns and COUNT / SUM / MAX, a conjunctive WHERE, GROUP BY) with a parser
+  and executor,
 * :mod:`repro.maxcompute.mapreduce` — a MapReduce engine over tables,
 * :mod:`repro.maxcompute.client` — the developer-facing client: a SQL or
   MapReduce job runs synchronously as one task and ends terminated or failed

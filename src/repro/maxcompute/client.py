@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import JobError, StorageError
+from repro.exceptions import JobError
 from repro.logging_utils import get_logger
 from repro.maxcompute.catalog import TableCatalog
 from repro.maxcompute.mapreduce import MapReduceJob, MapReduceStats, run_mapreduce
@@ -120,13 +120,11 @@ class MaxComputeClient:
         sql: str,
         *,
         result_table: Optional[str] = None,
-        prune_partitions: bool = True,
     ) -> JobResult:
         """Run a SQL job and return its outcome (the simulation is synchronous)."""
 
         def work() -> _JobOutput:
-            name = result_table or "query_result"
-            table = self._sql.execute(sql, result_name=name, prune_partitions=prune_partitions)
+            table = self._sql.execute(sql, result_name=result_table or "query_result")
             return table, None, self._sql.last_stats
 
         return self._run(work, result_table)
@@ -168,11 +166,3 @@ class MaxComputeClient:
     def job_summary(self) -> Dict[str, int]:
         """Finished jobs per final status — the view a pipeline operator watches."""
         return dict(self._status_counts)
-
-    def store_artifact(self, name: str, records: List[Dict[str, Any]]) -> Table:
-        """Persist a pipeline artefact (embeddings, model metadata) as a table."""
-        if not records:
-            raise StorageError("cannot store an empty artifact")
-        table = table_from_records(name, records)
-        self.catalog.register(table)
-        return table

@@ -129,26 +129,3 @@ def transaction_edge_job(*, num_splits: int = 4) -> MapReduceJob:
         num_splits=num_splits,
     )
 
-
-def daily_fraud_rate_job(*, num_splits: int = 4) -> MapReduceJob:
-    """MapReduce job computing the per-day fraud rate (a monitoring report)."""
-
-    def map_day(row: Dict[str, Any]) -> Iterable[Tuple[int, Tuple[int, int]]]:
-        yield int(row["day"]), (1, 1 if row["is_fraud"] else 0)
-
-    def reduce_day(key: int, values: List[Tuple[int, int]]) -> Iterable[Dict[str, Any]]:
-        total = sum(count for count, _ in values)
-        frauds = sum(fraud for _, fraud in values)
-        yield {
-            "day": int(key),
-            "num_transactions": total,
-            "num_frauds": frauds,
-            "fraud_rate": frauds / total if total else 0.0,
-        }
-
-    return MapReduceJob(
-        name="daily_fraud_rate",
-        map_function=map_day,
-        reduce_function=reduce_day,
-        num_splits=num_splits,
-    )

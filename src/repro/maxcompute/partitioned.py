@@ -9,11 +9,13 @@ partition's :class:`ZoneMap` (per-column min / max / null count) on first use
 after a write.  The SQL executor consults :func:`condition_may_match` to skip
 partitions and reports the decision in its query stats.
 
-Pruning is *conservative*: a partition is skipped only when the zone map
-proves no row in it can satisfy the WHERE condition under the executor's
-collapsed three-valued logic (comparisons against NULL are False, so NULL
-rows *do* satisfy ``NOT (col = v)``).  Unknown shapes and mixed-type
-comparisons fall back to "may match" — correctness never depends on pruning.
+Pruning is *conservative* and need only be sound for the predicates the
+dialect has: a conjunction of ``column op number`` comparisons, each False on
+a NULL cell.  A partition is skipped only when some conjunct provably holds
+for none of its rows.  A column holding a NaN (for which every comparison
+but ``!=`` is False, whatever ``min`` / ``max`` report), mixed-type
+comparisons and unseen columns fall back to "may match" — correctness never
+depends on pruning.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.exceptions import SchemaError
 from repro.maxcompute.table import Columns, Schema, Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: sql.executor needs this module
-    from repro.maxcompute.sql.parser import Condition
+    from repro.maxcompute.sql.parser import Comparison
 
 
 @dataclass
@@ -50,11 +52,15 @@ class ColumnZone:
                 # Mixed un-orderable values (should not happen post-coercion);
                 # widen to "unknown" so pruning stays conservative.
                 zone.bounds_valid = False
+            # A NaN anywhere makes min / max order-dependent and unsound: no bounds.
+            if isinstance(zone.min_value, float) and any(v != v for v in present):
+                zone.bounds_valid = False
         return zone
 
     @property
     def bounds(self) -> Optional[Tuple[Any, Any]]:
-        """``(min, max)`` over non-NULL values, or ``None`` when there are none."""
+        """``(min, max)`` over non-NULL values, or ``None`` when there are none
+        or their range is unknown (a NaN among them, or unorderable values)."""
         if self.value_count == 0 or not self.bounds_valid:
             return None
         return (self.min_value, self.max_value)
@@ -98,96 +104,22 @@ def _comparison_may_hold(zone: ColumnZone, operator: str, value: Any) -> bool:
     return True  # unknown operator: never prune on it
 
 
-def _comparison_negation_may_hold(zone: ColumnZone, operator: str, value: Any) -> bool:
-    """Can any value in ``zone`` *fail* ``x <op> value`` (NULLs always fail)?"""
-    if zone.null_count > 0:
-        return True  # NULL cmp anything is False, so NOT(cmp) holds
-    if zone.value_count == 0:
-        return False  # no rows with this column at all
-    bounds = zone.bounds
-    if bounds is None:
-        return True  # values exist but their range is unknown: never prune
-    low, high = bounds
-    try:
-        if operator == "=":
-            return not (low == high == value)
-        if operator == "!=":
-            return low <= value <= high
-        if operator == "<":
-            return high >= value
-        if operator == "<=":
-            return high > value
-        if operator == ">":
-            return low <= value
-        if operator == ">=":
-            return low < value
-    except TypeError:
-        return True
-    return True
+def condition_may_match(where: Sequence["Comparison"], zone_map: ZoneMap) -> bool:
+    """True unless ``zone_map`` proves no row can satisfy every conjunct of ``where``.
 
-
-def _may_match(condition: "Condition", zone_map: ZoneMap, negated: bool) -> bool:
-    """Polarity-aware recursion: may any row (fail to) satisfy ``condition``?"""
-    # Imported lazily: the sql package's executor imports this module, so a
-    # module-level parser import would close a cycle through sql/__init__.
-    from repro.maxcompute.sql.parser import BooleanOp, Comparison, InList, Not
-
-    if isinstance(condition, Comparison):
-        zone = zone_map.zone(condition.column)
-        if zone is None:
-            return True  # unseen column: never prune (executor validates it)
-        if condition.value is None:
-            # cmp against NULL is always False under the collapsed logic.
-            return negated
-        if negated:
-            return _comparison_negation_may_hold(zone, condition.operator, condition.value)
-        return _comparison_may_hold(zone, condition.operator, condition.value)
-    if isinstance(condition, InList):
-        zone = zone_map.zone(condition.column)
-        if zone is None:
-            return True
-        if negated:
-            # A NULL is not in the list; a range wider than one point may
-            # contain an excluded value.  Only a constant column whose single
-            # value is listed provably has no failing row.
-            if zone.null_count > 0:
-                return True
-            if zone.value_count == 0:
-                return False
-            bounds = zone.bounds
-            if bounds is None:
-                return True
-            low, high = bounds
-            if low == high:
-                return low not in condition.values
-            return True
-        return any(
-            _comparison_may_hold(zone, "=", value)
-            for value in condition.values
-            if value is not None
-        )
-    if isinstance(condition, Not):
-        return _may_match(condition.operand, zone_map, not negated)
-    if isinstance(condition, BooleanOp):
-        operands = condition.operands
-        # De Morgan under negation: NOT(a AND b) == NOT a OR NOT b.
-        is_and = (condition.operator == "and") != negated
-        if is_and:
-            return all(_may_match(op, zone_map, negated) for op in operands)
-        return any(_may_match(op, zone_map, negated) for op in operands)
-    return True  # unknown node: never prune
-
-
-def condition_may_match(condition: "Condition", zone_map: ZoneMap) -> bool:
-    """True unless ``zone_map`` proves no row can satisfy ``condition``.
-
-    Mirrors the executor's collapsed three-valued logic: a comparison whose
-    operand is NULL evaluates to False, hence NULL rows satisfy ``NOT (cmp)``.
-    Returns True (scan the partition) in every uncertain case.
+    A comparison on a NULL cell is False, as in the executor.  Returns True
+    (scan the partition) in every uncertain case.
     """
     if zone_map.row_count == 0:
         return False
-    return _may_match(condition, zone_map, negated=False)
+    for comparison in where:
+        zone = zone_map.zone(comparison.column)
+        # An unseen column never prunes: the executor validates it.
+        if zone is not None and not _comparison_may_hold(
+            zone, comparison.operator, comparison.value
+        ):
+            return False
+    return True
 
 
 class PartitionedTable(Table):

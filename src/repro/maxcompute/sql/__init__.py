@@ -1,25 +1,19 @@
 """Mini SQL engine over MaxCompute tables.
 
-Supports the subset the offline feature/label extraction jobs of the paper
-need: ``SELECT`` projections and aggregates, ``WHERE`` filters with boolean
-logic, ``GROUP BY``, ``ORDER BY`` and ``LIMIT``.  Statements are parsed into a
-small AST (:mod:`repro.maxcompute.sql.parser`), planned and executed against
-the columnar tables (:mod:`repro.maxcompute.sql.executor`).
+Speaks exactly the dialect the T+1 backfill issues: ``SELECT`` of columns and
+``COUNT`` / ``COUNT(DISTINCT)`` / ``SUM`` / ``MAX`` aggregates from one table,
+a ``WHERE`` that is a conjunction of ``column op number`` comparisons, and
+``GROUP BY``.  Statements are parsed into a small AST
+(:mod:`repro.maxcompute.sql.parser`) and executed against the columnar tables
+(:mod:`repro.maxcompute.sql.executor`).
 """
 
-from repro.maxcompute.sql.parser import (
-    parse_sql,
-    SelectStatement,
-    WindowAggregate,
-    WindowFrame,
-)
+from repro.maxcompute.sql.parser import parse_sql, SelectStatement
 from repro.maxcompute.sql.executor import QueryStats, SQLExecutor
 
 __all__ = [
     "parse_sql",
     "SelectStatement",
-    "WindowAggregate",
-    "WindowFrame",
     "QueryStats",
     "SQLExecutor",
 ]

@@ -1,26 +1,18 @@
 """SQL tokenizer and recursive-descent parser.
 
+The dialect is the one the T+1 backfill issues (see
+:mod:`repro.features.sql_backfill`); anything else is a :class:`SQLParseError`.
+
 Grammar (case-insensitive keywords)::
 
-    statement   := SELECT select_list FROM identifier
-                   [WHERE condition]
+    statement   := SELECT select_item ("," select_item)* FROM identifier
+                   [WHERE comparison (AND comparison)*]
                    [GROUP BY identifier ("," identifier)*]
-                   [ORDER BY identifier [ASC|DESC]]
-                   [LIMIT non_negative_integer]
-    select_list := "*" | select_item ("," select_item)*
-    select_item := (window_agg | aggregate | identifier) [AS identifier]
-    aggregate   := (COUNT|SUM|AVG|MIN|MAX) "(" ("*" | [DISTINCT] identifier) ")"
-    window_agg  := aggregate OVER "(" PARTITION BY identifier
-                   ORDER BY identifier [ASC]
-                   RANGE BETWEEN number PRECEDING AND CURRENT ROW ")"
-    condition   := or_expr
-    or_expr     := and_expr (OR and_expr)*
-    and_expr    := unary (AND unary)*
-    unary       := [NOT] primary
-    primary     := "(" condition ")" | comparison
-    comparison  := identifier op literal | identifier IN "(" literal ("," literal)* ")"
+    select_item := (aggregate | identifier) [AS identifier]
+    aggregate   := COUNT "(" ("*" | [DISTINCT] identifier) ")"
+                 | (SUM|MAX) "(" identifier ")"
+    comparison  := identifier op number
     op          := "=" | "!=" | "<>" | "<" | "<=" | ">" | ">="
-    literal     := number | string | TRUE | FALSE | NULL
 """
 
 from __future__ import annotations
@@ -36,38 +28,18 @@ _KEYWORDS = {
     "from",
     "where",
     "group",
-    "order",
     "by",
-    "limit",
     "and",
-    "or",
-    "not",
     "as",
-    "in",
-    "asc",
-    "desc",
-    "true",
-    "false",
-    "null",
     "count",
     "sum",
-    "avg",
-    "min",
     "max",
     "distinct",
-    "over",
-    "partition",
-    "range",
-    "between",
-    "preceding",
-    "current",
-    "row",
 }
 
 _TOKEN_PATTERN = re.compile(
     r"\s*(?:"
     r"(?P<number>-?\d+\.\d+|-?\d+)"
-    r"|(?P<string>'(?:[^']|'')*')"
     r"|(?P<identifier>[A-Za-z_][A-Za-z_0-9\.]*)"
     r"|(?P<op><>|!=|<=|>=|=|<|>|\(|\)|,|\*)"
     r")"
@@ -76,7 +48,7 @@ _TOKEN_PATTERN = re.compile(
 
 @dataclass
 class Token:
-    kind: str  # "number" | "string" | "identifier" | "keyword" | "op"
+    kind: str  # "number" | "identifier" | "keyword" | "op"
     value: str
 
 
@@ -92,25 +64,17 @@ def tokenize(sql: str) -> List[Token]:
                 break
             raise SQLParseError(f"unexpected character near {remainder[:20]!r}")
         position = match.end()
-        if match.lastgroup == "number":
-            tokens.append(Token("number", match.group("number")))
-        elif match.lastgroup == "string":
-            raw = match.group("string")[1:-1].replace("''", "'")
-            tokens.append(Token("string", raw))
-        elif match.lastgroup == "identifier":
-            text = match.group("identifier")
-            kind = "keyword" if text.lower() in _KEYWORDS else "identifier"
-            tokens.append(Token(kind, text.lower() if kind == "keyword" else text))
-        else:
-            tokens.append(Token("op", match.group("op")))
+        kind = match.lastgroup or "op"
+        text = match.group(kind)
+        if kind == "identifier" and text.lower() in _KEYWORDS:
+            kind, text = "keyword", text.lower()
+        tokens.append(Token(kind, text))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # AST nodes
 # ---------------------------------------------------------------------------
-
-Literal = Union[int, float, str, bool, None]
 
 
 @dataclass
@@ -125,7 +89,7 @@ class ColumnRef:
 
 @dataclass
 class Aggregate:
-    function: str  # count | sum | avg | min | max
+    function: str  # count | sum | max
     column: Optional[str]  # None for COUNT(*)
     alias: Optional[str] = None
     distinct: bool = False  # COUNT(DISTINCT col) only
@@ -141,92 +105,27 @@ class Aggregate:
 
 
 @dataclass
-class WindowFrame:
-    """``RANGE BETWEEN <preceding> PRECEDING AND CURRENT ROW`` frame bounds.
-
-    The executor interprets the frame as *left-open / right-closed* over the
-    ordering column's values — ``(current - preceding, current]`` — matching
-    ``AggregationWindowSpec`` rather than the SQL-standard closed interval.
-    """
-
-    preceding: float  # window width in ordering-column units
-
-
-@dataclass
-class WindowAggregate:
-    """An aggregate with an ``OVER (PARTITION BY ... ORDER BY ... RANGE ...)`` clause.
-
-    Evaluated per input row over the sliding event-time frame within the
-    row's partition; unlike :class:`Aggregate` it does not collapse rows.
-    """
-
-    function: str  # count | sum | avg | min | max
-    column: Optional[str]  # None for COUNT(*)
-    partition_by: str
-    order_by: str
-    frame: WindowFrame
-    alias: Optional[str] = None
-    distinct: bool = False  # COUNT(DISTINCT col) only
-
-    @property
-    def output_name(self) -> str:
-        """Result-column name: the alias, or a rendering of the call."""
-        if self.alias:
-            return self.alias
-        target = self.column or "*"
-        if self.distinct:
-            target = f"distinct {target}"
-        return f"{self.function}({target}) over ({self.partition_by})"
-
-
-@dataclass
 class Comparison:
     column: str
-    operator: str
-    value: Literal
+    operator: str  # "=" | "!=" | "<" | "<=" | ">" | ">="
+    value: Union[int, float]
 
 
-@dataclass
-class InList:
-    column: str
-    values: List[Literal]
-
-
-@dataclass
-class Not:
-    operand: "Condition"
-
-
-@dataclass
-class BooleanOp:
-    operator: str  # "and" | "or"
-    operands: List["Condition"]
-
-
-Condition = Union[Comparison, InList, Not, BooleanOp]
-SelectItem = Union[ColumnRef, Aggregate, WindowAggregate]
+SelectItem = Union[ColumnRef, Aggregate]
 
 
 @dataclass
 class SelectStatement:
     table: str
-    select_all: bool = False
     items: List[SelectItem] = field(default_factory=list)
-    where: Optional[Condition] = None
+    #: The WHERE clause's conjuncts; empty when there is no WHERE.
+    where: List[Comparison] = field(default_factory=list)
     group_by: List[str] = field(default_factory=list)
-    order_by: Optional[str] = None
-    order_desc: bool = False
-    limit: Optional[int] = None
 
     @property
     def has_aggregates(self) -> bool:
-        """True when any select item is a plain (row-collapsing) aggregate."""
+        """True when any select item is an aggregate."""
         return any(isinstance(item, Aggregate) for item in self.items)
-
-    @property
-    def has_window_functions(self) -> bool:
-        """True when any select item is a windowed (per-row) aggregate."""
-        return any(isinstance(item, WindowAggregate) for item in self.items)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +156,9 @@ class _Parser:
         if token.kind != "keyword" or token.value != keyword:
             raise SQLParseError(f"expected {keyword.upper()}, found {token.value!r}")
 
-    def _match_keyword(self, keyword: str) -> bool:
+    def _match(self, kind: str, value: str) -> bool:
         token = self._peek()
-        if token is not None and token.kind == "keyword" and token.value == keyword:
-            self._position += 1
-            return True
-        return False
-
-    def _match_op(self, op: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == "op" and token.value == op:
+        if token is not None and token.kind == kind and token.value == value:
             self._position += 1
             return True
         return False
@@ -285,162 +177,56 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
     def parse(self) -> SelectStatement:
         self._expect_keyword("select")
-        select_all, items = self._parse_select_list()
+        items = [self._parse_select_item()]
+        while self._match("op", ","):
+            items.append(self._parse_select_item())
         self._expect_keyword("from")
-        table = self._expect_identifier()
-        statement = SelectStatement(table=table, select_all=select_all, items=items)
-        if self._match_keyword("where"):
-            statement.where = self._parse_condition()
-        if self._match_keyword("group"):
+        statement = SelectStatement(table=self._expect_identifier(), items=items)
+        if self._match("keyword", "where"):
+            statement.where.append(self._parse_comparison())
+            while self._match("keyword", "and"):
+                statement.where.append(self._parse_comparison())
+        if self._match("keyword", "group"):
             self._expect_keyword("by")
             statement.group_by.append(self._expect_identifier())
-            while self._match_op(","):
+            while self._match("op", ","):
                 statement.group_by.append(self._expect_identifier())
-        if self._match_keyword("order"):
-            self._expect_keyword("by")
-            statement.order_by = self._expect_identifier()
-            if self._match_keyword("desc"):
-                statement.order_desc = True
-            else:
-                self._match_keyword("asc")
-        if self._match_keyword("limit"):
-            token = self._advance()
-            if token.kind != "number":
-                raise SQLParseError(f"LIMIT expects a number, found {token.value!r}")
-            limit = int(float(token.value))
-            if limit < 0:
-                raise SQLParseError(f"LIMIT must be non-negative, got {limit}")
-            statement.limit = limit
-        if self._peek() is not None:
-            raise SQLParseError(f"unexpected trailing token {self._peek().value!r}")
+        trailing = self._peek()
+        if trailing is not None:
+            raise SQLParseError(f"unexpected trailing token {trailing.value!r}")
         return statement
 
-    def _parse_select_list(self) -> tuple[bool, List[SelectItem]]:
-        if self._match_op("*"):
-            return True, []
-        items = [self._parse_select_item()]
-        while self._match_op(","):
-            items.append(self._parse_select_item())
-        return False, items
-
     def _parse_select_item(self) -> SelectItem:
-        token = self._peek()
-        if token is None:
-            raise SQLParseError("unexpected end of select list")
-        if token.kind == "keyword" and token.value in ("count", "sum", "avg", "min", "max"):
-            self._advance()
+        item: SelectItem
+        token = self._advance()
+        if token.kind == "keyword" and token.value in ("count", "sum", "max"):
             self._expect_op("(")
-            distinct = self._match_keyword("distinct")
-            if distinct and token.value != "count":
-                raise SQLParseError(
-                    f"DISTINCT is only supported inside COUNT, not {token.value.upper()}"
-                )
-            if self._match_op("*"):
-                if distinct:
-                    raise SQLParseError("COUNT(DISTINCT *) is not supported")
-                column: Optional[str] = None
-            else:
+            counting = token.value == "count"
+            distinct = counting and self._match("keyword", "distinct")
+            column: Optional[str] = None
+            if distinct or not counting or not self._match("op", "*"):
                 column = self._expect_identifier()
             self._expect_op(")")
-            if self._match_keyword("over"):
-                partition_by, order_by, frame = self._parse_over_clause()
-                alias = self._expect_identifier() if self._match_keyword("as") else None
-                return WindowAggregate(
-                    function=token.value,
-                    column=column,
-                    partition_by=partition_by,
-                    order_by=order_by,
-                    frame=frame,
-                    alias=alias,
-                    distinct=distinct,
-                )
-            alias = self._expect_identifier() if self._match_keyword("as") else None
-            return Aggregate(function=token.value, column=column, alias=alias, distinct=distinct)
-        name = self._expect_identifier()
-        alias = self._expect_identifier() if self._match_keyword("as") else None
-        return ColumnRef(name=name, alias=alias)
+            item = Aggregate(function=token.value, column=column, distinct=distinct)
+        elif token.kind == "identifier":
+            item = ColumnRef(name=token.value)
+        else:
+            raise SQLParseError(f"expected a column or aggregate, found {token.value!r}")
+        if self._match("keyword", "as"):
+            item.alias = self._expect_identifier()
+        return item
 
-    def _parse_over_clause(self) -> tuple[str, str, WindowFrame]:
-        self._expect_op("(")
-        self._expect_keyword("partition")
-        self._expect_keyword("by")
-        partition_by = self._expect_identifier()
-        self._expect_keyword("order")
-        self._expect_keyword("by")
-        order_by = self._expect_identifier()
-        if self._match_keyword("desc"):
-            raise SQLParseError("window ORDER BY only supports ascending order")
-        self._match_keyword("asc")
-        self._expect_keyword("range")
-        self._expect_keyword("between")
-        token = self._advance()
-        if token.kind != "number":
-            raise SQLParseError(f"RANGE BETWEEN expects a number, found {token.value!r}")
-        preceding = float(token.value)
-        if preceding < 0:
-            raise SQLParseError(f"RANGE frame width must be non-negative, got {token.value}")
-        self._expect_keyword("preceding")
-        self._expect_keyword("and")
-        self._expect_keyword("current")
-        self._expect_keyword("row")
-        self._expect_op(")")
-        return partition_by, order_by, WindowFrame(preceding=preceding)
-
-    # -- conditions -------------------------------------------------------
-    def _parse_condition(self) -> Condition:
-        return self._parse_or()
-
-    def _parse_or(self) -> Condition:
-        operands = [self._parse_and()]
-        while self._match_keyword("or"):
-            operands.append(self._parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp(operator="or", operands=operands)
-
-    def _parse_and(self) -> Condition:
-        operands = [self._parse_unary()]
-        while self._match_keyword("and"):
-            operands.append(self._parse_unary())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp(operator="and", operands=operands)
-
-    def _parse_unary(self) -> Condition:
-        if self._match_keyword("not"):
-            return Not(operand=self._parse_unary())
-        if self._match_op("("):
-            condition = self._parse_condition()
-            self._expect_op(")")
-            return condition
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Condition:
+    def _parse_comparison(self) -> Comparison:
         column = self._expect_identifier()
-        if self._match_keyword("in"):
-            self._expect_op("(")
-            values = [self._parse_literal()]
-            while self._match_op(","):
-                values.append(self._parse_literal())
-            self._expect_op(")")
-            return InList(column=column, values=values)
         token = self._advance()
         if token.kind != "op" or token.value not in ("=", "!=", "<>", "<", "<=", ">", ">="):
             raise SQLParseError(f"expected a comparison operator, found {token.value!r}")
         operator = "!=" if token.value == "<>" else token.value
-        return Comparison(column=column, operator=operator, value=self._parse_literal())
-
-    def _parse_literal(self) -> Literal:
-        token = self._advance()
-        if token.kind == "number":
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.kind == "string":
-            return token.value
-        if token.kind == "keyword" and token.value in ("true", "false"):
-            return token.value == "true"
-        if token.kind == "keyword" and token.value == "null":
-            return None
-        raise SQLParseError(f"expected a literal, found {token.value!r}")
+        literal = self._advance()
+        if literal.kind != "number":
+            raise SQLParseError(f"expected a number, found {literal.value!r}")
+        value = float(literal.value) if "." in literal.value else int(literal.value)
+        return Comparison(column=column, operator=operator, value=value)
 
 
 def parse_sql(sql: str) -> SelectStatement:

@@ -86,8 +86,10 @@ class DistributedLogisticRegression(BaseDetector):
         super().__init__()
         if iterations < 1:
             raise ModelError("iterations must be at least 1")
-        if learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
+        if not 0.0 < learning_rate < np.inf:
+            raise ModelError("learning_rate must be finite and positive")
+        if not 0.0 <= l2 < np.inf:
+            raise ModelError("l2 must be finite and non-negative")
         self.cluster_config = cluster or ClusterConfig(num_machines=4)
         self.iterations = iterations
         self.learning_rate = learning_rate

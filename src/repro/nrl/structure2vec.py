@@ -54,12 +54,12 @@ class Structure2VecConfig:
             raise EmbeddingError("dimension must be positive")
         if self.propagation_rounds < 1:
             raise EmbeddingError("propagation_rounds must be at least 1")
-        if self.learning_rate <= 0:
-            raise EmbeddingError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise EmbeddingError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise EmbeddingError("epochs must be at least 1")
-        if self.l2 < 0:
-            raise EmbeddingError("l2 must be non-negative")
+        if not 0.0 <= self.l2 < np.inf:
+            raise EmbeddingError("l2 must be finite and non-negative")
 
 
 def node_structural_features(

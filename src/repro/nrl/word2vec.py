@@ -114,8 +114,10 @@ class SkipGramConfig:
             raise EmbeddingError("window must be at least 1")
         if self.negatives < 1:
             raise EmbeddingError("negatives must be at least 1")
-        if self.learning_rate <= 0:
-            raise EmbeddingError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise EmbeddingError("learning_rate must be finite and positive")
+        if not 0.0 <= self.min_learning_rate < np.inf:
+            raise EmbeddingError("min_learning_rate must be finite and non-negative")
         if self.epochs < 1:
             raise EmbeddingError("epochs must be at least 1")
         if self.batch_size < 1:

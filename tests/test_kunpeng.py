@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import EmbeddingError, ParameterServerError, WorkerFailureError
+from repro.exceptions import (
+    EmbeddingError,
+    ModelError,
+    ParameterServerError,
+    WorkerFailureError,
+)
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
 from repro.kunpeng import (
     ClusterConfig,
@@ -360,6 +365,23 @@ class TestDistributedTraining:
         accuracy = (model.predict(features) == labels).mean()
         assert accuracy > 0.8
         assert model.stats.rounds == 80
+
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"l2": float("nan")},
+            {"l2": float("inf")},
+            {"l2": -1.0},
+        ],
+        ids=["lr-nan", "lr-inf", "l2-nan", "l2-inf", "l2-negative"],
+    )
+    def test_distributed_lr_rejects_non_finite_settings(self, settings_):
+        """``learning_rate <= 0`` let NaN and inf through (every probability
+        came out NaN), and ``l2`` was not checked at all."""
+        with pytest.raises(ModelError):
+            DistributedLogisticRegression(**settings_)
 
     def test_distributed_gbdt_learns(self, small_classification_data):
         features, labels = small_classification_data

@@ -35,11 +35,10 @@ from repro.features.aggregation import SECONDS_PER_DAY, AggregationConfig
 from repro.features.sql_backfill import SQLBackfillEngine
 from repro.graph.builder import build_network
 from repro.maxcompute import PartitionedTable, condition_may_match
-from repro.maxcompute.mapreduce import daily_fraud_rate_job, transaction_edge_job
-from repro.maxcompute.sql import SQLExecutor, WindowAggregate, parse_sql
-from repro.maxcompute.sql import executor as executor_module
+from repro.maxcompute.mapreduce import transaction_edge_job
+from repro.maxcompute.sql import SQLExecutor, parse_sql
 from repro.maxcompute.sql.executor import QueryStats
-from repro.maxcompute.sql.parser import BooleanOp, ColumnRef, Comparison, InList, Not
+from repro.maxcompute.sql.parser import ColumnRef, Comparison
 from repro.maxcompute.table import table_from_records
 
 
@@ -210,62 +209,91 @@ class TestSQL:
     def test_parse_full_statement(self):
         statement = parse_sql(
             "SELECT payer_id, COUNT(*) AS n FROM txns "
-            "WHERE amount > 100 AND (is_fraud = true OR hour >= 22) "
-            "GROUP BY payer_id ORDER BY n DESC LIMIT 5"
+            "WHERE amount > 100 AND hour >= 22 GROUP BY payer_id"
         )
         assert statement.table == "txns"
         assert statement.group_by == ["payer_id"]
-        assert statement.order_by == "n" and statement.order_desc
-        assert statement.limit == 5
+        assert statement.where == [Comparison("amount", ">", 100), Comparison("hour", ">=", 22)]
 
     def test_parse_errors(self):
-        with pytest.raises(SQLParseError):
-            parse_sql("SELEC * FROM t")
-        with pytest.raises(SQLParseError):
-            parse_sql("SELECT * FROM t WHERE amount >")
-        with pytest.raises(SQLParseError):
-            parse_sql("")
+        for sql in (
+            "SELEC x FROM t",
+            "SELECT x FROM t WHERE amount >",
+            "",
+            "SELECT SUM(DISTINCT amount) FROM t",
+            "SELECT COUNT(DISTINCT *) FROM t",
+            "SELECT SUM(*) FROM t",
+        ):
+            with pytest.raises(SQLParseError):
+                parse_sql(sql)
 
     def test_where_filter_and_projection(self, client):
         result = client.submit_sql(
-            "SELECT transaction_id, amount FROM transactions WHERE is_fraud = true"
+            "SELECT transaction_id, amount FROM transactions WHERE day >= 1 AND amount > 100"
         )
         assert result.succeeded
         records = result.result_table.to_records()
         table = client.get_table("transactions")
-        expected = sum(1 for row in table.rows() if row["is_fraud"])
-        assert len(records) == expected
+        expected = sum(1 for row in table.rows() if row["day"] >= 1 and row["amount"] > 100)
+        assert len(records) == expected > 0
 
     def test_group_by_aggregates(self, client):
         result = client.submit_sql(
-            "SELECT day, COUNT(*) AS n, SUM(amount) AS total, AVG(amount) AS mean_amount "
-            "FROM transactions GROUP BY day ORDER BY day"
+            "SELECT day, COUNT(*) AS n, SUM(amount) AS total, MAX(amount) AS peak "
+            "FROM transactions GROUP BY day"
         )
         records = result.result_table.to_records()
         assert records, "expected at least one group"
+        table = client.get_table("transactions")
         for row in records:
-            assert row["mean_amount"] == pytest.approx(row["total"] / row["n"])
-
-    def test_limit_and_order(self, client):
-        result = client.submit_sql(
-            "SELECT transaction_id, amount FROM transactions ORDER BY amount DESC LIMIT 10"
-        )
-        amounts = [row["amount"] for row in result.result_table.to_records()]
-        assert len(amounts) == 10
-        assert amounts == sorted(amounts, reverse=True)
+            amounts = [r["amount"] for r in table.rows() if r["day"] == row["day"]]
+            assert row["n"] == len(amounts) and row["peak"] == max(amounts)
+            assert row["total"] == functools.reduce(operator.add, amounts)
 
     def test_unknown_column_planning_error(self, client):
         executor = SQLExecutor(client.catalog)
         with pytest.raises(SQLPlanError):
             executor.execute("SELECT nope FROM transactions")
 
-    def test_in_and_not_conditions(self, client):
-        result = client.submit_sql(
-            "SELECT transaction_id FROM transactions WHERE day IN (0, 1) AND NOT is_fraud = true"
-        )
-        table = client.get_table("transactions")
-        expected = sum(1 for row in table.rows() if row["day"] in (0, 1) and not row["is_fraud"])
-        assert result.result_table.num_rows == expected
+    def test_dialect_is_the_backfill_dialect(self, world, monkeypatch):
+        """The three statements the T+1 backfill generates parse and run, and
+        every construct outside them is a parse error: widening the dialect
+        again has to be a deliberate change."""
+        engine = SQLBackfillEngine(AggregationConfig(window_days=3))
+        issued = []
+        submit = engine.client.submit_sql
+
+        def recording(sql, **kwargs):
+            issued.append(sql)
+            result = submit(sql, **kwargs)
+            assert result.succeeded, (sql, result.error)
+            return result
+
+        monkeypatch.setattr(engine.client, "submit_sql", recording)
+        engine.backfill(world.transactions[:300], as_of_time=10 * SECONDS_PER_DAY)
+        grouped = [parse_sql(sql).group_by for sql in issued]
+        assert grouped == [["payer_id"], ["payee_id"], ["payer_id", "payee_id"]]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a, SUM(x) OVER (PARTITION BY a ORDER BY t "
+            "RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) AS w FROM t",
+            "SELECT a FROM t ORDER BY a",
+            "SELECT a FROM t LIMIT 5",
+            "SELECT a FROM t WHERE a = 1 OR a = 2",
+            "SELECT a FROM t WHERE NOT a = 1",
+            "SELECT a FROM t WHERE a IN (1, 2)",
+            "SELECT AVG(x) FROM t",
+            "SELECT MIN(x) FROM t",
+            "SELECT * FROM t",
+            "SELECT a FROM t WHERE k = 'x'",
+        ],
+        ids=["over", "order-by", "limit", "or", "not", "in", "avg", "min", "star", "string"],
+    )
+    def test_removed_constructs_do_not_parse(self, sql):
+        with pytest.raises(SQLParseError):
+            parse_sql(sql)
 
 
 class TestMapReduce:
@@ -286,12 +314,6 @@ class TestMapReduce:
         direct = {(payer, payee): weight for payer, payee, weight in build_network(sample).edges()}
         assert edges == direct
 
-    def test_daily_fraud_rate_job(self, client):
-        result = client.submit_mapreduce(daily_fraud_rate_job(), "transactions")
-        rows = result.result_table.to_records()
-        assert all(0.0 <= row["fraud_rate"] <= 1.0 for row in rows)
-        assert result.stats is not None and result.stats.input_rows == 3000
-
     def test_invalid_job_rejected(self):
         job = MapReduceJob(name="", map_function=lambda r: [], reduce_function=lambda k, v: [])
         table = table_from_records("t", [{"x": 1}])
@@ -311,11 +333,6 @@ class TestClient:
         )
         assert "payer_counts" in client.list_tables()
         assert client.get_table("payer_counts").num_rows > 0
-
-    def test_store_artifact(self, client):
-        table = client.store_artifact("model_meta", [{"version": "v1", "f1": 0.6}])
-        assert table.num_rows == 1
-        assert "model_meta" in client.list_tables()
 
     def test_job_summary_counts_terminated_instances(self, client):
         client.submit_sql("SELECT COUNT(*) AS n FROM transactions")
@@ -355,191 +372,6 @@ class TestClient:
         monkeypatch.setattr(engine, "_group_sql", lambda *args: bogus)
         with pytest.raises(FeatureError, match=r"SQLPlanError: unknown column 'bogus'"):
             engine.backfill(world.transactions[:50], as_of_time=10 * SECONDS_PER_DAY)
-
-
-def _window_client(rows):
-    client = MaxComputeClient()
-    client.catalog.register(
-        table_from_records(
-            "events",
-            rows,
-            schema=Schema.from_dict(
-                {"account": "string", "ts": "bigint", "amount": "double"}
-            ),
-        )
-    )
-    return client
-
-
-def _brute_window(rows, function, column, partition, order, width, *, distinct=False):
-    """Per-row frame recompute: value-based RANGE, left-open/right-closed."""
-    out = []
-    for row in rows:
-        frame = [
-            other
-            for other in rows
-            if other[partition] == row[partition]
-            and row[order] - width < other[order] <= row[order]
-        ]
-        if function == "count" and column is None:
-            out.append(len(frame))
-            continue
-        values = [other[column] for other in frame if other[column] is not None]
-        if distinct:
-            out.append(len(set(values)))
-        elif function == "count":
-            out.append(len(values))
-        elif not values:
-            out.append(None)
-        elif function == "sum":
-            out.append(sum(values))
-        elif function == "avg":
-            out.append(sum(values) / len(values))
-        elif function == "min":
-            out.append(min(values))
-        else:
-            out.append(max(values))
-    return out
-
-
-class TestWindowFunctions:
-    def test_parse_over_clause(self):
-        statement = parse_sql(
-            "SELECT account, SUM(amount) OVER (PARTITION BY account ORDER BY ts "
-            "RANGE BETWEEN 3600 PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        assert statement.has_window_functions and not statement.has_aggregates
-        item = statement.items[1]
-        assert isinstance(item, WindowAggregate)
-        assert item.partition_by == "account" and item.order_by == "ts"
-        assert item.frame.preceding == 3600.0 and item.output_name == "w"
-
-    def test_parse_over_errors(self):
-        with pytest.raises(SQLParseError):
-            parse_sql(
-                "SELECT SUM(amount) OVER (PARTITION BY a ORDER BY ts DESC "
-                "RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) FROM t"
-            )
-        with pytest.raises(SQLParseError):
-            parse_sql("SELECT SUM(DISTINCT amount) FROM t")
-        with pytest.raises(SQLParseError):
-            parse_sql("SELECT COUNT(DISTINCT *) FROM t")
-        with pytest.raises(SQLParseError):
-            parse_sql(
-                "SELECT SUM(amount) OVER (PARTITION BY a ORDER BY ts "
-                "RANGE BETWEEN -10 PRECEDING AND CURRENT ROW) FROM t"
-            )
-
-    @pytest.mark.parametrize(
-        "function,column,distinct",
-        [
-            ("sum", "amount", False),
-            ("avg", "amount", False),
-            ("min", "amount", False),
-            ("max", "amount", False),
-            ("count", "amount", False),
-            ("count", None, False),
-            ("count", "amount", True),
-        ],
-    )
-    def test_window_parity_vs_brute_force(self, rng, function, column, distinct):
-        rows = [
-            {
-                "account": f"a{int(rng.integers(0, 5))}",
-                "ts": int(rng.integers(0, 500)),
-                # Dyadic amounts from a small pool: exact sums under any
-                # fold order, and repeated values exercise DISTINCT.
-                "amount": int(rng.integers(1, 40)) / 4.0,
-            }
-            for _ in range(200)
-        ]
-        width = 120
-        target = "*" if column is None else column
-        if distinct:
-            target = f"DISTINCT {target}"
-        sql = (
-            f"SELECT account, ts, {function.upper()}({target}) OVER "
-            f"(PARTITION BY account ORDER BY ts RANGE BETWEEN {width} "
-            f"PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        result = SQLExecutor(_window_client(rows).catalog).execute(sql)
-        got = [row["w"] for row in result.rows()]
-        # The executor scans a plain table in insertion order, so output row
-        # i corresponds to input row i.
-        expected = _brute_window(
-            rows, function, column, "account", "ts", width, distinct=distinct
-        )
-        assert got == expected
-
-    def test_window_frame_is_left_open(self):
-        # Events exactly `width` apart: the older one must fall out, matching
-        # AggregationWindowSpec's (t - W, t] convention.
-        rows = [
-            {"account": "a", "ts": 0, "amount": 2.0},
-            {"account": "a", "ts": 100, "amount": 8.0},
-        ]
-        result = SQLExecutor(_window_client(rows).catalog).execute(
-            "SELECT SUM(amount) OVER (PARTITION BY account ORDER BY ts "
-            "RANGE BETWEEN 100 PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        assert [row["w"] for row in result.rows()] == [2.0, 8.0]
-
-    def test_window_peers_share_frames(self):
-        rows = [
-            {"account": "a", "ts": 10, "amount": 1.0},
-            {"account": "a", "ts": 10, "amount": 2.0},
-        ]
-        result = SQLExecutor(_window_client(rows).catalog).execute(
-            "SELECT SUM(amount) OVER (PARTITION BY account ORDER BY ts "
-            "RANGE BETWEEN 5 PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        # RANGE frames are value-based: both peer rows see both amounts.
-        assert [row["w"] for row in result.rows()] == [3.0, 3.0]
-
-    def test_window_rejects_group_by_mix(self):
-        client = _window_client([{"account": "a", "ts": 1, "amount": 1.0}])
-        executor = SQLExecutor(client.catalog)
-        with pytest.raises(SQLPlanError):
-            executor.execute(
-                "SELECT account, SUM(amount) OVER (PARTITION BY account ORDER BY ts "
-                "RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) AS w "
-                "FROM events GROUP BY account"
-            )
-
-    def test_group_by_sum_folds_left_like_the_window_sum(self):
-        """``GROUP BY`` SUM / AVG add in scan order, exactly as the windowed
-        running sum does — not with the builtin ``sum``, which is compensated
-        from Python 3.12 on (ten 0.1s: 1.0 there, 0.9999999999999999 folded).
-        Before the fix this fails on 3.12 only; 3.10 / 3.11 ``sum`` is the fold.
-        """
-        amounts = {"a": [0.1] * 10, "b": [0.3, 0.7, 1e16, -1e16, 0.1]}
-        rows = [
-            {"account": account, "ts": ts, "amount": amount}
-            for account, values in amounts.items()
-            for ts, amount in enumerate(values)
-        ]
-        executor = SQLExecutor(_window_client(rows).catalog)
-        grouped = executor.execute(
-            "SELECT account, SUM(amount) AS s, AVG(amount) AS m FROM events GROUP BY account"
-        )
-        windowed = executor.execute(
-            "SELECT account, SUM(amount) OVER (PARTITION BY account ORDER BY ts "
-            "RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        last_window = {row["account"]: row["w"] for row in windowed.rows()}
-        assert {row["account"] for row in grouped.rows()} == set(amounts)
-        for row in grouped.rows():
-            folded = functools.reduce(operator.add, amounts[row["account"]])
-            assert row["s"] == folded == last_window[row["account"]]
-            assert row["m"] == folded / len(amounts[row["account"]])
-
-    def test_window_unknown_partition_column(self):
-        client = _window_client([{"account": "a", "ts": 1, "amount": 1.0}])
-        with pytest.raises(SQLPlanError):
-            SQLExecutor(client.catalog).execute(
-                "SELECT SUM(amount) OVER (PARTITION BY bogus ORDER BY ts "
-                "RANGE BETWEEN 10 PRECEDING AND CURRENT ROW) FROM events"
-            )
 
 
 class TestPartitionedTable:
@@ -595,10 +427,9 @@ class TestPartitionedTable:
         executor = SQLExecutor(client.catalog)
         pruned = executor.execute("SELECT ts, amount FROM events WHERE ts > 250")
         pruned_stats = executor.last_stats
-        full = executor.execute(
-            "SELECT ts, amount FROM events WHERE ts > 250", prune_partitions=False
-        )
-        full_stats = executor.last_stats
+        full_executor = _plain_executor(client.get_table("events"))
+        full = full_executor.execute("SELECT ts, amount FROM events WHERE ts > 250")
+        full_stats = full_executor.last_stats
         assert pruned.to_records() == full.to_records()
         assert full_stats.partitions_skipped == 0
         assert pruned_stats.partitions_skipped > 0
@@ -616,23 +447,6 @@ class TestPartitionedTable:
                 matching_partitions += 1
         assert pruned_stats.partitions_scanned >= matching_partitions
 
-    def test_not_condition_never_prunes_null_rows(self):
-        table = PartitionedTable(
-            "t",
-            Schema.from_dict({"day": "bigint", "flag": "bigint"}),
-            partition_key="day",
-        )
-        table.extend([{"day": 0, "flag": 7}, {"day": 1, "flag": None}])
-        client = MaxComputeClient()
-        client.catalog.register(table)
-        executor = SQLExecutor(client.catalog)
-        # Under collapsed 3VL, `flag = 7` is False for the NULL row, so
-        # NOT(flag = 7) keeps it — day 1 must not be pruned.
-        result = executor.execute("SELECT day FROM t WHERE NOT flag = 7")
-        assert [row["day"] for row in result.rows()] == [1]
-        assert executor.last_stats.partitions_scanned == 1
-        assert executor.last_stats.partitions_skipped == 1
-
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_pruning_equivalence_property(self, data):
@@ -640,7 +454,7 @@ class TestPartitionedTable:
             st.lists(st.integers(0, 99), min_size=1, max_size=60), label="values"
         )
         threshold = data.draw(st.integers(-5, 105), label="threshold")
-        negate = data.draw(st.booleans(), label="negate")
+        operator_ = data.draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), label="op")
         table = PartitionedTable(
             "t",
             Schema.from_dict({"day": "bigint", "v": "bigint"}),
@@ -649,15 +463,33 @@ class TestPartitionedTable:
         table.extend([{"day": v // 10, "v": v} for v in values])
         client = MaxComputeClient()
         client.catalog.register(table)
-        executor = SQLExecutor(client.catalog)
-        predicate = f"v >= {threshold}"
-        if negate:
-            predicate = f"NOT {predicate}"
-        pruned = executor.execute(f"SELECT v FROM t WHERE {predicate}")
-        full = executor.execute(
-            f"SELECT v FROM t WHERE {predicate}", prune_partitions=False
+        sql = f"SELECT v FROM t WHERE v {operator_} {threshold}"
+        pruned = SQLExecutor(client.catalog).execute(sql)
+        assert pruned.to_records() == _plain_executor(table).execute(sql).to_records()
+
+    def test_nan_cell_never_hides_its_partition(self):
+        """``min`` / ``max`` over ``[nan, 5.0]`` are NaN, which every bound
+        check rejects: ``amount > 3`` skipped day 0 and lost ``5.0``.  Over
+        ``[5.0, nan]`` they are 5.0, and ``amount != 5`` skipped the NaN row."""
+        table = self._table(
+            [
+                {"day": 0, "ts": 0, "amount": float("nan")},
+                {"day": 0, "ts": 1, "amount": 5.0},
+                {"day": 1, "ts": 2, "amount": 1.0},
+                {"day": 2, "ts": 3, "amount": 5.0},
+                {"day": 2, "ts": 4, "amount": float("nan")},
+            ]
         )
-        assert pruned.to_records() == full.to_records()
+        assert table.zone_map(0).zone("amount").bounds is None
+        assert table.zone_map(2).zone("amount").bounds is None
+        client = MaxComputeClient()
+        client.catalog.register(table)
+        executor = SQLExecutor(client.catalog)
+        above = executor.execute("SELECT day, amount FROM events WHERE amount > 3")
+        assert above.to_records() == [{"day": 0, "amount": 5.0}, {"day": 2, "amount": 5.0}]
+        assert executor.last_stats.partitions_skipped == 1
+        unequal = executor.execute("SELECT ts FROM events WHERE amount != 5")
+        assert unequal.column("ts") == [0, 2, 4]
 
     def test_catalog_create_partitioned(self):
         client = MaxComputeClient()
@@ -670,6 +502,17 @@ class TestPartitionedTable:
             "p", {"day": "bigint", "x": "double"}, partition_key="day"
         )
         assert again is table
+
+
+def _plain_executor(table):
+    """An executor over a plain copy of ``table``'s rows in its partitioned
+    scan order: a plain table is never pruned, so it is the full-scan oracle."""
+    catalog = TableCatalog()
+    order = [i for key in table.partition_keys() for i in table.partition_indices(key)]
+    catalog.register(
+        table_from_records(table.name, [table.row(i) for i in order], schema=table.schema)
+    )
+    return SQLExecutor(catalog)
 
 
 @pytest.fixture()
@@ -691,13 +534,7 @@ def client_partitioned(rng):
 
 
 class TestSQLEngineBugfixes:
-    """Regression pins for the five bugs fixed alongside the window engine."""
-
-    def test_negative_limit_rejected_at_parse_time(self):
-        with pytest.raises(SQLParseError):
-            parse_sql("SELECT x FROM t LIMIT -5")
-        # Zero and positive limits still parse.
-        assert parse_sql("SELECT x FROM t LIMIT 0").limit == 0
+    """Regression pins for bugs fixed alongside the window engine."""
 
     def test_empty_result_keeps_source_types(self, client):
         executor = SQLExecutor(client.catalog)
@@ -715,23 +552,15 @@ class TestSQLEngineBugfixes:
     def test_empty_aggregate_result_typing(self, client):
         executor = SQLExecutor(client.catalog)
         result = executor.execute(
-            "SELECT COUNT(*) AS n, SUM(amount) AS s, AVG(amount) AS m, "
-            "MIN(day) AS lo FROM transactions WHERE day = 10000"
+            "SELECT COUNT(*) AS n, SUM(amount) AS s, SUM(day) AS d, "
+            "MAX(day) AS hi FROM transactions WHERE day = 10000"
         )
         assert result.schema.column("n").type is ColumnType.BIGINT
         assert result.schema.column("s").type is ColumnType.DOUBLE
-        assert result.schema.column("m").type is ColumnType.DOUBLE
-        assert result.schema.column("lo").type is ColumnType.BIGINT
+        assert result.schema.column("d").type is ColumnType.BIGINT
+        assert result.schema.column("hi").type is ColumnType.BIGINT
         # Aggregates over zero rows still yield the SQL one-row result.
-        assert result.to_records() == [{"n": 0, "s": None, "m": None, "lo": None}]
-
-    def test_order_by_validated_on_empty_results(self, client):
-        executor = SQLExecutor(client.catalog)
-        with pytest.raises(SQLPlanError):
-            executor.execute(
-                "SELECT transaction_id FROM transactions WHERE day = 10000 "
-                "ORDER BY bogus_column"
-            )
+        assert result.to_records() == [{"n": 0, "s": None, "d": None, "hi": None}]
 
     def test_where_columns_validated_upfront(self, client):
         executor = SQLExecutor(client.catalog)
@@ -775,9 +604,10 @@ def test_sql_where_filter_property(amounts, threshold):
 # Differential oracle: the executor against a row-at-a-time reference
 # ---------------------------------------------------------------------------
 # The reference keeps the semantics the executor had before it ran over
-# columns: a dict per scanned row, a recursive per-row WHERE with Python's
-# short circuit, and per *aggregate* bucket / sort / sweep with the same
-# running arithmetic (so float folds are compared bit for bit under repr).
+# columns: a dict per scanned row, a per-row WHERE with Python's short
+# circuit, and per-group folds with the same arithmetic (so float folds are
+# compared bit for bit under repr).  The property also checks each zone map
+# against its partition and that no skipped partition holds a matching row.
 
 
 _REF_OPERATORS = {
@@ -786,125 +616,61 @@ _REF_OPERATORS = {
 }
 
 
-def _ref_where(condition, row):
-    if isinstance(condition, Comparison):
-        left, right = row[condition.column], condition.value
-        if left is None or right is None:
+def _ref_where(where, row):
+    for comparison in where:
+        left = row[comparison.column]
+        if left is None:
             return False
         try:
-            return _REF_OPERATORS[condition.operator](left, right)
+            if not _REF_OPERATORS[comparison.operator](left, comparison.value):
+                return False
         except TypeError as exc:
             raise SQLPlanError("incomparable") from exc
-    if isinstance(condition, InList):
-        return row[condition.column] in condition.values
-    if isinstance(condition, Not):
-        return not _ref_where(condition.operand, row)
-    assert isinstance(condition, BooleanOp)
-    fold = all if condition.operator == "and" else any
-    return fold(_ref_where(operand, row) for operand in condition.operands)
+    return True
 
 
 def _ref_fold(function, distinct, values):
-    """A non-windowed aggregate over ``values`` (NULLs included) in scan order."""
+    """A GROUP BY aggregate over ``values`` (NULLs included) in scan order."""
     present = [value for value in values if value is not None]
     if function == "count":
         return len(set(present)) if distinct else len(present)
     if not present:
         return None
-    if function in ("sum", "avg"):
-        total = functools.reduce(operator.add, present)
-        return total if function == "sum" else total / len(present)
-    return min(present) if function == "min" else max(present)
-
-
-def _ref_window(item, rows):
-    if item.function != "count" and item.column is None:
-        raise SQLPlanError("requires a column")
-    out = [None] * len(rows)
-    buckets = {}
-    for index, row in enumerate(rows):
-        buckets.setdefault(row[item.partition_by], []).append(index)
-    for bucket in buckets.values():
-        if any(rows[i][item.order_by] is None for i in bucket):
-            raise SQLPlanError("NULL window ORDER BY value")
-        order = sorted(bucket, key=lambda i: (rows[i][item.order_by], i))
-        times = [rows[i][item.order_by] for i in order]
-        values = [None if item.column is None else rows[i][item.column] for i in order]
-        start = end = count = 0
-        total = 0
-        for position, index in enumerate(order):
-            while end < len(order) and times[end] <= times[position]:
-                if values[end] is not None and item.function in ("sum", "avg"):
-                    total += values[end]
-                    count += 1
-                end += 1
-            while start < end and times[start] <= times[position] - item.frame.preceding:
-                if values[start] is not None and item.function in ("sum", "avg"):
-                    total -= values[start]
-                    count -= 1
-                start += 1
-            if item.column is None:
-                out[index] = end - start
-            elif item.function == "sum":
-                out[index] = total if count else None
-            elif item.function == "avg":
-                out[index] = total / count if count else None
-            else:  # count / min / max hold no float state: recompute the frame
-                out[index] = _ref_fold(item.function, item.distinct, values[start:end])
-    return out
+    return functools.reduce(operator.add, present) if function == "sum" else max(present)
 
 
 def _ref_type(item, source):
     if isinstance(item, ColumnRef):
         return source.schema.column(item.name).type
-    if item.function in ("count", "avg"):
-        return ColumnType.BIGINT if item.function == "count" else ColumnType.DOUBLE
-    if item.column is None:
-        raise SQLPlanError("requires a column")
+    if item.function == "count":
+        return ColumnType.BIGINT
     source_type = source.schema.column(item.column).type
     if item.function == "sum" and source_type is ColumnType.BOOLEAN:
         return ColumnType.BIGINT
     return source_type
 
 
-def reference_execute(catalog, sql, prune):
+def reference_execute(catalog, sql):
     """``(records, [(name, type)], QueryStats)`` the row-at-a-time way."""
     statement = parse_sql(sql)
     source = catalog.get_table(statement.table)
-    stats = QueryStats(pruning_enabled=prune)
+    stats = QueryStats()
+    scanned = list(range(source.num_rows))
     if isinstance(source, PartitionedTable):
         stats.partitions_total, stats.partitions_scanned = source.num_partitions, 0
         scanned = []
         for key in source.partition_keys():
-            zone_map = source.zone_map(key)
-            prunable = prune and statement.where is not None
-            if prunable and not condition_may_match(statement.where, zone_map):
+            if statement.where and not condition_may_match(statement.where, source.zone_map(key)):
                 stats.partitions_skipped += 1
                 continue
             stats.partitions_scanned += 1
             scanned.extend(source.partition_indices(key))
-    else:
-        scanned = list(range(source.num_rows))
     stats.rows_scanned = len(scanned)
-    rows = [source.row(index) for index in scanned]
-    rows = [row for row in rows if statement.where is None or _ref_where(statement.where, row)]
+    rows = [row for row in map(source.row, scanned) if _ref_where(statement.where, row)]
     stats.rows_matched = len(rows)
 
     items = statement.items
-    if statement.has_window_functions:
-        if statement.group_by or statement.has_aggregates:
-            raise SQLPlanError("window with GROUP BY")
-        windows = {
-            id(item): _ref_window(item, rows) for item in items if isinstance(item, WindowAggregate)
-        }
-        output = [
-            {
-                item.output_name: windows[id(item)][i] if id(item) in windows else row[item.name]
-                for item in items
-            }
-            for i, row in enumerate(rows)
-        ]
-    elif statement.group_by or statement.has_aggregates:
+    if statement.group_by or statement.has_aggregates:
         plain = [item.name for item in items if isinstance(item, ColumnRef)]
         if any(name not in statement.group_by for name in plain):
             raise SQLPlanError("column outside GROUP BY")
@@ -917,8 +683,6 @@ def reference_execute(catalog, sql, prune):
             for item in items:
                 if isinstance(item, ColumnRef):
                     record[item.output_name] = record[item.name]
-                elif item.column is None and item.function != "count":
-                    raise SQLPlanError("requires a column")
                 elif item.column is None:
                     record[item.output_name] = len(members)
                 else:
@@ -926,26 +690,12 @@ def reference_execute(catalog, sql, prune):
                         item.function, item.distinct, [row[item.column] for row in members]
                     )
             output.append(record)
-    elif statement.select_all:
-        output = rows
     else:
         output = [{item.output_name: row[item.name] for item in items} for row in rows]
 
-    if statement.select_all:
-        types = {column.name: column.type for column in source.schema.columns}
-    else:
-        types = {name: source.schema.column(name).type for name in statement.group_by}
-        for item in items:
-            types.setdefault(item.output_name, _ref_type(item, source))
-    if statement.order_by is not None:
-        if statement.order_by not in types:
-            raise SQLPlanError("ORDER BY column not in result")
-        output.sort(
-            key=lambda row: (row[statement.order_by] is None, row[statement.order_by]),
-            reverse=statement.order_desc,
-        )
-    if statement.limit is not None:
-        output = output[: statement.limit]
+    types = {name: source.schema.column(name).type for name in statement.group_by}
+    for item in items:
+        types.setdefault(item.output_name, _ref_type(item, source))
     records = [{name: type_.coerce(row[name]) for name, type_ in types.items()} for row in output]
     return records, list(types.items()), stats
 
@@ -958,18 +708,19 @@ _ORACLE_SCHEMA = {
     "x": "double",
     "b": "boolean",
 }
-#: Per column: a literal of the column's type, and one of a type it cannot be ordered against.
+#: Per WHERE column, the number literals compared against it (any number
+#: against the string column ``k`` is a type error once a row reaches it).
 _ORACLE_LITERALS = {
-    "day": (st.integers(-1, 4).map(str), st.just("'x'")),
-    "k": (st.sampled_from(["'a'", "'b'", "'zz'"]), st.just("1")),
-    "g": (st.integers(-1, 4).map(str), st.just("'x'")),
-    "t": (st.integers(-2, 14).map(str), st.just("'x'")),
-    "x": (st.sampled_from(["0.1", "0.35", "2", "-1.5"]), st.just("'x'")),
-    "b": (st.sampled_from(["true", "false"]), st.just("'x'")),
+    "day": st.integers(-1, 4).map(str),
+    "k": st.integers(0, 2).map(str),
+    "g": st.integers(-1, 4).map(str),
+    "t": st.integers(-2, 14).map(str),
+    "x": st.sampled_from(["0.1", "0.35", "2", "-1.5", "-0.7", "10000000000000000"]),
+    "b": st.sampled_from(["0", "1"]),
 }
 _ORACLE_AGGREGATES = [
-    "COUNT(*)", "COUNT(x)", "COUNT(k)", "COUNT(DISTINCT k)", "COUNT(DISTINCT g)", "SUM(x)",
-    "SUM(g)", "SUM(b)", "AVG(x)", "AVG(g)", "MIN(x)", "MAX(x)", "MIN(k)", "MAX(t)", "MAX(b)",
+    "COUNT(*)", "COUNT(x)", "COUNT(k)", "COUNT(DISTINCT k)", "COUNT(DISTINCT g)",
+    "COUNT(DISTINCT x)", "SUM(x)", "SUM(g)", "SUM(b)", "MAX(x)", "MAX(k)", "MAX(t)", "MAX(b)",
 ]
 
 
@@ -980,19 +731,18 @@ def _nullable(strategy, null_weight=4):
 @st.composite
 def _oracle_rows(draw):
     """Up to 30 rows with NULLs in every column but the partition key."""
-    times = st.integers(0, 12)  # few instants: peers (ties in ORDER BY) are common
-    if draw(st.integers(0, 7)) == 0:
-        # A NULL window ORDER BY value is an error both sides must raise:
-        # only one table in eight carries them.
-        times = _nullable(times)
+    nan, inf = float("nan"), float("inf")
     row = st.fixed_dictionaries(
         {
             "day": st.integers(0, 3),
             "k": _nullable(st.sampled_from(["a", "b", "c"])),
             "g": _nullable(st.integers(0, 3)),
-            "t": times,
-            # Tenths and thirds: the order of a float fold shows in the last bit.
-            "x": _nullable(st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2.5, -0.7, 1e16, -1e16])),
+            "t": _nullable(st.integers(0, 12)),
+            # Tenths and thirds: the order of a float fold shows in the last
+            # bit.  NaN defeats min / max, and inf - inf is NaN.
+            "x": _nullable(
+                st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2.5, -0.7, 1e16, -1e16, nan, inf, -inf])
+            ),
             "b": _nullable(st.booleans()),
         }
     )
@@ -1000,63 +750,30 @@ def _oracle_rows(draw):
     return draw(st.lists(row, min_size=size, max_size=size))
 
 
-def _draw_where(draw, depth=0):
-    kinds = ["cmp"] * 4 + ["in", "and", "or", "not"] if depth < 2 else ["cmp", "in"]
-    kind = draw(st.sampled_from(kinds))
-    if kind in ("and", "or"):
-        operands = [_draw_where(draw, depth + 1) for _ in range(draw(st.integers(2, 3)))]
-        return "(" + f" {kind.upper()} ".join(operands) + ")"
-    if kind == "not":
-        return f"NOT {_draw_where(draw, depth + 1)}"
-    column = draw(st.sampled_from(sorted(_ORACLE_SCHEMA)))
-    typed, mistyped = _ORACLE_LITERALS[column]
-    literal = st.one_of(*([typed] * 10), mistyped, st.just("NULL"))
-    if kind == "in":
-        return f"{column} IN ({', '.join(draw(st.lists(literal, min_size=1, max_size=3)))})"
+@st.composite
+def _oracle_comparisons(draw):
+    column = draw(st.sampled_from(["day", "g", "t", "x", "x", "b", "k"]))
     operator_ = draw(st.sampled_from(["=", "!=", "<>", "<", "<=", ">", ">="]))
-    return f"{column} {operator_} {draw(literal)}"
+    return f"{column} {operator_} {draw(_ORACLE_LITERALS[column])}"
 
 
 @st.composite
 def _oracle_statements(draw):
-    shape = draw(st.sampled_from(["window", "window", "group", "project"]))
-    outputs = []
-    if shape == "window":
-        clauses = [
-            f"OVER (PARTITION BY {draw(st.sampled_from(['k', 'g', 'day']))} ORDER BY "
-            f"{draw(st.sampled_from(['t'] * 6 + ['day', 'x']))} RANGE BETWEEN "
-            f"{draw(st.sampled_from(['0', '2', '5.5', '1000']))} PRECEDING AND CURRENT ROW)"
-            for _ in range(draw(st.sampled_from([1, 1, 2])))
-        ]
-        plain = draw(st.lists(st.sampled_from(sorted(_ORACLE_SCHEMA)), max_size=2))
-        select = [f"{column} AS p{i}" for i, column in enumerate(plain)]
-        for i in range(draw(st.integers(1, 4))):
-            call, over = draw(st.sampled_from(_ORACLE_AGGREGATES)), draw(st.sampled_from(clauses))
-            select.append(f"{call} {over} AS w{i}")
-        outputs = [part.rsplit(" AS ", 1)[1] for part in select]
-    elif shape == "group":
+    keys = []
+    if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(["k", "g", "b", "day"]), max_size=2, unique=True))
         select = list(keys) + [
             f"{draw(st.sampled_from(_ORACLE_AGGREGATES))} AS a{i}"
             for i in range(draw(st.integers(1, 3)))
         ]
-        outputs = list(keys) + [part.rsplit(" AS ", 1)[1] for part in select[len(keys):]]
-    elif draw(st.booleans()):
-        select, outputs = ["*"], sorted(_ORACLE_SCHEMA)
     else:
-        columns = st.sampled_from(sorted(_ORACLE_SCHEMA))
-        outputs = draw(st.lists(columns, min_size=1, max_size=4, unique=True))
-        select = list(outputs)
+        columns = draw(st.lists(st.sampled_from(sorted(_ORACLE_SCHEMA)), min_size=1, max_size=4))
+        select = [f"{name} AS p{i}" if draw(st.booleans()) else name for i, name in enumerate(columns)]
     sql = f"SELECT {', '.join(select)} FROM facts"
     if draw(st.integers(0, 3)):
-        sql += f" WHERE {_draw_where(draw)}"
-    if shape == "group" and keys:
+        sql += " WHERE " + " AND ".join(draw(st.lists(_oracle_comparisons(), min_size=1, max_size=3)))
+    if keys:
         sql += f" GROUP BY {', '.join(keys)}"
-    if draw(st.booleans()):
-        direction = draw(st.sampled_from(["", " ASC", " DESC"]))
-        sql += f" ORDER BY {draw(st.sampled_from(outputs))}{direction}"
-    if draw(st.integers(0, 2)) == 0:
-        sql += f" LIMIT {draw(st.integers(0, 6))}"
     return sql
 
 
@@ -1070,7 +787,6 @@ def _outcome(run):
 def _executor_matches_reference(data):
     rows = data.draw(_oracle_rows(), label="rows")
     partitioned = data.draw(st.booleans(), label="partitioned")
-    prune = data.draw(st.booleans(), label="prune")
     sql = data.draw(_oracle_statements(), label="sql")
     schema = Schema.from_dict(_ORACLE_SCHEMA)
     table = Table("facts", schema)
@@ -1082,27 +798,36 @@ def _executor_matches_reference(data):
     executor = SQLExecutor(catalog)
 
     def run_executor():
-        result = executor.execute(sql, prune_partitions=prune)
+        result = executor.execute(sql)
         types = [(column.name, column.type) for column in result.schema.columns]
         return result.to_records(), types, executor.last_stats
 
     got = _outcome(run_executor)
-    expected = _outcome(lambda: reference_execute(catalog, sql, prune))
+    expected = _outcome(lambda: reference_execute(catalog, sql))
     if isinstance(expected, type) or isinstance(got, type):
         assert got is expected, (sql, got, expected)
+    else:
+        assert repr(got[0]) == repr(expected[0]), sql
+        assert got[1] == expected[1], sql
+        assert dataclasses.asdict(got[2]) == dataclasses.asdict(expected[2]), sql
+    if not partitioned:
         return
-    assert repr(got[0]) == repr(expected[0]), sql
-    assert got[1] == expected[1], sql
-    assert dataclasses.asdict(got[2]) == dataclasses.asdict(expected[2]), sql
-    if partitioned:
-        # The lazily built zone maps are the per-value fold of their partition.
-        for key in table.partition_keys():
-            members = [table.row(index) for index in table.partition_indices(key)]
-            for name, zone in table.zone_map(key).columns.items():
-                present = [row[name] for row in members if row[name] is not None]
-                assert zone.bounds == ((min(present), max(present)) if present else None)
-                nulls = len(members) - len(present)
-                assert (zone.null_count, zone.value_count) == (nulls, len(present))
+    where = parse_sql(sql).where
+    for key in table.partition_keys():
+        members = [table.row(index) for index in table.partition_indices(key)]
+        zone_map = table.zone_map(key)
+        # The lazily built zone maps are the per-value fold of their partition,
+        # with no bounds on a column holding a NaN.
+        for name, zone in zone_map.columns.items():
+            present = [row[name] for row in members if row[name] is not None]
+            ordered = present and all(value == value for value in present)
+            assert zone.bounds == ((min(present), max(present)) if ordered else None)
+            nulls = len(members) - len(present)
+            assert (zone.null_count, zone.value_count) == (nulls, len(present))
+        if where and not condition_may_match(where, zone_map):
+            # A skipped partition holds no row the WHERE accepts.
+            for row in members:
+                assert _outcome(lambda: _ref_where(where, row)) is not True, (sql, row)
 
 
 class TestColumnarExecutorExamples:
@@ -1115,72 +840,34 @@ class TestColumnarExecutorExamples:
         return SQLExecutor(catalog)
 
     def test_later_and_operand_sees_only_the_survivors(self):
-        """``b < 'x'`` on a bigint column is a type error — raised only when a
+        """``b < 5`` on a string column is a type error — raised only when a
         row reaches it, exactly as a per-row short circuit would."""
-        schema = {"a": "bigint", "b": "bigint"}
-        sql = "SELECT a FROM t WHERE a = 1 AND b < 'x'"
-        none_survive = self._executor([{"a": 0, "b": 5}, {"a": None, "b": 5}], schema)
+        schema = {"a": "bigint", "b": "string"}
+        sql = "SELECT a FROM t WHERE a = 1 AND b < 5"
+        none_survive = self._executor([{"a": 0, "b": "s"}, {"a": None, "b": "s"}], schema)
         assert none_survive.execute(sql).num_rows == 0
         null_survives = self._executor([{"a": 1, "b": None}], schema)
         assert null_survives.execute(sql).num_rows == 0  # NULL b: no comparison made
         with pytest.raises(SQLPlanError):
-            self._executor([{"a": 0, "b": 5}, {"a": 1, "b": 5}], schema).execute(sql)
-        # OR evaluates a later operand only on the rows no earlier one accepted.
-        either = "SELECT a FROM t WHERE a = 1 OR b < 'x'"
-        assert self._executor([{"a": 1, "b": 5}], schema).execute(either).column("a") == [1]
-        with pytest.raises(SQLPlanError):
-            self._executor([{"a": 1, "b": 5}, {"a": 0, "b": 5}], schema).execute(either)
+            self._executor([{"a": 0, "b": "s"}, {"a": 1, "b": "s"}], schema).execute(sql)
 
-    def test_one_layout_per_over_clause(self, monkeypatch):
-        """Five OVER items over one clause bucket and sort the rows once; a
-        second clause in the same statement gets its own layout."""
-        calls = []
-        layout = executor_module._window_layout
-
-        def counting(columns, indices, partition_by, order_by):
-            calls.append((partition_by, order_by))
-            return layout(columns, indices, partition_by, order_by)
-
-        monkeypatch.setattr(executor_module, "_window_layout", counting)
-        rows = [{"account": f"a{i % 3}", "ts": i, "amount": i / 4} for i in range(12)]
-        executor = SQLExecutor(_window_client(rows).catalog)
-        over = "OVER (PARTITION BY account ORDER BY ts RANGE BETWEEN 5 PRECEDING AND CURRENT ROW)"
-        five = ", ".join(
-            f"{call} {over} AS w{i}"
-            for i, call in enumerate(
-                ["COUNT(*)", "SUM(amount)", "MAX(amount)", "AVG(amount)", "COUNT(DISTINCT amount)"]
-            )
-        )
-        result = executor.execute(f"SELECT {five} FROM events")
-        assert calls == [("account", "ts")] and result.num_rows == 12
-        other = "OVER (PARTITION BY ts ORDER BY amount RANGE BETWEEN 1 PRECEDING AND CURRENT ROW)"
-        executor.execute(f"SELECT {five}, COUNT(*) {other} AS v FROM events")
-        assert calls[1:] == [("account", "ts"), ("ts", "amount")]
-
-    def test_peers_enter_the_frame_in_input_order(self):
-        """Ties in ORDER BY keep input position, and the running sum shows it:
-        (1e16 + 0.3) - 1e16 is 0.0, (1e16 - 1e16) + 0.3 is 0.3."""
+    def test_group_by_sum_is_a_left_fold(self):
+        """``GROUP BY`` SUM adds in scan order, as the backfill loop's running
+        ``+=`` does — not with the builtin ``sum``, which is compensated from
+        Python 3.12 on (ten 0.1s: 1.0 there, 0.9999999999999999 folded).
+        Before the fix this fails on 3.12 only; 3.10 / 3.11 ``sum`` is the fold.
+        """
+        amounts = {"a": [0.1] * 10, "b": [0.3, 0.7, 1e16, -1e16, 0.1]}
         rows = [
-            {"account": "a", "ts": 1, "amount": 1e16},
-            {"account": "a", "ts": 2, "amount": 0.3},
-            {"account": "a", "ts": 2, "amount": -1e16},
+            {"account": account, "amount": amount}
+            for account, values in amounts.items()
+            for amount in values
         ]
-        result = SQLExecutor(_window_client(rows).catalog).execute(
-            "SELECT SUM(amount) OVER (PARTITION BY account ORDER BY ts RANGE BETWEEN 10 "
-            "PRECEDING AND CURRENT ROW) AS w FROM events"
-        )
-        assert result.column("w") == [1e16, 0.0, 0.0]
-
-    def test_zero_width_frame_is_empty(self):
-        """``RANGE BETWEEN 0 PRECEDING`` is the empty frame ``(t, t]``; the sweep
-        used to run its eviction pointer off the end of the partition."""
-        rows = [{"account": "a", "ts": ts, "amount": 1.5} for ts in (1, 1, 2)]
-        result = SQLExecutor(_window_client(rows).catalog).execute(
-            "SELECT COUNT(*) OVER (PARTITION BY account ORDER BY ts RANGE BETWEEN 0 "
-            "PRECEDING AND CURRENT ROW) AS n, SUM(amount) OVER (PARTITION BY account "
-            "ORDER BY ts RANGE BETWEEN 0 PRECEDING AND CURRENT ROW) AS s FROM events"
-        )
-        assert result.to_records() == [{"n": 0, "s": None}] * 3
+        executor = self._executor(rows, {"account": "string", "amount": "double"})
+        grouped = executor.execute("SELECT account, SUM(amount) AS s FROM t GROUP BY account")
+        assert dict(zip(grouped.column("account"), grouped.column("s"))) == {
+            account: functools.reduce(operator.add, values) for account, values in amounts.items()
+        }
 
     def test_zone_map_is_rebuilt_after_a_write(self):
         """A zone map is never older than its partition's last write: a row

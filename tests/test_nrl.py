@@ -169,6 +169,23 @@ class TestWord2Vec:
         with pytest.raises(EmbeddingError):
             build_vocabulary([])
 
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"min_learning_rate": float("nan")},
+            {"min_learning_rate": float("inf")},
+            {"min_learning_rate": -0.1},
+        ],
+        ids=["lr-nan", "lr-inf", "min-lr-nan", "min-lr-inf", "min-lr-negative"],
+    )
+    def test_non_finite_rates_rejected(self, settings_):
+        """A NaN learning rate passed ``<= 0``, and ``max(floor, nan)`` then
+        trained the whole run silently at the ``min_learning_rate`` floor."""
+        with pytest.raises(EmbeddingError):
+            SkipGramConfig(**settings_).validate()
+
 
 class TestDeepWalk:
     def test_cluster_structure_is_captured(self):
@@ -229,6 +246,21 @@ class TestStructure2Vec:
     def test_requires_labels(self, network):
         with pytest.raises(EmbeddingError):
             Structure2Vec().fit(network)
+
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"l2": float("nan")},
+            {"l2": float("inf")},
+        ],
+        ids=["lr-nan", "lr-inf", "l2-nan", "l2-inf"],
+    )
+    def test_non_finite_settings_rejected(self, settings_):
+        """Each of these used to train, and every embedding row came out NaN."""
+        with pytest.raises(EmbeddingError):
+            Structure2Vec(Structure2VecConfig(**settings_))
 
     def test_loss_decreases(self, dataset, network):
         labels = node_labels_from_transactions(dataset.network_transactions)

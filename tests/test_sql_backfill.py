@@ -150,7 +150,11 @@ class TestPartitionSkipping:
         config = AggregationConfig(window_days=5)
         as_of = 19 * SECONDS_PER_DAY - 1
         pruned_engine = SQLBackfillEngine(config)
-        full_engine = SQLBackfillEngine(config, prune_partitions=False)
+        full_engine = SQLBackfillEngine(config)
+        # A plain staging table is never pruned: the full-scan oracle.
+        full_engine.client.create_partitioned_table = (
+            lambda name, schema, partition_key: full_engine.client.create_table(name, schema)
+        )
         pruned = pruned_engine.backfill(events, as_of_time=as_of)
         full = full_engine.backfill(events, as_of_time=as_of)
         assert sorted(pruned) == sorted(full)
