@@ -19,6 +19,7 @@ Everything is observable at prediction time — the hidden generative attributes
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -196,13 +197,35 @@ def cells_for(
 
 #: :func:`profile_cells` of an account with nothing stored, decoded once.
 DEFAULT_CELLS = profile_cells({})
+#: ``hour`` … ``is_business_hours`` of each hour of the day, with the scalar
+#: ufunc calls of :meth:`BasicFeatureExtractor.extract_one`.
+_HOUR_CELLS = {
+    hour: (
+        float(hour),
+        float(np.sin(2.0 * np.pi * hour / 24.0)),
+        float(np.cos(2.0 * np.pi * hour / 24.0)),
+        1.0 if is_night_hour(hour) else 0.0,
+        1.0 if 9 <= hour <= 18 else 0.0,
+    )
+    for hour in range(24)
+}
+#: The channel one-hot of each member, keyed by identity (the reference tests
+#: ``is``): any other value, a member's plain string included, is all zeros.
+_CHANNEL_CELLS = {
+    id(member): tuple(1.0 if other is member else 0.0 for other in TransactionChannel)
+    for member in TransactionChannel
+}
+_NO_CHANNEL = (0.0,) * len(TransactionChannel)
 _LOG1P_COLUMNS = np.array(
     [index for index, name in enumerate(BASIC_FEATURE_NAMES) if name.startswith("log_")]
 )
-_SIN_COLUMN = BASIC_FEATURE_NAMES.index("hour_sin")
-_COS_COLUMN = BASIC_FEATURE_NAMES.index("hour_cos")
 _RECENT_AMOUNT_COLUMN = BASIC_FEATURE_NAMES.index("payer_recent_amount")
 _RATIO_COLUMN = BASIC_FEATURE_NAMES.index("amount_over_recent_amount")
+
+
+@lru_cache(maxsize=4096)
+def _trans_city_cells(city: str) -> Tuple[float, float]:
+    return _city_risk(city), float(_city_bucket(city))
 
 
 def fill_basic_block(
@@ -211,17 +234,20 @@ def fill_basic_block(
     profiles: Mapping[str, ProfileCells],
 ) -> None:
     """Write the 52 basic features of ``transactions`` — transactions or
-    requests, read as they are — into ``out`` (n, 52).
+    requests, read as they are — into ``out`` (n, 52), possibly a column
+    slice of a wider matrix.
 
-    One tuple per transaction holds all 52 cells in column order — the
-    arithmetic of :meth:`BasicFeatureExtractor.extract_one` — except that the
-    seven transcendental cells carry their *argument* and the amount ratio its
-    numerator: after the ndarray conversion ``log1p`` / ``sin`` / ``cos`` (the
-    ufuncs the scalar path calls) and the division run once over those
-    columns, so every value is bit-identical to it, and a caller-supplied
-    ``payer_recent_amount`` of -1 is an ``inf`` in its own row, not a
-    ``ZeroDivisionError`` for every row of the call.
-    Accounts absent from ``profiles`` get the cold-account default.
+    One flat tuple per transaction holds all 52 cells in column order — the
+    arithmetic of :meth:`BasicFeatureExtractor.extract_one`, with the hour
+    cells (``sin`` / ``cos`` included), the channel one-hot and the transfer
+    city's risk and bucket read from tables built once.  The five ``log_``
+    cells carry their argument and the amount ratio its numerator: in the
+    call's one ``np.fromiter`` buffer ``log1p`` and the division run once per
+    column, so every value is bit-identical to the reference, and a
+    caller-supplied ``payer_recent_amount`` of -1 is an ``inf`` in its own
+    row, not a ``ZeroDivisionError`` for every row of the call.  Accounts
+    absent from ``profiles`` get the cold-account default; an hour outside
+    0-23 raises :class:`FeatureError`.
     """
     if not transactions:
         return
@@ -229,32 +255,24 @@ def fill_basic_block(
     for txn in transactions:
         payer, payer_city = profiles.get(txn.payer_id, DEFAULT_CELLS)
         payee, payee_city = profiles.get(txn.payee_id, DEFAULT_CELLS)
+        hour_cells = _HOUR_CELLS.get(txn.hour)
+        if hour_cells is None:
+            raise FeatureError(f"hour must be an integer in 0-23, got {txn.hour!r}")
         amount = float(txn.amount)
-        hour = txn.hour
-        hour_angle = 2.0 * np.pi * hour / 24.0
-        channel = txn.channel
         trans_city = txn.trans_city
         recent_amount = float(txn.payer_recent_amount)
         inbound = float(txn.payee_recent_inbound_count)
         payer_kyc, payee_kyc = payer[5], payee[5]
         rows.append(
-            payer
-            + payee
-            + (
+            (
+                *payer,
+                *payee,
                 # --- transfer environment (22) ---
                 amount,
                 amount,  # log1p below
-                float(hour),
-                hour_angle,  # sin below
-                hour_angle,  # cos below
-                1.0 if is_night_hour(hour) else 0.0,
-                1.0 if 9 <= hour <= 18 else 0.0,
-                1.0 if channel is TransactionChannel.APP else 0.0,
-                1.0 if channel is TransactionChannel.WEB else 0.0,
-                1.0 if channel is TransactionChannel.QR_CODE else 0.0,
-                1.0 if channel is TransactionChannel.BANK_CARD else 0.0,
-                _city_risk(trans_city),
-                float(_city_bucket(trans_city)),
+                *hour_cells,
+                *_CHANNEL_CELLS.get(id(txn.channel), _NO_CHANNEL),
+                *_trans_city_cells(trans_city),
                 1.0 if trans_city == payer_city else 0.0,
                 1.0 if txn.is_new_device else 0.0,
                 float(txn.ip_risk_score),
@@ -281,12 +299,12 @@ def fill_basic_block(
         raise FeatureError(
             f"expected {len(BASIC_FEATURE_NAMES)} features, produced {len(rows[0])}"
         )
-    out[:] = rows
-    out[:, _RATIO_COLUMN] /= out[:, _RECENT_AMOUNT_COLUMN] + 1.0
-    out[:, _LOG1P_COLUMNS] = np.log1p(out[:, _LOG1P_COLUMNS])
-    sin_column, cos_column = out[:, _SIN_COLUMN], out[:, _COS_COLUMN]
-    np.sin(sin_column, out=sin_column)
-    np.cos(cos_column, out=cos_column)
+    block = np.fromiter(
+        chain.from_iterable(rows), np.float64, len(rows) * len(BASIC_FEATURE_NAMES)
+    ).reshape(len(rows), -1)
+    block[:, _RATIO_COLUMN] /= block[:, _RECENT_AMOUNT_COLUMN] + 1.0
+    block[:, _LOG1P_COLUMNS] = np.log1p(block[:, _LOG1P_COLUMNS])
+    out[:] = block
 
 
 def labelled_matrix(

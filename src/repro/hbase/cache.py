@@ -14,7 +14,7 @@ a hit copies nothing, and time is whatever ``now`` the caller passes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hbase.store import Row
 
@@ -25,7 +25,8 @@ _RowKey = Tuple[str, str]
 
 
 class RowCache:
-    """Bounded TTL cache of row reads, invalidated per (table, row key)."""
+    """Bounded TTL cache of row reads, invalidated per (table, row key); a
+    read is one :meth:`multi_get` call over all of its keys."""
 
     def __init__(self, *, ttl_seconds: float = 30.0, max_rows: int = 4096):
         if not ttl_seconds > 0:  # NaN fails every comparison
@@ -39,46 +40,55 @@ class RowCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def get(
+    def multi_get(
         self,
         table: str,
-        row_key: str,
+        rows: Dict[str, Row],
         column_family: str,
         version: Optional[int],
         now: float,
-    ) -> Optional[Row]:
-        """The cached row — the store's own snapshot — or None on miss/expiry."""
-        entry = self._rows.get((table, row_key))
-        if entry is not None:
-            cached = entry.get((column_family, version))
-            if cached is not None:
-                expires_at, row = cached
-                if now < expires_at:
-                    self.hits += 1
-                    self._rows.move_to_end((table, row_key))
-                    return row
-                del entry[(column_family, version)]
-                if not entry:
-                    # Drop the empty row entry so expired rows stop occupying
-                    # max_rows capacity (and len()/stats() stay truthful).
-                    del self._rows[(table, row_key)]
-        self.misses += 1
-        return None
+        probe: Callable[[str, Optional[int]], Optional[Row]],
+    ) -> List[str]:
+        """Read ``rows``' keys through the cache, in place, in one call, and
+        return the keys it had to ``probe`` the store for, in order.
 
-    def put(
-        self,
-        table: str,
-        row_key: str,
-        column_family: str,
-        version: Optional[int],
-        row: Row,
-        now: float,
-    ) -> None:
-        entry = self._rows.setdefault((table, row_key), {})
-        entry[(column_family, version)] = (now + self.ttl_seconds, row)
-        self._rows.move_to_end((table, row_key))
-        while len(self._rows) > self.max_rows:
-            self._rows.popitem(last=False)
+        Key by key: a live entry is a hit (moved to the LRU end); an expired
+        one is dropped, and a miss calls ``probe(row_key, version)``, whose
+        row — the store's own snapshot — is cached with a fresh TTL and
+        evicts the least recently used rows beyond ``max_rows``.  A key the
+        probe finds nothing for keeps its value in ``rows`` and is not cached.
+        """
+        cached_rows = self._rows
+        sub_key = (column_family, version)
+        expires_at = now + self.ttl_seconds
+        probed: List[str] = []
+        for row_key in rows:
+            key = (table, row_key)
+            entry = cached_rows.get(key)
+            if entry is not None:
+                cached = entry.get(sub_key)
+                if cached is not None:
+                    if now < cached[0]:
+                        cached_rows.move_to_end(key)
+                        rows[row_key] = cached[1]
+                        continue
+                    del entry[sub_key]
+                    if not entry:
+                        # An emptied row entry goes: expired rows must not
+                        # take max_rows capacity (or count in len()/stats()).
+                        del cached_rows[key]
+            probed.append(row_key)
+            row = probe(row_key, version)
+            if row is None:
+                continue
+            rows[row_key] = row
+            cached_rows.setdefault(key, {})[sub_key] = (expires_at, row)
+            cached_rows.move_to_end(key)
+            while len(cached_rows) > self.max_rows:
+                cached_rows.popitem(last=False)
+        self.hits += len(rows) - len(probed)
+        self.misses += len(probed)
+        return probed
 
     def invalidate(
         self, table: str, row_key: str, column_family: Optional[str] = None

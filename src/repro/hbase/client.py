@@ -181,27 +181,26 @@ class HBaseClient:
         version: Optional[int],
         absent: Row,
     ) -> Dict[str, Row]:
-        """The one read path: per distinct key, cache probe → region routing →
-        one non-raising probe of the family.  A present row is cached and
-        returned as the store's own snapshot; an absent one maps to ``absent``
-        and is never cached, so every probe of it is a miss and a region read.
+        """The one read path: the distinct keys go to one row-cache call
+        (:meth:`RowCache.multi_get`), which probes the family for each miss —
+        one non-raising probe — and the keys it probed count one region read
+        each.  A present row is cached and returned as the store's own
+        snapshot; an absent one maps to ``absent`` and is never cached, so
+        every probe of it is a miss and a region read.
         """
         probe = self.table(table_name).family(column_family).latest
-        cache = self._cache
-        now = self._clock() if cache is not None else 0.0
         rows = dict.fromkeys(row_keys, absent)
-        for row_key in rows:
-            row: Optional[Row] = None
-            if cache is not None:
-                row = cache.get(table_name, row_key, column_family, version, now)
-            if row is None:
-                self._router.record_read(row_key)
+        if self._cache is not None:
+            probed = self._cache.multi_get(
+                table_name, rows, column_family, version, self._clock(), probe
+            )
+        else:
+            probed = list(rows)
+            for row_key in probed:
                 row = probe(row_key, version)
-                if row is None:
-                    continue
-                if cache is not None:
-                    cache.put(table_name, row_key, column_family, version, row, now)
-            rows[row_key] = row
+                if row is not None:
+                    rows[row_key] = row
+        self._router.record_reads(probed)
         return rows
 
     def get(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.exceptions import StorageError
 
@@ -48,10 +48,10 @@ class RegionRouter:
         server.record_write(row_key)
         return server
 
-    def record_read(self, row_key: str) -> RegionServer:
-        server = self.region_for(row_key)
-        server.read_requests += 1
-        return server
+    def record_reads(self, row_keys: Iterable[str]) -> None:
+        """Count one read on the region of each of ``row_keys``."""
+        for row_key in row_keys:
+            self.region_for(row_key).read_requests += 1
 
     # ------------------------------------------------------------------
     def load_report(self) -> Dict[int, Dict[str, int]]:

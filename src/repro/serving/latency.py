@@ -51,8 +51,8 @@ class LatencyTracker:
 
     # ------------------------------------------------------------------
     def record(self, latency_ms: float) -> None:
-        if latency_ms < 0:
-            raise ServingError("latency cannot be negative")
+        if not latency_ms >= 0:  # NaN fails every comparison
+            raise ServingError(f"latency must be a non-negative number, got {latency_ms!r}")
         self._latencies_ms.append(float(latency_ms))
 
     def __len__(self) -> int:

@@ -56,6 +56,12 @@ class TransactionRequest:
     payer_recent_amount: float = 0.0
     payee_recent_inbound_count: int = 0
 
+    def __post_init__(self) -> None:
+        # Before any path — scoring, the rules fallback, the window engine's
+        # ingest — can read it: an hour of day is one of 0-23.
+        if self.hour not in range(24):
+            raise ServingError(f"hour must be an integer in 0-23, got {self.hour!r}")
+
     @classmethod
     def from_transaction(cls, transaction: Transaction) -> "TransactionRequest":
         """Strip the label from an offline transaction record."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence
 
 from repro.exceptions import ServingError
@@ -34,8 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VIRTUAL_NODES = 64
 
 
+@lru_cache(maxsize=1 << 15)
 def _stable_hash(key: str) -> int:
-    """64-bit hash that is stable across processes (unlike builtin ``hash``)."""
+    """64-bit hash that is stable across processes (unlike builtin ``hash``).
+
+    Memoised: a repeated payer's ring point costs a probe.  The bound only
+    keeps memory flat (about 4 MB when full) over an unbounded population."""
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
+from repro.datagen.schema import TransactionChannel
 from repro.exceptions import (
     ModelNotLoadedError,
     RowNotFoundError,
@@ -26,6 +28,14 @@ from repro.serving import (
     TransactionRequest,
 )
 from repro.serving.alipay import TransactionOutcome
+
+
+def _cache_read(cache, row_key, now, stored=None):
+    """One ``RowCache.multi_get`` of one key whose store holds ``stored``:
+    the value read (None when absent) and whether the cache probed the store."""
+    rows = {row_key: None}
+    probed = cache.multi_get("t", rows, "cf", None, now, lambda key, version: stored)
+    return rows[row_key], probed == [row_key]
 
 
 class TestHBaseTable:
@@ -182,39 +192,39 @@ class TestRegionsAndWAL:
     def test_expired_rows_release_cache_capacity(self):
         """Regression: an expired row must not keep occupying max_rows.
 
-        Before the fix, RowCache.get deleted the expired (column family,
+        Before the fix, the cache deleted the expired (column family,
         version) sub-entry but left the empty row entry behind, so dead rows
         counted against capacity and could evict live rows.
         """
         from repro.hbase.cache import RowCache
 
         cache = RowCache(ttl_seconds=30.0, max_rows=2)
-        cache.put("t", "stale", "cf", None, {"v": 1}, now=0.0)
-        cache.put("t", "live", "cf", None, {"v": 2}, now=5.0)
+        assert _cache_read(cache, "stale", 0.0, {"v": 1}) == ({"v": 1}, True)
+        assert _cache_read(cache, "live", 5.0, {"v": 2}) == ({"v": 2}, True)
         # A hit moves 'stale' behind 'live' in the LRU order...
-        assert cache.get("t", "stale", "cf", None, now=29.0) is not None
+        assert _cache_read(cache, "stale", 29.0) == ({"v": 1}, False)
         # ...then it expires; the empty row entry must be dropped entirely.
-        assert cache.get("t", "stale", "cf", None, now=31.0) is None
+        assert _cache_read(cache, "stale", 31.0) == (None, True)
         assert len(cache) == 1
         assert cache.stats()["rows"] == 1.0
         # With capacity freed, inserting a new row must not evict the live one.
-        cache.put("t", "new", "cf", None, {"v": 3}, now=31.0)
-        assert cache.get("t", "live", "cf", None, now=33.0) is not None
+        _cache_read(cache, "new", 31.0, {"v": 3})
+        assert _cache_read(cache, "live", 33.0) == ({"v": 2}, False)
 
     def test_cache_full_of_expired_rows_keeps_live_rows(self):
         from repro.hbase.cache import RowCache
 
         cache = RowCache(ttl_seconds=10.0, max_rows=4)
         for i in range(4):
-            cache.put("t", f"stale{i}", "cf", None, {"v": i}, now=0.0)
+            _cache_read(cache, f"stale{i}", 0.0, {"v": i})
         # Touch every expired row: each lookup must free its slot.
         for i in range(4):
-            assert cache.get("t", f"stale{i}", "cf", None, now=20.0) is None
+            assert _cache_read(cache, f"stale{i}", 20.0) == (None, True)
         assert len(cache) == 0
         for i in range(4):
-            cache.put("t", f"live{i}", "cf", None, {"v": i}, now=20.0)
+            _cache_read(cache, f"live{i}", 20.0, {"v": i})
         for i in range(4):
-            assert cache.get("t", f"live{i}", "cf", None, now=25.0) is not None
+            assert _cache_read(cache, f"live{i}", 25.0) == ({"v": i}, False)
 
     def test_row_cache_disabled(self):
         client = HBaseClient(row_cache_ttl_s=0.0)
@@ -268,6 +278,17 @@ class TestLatencyTracker:
         with pytest.raises(ServingError):
             LatencyTracker(sla_budget_ms=0.0)
 
+    def test_a_nan_sample_is_rejected_and_leaves_the_report_intact(self):
+        """A NaN sample used to pass ``latency_ms < 0`` and turn p50, p99 and
+        max into NaN, with zero SLA violations and ``within_sla()`` False."""
+        tracker = LatencyTracker(sla_budget_ms=10.0)
+        tracker.record(2.0)
+        with pytest.raises(ServingError, match="non-negative"):
+            tracker.record(float("nan"))
+        report = tracker.report()
+        assert (report.count, report.p50_ms, report.p99_ms, report.max_ms) == (1, 2.0, 2.0, 2.0)
+        assert tracker.within_sla()
+
 
 @pytest.fixture()
 def serving_stack(world, dataset, feature_matrices):
@@ -296,6 +317,39 @@ def serving_stack(world, dataset, feature_matrices):
     server = ModelServer(hbase, ModelServerConfig())
     server.load_model(model, version="test_v1", threshold=0.5)
     return hbase, server
+
+
+def _request(**overrides):
+    fields = dict(
+        transaction_id="t1",
+        payer_id="a",
+        payee_id="b",
+        amount=10.0,
+        hour=12,
+        day=8,
+        channel=TransactionChannel.APP,
+        trans_city="city_001",
+        device_id="d",
+        is_new_device=False,
+        ip_risk_score=0.1,
+    )
+    fields.update(overrides)
+    return TransactionRequest(**fields)
+
+
+class TestRequestHour:
+    """An hour outside 0-23 used to be scored, and its ingest moved the
+    window engine's watermark (a day-8 request at hour 30 set it to day 9.25)."""
+
+    @pytest.mark.parametrize("hour", [24, 30, -1, -5, 5.5, float("nan")])
+    def test_an_hour_outside_the_day_is_rejected_where_the_request_is_built(self, hour):
+        with pytest.raises(ServingError, match="hour must be an integer in 0-23"):
+            _request(hour=hour)
+        with pytest.raises(ServingError, match="hour must be an integer in 0-23"):
+            dataclasses.replace(_request(), hour=hour)
+
+    def test_every_hour_of_the_day_is_accepted(self):
+        assert [_request(hour=hour).hour for hour in range(24)] == list(range(24))
 
 
 class TestModelServer:

@@ -7,6 +7,7 @@ down case by case (aliasing, sharing, cold accounts, the injected clock).
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.exceptions import RowNotFoundError
 from repro.features.basic import DEFAULT_CELLS, profile_cells
 from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
+from repro.hbase.cache import RowCache
 from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
 from repro.hbase.store import ColumnFamilyStore
 from repro.serving.feature_source import HBaseFeatureSource, embedding_vectors
@@ -228,6 +230,133 @@ test_reads_equal_a_brute_force_model = settings(max_examples=200, deadline=None)
 )
 test_reads_equal_a_brute_force_model_soak = pytest.mark.slow(
     settings(max_examples=2000, deadline=None)(_model_runs(_reads_equal_a_brute_force_model))
+)
+
+
+# ---------------------------------------------------------------------------
+# Model-based property: one multi_get call equals per-key get-then-put
+# ---------------------------------------------------------------------------
+
+
+class _PerKeyCache:
+    """The per-key reference of :meth:`RowCache.multi_get`: ``get`` each key,
+    then ``put`` what a miss loaded — the row cache's read path when it took
+    two calls per key."""
+
+    def __init__(self, ttl_seconds: float, max_rows: int) -> None:
+        self.ttl_seconds, self.max_rows = ttl_seconds, max_rows
+        self.rows: "OrderedDict[Tuple[str, str], Dict[Any, Tuple[float, Any]]]" = OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, table: str, key: str, family: str, version: Any, now: float) -> Any:
+        entry = self.rows.get((table, key))
+        if entry is not None:
+            cached = entry.get((family, version))
+            if cached is not None:
+                if now < cached[0]:
+                    self.hits += 1
+                    self.rows.move_to_end((table, key))
+                    return cached[1]
+                del entry[(family, version)]
+                if not entry:
+                    del self.rows[(table, key)]
+        self.misses += 1
+        return None
+
+    def put(self, table: str, key: str, family: str, version: Any, row: Any, now: float) -> None:
+        self.rows.setdefault((table, key), {})[(family, version)] = (now + self.ttl_seconds, row)
+        self.rows.move_to_end((table, key))
+        while len(self.rows) > self.max_rows:
+            self.rows.popitem(last=False)
+
+    def invalidate(self, table: str, key: str, family: Optional[str]) -> None:
+        entry = self.rows.get((table, key))
+        if entry is None:
+            return
+        for sub_key in [sub for sub in entry if family is None or sub[0] == family]:
+            del entry[sub_key]
+        if not entry:
+            del self.rows[(table, key)]
+
+    def multi_get(self, table, rows, family, version, now, probe) -> List[str]:
+        probed = []
+        for key in rows:
+            row = self.get(table, key, family, version, now)
+            if row is None:
+                probed.append(key)
+                row = probe(key, version)
+                if row is None:
+                    continue
+                self.put(table, key, family, version, row, now)
+            rows[key] = row
+        return probed
+
+
+_CACHE_KEYS = ("a", "b", "c", "d", "e", "ghost")  # "ghost" is never stored
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("read"),
+            st.lists(st.sampled_from(_CACHE_KEYS), min_size=1, max_size=6),
+            st.sampled_from(("f0", "f1")),
+            st.sampled_from((None, 1)),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from((0.0, 1.0, TTL_S / 2, TTL_S))),
+        st.tuples(st.just("store"), st.sampled_from(_CACHE_KEYS[:-1]), st.booleans()),
+        st.tuples(
+            st.just("invalidate"),
+            st.sampled_from(_CACHE_KEYS),
+            st.sampled_from((None, "f0", "f1")),
+        ),
+    ),
+    max_size=40,
+)
+_cache_model_runs = given(ops=_cache_ops, max_rows=st.integers(1, 4))
+
+
+def _multi_get_equals_per_key_reference(ops, max_rows):
+    cache = RowCache(ttl_seconds=TTL_S, max_rows=max_rows)
+    model = _PerKeyCache(TTL_S, max_rows)
+    stored = {key: True for key in _CACHE_KEYS[:-1]}
+    now, puts = 0.0, 0
+    for op in ops:
+        if op[0] == "advance":
+            now += op[1]
+        elif op[0] == "store":  # the row is (re)written or deleted behind the cache
+            _, key, present = op
+            stored[key] = present
+            puts += 1
+        elif op[0] == "invalidate":
+            cache.invalidate("t", op[1], op[2])
+            model.invalidate("t", op[1], op[2])
+        else:
+            _, keys, family, version = op
+            probes: Dict[str, List[str]] = {"cache": [], "model": []}
+            results = {}
+            for name, target in (("cache", cache), ("model", model)):
+
+                def probe(key: str, pin: Optional[int], name: str = name) -> Any:
+                    probes[name].append(key)
+                    return (key, family, pin, puts) if stored.get(key) else None
+
+                rows = dict.fromkeys(keys, "absent")
+                # The keys returned are the region reads: exactly those probed.
+                assert target.multi_get("t", rows, family, version, now, probe) == probes[name]
+                results[name] = rows
+            assert results["cache"] == results["model"]
+            assert probes["cache"] == probes["model"]
+        assert (cache.hits, cache.misses) == (model.hits, model.misses)
+        assert list(cache._rows.items()) == list(model.rows.items())  # LRU order too
+        assert len(cache) <= max_rows
+
+
+test_multi_get_equals_per_key_reference = settings(max_examples=300, deadline=None)(
+    _cache_model_runs(_multi_get_equals_per_key_reference)
+)
+test_multi_get_equals_per_key_reference_soak = pytest.mark.slow(
+    settings(max_examples=3000, deadline=None)(
+        _cache_model_runs(_multi_get_equals_per_key_reference)
+    )
 )
 
 

@@ -3,6 +3,7 @@ admission control and the registry ordering underneath hot rotation."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.exceptions import ServingError
 from repro.hbase import HBaseClient
 from repro.hbase.client import BASIC_FEATURES_FAMILY
 from repro.models.gbdt import GradientBoostingClassifier
+import repro.serving.router as router_module
 from repro.serving import (
     AdmissionConfig,
     AdmissionController,
@@ -125,6 +127,28 @@ class TestServingRouter:
         router.remove_replica(1)
         router.add_replica(1)
         assert {a: router.route(a) for a in accounts} == before
+
+    def test_the_route_memo_leaves_the_shard_map_unchanged(self):
+        """The ring-hash memo only makes a repeated account cheaper: these
+        ``shard_map`` digests were recorded before the memo existed."""
+        accounts = [f"u{index:07d}" for index in range(10_000)]
+        four = "89dd7d1f0897bd11c87148b077f415a31f8bf276f1a638cc10ac63176cdb7830"
+        without_two = "062b40f6f044d171691e68eabfede2f26289c43c3ea69f55afbd8a53caee5adb"
+
+        def digest(router: ServingRouter) -> str:
+            shards = sorted(router.shard_map(accounts).items())
+            return hashlib.sha256(repr(shards).encode()).hexdigest()
+
+        router_module._stable_hash.cache_clear()
+        router = ServingRouter(4)
+        assert digest(router) == four  # cold memo
+        assert digest(router) == four  # warm memo
+        assert router_module._stable_hash.cache_info().hits >= len(accounts)
+        router.remove_replica(2)
+        assert digest(router) == without_two
+        router.add_replica(2)
+        assert digest(router) == four
+        assert digest(ServingRouter(4)) == four
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ServingError):

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from repro.features.aggregation import (
     aggregation_vector,
     build_aggregate_row,
 )
-from repro.features.basic import DEFAULT_PROFILE, BasicFeatureExtractor
+from repro.exceptions import FeatureError
+from repro.features.basic import BASIC_FEATURE_NAMES, DEFAULT_PROFILE, BasicFeatureExtractor
 from repro.features.plan import (
     EmbeddingBlockSpec,
     FeaturePlan,
@@ -305,6 +307,61 @@ FULL_PLAN = FeaturePlan(
     embedding_blocks=(EmbeddingBlockSpec("dw", 3), EmbeddingBlockSpec("s2v", 2)),
     aggregation=AggregationWindowSpec(),
 )
+
+
+class TestLookupTables:
+    """The hour, channel and transfer-city cells come from tables built once;
+    every entry must read what the scalar reference computes."""
+
+    #: Every member, plus a member's plain string: not the member, so the
+    #: reference (which tests ``is``) scores it an all-zero one-hot.
+    CHANNELS = list(TransactionChannel) + ["app"]
+    #: Cities of the published profiles' form, and names no tier or bucket parses.
+    CITIES = ["city_000", "city_003", "city_017", "city_x", "nowhere"]
+
+    def _grid(self) -> List[Transaction]:
+        grid = []
+        for hour in range(24):
+            for channel in self.CHANNELS:
+                for city in self.CITIES:
+                    payer, payee = (KNOWN + UNKNOWN)[hour % 8], (UNKNOWN + KNOWN)[len(grid) % 8]
+                    grid.append(
+                        dataclasses.replace(
+                            _transfer(payer, payee, f"t{len(grid)}"),
+                            hour=hour,
+                            channel=channel,
+                            trans_city=city,
+                        )
+                    )
+        return grid
+
+    def test_every_hour_channel_and_city_bytes_equal_to_extract_one(self):
+        profiles = _world()[0]
+        extractor = BasicFeatureExtractor(profiles)
+        grid = self._grid()
+        expected = [extractor.extract_one(txn).tobytes() for txn in grid]
+        for index, txn in enumerate(grid):
+            alone = extractor.extract([txn], with_labels=False).values[0]
+            assert alone.tobytes() == expected[index]
+        for start in range(0, len(grid), 64):
+            block = extractor.extract(grid[start : start + 64], with_labels=False).values
+            assert [row.tobytes() for row in block] == expected[start : start + 64]
+
+    def test_a_non_member_channel_is_an_all_zero_one_hot(self):
+        names = ("app", "web", "qr", "bank_card")
+        columns = [BASIC_FEATURE_NAMES.index(f"channel_{name}") for name in names]
+        extractor = BasicFeatureExtractor(_world()[0])
+        for channel in ("app", "carrier_pigeon", None):
+            txn = dataclasses.replace(_transfer("u1", "x0"), channel=channel)
+            values = extractor.extract([txn], with_labels=False).values
+            assert values[0, columns].tolist() == [0.0] * 4
+
+    def test_an_hour_outside_the_day_is_a_feature_error_not_a_wrapped_index(self):
+        extractor = BasicFeatureExtractor(_world()[0])
+        for hour in (24, 30, -1, -5, 5.5, float("nan")):
+            txn = dataclasses.replace(_transfer("u1", "x0"), hour=hour)
+            with pytest.raises(FeatureError, match="hour must be an integer in 0-23"):
+                extractor.extract([_transfer("u2", "u3"), txn], with_labels=False)
 
 
 class TestOneReadPerFamilyPerCall:
