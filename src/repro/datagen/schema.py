@@ -14,6 +14,7 @@ MapReduce layers exactly like the production logs in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Dict, List, Optional, Protocol, Tuple
@@ -256,10 +257,21 @@ def label_as_of(txn: Transaction, as_of_day: int) -> Transaction:
     return txn
 
 
+def transfer_value_error(amount: float, ip_risk_score: float) -> Optional[str]:
+    """The schema's rule for a transfer's amount (finite and positive) and IP
+    risk score (in [0, 1]) as an error string, or None; NaN fails both."""
+    if not 0.0 < amount < math.inf:
+        return f"amount must be a finite positive number, got {amount!r}"
+    if not 0.0 <= ip_risk_score <= 1.0:
+        return f"ip_risk_score must be in [0, 1], got {ip_risk_score!r}"
+    return None
+
+
 def validate_transaction(txn: Transaction) -> Optional[str]:
     """Return an error string if ``txn`` violates schema invariants, else None."""
-    if txn.amount <= 0:
-        return f"amount must be positive, got {txn.amount}"
+    value_error = transfer_value_error(txn.amount, txn.ip_risk_score)
+    if value_error is not None:
+        return value_error
     if not 0 <= txn.hour <= 23:
         return f"hour must be in [0, 23], got {txn.hour}"
     if txn.payer_id == txn.payee_id:
@@ -268,6 +280,4 @@ def validate_transaction(txn: Transaction) -> Optional[str]:
         return f"day must be non-negative, got {txn.day}"
     if txn.label_available_day < txn.day:
         return "labels cannot become available before the transaction day"
-    if not 0.0 <= txn.ip_risk_score <= 1.0:
-        return f"ip_risk_score must be in [0, 1], got {txn.ip_risk_score}"
     return None

@@ -216,11 +216,9 @@ _CHANNEL_CELLS = {
     for member in TransactionChannel
 }
 _NO_CHANNEL = (0.0,) * len(TransactionChannel)
-_LOG1P_COLUMNS = np.array(
-    [index for index, name in enumerate(BASIC_FEATURE_NAMES) if name.startswith("log_")]
-)
-_RECENT_AMOUNT_COLUMN = BASIC_FEATURE_NAMES.index("payer_recent_amount")
-_RATIO_COLUMN = BASIC_FEATURE_NAMES.index("amount_over_recent_amount")
+_LOG1P_COLUMNS = [
+    index for index, name in enumerate(BASIC_FEATURE_NAMES) if name.startswith("log_")
+]
 
 
 @lru_cache(maxsize=4096)
@@ -228,29 +226,36 @@ def _trans_city_cells(city: str) -> Tuple[float, float]:
     return _city_risk(city), float(_city_bucket(city))
 
 
-def fill_basic_block(
-    out: np.ndarray,
+@lru_cache(maxsize=64)
+def _log1p_mask(width: int) -> np.ndarray:
+    """Which of a ``width``-column matrix's cells :func:`finish_basic_columns`
+    takes ``log1p`` of; read-only, shared by every call of that width."""
+    mask = np.zeros(width, dtype=bool)
+    mask[_LOG1P_COLUMNS] = True
+    mask.flags.writeable = False
+    return mask
+
+
+def basic_rows(
     transactions: Sequence[TransferFields],
     profiles: Mapping[str, ProfileCells],
-) -> None:
-    """Write the 52 basic features of ``transactions`` — transactions or
-    requests, read as they are — into ``out`` (n, 52), possibly a column
-    slice of a wider matrix.
+) -> List[Tuple[float, ...]]:
+    """The 52 basic cells of each of ``transactions`` — transactions or
+    requests, read as they are — as one flat tuple per transaction in column
+    order.
 
-    One flat tuple per transaction holds all 52 cells in column order — the
-    arithmetic of :meth:`BasicFeatureExtractor.extract_one`, with the hour
-    cells (``sin`` / ``cos`` included), the channel one-hot and the transfer
-    city's risk and bucket read from tables built once.  The five ``log_``
-    cells carry their argument and the amount ratio its numerator: in the
-    call's one ``np.fromiter`` buffer ``log1p`` and the division run once per
-    column, so every value is bit-identical to the reference, and a
-    caller-supplied ``payer_recent_amount`` of -1 is an ``inf`` in its own
-    row, not a ``ZeroDivisionError`` for every row of the call.  Accounts
-    absent from ``profiles`` get the cold-account default; an hour outside
-    0-23 raises :class:`FeatureError`.
+    The arithmetic is :meth:`BasicFeatureExtractor.extract_one`'s, with the
+    hour cells (``sin`` / ``cos`` included), the channel one-hot and the
+    transfer city's risk and bucket read from tables built once.  The five
+    ``log_`` cells carry their argument: :func:`finish_basic_columns` runs
+    ``log1p`` once over the matrix the rows become, so every value is
+    bit-identical to the reference.  The amount ratio is the reference's
+    IEEE division, made in the row; a zero denominator (a caller-supplied
+    ``payer_recent_amount`` of -1) divides as numpy does, to an ``inf`` in
+    its own row, not a ``ZeroDivisionError`` for every row of the call.
+    Accounts absent from ``profiles`` get the cold-account default; an hour
+    outside 0-23 raises :class:`FeatureError`.
     """
-    if not transactions:
-        return
     rows = []
     for txn in transactions:
         payer, payer_city = profiles.get(txn.payer_id, DEFAULT_CELLS)
@@ -261,6 +266,7 @@ def fill_basic_block(
         amount = float(txn.amount)
         trans_city = txn.trans_city
         recent_amount = float(txn.payer_recent_amount)
+        denominator = recent_amount + 1.0
         inbound = float(txn.payee_recent_inbound_count)
         payer_kyc, payee_kyc = payer[5], payee[5]
         rows.append(
@@ -281,7 +287,7 @@ def fill_basic_block(
                 recent_amount,  # log1p below
                 inbound,
                 inbound,  # log1p below
-                amount,  # over (recent_amount + 1) below
+                amount / denominator if denominator else float(np.divide(amount, denominator)),
                 # --- cross features (10) ---
                 abs(payer[0] - payee[0]),
                 1.0 if payer_city == payee_city else 0.0,
@@ -295,16 +301,18 @@ def fill_basic_block(
                 float(txn.day % 7),
             )
         )
-    if len(rows[0]) != len(BASIC_FEATURE_NAMES):
+    if rows and len(rows[0]) != len(BASIC_FEATURE_NAMES):
         raise FeatureError(
             f"expected {len(BASIC_FEATURE_NAMES)} features, produced {len(rows[0])}"
         )
-    block = np.fromiter(
-        chain.from_iterable(rows), np.float64, len(rows) * len(BASIC_FEATURE_NAMES)
-    ).reshape(len(rows), -1)
-    block[:, _RATIO_COLUMN] /= block[:, _RECENT_AMOUNT_COLUMN] + 1.0
-    block[:, _LOG1P_COLUMNS] = np.log1p(block[:, _LOG1P_COLUMNS])
-    out[:] = block
+    return rows
+
+
+def finish_basic_columns(values: np.ndarray) -> np.ndarray:
+    """Take ``log1p`` of the ``log_`` cells of a float64 matrix whose rows
+    begin with :func:`basic_rows`' cells, in place and in one ufunc call;
+    returns ``values``."""
+    return np.log1p(values, out=values, where=_log1p_mask(values.shape[1]))
 
 
 def labelled_matrix(
@@ -336,7 +344,7 @@ class BasicFeatureExtractor:
     def extract_one(self, transaction: Transaction) -> np.ndarray:
         """Feature vector (length 52) for a single transaction.
 
-        The scalar reference: :func:`fill_basic_block` is tested bit-for-bit
+        The scalar reference: :func:`basic_rows` is tested bit-for-bit
         against it, nothing on a serving or training path calls it.
         """
         payer = self._profiles.get(transaction.payer_id, DEFAULT_PROFILE)
@@ -355,13 +363,15 @@ class BasicFeatureExtractor:
         *,
         with_labels: bool = True,
     ) -> FeatureMatrix:
-        """Design matrix for a batch of transactions (:func:`fill_basic_block`
-        over this extractor's profiles)."""
+        """Design matrix for a batch of transactions (:func:`basic_rows` over
+        this extractor's profiles)."""
         accounts = dict.fromkeys(
             account for txn in transactions for account in (txn.payer_id, txn.payee_id)
         )
-        values = np.empty((len(transactions), len(BASIC_FEATURE_NAMES)))
-        fill_basic_block(values, transactions, cells_for(self._profiles, accounts))
+        rows = basic_rows(transactions, cells_for(self._profiles, accounts))
+        width = len(BASIC_FEATURE_NAMES)
+        values = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width)
+        values = finish_basic_columns(values.reshape(len(rows), width))
         return labelled_matrix(list(BASIC_FEATURE_NAMES), values, transactions, with_labels)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,8 @@ import abc
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast
+from itertools import chain
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from repro.features.aggregation import (
 from repro.features.basic import (
     BASIC_FEATURE_NAMES,
     ProfileCells,
+    basic_rows,
     cells_for,
-    fill_basic_block,
+    finish_basic_columns,
     labelled_matrix,
 )
 from repro.features.matrix import FeatureMatrix
@@ -241,8 +243,13 @@ class FeatureSource(abc.ABC):
     @abc.abstractmethod
     def embedding_matrix(
         self, block: EmbeddingBlockSpec, user_ids: Sequence[str]
-    ) -> np.ndarray:
-        """(len(user_ids), block.dimension) matrix; unknown users are zeros."""
+    ) -> Sequence[Sequence[float]]:
+        """One row of ``block.dimension`` floats per user, in order; unknown
+        users are zeros.  The rows are only read, so a source may hand out
+        its stored cells.  The method keeps the name it had when it returned
+        one ndarray: source wrappers (the reference benchmark's timed source
+        among them) override it by that name, and a ``(len(user_ids),
+        dimension)`` ndarray is still accepted."""
 
     def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
         """Per-user sliding-window aggregate rows (see ``AGGREGATE_ROW_FIELDS``).
@@ -315,7 +322,7 @@ class InMemoryFeatureSource(FeatureSource):
 
     def embedding_matrix(
         self, block: EmbeddingBlockSpec, user_ids: Sequence[str]
-    ) -> np.ndarray:
+    ) -> List[List[float]]:
         embeddings = self._embedding_sets.get(block.set_name)
         if embeddings is None:
             raise FeatureError(
@@ -327,7 +334,7 @@ class InMemoryFeatureSource(FeatureSource):
                 f"embedding set {block.set_name!r} has dimension "
                 f"{embeddings.dimension}, plan expects {block.dimension}"
             )
-        return embeddings.lookup(list(user_ids))
+        return embeddings.lookup(list(user_ids)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +342,23 @@ class InMemoryFeatureSource(FeatureSource):
 # ---------------------------------------------------------------------------
 
 
+def _check_rows(rows: Sequence[Sequence[float]], count: int, width: int, block: str) -> None:
+    """A block a source returned must be ``count`` rows of ``width`` cells."""
+    if len(rows) != count or set(map(len, rows)) - {width}:
+        raise FeatureError(f"source's {block!r} block is not {count} rows of {width} cells")
+
+
 class FeaturePlanExecutor:
     """Executes a :class:`FeaturePlan` against a :class:`FeatureSource`.
 
-    Column names, the matrix width and every block's column range are fixed
-    at construction; a call is then one pass over its transactions.
+    Column names and the matrix width are fixed at construction; a call is
+    then one pass over its transactions.
     """
 
     def __init__(self, plan: FeaturePlan, source: FeatureSource) -> None:
         self.plan = plan
         self.source = source
         self._feature_names = plan.feature_names
-        offset = len(BASIC_FEATURE_NAMES)
-        width = len(AGGREGATION_FEATURE_NAMES) if plan.aggregation is not None else 0
-        self._aggregation_columns = slice(offset, offset + width)
-        offset += width
-        #: Each embedding block with the columns of its per-side sub-blocks.
-        self._embedding_columns: List[Tuple[EmbeddingBlockSpec, slice]] = []
-        for block in plan.embedding_blocks:
-            width = block.dimension * len(plan.sides)
-            self._embedding_columns.append((block, slice(offset, offset + width)))
-            offset += width
 
     # ------------------------------------------------------------------
     def assemble(
@@ -378,59 +381,48 @@ class FeaturePlanExecutor:
         The call's distinct accounts are indexed once and each family is read
         once over them — ``profiles_for``, ``aggregate_rows`` (unless the
         source computes the point-in-time block) and one ``embedding_matrix``
-        per block, gathered per side by index.  Every block writes into its
-        column range of the one preallocated matrix.  A row's values do not
-        depend on which other rows share its call.
+        per block.  A transaction's cells are one tuple of its blocks' rows in
+        column order (:func:`basic_rows`, then the aggregation row, then each
+        embedding block's payer and payee rows as the source returned them);
+        the matrix is one ``np.fromiter`` over every cell, then
+        :func:`finish_basic_columns`.  A row's values do not depend on which
+        other rows share its call.
         """
-        count = len(transactions)
-        values = np.empty((count, len(self._feature_names)))
-        if transactions:
-            ids = {
-                "payer": [t.payer_id for t in transactions],
-                "payee": [t.payee_id for t in transactions],
-            }
-            accounts = list(dict.fromkeys(ids["payer"] + ids["payee"]))
-            fill_basic_block(
-                values[:, : len(BASIC_FEATURE_NAMES)],
-                transactions,
-                self.source.profiles_for(accounts),
-            )
-            if self.plan.aggregation is not None:
-                values[:, self._aggregation_columns] = self._aggregation_block(
-                    transactions, accounts
-                )
-            if self._embedding_columns:
-                slot = {account: index for index, account in enumerate(accounts)}
-                # (count, sides): row i gathers its payer's then payee's vector.
-                gather = np.array([[slot[a] for a in ids[side]] for side in self.plan.sides]).T
-                for block, columns in self._embedding_columns:
-                    matrix = self.source.embedding_matrix(block, accounts)
-                    if matrix.shape != (len(accounts), block.dimension):
-                        raise FeatureError(
-                            f"source returned a {matrix.shape} matrix for embedding "
-                            f"block {block.set_name!r} over {len(accounts)} accounts"
-                        )
-                    values[:, columns] = matrix.take(gather, axis=0).reshape(count, -1)
-        return values
-
-    def _aggregation_block(
-        self, transactions: Sequence[TransferFields], accounts: Sequence[str]
-    ) -> Union[np.ndarray, List[List[float]]]:
-        """The 12-column aggregation block: point-in-time when the source can
-        compute it, otherwise from the source's precomputed per-user rows."""
-        point_in_time = self.source.aggregation_block(transactions)
-        if point_in_time is not None:
-            return point_in_time
-        rows = self.source.aggregate_rows(accounts)
-        empty: Mapping[str, object] = {}
-        return [
-            aggregation_vector(
-                rows.get(txn.payer_id) or empty,
-                rows.get(txn.payee_id) or empty,
-                txn.payer_id,
-            )
-            for txn in transactions
+        count, width = len(transactions), len(self._feature_names)
+        if not count:
+            return np.empty((0, width))
+        payers = [t.payer_id for t in transactions]
+        payees = [t.payee_id for t in transactions]
+        accounts = list(dict.fromkeys(payers + payees))
+        source = self.source
+        blocks: List[Sequence[Sequence[float]]] = [
+            basic_rows(transactions, source.profiles_for(accounts))
         ]
+        if self.plan.aggregation is not None:
+            point_in_time = source.aggregation_block(transactions)
+            if point_in_time is None:
+                rows = source.aggregate_rows(accounts)
+                empty: Mapping[str, object] = {}
+                blocks.append([
+                    aggregation_vector(
+                        rows.get(txn.payer_id) or empty,
+                        rows.get(txn.payee_id) or empty,
+                        txn.payer_id,
+                    )
+                    for txn in transactions
+                ])
+            else:
+                _check_rows(point_in_time, count, len(AGGREGATION_FEATURE_NAMES), "aggregation")
+                blocks.append(point_in_time.tolist())  # floats iterate faster than ndarray rows
+        sides = [payers if side == "payer" else payees for side in self.plan.sides]
+        for block in self.plan.embedding_blocks:
+            matrix = source.embedding_matrix(block, accounts)
+            _check_rows(matrix, len(accounts), block.dimension, block.set_name)
+            vectors = dict(zip(accounts, matrix))
+            blocks.extend([vectors[account] for account in ids] for ids in sides)
+        cells = chain.from_iterable(chain.from_iterable(zip(*blocks)))
+        values = np.fromiter(cells, np.float64, count * width).reshape(count, width)
+        return finish_basic_columns(values)
 
     def assemble_single(self, transaction: Transaction) -> np.ndarray:
         """Feature vector for one transaction (the scalar serving path)."""

@@ -74,6 +74,10 @@ class CompiledForest:
         start = np.where(child < splits, self.node_offset[:, None], self.leaf_offset[:, None] - splits)
         self._right = (start + child).reshape(-1)
         self._roots = self.node_offset if self.depth else self.leaf_offset
+        if self.depth:  # every row reads the roots' slots: gathered once here
+            self._root_column, self._root_threshold, self._root_right = (
+                table.take(self._roots) for table in (self._column, self.threshold, self._right)
+            )
 
     def _fill(self, node: TreeNode, tree: int, slot: int, learning_rate: float) -> None:
         splits = (1 << self.depth) - 1
@@ -126,13 +130,16 @@ class CompiledForest:
             stop = min(start + block, num_rows)
             row_base = np.arange(start * width, stop * width, width, dtype=np.int64)[:, None]
             node = self._roots  # (trees,) at the roots, (rows, trees) below
-            for _level in range(self.depth):
+            if self.depth:
+                goes_left = flat.take(self._root_column + row_base) <= self._root_threshold
+                node = self._root_right - goes_left
+            for _level in range(1, self.depth):
                 cell = self._column.take(node) + row_base
                 goes_left = flat.take(cell) <= self.threshold.take(node)
                 node = self._right.take(node) - goes_left
             contributions = running[: stop - start]
             contributions[:, 1:] = self.leaf_value.take(node)
-            yield slice(start, stop), np.cumsum(contributions, axis=1)
+            yield slice(start, stop), contributions.cumsum(axis=1)
 
     def split_counts(self, num_features: int) -> np.ndarray:
         """How many split nodes test each feature (padding slots excluded)."""

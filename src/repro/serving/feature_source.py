@@ -8,15 +8,14 @@ than one scalar cell per dimension, so a block read is one cell instead of
 ``d``.  All reads go through :meth:`HBaseClient.multi_get`, one batched call
 per column family per batch of transactions; the rows it returns are the
 store's own read-only snapshots (an unpublished account's is the shared empty
-row), read here and never edited, and decoded once per snapshot: the decoded
-profile cells and vectors are memoised on the ``Row`` every connection shares.
+row), read here and never edited.  Profile cells are decoded once per
+snapshot and memoised on the ``Row`` every connection shares; an embedding
+needs no decoding: the stored tuple cell is served as it is.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.datagen.schema import Gender, UserProfile
 from repro.exceptions import ServingError
@@ -29,7 +28,6 @@ from repro.hbase.client import (
     EMBEDDINGS_FAMILY,
     HBaseClient,
 )
-from repro.hbase.store import Row
 
 
 def profile_row(profile: UserProfile) -> Dict[str, Any]:
@@ -71,16 +69,6 @@ def embedding_cell(vector: Iterable[float]) -> Tuple[float, ...]:
     one array-valued qualifier (a block read online is a single cell fetch,
     not ``d``), as a tuple so readers sharing the cell cannot corrupt it."""
     return tuple(float(value) for value in vector)
-
-
-def embedding_vectors(row: Mapping[str, Any]) -> Dict[str, np.ndarray]:
-    """Every vector :func:`embedding_cell` stored in an embeddings row, by set
-    name, read-only: :meth:`Row.decoded` shares them with every reader."""
-    vectors: Dict[str, np.ndarray] = {}
-    for set_name, cell in row.items():
-        vector = vectors[set_name] = np.array(cell, dtype=np.float64).ravel()
-        vector.flags.writeable = False
-    return vectors
 
 
 class HBaseFeatureSource(FeatureSource):
@@ -127,27 +115,27 @@ class HBaseFeatureSource(FeatureSource):
 
     def embedding_matrix(
         self, block: EmbeddingBlockSpec, user_ids: Sequence[str]
-    ) -> np.ndarray:
+    ) -> List[Sequence[float]]:
+        """Each account's stored :func:`embedding_cell` for ``block`` — the
+        store's immutable tuple itself, neither decoded nor copied."""
         rows = self.hbase.multi_get(self.table_name, user_ids, EMBEDDINGS_FAMILY)
-        vectors = {user_id: self._vector_from_row(block, row) for user_id, row in rows.items()}
-        # One np.array call copies the block out: no caller aliases a stored vector.
-        return np.array(
-            [vectors[user_id] for user_id in user_ids], dtype=np.float64
-        ).reshape(len(user_ids), block.dimension)
-
-    def _vector_from_row(self, block: EmbeddingBlockSpec, row: Row) -> np.ndarray:
-        vector = row.decoded(embedding_vectors).get(block.set_name)
-        if vector is not None:
-            if vector.shape[0] != block.dimension:
+        name, dimension = block.set_name, block.dimension
+        vectors = []
+        for user_id in user_ids:
+            vector = rows[user_id].get(name)
+            if vector is None:
+                # No array cell: the embedding row was never published for
+                # this account.  Serve the explicit neutral default — the
+                # zero vector, exactly what the offline ``EmbeddingSet.lookup``
+                # uses for unknown users — and count it, so missing rows are
+                # observable instead of masquerading as a trained all-zero
+                # embedding.
+                self.missing_embeddings += 1
+                vector = (0.0,) * dimension
+            elif len(vector) != dimension:
                 raise ServingError(
-                    f"stored {block.set_name!r} embedding has "
-                    f"{vector.shape[0]} dimensions, plan expects {block.dimension}"
+                    f"stored {name!r} embedding has "
+                    f"{len(vector)} dimensions, plan expects {dimension}"
                 )
-            return vector
-        # No array cell: the embedding row was never published for this
-        # account.  Serve the explicit neutral default — the zero vector,
-        # exactly what the offline ``EmbeddingSet.lookup`` uses for unknown
-        # users — and count it, so missing rows are observable instead of
-        # masquerading as a trained all-zero embedding.
-        self.missing_embeddings += 1
-        return np.zeros(block.dimension, dtype=np.float64)
+            vectors.append(vector)
+        return vectors

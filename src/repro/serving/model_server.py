@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.datagen.schema import Transaction, TransactionChannel
+from repro.datagen.schema import Transaction, TransactionChannel, transfer_value_error
 from repro.exceptions import ModelNotLoadedError, ServingError
 from repro.features.plan import FeaturePlan, FeaturePlanExecutor
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
@@ -58,9 +58,14 @@ class TransactionRequest:
 
     def __post_init__(self) -> None:
         # Before any path — scoring, the rules fallback, the window engine's
-        # ingest — can read it: an hour of day is one of 0-23.
+        # ingest — can read them: an hour of day is one of 0-23, and the
+        # amount and IP risk score keep the schema's rules.  A NaN amount
+        # once ingested reads NaN in the payer's window row for good.
         if self.hour not in range(24):
             raise ServingError(f"hour must be an integer in 0-23, got {self.hour!r}")
+        value_error = transfer_value_error(self.amount, self.ip_risk_score)
+        if value_error is not None:
+            raise ServingError(value_error)
 
     @classmethod
     def from_transaction(cls, transaction: Transaction) -> "TransactionRequest":

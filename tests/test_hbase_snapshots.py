@@ -10,20 +10,19 @@ import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.feature_source as feature_source_module
-from repro.exceptions import RowNotFoundError
+from repro.exceptions import RowNotFoundError, ServingError
 from repro.features.basic import DEFAULT_CELLS, profile_cells
 from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
 from repro.hbase.cache import RowCache
 from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
 from repro.hbase.store import ColumnFamilyStore
-from repro.serving.feature_source import HBaseFeatureSource, embedding_vectors
+from repro.serving.feature_source import HBaseFeatureSource
 
 TABLE = "titant_features"
 TTL_S = 30.0
@@ -553,10 +552,10 @@ def _write(kind: str, client: HBaseClient, family: str, rows: Dict[str, Dict[str
             client.put(TABLE, row_key, family, values, version=version)
 
 
-def _served(source: HBaseFeatureSource, accounts: List[str]) -> Tuple[List[float], List[List[float]]]:
-    """What a replica decodes for ``accounts``: their ages and their dw vectors."""
+def _served(source: HBaseFeatureSource, accounts: List[str]) -> Tuple[List[float], List[Any]]:
+    """What a replica serves for ``accounts``: their ages and their dw rows."""
     cells = source.profiles_for(accounts)
-    return [cells[a][0][0] for a in accounts], source.embedding_matrix(DW, accounts).tolist()
+    return [cells[a][0][0] for a in accounts], source.embedding_matrix(DW, accounts)
 
 
 class TestDecodeOncePerSnapshot:
@@ -567,46 +566,53 @@ class TestDecodeOncePerSnapshot:
         root.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
         replicas = [HBaseFeatureSource(root.connection(), TABLE) for _ in range(4)]
         for source in replicas:  # every connection caches the rows and decodes them
-            assert _served(source, ["u1", "u2"]) == ([30.0, 35.0], [[1.0, 2.0], [0.0, 0.0]])
+            assert _served(source, ["u1", "u2"]) == ([30.0, 35.0], [(1.0, 2.0), (0.0, 0.0)])
         # Through one connection: u1 changes, and cold u2 gets its first rows.
         writer = replicas[0].hbase
         _write(kind, writer, BASIC_FEATURES_FAMILY, {"u1": _profile(31), "u2": _profile(62)}, 2)
         _write(kind, writer, EMBEDDINGS_FAMILY, {"u1": {"dw": (3.0, 4.0)}, "u2": {"dw": [5.0, 6.0]}}, 2)
         for source in replicas:
-            assert _served(source, ["u1", "u2"]) == ([31.0, 62.0], [[3.0, 4.0], [5.0, 6.0]])
+            assert _served(source, ["u1", "u2"]) == ([31.0, 62.0], [(3.0, 4.0), (5.0, 6.0)])
 
-    def test_decoded_vectors_are_read_only_and_the_matrix_does_not_alias_them(self):
+    def test_the_stored_embedding_tuple_is_served_by_identity(self):
         client = _store(row_cache_ttl_s=60.0)
         client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": [1.0, 2.0]}, version=1)
-        stored = client.get(TABLE, "u1", EMBEDDINGS_FAMILY).decoded(embedding_vectors)["dw"]
-        assert not stored.flags.writeable
-        with pytest.raises(ValueError):
-            stored[0] = 99.0
+        stored = client.get(TABLE, "u1", EMBEDDINGS_FAMILY)["dw"]
+        assert stored == (1.0, 2.0) and type(stored) is tuple  # frozen at put: nobody edits it
         source = HBaseFeatureSource(client, TABLE)
-        matrix = source.embedding_matrix(DW, ["u1", "ghost"])
-        assert matrix.flags.writeable and not np.shares_memory(matrix, stored)
-        matrix[:] = -1.0  # the caller owns its matrix
-        assert source.embedding_matrix(DW, ["u1"]).tolist() == [[1.0, 2.0]]
-        assert stored.tolist() == [1.0, 2.0]
+        served, ghost = source.embedding_matrix(DW, ["u1", "ghost"])
+        assert served is stored  # neither decoded nor copied
+        assert ghost == (0.0, 0.0) and source.missing_embeddings == 1
+        assert source.embedding_matrix(DW, ["u1"])[0] is stored
+
+    def test_a_stored_embedding_of_another_width_is_a_serving_error(self):
+        client = _store(row_cache_ttl_s=60.0)
+        client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0, 3.0)}, version=1)
+        source = HBaseFeatureSource(client, TABLE)
+        with pytest.raises(ServingError, match="'dw' embedding has 3 dimensions, plan expects 2"):
+            source.embedding_matrix(DW, ["u1"])
 
     def test_one_snapshot_is_decoded_once_across_four_replicas(self, monkeypatch):
         decoded: List[str] = []
-
-        def counting(decoder: Any, name: str) -> Any:
-            return lambda row: decoded.append(name) or decoder(row)
-
-        for name in ("profile_cells", "embedding_vectors"):
-            real = getattr(feature_source_module, name)
-            monkeypatch.setattr(feature_source_module, name, counting(real, name))
+        real = feature_source_module.profile_cells
+        monkeypatch.setattr(
+            feature_source_module,
+            "profile_cells",
+            lambda row: decoded.append("profile_cells") or real(row),
+        )
         root = _store(row_cache_ttl_s=60.0)
         for account in ("u1", "u2"):
             root.put(TABLE, account, BASIC_FEATURES_FAMILY, _profile(40), version=1)
             root.put(TABLE, account, EMBEDDINGS_FAMILY, {"dw": (1.0, 2.0)}, version=1)
+        stored = [root.get(TABLE, account, EMBEDDINGS_FAMILY)["dw"] for account in ("u1", "u2")]
         for _ in range(4):
             source = HBaseFeatureSource(root.connection(), TABLE)
             for _ in range(3):
-                assert _served(source, ["u1", "u2"]) == ([40.0, 40.0], [[1.0, 2.0]] * 2)
-        assert sorted(decoded) == ["embedding_vectors"] * 2 + ["profile_cells"] * 2
+                ages, rows = _served(source, ["u1", "u2"])
+                assert ages == [40.0, 40.0]
+                # Every replica, every read: the one stored tuple, never decoded.
+                assert all(row is cell for row, cell in zip(rows, stored))
+        assert decoded == ["profile_cells"] * 2
 
     def test_a_version_pinned_read_decodes_its_own_row(self):
         client = _store(row_cache_ttl_s=60.0)

@@ -9,9 +9,13 @@ counters, same write-through state — on one replica and on a sharded fleet.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from repro.exceptions import ServingError
 from repro.features.aggregation import AggregationConfig, TransactionAggregator
 from repro.features.assembler import FeatureAssembler
 from repro.features.plan import FeaturePlanExecutor
@@ -203,3 +207,49 @@ def test_shed_requests_are_recorded_at_arrival_admitted_ones_at_flush(
             buffered = []
     expected.extend(buffered)
     assert [s.request.transaction_id for s in alipay.served] == expected
+
+
+#: Values the schema forbids (``validate_transaction``'s amount and IP risk
+#: rules, plus finiteness).  Each used to be scored and ingested, and a NaN or
+#: infinite amount then read NaN in the payer's stored window row for good.
+INVALID_VALUES = [
+    ("amount", float("nan")),
+    ("amount", float("inf")),
+    ("amount", -50.0),
+    ("amount", 0.0),
+    ("ip_risk_score", float("nan")),
+    ("ip_risk_score", float("inf")),
+    ("ip_risk_score", -0.1),
+    ("ip_risk_score", 1.5),
+]
+ENTRY_POINTS = {
+    "process": lambda alipay, request: alipay.process(request),
+    "process_degraded": lambda alipay, request: alipay.process_degraded(request),
+    "observe_request": lambda alipay, request: alipay.feature_updater.observe_request(request),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_an_invalid_amount_or_ip_risk_score_reaches_no_entry_point(world, dataset, trained, entry):
+    alipay = _front_end(
+        world,
+        dataset,
+        trained,
+        replicas=1,
+        admission=AdmissionController(AdmissionConfig(capacity_rps=200.0, max_queue_depth=4)),
+    )
+    store = alipay.feature_updater.hbase
+    request = TransactionRequest.from_transaction(
+        sorted(dataset.test_transactions, key=event_order)[0]
+    )
+    before = store.scan(TABLE, AGGREGATES_FAMILY)
+    for field, value in INVALID_VALUES:
+        with pytest.raises(ServingError, match=f"{field} must be"):
+            ENTRY_POINTS[entry](alipay, dataclasses.replace(request, **{field: value}))
+    assert store.scan(TABLE, AGGREGATES_FAMILY) == before
+    assert alipay.report().total == 0
+    # The valid request is still served and ingested; the payer's row stays finite.
+    ENTRY_POINTS[entry](alipay, request)
+    row = store.get(TABLE, request.payer_id, AGGREGATES_FAMILY)
+    assert row["out_count"] >= 1.0
+    assert all(math.isfinite(value) for value in row.values() if isinstance(value, float))

@@ -1,26 +1,28 @@
 """Single-pass feature assembly: one row builder, one matrix, one read per family.
 
 ``FeaturePlanExecutor.assemble`` indexes a call's distinct accounts once, reads
-each family once over them and writes every block into one preallocated
-matrix.  These tests pin what that must not change — every cell bit-identical
-to a row-by-row oracle built from the scalar ``extract_one``,
-``aggregation_vector`` and ``EmbeddingSet.lookup`` — and what it does change:
-the number of source reads a call issues.
+each family once over them and turns every request's cells into the matrix
+with one ``np.fromiter``.  These tests pin what that must not change — every
+cell bit-identical to a row-by-row oracle built from the scalar
+``extract_one``, ``aggregation_vector`` (or the point-in-time block) and
+``EmbeddingSet.lookup``, whichever source serves the rows and in whichever
+form — and what it does change: the number of source reads a call issues.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.schema import Gender, Transaction, TransactionChannel, UserProfile
 from repro.features.aggregation import (
+    AggregationConfig,
     AggregationWindowSpec,
     aggregation_vector,
     build_aggregate_row,
@@ -34,6 +36,7 @@ from repro.features.plan import (
     FeatureSource,
     InMemoryFeatureSource,
 )
+from repro.features.streaming import PointInTimeAggregationSource
 from repro.hbase.client import (
     AGGREGATES_FAMILY,
     BASIC_FEATURES_FAMILY,
@@ -144,6 +147,27 @@ def _world() -> Tuple[
     return profiles, embedding_sets, aggregates, hbase
 
 
+def _transfer(payer_id: str, payee_id: str, transaction_id: str = "t") -> Transaction:
+    return Transaction(
+        transaction_id=transaction_id,
+        day=3,
+        hour=23,
+        payer_id=payer_id,
+        payee_id=payee_id,
+        amount=250.0,
+        channel=TransactionChannel.APP,
+        trans_city="city_003",
+        device_id="d0",
+        is_new_device=True,
+        ip_risk_score=0.25,
+        payer_recent_txn_count=2,
+        payer_recent_amount=900.0,
+        payee_recent_inbound_count=4,
+        is_fraud=False,
+        label_available_day=0,
+    )
+
+
 def _sources() -> List[FeatureSource]:
     profiles, embedding_sets, aggregates, hbase = _world()
     return [
@@ -152,20 +176,68 @@ def _sources() -> List[FeatureSource]:
     ]
 
 
-def oracle_row(txn: Transaction, plan: FeaturePlan) -> np.ndarray:
-    """One row the slow way: scalar basic ⊕ aggregation_vector ⊕ lookups."""
+class NdarraySource(FeatureSource):
+    """The pre-rows contract: every embedding block as one float64 ndarray."""
+
+    def __init__(self, inner: FeatureSource) -> None:
+        self.inner = inner
+
+    def profiles_for(self, user_ids: Sequence[str]):
+        return self.inner.profiles_for(user_ids)
+
+    def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, object]]:
+        return self.inner.aggregate_rows(user_ids)
+
+    def aggregation_block(self, transactions):
+        return self.inner.aggregation_block(transactions)
+
+    def embedding_matrix(self, block: EmbeddingBlockSpec, user_ids: Sequence[str]) -> np.ndarray:
+        rows = self.inner.embedding_matrix(block, user_ids)
+        return np.array(rows, dtype=np.float64).reshape(len(user_ids), block.dimension)
+
+
+def _transfer_at(day: int, hour: int, payer_id: str, payee_id: str, amount: float) -> Transaction:
+    return dataclasses.replace(
+        _transfer(payer_id, payee_id, f"h{day}-{hour}-{payer_id}-{payee_id}"),
+        day=day,
+        hour=hour,
+        amount=amount,
+    )
+
+
+#: The point-in-time source's history: transfers among published and cold
+#: accounts before and inside the batches' days.
+HISTORY = [
+    _transfer_at(day, hour, payer, payee, 40.0 + 7.5 * index)
+    for index, (day, hour, payer, payee) in enumerate(
+        [(0, 3, "u1", "u2"), (0, 9, "u2", "x0"), (1, 23, "u3", "u1"), (2, 1, "x1", "u1"),
+         (3, 12, "u1", "u4"), (5, 0, "u5", "u2"), (9, 18, "u0", "u3"), (20, 7, "u4", "x1")]
+    )
+]
+
+
+def _point_in_time_block(batch: Sequence[Transaction]) -> np.ndarray:
+    """The batch's aggregation rows from a fresh point-in-time source."""
+    return PointInTimeAggregationSource(AggregationConfig(), HISTORY).aggregation_block(batch)
+
+
+def oracle_row(
+    txn: Transaction, plan: FeaturePlan, aggregation: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One row the slow way: scalar basic ⊕ aggregation_vector (or the given
+    point-in-time row) ⊕ lookups."""
     profiles, embedding_sets, aggregates, _ = _world()
     parts = [BasicFeatureExtractor(profiles).extract_one(txn)]
     if plan.aggregation is not None:
-        parts.append(
-            np.array(
+        if aggregation is None:
+            aggregation = np.array(
                 aggregation_vector(
                     aggregates.get(txn.payer_id, {}),
                     aggregates.get(txn.payee_id, {}),
                     txn.payer_id,
                 )
             )
-        )
+        parts.append(aggregation)
     for block in plan.embedding_blocks:
         for side in plan.sides:
             user_id = txn.payer_id if side == "payer" else txn.payee_id
@@ -212,26 +284,82 @@ plans = st.builds(
 )
 
 
+def _check_assembly(source: FeatureSource, plan: FeaturePlan, batch, expected, alone) -> None:
+    executor = FeaturePlanExecutor(plan, source)
+    matrix = executor.assemble(batch, with_labels=True)
+    values = matrix.values
+    assert values.shape == (len(batch), plan.num_features)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert matrix.feature_names == plan.feature_names
+    assert matrix.row_ids == [txn.transaction_id for txn in batch]
+    assert matrix.labels.tolist() == [float(txn.is_fraud) for txn in batch]
+    assert [row.tobytes() for row in values] == expected
+    for index in range(0, len(batch), 7):
+        single = executor.assemble([batch[index]], with_labels=False).values[0]
+        assert single.tobytes() == alone(index)
+
+
+#: A payer and payee on both sides of one call, a self-transfer, cold
+#: accounts (x0, x1) and u5, which has a profile but no embedding row.
+EDGE_BATCH = [
+    _transfer("u1", "u5", "a"),
+    _transfer("u5", "u2", "b"),
+    _transfer("x0", "x0", "c"),
+    _transfer("u2", "x1", "d"),
+    _transfer("u2", "u2", "e"),
+]
+
+
+def _full_plan(side: str) -> FeaturePlan:
+    return FeaturePlan(
+        embedding_blocks=(EmbeddingBlockSpec("dw", 3), EmbeddingBlockSpec("s2v", 2)),
+        embedding_side=side,
+        aggregation=AggregationWindowSpec(),
+    )
+
+
 class TestAssemblyMatchesRowOracle:
     @settings(max_examples=60, deadline=None)
     @given(batch=batches, plan=plans)
+    @example(batch=EDGE_BATCH, plan=_full_plan("payer"))
+    @example(batch=EDGE_BATCH, plan=_full_plan("payee"))
+    @example(batch=EDGE_BATCH, plan=_full_plan("both"))
     def test_bytes_equal_to_oracle_and_batch_invariant(self, batch, plan):
+        self._check_every_source(batch, plan)
+
+    @pytest.mark.slow
+    @settings(max_examples=600, deadline=None)
+    @given(batch=batches, plan=plans)
+    def test_bytes_equal_to_oracle_soak(self, batch, plan):
+        self._check_every_source(batch, plan)
+
+    @staticmethod
+    def _check_every_source(batch, plan):
         expected = [oracle_row(txn, plan).tobytes() for txn in batch]
         for source in _sources():
-            executor = FeaturePlanExecutor(plan, source)
-            matrix = executor.assemble(batch, with_labels=True)
-            values = matrix.values
-            assert values.shape == (len(batch), plan.num_features)
-            assert values.dtype == np.float64 and values.flags.c_contiguous
-            assert matrix.feature_names == plan.feature_names
-            assert matrix.row_ids == [txn.transaction_id for txn in batch]
-            assert matrix.labels.tolist() == [float(txn.is_fraud) for txn in batch]
-            assert [row.tobytes() for row in values] == expected
             # Batch-composition invariance: what lets the coalescer regroup
-            # requests without moving a probability.
-            for index in range(0, len(batch), 7):
-                alone = executor.assemble([batch[index]], with_labels=False).values[0]
-                assert alone.tobytes() == expected[index]
+            # requests without moving a probability.  A source on the old
+            # contract (an ndarray per embedding block) gives the same bytes.
+            for form in (source, NdarraySource(source)):
+                _check_assembly(form, plan, batch, expected, expected.__getitem__)
+        # The point-in-time source serves each row its aggregates as of the
+        # instant before it, batch-mates included; a row alone sees none.
+        profiles, embedding_sets, _, _ = _world()
+        block = _point_in_time_block(batch) if plan.aggregation else [None] * len(batch)
+        expected = [oracle_row(txn, plan, row).tobytes() for txn, row in zip(batch, block)]
+
+        def alone(index: int) -> bytes:
+            txn = batch[index]
+            row = _point_in_time_block([txn])[0] if plan.aggregation else None
+            return oracle_row(txn, plan, row).tobytes()
+
+        point_in_time = InMemoryFeatureSource(
+            profiles,
+            embedding_sets,
+            aggregates=PointInTimeAggregationSource(AggregationConfig(), HISTORY),
+        )
+        for form in (point_in_time, NdarraySource(point_in_time)):
+            _check_assembly(form, plan, batch, expected, alone)
 
     def test_zero_denominator_stays_in_its_own_row(self):
         # payer_recent_amount is caller-supplied and unvalidated: -1 makes the
@@ -282,31 +410,57 @@ class CountingSource(FeatureSource):
         return self.inner.embedding_matrix(block, user_ids)
 
 
-def _transfer(payer_id: str, payee_id: str, transaction_id: str = "t") -> Transaction:
-    return Transaction(
-        transaction_id=transaction_id,
-        day=3,
-        hour=23,
-        payer_id=payer_id,
-        payee_id=payee_id,
-        amount=250.0,
-        channel=TransactionChannel.APP,
-        trans_city="city_003",
-        device_id="d0",
-        is_new_device=True,
-        ip_risk_score=0.25,
-        payer_recent_txn_count=2,
-        payer_recent_amount=900.0,
-        payee_recent_inbound_count=4,
-        is_fraud=False,
-        label_available_day=0,
-    )
+FULL_PLAN = _full_plan("both")
 
 
-FULL_PLAN = FeaturePlan(
-    embedding_blocks=(EmbeddingBlockSpec("dw", 3), EmbeddingBlockSpec("s2v", 2)),
-    aggregation=AggregationWindowSpec(),
-)
+class ReshapedSource(CountingSource):
+    """Serves one embedding block's rows through ``reshape`` (rows -> rows)."""
+
+    def __init__(self, inner: FeatureSource, reshape) -> None:
+        super().__init__(inner)
+        self.reshape = reshape
+
+    def embedding_matrix(self, block: EmbeddingBlockSpec, user_ids: Sequence[str]):
+        return self.reshape(list(super().embedding_matrix(block, user_ids)))
+
+
+class TestSourceContract:
+    #: Rows a source must not return: a short row, a long one, a row missing,
+    #: a row too many, and an ndarray block one column too wide.
+    WRONG = {
+        "short row": lambda rows: [rows[0][:-1], *rows[1:]],
+        "long row": lambda rows: [*rows[:-1], (*rows[-1], 0.5)],
+        "row missing": lambda rows: rows[1:],
+        "extra row": lambda rows: [*rows, rows[0]],
+        "wide ndarray": lambda rows: np.hstack([np.array(rows), np.ones((len(rows), 1))]),
+    }
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    def test_an_embedding_row_of_the_wrong_width_is_a_feature_error(self, wrong):
+        batch = [_transfer("u1", "u2", "a"), _transfer("u3", "x0", "b")]
+        for inner in _sources():
+            executor = FeaturePlanExecutor(FULL_PLAN, ReshapedSource(inner, self.WRONG[wrong]))
+            with pytest.raises(FeatureError, match="source's 'dw' block is not 4 rows of 3 cells"):
+                executor.assemble(batch, with_labels=False)
+
+    def test_the_executor_runs_on_the_three_methods_the_traced_harness_overrides(self):
+        # The benchmark's traced pass wraps the serving source in a
+        # ``TimedSource`` that overrides exactly these three reads, so the
+        # executor may rely on no other source method (aggregation_block is
+        # the base class's None through it).
+        from benchmarks.titant_bench.trace import TimedSource, Tracer
+
+        def overrides(cls: type) -> set:
+            public = {name: value for name, value in vars(cls).items() if not name.startswith("_")}
+            return {name for name, value in public.items() if callable(value)}
+
+        three = {"profiles_for", "aggregate_rows", "embedding_matrix"}
+        assert overrides(TimedSource) == overrides(CountingSource) == three
+        for inner in _sources():
+            expected = FeaturePlanExecutor(FULL_PLAN, inner).assemble(EDGE_BATCH).values.tobytes()
+            for wrapper in (CountingSource(inner), TimedSource(inner, Tracer())):
+                values = FeaturePlanExecutor(FULL_PLAN, wrapper).assemble(EDGE_BATCH).values
+                assert values.tobytes() == expected
 
 
 class TestLookupTables:
