@@ -269,9 +269,9 @@ PUBLIC_API = [
         "Compiled forest",
         "repro.models.tree.forest",
         ["CompiledForest"],
-        "A fitted GBDT as flat arrays scored level-synchronously — the one "
-        "raw-feature scoring path of serving, staged and distributed "
-        "prediction.",
+        "A fitted GBDT as flat arrays scored three tree levels per numpy "
+        "round — the one raw-feature scoring path of serving, staged and "
+        "distributed prediction.",
     ),
     (
         "Distributed representation learning",

@@ -81,12 +81,14 @@ class BaseDetector(ABC):
             features = features.reshape(1, -1)
         if features.ndim != 2:
             raise ModelError("features must be a 2-dimensional array")
-        if self.num_features_ is not None and features.shape[1] != self.num_features_:
-            raise ModelError(
-                f"{type(self).__name__} was fitted on {self.num_features_} features, "
-                f"got {features.shape[1]}"
-            )
+        self._check_width(features.shape[1])
         return features
+
+    def _check_width(self, width: int) -> None:
+        if self.num_features_ is not None and width != self.num_features_:
+            raise ModelError(
+                f"{type(self).__name__} was fitted on {self.num_features_} features, got {width}"
+            )
 
     def get_params(self) -> Dict[str, object]:
         """Hyperparameters of the detector (for logging and model registry)."""

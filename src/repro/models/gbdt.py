@@ -227,8 +227,11 @@ class GradientBoostingClassifier(BaseDetector):
         """Yield (num_trees_used, probabilities) as trees are added.
 
         Used by the Figure 12 benchmark to evaluate 100/200/400/800 trees from
-        a single fitted 800-tree model instead of refitting four times.
+        a single fitted 800-tree model instead of refitting four times.  Every
+        ``every``-th count is yielded, and the last; ``every`` must be >= 1.
         """
+        if every < 1:
+            raise ModelError(f"every must be at least 1, got {every}")
         features = self._check_predict_inputs(features)
         assert self._forest is not None
         total = len(self._trees)
@@ -247,8 +250,10 @@ class GradientBoostingClassifier(BaseDetector):
         return len(self._trees)
 
     def feature_importances(self, num_features: int) -> np.ndarray:
-        """Split-count feature importances (normalised to sum to 1)."""
+        """Split-count feature importances (normalised to sum to 1), one per
+        feature of the fitted width, which ``num_features`` must equal."""
         self._check_fitted()
+        self._check_width(num_features)
         assert self._forest is not None
         counts = self._forest.split_counts(num_features).astype(np.float64)
         total = counts.sum()

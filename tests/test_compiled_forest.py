@@ -31,13 +31,22 @@ THRESHOLDS = np.array([-1.5, -0.25, 0.0, 0.5, 2.0])
 SPECIALS = np.array([np.nan, np.inf, -np.inf])
 
 
+def oracle_staged(
+    roots: List[TreeNode], features: np.ndarray, learning_rate: float, initial_score: float
+) -> np.ndarray:
+    """Column ``k``: the oracle's score after the first ``k`` trees."""
+    scores = np.full(features.shape[0], initial_score)
+    staged = [scores.copy()]
+    for root in roots:
+        scores += learning_rate * np.array([root.predict_row(row) for row in features])
+        staged.append(scores.copy())
+    return np.column_stack(staged)
+
+
 def oracle_scores(
     roots: List[TreeNode], features: np.ndarray, learning_rate: float, initial_score: float
 ) -> np.ndarray:
-    scores = np.full(features.shape[0], initial_score)
-    for root in roots:
-        scores += learning_rate * np.array([root.predict_row(row) for row in features])
-    return scores
+    return oracle_staged(roots, features, learning_rate, initial_score)[:, -1]
 
 
 def random_tree(rng: np.random.Generator, max_depth: int, leaf_probability: float) -> TreeNode:
@@ -63,19 +72,7 @@ def random_matrix(rng: np.random.Generator, rows: int) -> np.ndarray:
     return np.where(kind == 0, special, np.where(kind == 1, on_threshold, matrix))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_trees=st.integers(1, 12),
-    max_depth=st.integers(0, 4),
-    leaf_probability=st.sampled_from([0.0, 0.3, 0.8]),
-    rows=st.sampled_from([0, 1, 2, 7, 33]),
-    block_cells=st.sampled_from([1, 24, 1 << 14]),
-)
-def test_compiled_scores_equal_oracle(
-    seed, num_trees, max_depth, leaf_probability, rows, block_cells
-):
-    """Stumps, bare leaves, ragged depths, special values, any block size."""
+def assert_scores_equal_oracle(seed, num_trees, max_depth, leaf_probability, rows, block_cells):
     rng = np.random.default_rng(seed)
     roots = [random_tree(rng, max_depth, leaf_probability) for _ in range(num_trees)]
     features = random_matrix(rng, rows)
@@ -89,10 +86,61 @@ def test_compiled_scores_equal_oracle(
         staged = compiled.scores_after(features, list(range(num_trees + 1)))
     finally:
         forest_module._BLOCK_CELLS = saved
-    assert np.array_equal(scores, oracle_scores(roots, features, learning_rate, initial_score))
-    for used in range(num_trees + 1):
-        expected = oracle_scores(roots[:used], features, learning_rate, initial_score)
-        assert np.array_equal(staged[:, used], expected)
+    expected = oracle_staged(roots, features, learning_rate, initial_score)
+    assert np.array_equal(scores, expected[:, -1])
+    assert np.array_equal(staged, expected)
+
+
+#: A row block holds ``_BLOCK_CELLS // (8 * trees)`` rows (8 cells per block
+#: of three levels): one row, ``24 // trees`` rows with a ragged tail, or all.
+BLOCK_CELLS = st.sampled_from([1, 24 * 8, 1 << 14])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_trees=st.integers(1, 12),
+    max_depth=st.integers(0, 7),
+    leaf_probability=st.sampled_from([0.0, 0.3, 0.8]),
+    rows=st.sampled_from([0, 1, 2, 7, 33]),
+    block_cells=BLOCK_CELLS,
+)
+def test_compiled_scores_equal_oracle(
+    seed, num_trees, max_depth, leaf_probability, rows, block_cells
+):
+    """Stumps, bare leaves, ragged depths padded to one, two or three rounds
+    of three levels, special values, any block size."""
+    assert_scores_equal_oracle(seed, num_trees, max_depth, leaf_probability, rows, block_cells)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_trees=st.integers(1, 40),
+    max_depth=st.integers(0, 7),
+    leaf_probability=st.sampled_from([0.0, 0.3, 0.8]),
+    rows=st.sampled_from([0, 1, 2, 7, 33, 101]),
+    block_cells=BLOCK_CELLS,
+)
+def test_compiled_scores_equal_oracle_soak(
+    seed, num_trees, max_depth, leaf_probability, rows, block_cells
+):
+    assert_scores_equal_oracle(seed, num_trees, max_depth, leaf_probability, rows, block_cells)
+
+
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_depth=st.integers(0, 6),
+    offset=st.sampled_from([-1, 0, 1]),
+)
+def test_400_tree_forests_across_the_row_block_soak(seed, max_depth, offset):
+    """Staged and whole scores of the paper's 400 trees, ragged depths, on
+    either side of the real row-block boundary."""
+    rows = 2 * (forest_module._BLOCK_CELLS // (8 * 400)) + offset
+    assert_scores_equal_oracle(seed, 400, max_depth, 0.2, rows, forest_module._BLOCK_CELLS)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -101,7 +149,7 @@ def test_400_trees_straddling_the_row_block(offset):
     ``np.sum`` would differ in the last ulp, across the real block boundary."""
     rng = np.random.default_rng(400)
     roots = [random_tree(rng, 3, 0.2) for _ in range(400)]
-    block = forest_module._BLOCK_CELLS // 400
+    block = forest_module._BLOCK_CELLS // (8 * 400)
     features = random_matrix(rng, 2 * block + offset)
     compiled = CompiledForest(roots, learning_rate=0.1, initial_score=-2.0)
     assert np.array_equal(
@@ -239,3 +287,42 @@ def test_refit_rebuilds_the_forest(kind, tree_method, small_classification_data)
     last_stage = list(model.staged_predict_proba(features[second], every=1))[-1]
     assert last_stage[0] == 14
     assert np.array_equal(last_stage[1], after)
+
+
+@pytest.mark.parametrize("kind", ["single", "distributed"])
+def test_staged_prediction_rejects_a_step_below_one(kind, small_classification_data):
+    """``every=0`` died with a ZeroDivisionError and ``every=-2`` acted as 2."""
+    features, labels = small_classification_data
+    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    for every in (0, -2):
+        with pytest.raises(ModelError, match="every"):
+            list(model.staged_predict_proba(features[:5], every=every))
+
+
+def test_scores_after_rejects_counts_outside_the_forest():
+    """A negative count wrapped around to the whole ensemble's score and one
+    past the last tree was a bare IndexError."""
+    rng = np.random.default_rng(7)
+    roots = [random_tree(rng, 3, 0.3) for _ in range(4)]
+    compiled = CompiledForest(roots, learning_rate=0.5, initial_score=1.0)
+    features = random_matrix(rng, 6)
+    for counts in ([-1], [0, 5], [2, -4]):
+        with pytest.raises(ModelError, match=r"\[0, 4\]"):
+            compiled.scores_after(features, counts)
+    assert np.array_equal(
+        compiled.scores_after(features, [0, 4]),
+        oracle_staged(roots, features, 0.5, 1.0)[:, [0, 4]],
+    )
+
+
+@pytest.mark.parametrize("kind", ["single", "distributed"])
+def test_feature_importances_reject_another_width(kind, small_classification_data):
+    """``bincount``'s ``minlength`` is only a minimum: any width used to come
+    back as the model's own, or wider."""
+    features, labels = small_classification_data
+    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    width = features.shape[1]
+    for bad in (2, width - 1, width + 1):
+        with pytest.raises(ModelError, match=f"fitted on {width} features"):
+            model.feature_importances(bad)
+    assert model.feature_importances(width).shape == (width,)
