@@ -215,7 +215,6 @@ def gbdt_workload(
     model = DistributedGBDT(
         cluster=ClusterConfig(num_machines=num_machines),
         num_trees=40,
-        tree_method="hist",
         backend=backend,
         seed=0,
     )

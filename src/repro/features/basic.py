@@ -197,8 +197,8 @@ def cells_for(
 
 #: :func:`profile_cells` of an account with nothing stored, decoded once.
 DEFAULT_CELLS = profile_cells({})
-#: ``hour`` … ``is_business_hours`` of each hour of the day, with the scalar
-#: ufunc calls of :meth:`BasicFeatureExtractor.extract_one`.
+#: ``hour`` … ``is_business_hours`` of each hour of the day, one scalar ufunc
+#: call per cell.
 _HOUR_CELLS = {
     hour: (
         float(hour),
@@ -244,13 +244,13 @@ def basic_rows(
     requests, read as they are — as one flat tuple per transaction in column
     order.
 
-    The arithmetic is :meth:`BasicFeatureExtractor.extract_one`'s, with the
-    hour cells (``sin`` / ``cos`` included), the channel one-hot and the
-    transfer city's risk and bucket read from tables built once.  The five
-    ``log_`` cells carry their argument: :func:`finish_basic_columns` runs
-    ``log1p`` once over the matrix the rows become, so every value is
-    bit-identical to the reference.  The amount ratio is the reference's
-    IEEE division, made in the row; a zero denominator (a caller-supplied
+    The arithmetic is a scalar per-cell spelling's (the tests keep one as
+    their reference), with the hour cells (``sin`` / ``cos`` included), the
+    channel one-hot and the transfer city's risk and bucket read from tables
+    built once.  The five ``log_`` cells carry their argument:
+    :func:`finish_basic_columns` runs ``log1p`` once over the matrix the rows
+    become, so every value is bit-identical to the reference.  The amount
+    ratio is the reference's IEEE division, made in the row; a zero denominator (a caller-supplied
     ``payer_recent_amount`` of -1) divides as numpy does, to an ``inf`` in
     its own row, not a ``ZeroDivisionError`` for every row of the call.
     Accounts absent from ``profiles`` get the cold-account default; an hour
@@ -341,22 +341,6 @@ class BasicFeatureExtractor:
         self._profiles = profiles
 
     # ------------------------------------------------------------------
-    def extract_one(self, transaction: Transaction) -> np.ndarray:
-        """Feature vector (length 52) for a single transaction.
-
-        The scalar reference: :func:`basic_rows` is tested bit-for-bit
-        against it, nothing on a serving or training path calls it.
-        """
-        payer = self._profiles.get(transaction.payer_id, DEFAULT_PROFILE)
-        payee = self._profiles.get(transaction.payee_id, DEFAULT_PROFILE)
-        values = (
-            list(profile_cells(vars(payer))[0])
-            + list(profile_cells(vars(payee))[0])
-            + self._environment_block(transaction, payer)
-            + self._cross_block(transaction, payer, payee)
-        )
-        return np.array(values, dtype=np.float64)
-
     def extract(
         self,
         transactions: Sequence[Transaction],
@@ -373,47 +357,3 @@ class BasicFeatureExtractor:
         values = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width)
         values = finish_basic_columns(values.reshape(len(rows), width))
         return labelled_matrix(list(BASIC_FEATURE_NAMES), values, transactions, with_labels)
-
-    # ------------------------------------------------------------------
-    def _environment_block(self, txn: Transaction, payer: UserProfile) -> List[float]:
-        hour_angle = 2.0 * np.pi * txn.hour / 24.0
-        return [
-            float(txn.amount),
-            float(np.log1p(txn.amount)),
-            float(txn.hour),
-            float(np.sin(hour_angle)),
-            float(np.cos(hour_angle)),
-            1.0 if (txn.hour >= 22 or txn.hour < 6) else 0.0,
-            1.0 if 9 <= txn.hour <= 18 else 0.0,
-            1.0 if txn.channel is TransactionChannel.APP else 0.0,
-            1.0 if txn.channel is TransactionChannel.WEB else 0.0,
-            1.0 if txn.channel is TransactionChannel.QR_CODE else 0.0,
-            1.0 if txn.channel is TransactionChannel.BANK_CARD else 0.0,
-            _city_risk(txn.trans_city),
-            float(_city_bucket(txn.trans_city)),
-            1.0 if txn.trans_city == payer.home_city else 0.0,
-            1.0 if txn.is_new_device else 0.0,
-            float(txn.ip_risk_score),
-            float(txn.payer_recent_txn_count),
-            float(txn.payer_recent_amount),
-            float(np.log1p(txn.payer_recent_amount)),
-            float(txn.payee_recent_inbound_count),
-            float(np.log1p(txn.payee_recent_inbound_count)),
-            float(txn.amount / (txn.payer_recent_amount + 1.0)),
-        ]
-
-    def _cross_block(
-        self, txn: Transaction, payer: UserProfile, payee: UserProfile
-    ) -> List[float]:
-        return [
-            float(abs(payer.age - payee.age)),
-            1.0 if payer.home_city == payee.home_city else 0.0,
-            float(abs(payer.kyc_level - payee.kyc_level)),
-            1.0 if (payer.kyc_level == 1 and payee.kyc_level == 1) else 0.0,
-            float(np.log1p(payer.account_age_days)),
-            float(np.log1p(payee.account_age_days)),
-            float(txn.amount / max(payer.device_count, 1)),
-            1.0 if abs(txn.amount % 100.0) < 1e-9 else 0.0,
-            1.0 if txn.amount >= _HIGH_AMOUNT_THRESHOLD else 0.0,
-            float(txn.day % 7),
-        ]

@@ -8,13 +8,15 @@ weight equal to the number (or total amount) of transfers.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Tuple, get_args
 
 from repro.datagen.schema import Transaction
 from repro.exceptions import GraphError
 from repro.graph.network import TransactionNetwork
 
 EdgeWeighting = Literal["count", "amount", "log_amount"]
+#: The values of :data:`EdgeWeighting`, for the checks that reject any other.
+EDGE_WEIGHTINGS: Tuple[str, ...] = get_args(EdgeWeighting)
 
 
 class NetworkBuilder:
@@ -38,7 +40,7 @@ class NetworkBuilder:
         weighting: EdgeWeighting = "count",
         min_edge_weight: float = 0.0,
     ) -> None:
-        if weighting not in ("count", "amount", "log_amount"):
+        if weighting not in EDGE_WEIGHTINGS:
             raise GraphError(f"unknown edge weighting {weighting!r}")
         if min_edge_weight < 0:
             raise GraphError("min_edge_weight must be non-negative")

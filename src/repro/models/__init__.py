@@ -16,14 +16,12 @@ live in :mod:`repro.models.distributed`.  Table 1's comparison baselines
 """
 
 from repro.models.base import BaseDetector
-from repro.models.tree.cart import RegressionTree
 from repro.models.logistic_regression import LogisticRegression
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.rules import Rule, RuleSet, extract_rules
 
 __all__ = [
     "BaseDetector",
-    "RegressionTree",
     "LogisticRegression",
     "GradientBoostingClassifier",
     "Rule",

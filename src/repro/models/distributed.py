@@ -7,14 +7,12 @@ single-machine (footnote 7).  This module mirrors that split:
 * :class:`DistributedLogisticRegression` keeps the weight vector on the
   parameter servers; workers compute mini-batch gradients on their data
   partitions and push them back (classic PS data parallelism),
-* :class:`DistributedGBDT` with ``tree_method="hist"`` (default) is a
-  KunPeng-style histogram GBDT: every worker bins its partition once, builds
-  local per-node (gradient, hessian, count) histograms each tree level and
-  pushes them to the parameter servers, which sum them; the driver pulls one
-  merged fixed-size histogram block and finds the splits.  Per-round
-  communication therefore scales with ``bins x features``, not with the row
-  count.  ``tree_method="exact"`` keeps the legacy driver-side sorted split
-  search (per-row gradient gathering) for A/B comparison.
+* :class:`DistributedGBDT` is a KunPeng-style histogram GBDT: every worker
+  bins its partition once, builds local per-node (gradient, hessian, count)
+  histograms each tree level and pushes them to the parameter servers, which
+  sum them; the driver pulls one merged fixed-size histogram block and finds
+  the splits.  Per-round communication therefore scales with
+  ``bins x features``, not with the row count.
 
 Both record their cluster workload per round so the Figure 10 benchmark and
 the cost model can report how training time scales with the number of
@@ -187,9 +185,9 @@ class DistributedLogisticRegression(BaseDetector):
 
 
 class DistributedGBDT(GradientBoostingClassifier):
-    """GBDT trained on the PS cluster, histogram-aggregated by default.
+    """GBDT trained on the PS cluster with histogram aggregation.
 
-    ``tree_method="hist"``: the single-machine grower
+    The single-machine grower
     (:func:`~repro.models.tree.histogram.grow_level_wise`) with its two
     callbacks moved onto the cluster.  ``level_histograms``: each worker
     builds per-node (gradient, hessian, count) histograms over its binned
@@ -198,10 +196,6 @@ class DistributedGBDT(GradientBoostingClassifier):
     decisions are broadcast and every worker moves its own rows.  Per-round
     traffic is bounded by ``levels x nodes x features x bins`` — independent
     of the row count.
-
-    ``tree_method="exact"``: the legacy driver — workers push per-row
-    gradient/hessian pairs (2 values per row per round) and the driver fits a
-    :class:`~repro.models.tree.cart.RegressionTree` on the gathered statistics.
 
     Only those training steps are distributed: the hyperparameters (every
     keyword of :class:`~repro.models.gbdt.GradientBoostingClassifier` is
@@ -241,12 +235,11 @@ class DistributedGBDT(GradientBoostingClassifier):
     def _begin_fit(self, num_rows: int, features_per_tree: int) -> None:
         """Partition the rows over the workers; host the histogram block."""
         self.cluster.scatter_data(np.arange(num_rows).tolist())
-        if self.tree_method == "hist":
-            # Workers keep only the integer bins (in production the binning
-            # pass is a MaxCompute pre-pass).
-            node_slots = 2 ** max(0, self.max_depth - 1)
-            block_rows = node_slots * features_per_tree * self.num_bins
-            self.cluster.replace_parameter("gbdt_histograms", np.zeros((block_rows, 3)))
+        # Workers keep only the integer bins (in production the binning pass
+        # is a MaxCompute pre-pass).
+        node_slots = 2 ** max(0, self.max_depth - 1)
+        block_rows = node_slots * features_per_tree * self.num_bins
+        self.cluster.replace_parameter("gbdt_histograms", np.zeros((block_rows, 3)))
 
     def _round_gradients(
         self, round_index: int, labels: np.ndarray, scores: np.ndarray, weights: np.ndarray
@@ -276,11 +269,6 @@ class DistributedGBDT(GradientBoostingClassifier):
             gradients[rows] = grad
             hessians[rows] = hess
             covered[rows] = True
-            if self.tree_method == "exact":
-                # Exact mode gathers per-row statistics at the driver: 2
-                # values (gradient, hessian) per row per round.  Histogram
-                # mode keeps them worker-local and ships histograms instead.
-                self.cluster.communication.record_push(int(rows.size) * 2)
 
         missing = np.nonzero(~covered)[0]
         if missing.size:

@@ -2,38 +2,34 @@
 
 The paper's strongest detector: 400 trees of depth 3, row and feature
 subsampling of 0.4 to prevent overfitting.  We implement standard gradient
-boosting with depth-limited regression trees
-(:class:`~repro.models.tree.cart.RegressionTree`) as weak learners and two
-objectives:
+boosting with depth-limited regression trees grown from gradient histograms
+(:class:`~repro.models.tree.histogram.HistogramTreeBuilder`) as weak learners
+and two objectives:
 
 * ``"logistic"`` — binomial deviance with Newton leaf values (default),
 * ``"squared"`` — least-squares boosting on the 0/1 labels, matching the
   paper's statement that root mean square error is used as the objective.
 
 Both produce scores mapped to [0, 1] by :meth:`predict_proba`, so the
-evaluation layer treats GBDT exactly like every other detector.
+evaluation layer treats GBDT exactly like every other detector.  The exact
+sorted-search grower the histogram one is compared with lives in
+``benchmarks/paper/exact.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Literal, Optional, Tuple, Union
+from typing import Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ModelError
 from repro.models.base import BaseDetector, validate_training_inputs
-from repro.models.tree.cart import RegressionTree
 from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import HistogramBinner, HistogramTree, HistogramTreeBuilder
 from repro.numerics import class_weights, sigmoid
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import ensure_rng
 
 Objective = Literal["logistic", "squared"]
-TreeMethod = Literal["hist", "exact"]
-
-#: Weak learners produced by the two tree methods; both expose ``tree_`` (the
-#: :class:`TreeNode` root that ``fit`` compiles into the scoring forest).
-BoostedTree = Union[RegressionTree, HistogramTree]
 
 
 class GradientBoostingClassifier(BaseDetector):
@@ -54,13 +50,10 @@ class GradientBoostingClassifier(BaseDetector):
         as stated in the paper).
     class_weight:
         ``"balanced"`` up-weights fraud rows by the inverse class frequency.
-    tree_method:
-        ``"hist"`` (default) bins the training matrix once with
-        :class:`~repro.models.tree.histogram.HistogramBinner` and grows trees
-        from gradient/hessian histograms; ``"exact"`` keeps the sorted split
-        search of :class:`~repro.models.tree.cart.RegressionTree`.
     num_bins:
-        Histogram resolution of the ``"hist"`` method (ignored by ``"exact"``).
+        Histogram resolution: the training matrix is binned once with
+        :class:`~repro.models.tree.histogram.HistogramBinner` and every tree
+        grows from gradient/hessian histograms over those bins.
     """
 
     name = "gbdt"
@@ -77,7 +70,6 @@ class GradientBoostingClassifier(BaseDetector):
         reg_lambda: float = 1.0,
         objective: Objective = "logistic",
         class_weight: Optional[str] = "balanced",
-        tree_method: TreeMethod = "hist",
         num_bins: int = 64,
         seed: Optional[int] = None,
     ) -> None:
@@ -100,8 +92,6 @@ class GradientBoostingClassifier(BaseDetector):
             raise ModelError(f"unknown objective {objective!r}")
         if class_weight not in (None, "balanced"):
             raise ModelError("class_weight must be None or 'balanced'")
-        if tree_method not in ("hist", "exact"):
-            raise ModelError(f"unknown tree_method {tree_method!r}")
         if not 2 <= num_bins <= 65536:
             raise ModelError("num_bins must be in [2, 65536]")
         self.num_trees = num_trees
@@ -113,11 +103,10 @@ class GradientBoostingClassifier(BaseDetector):
         self.reg_lambda = reg_lambda
         self.objective = objective
         self.class_weight = class_weight
-        self.tree_method = tree_method
         self.num_bins = num_bins
         self.seed = seed
         self._rng = ensure_rng(seed)
-        self._trees: List[BoostedTree] = []
+        self._trees: List[HistogramTree] = []
         self._forest: Optional[CompiledForest] = None
         self._binner: Optional[HistogramBinner] = None
         self._initial_score: float = 0.0
@@ -139,12 +128,10 @@ class GradientBoostingClassifier(BaseDetector):
         rows_per_tree = max(2 * self.min_samples_leaf, int(round(self.subsample_rows * num_rows)))
         features_per_tree = max(1, int(round(self.subsample_features * num_features)))
 
-        binned: Optional[np.ndarray] = None
-        if self.tree_method == "hist":
-            # Bin the full matrix once; every tree after this touches only
-            # the compact integer matrix.
-            self._binner = HistogramBinner(num_bins=self.num_bins).fit(features)
-            binned = self._binner.transform(features)
+        # Bin the full matrix once; every tree after this touches only the
+        # compact integer matrix.
+        self._binner = HistogramBinner(num_bins=self.num_bins).fit(features)
+        binned = self._binner.transform(features)
         self._begin_fit(num_rows, features_per_tree)
 
         for round_index in range(self.num_trees):
@@ -153,21 +140,10 @@ class GradientBoostingClassifier(BaseDetector):
             feature_indices = self._rng.choice(
                 num_features, size=features_per_tree, replace=False
             )
-            tree: BoostedTree
-            if binned is not None:
-                tree = self._grow_histogram_tree(
-                    binned, gradients, hessians, row_indices, feature_indices
-                )
-                update = tree.predict_binned(binned)
-            else:
-                exact = RegressionTree(
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    reg_lambda=self.reg_lambda,
-                    feature_indices=feature_indices,
-                ).fit(features[row_indices], gradients[row_indices], hessians[row_indices])
-                tree, update = exact, exact.predict(features)
-            scores += self.learning_rate * update
+            tree = self._grow_histogram_tree(
+                binned, gradients, hessians, row_indices, feature_indices
+            )
+            scores += self.learning_rate * tree.predict_binned(binned)
             self._trees.append(tree)
             self.train_loss_.append(self._loss(labels, scores, weights))
             self._end_round()

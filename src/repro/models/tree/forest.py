@@ -4,7 +4,7 @@ Growing trees wants linked :class:`~repro.models.tree.node.TreeNode`s; scoring
 them that way costs one Python call per node per tree however few rows there
 are.  :class:`CompiledForest` is built once when ``fit`` ends and is the only
 path from a raw feature matrix to ensemble scores (single-machine, staged and
-distributed GBDT, and a lone :class:`~repro.models.tree.cart.RegressionTree`).
+distributed GBDT, and the exact-grower oracle in ``benchmarks/paper/exact.py``).
 
 **Layout.**  Every tree is padded to a complete binary tree whose depth is the
 forest's depth ``D`` rounded up to a multiple of 3 (at least 3), heap-ordered.

@@ -1,4 +1,4 @@
-"""Histogram-binned regression-tree growth — the fast path inside GBDT.
+"""Histogram-binned regression-tree growth — the tree grower inside GBDT.
 
 Exact split search sorts every node's rows for every candidate feature, so
 fitting 400 boosted trees rescans the raw matrix thousands of times.  The
@@ -302,8 +302,8 @@ class HistogramTree:
 class HistogramTreeBuilder:
     """Grow a depth-limited regression tree from a pre-binned matrix.
 
-    :func:`grow_level_wise` over one partition: it follows
-    :class:`~repro.models.tree.cart.RegressionTree`'s growth rules
+    :func:`grow_level_wise` over one partition: it follows the growth rules
+    of the exact sorted-search tree in ``benchmarks/paper/exact.py``
     (second-order gain, ``min_samples_leaf`` on both children, strictly
     positive gain, candidate features scanned in the given order) but
     replaces per-node sorting with level-wise histogram accumulation.  Its

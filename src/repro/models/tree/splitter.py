@@ -1,11 +1,11 @@
 """Best-split search of the gradient-boosted trees.
 
-The second-order (variance-reduction) gain GBDT's regression trees split on:
-the exact sorted search of :class:`~repro.models.tree.cart.RegressionTree`
-and the histogram search of the level-wise grower, which scans every node of
-a tree level in one call.  Both are vectorised with prefix sums so that
-fitting hundreds of boosted trees stays fast.  (The entropy and gain-ratio
-criteria of the Table 1 baselines ID3 and C5.0 live with them in
+The second-order (variance-reduction) gain GBDT's regression trees split on,
+searched over histograms by the level-wise grower, which scans every node of
+a tree level in one call.  It is vectorised with prefix sums so that fitting
+hundreds of boosted trees stays fast.  (The exact sorted search it is
+compared with lives in ``benchmarks/paper/exact.py``; the entropy and
+gain-ratio criteria of the Table 1 baselines ID3 and C5.0 in
 ``benchmarks/paper/criteria.py``.)
 """
 
@@ -17,16 +17,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-
-
-@dataclass
-class RegressionSplit:
-    """Best variance-reducing split for a regression target."""
-
-    threshold: float
-    score: float
-    left_count: int
-    right_count: int
 
 
 @dataclass
@@ -62,10 +52,11 @@ def best_histogram_splits(
     """Best bin-boundary split of each node of ``(nodes, features, bins)``
     histograms — one tree level in one call.
 
-    Scans every boundary of every feature with prefix sums and the same
-    second-order gain as :func:`best_regression_split`; the boundaries are the
-    at most ``num_bins - 1`` bin edges instead of the per-node sorted values,
-    which is what makes histogram tree growth independent of the row count.
+    Scans every boundary of every feature with prefix sums and the
+    second-order gain ``G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)``; the
+    boundaries are the at most ``num_bins - 1`` bin edges instead of the
+    per-node sorted values of an exact search, which is what makes histogram
+    tree growth independent of the row count.
     Per node, features are scanned in slot order and ties keep the first
     maximum, so a histogram with one bin per distinct value reproduces the
     exact search.  Each step is elementwise or along the bin axis: a node's
@@ -140,68 +131,3 @@ def best_histogram_split(
         raise ModelError("histogram arrays must be 2-dimensional (features, bins)")
     stacked = (np.asarray(hist)[None] for hist in (grad_hist, hess_hist, count_hist))
     return best_histogram_splits(*stacked, min_leaf=min_leaf, reg_lambda=reg_lambda)[0]
-
-
-def best_regression_split(
-    values: np.ndarray,
-    targets: np.ndarray,
-    *,
-    hessians: Optional[np.ndarray] = None,
-    min_leaf: int = 1,
-    reg_lambda: float = 1.0,
-) -> Optional[RegressionSplit]:
-    """Best threshold split maximising the boosting gain.
-
-    Uses the standard second-order gain
-    ``G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)`` where gradients are ``targets``
-    and ``hessians`` default to 1 (plain variance reduction).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    if hessians is None:
-        hessians = np.ones_like(targets)
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    sorted_targets = targets[order]
-    sorted_hessians = hessians[order]
-
-    distinct = np.nonzero(np.diff(sorted_values) > 0)[0]
-    if distinct.size == 0:
-        return None
-    left_counts = distinct + 1
-    right_counts = n - left_counts
-    valid = (left_counts >= min_leaf) & (right_counts >= min_leaf)
-    if not np.any(valid):
-        return None
-
-    gradient_prefix = np.cumsum(sorted_targets)
-    hessian_prefix = np.cumsum(sorted_hessians)
-    total_gradient = gradient_prefix[-1]
-    total_hessian = hessian_prefix[-1]
-
-    left_gradient = gradient_prefix[distinct]
-    left_hessian = hessian_prefix[distinct]
-    right_gradient = total_gradient - left_gradient
-    right_hessian = total_hessian - left_hessian
-
-    parent_score = total_gradient**2 / (total_hessian + reg_lambda)
-    gains = (
-        left_gradient**2 / (left_hessian + reg_lambda)
-        + right_gradient**2 / (right_hessian + reg_lambda)
-        - parent_score
-    )
-    gains = np.where(valid, gains, -np.inf)
-    best = int(np.argmax(gains))
-    if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
-        return None
-    position = distinct[best]
-    threshold = 0.5 * (sorted_values[position] + sorted_values[position + 1])
-    return RegressionSplit(
-        threshold=float(threshold),
-        score=float(gains[best]),
-        left_count=int(left_counts[best]),
-        right_count=int(right_counts[best]),
-    )

@@ -13,17 +13,12 @@ job), and each observed transfer enqueues its two endpoint accounts into an
 :class:`EmbeddingRefreshQueue`.  A refresh pass drains the queue, expands the
 dirty endpoints into the set of accounts whose embeddings can actually have
 changed — with T propagation rounds, exactly the radius-(T-1) ball around the
-endpoints — and re-embeds that neighbourhood:
-
-* ``"propagate"`` mode freezes the trained parameters and runs the exact
-  restricted forward pass (:meth:`Structure2Vec.embed_nodes`) over the
-  touched ball.  Cost is proportional to the neighbourhood, not the graph,
-  and the refreshed rows equal a full-graph forward pass with the same
-  parameters.
-* ``"retrain"`` mode refits a fresh model (same config and seed) on the
-  cumulative network and labels, then writes only the touched rows.  This is
-  bit-identical to a from-scratch offline retrain at the same seed — the
-  convergence oracle the property tests assert against.
+endpoints — and re-embeds that neighbourhood.  The refresh freezes the
+trained parameters and runs the exact restricted forward pass
+(:meth:`Structure2Vec.embed_nodes`) over the touched ball: cost is
+proportional to the neighbourhood, not the graph, and the refreshed rows
+equal a full-graph forward pass with the same parameters.  A full retrain
+stays the nightly offline job's.
 
 Refreshed rows are written through :meth:`HBaseClient.put` with a
 monotonically increasing version above the offline bulk-load version, so the
@@ -35,18 +30,21 @@ never written, so their stored rows stay bit-unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from numbers import Integral
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.datagen.schema import Transaction
 from repro.exceptions import ServingError
-from repro.graph.builder import EdgeWeighting, NetworkBuilder
+from repro.graph.builder import EDGE_WEIGHTINGS, EdgeWeighting, NetworkBuilder
 from repro.graph.network import TransactionNetwork
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, EMBEDDINGS_FAMILY, HBaseClient
 from repro.nrl.structure2vec import Structure2Vec
 from repro.serving.feature_source import embedding_cell
 
-#: Refresh strategies understood by :class:`EmbeddingRefreshConfig`.
-REFRESH_MODES: Tuple[str, ...] = ("propagate", "retrain")
+
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool`` (a slice bound or a queue length)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class EmbeddingRefreshQueue:
@@ -108,9 +106,6 @@ class EmbeddingRefreshConfig:
     #: Qualifier the refreshed vector is written under in the embeddings
     #: column family (must match the serving plan's embedding block).
     set_name: str = "s2v"
-    #: ``"propagate"`` re-runs the frozen-parameter restricted forward pass;
-    #: ``"retrain"`` refits a fresh model on the cumulative network.
-    mode: str = "propagate"
     #: Maximum queued endpoints drained per refresh pass (0 = unbounded).
     #: The dirty ball is expanded from the drained endpoints only; the rest
     #: stay queued for the next pass.
@@ -126,14 +121,19 @@ class EmbeddingRefreshConfig:
         """Raise :class:`ServingError` on invalid settings."""
         if not self.set_name:
             raise ServingError("set_name must be non-empty")
-        if self.mode not in REFRESH_MODES:
+        if not _is_int(self.max_refresh_batch) or self.max_refresh_batch < 0:
             raise ServingError(
-                f"unknown refresh mode {self.mode!r}; expected one of {REFRESH_MODES}"
+                f"max_refresh_batch must be a non-negative integer, got {self.max_refresh_batch!r}"
             )
-        if self.max_refresh_batch < 0:
-            raise ServingError("max_refresh_batch must be non-negative")
-        if self.auto_refresh_threshold is not None and self.auto_refresh_threshold < 1:
-            raise ServingError("auto_refresh_threshold must be at least 1")
+        threshold = self.auto_refresh_threshold
+        if threshold is not None and (not _is_int(threshold) or threshold < 1):
+            raise ServingError(
+                f"auto_refresh_threshold must be None or an integer >= 1, got {threshold!r}"
+            )
+        if self.weighting not in EDGE_WEIGHTINGS:
+            raise ServingError(
+                f"unknown weighting {self.weighting!r}; expected one of {EDGE_WEIGHTINGS}"
+            )
 
 
 @dataclass
@@ -144,8 +144,6 @@ class RefreshReport:
     drained: List[str] = field(default_factory=list)
     #: Accounts actually re-embedded and written (the dirty ball).
     refreshed: List[str] = field(default_factory=list)
-    #: Refresh strategy that produced the rows.
-    mode: str = "propagate"
     #: HBase version the refreshed rows were written at (0 when no-op).
     version: int = 0
 
@@ -156,13 +154,12 @@ class EmbeddingRefresher:
     Parameters
     ----------
     model:
-        The offline-trained :class:`Structure2Vec`.  ``"propagate"`` mode
-        freezes its parameters; ``"retrain"`` mode reuses its config (and
-        requires ``config.seed`` so refits are reproducible).
+        The offline-trained :class:`Structure2Vec`, whose parameters the
+        refresh freezes.
     hbase / table_name:
         The feature store holding the ``user_node_embeddings`` family.
     config:
-        Refresh strategy knobs (:class:`EmbeddingRefreshConfig`).
+        Refresh knobs (:class:`EmbeddingRefreshConfig`).
     warmup_transactions:
         The training-window history.  Folded into the cumulative network and
         node labels so the online graph starts from exactly the state the
@@ -184,11 +181,6 @@ class EmbeddingRefresher:
     ) -> None:
         self.config = config or EmbeddingRefreshConfig()
         self.config.validate()
-        if self.config.mode == "retrain" and model.config.seed is None:
-            raise ServingError(
-                "retrain mode requires a seeded Structure2VecConfig so every "
-                "refit reproduces the offline training exactly"
-            )
         self.model = model
         self.hbase = hbase
         self.table_name = table_name
@@ -270,22 +262,10 @@ class EmbeddingRefresher:
         limit = self.config.max_refresh_batch or None
         drained = self.queue.drain(limit)
         if not drained:
-            return RefreshReport(mode=self.config.mode)
+            return RefreshReport()
         network = self.network
         targets = self._dirty_ball(network, drained)
-
-        if self.config.mode == "retrain":
-            # A fresh model per refit: ``fit`` consumes the rng during
-            # initialisation, so reusing an instance would drift from the
-            # from-scratch training this mode promises bit-parity with.
-            refit = Structure2Vec(self.model.config).fit(
-                network, node_labels=self._labels
-            )
-            embeddings = refit.embeddings()
-            vectors = {node: embeddings[node] for node in targets}
-        else:
-            restricted = self.model.embed_nodes(network, targets)
-            vectors = {node: restricted[node] for node in targets}
+        restricted = self.model.embed_nodes(network, targets)
 
         self._version += 1
         for node in targets:
@@ -293,7 +273,7 @@ class EmbeddingRefresher:
                 self.table_name,
                 node,
                 EMBEDDINGS_FAMILY,
-                {self.config.set_name: embedding_cell(vectors[node])},
+                {self.config.set_name: embedding_cell(restricted[node])},
                 version=self._version,
             )
         self.rows_written += len(targets)
@@ -301,6 +281,5 @@ class EmbeddingRefresher:
         return RefreshReport(
             drained=drained,
             refreshed=targets,
-            mode=self.config.mode,
             version=self._version,
         )

@@ -190,27 +190,29 @@ def test_categorical_and_empty_forests_are_rejected():
 # ---------------------------------------------------------------------------
 
 
-def _model(kind: str, objective: str, tree_method: str):
-    kwargs = dict(num_trees=14, objective=objective, tree_method=tree_method, seed=5)
+def _model(kind: str, objective: str):
+    kwargs = dict(num_trees=14, objective=objective, seed=5)
     if kind == "distributed":
         return DistributedGBDT(cluster=ClusterConfig(num_machines=3), **kwargs)
     return GradientBoostingClassifier(**kwargs)
 
 
-def _fitted(kind: str, objective: str, tree_method: str, features, labels):
-    return _model(kind, objective, tree_method).fit(features, labels)
+def _fitted(kind: str, objective: str, features, labels):
+    return _model(kind, objective).fit(features, labels)
 
 
 @pytest.mark.parametrize("kind", ["single", "distributed"])
 @pytest.mark.parametrize("objective", ["logistic", "squared"])
-@pytest.mark.parametrize("tree_method", ["hist", "exact"])
-def test_fitted_models_score_like_the_oracle(
-    kind, objective, tree_method, small_classification_data
-):
+def test_fitted_models_score_like_the_oracle(kind, objective, small_classification_data):
     features, labels = small_classification_data
     features, labels = features[:240], labels[:240]
-    model = _fitted(kind, objective, tree_method, features, labels)
-    probe = np.random.default_rng(1).normal(size=(50, features.shape[1]))
+    assert_scores_like_the_oracle(_fitted(kind, objective, features, labels), features.shape[1])
+
+
+def assert_scores_like_the_oracle(model, width: int) -> None:
+    """A 14-tree ``model`` fitted on ``width`` columns scores, stages and
+    counts splits exactly as the oracle walks its trees."""
+    probe = np.random.default_rng(1).normal(size=(50, width))
     probe[3, 2] = np.nan
     probe[4, :] = np.inf
     probe[5, :] = -np.inf
@@ -220,16 +222,14 @@ def test_fitted_models_score_like_the_oracle(
     stages = list(model.staged_predict_proba(probe, every=4))
     assert [used for used, _ in stages] == [4, 8, 12, 14]
     assert np.array_equal(stages[-1][1], model.predict_proba(probe))
-    walked = np.zeros(features.shape[1])
+    walked = np.zeros(width)
     stack = list(roots)
     while stack:
         node = stack.pop()
         if not node.is_leaf:
             walked[node.feature_index] += 1.0
             stack.extend(node.iter_children())
-    assert np.array_equal(
-        model.feature_importances(features.shape[1]), walked / walked.sum()
-    )
+    assert np.array_equal(model.feature_importances(width), walked / walked.sum())
 
 
 def test_sigmoid_is_the_clip_spelling_bit_for_bit():
@@ -250,7 +250,7 @@ def test_feature_width_is_checked(kind, small_classification_data):
     """A too-wide matrix used to be scored silently and a too-narrow one died
     with a bare IndexError; flat gathers would read the neighbouring row."""
     features, labels = small_classification_data
-    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    model = _fitted(kind, "logistic", features[:200], labels[:200])
     width = features.shape[1]
     assert model.num_features_ == width
     for bad in (np.zeros((3, width + 1)), np.zeros((3, width - 1)), np.zeros(width - 1)):
@@ -265,18 +265,21 @@ def test_feature_width_is_checked(kind, small_classification_data):
 
 
 @pytest.mark.parametrize("kind", ["single", "distributed"])
-@pytest.mark.parametrize("tree_method", ["hist", "exact"])
-def test_refit_rebuilds_the_forest(kind, tree_method, small_classification_data):
+def test_refit_rebuilds_the_forest(kind, small_classification_data):
+    features, labels = small_classification_data
+    assert_refit_rebuilds_the_forest(lambda: _model(kind, "logistic"), features, labels)
+
+
+def assert_refit_rebuilds_the_forest(make_model, features, labels) -> None:
     """fit -> predict -> refit on other data scores with the new trees only,
     exactly like a fresh model that starts from the same RNG state."""
-    features, labels = small_classification_data
     first, second = slice(0, 200), slice(200, 420)
-    model = _fitted(kind, "logistic", tree_method, features[first], labels[first])
+    model = make_model().fit(features[first], labels[first])
     before = model.predict_proba(features[second])
     rng_state = copy.deepcopy(model._rng.bit_generator.state)
     model.fit(features[second], labels[second])
 
-    fresh = _model(kind, "logistic", tree_method)
+    fresh = make_model()
     fresh._rng.bit_generator.state = rng_state
     fresh.fit(features[second], labels[second])
 
@@ -293,7 +296,7 @@ def test_refit_rebuilds_the_forest(kind, tree_method, small_classification_data)
 def test_staged_prediction_rejects_a_step_below_one(kind, small_classification_data):
     """``every=0`` died with a ZeroDivisionError and ``every=-2`` acted as 2."""
     features, labels = small_classification_data
-    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    model = _fitted(kind, "logistic", features[:200], labels[:200])
     for every in (0, -2):
         with pytest.raises(ModelError, match="every"):
             list(model.staged_predict_proba(features[:5], every=every))
@@ -320,7 +323,7 @@ def test_feature_importances_reject_another_width(kind, small_classification_dat
     """``bincount``'s ``minlength`` is only a minimum: any width used to come
     back as the model's own, or wider."""
     features, labels = small_classification_data
-    model = _fitted(kind, "logistic", "hist", features[:200], labels[:200])
+    model = _fitted(kind, "logistic", features[:200], labels[:200])
     width = features.shape[1]
     for bad in (2, width - 1, width + 1):
         with pytest.raises(ModelError, match=f"fitted on {width} features"):

@@ -11,6 +11,7 @@ that a default argument is the shared constant rather than an equal literal.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -25,8 +26,11 @@ from repro.datagen import schema
 from repro.exceptions import ConfigurationError
 from repro.features import aggregation, assembler, plan, streaming
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
+from repro import models
+from repro.models import tree
+from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree import splitter
-from repro.serving.embedding_refresh import EmbeddingRefresher
+from repro.serving.embedding_refresh import EmbeddingRefreshConfig, EmbeddingRefresher
 from repro.serving.feature_source import HBaseFeatureSource
 from repro.serving.model_server import ModelServerConfig
 from repro.serving.streaming import StreamingFeatureUpdater
@@ -197,3 +201,32 @@ def test_best_histogram_split_is_the_level_searchs_one_node_view(monkeypatch):
     split = splitter.best_histogram_split(grad, count, count)
     assert calls == [[(1, 1, 2)] * 3]
     assert split is not None and split.bin_index == 0
+
+
+#: What a second way of doing one thing in ``src/`` was spelled with: the
+#: exact tree grower, the ``retrain`` embedding refresh and the scalar basic
+#: row.  They are the oracles of ``benchmarks/paper/exact.py`` and
+#: ``tests/scalar_basic.py`` now.
+SECOND_PATHS = (
+    "tree_method",
+    "RegressionTree",
+    "best_regression_split",
+    "REFRESH_MODES",
+    '"retrain"',
+    "extract_one",
+)
+
+
+def test_src_has_one_grower_one_refresh_and_one_basic_row_builder():
+    spelled = [
+        f"{path.relative_to(REPO_ROOT).as_posix()}: {name}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for name in SECOND_PATHS
+        if name in path.read_text()
+    ]
+    assert spelled == []
+    assert "RegressionTree" not in models.__all__ + tree.__all__
+    assert not hasattr(models, "RegressionTree")
+    with pytest.raises(TypeError, match="tree_method"):
+        GradientBoostingClassifier(tree_method="exact")  # type: ignore[call-arg]
+    assert "mode" not in {field.name for field in dataclasses.fields(EmbeddingRefreshConfig)}

@@ -1,17 +1,11 @@
 """Dynamic-graph embedding refresh in the serving path (PR 10 tentpole).
 
 Covers the refresh queue, the exact restricted forward pass
-(:meth:`Structure2Vec.embed_nodes`), and the :class:`EmbeddingRefresher`'s
-two strategies:
-
-* ``"retrain"`` — refreshed rows must be *bit-identical* to a from-scratch
-  :meth:`Structure2Vec.fit` on the cumulative graph at the same seed (the
-  convergence contract, property-tested over random stream prefixes), and
-* ``"propagate"`` — refreshed rows must match an independent dense
-  full-network forward pass reimplemented here from the model's parameters.
-
-In both modes, accounts outside the touched neighbourhood are never written:
-their stored HBase rows stay bit-unchanged.
+(:meth:`Structure2Vec.embed_nodes`), and the :class:`EmbeddingRefresher`:
+refreshed rows must match an independent dense full-network forward pass
+reimplemented here from the model's parameters, and accounts outside the
+touched neighbourhood are never written — their stored HBase rows stay
+bit-unchanged (property-tested over random stream prefixes).
 """
 
 from __future__ import annotations
@@ -138,14 +132,46 @@ class TestEmbeddingRefreshQueue:
 
     def test_config_validation(self):
         with pytest.raises(ServingError):
-            EmbeddingRefreshConfig(mode="nightly").validate()
-        with pytest.raises(ServingError):
             EmbeddingRefreshConfig(set_name="").validate()
         with pytest.raises(ServingError):
             EmbeddingRefreshConfig(max_refresh_batch=-1).validate()
         with pytest.raises(ServingError):
             EmbeddingRefreshConfig(auto_refresh_threshold=0).validate()
         EmbeddingRefreshConfig().validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_refresh_batch", 2.5),
+            ("max_refresh_batch", True),
+            ("max_refresh_batch", "3"),
+            ("auto_refresh_threshold", 1.5),
+            ("auto_refresh_threshold", True),
+            ("weighting", "bogus"),
+        ],
+    )
+    def test_config_rejects_what_would_fail_later(self, field, value):
+        """Each of these passed validation: a fractional batch then raised a
+        bare TypeError from the queue's slice on the first refresh of three
+        or more pending accounts, and an unknown weighting surfaced only as a
+        GraphError from the network builder."""
+        config = EmbeddingRefreshConfig(**{field: value})
+        with pytest.raises(ServingError, match=field):
+            config.validate()
+        with pytest.raises(ServingError, match=field):
+            EmbeddingRefresher(fitted_model(random_transactions(1)), HBaseClient(), config=config)
+
+    def test_an_integer_batch_drains_in_slices(self):
+        warmup, delta = random_transactions(2)[:40], random_transactions(2)[40:]
+        model = fitted_model(warmup)
+        refresher = EmbeddingRefresher(
+            model, store_with_embeddings(model),
+            config=EmbeddingRefreshConfig(max_refresh_batch=np.int64(2)),
+            warmup_transactions=warmup, start_version=100,
+        )
+        for transaction in delta[:3]:
+            refresher.observe_transaction(transaction)
+        assert len(refresher.refresh().drained) == 2
 
 
 class TestRestrictedForward:
@@ -233,14 +259,11 @@ class TestEmbeddingRefresher:
         model = fitted_model(warmup)
         hbase = store_with_embeddings(model)
         refresher = EmbeddingRefresher(
-            model, hbase,
-            config=EmbeddingRefreshConfig(mode="propagate"),
-            warmup_transactions=warmup, start_version=100,
+            model, hbase, warmup_transactions=warmup, start_version=100
         )
         for transaction in delta:
             refresher.observe_transaction(transaction)
         report = refresher.refresh()
-        assert report.mode == "propagate"
         assert report.version == 101
         oracle = dense_full_forward(
             model.params, build_network(warmup + delta),
@@ -257,9 +280,7 @@ class TestEmbeddingRefresher:
         hbase = store_with_embeddings(model)
         before = snapshot_rows(hbase)
         refresher = EmbeddingRefresher(
-            model, hbase,
-            config=EmbeddingRefreshConfig(mode="propagate"),
-            warmup_transactions=warmup, start_version=100,
+            model, hbase, warmup_transactions=warmup, start_version=100
         )
         # One brand-new edge between two fresh accounts: only their
         # radius-(T-1) ball (just themselves here) may be rewritten.
@@ -272,25 +293,13 @@ class TestEmbeddingRefresher:
             if node not in touched:
                 assert after[node] == cells, f"untouched row {node} was rewritten"
 
-    def test_retrain_requires_seeded_config(self):
-        warmup, _ = self.split_stream(9)
-        network = build_network(warmup)
-        labels = node_labels_from_transactions(warmup)
-        unseeded = Structure2Vec(
-            Structure2VecConfig(dimension=6, epochs=4, seed=None), rng=3
-        ).fit(network, node_labels=labels)
-        with pytest.raises(ServingError):
-            EmbeddingRefresher(
-                unseeded, HBaseClient(), config=EmbeddingRefreshConfig(mode="retrain")
-            )
-
     def test_auto_refresh_threshold_triggers_pass(self):
         warmup, delta = self.split_stream(10)
         model = fitted_model(warmup)
         hbase = store_with_embeddings(model)
         refresher = EmbeddingRefresher(
             model, hbase,
-            config=EmbeddingRefreshConfig(mode="propagate", auto_refresh_threshold=4),
+            config=EmbeddingRefreshConfig(auto_refresh_threshold=4),
             warmup_transactions=warmup, start_version=100,
         )
         for transaction in delta:
@@ -303,10 +312,10 @@ class TestEmbeddingRefresher:
         seed=st.integers(min_value=0, max_value=10_000),
         cut_fraction=st.floats(min_value=0.3, max_value=0.9),
     )
-    def test_retrain_converges_to_full_fit_on_any_prefix(self, seed, cut_fraction):
-        """Satellite 1: for any seeded stream prefix, incremental re-embed of
-        touched accounts is bit-identical to a from-scratch fit on the
-        cumulative graph, and untouched accounts' rows are bit-unchanged."""
+    def test_refresh_rewrites_only_the_ball_on_any_prefix(self, seed, cut_fraction):
+        """For any seeded stream prefix, the re-embedded touched accounts
+        match the dense full-network forward pass on the cumulative graph,
+        and untouched accounts' rows are bit-unchanged."""
         transactions = random_transactions(seed, count=60)
         cut = max(1, int(len(transactions) * cut_fraction))
         warmup, delta = transactions[:cut], transactions[cut:]
@@ -314,9 +323,7 @@ class TestEmbeddingRefresher:
         hbase = store_with_embeddings(model)
         before = snapshot_rows(hbase)
         refresher = EmbeddingRefresher(
-            model, hbase,
-            config=EmbeddingRefreshConfig(mode="retrain"),
-            warmup_transactions=warmup, start_version=100,
+            model, hbase, warmup_transactions=warmup, start_version=100
         )
         for transaction in delta:
             refresher.observe_transaction(transaction)
@@ -324,14 +331,13 @@ class TestEmbeddingRefresher:
         if not delta:
             assert report.refreshed == []
             return
-        oracle = Structure2Vec(S2V_CONFIG).fit(
-            build_network(transactions),
-            node_labels=node_labels_from_transactions(transactions),
-        ).embeddings()
+        oracle = dense_full_forward(
+            model.params, build_network(transactions), S2V_CONFIG.propagation_rounds
+        )
         touched = set(report.refreshed)
         for node in report.refreshed:
             stored = np.array(hbase.get(TABLE, node, EMBEDDINGS_FAMILY)["s2v"])
-            assert np.array_equal(stored, oracle[node]), node
+            assert np.allclose(stored, oracle[node], atol=1e-8), node
         after = snapshot_rows(hbase)
         for node, cells in before.items():
             if node not in touched:
@@ -345,9 +351,7 @@ class TestEmbeddingRefresher:
         model = fitted_model(warmup)
         hbase = store_with_embeddings(model)
         refresher = EmbeddingRefresher(
-            model, hbase,
-            config=EmbeddingRefreshConfig(mode="retrain"),
-            warmup_transactions=warmup, start_version=100,
+            model, hbase, warmup_transactions=warmup, start_version=100
         )
         for transaction in delta:
             refresher.observe_transaction(transaction)
@@ -372,9 +376,7 @@ class TestStreamingIntegration:
         model = fitted_model(warmup)
         hbase = store_with_embeddings(model)
         refresher = EmbeddingRefresher(
-            model, hbase,
-            config=EmbeddingRefreshConfig(mode="propagate"),
-            warmup_transactions=warmup, start_version=100,
+            model, hbase, warmup_transactions=warmup, start_version=100
         )
         aggregator = SlidingWindowAggregator()
         updater = StreamingFeatureUpdater(

@@ -17,7 +17,7 @@ import pytest
 from repro.core.pipeline import OfflineTrainingPipeline, SlicePreparation
 from repro.exceptions import FeatureError
 from repro.features.assembler import EmbeddingSide, FeatureAssembler
-from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor, profile_cells
+from repro.features.basic import BASIC_FEATURE_NAMES, profile_cells
 from repro.features.plan import (
     EmbeddingBlockSpec,
     FeaturePlan,
@@ -29,6 +29,7 @@ from repro.models.gbdt import GradientBoostingClassifier
 from repro.nrl.embeddings import EmbeddingSet
 from repro.serving import ModelServer, ModelServerConfig, TransactionRequest
 from repro.serving.feature_source import profile_from_row, profile_row
+from scalar_basic import ScalarBasicExtractor
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ class TestFeaturePlan:
 
 class TestVectorisedBasicExtraction:
     def test_batch_matches_scalar_reference(self, world, dataset):
-        extractor = BasicFeatureExtractor(world.profiles_by_id)
+        extractor = ScalarBasicExtractor(world.profiles_by_id)
         transactions = dataset.test_transactions[:250]
         batch = extractor.extract(transactions, with_labels=True)
         reference = np.vstack([extractor.extract_one(t) for t in transactions])
@@ -119,7 +120,7 @@ class TestVectorisedBasicExtraction:
         assert batch.values.shape == (250, 52)
 
     def test_unknown_users_fall_back_to_default(self, dataset):
-        extractor = BasicFeatureExtractor({})
+        extractor = ScalarBasicExtractor({})
         transactions = dataset.test_transactions[:5]
         batch = extractor.extract(transactions, with_labels=False)
         reference = np.vstack([extractor.extract_one(t) for t in transactions])

@@ -14,6 +14,7 @@ from repro.features.basic import BASIC_FEATURE_NAMES, BasicFeatureExtractor
 from repro.features.discretization import Discretizer, QuantileBinner
 from repro.features.matrix import FeatureMatrix
 from repro.nrl.embeddings import EmbeddingSet
+from scalar_basic import ScalarBasicExtractor
 
 
 class TestBasicFeatures:
@@ -35,7 +36,7 @@ class TestBasicFeatures:
         assert np.isfinite(test.values).all()
 
     def test_unknown_user_gets_default_profile(self, world, dataset):
-        extractor = BasicFeatureExtractor({})
+        extractor = ScalarBasicExtractor({})
         vector = extractor.extract_one(dataset.test_transactions[0])
         assert vector.shape == (52,)
         assert np.isfinite(vector).all()

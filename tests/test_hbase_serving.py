@@ -374,9 +374,9 @@ class TestModelServer:
 
     def test_online_prediction_matches_offline_features(self, serving_stack, world, dataset):
         _, server = serving_stack
-        from repro.features.basic import BasicFeatureExtractor
+        from scalar_basic import ScalarBasicExtractor
 
-        extractor = BasicFeatureExtractor(world.profiles_by_id)
+        extractor = ScalarBasicExtractor(world.profiles_by_id)
         txn = dataset.test_transactions[0]
         offline_vector = extractor.extract_one(txn)
         online_vector = server.plan_executor.assemble_single(

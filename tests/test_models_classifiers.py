@@ -173,45 +173,12 @@ class TestGBDT:
 
 
 class TestGBDTHistogram:
-    """Exact-vs-hist parity suite for the histogram tree method."""
-
-    def test_hist_is_the_default_method(self):
-        model = GradientBoostingClassifier()
-        assert model.tree_method == "hist"
-
-    def test_identical_predictions_when_bins_exceed_distinct_values(self):
-        """With one bin per distinct value (and the full row sample, so both
-        methods see every distinct value) the histogram search degenerates to
-        the exact sorted search: same trees, same predictions."""
-        rng = np.random.default_rng(3)
-        features = rng.integers(0, 8, size=(120, 5)).astype(float)
-        labels = ((features[:, 0] + features[:, 1] - features[:, 2]) > 4).astype(float)
-        kwargs = dict(num_trees=30, subsample_rows=1.0, seed=3)
-        exact = GradientBoostingClassifier(tree_method="exact", **kwargs).fit(features, labels)
-        hist = GradientBoostingClassifier(
-            tree_method="hist", num_bins=256, **kwargs
-        ).fit(features, labels)
-        assert np.allclose(
-            exact.predict_proba(features), hist.predict_proba(features), atol=1e-10
-        )
-
-    def test_auc_parity_on_fraud_data(self, feature_matrices):
-        from repro.core.evaluation import roc_auc
-
-        train, test = feature_matrices
-        aucs = {}
-        for method in ("exact", "hist"):
-            model = GradientBoostingClassifier(
-                num_trees=60, tree_method=method, seed=7
-            ).fit(train.values, train.labels)
-            aucs[method] = roc_auc(test.labels, model.predict_proba(test.values))
-        assert aucs["hist"] >= aucs["exact"] - 0.01
+    """The histogram-grown GBDT.  (Its parity with the exact sorted-search
+    grower is tested beside that grower, in ``benchmarks/paper/tests``.)"""
 
     def test_staged_and_importances_work_with_hist_trees(self, small_classification_data):
         features, labels = small_classification_data
-        model = GradientBoostingClassifier(num_trees=20, tree_method="hist", seed=1).fit(
-            features, labels
-        )
+        model = GradientBoostingClassifier(num_trees=20, seed=1).fit(features, labels)
         staged = dict(model.staged_predict_proba(features, every=10))
         assert np.allclose(staged[20], model.predict_proba(features))
         importances = model.feature_importances(features.shape[1])
@@ -232,8 +199,6 @@ class TestGBDTHistogram:
         assert calls["count"] == 1
 
     def test_invalid_histogram_params(self):
-        with pytest.raises(ModelError):
-            GradientBoostingClassifier(tree_method="approximate")  # type: ignore[arg-type]
         with pytest.raises(ModelError):
             GradientBoostingClassifier(num_bins=1)
         with pytest.raises(ModelError):

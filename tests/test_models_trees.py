@@ -1,6 +1,6 @@
-"""Tests of GBDT's decision-tree infrastructure: split search, regression and
-histogram trees, cut points.  (Table 1's rule-based baselines are tested in
-``benchmarks/paper/tests``.)"""
+"""Tests of GBDT's decision-tree infrastructure: histogram split search and
+trees, cut points.  (The exact sorted-search grower they are compared with
+and Table 1's rule-based baselines are tested in ``benchmarks/paper/tests``.)"""
 
 from __future__ import annotations
 
@@ -11,59 +11,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelError, NotFittedError
 from repro.features import discretization
-from repro.models.tree.cart import RegressionTree
-from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import (
     HistogramBinner,
     HistogramTreeBuilder,
     build_histograms,
 )
 from repro.models.tree import splitter
-from repro.models.tree.splitter import best_histogram_split, best_regression_split
-
-
-class TestSplitters:
-    def test_best_regression_split_reduces_error(self):
-        values = np.linspace(0, 1, 50)
-        targets = np.where(values > 0.5, 2.0, -2.0)
-        split = best_regression_split(values, targets)
-        assert split is not None
-        assert abs(split.threshold - 0.5) < 0.1
-
-
-class TestRegressionTree:
-    def test_fits_piecewise_constant(self):
-        values = np.linspace(0, 1, 200).reshape(-1, 1)
-        targets = np.where(values[:, 0] > 0.5, 1.0, -1.0)
-        tree = RegressionTree(max_depth=2, min_samples_leaf=5).fit(values, targets)
-        predictions = tree.predict(values)
-        assert np.corrcoef(predictions, targets)[0, 1] > 0.95
-
-    def test_depth_limit_respected(self):
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(300, 4))
-        targets = rng.normal(size=300)
-        tree = RegressionTree(max_depth=3).fit(features, targets)
-        assert tree.tree_.depth() <= 3
-
-    def test_feature_subset_restricts_splits(self):
-        rng = np.random.default_rng(4)
-        features = rng.normal(size=(300, 4))
-        targets = features[:, 3] * 2.0
-        tree = RegressionTree(max_depth=2, feature_indices=np.array([0, 1])).fit(features, targets)
-
-        def _features_used(node, used):
-            if not node.is_leaf:
-                used.add(node.feature_index)
-                for child in node.iter_children():
-                    _features_used(child, used)
-            return used
-
-        assert _features_used(tree.tree_, set()) <= {0, 1}
-
-    def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
-            RegressionTree().predict(np.ones((2, 2)))
+from repro.models.tree.splitter import best_histogram_split
 
 
 class TestHistogramBinner:
@@ -95,21 +49,6 @@ class TestHistogramBinner:
 
 
 class TestHistogramTree:
-    def test_matches_exact_tree_on_integer_data(self):
-        """One bin per distinct value reproduces the exact sorted search."""
-        rng = np.random.default_rng(0)
-        features = rng.integers(0, 8, size=(120, 5)).astype(float)
-        gradients = rng.normal(size=120)
-        exact = RegressionTree(max_depth=3, min_samples_leaf=5).fit(features, gradients)
-        binner = HistogramBinner(num_bins=256).fit(features)
-        binned = binner.transform(features)
-        hist = HistogramTreeBuilder(binner, max_depth=3, min_samples_leaf=5).build(
-            binned, gradients, np.ones(120)
-        )
-        raw = CompiledForest([hist.tree_]).decision_function(features)
-        assert np.allclose(exact.predict(features), raw)
-        assert np.array_equal(raw, hist.predict_binned(binned))
-
     def test_depth_limit_and_feature_subset(self):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(300, 4))
@@ -162,25 +101,6 @@ class TestHistogramTree:
                     target += piece
             for target, expected in zip(merged, whole):
                 assert np.allclose(target, expected)
-
-    def test_best_histogram_split_agrees_with_regression_split(self):
-        rng = np.random.default_rng(11)
-        values = rng.integers(0, 6, size=200).astype(float)
-        gradients = np.where(values > 2.5, 1.0, -1.0) + rng.normal(size=200) * 0.1
-        hessians = np.ones(200)
-        exact = best_regression_split(values, gradients, hessians=hessians, min_leaf=5)
-        binner = HistogramBinner(num_bins=64).fit(values.reshape(-1, 1))
-        binned = binner.transform(values.reshape(-1, 1))
-        grad_hist, hess_hist, count_hist = build_histograms(
-            binned, gradients, hessians, num_bins=64
-        )
-        hist = best_histogram_split(
-            grad_hist[0], hess_hist[0], count_hist[0], min_leaf=5
-        )
-        assert exact is not None and hist is not None
-        assert hist.score == pytest.approx(exact.score)
-        assert hist.left_count == exact.left_count
-        assert hist.right_count == exact.right_count
 
     def test_best_histogram_split_rejects_bad_shapes(self):
         with pytest.raises(ModelError):

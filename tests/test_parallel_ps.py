@@ -239,7 +239,6 @@ class TestBackendEquivalence:
             model = DistributedGBDT(
                 cluster=ClusterConfig(num_machines=4),
                 num_trees=10,
-                tree_method="hist",
                 backend=backend,
                 seed=0,
             ).fit(features, labels)

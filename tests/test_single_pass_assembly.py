@@ -4,7 +4,7 @@
 each family once over them and turns every request's cells into the matrix
 with one ``np.fromiter``.  These tests pin what that must not change — every
 cell bit-identical to a row-by-row oracle built from the scalar
-``extract_one``, ``aggregation_vector`` (or the point-in-time block) and
+``extract_one`` (``tests/scalar_basic.py``), ``aggregation_vector`` (or the point-in-time block) and
 ``EmbeddingSet.lookup``, whichever source serves the rows and in whichever
 form — and what it does change: the number of source reads a call issues.
 """
@@ -45,6 +45,7 @@ from repro.hbase.client import (
 )
 from repro.nrl.embeddings import EmbeddingSet
 from repro.serving.feature_source import HBaseFeatureSource, profile_from_row
+from scalar_basic import ScalarBasicExtractor
 
 TABLE = "titant_features"
 KNOWN = [f"u{index}" for index in range(6)]
@@ -227,7 +228,7 @@ def oracle_row(
     """One row the slow way: scalar basic ⊕ aggregation_vector (or the given
     point-in-time row) ⊕ lookups."""
     profiles, embedding_sets, aggregates, _ = _world()
-    parts = [BasicFeatureExtractor(profiles).extract_one(txn)]
+    parts = [ScalarBasicExtractor(profiles).extract_one(txn)]
     if plan.aggregation is not None:
         if aggregation is None:
             aggregation = np.array(
@@ -491,7 +492,7 @@ class TestLookupTables:
 
     def test_every_hour_channel_and_city_bytes_equal_to_extract_one(self):
         profiles = _world()[0]
-        extractor = BasicFeatureExtractor(profiles)
+        extractor = ScalarBasicExtractor(profiles)
         grid = self._grid()
         expected = [extractor.extract_one(txn).tobytes() for txn in grid]
         for index, txn in enumerate(grid):
@@ -571,7 +572,7 @@ class TestColdAccountDefault:
             FULL_PLAN, HBaseFeatureSource(hbase, TABLE)
         ).assemble_single(txn)
         assert offline.tobytes() == online.tobytes()
-        assert offline[:52].tobytes() == BasicFeatureExtractor({}).extract_one(txn).tobytes()
+        assert offline[:52].tobytes() == ScalarBasicExtractor({}).extract_one(txn).tobytes()
 
     def test_absent_cells_of_a_stored_row_read_the_same_default(self):
         hbase = HBaseClient()
