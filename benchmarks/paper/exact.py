@@ -139,6 +139,7 @@ class RegressionTree:
         self.feature_indices = feature_indices
         self._root: Optional[TreeNode] = None
         self._forest: Optional[CompiledForest] = None
+        self.num_features_: Optional[int] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -162,6 +163,7 @@ class RegressionTree:
                 raise ModelError("hessians length does not match the number of rows")
         self._root = self._build(features, gradients, hessians, depth=0)
         self._forest = CompiledForest([self._root])
+        self.num_features_ = features.shape[1]
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -170,6 +172,11 @@ class RegressionTree:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features.reshape(1, -1)
+        if features.ndim != 2 or features.shape[1] != self.num_features_:
+            raise ModelError(
+                f"RegressionTree was fitted on {self.num_features_} features, "
+                f"got an array of shape {features.shape}"
+            )
         return self._forest.decision_function(features)
 
     @property

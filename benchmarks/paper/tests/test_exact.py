@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.paper.exact import ExactGBDT, RegressionTree, best_regression_split
-from repro.exceptions import NotFittedError
+from repro.exceptions import ModelError, NotFittedError
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import HistogramBinner, HistogramTreeBuilder, build_histograms
@@ -64,6 +64,18 @@ class TestRegressionTree:
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
             RegressionTree().predict(np.ones((2, 2)))
+
+    def test_predict_checks_the_fitted_width(self):
+        """A tree fitted on 5 columns scored a 7-column matrix silently and
+        died on a 3-column one with a bare IndexError."""
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(200, 5))
+        tree = RegressionTree(max_depth=3).fit(features, features[:, 4] - features[:, 0])
+        for bad in (np.zeros((4, 7)), np.zeros((4, 3)), np.zeros(3), np.zeros((2, 2, 5))):
+            with pytest.raises(ModelError, match="fitted on 5 features"):
+                tree.predict(bad)
+        assert tree.predict(features[0]).shape == (1,)
+        assert tree.predict(np.zeros((0, 5))).shape == (0,)
 
 
 class TestHistogramParity:
