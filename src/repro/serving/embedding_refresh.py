@@ -43,7 +43,8 @@ from repro.serving.feature_source import embedding_cell
 
 
 def _is_int(value: object) -> bool:
-    """An ``int`` that is not a ``bool`` (a slice bound or a queue length)."""
+    """An integer, numpy's included, that is not a ``bool``: a slice bound
+    or a queue length."""
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
@@ -161,9 +162,9 @@ class EmbeddingRefresher:
     config:
         Refresh knobs (:class:`EmbeddingRefreshConfig`).
     warmup_transactions:
-        The training-window history.  Folded into the cumulative network and
-        node labels so the online graph starts from exactly the state the
-        offline model was trained on.
+        The training-window history.  Folded into the cumulative network so
+        the online graph starts from exactly the state the offline model was
+        trained on.
     start_version:
         Version floor for refreshed rows — pass the offline bulk-load
         version so refreshed rows always supersede the published snapshot.
@@ -186,14 +187,13 @@ class EmbeddingRefresher:
         self.table_name = table_name
         self.queue = EmbeddingRefreshQueue()
         self._builder = NetworkBuilder(weighting=self.config.weighting)
-        self._labels: Dict[str, int] = {}
         self._version = int(start_version)
         self.events_observed = 0
         self.refreshes = 0
         self.rows_written = 0
         if warmup_transactions is not None:
             for transaction in warmup_transactions:
-                self._fold(transaction)
+                self._builder.add(transaction)
 
     # ------------------------------------------------------------------
     @property
@@ -202,21 +202,9 @@ class EmbeddingRefresher:
         return self._builder.finish()
 
     @property
-    def node_labels(self) -> Dict[str, int]:
-        """Current node labels (payee of any observed fraud ⇒ 1)."""
-        return dict(self._labels)
-
-    @property
     def current_version(self) -> int:
         """Version of the most recent refresh write (or the start version)."""
         return self._version
-
-    def _fold(self, transaction: Transaction) -> None:
-        self._builder.add(transaction)
-        self._labels.setdefault(transaction.payer_id, 0)
-        self._labels.setdefault(transaction.payee_id, 0)
-        if transaction.is_fraud:
-            self._labels[transaction.payee_id] = 1
 
     def observe_transaction(self, transaction: Transaction) -> None:
         """Fold one new edge into the graph and enqueue its endpoints.
@@ -226,7 +214,7 @@ class EmbeddingRefresher:
         refresh time against the then-current network, which is both cheaper
         under coalescing and correct for edges that arrive between passes.
         """
-        self._fold(transaction)
+        self._builder.add(transaction)
         self.events_observed += 1
         self.queue.enqueue(transaction.payer_id)
         self.queue.enqueue(transaction.payee_id)
