@@ -162,7 +162,8 @@ class TestEmbeddingRefreshQueue:
             EmbeddingRefresher(fitted_model(random_transactions(1)), HBaseClient(), config=config)
 
     def test_an_integer_batch_drains_in_slices(self):
-        warmup, delta = random_transactions(2)[:40], random_transactions(2)[40:]
+        transactions = random_transactions(2)
+        warmup, delta = transactions[:40], transactions[40:]
         model = fitted_model(warmup)
         refresher = EmbeddingRefresher(
             model, store_with_embeddings(model),
