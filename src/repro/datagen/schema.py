@@ -235,7 +235,7 @@ SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
 
 
-def transaction_event_time(txn: Transaction) -> int:
+def transaction_event_time(txn: TransferFields) -> int:
     """Event time of a transaction in seconds (the schema is hour-granular)."""
     return txn.day * SECONDS_PER_DAY + txn.hour * SECONDS_PER_HOUR
 

@@ -63,7 +63,7 @@ from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequen
 
 import numpy as np
 
-from repro.datagen.schema import Transaction, transaction_sort_key
+from repro.datagen.schema import Transaction, TransferFields, transaction_sort_key
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
     AGGREGATE_ROW_FIELDS,
@@ -290,8 +290,9 @@ class SlidingWindowAggregator:
         del live.in_prefix[position - live.start :]
         return bucket, live
 
-    def ingest(self, txn: Transaction) -> bool:
-        """Fold one transaction into the window state.
+    def ingest(self, txn: TransferFields) -> bool:
+        """Fold one transfer — a transaction, or an online request as it
+        is — into the window state.
 
         Returns False (and counts the event as dropped) when the event is at
         or beyond the retention horizon — older than
@@ -300,7 +301,7 @@ class SlidingWindowAggregator:
         """
         return self._ingest(txn, transaction_event_time(txn))
 
-    def _ingest(self, txn: Transaction, event_time: float) -> bool:
+    def _ingest(self, txn: TransferFields, event_time: float) -> bool:
         """:meth:`ingest` of an event whose time the caller already has."""
         if event_time <= self._watermark - self._horizon:
             self.late_events_dropped += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Literal, Tuple, get_args
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import TransferFields
 from repro.exceptions import GraphError
 from repro.graph.network import TransactionNetwork
 
@@ -49,12 +49,13 @@ class NetworkBuilder:
         self._network = TransactionNetwork()
 
     # ------------------------------------------------------------------
-    def add(self, transaction: Transaction) -> None:
-        """Fold one transaction into the network."""
+    def add(self, transaction: TransferFields) -> None:
+        """Fold one transfer — a transaction or an online request — into the
+        network."""
         weight = self._edge_weight(transaction)
         self._network.add_edge(transaction.payer_id, transaction.payee_id, weight)
 
-    def add_many(self, transactions: Iterable[Transaction]) -> None:
+    def add_many(self, transactions: Iterable[TransferFields]) -> None:
         for transaction in transactions:
             self.add(transaction)
 
@@ -71,7 +72,7 @@ class NetworkBuilder:
         return pruned
 
     # ------------------------------------------------------------------
-    def _edge_weight(self, transaction: Transaction) -> float:
+    def _edge_weight(self, transaction: TransferFields) -> float:
         if self.weighting == "count":
             return 1.0
         if self.weighting == "amount":
@@ -82,7 +83,7 @@ class NetworkBuilder:
 
 
 def build_network(
-    transactions: Iterable[Transaction],
+    transactions: Iterable[TransferFields],
     *,
     weighting: EdgeWeighting = "count",
     min_edge_weight: float = 0.0,

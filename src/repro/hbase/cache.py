@@ -5,28 +5,28 @@ transact repeatedly within minutes, and the payee side of fraud "gathering"
 patterns concentrates on few accounts), while the underlying rows only change
 once per day when the offline pipeline bulk-loads a new version.  A small
 time-bounded cache therefore absorbs most point reads.  Writes through the
-client invalidate the affected row eagerly, so a cache hit can never serve a
-value older than the last local write.  What it holds are the store's own
-immutable :class:`~repro.hbase.store.Row` snapshots, handed out by reference:
-a hit copies nothing, and time is whatever ``now`` the caller passes.
+client drop the row's family (one ``pop`` unless a read was ever pinned), so a
+hit never serves a value older than the last local write.  It holds the store's
+own immutable :class:`~repro.hbase.store.Row` snapshots by reference: a hit
+copies nothing, and time is whatever ``now`` the caller passes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.hbase.store import Row
 
-#: (column family, version) — the per-row cache sub-key.
-_SubKey = Tuple[str, Optional[int]]
-#: (table, row key) — the invalidation unit.
+#: The per-row cache sub-key: a family's latest read, or (family, version).
+_SubKey = Union[str, Tuple[str, int]]
+#: (table, row key) — the LRU and ``max_rows`` unit.
 _RowKey = Tuple[str, str]
 
 
 class RowCache:
-    """Bounded TTL cache of row reads, invalidated per (table, row key); a
-    read is one :meth:`multi_get` call over all of its keys."""
+    """Bounded TTL cache of row reads, invalidated per (table, row key,
+    family); a read is one :meth:`multi_get` call over all of its keys."""
 
     def __init__(self, *, ttl_seconds: float = 30.0, max_rows: int = 4096):
         if not ttl_seconds > 0:  # NaN fails every comparison
@@ -36,6 +36,8 @@ class RowCache:
         self.ttl_seconds = float(ttl_seconds)
         self.max_rows = int(max_rows)
         self._rows: "OrderedDict[_RowKey, Dict[_SubKey, Tuple[float, Row]]]" = OrderedDict()
+        #: Set by the first version-pinned read; until then no entry holds one.
+        self._pinned = False
         self.hits = 0
         self.misses = 0
 
@@ -59,7 +61,10 @@ class RowCache:
         probe finds nothing for keeps its value in ``rows`` and is not cached.
         """
         cached_rows = self._rows
-        sub_key = (column_family, version)
+        sub_key: _SubKey = column_family
+        if version is not None:
+            sub_key = (column_family, version)
+            self._pinned = True
         expires_at = now + self.ttl_seconds
         probed: List[str] = []
         for row_key in rows:
@@ -96,10 +101,10 @@ class RowCache:
         """Drop cached reads of one row (called on write).
 
         A put only mutates one column family, so passing ``column_family``
-        keeps the row's *other* families cached — during streaming aggregate
-        write-through this is what keeps the (unchanged) profile and
-        embedding reads of a just-scored account hot.  With ``None`` the
-        whole row is dropped (conservative full invalidation).
+        drops its reads (pinned ones too) and keeps the row's *other* families
+        cached — during streaming aggregate write-through this is what keeps
+        the (unchanged) profile and embedding reads of a just-scored account
+        hot.  With ``None`` the whole row is dropped (full invalidation).
         """
         if column_family is None:
             self._rows.pop((table, row_key), None)
@@ -107,13 +112,12 @@ class RowCache:
         entry = self._rows.get((table, row_key))
         if entry is None:
             return
-        for sub_key in [key for key in entry if key[0] == column_family]:
-            del entry[sub_key]
+        entry.pop(column_family, None)
+        if self._pinned:
+            for sub_key in [k for k in entry if isinstance(k, tuple) and k[0] == column_family]:
+                del entry[sub_key]
         if not entry:
             del self._rows[(table, row_key)]
-
-    def clear(self) -> None:
-        self._rows.clear()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

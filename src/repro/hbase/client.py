@@ -153,25 +153,25 @@ class HBaseClient:
         *,
         version: int,
     ) -> None:
-        """Write one row's column-family cells (WAL first, caches invalidated)."""
-        table = self.table(table_name)
+        """Write one row's column-family cells (WAL first, caches invalidated);
+        an unknown family raises before anything is logged, counted or swept."""
+        family = self.table(table_name).family(column_family)
         # Frozen before it is logged: log, store and every cache hold this
         # one immutable value, whatever the caller does to its own afterwards.
         values = freeze_row(values)
         self._wal.append(table_name, row_key, column_family, values, version=version)
         self._router.record_write(row_key)
-        dead_refs = False
-        for cache_ref in self._cache_registry:
+        # One pass invalidates every live cache and drops the dead references.
+        registry = self._cache_registry
+        live = 0
+        for cache_ref in registry:
             cache = cache_ref()
-            if cache is None:
-                dead_refs = True
-                continue
-            cache.invalidate(table_name, row_key, column_family)
-        if dead_refs:
-            self._cache_registry[:] = [
-                ref for ref in self._cache_registry if ref() is not None
-            ]
-        table.put(row_key, column_family, values, version=version)
+            if cache is not None:
+                cache.invalidate(table_name, row_key, column_family)
+                registry[live] = cache_ref
+                live += 1
+        del registry[live:]
+        family.put_row(row_key, values, version=version)
 
     def _read(
         self,
@@ -200,7 +200,8 @@ class HBaseClient:
                 row = probe(row_key, version)
                 if row is not None:
                     rows[row_key] = row
-        self._router.record_reads(probed)
+        if probed:  # an all-hit read routes nothing
+            self._router.record_reads(probed)
         return rows
 
     def get(

@@ -9,16 +9,14 @@ the durability tests.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, List, Mapping, Optional
+from typing import Any, Deque, List, Mapping, NamedTuple, Optional
 
 from repro.exceptions import StorageError
 from repro.hbase.store import HBaseTable, Row, freeze_row
 
 
-@dataclass(frozen=True)
-class WALEntry:
-    """One logged mutation."""
+class WALEntry(NamedTuple):
+    """One logged mutation (a read-only tuple record)."""
 
     sequence: int
     table: str
@@ -50,14 +48,7 @@ class WriteAheadLog:
         version: int,
     ) -> WALEntry:
         self._sequence += 1
-        entry = WALEntry(
-            sequence=self._sequence,
-            table=table,
-            row_key=row_key,
-            column_family=column_family,
-            values=freeze_row(values),
-            version=version,
-        )
+        entry = WALEntry(self._sequence, table, row_key, column_family, freeze_row(values), version)
         self._entries.append(entry)
         return entry
 

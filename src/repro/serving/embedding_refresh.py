@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import Transaction, TransferFields
 from repro.exceptions import ServingError
 from repro.graph.builder import EDGE_WEIGHTINGS, EdgeWeighting, NetworkBuilder
 from repro.graph.network import TransactionNetwork
@@ -206,7 +206,7 @@ class EmbeddingRefresher:
         """Version of the most recent refresh write (or the start version)."""
         return self._version
 
-    def observe_transaction(self, transaction: Transaction) -> None:
+    def observe_transaction(self, transaction: TransferFields) -> None:
         """Fold one new edge into the graph and enqueue its endpoints.
 
         Only the endpoints are queued; the full set of accounts whose

@@ -15,21 +15,26 @@ state, and the write-ahead log orders the updates for crash recovery: a
 recovered region server replays the WAL and ends up with bit-identical
 aggregate rows.
 
-Cost note: each write-through reads the two touched accounts' rows at the
+Cost note: an online request goes into the engine as it is — the engine, the
+embedding refresher and its network builder read a
+:class:`~repro.datagen.schema.TransferFields`, so no ``Transaction`` is built
+per request.  Each write-through reads the two touched accounts' rows at the
 watermark, which the engine maintains, so a row costs what the event changed
 (the buckets touched since the account's last read), not its window state.
 What is still paid per event is storage: two full-row puts, each its own WAL
 entry and cache invalidation (``payers`` cells are shared between an account's
-successive rows, not copied).  A full-row put in version order costs its row,
-not its history: the store appends the frozen row to the account's short list
-of whole rows and swaps it in as the snapshot, with no per-cell work.
+successive rows, not copied).  A put costs its row, not its history or its
+fleet: the row is frozen once and logged as a tuple record, the region is a
+dict hit for a rewritten key, each attached cache drops the family in one
+``pop``, and the store appends the row to the account's short list of whole
+rows and swaps it in as the snapshot, with no per-cell work.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Set
 
-from repro.datagen.schema import Transaction
+from repro.datagen.schema import Transaction, TransferFields
 from repro.features.streaming import SlidingWindowAggregator
 from repro.hbase.client import AGGREGATES_FAMILY, DEFAULT_FEATURE_TABLE, HBaseClient
 
@@ -99,8 +104,9 @@ class StreamingFeatureUpdater:
         """Version of the most recent write-through put."""
         return self._version
 
-    def observe_transaction(self, transaction: Transaction) -> bool:
-        """Ingest one transaction and write both accounts' rows through.
+    def observe_transaction(self, transaction: TransferFields) -> bool:
+        """Ingest one transfer — a transaction, or an online request as it
+        is — and write both accounts' rows through.
 
         Returns False when the event was beyond the aggregator's retention
         horizon (too late to ever matter) — nothing is written in that case.
@@ -155,7 +161,7 @@ class StreamingFeatureUpdater:
 
     def observe_request(self, request: "TransactionRequest") -> bool:
         """Ingest an online transaction request (the Alipay-server hook)."""
-        return self.observe_transaction(request.to_transaction())
+        return self.observe_transaction(request)
 
     def publish_snapshot(self, *, as_of: Optional[float] = None, version: Optional[int] = None) -> int:
         """Bulk-write every tracked account's current row (bootstrap/repair).

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen.schema import Transaction, TransactionChannel
+from repro.datagen import ProfileConfig, WorldConfig, generate_world
+from repro.datagen.schema import Transaction, TransactionChannel, transaction_sort_key
 from repro.exceptions import EmbeddingError, ServingError
 from repro.features.streaming import SlidingWindowAggregator
 from repro.graph.builder import build_network
@@ -34,6 +35,7 @@ from repro.serving.embedding_refresh import (
     EmbeddingRefreshQueue,
     EmbeddingRefresher,
 )
+from repro.serving.model_server import TransactionRequest
 from repro.serving.streaming import StreamingFeatureUpdater
 
 S2V_CONFIG = Structure2VecConfig(dimension=6, epochs=8, seed=5)
@@ -395,3 +397,51 @@ class TestStreamingIntegration:
         sample = delta[0].payer_id
         assert hbase.get(TABLE, sample, AGGREGATES_FAMILY)
         assert "s2v" in hbase.get(TABLE, sample, EMBEDDINGS_FAMILY)
+
+    def test_a_request_ingests_like_its_transaction(self):
+        """The Alipay hook hands the request itself to the engine and the
+        refresher: the same stream ingested as requests and as transactions
+        writes the same WAL and leaves the same engine and network."""
+        world = generate_world(
+            WorldConfig(
+                profile=ProfileConfig(num_users=80, num_communities=4, seed=17),
+                num_days=6,
+                transactions_per_user_per_day=0.6,
+                seed=17,
+            )
+        )
+        stream = sorted(world.transactions, key=transaction_sort_key)
+        cut = len(stream) * 2 // 5
+        warmup, delta = stream[:cut], stream[cut:]
+        model = fitted_model(warmup)
+        config = EmbeddingRefreshConfig(weighting="amount", auto_refresh_threshold=6)
+        sides = []
+        for as_request in (True, False):
+            hbase = store_with_embeddings(model)
+            refresher = EmbeddingRefresher(
+                model, hbase, config=config, warmup_transactions=warmup, start_version=100
+            )
+            updater = StreamingFeatureUpdater(
+                SlidingWindowAggregator(), hbase, TABLE,
+                start_version=100, embedding_refresher=refresher,
+            )
+            if as_request:
+                ingested = [
+                    updater.observe_request(TransactionRequest.from_transaction(txn))
+                    for txn in delta
+                ]
+            else:
+                ingested = [updater.observe_transaction(txn) for txn in delta]
+            sides.append((ingested, hbase, updater.aggregator, refresher))
+        (ingested, hbase, engine, refresher), (ingested_t, hbase_t, engine_t, refresher_t) = sides
+        assert ingested == ingested_t and any(ingested)
+        assert refresher.refreshes > 0 and refresher.refreshes == refresher_t.refreshes
+
+        def log(client: HBaseClient):
+            return [(e.row_key, e.version, e.values) for e in client.wal.entries()]
+
+        assert log(hbase) == log(hbase_t)
+        assert engine.stats() == engine_t.stats()
+        network, network_t = refresher.network, refresher_t.network
+        assert network.nodes() == network_t.nodes()
+        assert sorted(network.edges()) == sorted(network_t.edges())

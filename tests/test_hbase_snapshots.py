@@ -7,7 +7,8 @@ down case by case (aliasing, sharing, cold accounts, the injected clock).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+import zlib
+from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.feature_source as feature_source_module
-from repro.exceptions import RowNotFoundError, ServingError
+from repro.exceptions import RowNotFoundError, ServingError, StorageError
 from repro.features.basic import DEFAULT_CELLS, profile_cells
 from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
@@ -291,6 +292,18 @@ class _PerKeyCache:
         return probed
 
 
+def _cache_view(cache: RowCache) -> List[Tuple[Tuple[str, str], Dict[Any, Tuple[float, Any]]]]:
+    """The cache's contents free of its layout: the (table, row key)s in LRU
+    order, each with its ``{(family, version): (expiry, row)}`` — and no
+    emptied row entry left behind."""
+    view = []
+    for key, entry in cache._rows.items():
+        assert entry
+        cells = {(sub, None) if isinstance(sub, str) else sub: c for sub, c in entry.items()}
+        view.append((key, cells))
+    return view
+
+
 _CACHE_KEYS = ("a", "b", "c", "d", "e", "ghost")  # "ghost" is never stored
 _cache_ops = st.lists(
     st.one_of(
@@ -345,7 +358,7 @@ def _multi_get_equals_per_key_reference(ops, max_rows):
             assert results["cache"] == results["model"]
             assert probes["cache"] == probes["model"]
         assert (cache.hits, cache.misses) == (model.hits, model.misses)
-        assert list(cache._rows.items()) == list(model.rows.items())  # LRU order too
+        assert _cache_view(cache) == list(model.rows.items())  # LRU order too
         assert len(cache) <= max_rows
 
 
@@ -357,6 +370,127 @@ test_multi_get_equals_per_key_reference_soak = pytest.mark.slow(
         _cache_model_runs(_multi_get_equals_per_key_reference)
     )
 )
+
+
+def test_invalidating_a_family_drops_its_pinned_reads_and_keeps_the_others_hot():
+    cache = RowCache(ttl_seconds=TTL_S, max_rows=4)
+    probed: List[Tuple[str, str, Optional[int]]] = []
+
+    def read(family: str, version: Optional[int]) -> List[str]:
+        def probe(key: str, pin: Optional[int]) -> Any:
+            probed.append((key, family, pin))
+            return (key, family, pin)
+
+        return cache.multi_get("t", {"a": None}, family, version, 0.0, probe)
+
+    for family, version in (("f0", None), ("f0", 1), ("f0", 2), ("f1", None), ("f1", 1)):
+        assert read(family, version) == ["a"]
+    cache.invalidate("t", "a", "f0")
+    hot = {("f1", pin): (TTL_S, ("a", "f1", pin)) for pin in (None, 1)}
+    assert _cache_view(cache) == [(("t", "a"), hot)]
+    assert read("f1", None) == [] and read("f1", 1) == []  # still hot
+    probed.clear()
+    assert read("f0", 1) == ["a"] and read("f0", None) == ["a"]
+    assert probed == [("a", "f0", 1), ("a", "f0", None)]
+    cache.invalidate("t", "a", "f1")
+    cache.invalidate("t", "a", "f0")
+    assert len(cache) == 0 and _cache_view(cache) == []
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: a put to an unknown family is rejected before anything is logged
+# ---------------------------------------------------------------------------
+
+
+def test_a_rejected_put_leaves_wal_regions_and_caches_as_they_were():
+    """Regression: a put to an unknown column family used to be logged,
+    counted on its region and swept from the caches before it raised, so
+    replaying the log raised the same error and the table was lost."""
+    client = _store(row_cache_ttl_s=60.0)
+    reader = client.connection()
+    client.put(TABLE, "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
+    for handle in (client, reader):
+        handle.get(TABLE, "u1", BASIC_FEATURES_FAMILY)
+    wal_before = list(client.wal.entries())
+    load_before = client.region_load_report()
+    cached_before = [handle.row_cache_stats() for handle in (client, reader)]
+
+    with pytest.raises(StorageError, match="unknown column family"):
+        client.put(TABLE, "u1", "nope", {"age": 31}, version=2)
+
+    assert client.wal_size() == 1 and client.wal.entries() == wal_before
+    assert client.region_load_report() == load_before
+    for handle, stats in zip((client, reader), cached_before):
+        assert handle.row_cache_stats() == stats
+        assert handle.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 30}
+        assert handle.row_cache_stats()["hits"] == stats["hits"] + 1  # still cached
+    recovered = HBaseTable(TABLE, client.table(TABLE).column_families())
+    assert client.wal.replay(recovered, table_name=TABLE) == 1
+    assert recovered.get("u1", BASIC_FEATURES_FAMILY) == {"age": 30}
+    assert client.replay_wal_into(TABLE) == 1
+
+
+# ---------------------------------------------------------------------------
+# Region accounting: the owner map against a per-key CRC-32 reference
+# ---------------------------------------------------------------------------
+
+_REGION_KEYS = ("u0", "u1", "u2", "u3", "üser", "x" * 40)
+_GHOST_KEYS = ("ghost0", "ghost1")  # never written
+_region_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, 2),
+            st.sampled_from(_REGION_KEYS),
+            st.sampled_from((BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY)),
+        ),
+        st.tuples(
+            st.just("read"),
+            st.integers(0, 2),
+            st.lists(st.sampled_from(_REGION_KEYS + _GHOST_KEYS), min_size=1, max_size=5),
+            st.sampled_from((BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_region_ops, num_regions=st.integers(1, 5))
+def test_region_load_report_equals_a_per_key_crc_reference(ops, num_regions):
+    """Puts and multi-gets through the root and two connections (one of them
+    uncached): every probed key counts a read and every put a write on
+    ``crc32(key) % n``, and each region hosts the distinct keys written."""
+    root = _store(num_regions=num_regions, row_cache_ttl_s=60.0, row_cache_rows=64)
+    handles = [root, root.connection(), root.connection(row_cache_ttl_s=0.0)]
+    cached: List[set] = [set(), set(), set()]  # (key, family) live in each cache
+    written: set = set()
+    reads, writes = Counter(), Counter()
+
+    def region(key: str) -> int:
+        return zlib.crc32(key.encode("utf-8")) % num_regions
+
+    for op, handle, target, family in ops:  # target: a put's key, a read's keys
+        if op == "put":
+            handles[handle].put(TABLE, target, family, {"q": 1}, version=1)
+            writes[region(target)] += 1
+            written.add((target, family))
+            for entries in cached:
+                entries.discard((target, family))
+            continue
+        handles[handle].multi_get(TABLE, target, family)
+        for key in dict.fromkeys(target):
+            if (key, family) in cached[handle]:
+                continue
+            reads[region(key)] += 1
+            if (key, family) in written and handle != 2:
+                cached[handle].add((key, family))
+
+    rows = Counter(region(key) for key in {key for key, _ in written})
+    assert root.region_load_report() == {
+        index: {"reads": reads[index], "writes": writes[index], "rows": rows[index]}
+        for index in range(num_regions)
+    }
 
 
 # ---------------------------------------------------------------------------
