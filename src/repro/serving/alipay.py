@@ -45,7 +45,7 @@ class TransactionOutcome(str, Enum):
     INTERRUPTED = "interrupted"
 
 
-@dataclass
+@dataclass(slots=True)
 class ServedTransaction:
     """One transaction processed by the Alipay server.
 
@@ -110,10 +110,11 @@ class AlipayServer:
 
     Every decision is made in :meth:`process_batch` — route each request to
     its payer's replica, score each replica's sub-batch with one
-    ``predict_batch`` call, then ingest and record in request order — so
-    that is the one place the request path changes.  :meth:`process` is a
-    batch of one, and every :meth:`replay_transactions` mode (and the
-    asyncio front end) reaches it through a :class:`RequestCoalescer` flush.
+    ``predict_batch`` call, then ingest the batch in order and record it in
+    one pass — so that is the one place the request path changes.
+    :meth:`process` is a batch of one, and every :meth:`replay_transactions`
+    mode (and the asyncio front end) reaches it through a
+    :class:`RequestCoalescer` flush.
 
     With a :class:`StreamingFeatureUpdater` attached, every processed
     transaction is ingested into the sliding-window feature engine *after*
@@ -194,7 +195,7 @@ class AlipayServer:
         response = self.fallback.respond(request)
         if self.feature_updater is not None:
             self.feature_updater.observe_request(request)
-        return self._record(request, response, was_fraud, degraded=True)
+        return self._record([request], [response], [was_fraud], degraded=True)[0]
 
     def arrive(
         self, request: TransactionRequest, now_ms: float, *, was_fraud: Optional[bool] = None
@@ -212,41 +213,49 @@ class AlipayServer:
 
     def _record(
         self,
-        request: TransactionRequest,
-        response: PredictionResponse,
-        was_fraud: Optional[bool],
+        requests: Sequence[TransactionRequest],
+        responses: Sequence[PredictionResponse],
+        labels: Sequence[Optional[bool]],
         *,
         degraded: bool = False,
-    ) -> ServedTransaction:
-        alerted = response.is_fraud_alert
-        if alerted and self.retain_served:
-            self.notifications.append(
-                f"transaction {request.transaction_id} interrupted: fraud probability "
-                f"{response.fraud_probability:.2%}; transferor {request.payer_id} notified"
+    ) -> List[ServedTransaction]:
+        """Record an answered batch in one pass: its :class:`ServedTransaction`
+        list, the running totals added by counts, and (when retained) the
+        served list and one notification per alert, in request order."""
+        interrupted, approved = TransactionOutcome.INTERRUPTED, TransactionOutcome.APPROVED
+        served = [
+            ServedTransaction(
+                request,
+                response,
+                interrupted if response.is_fraud_alert else approved,
+                label,
+                degraded,
             )
-        served = ServedTransaction(
-            request=request,
-            response=response,
-            outcome=TransactionOutcome.INTERRUPTED if alerted else TransactionOutcome.APPROVED,
-            was_fraud=was_fraud,
-            degraded=degraded,
-        )
+            for request, response, label in zip(requests, responses, labels)
+        ]
+        # None is neither True nor False, so it counts toward no quality
+        # total; a missed fraud is a True label that raised no alert.
+        alert_labels = [
+            label for response, label in zip(responses, labels) if response.is_fraud_alert
+        ]
+        true_alerts = alert_labels.count(True)
         totals = self._totals
-        totals.total += 1
-        totals.degraded += degraded
-        if alerted:
-            totals.interrupted += 1
-        else:
-            totals.approved += 1
-        if was_fraud is not None:
-            if alerted and was_fraud:
-                totals.true_alerts += 1
-            elif alerted:
-                totals.false_alerts += 1
-            elif was_fraud:
-                totals.missed_frauds += 1
+        totals.total += len(served)
+        totals.interrupted += len(alert_labels)
+        totals.approved += len(served) - len(alert_labels)
+        totals.degraded += len(served) if degraded else 0
+        totals.true_alerts += true_alerts
+        totals.false_alerts += alert_labels.count(False)
+        totals.missed_frauds += labels.count(True) - true_alerts
         if self.retain_served:
-            self.served.append(served)
+            self.served.extend(served)
+            if alert_labels:
+                self.notifications.extend(
+                    f"transaction {request.transaction_id} interrupted: fraud probability "
+                    f"{response.fraud_probability:.2%}; transferor {request.payer_id} notified"
+                    for request, response in zip(requests, responses)
+                    if response.is_fraud_alert
+                )
         return served
 
     def process_batch(
@@ -260,9 +269,10 @@ class AlipayServer:
         The batch is grouped by the routing policy and each replica scores
         its own accounts' sub-batch in one :meth:`ModelServer.predict_batch`
         call, so every request sees the feature state as of the start of the
-        batch (micro-batch freshness).  With a feature updater attached, all
-        requests are ingested afterwards in request order (score, then
-        ingest).  Results come back in request order.
+        batch (micro-batch freshness).  With a feature updater attached, the
+        whole batch is ingested afterwards in request order (score, then
+        ingest), and only then recorded in one pass, so a batch whose ingest
+        raises is not counted at all.  Results come back in request order.
         """
         requests = list(requests)
         if not requests:
@@ -275,18 +285,17 @@ class AlipayServer:
         groups: Dict[int, List[int]] = {}
         for index, request in enumerate(requests):
             groups.setdefault(self.router.route(request.payer_id), []).append(index)
-        responses: Dict[int, PredictionResponse] = {}
+        responses: List[PredictionResponse] = [None] * len(requests)  # type: ignore[list-item]
         for replica, indices in groups.items():
             batch_responses = self._model_servers[replica].predict_batch(
                 [requests[index] for index in indices]
             )
-            responses.update(zip(indices, batch_responses))
-        served: List[ServedTransaction] = []
-        for index, (request, label) in enumerate(zip(requests, labels)):
-            if self.feature_updater is not None:
+            for index, response in zip(indices, batch_responses):
+                responses[index] = response
+        if self.feature_updater is not None:
+            for request in requests:
                 self.feature_updater.observe_request(request)
-            served.append(self._record(request, responses[index], label))
-        return served
+        return self._record(requests, responses, labels)
 
     def replay_transactions(
         self,

@@ -50,10 +50,12 @@ class LatencyTracker:
         self._latencies_ms: List[float] = []
 
     # ------------------------------------------------------------------
-    def record(self, latency_ms: float) -> None:
+    def record(self, latency_ms: float, count: int = 1) -> None:
+        """Store ``count`` equal samples: the rows of one batch share its
+        amortised latency, checked once for the whole batch."""
         if not latency_ms >= 0:  # NaN fails every comparison
             raise ServingError(f"latency must be a non-negative number, got {latency_ms!r}")
-        self._latencies_ms.append(float(latency_ms))
+        self._latencies_ms.extend([float(latency_ms)] * count)
 
     def __len__(self) -> int:
         return len(self._latencies_ms)

@@ -109,7 +109,7 @@ class TransactionRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionResponse:
     """Result of one online fraud check."""
 
@@ -388,6 +388,9 @@ class ModelServer:
         and the model scores it with a single ``predict_proba``.  Each
         response reports the amortised per-request latency (batch wall time
         divided by batch size), which is what the SLA budget constrains.
+        The batch's bookkeeping is one pass too: one latency record of
+        ``len(requests)`` samples, one counter add, and the responses built
+        from the probabilities' ``tolist()`` in one comprehension.
         """
         active, executor = self._active, self._executor
         if active is None or executor is None:
@@ -396,7 +399,8 @@ class ModelServer:
             return []
         watch = Stopwatch().start()
         probabilities = active.model.predict_proba(executor.feature_values(requests))
-        per_request_ms = watch.stop() * 1000.0 / len(requests)
+        count = len(requests)
+        per_request_ms = watch.stop() * 1000.0 / count
         if self._shadow is not None and self._shadow_executor is not None:
             # Shadow scoring is off the latency clock: in production the
             # challenger scores on a mirrored copy of the traffic, not in the
@@ -414,19 +418,17 @@ class ModelServer:
                     != (np.asarray(shadow_probabilities) >= self._shadow.threshold)
                 )
             )
-        responses: List[PredictionResponse] = []
-        for request, probability in zip(requests, probabilities):
-            probability = float(probability)
-            self.latency.record(per_request_ms)
-            self.requests_served += 1
-            responses.append(
-                PredictionResponse(
-                    transaction_id=request.transaction_id,
-                    fraud_probability=probability,
-                    is_fraud_alert=probability >= active.threshold,
-                    threshold=active.threshold,
-                    model_version=active.version,
-                    latency_ms=per_request_ms,
-                )
+        self.latency.record(per_request_ms, count)
+        self.requests_served += count
+        threshold, version = active.threshold, active.version
+        return [
+            PredictionResponse(
+                request.transaction_id,
+                probability,
+                probability >= threshold,
+                threshold,
+                version,
+                per_request_ms,
             )
-        return responses
+            for request, probability in zip(requests, probabilities.tolist())
+        ]

@@ -289,6 +289,30 @@ class TestLatencyTracker:
         assert (report.count, report.p50_ms, report.p99_ms, report.max_ms) == (1, 2.0, 2.0, 2.0)
         assert tracker.within_sla()
 
+    def test_a_batch_record_stores_count_equal_samples(self):
+        """One call per batch stores what one call per row stored."""
+        batched, single = LatencyTracker(sla_budget_ms=2.0), LatencyTracker(sla_budget_ms=2.0)
+        batched.record(1.0, 2)
+        batched.record(3.0, 3)
+        for value in (1.0, 1.0, 3.0, 3.0, 3.0):
+            single.record(value)
+        assert batched.latencies_ms == single.latencies_ms == [1.0, 1.0, 3.0, 3.0, 3.0]
+        assert batched.report() == single.report()
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_a_nan_or_negative_batch_record_raises_and_stores_nothing(self, value):
+        tracker = LatencyTracker()
+        tracker.record(2.0)
+        with pytest.raises(ServingError, match="non-negative"):
+            tracker.record(value, 5)
+        assert tracker.latencies_ms == [2.0]
+
+    def test_a_batch_record_of_zero_rows_stores_nothing(self):
+        tracker = LatencyTracker()
+        tracker.record(4.0, 0)
+        assert len(tracker) == 0
+        assert tracker.report() == LatencyTracker().report()
+
 
 @pytest.fixture()
 def serving_stack(world, dataset, feature_matrices):

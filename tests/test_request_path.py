@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ServingError
+from repro.exceptions import ServingError, StorageError
 from repro.features.aggregation import AggregationConfig, TransactionAggregator
 from repro.features.assembler import FeatureAssembler
 from repro.features.plan import FeaturePlanExecutor
@@ -31,6 +34,7 @@ from repro.serving import (
     HBaseFeatureSource,
     ModelServer,
     ModelServerConfig,
+    RuleBasedFallback,
     ShadowReport,
     StreamingFeatureUpdater,
     TransactionRequest,
@@ -53,9 +57,9 @@ def trained(world, dataset):
     return config, aggregator, model, assembler.plan
 
 
-def _front_end(world, dataset, trained, replicas, **kwargs) -> AlipayServer:
-    """A fresh store, fleet and streaming updater (replays mutate all three)."""
-    config, aggregator, model, plan = trained
+def _store(world, dataset, trained) -> HBaseClient:
+    """A fresh store holding the profiles and the T+1 aggregate snapshot."""
+    aggregator = trained[1]
     test_day = dataset.spec.test_day
     hbase = HBaseClient()
     hbase.create_feature_store(TABLE)
@@ -78,12 +82,25 @@ def _front_end(world, dataset, trained, replicas, **kwargs) -> AlipayServer:
         version=test_day,
     )
     hbase.bulk_load(TABLE, AGGREGATES_FAMILY, aggregator.snapshot_rows(), version=test_day)
-    engine = SlidingWindowAggregator(config).replay(dataset.train_transactions)
-    updater = StreamingFeatureUpdater(engine, hbase, TABLE, start_version=test_day)
+    return hbase
+
+
+def _fleet(hbase, trained, replicas, threshold=0.5):
+    model, plan = trained[2], trained[3]
     fleet = [ModelServer(hbase.connection(), ModelServerConfig()) for _ in range(replicas)]
     for server in fleet:
-        server.load_model(model, version="v1", threshold=0.5, plan=plan)
-    return AlipayServer(fleet, feature_updater=updater, **kwargs)
+        server.load_model(model, version="v1", threshold=threshold, plan=plan)
+    return fleet
+
+
+def _front_end(world, dataset, trained, replicas, **kwargs) -> AlipayServer:
+    """A fresh store, fleet and streaming updater (replays mutate all three)."""
+    hbase = _store(world, dataset, trained)
+    engine = SlidingWindowAggregator(trained[0]).replay(dataset.train_transactions)
+    updater = StreamingFeatureUpdater(
+        engine, hbase, TABLE, start_version=dataset.spec.test_day
+    )
+    return AlipayServer(_fleet(hbase, trained, replicas), feature_updater=updater, **kwargs)
 
 
 def _per_request(call):
@@ -253,3 +270,162 @@ def test_an_invalid_amount_or_ip_risk_score_reaches_no_entry_point(world, datase
     row = store.get(TABLE, request.payer_id, AGGREGATES_FAMILY)
     assert row["out_count"] >= 1.0
     assert all(math.isfinite(value) for value in row.values() if isinstance(value, float))
+
+
+def test_a_batch_whose_ingest_raises_is_not_recorded(world, dataset, trained, monkeypatch):
+    """The whole batch is ingested before any of it is recorded.  An ingest
+    that raised on the 2nd of 3 requests used to leave the 1st counted in
+    ``report()`` and ``served``, while the caller got no decision at all."""
+    alipay = _front_end(world, dataset, trained, replicas=1)
+    server = alipay.model_servers[0]
+    transactions = sorted(dataset.test_transactions, key=event_order)[:5]
+    requests = [TransactionRequest.from_transaction(txn) for txn in transactions]
+    alipay.process_batch(requests[:2], was_fraud=[True, False])
+    before = (alipay.report(), list(alipay.served), list(alipay.notifications))
+    observe, calls = alipay.feature_updater.observe_request, []
+
+    def observe_failing_second(request):
+        calls.append(request)
+        if len(calls) == 2:
+            raise StorageError("region server unavailable")
+        return observe(request)
+
+    monkeypatch.setattr(alipay.feature_updater, "observe_request", observe_failing_second)
+    with pytest.raises(StorageError, match="unavailable"):
+        alipay.process_batch(requests[2:], was_fraud=[True, False, None])
+    assert (alipay.report(), alipay.served, alipay.notifications) == before
+    # The Model Server did score the three rows; its own counters say so.
+    assert server.requests_served == len(server.latency) == 5
+
+
+#: Requests per example of the batch-shape property; one of them is shed.
+SHAPE_REQUESTS = 24
+_REFERENCE_NAMES = ("interrupted", "approved", "true_alerts", "false_alerts", "missed_frauds")
+
+
+@pytest.fixture(scope="module")
+def read_only_store(world, dataset, trained):
+    """A store no example writes to (no updater), and an alert threshold
+    just above the lowest score, so several of the requests alert."""
+    hbase = _store(world, dataset, trained)
+    requests = [
+        TransactionRequest.from_transaction(txn)
+        for txn in sorted(dataset.test_transactions, key=event_order)[:SHAPE_REQUESTS]
+    ]
+    responses = _fleet(hbase, trained, replicas=1)[0].predict_batch(requests)
+    probabilities = [response.fraud_probability for response in responses]
+    lowest, second = sorted(set(probabilities))[:2]
+    return hbase, requests, probabilities, (lowest + second) / 2
+
+
+def _reference_counts(alerts, labels):
+    """The report's outcome and quality counters from their definitions."""
+    counts = dict.fromkeys(_REFERENCE_NAMES, 0)
+    for alerted, label in zip(alerts, labels):
+        counts["interrupted" if alerted else "approved"] += 1
+        if alerted and label is not None:
+            counts["true_alerts" if label else "false_alerts"] += 1
+        elif label:
+            counts["missed_frauds"] += 1
+    return counts
+
+
+def _bookkeeping(alipay: AlipayServer):
+    """Everything the front end and its fleet recorded, but wall-clock time."""
+    served = [
+        (
+            s.request,
+            dataclasses.replace(s.response, latency_ms=0.0),
+            struct.pack("<d", s.response.fraud_probability),
+            s.outcome,
+            s.was_fraud,
+            s.degraded,
+        )
+        for s in alipay.served
+    ]
+    fleet = [(server.requests_served, len(server.latency)) for server in alipay.model_servers]
+    return alipay.report(), served, list(alipay.notifications), fleet
+
+
+def assert_bookkeeping_ignores_batch_shape(
+    read_only_store, trained, replicas, retain_served, labels, cuts, shed
+):
+    hbase, requests, probabilities, threshold = read_only_store
+    scored = requests[:shed] + requests[shed + 1 :]
+    scored_labels = labels[:shed] + labels[shed + 1 :]
+    batch_bounds = {
+        "whole": [0, len(scored)],
+        "chunked": [0, *sorted(cuts), len(scored)],
+        "per_request": None,
+    }
+    outcomes = {}
+    for name, bounds in batch_bounds.items():
+        alipay = AlipayServer(
+            _fleet(hbase, trained, replicas, threshold),
+            admission=AdmissionController(AdmissionConfig(capacity_rps=1000.0)),
+            retain_served=retain_served,
+        )
+        alipay.process_degraded(requests[shed], was_fraud=labels[shed])
+        if bounds is None:
+            for request, label in zip(scored, scored_labels):
+                alipay.process(request, was_fraud=label)
+        else:
+            for start, stop in zip(bounds, bounds[1:]):
+                alipay.process_batch(scored[start:stop], was_fraud=scored_labels[start:stop])
+        outcomes[name] = _bookkeeping(alipay)
+    assert outcomes["chunked"] == outcomes["whole"] == outcomes["per_request"]
+
+    # The shed request is answered first, by the rules; the rest in order.
+    order = [shed, *(index for index in range(SHAPE_REQUESTS) if index != shed)]
+    alerts = [probabilities[index] >= threshold for index in order]
+    alerts[0] = RuleBasedFallback().respond(requests[shed]).is_fraud_alert
+    report, served, notifications, _ = outcomes["whole"]
+    assert report.total == SHAPE_REQUESTS and report.degraded == 1
+    assert 0 < report.interrupted < report.total
+    assert {name: getattr(report, name) for name in _REFERENCE_NAMES} == _reference_counts(
+        alerts, [labels[index] for index in order]
+    )
+    alerted_ids = [requests[i].transaction_id for i, a in zip(order, alerts) if a]
+    if retain_served:
+        assert [entry[0].transaction_id for entry in served] == [
+            requests[index].transaction_id for index in order
+        ]
+        assert [text.split()[1] for text in notifications] == alerted_ids
+    else:
+        assert served == notifications == []
+
+
+SHAPE_STRATEGIES = dict(
+    replicas=st.sampled_from([1, 3]),
+    retain_served=st.booleans(),
+    labels=st.lists(
+        st.sampled_from([True, False, None]), min_size=SHAPE_REQUESTS, max_size=SHAPE_REQUESTS
+    ),
+    cuts=st.sets(st.integers(1, SHAPE_REQUESTS - 2)),
+    shed=st.integers(0, SHAPE_REQUESTS - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SHAPE_STRATEGIES)
+def test_bookkeeping_does_not_depend_on_batch_shape(
+    read_only_store, trained, replicas, retain_served, labels, cuts, shed
+):
+    """With no updater a score cannot depend on batching, so one batch, any
+    chunking and one request at a time record the same report, served list,
+    notifications and per-server counts — a shed request among them — and
+    the report's counters match their per-request definitions."""
+    assert_bookkeeping_ignores_batch_shape(
+        read_only_store, trained, replicas, retain_served, labels, cuts, shed
+    )
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(**SHAPE_STRATEGIES)
+def test_bookkeeping_does_not_depend_on_batch_shape_soak(
+    read_only_store, trained, replicas, retain_served, labels, cuts, shed
+):
+    assert_bookkeeping_ignores_batch_shape(
+        read_only_store, trained, replicas, retain_served, labels, cuts, shed
+    )
