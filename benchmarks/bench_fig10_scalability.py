@@ -12,12 +12,13 @@ Three things are measured here:
 * an actual distributed DeepWalk / GBDT run on the simulated KunPeng cluster,
   which exercises the pull/push machinery end to end, and
 * a dense-vs-sparse A/B of the DeepWalk training loop at matched effective
-  update counts: the sparse pull/compute/push cycle must move at least 5x
-  fewer embedding rows per round than full-matrix model averaging while
-  reaching recall@top-1 within 2 % of it.
+  update counts: the sparse pull/compute/push cycle of ``src/`` must move at
+  least 5x fewer embedding rows per round than the full-matrix model-average
+  baseline (``benchmarks/paper/dense_deepwalk.py``) while reaching
+  recall@top-1 within 2 % of it.
 
 Running this file directly (``python -m benchmarks.bench_fig10_scalability``)
-executes a tiny two-worker smoke of both training modes and fails on
+executes a tiny two-worker smoke of both training loops and fails on
 exceptions or non-finite losses; CI uses that as the training smoke job.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from benchmarks.paper.dense_deepwalk import DenseDeepWalk
 from repro.core.evaluation import evaluate_scores
 from repro.datagen.datasets import DatasetBuilder
 from repro.features.basic import BasicFeatureExtractor
@@ -40,6 +42,9 @@ from repro.models.distributed import DistributedGBDT
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.nrl.embeddings import top1_neighbor_recall
 from repro.nrl.word2vec import SkipGramConfig
+
+#: DeepWalk training loop per A/B arm.
+LOOPS = {"dense": DenseDeepWalk, "sparse": DistributedDeepWalk}
 
 
 def test_fig10_scalability_curve(benchmark):
@@ -116,13 +121,12 @@ def test_fig10_distributed_training_runs(benchmark, bench_world):
     assert np.isfinite(result["dw_losses"]).all()
 
 
-def _ab_config(mode: str, rounds_per_epoch: int, epochs: int) -> DistributedDeepWalkConfig:
-    """Shared dense/sparse A/B configuration (only budget and mode differ)."""
+def _ab_config(rounds_per_epoch: int, epochs: int) -> DistributedDeepWalkConfig:
+    """Shared dense/sparse A/B configuration (only the budget differs)."""
     return DistributedDeepWalkConfig(
         cluster=ClusterConfig(num_machines=4),
         walk=RandomWalkConfig(walk_length=20, num_walks_per_node=3, batch_size=64),
         skipgram=SkipGramConfig(dimension=16, window=4, epochs=epochs, batch_size=128, negatives=3),
-        mode=mode,
         rounds_per_epoch=rounds_per_epoch,
         seed=0,
     )
@@ -154,7 +158,7 @@ def test_fig10_dense_vs_sparse_communication(benchmark, bench_world):
     def _run():
         results = {}
         for mode, epochs in (("sparse", 8), ("dense", 8 * num_workers)):
-            model = DistributedDeepWalk(_ab_config(mode, 2000, epochs)).fit(network)
+            model = LOOPS[mode](_ab_config(2000, epochs)).fit(network)
             assert np.isfinite(model.loss_history).all()
             summary = model.workload_summary()
             results[mode] = {
@@ -193,7 +197,7 @@ def test_fig10_dense_vs_sparse_communication(benchmark, bench_world):
 
 
 def _training_smoke() -> None:
-    """Tiny two-worker run of both modes; raises on exceptions or NaN loss."""
+    """Tiny two-worker run of both loops; raises on exceptions or NaN loss."""
     from repro.datagen import generate_world
     from repro.datagen.profiles import ProfileConfig
     from repro.datagen.transactions import WorldConfig
@@ -210,20 +214,19 @@ def _training_smoke() -> None:
     dataset = builder.build(builder.earliest_test_day())
     network = build_network(dataset.network_transactions)
     print(f"smoke network: {network.num_nodes} nodes, {network.num_edges} edges")
-    for mode in ("dense", "sparse"):
-        model = DistributedDeepWalk(
+    for mode, loop in LOOPS.items():
+        model = loop(
             DistributedDeepWalkConfig(
                 cluster=ClusterConfig(num_machines=4),  # 2 servers + 2 workers
                 walk=RandomWalkConfig(walk_length=10, num_walks_per_node=2, batch_size=32),
                 skipgram=SkipGramConfig(dimension=8, window=3, epochs=2, batch_size=64),
-                mode=mode,
                 rounds_per_epoch=10,
                 seed=1,
             )
         ).fit(network)
         losses = np.asarray(model.loss_history)
         if losses.size == 0 or not np.isfinite(losses).all():
-            raise AssertionError(f"{mode} mode produced empty or non-finite losses")
+            raise AssertionError(f"{mode} loop produced empty or non-finite losses")
         summary = model.workload_summary()
         print(
             f"  {mode:>6}: {model.rounds_completed} rounds, "

@@ -184,7 +184,6 @@ def deepwalk_workload(backend: str, num_machines: int, network) -> Dict[str, obj
         cluster=ClusterConfig(num_machines=num_machines),
         walk=RandomWalkConfig(walk_length=12, num_walks_per_node=4, batch_size=64),
         skipgram=SkipGramConfig(dimension=32, window=3, epochs=3, batch_size=256),
-        mode="sparse",
         rounds_per_epoch=8,
         backend=backend,
         seed=11,

@@ -217,12 +217,3 @@ def generate_walks(
     )
     return RandomWalker(network, config, rng=rng).generate()
 
-
-def split_corpus(walks: Sequence[List[str]], num_partitions: int) -> List[List[List[str]]]:
-    """Partition a walk corpus across workers (used by distributed DeepWalk)."""
-    if num_partitions <= 0:
-        raise GraphError("num_partitions must be positive")
-    partitions: List[List[List[str]]] = [[] for _ in range(num_partitions)]
-    for index, walk in enumerate(walks):
-        partitions[index % num_partitions].append(list(walk))
-    return partitions

@@ -11,23 +11,17 @@ labour (Section 4.3):
 * server nodes store row-range shards of the embedding matrices, answer pull
   requests and apply the workers' updates.
 
-:class:`DistributedDeepWalk` reproduces that loop on the simulated
-:class:`~repro.kunpeng.cluster.KunPengCluster` in two modes:
+:class:`DistributedDeepWalk` reproduces that pull/compute/push cycle on the
+simulated :class:`~repro.kunpeng.cluster.KunPengCluster`.  Walks are
+*streamed* in batches from the vectorised walk engine (the corpus is never
+materialised), encoded into skip-gram pair streams, and every round each
+worker pulls only the rows its minibatch touches (centers for ``w_in``,
+contexts ∪ negatives for ``w_out``), computes sparse gradients and pushes
+them back to the owning shards.
 
-* ``mode="sparse"`` (default) — the paper's pull/compute/push cycle.  Walks
-  are *streamed* in batches from the vectorised walk engine (the corpus is
-  never materialised), encoded into skip-gram pair streams, and every round
-  each worker pulls only the rows its minibatch touches (centers for ``w_in``,
-  contexts ∪ negatives for ``w_out``), computes sparse gradients and pushes
-  them back to the owning shards.
-* ``mode="dense"`` — the old model-average baseline: every round each worker
-  pulls both full matrices, applies local SGD and the servers average the
-  replicas.  Kept for A/B comparison of communication volume and quality in
-  ``bench_fig10_scalability.py``.
-
-Both modes honour worker failure injection with automatic recovery and record
-per-round communication, which the cost model converts into Figure 10's
-timings.
+The loop honours worker failure injection with automatic recovery and
+records per-round communication, which the cost model converts into Figure
+10's timings.
 """
 
 from __future__ import annotations
@@ -54,16 +48,12 @@ from repro.nrl.word2vec import (
     Vocabulary,
     build_negative_table,
     encode_walk_batch,
-    generate_skipgram_pairs,
     generate_skipgram_pairs_batch,
-    sgns_batch_update,
     sgns_sparse_step,
 )
 from repro.rng import SeedLike, ensure_rng, spawn_child
 
 logger = get_logger("nrl.distributed")
-
-TRAINING_MODES = ("sparse", "dense")
 
 
 @dataclass
@@ -73,11 +63,8 @@ class DistributedDeepWalkConfig:
     cluster: ClusterConfig = field(default_factory=lambda: ClusterConfig(num_machines=4))
     walk: RandomWalkConfig = field(default_factory=RandomWalkConfig)
     skipgram: SkipGramConfig = field(default_factory=SkipGramConfig)
-    #: ``"sparse"`` = pull/compute/push on referenced rows only (the paper's
-    #: design); ``"dense"`` = full-matrix pulls + model averaging (baseline).
-    mode: str = "sparse"
     #: Synchronous rounds per epoch; each round every worker processes one
-    #: minibatch of ``skipgram.batch_size`` pairs, in both modes.
+    #: minibatch of ``skipgram.batch_size`` pairs.
     rounds_per_epoch: int = 5
     #: Probability that a worker crashes before a round (fault-tolerance tests).
     failure_probability: float = 0.0
@@ -90,8 +77,6 @@ class DistributedDeepWalkConfig:
         self.cluster.validate()
         self.walk.validate()
         self.skipgram.validate()
-        if self.mode not in TRAINING_MODES:
-            raise EmbeddingError(f"mode must be one of {TRAINING_MODES}, got {self.mode!r}")
         if self.rounds_per_epoch < 1:
             raise EmbeddingError("rounds_per_epoch must be at least 1")
 
@@ -161,11 +146,6 @@ class DistributedDeepWalk(NRLModel):
         """Embedding dimensionality of the trained vectors."""
         return self.config.skipgram.dimension
 
-    @property
-    def mode(self) -> str:
-        """Training loop variant: "sparse" pull/push or the "dense" baseline."""
-        return self.config.mode
-
     def _replay_walker(self) -> RandomWalker:
         """A fresh walker over the run's fixed walk stream (shared CSR arrays)."""
         assert self._walker is not None and self.walk_seed is not None
@@ -187,12 +167,8 @@ class DistributedDeepWalk(NRLModel):
 
         # 1. Stream the walk corpus once to build the vocabulary; the
         #    configured min_count pruning applies exactly as in the
-        #    single-machine SkipGramTrainer path.  Dense mode materialises the
-        #    corpus anyway, so its batches are generated once and shared.
-        walk_batches: Optional[List[np.ndarray]] = None
-        if cfg.mode == "dense":
-            walk_batches = list(self._replay_walker().iter_walk_batches())
-        vocabulary, node_to_token = self._build_vocabulary(network, walk_batches)
+        #    single-machine SkipGramTrainer path.
+        vocabulary, node_to_token = self._build_vocabulary(network)
         self.vocabulary_ = vocabulary
         table = build_negative_table(vocabulary.counts(), cfg.skipgram.negative_table_size)
 
@@ -205,12 +181,7 @@ class DistributedDeepWalk(NRLModel):
         self.cluster.replace_parameter("w_out", w_out)
 
         # 3. Train.
-        pair_rng = spawn_child(self._rng, salt=17)
-        if cfg.mode == "sparse":
-            self._fit_sparse(network, node_to_token, table, pair_rng)
-        else:
-            assert walk_batches is not None
-            self._fit_dense(walk_batches, node_to_token, table, pair_rng)
+        self._fit_sparse(network, node_to_token, table, spawn_child(self._rng, salt=17))
 
         final = self.cluster.pull_matrix("w_in")
         embeddings = EmbeddingSet(vocabulary.tokens(), final, name="deepwalk_distributed")
@@ -219,25 +190,14 @@ class DistributedDeepWalk(NRLModel):
         return self
 
     # ------------------------------------------------------------------
-    def _build_vocabulary(
-        self,
-        network: TransactionNetwork,
-        walk_batches: Optional[List[np.ndarray]] = None,
-    ) -> Tuple[Vocabulary, np.ndarray]:
+    def _build_vocabulary(self, network: TransactionNetwork) -> Tuple[Vocabulary, np.ndarray]:
         """Count walk tokens in one streaming pass and prune by min_count.
 
         Returns the vocabulary plus the ``node index -> vocabulary index`` map
-        used to encode walk batches (``-1`` marks pruned nodes).  When the
-        caller already materialised the walk batches (dense mode) they are
-        counted directly instead of regenerating the stream.
+        used to encode walk batches (``-1`` marks pruned nodes).
         """
         counts = np.zeros(network.num_nodes, dtype=np.int64)
-        batches = (
-            walk_batches
-            if walk_batches is not None
-            else self._replay_walker().iter_walk_batches()
-        )
-        for batch in batches:
+        for batch in self._replay_walker().iter_walk_batches():
             flat = batch[batch >= 0]
             counts += np.bincount(flat, minlength=network.num_nodes)
         kept = np.flatnonzero(counts >= self.config.skipgram.min_count)
@@ -253,8 +213,8 @@ class DistributedDeepWalk(NRLModel):
     def _pair_stream(self, node_to_token: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Endless stream of encoded (centers, contexts) chunks.
 
-        Cycles over the fixed walk stream (same corpus every epoch, like the
-        materialised dense path) without ever holding more than one walk batch.
+        Cycles over the fixed walk stream (same corpus every epoch) without
+        ever holding more than one walk batch.
         Pairs are shuffled within each chunk: the batched pair generator groups
         pairs by window offset, which would otherwise feed minibatches long
         runs of identical-offset, same-neighbourhood pairs.
@@ -343,89 +303,6 @@ class DistributedDeepWalk(NRLModel):
             return loss
 
         return worker.run(_step, compute_units=float(centers.shape[0]))
-
-    # ------------------------------------------------------------------
-    def _fit_dense(
-        self,
-        walk_batches: List[np.ndarray],
-        node_to_token: np.ndarray,
-        negative_table: np.ndarray,
-        pair_rng: np.random.Generator,
-    ) -> None:
-        """Model-average baseline: full-matrix pulls, local SGD, averaging."""
-        cfg = self.config
-        # Encode straight from the index batches (same mapping the sparse
-        # stream uses), round-robin the walks across workers like split_corpus.
-        encoded_walks: List[np.ndarray] = []
-        for batch in walk_batches:
-            encoded = encode_walk_batch(batch, node_to_token)
-            encoded_walks.extend(row[row >= 0] for row in encoded)
-        num_workers = len(self.cluster.workers)
-        worker_pairs: List[Tuple[np.ndarray, np.ndarray]] = [
-            generate_skipgram_pairs(encoded_walks[start::num_workers], cfg.skipgram.window)
-            for start in range(num_workers)
-        ]
-        self.cluster.scatter_data([p[0].shape[0] for p in worker_pairs])
-
-        total_rounds = cfg.skipgram.epochs * cfg.rounds_per_epoch
-        for round_index in range(total_rounds):
-            self.failure_injector.maybe_fail(round_index)
-            self.failure_injector.heal()
-            learning_rate = self._learning_rate(round_index, total_rounds)
-            self.cluster.begin_round()
-            replicas_in: List[np.ndarray] = []
-            replicas_out: List[np.ndarray] = []
-            for worker, (centers, contexts) in zip(self.cluster.workers, worker_pairs):
-                if centers.size == 0:
-                    continue
-                local_in = self.cluster.pull_matrix("w_in")
-                local_out = self.cluster.pull_matrix("w_out")
-                self._dense_worker_round(
-                    worker,
-                    centers,
-                    contexts,
-                    local_in,
-                    local_out,
-                    negative_table,
-                    learning_rate,
-                    pair_rng,
-                )
-                replicas_in.append(local_in)
-                replicas_out.append(local_out)
-            if replicas_in:
-                self.cluster.push_model_average("w_in", replicas_in)
-                self.cluster.push_model_average("w_out", replicas_out)
-            self.cluster.end_round()
-            self.rounds_completed += 1
-
-    def _dense_worker_round(
-        self,
-        worker: WorkerNode,
-        centers: np.ndarray,
-        contexts: np.ndarray,
-        local_in: np.ndarray,
-        local_out: np.ndarray,
-        negative_table: np.ndarray,
-        learning_rate: float,
-        rng: np.random.Generator,
-    ) -> None:
-        """One worker's local pass over (a sample of) its pair partition."""
-        cfg = self.config.skipgram
-
-        def _step(_worker: WorkerNode) -> float:
-            batch_size = min(cfg.batch_size, centers.shape[0])
-            batch = rng.choice(centers.shape[0], size=batch_size, replace=False)
-            negatives = negative_table[
-                rng.integers(0, negative_table.shape[0], size=(batch_size, cfg.negatives))
-            ]
-            return sgns_batch_update(
-                local_in, local_out, centers[batch], contexts[batch], negatives, learning_rate
-            )
-
-        loss = worker.run(
-            _step, compute_units=float(min(cfg.batch_size, centers.shape[0]))
-        )
-        self.loss_history.append(loss)
 
     # ------------------------------------------------------------------
     def embeddings(self) -> EmbeddingSet:

@@ -16,7 +16,7 @@ from repro.graph.metrics import (
     two_hop_neighbors,
 )
 from repro.graph.network import TransactionNetwork
-from repro.graph.random_walk import RandomWalkConfig, RandomWalker, generate_walks, split_corpus
+from repro.graph.random_walk import RandomWalkConfig, RandomWalker, generate_walks
 
 
 class TestTransactionNetwork:
@@ -130,12 +130,6 @@ class TestRandomWalks:
             RandomWalkConfig(walk_length=1).validate()
         with pytest.raises(GraphError):
             RandomWalkConfig(num_walks_per_node=0).validate()
-
-    def test_split_corpus_covers_everything(self):
-        corpus = [[str(i)] for i in range(10)]
-        parts = split_corpus(corpus, 3)
-        assert sum(len(p) for p in parts) == 10
-        assert len(parts) == 3
 
     def test_iter_walk_batches_matches_iter_walks_seeded(self, network):
         """Same seed ⇒ identical corpora from the streaming and flat APIs."""

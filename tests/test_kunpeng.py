@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import (
-    EmbeddingError,
     ModelError,
     ParameterServerError,
     WorkerFailureError,
@@ -30,7 +29,6 @@ from repro.kunpeng.cost_model import (
 from repro.models.distributed import DistributedGBDT, DistributedLogisticRegression
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
-from repro.nrl.embeddings import top1_neighbor_recall
 from repro.nrl.word2vec import SkipGramConfig, SkipGramTrainer
 
 
@@ -234,49 +232,6 @@ class TestDistributedTraining:
         assert model.failure_injector.total_failures > 0
         assert len(model.embeddings()) == network.num_nodes
 
-    def test_dense_mode_still_available(self, network):
-        config = DistributedDeepWalkConfig(
-            cluster=ClusterConfig(num_machines=4),
-            walk=RandomWalkConfig(walk_length=8, num_walks_per_node=2),
-            skipgram=SkipGramConfig(dimension=8, window=3, epochs=1, batch_size=512),
-            mode="dense",
-            rounds_per_epoch=2,
-            seed=0,
-        )
-        model = DistributedDeepWalk(config).fit(network)
-        assert len(model.embeddings()) == network.num_nodes
-        assert model.loss_history and np.isfinite(model.loss_history).all()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(EmbeddingError):
-            DistributedDeepWalkConfig(mode="bogus").validate()
-
-    def test_sparse_transfers_fewer_values_per_round_than_dense(self, network):
-        summaries = {}
-        for mode in ("dense", "sparse"):
-            config = DistributedDeepWalkConfig(
-                cluster=ClusterConfig(num_machines=4),
-                walk=RandomWalkConfig(walk_length=10, num_walks_per_node=2),
-                skipgram=SkipGramConfig(
-                    dimension=8, window=3, epochs=1, batch_size=128, negatives=4
-                ),
-                mode=mode,
-                rounds_per_epoch=3,
-                seed=7,
-            )
-            model = DistributedDeepWalk(config).fit(network)
-            summaries[mode] = model.workload_summary()
-            assert summaries[mode]["rounds_recorded"] == model.rounds_completed
-        assert (
-            summaries["sparse"]["values_per_round"]
-            < summaries["dense"]["values_per_round"] / 2
-        )
-        # and the analytic round-volume model agrees on the direction
-        vocab_rows = int(network.num_nodes)
-        assert deepwalk_round_volume(
-            vocab_rows, 2, mode="sparse", batch_pairs=128, negatives=4
-        ) < deepwalk_round_volume(vocab_rows, 2, mode="dense")
-
     def test_estimate_time_reflects_recorded_round_traffic(self, network):
         config = DistributedDeepWalkConfig(
             cluster=ClusterConfig(num_machines=4),
@@ -329,33 +284,6 @@ class TestDistributedTraining:
         assert distributed_counts == trainer_counts
         # min_count must actually have pruned something for this to be a test
         assert len(model.vocabulary_) < network.num_nodes
-
-    def test_sparse_recall_matches_dense_on_fraud_network(self, world, network):
-        """Sparse pull/push must not cost embedding quality vs model averaging."""
-        communities = {
-            node: world.profiles_by_id[node].community
-            for node in network.nodes()
-            if node in world.profiles_by_id
-        }
-        recalls = {}
-        for mode in ("dense", "sparse"):
-            config = DistributedDeepWalkConfig(
-                cluster=ClusterConfig(num_machines=4),
-                walk=RandomWalkConfig(walk_length=20, num_walks_per_node=3, batch_size=64),
-                skipgram=SkipGramConfig(
-                    dimension=16, window=4, epochs=8, batch_size=1024, negatives=4
-                ),
-                mode=mode,
-                rounds_per_epoch=100,
-                seed=2,
-            )
-            model = DistributedDeepWalk(config).fit(network)
-            assert np.isfinite(model.loss_history).all()
-            recalls[mode] = top1_neighbor_recall(model.embeddings(), communities)
-        # both modes must capture community structure far beyond the 1/8 chance
-        # level of the fixture's 8 communities
-        assert min(recalls.values()) > 0.7
-        assert recalls["sparse"] >= recalls["dense"] - 0.05
 
     def test_distributed_lr_matches_single_machine_quality(self, small_classification_data):
         features, labels = small_classification_data

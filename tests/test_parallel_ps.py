@@ -194,7 +194,6 @@ def _deepwalk_config(backend: str) -> DistributedDeepWalkConfig:
         cluster=ClusterConfig(num_machines=4),
         walk=RandomWalkConfig(walk_length=8, num_walks_per_node=2),
         skipgram=SkipGramConfig(dimension=8, window=3, epochs=1, batch_size=128),
-        mode="sparse",
         rounds_per_epoch=2,
         backend=backend,
         seed=11,
