@@ -15,7 +15,7 @@ and the commands of ``.github/workflows/*.yml`` and the verify skill for
   ``-m benchmarks.<module>`` tokens — each must resolve, so a CI step that
   names a deleted file fails here instead of after the merge.
 
-Diagnostics are :class:`repro.analysis.Finding` records rendered through the
+Diagnostics are :class:`tools.analysis.Finding` records rendered through the
 shared reporters, so the output format (and ``--json`` schema) matches
 ``scripts/lint_repo.py``.  Exits non-zero listing every dangling reference.
 Run by the docs CI job, by tier-1 (``tests/test_analysis.py``) and locally
@@ -31,9 +31,9 @@ from pathlib import Path
 from typing import List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.analysis import Finding, render_json, render_text  # noqa: E402
+from tools.analysis import Finding, render_json, render_text  # noqa: E402
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")

@@ -279,14 +279,6 @@ PUBLIC_API = [
         ["DistributedDeepWalk"],
         "Sparse pull/push DeepWalk training on the parameter-server cluster.",
     ),
-    (
-        "Static analysis",
-        "repro.analysis",
-        ["Finding", "Checker", "AnalysisReport", "run_analysis"],
-        "The AST-based invariant linter behind scripts/lint_repo.py: one "
-        "shared diagnostic record for all repo tooling, the checker/rule "
-        "registry and the analysis runner.",
-    ),
 ]
 
 HEADER = """\

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Invariant linter: statically enforce the repo's correctness contracts.
 
-Runs the six AST checkers of :mod:`repro.analysis` over ``src/repro``:
+Runs the six AST checkers of :mod:`tools.analysis` over ``src/repro`` and
+over the linter's own package ``tools/analysis``:
 
 * ``rng-discipline`` — all randomness flows through seeded Generators,
 * ``clock-discipline`` — simulated-clock code never reads the wall clock,
@@ -15,7 +16,7 @@ A deliberate violation carries ``# repro-lint: ignore[rule]`` and its reason
 on the flagged line; everything else fails the run with ``path:line: [rule]
 message`` diagnostics.  Usage::
 
-    PYTHONPATH=src python scripts/lint_repo.py              # lint src/repro (CI)
+    PYTHONPATH=src python scripts/lint_repo.py              # lint src/repro + tools/analysis (CI)
     PYTHONPATH=src python scripts/lint_repo.py --json       # machine-readable report
     PYTHONPATH=src python scripts/lint_repo.py --rules layering path/to/file.py
 
@@ -31,9 +32,9 @@ from pathlib import Path
 from typing import List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.analysis import (  # noqa: E402
+from tools.analysis import (  # noqa: E402
     all_rule_ids,
     default_checkers,
     render_json,
@@ -41,7 +42,7 @@ from repro.analysis import (  # noqa: E402
     run_analysis,
 )
 
-DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
+DEFAULT_TARGETS = [REPO_ROOT / "src" / "repro", REPO_ROOT / "tools" / "analysis"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -50,7 +51,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (default: src/repro)",
+        help="files or directories to lint (default: src/repro and tools/analysis)",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument(
@@ -69,7 +70,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{checker.rule_id}: {checker.description}")
         return 0
 
-    targets = args.paths or [DEFAULT_TARGET]
+    targets = args.paths or DEFAULT_TARGETS
     findings = []
     files_scanned = 0
     for target in targets:

@@ -1,4 +1,4 @@
-"""Tests of the invariant linter (src/repro/analysis + scripts/lint_repo.py)
+"""Tests of the invariant linter (tools/analysis + scripts/lint_repo.py)
 and of the doc / workflow reference checker (scripts/check_docs.py).
 
 Each of the six rules gets known-bad and known-good fixture snippets; the
@@ -19,14 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from tools.analysis import (
     Finding,
     all_rule_ids,
     default_checkers,
     render_json,
     run_analysis,
 )
-from repro.analysis.checkers.layering import LayeringChecker
+from tools.analysis.checkers.layering import LayeringChecker
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -354,6 +354,16 @@ class TestLayering:
             rules=["layering"],
         )
         assert len(report.findings) == 2
+
+    def test_nothing_imports_the_tooling_tree(self, tmp_path):
+        """The linter lives in ``tools/``, beside the system, not in it."""
+        report = analyze(
+            tmp_path,
+            {"repro/core/bad.py": "from tools.analysis import run_analysis\n"},
+            rules=["layering"],
+        )
+        assert len(report.findings) == 1
+        assert "must not import 'tools'" in report.findings[0].message
 
     def test_allowed_direction_is_clean(self, tmp_path):
         report = analyze(

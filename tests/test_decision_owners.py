@@ -30,6 +30,7 @@ from repro import models
 from repro.models import tree
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree import splitter
+from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.serving.embedding_refresh import EmbeddingRefreshConfig, EmbeddingRefresher
 from repro.serving.feature_source import HBaseFeatureSource
 from repro.serving.model_server import ModelServerConfig
@@ -230,3 +231,23 @@ def test_src_has_one_grower_one_refresh_and_one_basic_row_builder():
     with pytest.raises(TypeError, match="tree_method"):
         GradientBoostingClassifier(tree_method="exact")  # type: ignore[call-arg]
     assert "mode" not in {field.name for field in dataclasses.fields(EmbeddingRefreshConfig)}
+
+
+#: What the dense model-average DeepWalk loop and its corpus splitter were
+#: spelled with in ``src/``.  The loop is ``benchmarks/paper/dense_deepwalk.py``
+#: now, and the sparse pull/compute/push cycle is the one way ``src/`` trains.
+DENSE_DEEPWALK = ("TRAINING_MODES", "_fit_dense", "_dense_worker_round", "split_corpus")
+
+
+def test_src_has_one_deepwalk_loop_and_no_linter():
+    spelled = [
+        f"{path.relative_to(REPO_ROOT).as_posix()}: {name}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for name in DENSE_DEEPWALK
+        if name in path.read_text()
+    ]
+    assert spelled == []
+    assert "mode" not in {field.name for field in dataclasses.fields(DistributedDeepWalkConfig)}
+    assert not hasattr(DistributedDeepWalk, "mode")
+    # The invariant linter is repo tooling (tools/analysis), not a subsystem.
+    assert list((REPO_ROOT / "src" / "repro" / "analysis").rglob("*.py")) == []

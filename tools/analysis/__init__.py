@@ -9,23 +9,23 @@ deterministic iteration order, one definition per decision) that break
 silently when violated.  This
 package checks them mechanically:
 
-* :mod:`repro.analysis.findings` — the :class:`Finding` diagnostic record
+* :mod:`tools.analysis.findings` — the :class:`Finding` diagnostic record
   shared by every repo tool that reports problems,
-* :mod:`repro.analysis.framework` — the :class:`Checker` base class, module
+* :mod:`tools.analysis.framework` — the :class:`Checker` base class, module
   contexts and the rule registry,
-* :mod:`repro.analysis.checkers` — the six repo-specific invariant rules,
-* :mod:`repro.analysis.reporters` — text and JSON rendering,
-* :mod:`repro.analysis.runner` — file discovery and orchestration.
+* :mod:`tools.analysis.checkers` — the six repo-specific invariant rules,
+* :mod:`tools.analysis.reporters` — text and JSON rendering,
+* :mod:`tools.analysis.runner` — file discovery and orchestration.
 
 The command-line entry point is ``scripts/lint_repo.py``; the complementary
 *dynamic* check (the same invariants exercised at runtime under two
 ``PYTHONHASHSEED`` values) is ``scripts/run_determinism_check.py``.
 """
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, all_rule_ids, default_checkers
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.runner import AnalysisReport, run_analysis
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, all_rule_ids, default_checkers
+from tools.analysis.reporters import render_json, render_text
+from tools.analysis.runner import AnalysisReport, run_analysis
 
 __all__ = [
     "AnalysisReport",

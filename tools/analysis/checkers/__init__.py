@@ -1,7 +1,7 @@
 """The six repo-specific invariant rules.
 
 Importing this package registers every bundled checker with the framework
-registry (see :func:`repro.analysis.framework.register`):
+registry (see :func:`tools.analysis.framework.register`):
 
 * ``rng-discipline`` — all randomness flows through seeded Generators
   handed out by :mod:`repro.rng`,
@@ -15,9 +15,9 @@ registry (see :func:`repro.analysis.framework.register`):
   defining site.
 """
 
-from repro.analysis.checkers import clock  # noqa: F401
-from repro.analysis.checkers import duplicates  # noqa: F401
-from repro.analysis.checkers import iteration  # noqa: F401
-from repro.analysis.checkers import layering  # noqa: F401
-from repro.analysis.checkers import rng  # noqa: F401
-from repro.analysis.checkers import shm  # noqa: F401
+from tools.analysis.checkers import clock  # noqa: F401
+from tools.analysis.checkers import duplicates  # noqa: F401
+from tools.analysis.checkers import iteration  # noqa: F401
+from tools.analysis.checkers import layering  # noqa: F401
+from tools.analysis.checkers import rng  # noqa: F401
+from tools.analysis.checkers import shm  # noqa: F401

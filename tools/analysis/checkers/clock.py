@@ -21,8 +21,8 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, dotted_name, register
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, dotted_name, register
 
 #: Modules that are genuinely wall-clock (never simulated).
 ALLOWED_MODULES = {

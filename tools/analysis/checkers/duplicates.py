@@ -15,8 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, register
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, register
 
 #: Bodies shorter than this are idiom (a delegating ``close``), not a decision.
 MIN_BODY_STATEMENTS = 3

@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, attach_parents, dotted_name, parent_of, register
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, attach_parents, dotted_name, parent_of, register
 
 #: Call names producing filesystem listings in arbitrary order.
 LISTING_FUNCTIONS = {"listdir", "scandir", "iterdir", "glob", "rglob"}

@@ -22,8 +22,8 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, dotted_name, register
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, dotted_name, register
 
 #: The one module allowed to talk to ``numpy.random`` directly (each rule
 #: keeps its own exemptions; clock.py's list is a different decision).

@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, attach_parents, dotted_name, parent_of, register
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, attach_parents, dotted_name, parent_of, register
 
 #: Method names that count as a class's resource-cleanup entry point.
 CLEANUP_METHOD_NAMES = {"close", "stop", "shutdown", "__exit__"}

@@ -3,7 +3,7 @@
 One finding is one concrete problem at one location: a rule id, a
 repo-relative path, a 1-based line number and a human-readable message.
 The invariant linter and the doc link checker both emit this type, so every
-tool renders diagnostics the same way (see :mod:`repro.analysis.reporters`).
+tool renders diagnostics the same way (see :mod:`tools.analysis.reporters`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Type
 
-from repro.analysis.findings import Finding
+from tools.analysis.findings import Finding
 
 #: Magic comment that suppresses every finding on its source line, e.g.
 #: ``time.sleep(1)  # repro-lint: ignore[clock-discipline]``.  A bare
@@ -31,7 +31,7 @@ class ModuleContext:
     """Everything a checker needs to know about one source file.
 
     ``relpath`` is repo-relative and ``/``-separated (it becomes the
-    :class:`~repro.analysis.findings.Finding` path); ``module_name`` is the
+    :class:`~tools.analysis.findings.Finding` path); ``module_name`` is the
     dotted import name (``repro.nrl.distributed``) or ``""`` for files
     outside the importable tree.
     """
@@ -103,7 +103,7 @@ def register(cls: Type[Checker]) -> Type[Checker]:
 
 def all_rule_ids() -> List[str]:
     """Registered rule ids, sorted (importing the bundled checkers first)."""
-    import repro.analysis.checkers  # noqa: F401  (registers on import)
+    import tools.analysis.checkers  # noqa: F401  (registers on import)
 
     return sorted(_REGISTRY)
 
@@ -114,7 +114,7 @@ def default_checkers(rules: List[str] | None = None) -> List[Checker]:
     ``rules`` restricts the run to a subset of rule ids; unknown ids raise
     ``ValueError`` so a typo in ``--rules`` cannot silently skip a contract.
     """
-    import repro.analysis.checkers  # noqa: F401  (registers on import)
+    import tools.analysis.checkers  # noqa: F401  (registers on import)
 
     selected = sorted(_REGISTRY) if rules is None else list(rules)
     unknown = [rule for rule in selected if rule not in _REGISTRY]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from repro.analysis.findings import Finding
+from tools.analysis.findings import Finding
 
 #: Version of the JSON report schema (bumped on incompatible change).
 REPORT_SCHEMA_VERSION = 2

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.framework import Checker, ModuleContext, default_checkers
-from repro.analysis.reporters import render_json, render_text
+from tools.analysis.findings import Finding
+from tools.analysis.framework import Checker, ModuleContext, default_checkers
+from tools.analysis.reporters import render_json, render_text
 
 
 @dataclass
@@ -36,11 +36,11 @@ class AnalysisReport:
         return sorted(self.findings + self.parse_errors)
 
     def render_text(self, *, tool: str = "lint") -> str:
-        """Human-readable report (see :func:`repro.analysis.reporters.render_text`)."""
+        """Human-readable report (see :func:`tools.analysis.reporters.render_text`)."""
         return render_text(self.all_findings(), tool=tool)
 
     def render_json(self, *, tool: str = "lint") -> str:
-        """JSON report (see :func:`repro.analysis.reporters.render_json`)."""
+        """JSON report (see :func:`tools.analysis.reporters.render_json`)."""
         return render_json(self.all_findings(), tool=tool)
 
 
