@@ -266,6 +266,14 @@ PUBLIC_API = [
         "SGD step share.",
     ),
     (
+        "Field contracts",
+        "repro.contracts",
+        ["checked", "check_fields", "contracts_of", "integer", "number", "one_of", "optional"],
+        "The one owner of whether a value is valid for a field: each config "
+        "field declares its contract once, and the config checks them all "
+        "when it is built.",
+    ),
+    (
         "Compiled forest",
         "repro.models.tree.forest",
         ["CompiledForest"],

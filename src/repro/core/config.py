@@ -8,14 +8,19 @@ Table 1 (detector × feature set) by name.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from repro.contracts import check_fields, checked, contracts_of, integer, one_of, optional
 from repro.exceptions import ConfigurationError
 from repro.features.aggregation import AggregationConfig
 from repro.features.plan import EMBEDDING_SIDES
+from repro.graph.random_walk import RandomWalkConfig
+from repro.models.gbdt import GradientBoostingClassifier
+from repro.models.logistic_regression import LogisticRegression
+from repro.nrl.structure2vec import Structure2VecConfig
+from repro.nrl.word2vec import SkipGramConfig
 
 
 class FeatureSetName(str, Enum):
@@ -88,56 +93,45 @@ TABLE1_CONFIGURATIONS: List[Table1Configuration] = [
 ]
 
 
-@dataclass
+#: The contracts of the settings each hyperparameter is passed to.
+_WALK = contracts_of(RandomWalkConfig)
+_SKIPGRAM = contracts_of(SkipGramConfig)
+_S2V = contracts_of(Structure2VecConfig)
+_LR = contracts_of(LogisticRegression)
+_GBDT = contracts_of(GradientBoostingClassifier)
+
+
+@dataclass(frozen=True)
 class ModelHyperparameters:
     """Hyperparameters of every component, defaulting to Section 5.1's values.
 
-    ``scaled_down`` produces a configuration with the same structure but
+    ``laptop_scale`` produces a configuration with the same structure but
     smaller iteration counts so that the full evaluation runs on a laptop in
     seconds; the benchmarks use it by default and the paper-scale values stay
-    one call away.
+    one call away.  Each field takes the contract of the setting it is passed
+    to, so a value its consumer would reject is rejected here.
     """
 
     # NRL
-    embedding_dimension: int = 32
-    deepwalk_walk_length: int = 50
-    deepwalk_num_walks: int = 100
-    deepwalk_window: int = 5
-    deepwalk_epochs: int = 2
-    s2v_epochs: int = 150
-    s2v_propagation_rounds: int = 2
+    embedding_dimension: int = checked(_SKIPGRAM["dimension"], 32)
+    deepwalk_walk_length: int = checked(_WALK["walk_length"], 50)
+    deepwalk_num_walks: int = checked(_WALK["num_walks_per_node"], 100)
+    deepwalk_window: int = checked(_SKIPGRAM["window"], 5)
+    deepwalk_epochs: int = checked(_SKIPGRAM["epochs"], 2)
+    s2v_epochs: int = checked(_S2V["epochs"], 150)
+    s2v_propagation_rounds: int = checked(_S2V["propagation_rounds"], 2)
     # Logistic Regression
-    lr_l1: float = 0.1
-    lr_iterations: int = 300
-    lr_discretize_bins: int = 200
+    lr_l1: float = checked(_LR["l1"], 0.1)
+    lr_iterations: int = checked(_LR["iterations"], 300)
+    lr_discretize_bins: int = checked(_LR["discretize_bins"], 200)
     # GBDT
-    gbdt_num_trees: int = 400
-    gbdt_max_depth: int = 3
-    gbdt_subsample: float = 0.4
-    seed: int = 17
+    gbdt_num_trees: int = checked(_GBDT["num_trees"], 400)
+    gbdt_max_depth: int = checked(_GBDT["max_depth"], 3)
+    gbdt_subsample: float = checked(_GBDT["subsample_rows"], 0.4)
+    seed: int = checked(_GBDT["seed"], 17)
 
-    def validate(self) -> None:
-        if self.embedding_dimension <= 0:
-            raise ConfigurationError("embedding_dimension must be positive")
-        if not 0.0 < self.gbdt_subsample <= 1.0:
-            raise ConfigurationError("gbdt_subsample must be in (0, 1]")
-        if not 0.0 <= self.lr_l1 < math.inf:
-            raise ConfigurationError("lr_l1 must be finite and non-negative")
-        if self.lr_discretize_bins < 0:
-            raise ConfigurationError("lr_discretize_bins must be non-negative")
-        for name in (
-            "deepwalk_walk_length",
-            "deepwalk_num_walks",
-            "deepwalk_window",
-            "deepwalk_epochs",
-            "s2v_epochs",
-            "s2v_propagation_rounds",
-            "lr_iterations",
-            "gbdt_num_trees",
-            "gbdt_max_depth",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
 
     @classmethod
     def paper_scale(cls) -> "ModelHyperparameters":
@@ -180,34 +174,26 @@ class ModelHyperparameters:
         return replace(self, **overrides)  # type: ignore[arg-type]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of a rolling T+1 experiment."""
 
-    num_datasets: int = 7
-    network_days: int = 90
-    train_days: int = 14
-    first_test_day: Optional[int] = None
+    num_datasets: int = checked(integer(1), 7)
+    network_days: int = checked(integer(1), 90)
+    train_days: int = checked(integer(1), 14)
+    first_test_day: Optional[int] = checked(optional(integer(0)), None)
     hyperparameters: ModelHyperparameters = field(default_factory=ModelHyperparameters)
-    configurations: List[Table1Configuration] = field(
-        default_factory=lambda: list(TABLE1_CONFIGURATIONS)
-    )
+    #: Kept as a tuple, so the checked numbers cannot be edited in place.
+    configurations: Sequence[Table1Configuration] = tuple(TABLE1_CONFIGURATIONS)
     #: Attach embeddings of the payer, payee or both transaction endpoints.
-    embedding_side: str = "both"
+    embedding_side: str = checked(one_of(EMBEDDING_SIDES), "both")
     #: Optional sliding-window aggregation features (window definition shared
     #: by training matrices, the exported plan, and online streaming serving).
     aggregation: Optional[AggregationConfig] = None
 
-    def validate(self) -> None:
-        if self.num_datasets < 1:
-            raise ConfigurationError("num_datasets must be at least 1")
-        if self.network_days < 1 or self.train_days < 1:
-            raise ConfigurationError("network_days and train_days must be positive")
-        if self.embedding_side not in EMBEDDING_SIDES:
-            raise ConfigurationError(f"embedding_side must be one of {EMBEDDING_SIDES}")
-        if self.aggregation is not None:
-            self.aggregation.validate()
-        self.hyperparameters.validate()
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
+        object.__setattr__(self, "configurations", tuple(self.configurations))
         numbers = [c.number for c in self.configurations]
         if len(set(numbers)) != len(numbers):
             raise ConfigurationError("configuration numbers must be unique")

@@ -58,7 +58,6 @@ class ExperimentRunner:
         self._stream = world if isinstance(world, WorldStream) else None
         self.world = world
         self.config = config or ExperimentConfig.laptop_scale()
-        self.config.validate()
         self.pipeline = OfflineTrainingPipeline(
             world.profiles_by_id,
             self.config.hyperparameters,

@@ -170,11 +170,8 @@ class OfflineTrainingPipeline:
     ) -> None:
         self.profiles = profiles
         self.hyperparameters = hyperparameters or ModelHyperparameters.laptop_scale()
-        self.hyperparameters.validate()
         self.embedding_side = embedding_side
         self.aggregation = aggregation
-        if aggregation is not None:
-            aggregation.validate()
         self.maxcompute = MaxComputeClient() if use_maxcompute else None
         #: Highest version bulk-loaded per table by publish_features, so the
         #: streaming updater's write versions always supersede the snapshot.

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
+from repro.contracts import check_fields, checked, integer
 from repro.datagen.schema import Transaction, label_as_of
 from repro.datagen.transactions import TransactionWorld
 from repro.exceptions import DataGenerationError
@@ -28,13 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SliceSpec:
     """Day boundaries of one T+1 dataset slice."""
 
-    network_start: int
-    network_end: int  # exclusive; == train_start
-    train_start: int
-    train_end: int  # exclusive; == test_day
-    test_day: int
+    network_start: int = checked(integer(0))
+    network_end: int = checked(integer(0))  # exclusive; == train_start
+    train_start: int = checked(integer(0))
+    train_end: int = checked(integer(0))  # exclusive; == test_day
+    test_day: int = checked(integer(0))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_fields(self, DataGenerationError)
         if not (
             self.network_start
             <= self.network_end
@@ -43,8 +45,6 @@ class SliceSpec:
             == self.test_day
         ):
             raise DataGenerationError(f"inconsistent slice boundaries: {self}")
-        if self.network_start < 0:
-            raise DataGenerationError("network_start must be non-negative")
 
 
 @dataclass
@@ -114,15 +114,13 @@ class DatasetBuilder:
                 f"test_day {test_day} requires {self.network_days + self.train_days} prior "
                 f"days of history but only {test_day} are available"
             )
-        spec = SliceSpec(
+        return SliceSpec(
             network_start=network_start,
             network_end=train_start,
             train_start=train_start,
             train_end=test_day,
             test_day=test_day,
         )
-        spec.validate()
-        return spec
 
     def build(self, test_day: int) -> DatasetSlice:
         """Build the slice whose test set is ``test_day``."""
@@ -255,7 +253,6 @@ class RollingDatasets:
                 train_end=test_day,
                 test_day=test_day,
             )
-            spec.validate()
             train = window(spec.train_start, spec.train_end)
             if respect_label_delay:
                 as_of = spec.train_end - 1

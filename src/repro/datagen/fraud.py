@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, PROBABILITY, check_fields, checked, integer, number
 from repro.datagen.schema import UserProfile
 from repro.exceptions import DataGenerationError
 from repro.rng import SeedLike, ensure_rng
@@ -69,35 +70,27 @@ def typology_name(code: int) -> str:
     return FRAUD_TYPOLOGIES[code - 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FraudConfig:
     """Parameters of the fraudster behaviour model."""
 
     #: Fraction of fraudsters that become repeat offenders (paper: ~70 %).
-    repeat_offender_fraction: float = 0.7
+    repeat_offender_fraction: float = checked(PROBABILITY, 0.7)
     #: Mean number of fraudulent transfers a repeat offender commits per active day.
-    frauds_per_active_day: float = 1.6
+    frauds_per_active_day: float = checked(POSITIVE, 1.6)
     #: Probability that a repeat offender is active on a given day.
-    active_day_probability: float = 0.35
+    active_day_probability: float = checked(number(gt=0.0, le=1.0), 0.35)
     #: Mean label reporting delay in days.
-    mean_report_delay_days: float = 3.0
+    mean_report_delay_days: float = checked(NON_NEGATIVE, 3.0)
     #: Fraction of victims recruited from communities already targeted.
-    community_stickiness: float = 0.75
-    #: Log-normal parameters of fraudulent transfer amounts.
-    fraud_amount_log_mean: float = 6.3
-    fraud_amount_log_sigma: float = 0.9
+    community_stickiness: float = checked(PROBABILITY, 0.75)
+    #: Log-normal parameters of fraudulent transfer amounts (any log-mean:
+    #: the amounts are clipped to [10, 200000]).
+    fraud_amount_log_mean: float = checked(number(), 6.3)
+    fraud_amount_log_sigma: float = checked(NON_NEGATIVE, 0.9)
 
-    def validate(self) -> None:
-        if not 0.0 <= self.repeat_offender_fraction <= 1.0:
-            raise DataGenerationError("repeat_offender_fraction must be in [0, 1]")
-        if self.frauds_per_active_day <= 0:
-            raise DataGenerationError("frauds_per_active_day must be positive")
-        if not 0.0 < self.active_day_probability <= 1.0:
-            raise DataGenerationError("active_day_probability must be in (0, 1]")
-        if self.mean_report_delay_days < 0:
-            raise DataGenerationError("mean_report_delay_days must be non-negative")
-        if not 0.0 <= self.community_stickiness <= 1.0:
-            raise DataGenerationError("community_stickiness must be in [0, 1]")
+    def __post_init__(self) -> None:
+        check_fields(self, DataGenerationError)
 
 
 @dataclass
@@ -149,7 +142,6 @@ class FraudsterBehaviorModel:
         rng: SeedLike = None,
     ):
         self.config = config or FraudConfig()
-        self.config.validate()
         self._rng = ensure_rng(rng)
         self._profiles = list(profiles)
         self._profiles_by_id = {p.user_id: p for p in self._profiles}
@@ -271,38 +263,39 @@ class FraudsterBehaviorModel:
         return int(np.clip(self._rng.exponential(self.config.mean_report_delay_days), 0, 30)) + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypologyConfig:
     """Structure of the five labeled fraud typologies.
 
     ``enabled`` selects which typologies run (canonical order is preserved for
     deterministic fraudster assignment); the remaining knobs shape each
     scenario's volume and footprint.  Expected per-day fraud volume is folded
-    into :meth:`~repro.datagen.transactions.WorldConfig.validate`'s budget
-    check through :meth:`expected_frauds_per_day`.
+    into :class:`~repro.datagen.transactions.WorldConfig`'s budget check
+    through :meth:`expected_frauds_per_day`.
     """
 
     #: Typologies to run, a subset of :data:`FRAUD_TYPOLOGIES`.
     enabled: Tuple[str, ...] = FRAUD_TYPOLOGIES
     #: Probability a typology campaign fires on a given day.
-    active_day_probability: float = 0.3
+    active_day_probability: float = checked(number(gt=0.0, le=1.0), 0.3)
     #: Relay hops per mule chain (victim -> head -> mule -> ...).
-    chain_length: int = 3
+    chain_length: int = checked(integer(1), 3)
     #: Mean transfers per account-takeover burst (same victim, rapid drain).
-    takeover_burst: int = 3
+    takeover_burst: int = checked(integer(1), 3)
     #: Days of quiet buildup before a bust-out account can cash out.
-    bust_out_buildup_days: int = 5
+    bust_out_buildup_days: int = checked(integer(0), 5)
     #: Mean outbound cash-out transfers in one bust-out event.
-    bust_out_cashouts: int = 6
+    bust_out_cashouts: int = checked(integer(1), 6)
     #: Colluding counterparties per fraudulent merchant.
-    collusion_ring_size: int = 4
+    collusion_ring_size: int = checked(integer(1), 4)
     #: Mean sub-threshold transfers per smurfing day.
-    smurf_transfers: int = 8
+    smurf_transfers: int = checked(integer(1), 8)
     #: Reporting threshold smurfing stays below.
-    smurf_threshold: float = 3000.0
+    smurf_threshold: float = checked(POSITIVE, 3000.0)
 
-    def validate(self) -> None:
-        """Reject unknown/duplicate typologies and out-of-range knobs."""
+    def __post_init__(self) -> None:
+        """Reject out-of-range knobs and unknown/duplicate typologies."""
+        check_fields(self, DataGenerationError)
         if not self.enabled:
             raise DataGenerationError("typologies.enabled must not be empty")
         unknown = [name for name in self.enabled if name not in FRAUD_TYPOLOGIES]
@@ -312,21 +305,6 @@ class TypologyConfig:
             )
         if len(set(self.enabled)) != len(self.enabled):
             raise DataGenerationError("typologies.enabled contains duplicates")
-        if not 0.0 < self.active_day_probability <= 1.0:
-            raise DataGenerationError("active_day_probability must be in (0, 1]")
-        for name in (
-            "chain_length",
-            "takeover_burst",
-            "bust_out_cashouts",
-            "collusion_ring_size",
-            "smurf_transfers",
-        ):
-            if getattr(self, name) < 1:
-                raise DataGenerationError(f"{name} must be at least 1")
-        if self.bust_out_buildup_days < 0:
-            raise DataGenerationError("bust_out_buildup_days must be non-negative")
-        if self.smurf_threshold <= 0:
-            raise DataGenerationError("smurf_threshold must be positive")
 
     def expected_frauds_per_fraudster_day(self, typology: str) -> float:
         """Upper-bound expected fraud transfers per assigned fraudster per day."""
@@ -398,7 +376,6 @@ class ColumnarFraudPlanner:
         rng: SeedLike = None,
     ):
         self.config = config or FraudConfig()
-        self.config.validate()
         self._rng = ensure_rng(rng)
         self._accounts = accounts
         self._fraudster_index = np.flatnonzero(accounts.is_fraudster)
@@ -551,9 +528,7 @@ class TypologyFraudSuite:
         rng: SeedLike = None,
     ):
         self.config = config or FraudConfig()
-        self.config.validate()
         self.typologies = typologies or TypologyConfig()
-        self.typologies.validate()
         self._rng = ensure_rng(rng)
         is_fraudster = np.asarray(is_fraudster, dtype=bool)
         fraudsters = np.flatnonzero(is_fraudster)

@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List
 
 import numpy as np
 
+from repro.contracts import SEED, check_fields, checked, integer, number
 from repro.datagen.schema import Gender, UserProfile, NUM_CITIES, city_name
 from repro.exceptions import DataGenerationError
 from repro.rng import SeedLike, ensure_rng
@@ -23,7 +24,7 @@ from repro.rng import SeedLike, ensure_rng
 _GENDER_CODES = (Gender.FEMALE, Gender.MALE, Gender.UNKNOWN)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfileConfig:
     """Configuration of the user population.
 
@@ -39,23 +40,16 @@ class ProfileConfig:
         Fraction of users that are merchant accounts (many inbound transfers).
     """
 
-    num_users: int = 2000
-    num_communities: int = 12
-    fraudster_fraction: float = 0.02
-    merchant_fraction: float = 0.05
-    min_age: int = 18
-    max_age: int = 75
-    seed: int | None = None
+    num_users: int = checked(integer(1), 2000)
+    num_communities: int = checked(integer(1), 12)
+    fraudster_fraction: float = checked(number(ge=0.0, lt=1.0), 0.02)
+    merchant_fraction: float = checked(number(ge=0.0, lt=1.0), 0.05)
+    min_age: int = checked(integer(0), 18)
+    max_age: int = checked(integer(0), 75)
+    seed: int | None = checked(SEED, None)
 
-    def validate(self) -> None:
-        if self.num_users <= 0:
-            raise DataGenerationError("num_users must be positive")
-        if self.num_communities <= 0:
-            raise DataGenerationError("num_communities must be positive")
-        if not 0.0 <= self.fraudster_fraction < 1.0:
-            raise DataGenerationError("fraudster_fraction must be in [0, 1)")
-        if not 0.0 <= self.merchant_fraction < 1.0:
-            raise DataGenerationError("merchant_fraction must be in [0, 1)")
+    def __post_init__(self) -> None:
+        check_fields(self, DataGenerationError)
         if self.min_age >= self.max_age:
             raise DataGenerationError("min_age must be below max_age")
 
@@ -65,7 +59,6 @@ class ProfileGenerator:
 
     def __init__(self, config: ProfileConfig | None = None, *, rng: SeedLike = None):
         self.config = config or ProfileConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
 
     # ------------------------------------------------------------------
@@ -190,7 +183,6 @@ class ColumnarAccounts:
 
     def __init__(self, config: ProfileConfig | None = None, *, rng: SeedLike = None):
         self.config = config or ProfileConfig()
-        self.config.validate()
         rng = ensure_rng(self.config.seed if rng is None else rng)
         cfg = self.config
         n = cfg.num_users

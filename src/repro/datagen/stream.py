@@ -229,7 +229,6 @@ class WorldStream(TransactionStream):
         if order not in ("legacy", "event"):
             raise DataGenerationError(f"order must be 'legacy' or 'event', got {order!r}")
         self._config = config or WorldConfig()
-        self._config.validate()
         master_rng = ensure_rng(self._config.seed if rng is None else rng)
         profile_rng = spawn_child(master_rng, salt=1)
         fraud_rng = spawn_child(master_rng, salt=2)
@@ -350,7 +349,6 @@ class ScalableWorldStream(TransactionStream):
 
     def __init__(self, config: WorldConfig | None = None, *, rng: SeedLike = None) -> None:
         self._config = config or WorldConfig()
-        self._config.validate()
         master_rng = ensure_rng(self._config.seed if rng is None else rng)
         self._accounts = ColumnarAccounts(self._config.profile, rng=spawn_child(master_rng, salt=1))
         self._planner: ColumnarFraudPlanner | TypologyFraudSuite

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contracts import POSITIVE, PROBABILITY, SEED, check_fields, checked, integer, number
 from repro.datagen.fraud import FraudConfig, PlannedFraud, TypologyConfig
 from repro.datagen.profiles import ProfileConfig, profiles_by_id
 from repro.datagen.schema import (
@@ -51,7 +52,7 @@ DIURNAL_HOURLY_WEIGHTS: Tuple[float, ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BurstSpec:
     """A transient load burst: extra arrival intensity over a few hours.
 
@@ -61,28 +62,19 @@ class BurstSpec:
     must absorb or shed.
     """
 
-    day: int
-    start_hour: int
-    duration_hours: int = 2
-    amplitude: float = 3.0
+    day: int = checked(integer(0))
+    start_hour: int = checked(integer(0, 23))
+    duration_hours: int = checked(integer(1), 2)
+    #: At least 1: bursts add load.
+    amplitude: float = checked(number(ge=1.0), 3.0)
 
-    def validate(self, *, num_days: int) -> None:
-        """Validate structural bounds against a ``num_days`` horizon."""
-        if not 0 <= self.day < num_days:
-            raise DataGenerationError(
-                f"burst day {self.day} outside the simulated horizon [0, {num_days})"
-            )
-        if not 0 <= self.start_hour < 24:
-            raise DataGenerationError(f"burst start_hour must be in [0, 24), got {self.start_hour}")
-        if self.duration_hours <= 0:
-            raise DataGenerationError("burst duration_hours must be positive")
+    def __post_init__(self) -> None:
+        check_fields(self, DataGenerationError)
         if self.start_hour + self.duration_hours > 24:
             raise DataGenerationError("burst must end within its day (start_hour + duration <= 24)")
-        if self.amplitude < 1.0:
-            raise DataGenerationError("burst amplitude must be >= 1 (bursts add load)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrivalConfig:
     """Non-homogeneous arrival process: diurnal load curve + bursts.
 
@@ -93,18 +85,22 @@ class ArrivalConfig:
     """
 
     hourly_weights: Sequence[float] = DIURNAL_HOURLY_WEIGHTS
-    bursts: List[BurstSpec] = field(default_factory=list)
+    bursts: Sequence[BurstSpec] = ()
 
-    def validate(self, *, num_days: int) -> None:
-        """Validate the curve and every burst against the day's budget.
+    def __post_init__(self) -> None:
+        """Check the curve, and every burst against the day's budget.
 
         A burst's *surplus* — the extra expected events it injects, as a
         fraction of the day's total budget — is ``(amplitude - 1) x (share of
         the diurnal curve inside the burst window)``.  Summed per day it must
         stay <= 1.0 (a day may at most double); anything larger would blow the
         transaction budget the rest of the pipeline (admission control, label
-        delays) is calibrated against.
+        delays) is calibrated against.  Whether each burst's day lies inside
+        the horizon is :class:`WorldConfig`'s check.  Both are kept as tuples,
+        so what was checked cannot be edited in place.
         """
+        object.__setattr__(self, "hourly_weights", tuple(self.hourly_weights))
+        object.__setattr__(self, "bursts", tuple(self.bursts))
         weights = np.asarray(self.hourly_weights, dtype=np.float64)
         if weights.shape != (24,):
             raise DataGenerationError("hourly_weights must contain exactly 24 values")
@@ -115,7 +111,6 @@ class ArrivalConfig:
         normalized = weights / weights.mean()
         surplus_by_day: Dict[int, float] = {}
         for burst in self.bursts:
-            burst.validate(num_days=num_days)
             window = normalized[burst.start_hour : burst.start_hour + burst.duration_hours]
             share = float(window.sum()) / 24.0
             surplus_by_day[burst.day] = surplus_by_day.get(burst.day, 0.0) + (
@@ -141,7 +136,7 @@ class ArrivalConfig:
         return multipliers
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldConfig:
     """Configuration of a full synthetic transaction world.
 
@@ -155,16 +150,16 @@ class WorldConfig:
     fraud: FraudConfig = field(default_factory=FraudConfig)
     #: Total number of simulated days.  The paper's rolling evaluation needs
     #: 90 (network) + 14 (train) + 7 (test days) = 111.
-    num_days: int = 111
+    num_days: int = checked(integer(1), 111)
     #: Mean number of normal transfers initiated per user per day.
-    transactions_per_user_per_day: float = 0.35
+    transactions_per_user_per_day: float = checked(POSITIVE, 0.35)
     #: Probability that a normal transfer goes to a merchant account.
-    merchant_transfer_probability: float = 0.45
+    merchant_transfer_probability: float = checked(PROBABILITY, 0.45)
     #: Probability that a normal transfer stays inside the payer's community.
-    intra_community_probability: float = 0.8
+    intra_community_probability: float = checked(PROBABILITY, 0.8)
     #: Additional background fraud rate applied to normal-looking transfers
     #: (mislabelled / noisy fraud not driven by campaign fraudsters).
-    background_fraud_rate: float = 0.0005
+    background_fraud_rate: float = checked(PROBABILITY, 0.0005)
     #: Optional non-homogeneous arrival process (diurnal curve + bursts) used
     #: by the scalable stream; ``None`` keeps the legacy uniform-day model.
     arrival: Optional[ArrivalConfig] = None
@@ -173,23 +168,10 @@ class WorldConfig:
     #: across the enabled typologies and every campaign fraud carries its
     #: generating typology on ``Transaction.fraud_typology``.
     typologies: Optional[TypologyConfig] = None
-    seed: Optional[int] = 7
+    seed: Optional[int] = checked(SEED, 7)
 
-    def validate(self) -> None:
-        self.profile.validate()
-        self.fraud.validate()
-        if self.num_days <= 0:
-            raise DataGenerationError("num_days must be positive")
-        if self.transactions_per_user_per_day <= 0:
-            raise DataGenerationError("transactions_per_user_per_day must be positive")
-        for name in (
-            "merchant_transfer_probability",
-            "intra_community_probability",
-            "background_fraud_rate",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise DataGenerationError(f"{name} must be in [0, 1]")
+    def __post_init__(self) -> None:
+        check_fields(self, DataGenerationError)
         # Population structure: catch configurations that would previously
         # fail deep inside generation with an opaque error.
         num_users = self.profile.num_users
@@ -207,7 +189,6 @@ class WorldConfig:
         # the day's expected normal transaction budget can plausibly carry.
         fraud = self.fraud
         if self.typologies is not None:
-            self.typologies.validate()
             expected_frauds_per_day = self.typologies.expected_frauds_per_day(num_fraudsters)
         else:
             expected_frauds_per_day = num_fraudsters * (
@@ -225,8 +206,11 @@ class WorldConfig:
                 f"lower frauds_per_active_day/active_day_probability or raise "
                 f"transactions_per_user_per_day"
             )
-        if self.arrival is not None:
-            self.arrival.validate(num_days=self.num_days)
+        for burst in self.arrival.bursts if self.arrival is not None else ():
+            if burst.day >= self.num_days:
+                raise DataGenerationError(
+                    f"burst day {burst.day} outside the simulated horizon [0, {self.num_days})"
+                )
 
 
 @dataclass

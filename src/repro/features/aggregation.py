@@ -43,6 +43,7 @@ from repro.datagen.schema import (
     Transaction,
     transaction_event_time,
 )
+from repro.contracts import POSITIVE, check_fields, checked, optional
 from repro.exceptions import FeatureError
 
 if TYPE_CHECKING:  # the SQL engine imports this module
@@ -91,13 +92,6 @@ def batch_as_of_time(day: int) -> int:
 def is_night_hour(hour: int) -> bool:
     """The night-activity definition shared by batch and streaming paths."""
     return hour >= 22 or hour < 6
-
-
-def _require_positive_finite(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or math.isinf(value) or value <= 0.0:
-        raise FeatureError(f"{name} must be a positive finite number, got {value!r}")
-    return value
 
 
 #: One account's :data:`AGGREGATE_ROW_FIELDS` values, in that order.
@@ -184,7 +178,7 @@ def splice_aggregate_cells(
     return [*payer_cells[:6], *payee_cells[6:], 0.0 if payer_id in payee_payers else 1.0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregationConfig:
     """Configuration of the aggregation look-back window.
 
@@ -195,19 +189,16 @@ class AggregationConfig:
     """
 
     #: Length of the look-back window in days (legacy granularity).
-    window_days: Optional[float] = None
+    window_days: Optional[float] = checked(optional(POSITIVE), None)
     #: Length of the look-back window in seconds (takes any positive value).
-    window_seconds: Optional[float] = None
+    window_seconds: Optional[float] = checked(optional(POSITIVE), None)
 
     DEFAULT_WINDOW_DAYS = 14
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_fields(self, FeatureError)
         if self.window_days is not None and self.window_seconds is not None:
             raise FeatureError("set window_days or window_seconds, not both")
-        if self.window_days is not None:
-            _require_positive_finite("window_days", self.window_days)
-        if self.window_seconds is not None:
-            _require_positive_finite("window_seconds", self.window_seconds)
 
     @property
     def effective_window_seconds(self) -> float:
@@ -227,14 +218,13 @@ class AggregationWindowSpec:
     from the very same object, so there is exactly one windowing definition.
     """
 
-    window_seconds: float = float(14 * SECONDS_PER_DAY)
+    window_seconds: float = checked(POSITIVE, float(14 * SECONDS_PER_DAY))
 
     def __post_init__(self) -> None:
-        _require_positive_finite("window_seconds", self.window_seconds)
+        check_fields(self, FeatureError)
 
     @classmethod
     def from_config(cls, config: AggregationConfig) -> "AggregationWindowSpec":
-        config.validate()
         return cls(window_seconds=config.effective_window_seconds)
 
     def to_dict(self) -> Dict[str, float]:
@@ -246,9 +236,8 @@ class AggregationWindowSpec:
         # Older plans carry a bucket width.  Every width that divides the
         # hour-granular event times gave the same buckets (one per event
         # instant); any other width was rejected then and still is.
-        bucket_seconds = _require_positive_finite(
-            "bucket_seconds", data.get("bucket_seconds", SECONDS_PER_HOUR)
-        )
+        bucket_seconds = float(data.get("bucket_seconds", SECONDS_PER_HOUR))
+        POSITIVE.require("bucket_seconds", bucket_seconds, FeatureError)
         if math.fmod(SECONDS_PER_HOUR, bucket_seconds) != 0.0:
             raise FeatureError(
                 f"bucket_seconds must divide {SECONDS_PER_HOUR}, got {bucket_seconds!r}"
@@ -290,7 +279,6 @@ class TransactionAggregator:
 
     def __init__(self, config: AggregationConfig | None = None):
         self.config = config or AggregationConfig()
-        self.config.validate()
         self._aggregates: Dict[str, _UserAggregate] = {}
         self._fitted = False
         self._as_of_time: Optional[float] = None

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
+from repro.contracts import check_fields, checked, integer
 from repro.datagen.schema import Transaction, TransferFields, UserProfile
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
@@ -63,15 +64,12 @@ class EmbeddingBlockSpec:
     """One embedding block of the final vector: a named set and its width."""
 
     set_name: str
-    dimension: int
+    dimension: int = checked(integer(1))
 
     def __post_init__(self) -> None:
+        check_fields(self, FeatureError)
         if not self.set_name:
             raise FeatureError("embedding block needs a non-empty set name")
-        if self.dimension < 1:
-            raise FeatureError(
-                f"embedding block {self.set_name!r} needs a positive dimension"
-            )
 
     def to_dict(self) -> Dict[str, object]:
         return {"set_name": self.set_name, "dimension": int(self.dimension)}

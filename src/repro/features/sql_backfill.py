@@ -103,7 +103,6 @@ class SQLBackfillEngine:
 
     def __init__(self, config: Optional[AggregationConfig] = None):
         self.config = config or AggregationConfig()
-        self.config.validate()
         self.client = MaxComputeClient()
         #: Scan accounting of the most recent :meth:`backfill` call.
         self.last_stats: Optional[BackfillStats] = None

@@ -184,7 +184,6 @@ class SlidingWindowAggregator:
         allowed_lateness_seconds: float = 0.0,
     ) -> None:
         config = config or AggregationConfig()
-        config.validate()
         #: Length of the one window every row covers, in seconds.
         self.window_seconds = config.effective_window_seconds
         lateness = float(allowed_lateness_seconds)
@@ -576,7 +575,6 @@ class PointInTimeAggregationSource(PointInTimeAggregateProvider):
     def __init__(
         self, config: AggregationConfig, history: Iterable[Transaction]
     ) -> None:
-        config.validate()
         self.config = config
         # History is sorted once here; each uncached aggregation_block call
         # still replays it through a fresh engine (O(history) ingests), so

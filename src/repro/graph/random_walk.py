@@ -24,12 +24,13 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
+from repro.contracts import SEED, check_fields, checked, integer
 from repro.exceptions import GraphError
 from repro.graph.network import TransactionNetwork
 from repro.rng import SeedLike, ensure_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class RandomWalkConfig:
     """Configuration of the random-walk corpus.
 
@@ -39,19 +40,14 @@ class RandomWalkConfig:
     engine (and therefore the memory footprint of one streamed batch).
     """
 
-    walk_length: int = 50
-    num_walks_per_node: int = 100
+    walk_length: int = checked(integer(2), 50)
+    num_walks_per_node: int = checked(integer(1), 100)
     weighted: bool = True
-    batch_size: int = 512
-    seed: int | None = None
+    batch_size: int = checked(integer(1), 512)
+    seed: int | None = checked(SEED, None)
 
-    def validate(self) -> None:
-        if self.walk_length < 2:
-            raise GraphError("walk_length must be at least 2")
-        if self.num_walks_per_node < 1:
-            raise GraphError("num_walks_per_node must be at least 1")
-        if self.batch_size < 1:
-            raise GraphError("batch_size must be at least 1")
+    def __post_init__(self) -> None:
+        check_fields(self, GraphError)
 
 
 class RandomWalker:
@@ -66,7 +62,6 @@ class RandomWalker:
     ) -> None:
         self.network = network
         self.config = config or RandomWalkConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
 
         # Flatten the adjacency into CSR arrays once; every walk step is then

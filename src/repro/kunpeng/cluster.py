@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contracts import check_fields, checked, integer, number
 from repro.exceptions import ParameterServerError
 from repro.kunpeng.server import ParameterServerNode
 from repro.kunpeng.worker import WorkerNode
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BACKENDS = ("inline", "process")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterConfig:
     """Sizing of a KunPeng cluster.
 
@@ -34,14 +35,11 @@ class ClusterConfig:
     ``server_fraction`` defaults to one half, per the paper.
     """
 
-    num_machines: int = 4
-    server_fraction: float = 0.5
+    num_machines: int = checked(integer(2), 4)
+    server_fraction: float = checked(number(gt=0.0, lt=1.0), 0.5)
 
-    def validate(self) -> None:
-        if self.num_machines < 2:
-            raise ParameterServerError("a cluster needs at least 2 machines")
-        if not 0.0 < self.server_fraction < 1.0:
-            raise ParameterServerError("server_fraction must be in (0, 1)")
+    def __post_init__(self) -> None:
+        check_fields(self, ParameterServerError)
 
     @property
     def num_servers(self) -> int:
@@ -114,7 +112,6 @@ class KunPengCluster:
         self, config: ClusterConfig | None = None, *, backend: str = "inline"
     ) -> None:
         self.config = config or ClusterConfig()
-        self.config.validate()
         if backend not in BACKENDS:
             raise ParameterServerError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"

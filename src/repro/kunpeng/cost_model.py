@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 from repro.exceptions import ConfigurationError
 from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
 
@@ -39,21 +40,16 @@ class MeasuredRound:
     """
 
     cluster: ClusterConfig
-    total_compute_units: float
-    comm_values_per_round: float
-    num_rounds: int
-    measured_seconds: float
+    total_compute_units: float = checked(NON_NEGATIVE)
+    comm_values_per_round: float = checked(NON_NEGATIVE)
+    num_rounds: int = checked(integer(1))
+    measured_seconds: float = checked(POSITIVE)
 
-    def validate(self) -> None:
-        """Reject measurements the fit cannot use."""
-        self.cluster.validate()
-        if self.measured_seconds <= 0:
-            raise ConfigurationError("measured_seconds must be positive")
-        if self.num_rounds < 1:
-            raise ConfigurationError("num_rounds must be at least 1")
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterCostModel:
     """Per-unit costs of the simulated cluster.
 
@@ -66,23 +62,14 @@ class ClusterCostModel:
     greater communication cost due to uneven machine traffic").
     """
 
-    compute_seconds_per_unit: float = 1.0
-    comm_seconds_per_value: float = 1e-6
-    sync_seconds_per_round: float = 0.5
-    per_machine_overhead_seconds: float = 4.0
-    straggler_factor: float = 0.08
+    compute_seconds_per_unit: float = checked(NON_NEGATIVE, 1.0)
+    comm_seconds_per_value: float = checked(NON_NEGATIVE, 1e-6)
+    sync_seconds_per_round: float = checked(NON_NEGATIVE, 0.5)
+    per_machine_overhead_seconds: float = checked(NON_NEGATIVE, 4.0)
+    straggler_factor: float = checked(NON_NEGATIVE, 0.08)
 
-    def validate(self) -> None:
-        """Reject negative cost constants."""
-        for name in (
-            "compute_seconds_per_unit",
-            "comm_seconds_per_value",
-            "sync_seconds_per_round",
-            "per_machine_overhead_seconds",
-            "straggler_factor",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
 
     # ------------------------------------------------------------------
     def estimate(
@@ -94,8 +81,6 @@ class ClusterCostModel:
         cluster: ClusterConfig,
     ) -> "TrainingTimeEstimate":
         """Estimate wall-clock training time on ``cluster``."""
-        self.validate()
-        cluster.validate()
         workers = cluster.num_workers
         servers = cluster.num_servers
 
@@ -176,8 +161,6 @@ class ClusterCostModel:
         """
         if not measured_round_times:
             raise ConfigurationError("calibrate needs at least one measurement")
-        for measurement in measured_round_times:
-            measurement.validate()
         design = np.array(
             [self._design_row(m) for m in measured_round_times], dtype=np.float64
         )
@@ -193,15 +176,13 @@ class ClusterCostModel:
                 coefficients[active] = solution
                 break
             active = [index for index, value in zip(active, solution) if value > 0.0]
-        fitted = replace(
+        return replace(
             self,
             compute_seconds_per_unit=float(coefficients[0]),
             comm_seconds_per_value=float(coefficients[1]),
             sync_seconds_per_round=float(coefficients[2]),
             per_machine_overhead_seconds=float(coefficients[3]),
         )
-        fitted.validate()
-        return fitted
 
     def relative_errors(self, measured_round_times: Sequence[MeasuredRound]) -> List[float]:
         """Per-measurement ``|estimate - measured| / measured`` of this model.
@@ -212,7 +193,6 @@ class ClusterCostModel:
         """
         errors: List[float] = []
         for measurement in measured_round_times:
-            measurement.validate()
             estimate = self.estimate(
                 total_compute_units=measurement.total_compute_units,
                 comm_values_per_round=measurement.comm_values_per_round,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.contracts import PROBABILITY, integer
 from repro.exceptions import ParameterServerError
 from repro.kunpeng.cluster import KunPengCluster
 from repro.rng import SeedLike, ensure_rng
@@ -38,10 +39,8 @@ class FailureInjector:
         max_failures: int = 1_000,
         rng: SeedLike = None,
     ) -> None:
-        if not 0.0 <= failure_probability <= 1.0:
-            raise ParameterServerError("failure_probability must be in [0, 1]")
-        if max_failures < 0:
-            raise ParameterServerError("max_failures must be non-negative")
+        PROBABILITY.require("failure_probability", failure_probability, ParameterServerError)
+        integer(0).require("max_failures", max_failures, ParameterServerError)
         self.cluster = cluster
         self.failure_probability = failure_probability
         self.max_failures = max_failures

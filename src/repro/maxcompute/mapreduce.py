@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.contracts import check_fields, checked, integer
 from repro.exceptions import JobError
 from repro.maxcompute.table import Table, table_from_records
 
@@ -24,7 +25,7 @@ ReduceFunction = Callable[[Any, List[Any]], Iterable[Dict[str, Any]]]
 CombineFunction = Callable[[Any, List[Any]], List[Any]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapReduceJob:
     """Definition of one MapReduce job."""
 
@@ -32,13 +33,12 @@ class MapReduceJob:
     map_function: MapFunction
     reduce_function: ReduceFunction
     combine_function: Optional[CombineFunction] = None
-    num_splits: int = 4
+    num_splits: int = checked(integer(1), 4)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_fields(self, JobError)
         if not self.name:
             raise JobError("MapReduce job needs a non-empty name")
-        if self.num_splits < 1:
-            raise JobError("num_splits must be at least 1")
 
 
 @dataclass
@@ -74,7 +74,6 @@ def run_mapreduce(
     result_name: Optional[str] = None,
 ) -> Tuple[Table, MapReduceStats]:
     """Execute ``job`` over ``table`` and return (result table, statistics)."""
-    job.validate()
     stats = MapReduceStats(input_rows=table.num_rows)
     splits = table.partition_rows(job.num_splits) if table.num_rows else []
     stats.num_splits = len(splits)

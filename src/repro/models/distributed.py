@@ -22,10 +22,11 @@ machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, Contract, check_fields, integer
 from repro.exceptions import ModelError
 from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
 from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
@@ -70,6 +71,15 @@ class DistributedLogisticRegression(BaseDetector):
 
     name = "logistic_regression_distributed"
 
+    #: The contract of each hyperparameter, checked by ``__init__`` (the
+    #: failure injector checks ``failure_probability``, the cluster ``backend``).
+    contracts: ClassVar[Mapping[str, Contract]] = {
+        "iterations": integer(1),
+        "learning_rate": POSITIVE,
+        "l2": NON_NEGATIVE,
+        "seed": SEED,
+    }
+
     def __init__(
         self,
         *,
@@ -82,18 +92,13 @@ class DistributedLogisticRegression(BaseDetector):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
-        if iterations < 1:
-            raise ModelError("iterations must be at least 1")
-        if not 0.0 < learning_rate < np.inf:
-            raise ModelError("learning_rate must be finite and positive")
-        if not 0.0 <= l2 < np.inf:
-            raise ModelError("l2 must be finite and non-negative")
         self.cluster_config = cluster or ClusterConfig(num_machines=4)
         self.iterations = iterations
         self.learning_rate = learning_rate
         self.l2 = l2
         self.failure_probability = failure_probability
         self.seed = seed
+        check_fields(self, ModelError)
         self._rng = ensure_rng(seed)
         self.cluster = KunPengCluster(self.cluster_config, backend=backend)
         self.failure_injector = FailureInjector(

@@ -18,10 +18,11 @@ sorted-search grower the histogram one is compared with lives in
 
 from __future__ import annotations
 
-from typing import Iterator, List, Literal, Optional, Tuple
+from typing import ClassVar, Iterator, List, Literal, Mapping, Optional, Tuple, get_args
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, SEED, Contract, check_fields, integer, number, one_of
 from repro.exceptions import ModelError
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.forest import CompiledForest
@@ -58,6 +59,21 @@ class GradientBoostingClassifier(BaseDetector):
 
     name = "gbdt"
 
+    #: The contract of each hyperparameter, checked by ``__init__``.
+    contracts: ClassVar[Mapping[str, Contract]] = {
+        "num_trees": integer(1),
+        "max_depth": integer(1),
+        "learning_rate": number(gt=0.0, le=1.0),
+        "subsample_rows": number(gt=0.0, le=1.0),
+        "subsample_features": number(gt=0.0, le=1.0),
+        "min_samples_leaf": integer(1),
+        "reg_lambda": NON_NEGATIVE,
+        "objective": one_of(get_args(Objective)),
+        "class_weight": one_of((None, "balanced")),
+        "num_bins": integer(2, 65536),
+        "seed": SEED,
+    }
+
     def __init__(
         self,
         *,
@@ -74,26 +90,6 @@ class GradientBoostingClassifier(BaseDetector):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
-        if num_trees < 1:
-            raise ModelError("num_trees must be at least 1")
-        if max_depth < 1:
-            raise ModelError("max_depth must be at least 1")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ModelError("learning_rate must be in (0, 1]")
-        if not 0.0 < subsample_rows <= 1.0:
-            raise ModelError("subsample_rows must be in (0, 1]")
-        if not 0.0 < subsample_features <= 1.0:
-            raise ModelError("subsample_features must be in (0, 1]")
-        if min_samples_leaf < 1:
-            raise ModelError("min_samples_leaf must be at least 1")
-        if not 0.0 <= reg_lambda < np.inf:
-            raise ModelError("reg_lambda must be finite and non-negative")
-        if objective not in ("logistic", "squared"):
-            raise ModelError(f"unknown objective {objective!r}")
-        if class_weight not in (None, "balanced"):
-            raise ModelError("class_weight must be None or 'balanced'")
-        if not 2 <= num_bins <= 65536:
-            raise ModelError("num_bins must be in [2, 65536]")
         self.num_trees = num_trees
         self.max_depth = max_depth
         self.learning_rate = learning_rate
@@ -105,6 +101,7 @@ class GradientBoostingClassifier(BaseDetector):
         self.class_weight = class_weight
         self.num_bins = num_bins
         self.seed = seed
+        check_fields(self, ModelError)
         self._rng = ensure_rng(seed)
         self._trees: List[HistogramTree] = []
         self._forest: Optional[CompiledForest] = None

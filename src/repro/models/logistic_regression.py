@@ -11,10 +11,11 @@ callers can hand it the same raw feature matrix every other detector receives.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import ClassVar, Mapping, Optional
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, Contract, check_fields, integer, one_of
 from repro.exceptions import ModelError
 from repro.features.discretization import Discretizer
 from repro.models.base import BaseDetector, validate_training_inputs
@@ -49,6 +50,16 @@ class LogisticRegression(BaseDetector):
 
     name = "logistic_regression"
 
+    #: The contract of each hyperparameter, checked by ``__init__``.
+    contracts: ClassVar[Mapping[str, Contract]] = {
+        "l1": NON_NEGATIVE,
+        "iterations": integer(1),
+        "learning_rate": POSITIVE,
+        "discretize_bins": integer(0),
+        "class_weight": one_of((None, "balanced")),
+        "seed": SEED,
+    }
+
     def __init__(
         self,
         *,
@@ -61,14 +72,6 @@ class LogisticRegression(BaseDetector):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
-        if not 0.0 <= l1 < np.inf:
-            raise ModelError("l1 must be finite and non-negative")
-        if iterations < 1:
-            raise ModelError("iterations must be at least 1")
-        if not 0.0 < learning_rate < np.inf:
-            raise ModelError("learning_rate must be finite and positive")
-        if class_weight not in (None, "balanced"):
-            raise ModelError("class_weight must be None or 'balanced'")
         self.l1 = l1
         self.iterations = iterations
         self.learning_rate = learning_rate
@@ -76,6 +79,7 @@ class LogisticRegression(BaseDetector):
         self.class_weight = class_weight
         self.fit_intercept = fit_intercept
         self.seed = seed
+        check_fields(self, ModelError)
         self.coef_: Optional[np.ndarray] = None
         self.intercept_: float = 0.0
         self.loss_history_: list[float] = []

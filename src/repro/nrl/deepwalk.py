@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.contracts import SEED, check_fields, checked
 from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
@@ -25,13 +26,16 @@ from repro.nrl.word2vec import SkipGramConfig, SkipGramTrainer
 from repro.rng import SeedLike, ensure_rng, spawn_child
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeepWalkConfig:
     """Configuration of DeepWalk (walk generation + skip-gram)."""
 
     walk: RandomWalkConfig = field(default_factory=RandomWalkConfig)
     skipgram: SkipGramConfig = field(default_factory=SkipGramConfig)
-    seed: Optional[int] = None
+    seed: Optional[int] = checked(SEED, None)
+
+    def __post_init__(self) -> None:
+        check_fields(self, EmbeddingError)
 
     @classmethod
     def fast(cls, *, dimension: int = 32, seed: Optional[int] = None) -> "DeepWalkConfig":
@@ -42,17 +46,12 @@ class DeepWalkConfig:
             seed=seed,
         )
 
-    def validate(self) -> None:
-        self.walk.validate()
-        self.skipgram.validate()
-
 
 class DeepWalk(NRLModel):
     """Unsupervised node-embedding model (random walks + skip-gram)."""
 
     def __init__(self, config: DeepWalkConfig | None = None, *, rng: SeedLike = None):
         self.config = config or DeepWalkConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
         self._embeddings: Optional[EmbeddingSet] = None
         self._trainer: Optional[SkipGramTrainer] = None

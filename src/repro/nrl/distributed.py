@@ -32,10 +32,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.contracts import PROBABILITY, SEED, check_fields, checked, integer, one_of
 from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
-from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
+from repro.kunpeng.cluster import BACKENDS, ClusterConfig, KunPengCluster
 from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
 from repro.kunpeng.failover import FailureInjector
 from repro.kunpeng.worker import WorkerNode
@@ -56,7 +57,7 @@ from repro.rng import SeedLike, ensure_rng, spawn_child
 logger = get_logger("nrl.distributed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributedDeepWalkConfig:
     """Configuration of the PS-distributed DeepWalk run."""
 
@@ -65,20 +66,16 @@ class DistributedDeepWalkConfig:
     skipgram: SkipGramConfig = field(default_factory=SkipGramConfig)
     #: Synchronous rounds per epoch; each round every worker processes one
     #: minibatch of ``skipgram.batch_size`` pairs.
-    rounds_per_epoch: int = 5
+    rounds_per_epoch: int = checked(integer(1), 5)
     #: Probability that a worker crashes before a round (fault-tolerance tests).
-    failure_probability: float = 0.0
+    failure_probability: float = checked(PROBABILITY, 0.0)
     #: PS backend: ``"inline"`` (in-process simulation) or ``"process"``
     #: (real shard processes over shared memory); results are equivalent.
-    backend: str = "inline"
-    seed: Optional[int] = None
+    backend: str = checked(one_of(BACKENDS), "inline")
+    seed: Optional[int] = checked(SEED, None)
 
-    def validate(self) -> None:
-        self.cluster.validate()
-        self.walk.validate()
-        self.skipgram.validate()
-        if self.rounds_per_epoch < 1:
-            raise EmbeddingError("rounds_per_epoch must be at least 1")
+    def __post_init__(self) -> None:
+        check_fields(self, EmbeddingError)
 
 
 class _PairBuffer:
@@ -123,7 +120,6 @@ class DistributedDeepWalk(NRLModel):
 
     def __init__(self, config: DistributedDeepWalkConfig | None = None, *, rng: SeedLike = None):
         self.config = config or DistributedDeepWalkConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
         self.cluster = KunPengCluster(self.config.cluster, backend=self.config.backend)
         self.failure_injector = FailureInjector(

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, check_fields, checked, integer
 from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.nrl.base import NRLModel
@@ -33,33 +34,24 @@ from repro.numerics import class_weights, sigmoid
 from repro.rng import SeedLike, ensure_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class Structure2VecConfig:
     """Hyperparameters of the mean-field Structure2Vec model."""
 
-    dimension: int = 32
+    dimension: int = checked(integer(1), 32)
     #: Number of mean-field propagation rounds (2 hops is what Figure 2 needs).
-    propagation_rounds: int = 2
-    learning_rate: float = 0.05
-    epochs: int = 150
-    l2: float = 1e-4
+    propagation_rounds: int = checked(integer(1), 2)
+    learning_rate: float = checked(POSITIVE, 0.05)
+    epochs: int = checked(integer(1), 150)
+    l2: float = checked(NON_NEGATIVE, 1e-4)
     #: When True, the logistic loss re-weights the minority class.  The paper's
     #: deployment uses the plain loss (False), which is what makes S2V suffer
     #: from label imbalance relative to DeepWalk.
     balance_classes: bool = False
-    seed: Optional[int] = None
+    seed: Optional[int] = checked(SEED, None)
 
-    def validate(self) -> None:
-        if self.dimension <= 0:
-            raise EmbeddingError("dimension must be positive")
-        if self.propagation_rounds < 1:
-            raise EmbeddingError("propagation_rounds must be at least 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise EmbeddingError("learning_rate must be finite and positive")
-        if self.epochs < 1:
-            raise EmbeddingError("epochs must be at least 1")
-        if not 0.0 <= self.l2 < np.inf:
-            raise EmbeddingError("l2 must be finite and non-negative")
+    def __post_init__(self) -> None:
+        check_fields(self, EmbeddingError)
 
 
 def node_structural_features(
@@ -114,7 +106,6 @@ class Structure2Vec(NRLModel):
 
     def __init__(self, config: Structure2VecConfig | None = None, *, rng: SeedLike = None):
         self.config = config or Structure2VecConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
         self._embeddings: Optional[EmbeddingSet] = None
         self.loss_history: List[float] = []

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, check_fields, checked, integer
 from repro.exceptions import EmbeddingError
 from repro.nrl.embeddings import EmbeddingSet
 from repro.numerics import scatter_add_rows, sigmoid
@@ -89,39 +90,26 @@ def build_vocabulary(corpus: Iterable[Sequence[str]], *, min_count: int = 1) -> 
     return vocabulary
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkipGramConfig:
     """Hyperparameters of skip-gram with negative sampling.
 
     ``dimension`` defaults to 32, the paper's best setting (Figure 11).
     """
 
-    dimension: int = 32
-    window: int = 5
-    negatives: int = 5
-    learning_rate: float = 0.025
-    min_learning_rate: float = 0.0005
-    epochs: int = 2
-    batch_size: int = 2048
-    min_count: int = 1
-    negative_table_size: int = 1_000_000
-    seed: int | None = None
+    dimension: int = checked(integer(1), 32)
+    window: int = checked(integer(1), 5)
+    negatives: int = checked(integer(1), 5)
+    learning_rate: float = checked(POSITIVE, 0.025)
+    min_learning_rate: float = checked(NON_NEGATIVE, 0.0005)
+    epochs: int = checked(integer(1), 2)
+    batch_size: int = checked(integer(1), 2048)
+    min_count: int = checked(integer(0), 1)
+    negative_table_size: int = checked(integer(1), 1_000_000)
+    seed: int | None = checked(SEED, None)
 
-    def validate(self) -> None:
-        if self.dimension <= 0:
-            raise EmbeddingError("dimension must be positive")
-        if self.window < 1:
-            raise EmbeddingError("window must be at least 1")
-        if self.negatives < 1:
-            raise EmbeddingError("negatives must be at least 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise EmbeddingError("learning_rate must be finite and positive")
-        if not 0.0 <= self.min_learning_rate < np.inf:
-            raise EmbeddingError("min_learning_rate must be finite and non-negative")
-        if self.epochs < 1:
-            raise EmbeddingError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise EmbeddingError("batch_size must be at least 1")
+    def __post_init__(self) -> None:
+        check_fields(self, EmbeddingError)
 
 
 def generate_skipgram_pairs(
@@ -317,7 +305,6 @@ class SkipGramTrainer:
 
     def __init__(self, config: SkipGramConfig | None = None, *, rng: SeedLike = None) -> None:
         self.config = config or SkipGramConfig()
-        self.config.validate()
         self._rng = ensure_rng(self.config.seed if rng is None else rng)
         self.vocabulary: Vocabulary | None = None
         self.w_in: np.ndarray | None = None

@@ -29,6 +29,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.contracts import POSITIVE, check_fields, checked, integer, optional
 from repro.exceptions import ServingError
 from repro.models.rules import Condition, Rule, RuleSet
 from repro.serving.model_server import PredictionResponse, TransactionRequest
@@ -52,18 +53,13 @@ class AdmissionConfig:
     threshold request-by-request).
     """
 
-    capacity_rps: float
-    max_queue_depth: int = 64
-    resume_queue_depth: Optional[int] = None
+    capacity_rps: float = checked(POSITIVE)
+    max_queue_depth: int = checked(integer(1), 64)
+    resume_queue_depth: Optional[int] = checked(optional(integer(0)), None)
 
-    def validate(self) -> None:
-        """Reject non-positive or NaN capacity and inconsistent queue watermarks."""
-        if not self.capacity_rps > 0:  # NaN fails every comparison
-            raise ServingError("capacity_rps must be a positive number")
-        if self.max_queue_depth < 1:
-            raise ServingError("max_queue_depth must be at least 1")
-        resume = self.effective_resume_depth
-        if not 0 <= resume <= self.max_queue_depth:
+    def __post_init__(self) -> None:
+        check_fields(self, ServingError)
+        if self.effective_resume_depth > self.max_queue_depth:
             raise ServingError("resume_queue_depth must be in [0, max_queue_depth]")
 
     @property
@@ -84,7 +80,6 @@ class AdmissionController:
     """
 
     def __init__(self, config: AdmissionConfig) -> None:
-        config.validate()
         self.config = config
         self._backlog = 0.0
         self._last_ms: Optional[float] = None

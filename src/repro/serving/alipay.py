@@ -271,8 +271,11 @@ class AlipayServer:
         call, so every request sees the feature state as of the start of the
         batch (micro-batch freshness).  With a feature updater attached, the
         whole batch is ingested afterwards in request order (score, then
-        ingest), and only then recorded in one pass, so a batch whose ingest
-        raises is not counted at all.  Results come back in request order.
+        ingest), and only then recorded in one pass.  A batch whose ingest
+        raises is recorded not at all, but the requests ingested before the
+        failing one stay in the streaming engine and in HBase, so a retry
+        ingests them twice (ROADMAP item 3: idempotent ingest).
+        Results come back in request order.
         """
         requests = list(requests)
         if not requests:

@@ -18,9 +18,11 @@ real event loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
+from repro.contracts import NON_NEGATIVE, Contract, check_fields, checked, integer
 from repro.exceptions import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,6 +41,13 @@ class BatchFrontEnd(Protocol):
     ) -> List["ServedTransaction"]: ...
 
 
+#: A delay budget: non-negative, or ``inf`` for none (flush only when full).
+_DELAY_BUDGET = Contract(
+    lambda value: value == math.inf or NON_NEGATIVE.accepts(value),
+    "a non-negative number or inf",
+)
+
+
 @dataclass(frozen=True)
 class CoalescerConfig:
     """Latency-budgeted micro-batching policy.
@@ -48,15 +57,11 @@ class CoalescerConfig:
     waiting for companions.
     """
 
-    max_batch: int = 64
-    max_delay_ms: float = 5.0
+    max_batch: int = checked(integer(1), 64)
+    max_delay_ms: float = checked(_DELAY_BUDGET, 5.0)
 
-    def validate(self) -> None:
-        """Reject empty batches and negative or NaN delay budgets."""
-        if self.max_batch < 1:
-            raise ServingError("max_batch must be at least 1")
-        if not self.max_delay_ms >= 0:  # NaN fails every comparison
-            raise ServingError("max_delay_ms must be a non-negative number")
+    def __post_init__(self) -> None:
+        check_fields(self, ServingError)
 
 
 class RequestCoalescer:
@@ -73,7 +78,6 @@ class RequestCoalescer:
     ) -> None:
         self.alipay = alipay
         self.config = config or CoalescerConfig()
-        self.config.validate()
         self._pending: List[Tuple["TransactionRequest", Optional[bool], float]] = []
         self.full_flushes = 0
         self.deadline_flushes = 0

@@ -30,9 +30,9 @@ never written, so their stored rows stay bit-unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro.contracts import check_fields, checked, integer, one_of, optional
 from repro.datagen.schema import Transaction, TransferFields
 from repro.exceptions import ServingError
 from repro.graph.builder import EDGE_WEIGHTINGS, EdgeWeighting, NetworkBuilder
@@ -40,12 +40,6 @@ from repro.graph.network import TransactionNetwork
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, EMBEDDINGS_FAMILY, HBaseClient
 from repro.nrl.structure2vec import Structure2Vec
 from repro.serving.feature_source import embedding_cell
-
-
-def _is_int(value: object) -> bool:
-    """An integer, numpy's included, that is not a ``bool``: a slice bound
-    or a queue length."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class EmbeddingRefreshQueue:
@@ -100,7 +94,7 @@ class EmbeddingRefreshQueue:
         return drained
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingRefreshConfig:
     """Tuning knobs of the online embedding refresher."""
 
@@ -110,31 +104,18 @@ class EmbeddingRefreshConfig:
     #: Maximum queued endpoints drained per refresh pass (0 = unbounded).
     #: The dirty ball is expanded from the drained endpoints only; the rest
     #: stay queued for the next pass.
-    max_refresh_batch: int = 0
+    max_refresh_batch: int = checked(integer(0), 0)
     #: When set, :meth:`EmbeddingRefresher.observe_transaction` triggers a
     #: refresh pass automatically once this many accounts are pending.
-    auto_refresh_threshold: Optional[int] = None
+    auto_refresh_threshold: Optional[int] = checked(optional(integer(1)), None)
     #: Edge weighting of the cumulative network — must match the offline
     #: :func:`~repro.graph.builder.build_network` call for parity.
-    weighting: EdgeWeighting = "count"
+    weighting: EdgeWeighting = checked(one_of(EDGE_WEIGHTINGS), "count")
 
-    def validate(self) -> None:
-        """Raise :class:`ServingError` on invalid settings."""
+    def __post_init__(self) -> None:
+        check_fields(self, ServingError)
         if not self.set_name:
             raise ServingError("set_name must be non-empty")
-        if not _is_int(self.max_refresh_batch) or self.max_refresh_batch < 0:
-            raise ServingError(
-                f"max_refresh_batch must be a non-negative integer, got {self.max_refresh_batch!r}"
-            )
-        threshold = self.auto_refresh_threshold
-        if threshold is not None and (not _is_int(threshold) or threshold < 1):
-            raise ServingError(
-                f"auto_refresh_threshold must be None or an integer >= 1, got {threshold!r}"
-            )
-        if self.weighting not in EDGE_WEIGHTINGS:
-            raise ServingError(
-                f"unknown weighting {self.weighting!r}; expected one of {EDGE_WEIGHTINGS}"
-            )
 
 
 @dataclass
@@ -181,7 +162,6 @@ class EmbeddingRefresher:
         start_version: int = 0,
     ) -> None:
         self.config = config or EmbeddingRefreshConfig()
-        self.config.validate()
         self.model = model
         self.hbase = hbase
         self.table_name = table_name

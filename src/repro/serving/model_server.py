@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.contracts import POSITIVE, PROBABILITY, check_fields, checked
 from repro.datagen.schema import Transaction, TransactionChannel, transfer_value_error
 from repro.exceptions import ModelNotLoadedError, ServingError
 from repro.features.plan import FeaturePlan, FeaturePlanExecutor
@@ -133,15 +134,11 @@ class ModelServerConfig:
     """
 
     feature_table: str = DEFAULT_FEATURE_TABLE
-    alert_threshold: float = 0.5
-    sla_budget_ms: float = 50.0
+    alert_threshold: float = checked(PROBABILITY, 0.5)
+    sla_budget_ms: float = checked(POSITIVE, 50.0)
 
-    def validate(self) -> None:
-        """Reject out-of-range thresholds and non-positive or NaN SLA budgets."""
-        if not 0.0 <= self.alert_threshold <= 1.0:
-            raise ServingError("alert_threshold must be in [0, 1]")
-        if not self.sla_budget_ms > 0:  # NaN fails every comparison
-            raise ServingError("sla_budget_ms must be a positive number")
+    def __post_init__(self) -> None:
+        check_fields(self, ServingError)
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,6 @@ class ModelServer:
     ) -> None:
         self.hbase = hbase
         self.config = config or ModelServerConfig()
-        self.config.validate()
         self._feature_table = self.config.feature_table
         self._active: Optional[ServingModel] = None
         self._executor: Optional[FeaturePlanExecutor] = None

@@ -91,19 +91,18 @@ class TestConfiguration:
         assert FeatureSetName.BASIC_DW_S2V.uses_structure2vec
 
     def test_hyperparameters_validation(self):
-        ModelHyperparameters.paper_scale().validate()
+        ModelHyperparameters.paper_scale()
         with pytest.raises(ConfigurationError):
-            ModelHyperparameters(embedding_dimension=0).validate()
+            ModelHyperparameters(embedding_dimension=0)
         with pytest.raises(ConfigurationError):
-            ModelHyperparameters(gbdt_subsample=0.0).validate()
+            ModelHyperparameters(gbdt_subsample=0.0)
 
     def test_experiment_config_validation(self):
-        config = ExperimentConfig.laptop_scale()
-        config.validate()
+        ExperimentConfig.laptop_scale()
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(num_datasets=0).validate()
+            ExperimentConfig(num_datasets=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(embedding_side="middle").validate()
+            ExperimentConfig(embedding_side="middle")
 
     @pytest.mark.parametrize(
         "name, value",
@@ -120,7 +119,7 @@ class TestConfiguration:
         """A NaN L1 weight would make LR answer NaN for every row (never an
         alert); the window and the propagation rounds need one step each."""
         with pytest.raises(ConfigurationError):
-            ModelHyperparameters.laptop_scale().with_overrides(**{name: value}).validate()
+            ModelHyperparameters.laptop_scale().with_overrides(**{name: value})
 
 
 class TestRegistry:

@@ -52,9 +52,9 @@ class TestProfiles:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataGenerationError):
-            ProfileConfig(num_users=0).validate()
+            ProfileConfig(num_users=0)
         with pytest.raises(DataGenerationError):
-            ProfileConfig(fraudster_fraction=1.5).validate()
+            ProfileConfig(fraudster_fraction=1.5)
 
     def test_ages_within_bounds(self):
         config = ProfileConfig(num_users=300, min_age=21, max_age=60, seed=2)
@@ -94,9 +94,9 @@ class TestFraudModel:
 
     def test_invalid_fraud_config(self):
         with pytest.raises(DataGenerationError):
-            FraudConfig(repeat_offender_fraction=1.4).validate()
+            FraudConfig(repeat_offender_fraction=1.4)
         with pytest.raises(DataGenerationError):
-            FraudConfig(frauds_per_active_day=0).validate()
+            FraudConfig(frauds_per_active_day=0)
 
 
 class TestWorldGeneration:

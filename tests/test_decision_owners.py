@@ -13,12 +13,14 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from benchmarks.paper.table1 import build_table1_detector
+from repro.contracts import contracts_of
 from repro.core import config as core_config
 from repro.core.config import DetectorName, ExperimentConfig, ModelHyperparameters
 from repro.core.pipeline import OfflineTrainingPipeline, build_detector
@@ -35,6 +37,7 @@ from repro.serving.embedding_refresh import EmbeddingRefreshConfig, EmbeddingRef
 from repro.serving.feature_source import HBaseFeatureSource
 from repro.serving.model_server import ModelServerConfig
 from repro.serving.streaming import StreamingFeatureUpdater
+from test_config_contracts import CLASSES, CONFIGS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +57,7 @@ def test_embedding_sides_are_the_enums_values():
     assert assembler.EmbeddingSide is plan.EmbeddingSide
     assert plan.EMBEDDING_SIDES == tuple(side.value for side in plan.EmbeddingSide)
     assert core_config.EMBEDDING_SIDES is plan.EMBEDDING_SIDES
-    assert "EMBEDDING_SIDES" in inspect.getsource(ExperimentConfig.validate)
+    assert "one_of(EMBEDDING_SIDES)" in inspect.getsource(ExperimentConfig)
 
 
 def test_a_late_label_is_hidden_in_one_place():
@@ -251,3 +254,24 @@ def test_src_has_one_deepwalk_loop_and_no_linter():
     assert not hasattr(DistributedDeepWalk, "mode")
     # The invariant linter is repo tooling (tools/analysis), not a subsystem.
     assert list((REPO_ROOT / "src" / "repro" / "analysis").rglob("*.py")) == []
+
+
+def test_src_validates_only_at_construction():
+    """Row 31: a value is checked where it is set, by its contract — no
+    ``validate()`` method or call is left for a reader to forget."""
+    spelled = [
+        f"{path.relative_to(REPO_ROOT).as_posix()}:{number}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"def validate\b|\.validate\(|_require_positive_finite", line)
+    ]
+    assert spelled == []
+
+
+def test_every_config_dataclass_is_frozen():
+    """Row 31: a checked config cannot be mutated into an unchecked one."""
+    configs = set(CONFIGS) | {
+        cls for cls in CLASSES if dataclasses.is_dataclass(cls) and contracts_of(cls)
+    }
+    assert {"RandomWalkConfig", "WorldConfig", "MapReduceJob"} <= {cls.__name__ for cls in configs}
+    assert [cls.__name__ for cls in configs if not cls.__dataclass_params__.frozen] == []

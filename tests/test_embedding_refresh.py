@@ -134,12 +134,12 @@ class TestEmbeddingRefreshQueue:
 
     def test_config_validation(self):
         with pytest.raises(ServingError):
-            EmbeddingRefreshConfig(set_name="").validate()
+            EmbeddingRefreshConfig(set_name="")
         with pytest.raises(ServingError):
-            EmbeddingRefreshConfig(max_refresh_batch=-1).validate()
+            EmbeddingRefreshConfig(max_refresh_batch=-1)
         with pytest.raises(ServingError):
-            EmbeddingRefreshConfig(auto_refresh_threshold=0).validate()
-        EmbeddingRefreshConfig().validate()
+            EmbeddingRefreshConfig(auto_refresh_threshold=0)
+        EmbeddingRefreshConfig()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -157,11 +157,8 @@ class TestEmbeddingRefreshQueue:
         bare TypeError from the queue's slice on the first refresh of three
         or more pending accounts, and an unknown weighting surfaced only as a
         GraphError from the network builder."""
-        config = EmbeddingRefreshConfig(**{field: value})
         with pytest.raises(ServingError, match=field):
-            config.validate()
-        with pytest.raises(ServingError, match=field):
-            EmbeddingRefresher(fitted_model(random_transactions(1)), HBaseClient(), config=config)
+            EmbeddingRefreshConfig(**{field: value})
 
     def test_an_integer_batch_drains_in_slices(self):
         transactions = random_transactions(2)

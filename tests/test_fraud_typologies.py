@@ -15,6 +15,7 @@ hours rings) is asserted directly on the emitted, labelled transactions.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,9 +156,7 @@ class TestResumeScalable(Scalable, TestCheckpointResume):
 class TestBudgetAndConfigValidation(StreamCase):
     def test_typology_volume_exceeding_budget_rejected(self):
         config = typology_config(num_users=100)
-        config.profile.fraudster_fraction = 0.2
-        config.transactions_per_user_per_day = 0.35
-        config.typologies = TypologyConfig(
+        typologies = TypologyConfig(
             active_day_probability=1.0,
             takeover_burst=50,
             bust_out_cashouts=50,
@@ -165,26 +164,32 @@ class TestBudgetAndConfigValidation(StreamCase):
             smurf_transfers=50,
         )
         with pytest.raises(DataGenerationError, match="transaction budget"):
-            config.validate()
+            replace(
+                config,
+                profile=replace(config.profile, fraudster_fraction=0.2),
+                transactions_per_user_per_day=0.35,
+                typologies=typologies,
+            )
 
     def test_typology_config_rejects_bad_knobs(self):
         with pytest.raises(DataGenerationError, match="unknown typologies"):
-            TypologyConfig(enabled=("mule_chain", "ponzi")).validate()
+            TypologyConfig(enabled=("mule_chain", "ponzi"))
         with pytest.raises(DataGenerationError, match="duplicates"):
-            TypologyConfig(enabled=("smurfing", "smurfing")).validate()
+            TypologyConfig(enabled=("smurfing", "smurfing"))
         with pytest.raises(DataGenerationError, match="must not be empty"):
-            TypologyConfig(enabled=()).validate()
+            TypologyConfig(enabled=())
         with pytest.raises(DataGenerationError, match="active_day_probability"):
-            TypologyConfig(active_day_probability=1.5).validate()
+            TypologyConfig(active_day_probability=1.5)
         with pytest.raises(DataGenerationError, match="smurf_transfers"):
-            TypologyConfig(smurf_transfers=0).validate()
+            TypologyConfig(smurf_transfers=0)
         with pytest.raises(DataGenerationError, match="smurf_threshold"):
-            TypologyConfig(smurf_threshold=-1.0).validate()
-        TypologyConfig().validate()
+            TypologyConfig(smurf_threshold=-1.0)
+        TypologyConfig()
 
     def test_enabled_subset_limits_emitted_typologies(self):
-        config = self.config(seed=47)
-        config.typologies = TypologyConfig(enabled=("smurfing", "account_takeover"))
+        config = replace(
+            self.config(seed=47), typologies=TypologyConfig(enabled=("smurfing", "account_takeover"))
+        )
         tagged = by_typology(self.stream_class(config))
         assert set(tagged) <= {"smurfing", "account_takeover"}
         assert tagged

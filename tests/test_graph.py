@@ -127,9 +127,9 @@ class TestRandomWalks:
 
     def test_invalid_config(self):
         with pytest.raises(GraphError):
-            RandomWalkConfig(walk_length=1).validate()
+            RandomWalkConfig(walk_length=1)
         with pytest.raises(GraphError):
-            RandomWalkConfig(num_walks_per_node=0).validate()
+            RandomWalkConfig(num_walks_per_node=0)
 
     def test_iter_walk_batches_matches_iter_walks_seeded(self, network):
         """Same seed ⇒ identical corpora from the streaming and flat APIs."""

@@ -183,7 +183,7 @@ class TestCostModel:
 
     def test_invalid_cost_model_rejected(self):
         with pytest.raises(Exception):
-            ClusterCostModel(compute_seconds_per_unit=-1.0).validate()
+            ClusterCostModel(compute_seconds_per_unit=-1.0)
 
     def test_round_volume_dense_vs_sparse(self):
         dense = deepwalk_round_volume(10_000, 4, mode="dense")

@@ -184,7 +184,7 @@ class TestWord2Vec:
         """A NaN learning rate passed ``<= 0``, and ``max(floor, nan)`` then
         trained the whole run silently at the ``min_learning_rate`` floor."""
         with pytest.raises(EmbeddingError):
-            SkipGramConfig(**settings_).validate()
+            SkipGramConfig(**settings_)
 
 
 class TestDeepWalk:

@@ -435,15 +435,14 @@ class TestCostModelCalibration:
     def test_calibrate_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             ClusterCostModel().calibrate([])
-        bad = MeasuredRound(
-            cluster=ClusterConfig(num_machines=4),
-            total_compute_units=1.0,
-            comm_values_per_round=1.0,
-            num_rounds=1,
-            measured_seconds=0.0,
-        )
         with pytest.raises(ConfigurationError):
-            ClusterCostModel().calibrate([bad])
+            MeasuredRound(
+                cluster=ClusterConfig(num_machines=4),
+                total_compute_units=1.0,
+                comm_values_per_round=1.0,
+                num_rounds=1,
+                measured_seconds=0.0,
+            )
 
     def test_relative_errors_shrink_after_calibration(self):
         truth = ClusterCostModel(

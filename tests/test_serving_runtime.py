@@ -367,9 +367,9 @@ class TestRequestCoalescer:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ServingError):
-            CoalescerConfig(max_batch=0).validate()
+            CoalescerConfig(max_batch=0)
         with pytest.raises(ServingError):
-            CoalescerConfig(max_delay_ms=-1.0).validate()
+            CoalescerConfig(max_delay_ms=-1.0)
 
     def test_coalesced_replay_matches_scalar_outcomes(self, fleet_stack, dataset):
         _, fleet, _, _ = fleet_stack
@@ -459,11 +459,11 @@ class TestAdmissionControl:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ServingError):
-            AdmissionConfig(capacity_rps=0.0).validate()
+            AdmissionConfig(capacity_rps=0.0)
         with pytest.raises(ServingError):
-            AdmissionConfig(capacity_rps=1.0, max_queue_depth=0).validate()
+            AdmissionConfig(capacity_rps=1.0, max_queue_depth=0)
         with pytest.raises(ServingError):
-            AdmissionConfig(capacity_rps=1.0, max_queue_depth=4, resume_queue_depth=9).validate()
+            AdmissionConfig(capacity_rps=1.0, max_queue_depth=4, resume_queue_depth=9)
 
     def test_rule_fallback_scores_without_feature_store(self, dataset):
         fallback = RuleBasedFallback()
@@ -484,9 +484,9 @@ class TestAdmissionControl:
 @pytest.mark.parametrize(
     "setting",
     [
-        lambda: CoalescerConfig(max_delay_ms=NAN).validate(),
-        lambda: AdmissionConfig(capacity_rps=NAN).validate(),
-        lambda: ModelServerConfig(sla_budget_ms=NAN).validate(),
+        lambda: CoalescerConfig(max_delay_ms=NAN),
+        lambda: AdmissionConfig(capacity_rps=NAN),
+        lambda: ModelServerConfig(sla_budget_ms=NAN),
         lambda: LatencyTracker(sla_budget_ms=NAN),
     ],
     ids=["max_delay_ms", "capacity_rps", "ModelServerConfig.sla_budget_ms", "LatencyTracker"],

@@ -137,7 +137,6 @@ def assert_rows_close(left, right):
 class TestAggregationConfig:
     def test_default_is_fourteen_days(self):
         config = AggregationConfig()
-        config.validate()
         assert config.effective_window_seconds == 14 * SECONDS_PER_DAY
 
     def test_window_days_back_compat(self):
@@ -177,9 +176,9 @@ class TestAggregationConfig:
     @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("inf"), -0.5])
     def test_rejects_degenerate_windows(self, bad):
         with pytest.raises(FeatureError):
-            AggregationConfig(window_days=bad).validate()
+            AggregationConfig(window_days=bad)
         with pytest.raises(FeatureError):
-            AggregationConfig(window_seconds=bad).validate()
+            AggregationConfig(window_seconds=bad)
         with pytest.raises(FeatureError):
             AggregationWindowSpec(window_seconds=bad)
         with pytest.raises(FeatureError):
@@ -187,7 +186,7 @@ class TestAggregationConfig:
 
     def test_rejects_both_granularities(self):
         with pytest.raises(FeatureError):
-            AggregationConfig(window_days=1, window_seconds=60.0).validate()
+            AggregationConfig(window_days=1, window_seconds=60.0)
 
     def test_rejects_both_as_of_forms(self):
         with pytest.raises(FeatureError):

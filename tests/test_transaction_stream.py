@@ -8,8 +8,8 @@ Covers the PR-7 data-path refactor end to end:
 * ``ScalableWorldStream`` generates event-time-ordered, schema-valid,
   deterministic transactions with bounded state, under a diurnal + burst
   arrival process.
-* ``WorldConfig.validate`` rejects fraud/burst parameter combinations that
-  exceed the daily transaction budget (satellite a).
+* ``WorldConfig`` rejects, at construction, fraud/burst parameter
+  combinations that exceed the daily transaction budget (satellite a).
 * ``ProgressTracker`` counts and rates without requiring any logging setup
   (satellite b).
 * ``RollingDatasets.from_stream`` matches the materialized builder and the
@@ -17,6 +17,8 @@ Covers the PR-7 data-path refactor end to end:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -197,40 +199,38 @@ class TestScalableWorldStream:
 class TestConfigBudgetValidation:
     def test_fraud_budget_overflow_rejected(self):
         config = _stream_config()
-        config.fraud = FraudConfig(
+        fraud = FraudConfig(
             repeat_offender_fraction=1.0,
             frauds_per_active_day=500.0,
             active_day_probability=1.0,
         )
-        config.profile.fraudster_fraction = 0.4
+        profile = replace(config.profile, fraudster_fraction=0.4)
         with pytest.raises(DataGenerationError, match="exceed the day's transaction budget"):
-            config.validate()
+            replace(config, fraud=fraud, profile=profile)
 
     def test_burst_budget_overflow_rejected(self):
         bursts = [
             BurstSpec(day=0, start_hour=8, duration_hours=8, amplitude=6.0),
         ]
         config = _stream_config()
-        config.arrival = ArrivalConfig(bursts=bursts)
         with pytest.raises(DataGenerationError, match="exceed the day's transaction budget"):
-            config.validate()
+            replace(config, arrival=ArrivalConfig(bursts=bursts))
 
     def test_burst_outside_horizon_rejected(self):
         config = _stream_config(num_days=2)
-        config.arrival = ArrivalConfig(bursts=[BurstSpec(day=5, start_hour=8)])
+        arrival = ArrivalConfig(bursts=[BurstSpec(day=5, start_hour=8)])
         with pytest.raises(DataGenerationError, match="outside the simulated horizon"):
-            config.validate()
+            replace(config, arrival=arrival)
 
     def test_tiny_population_rejected(self):
         config = _stream_config()
-        config.profile.num_users = 1
         with pytest.raises(DataGenerationError):
-            config.validate()
+            replace(config, profile=replace(config.profile, num_users=1))
 
     def test_sane_config_accepted(self):
         config = _stream_config()
-        config.arrival = ArrivalConfig(bursts=[BurstSpec(day=1, start_hour=19, amplitude=2.0)])
-        config.validate()  # should not raise
+        arrival = ArrivalConfig(bursts=[BurstSpec(day=1, start_hour=19, amplitude=2.0)])
+        replace(config, arrival=arrival)  # should not raise
 
 
 # ---------------------------------------------------------------------------
