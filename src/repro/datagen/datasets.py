@@ -98,8 +98,8 @@ class DatasetBuilder:
         train_days: int = 14,
         respect_label_delay: bool = True,
     ) -> None:
-        if network_days <= 0 or train_days <= 0:
-            raise DataGenerationError("network_days and train_days must be positive")
+        for name, days in (("network_days", network_days), ("train_days", train_days)):
+            integer(1).require(name, days, DataGenerationError)
         self.world = world
         self.network_days = network_days
         self.train_days = train_days
@@ -217,8 +217,8 @@ class RollingDatasets:
         needed day has passed.  For the same world configuration and seed the
         result is identical to ``build(generate_world(config), ...)``.
         """
-        if network_days <= 0 or train_days <= 0:
-            raise DataGenerationError("network_days and train_days must be positive")
+        for name, days in (("network_days", network_days), ("train_days", train_days)):
+            integer(1).require(name, days, DataGenerationError)
         earliest = network_days + train_days
         start = earliest if first_test_day is None else first_test_day
         if start < earliest:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.exceptions import RowNotFoundError, StorageError, TableNotFoundError
 from repro.hbase.cache import RowCache
 from repro.hbase.region import RegionRouter
-from repro.hbase.store import EMPTY_ROW, HBaseTable, Row, freeze_row
+from repro.hbase.store import EMPTY_ROW, ColumnFamilyStore, HBaseTable, Row, freeze_row
 from repro.hbase.wal import WriteAheadLog
 
 #: Column-family names used by the TitAnt feature store (paper Figure 7).
@@ -156,22 +156,43 @@ class HBaseClient:
         """Write one row's column-family cells (WAL first, caches invalidated);
         an unknown family raises before anything is logged, counted or swept."""
         family = self.table(table_name).family(column_family)
+        self._write(
+            family, table_name, row_key, column_family, values, version, self._live_caches()
+        )
+
+    def _write(
+        self,
+        family: ColumnFamilyStore,
+        table_name: str,
+        row_key: str,
+        column_family: str,
+        values: Mapping[str, Any],
+        version: int,
+        caches: List[RowCache],
+    ) -> None:
+        """The one write step of ``put`` and ``bulk_load``: freeze, log,
+        count the region write, drop the (row, family) from ``caches``, apply."""
         # Frozen before it is logged: log, store and every cache hold this
         # one immutable value, whatever the caller does to its own afterwards.
         values = freeze_row(values)
         self._wal.append(table_name, row_key, column_family, values, version=version)
         self._router.record_write(row_key)
-        # One pass invalidates every live cache and drops the dead references.
+        for cache in caches:
+            cache.invalidate(table_name, row_key, column_family)
+        family.put_row(row_key, values, version=version)
+
+    def _live_caches(self) -> List[RowCache]:
+        """Every attached cache still alive, in one pass over the weak-reference
+        registry that also compacts the dead references out of it."""
         registry = self._cache_registry
-        live = 0
+        caches = []
         for cache_ref in registry:
             cache = cache_ref()
             if cache is not None:
-                cache.invalidate(table_name, row_key, column_family)
-                registry[live] = cache_ref
-                live += 1
-        del registry[live:]
-        family.put_row(row_key, values, version=version)
+                registry[len(caches)] = cache_ref
+                caches.append(cache)
+        del registry[len(caches) :]
+        return caches
 
     def _read(
         self,
@@ -271,12 +292,20 @@ class HBaseClient:
         *,
         version: int,
     ) -> int:
-        """Load many rows in one call (the offline pipeline's daily upload)."""
-        count = 0
+        """Load many rows in one call (the offline pipeline's daily upload).
+
+        Leaves the log, the regions, the store and every cache as a ``put``
+        per row would, in one pass: the family is resolved once (an unknown
+        one raises before anything is logged), the cache registry is walked
+        once, and each row then takes ``put``'s own write step.  Only the
+        caches holding rows are swept: an empty cache has nothing to drop,
+        and none can fill while the load runs, as the load reads nothing.
+        """
+        family = self.table(table_name).family(column_family)
+        caches = [cache for cache in self._live_caches() if len(cache)]
         for row_key, values in rows.items():
-            self.put(table_name, row_key, column_family, values, version=version)
-            count += 1
-        return count
+            self._write(family, table_name, row_key, column_family, values, version, caches)
+        return len(rows)
 
     def scan(
         self,

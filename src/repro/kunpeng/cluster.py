@@ -32,7 +32,10 @@ class ClusterConfig:
     """Sizing of a KunPeng cluster.
 
     ``num_machines`` is the total machine count (the x axis of Figure 10);
-    ``server_fraction`` defaults to one half, per the paper.
+    ``server_fraction`` defaults to one half, per the paper.  Every machine is
+    one node: the server count is the rounded fraction held in
+    ``[1, num_machines - 1]``, and the rest are workers, so the nodes a
+    :class:`KunPengCluster` builds are the machines the cost model charges.
     """
 
     num_machines: int = checked(integer(2), 4)
@@ -43,11 +46,12 @@ class ClusterConfig:
 
     @property
     def num_servers(self) -> int:
-        return max(1, int(round(self.num_machines * self.server_fraction)))
+        servers = int(round(self.num_machines * self.server_fraction))
+        return min(max(1, servers), self.num_machines - 1)
 
     @property
     def num_workers(self) -> int:
-        return max(1, self.num_machines - self.num_servers)
+        return self.num_machines - self.num_servers
 
 
 @dataclass

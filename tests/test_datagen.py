@@ -17,6 +17,7 @@ from repro.datagen.schema import (
     city_tier,
     validate_transaction,
 )
+from repro.datagen.stream import WorldStream
 from repro.datagen.transactions import WorldConfig
 from repro.exceptions import DataGenerationError
 
@@ -163,6 +164,18 @@ class TestDatasetSlicing:
         builder = DatasetBuilder(world, network_days=18, train_days=6)
         with pytest.raises(DataGenerationError):
             builder.build(5)
+
+    @pytest.mark.parametrize(
+        "days, named", [({"network_days": 4.5}, "network_days"), ({"train_days": 0}, "train_days")]
+    )
+    def test_a_bad_day_count_is_rejected_naming_the_argument(self, world, days, named):
+        """Regression: a fractional ``network_days`` used to pass the builder
+        and fail in ``build`` naming ``network_start``, a field never set."""
+        kwargs = {"network_days": 18, "train_days": 6, **days}
+        with pytest.raises(DataGenerationError, match=f"^{named} must be an integer >= 1"):
+            DatasetBuilder(world, **kwargs)
+        with pytest.raises(DataGenerationError, match=f"^{named} must be an integer >= 1"):
+            RollingDatasets.from_stream(WorldStream(world.config), num_datasets=1, **kwargs)
 
     def test_rolling_datasets_shift_by_one_day(self, world):
         rolling = RollingDatasets.build(world, num_datasets=3, network_days=18, train_days=6)

@@ -6,13 +6,15 @@ down case by case (aliasing, sharing, cold accounts, the injected clock).
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import weakref
 import zlib
 from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serving.feature_source as feature_source_module
@@ -491,6 +493,133 @@ def test_region_load_report_equals_a_per_key_crc_reference(ops, num_regions):
         index: {"reads": reads[index], "writes": writes[index], "rows": rows[index]}
         for index in range(num_regions)
     }
+
+
+# ---------------------------------------------------------------------------
+# A bulk load leaves everything as a put per row leaves it
+# ---------------------------------------------------------------------------
+
+_BULK_KEYS = ("a", "b", "c", "d", "e")
+_bulk_cells = st.dictionaries(
+    st.sampled_from(QUALIFIERS),
+    st.one_of(st.integers(0, 3), st.lists(st.integers(0, 3), max_size=2)),
+    max_size=3,
+)
+#: (op, handle, row key, family, version): the store and caches before the load.
+_bulk_setup = st.lists(
+    st.tuples(
+        st.sampled_from(("put", "read", "read", "pinned_read", "advance")),
+        st.integers(0, 2),
+        st.sampled_from(_BULK_KEYS),
+        st.sampled_from(FAMILIES),
+        st.integers(1, 4),
+    ),
+    max_size=25,
+)
+_bulk_runs = given(
+    setup=_bulk_setup,
+    rows=st.dictionaries(st.sampled_from(_BULK_KEYS), _bulk_cells, max_size=5),
+    family=st.sampled_from(FAMILIES + ("nope",)),
+    version=st.integers(1, 4),
+    drop=st.booleans(),
+)
+
+
+def _bulk_start(setup, drop: bool):
+    """A store, and the handles to compare, built by ``setup``: the root and
+    a connection (cached), an uncached connection, and one more cached
+    connection that is kept or, with ``drop``, discarded (a dead reference
+    left in the cache registry)."""
+    clock = FakeClock()
+    root = HBaseClient(max_versions=2, row_cache_ttl_s=TTL_S, row_cache_rows=3, clock=clock)
+    root.create_table(TABLE, FAMILIES)
+    handles = [root, root.connection(), root.connection(row_cache_ttl_s=0.0)]
+    spare = root.connection()
+    for op, handle, key, family, version in setup:
+        if op == "put":
+            cells = {"q0": version, "q1": [handle]} if handle else {"q0": version}
+            handles[handle].put(TABLE, key, family, cells, version=version)
+        elif op == "advance":
+            clock.now += TTL_S / 3
+        else:
+            pin = version if op == "pinned_read" else None
+            handles[handle].multi_get(TABLE, [key], family, version=pin)
+            spare.multi_get(TABLE, [key], family, version=pin)
+    if drop:
+        spare_cache = weakref.ref(spare._cache)
+        del spare
+        assert spare_cache() is None  # its registry entry is now a dead reference
+    else:
+        handles.append(spare)
+    return root, handles
+
+
+def _bulk_state(root: HBaseClient, handles: List[HBaseClient]) -> Tuple[Any, ...]:
+    """What a write can change: the log, every row's snapshot and history,
+    the region counters, and every handle's cache contents and stats."""
+    stores = [root.table(TABLE).family(family) for family in FAMILIES]
+    return (
+        [tuple(entry) for entry in root.wal.entries()],
+        [(store._latest, store._history) for store in stores],
+        root.region_load_report(),
+        [
+            (None if handle._cache is None else _cache_view(handle._cache), handle.row_cache_stats())
+            for handle in handles
+        ],
+    )
+
+
+def _bulk_load_equals_a_put_per_row(setup, rows, family, version, drop):
+    loaded, loaded_handles = _bulk_start(setup, drop)
+    looped, looped_handles = _bulk_start(setup, drop)
+    before = _bulk_state(looped, looped_handles)
+    if family not in FAMILIES:  # rejected before anything is logged, counted or swept
+        with pytest.raises(StorageError, match="unknown column family"):
+            loaded.bulk_load(TABLE, family, copy.deepcopy(rows), version=version)
+        assert _bulk_state(loaded, loaded_handles) == before
+        return
+    assert loaded.bulk_load(TABLE, family, copy.deepcopy(rows), version=version) == len(rows)
+    for row_key, cells in copy.deepcopy(rows).items():
+        looped.put(TABLE, row_key, family, cells, version=version)
+    assert _bulk_state(loaded, loaded_handles) == _bulk_state(looped, looped_handles)
+    # And every handle goes on to read the same rows, hits and misses.
+    for handles in (loaded_handles, looped_handles):
+        for handle in handles:
+            for read_family in FAMILIES:
+                handle.multi_get(TABLE, _BULK_KEYS, read_family)
+    assert _bulk_state(loaded, loaded_handles) == _bulk_state(looped, looped_handles)
+
+
+#: Named cases the random runs must include: a connection (1) and a dropped
+#: one caching loaded and unloaded keys, pinned reads, and an unknown family.
+_cached_then_loaded = [
+    ("put", 0, "a", "f0", 1),
+    ("put", 1, "b", "f0", 2),
+    ("put", 0, "c", "f1", 1),
+    ("read", 1, "a", "f0", 1),
+    ("read", 0, "b", "f0", 1),
+    ("pinned_read", 1, "b", "f0", 2),
+    ("read", 1, "c", "f1", 1),
+]
+_bulk_examples = [
+    {"setup": _cached_then_loaded, "rows": {"a": {"q0": 7}, "b": {"q1": [3]}, "d": {}},
+     "family": "f0", "version": 3, "drop": drop}
+    for drop in (False, True)
+] + [
+    {"setup": _cached_then_loaded, "rows": {"a": {"q0": 7}}, "family": "nope", "version": 3,
+     "drop": True},
+]
+
+
+def _bulk_property(max_examples: int):
+    test = _bulk_load_equals_a_put_per_row
+    for case in _bulk_examples:
+        test = example(**case)(test)
+    return settings(max_examples=max_examples, deadline=None)(_bulk_runs(test))
+
+
+test_bulk_load_equals_a_put_per_row = _bulk_property(200)
+test_bulk_load_equals_a_put_per_row_soak = pytest.mark.slow(_bulk_property(2000))
 
 
 # ---------------------------------------------------------------------------

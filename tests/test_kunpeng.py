@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     ModelError,
@@ -77,6 +79,26 @@ class TestCluster:
         cluster = KunPengCluster(ClusterConfig(num_machines=10))
         assert len(cluster.servers) == 5
         assert len(cluster.workers) == 5
+
+    def test_a_high_server_fraction_leaves_one_worker_and_no_extra_node(self):
+        """Regression: ``(2, 0.9)`` used to give 2 servers and 1 worker, a
+        three-node cluster on two machines."""
+        config = ClusterConfig(num_machines=2, server_fraction=0.9)
+        assert (config.num_servers, config.num_workers) == (1, 1)
+        cluster = KunPengCluster(config)
+        assert (len(cluster.servers), len(cluster.workers)) == (1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_machines=st.integers(min_value=2, max_value=500),
+        server_fraction=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        ),
+    )
+    def test_every_machine_is_one_node(self, num_machines, server_fraction):
+        config = ClusterConfig(num_machines=num_machines, server_fraction=server_fraction)
+        assert config.num_servers >= 1 and config.num_workers >= 1
+        assert config.num_servers + config.num_workers == num_machines
 
     def test_parameter_partitioning_and_reassembly(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=6))

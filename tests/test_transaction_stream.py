@@ -14,20 +14,34 @@ Covers the PR-7 data-path refactor end to end:
   (satellite b).
 * ``RollingDatasets.from_stream`` matches the materialized builder and the
   serving replay consumes streams lazily (satellite d plumbing).
+* The columnar materializers — ``ColumnarAccounts.iter_profiles`` and
+  ``ScalableWorldStream._build_transactions`` — equal their per-element
+  spelling field by field, each value's Python type included.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import List, Optional
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import generate_world
 from repro.datagen.datasets import RollingDatasets, small_world_config
-from repro.datagen.profiles import ProfileConfig
-from repro.datagen.schema import transaction_sort_key, validate_transaction
+from repro.datagen.fraud import TypologyConfig
+from repro.datagen.profiles import PROFILE_CHUNK, ColumnarAccounts, ProfileConfig
+from repro.datagen.schema import (
+    Gender,
+    Transaction,
+    TransactionChannel,
+    UserProfile,
+    city_name,
+    transaction_sort_key,
+    validate_transaction,
+)
 from repro.datagen.stream import ScalableWorldStream, WorldStream
 from repro.datagen.transactions import (
     ArrivalConfig,
@@ -335,3 +349,193 @@ class TestStreamingConsumers:
         assert lazy_report.interrupted == eager_report.interrupted
         assert lazy_report.true_alerts == eager_report.true_alerts
 
+
+# ---------------------------------------------------------------------------
+# The columnar materializers against their per-element spelling
+# ---------------------------------------------------------------------------
+
+
+def _typed(record) -> list:
+    """Every field of a dataclass record with its value's exact type."""
+    return [(f.name, type(getattr(record, f.name)), getattr(record, f.name)) for f in fields(record)]
+
+
+def _assert_same_records(got: list, expected: list) -> None:
+    """Record by record, field by field, types included; the first mismatch
+    is reported with its position."""
+    assert len(got) == len(expected)
+    for position, (a, b) in enumerate(zip(got, expected)):
+        assert _typed(a) == _typed(b), f"record {position}"
+
+
+def _profile_per_element(accounts: ColumnarAccounts, index: int) -> UserProfile:
+    """One profile read a numpy scalar per field (the spelling the chunked
+    materializer replaced)."""
+    return UserProfile(
+        user_id=accounts.user_id(index),
+        age=int(accounts.age[index]),
+        gender=(Gender.FEMALE, Gender.MALE, Gender.UNKNOWN)[int(accounts.gender_code[index])],
+        home_city=city_name(int(accounts.home_city[index])),
+        account_age_days=int(accounts.account_age_days[index]),
+        kyc_level=int(accounts.kyc_level[index]),
+        is_merchant=bool(accounts.is_merchant[index]),
+        device_count=int(accounts.device_count[index]),
+        community=int(accounts.community[index]),
+        is_fraudster=bool(accounts.is_fraudster[index]),
+        risk_propensity=float(accounts.risk_propensity[index]),
+        activity_level=float(accounts.activity_level[index]),
+    )
+
+
+_ACCOUNTS = ColumnarAccounts(
+    ProfileConfig(
+        num_users=300, num_communities=6, fraudster_fraction=0.1, merchant_fraction=0.2, seed=23
+    )
+)
+_INDEX_DTYPES = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.intp)
+_index_lengths = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from((PROFILE_CHUNK - 1, PROFILE_CHUNK, PROFILE_CHUNK + 1, 2 * PROFILE_CHUNK + 5)),
+)
+
+
+def _profiles_equal_per_element(dtype, length, seed):
+    bound = min(_ACCOUNTS.num_accounts, int(np.iinfo(dtype).max) + 1)
+    # Drawn with replacement: unsorted, with repeats once there are a few.
+    indices = np.random.default_rng(seed).integers(0, bound, size=length).astype(dtype)
+    _assert_same_records(
+        list(_ACCOUNTS.iter_profiles(indices)),
+        [_profile_per_element(_ACCOUNTS, int(i)) for i in indices],
+    )
+
+
+_profile_runs = given(
+    dtype=st.sampled_from(_INDEX_DTYPES), length=_index_lengths, seed=st.integers(0, 2**32 - 1)
+)
+#: Empty, and one index past a chunk, in every run.
+_profile_examples = (
+    example(dtype=np.uint16, length=0, seed=0),
+    example(dtype=np.int32, length=PROFILE_CHUNK + 1, seed=1),
+)
+
+
+def _profile_property(max_examples: int):
+    test = _profiles_equal_per_element
+    for case in _profile_examples:
+        test = case(test)
+    return settings(max_examples=max_examples, deadline=None)(_profile_runs(test))
+
+
+test_profiles_equal_per_element = _profile_property(25)
+test_profiles_equal_per_element_soak = pytest.mark.slow(_profile_property(300))
+
+
+def test_iter_profiles_defaults_to_everyone_in_order():
+    _assert_same_records(
+        list(_ACCOUNTS.iter_profiles()),
+        [_profile_per_element(_ACCOUNTS, i) for i in range(_ACCOUNTS.num_accounts)],
+    )
+    assert list(_ACCOUNTS.iter_profiles(np.array([], dtype=np.int64))) == []
+    assert [p.user_id for p in _ACCOUNTS.iter_profiles([5, 2, 5])] == [
+        "u0000005", "u0000002", "u0000005"
+    ]
+
+
+_CHANNELS = tuple(TransactionChannel)
+
+
+class _PerElementStream(ScalableWorldStream):
+    """The stream with the per-element ``_build_transactions`` spelling the
+    positional one replaced; everything else, the counters included, is shared."""
+
+    def _build_transactions(
+        self,
+        day: int,
+        hour: int,
+        payers: np.ndarray,
+        payees: np.ndarray,
+        amounts: np.ndarray,
+        channel_codes: np.ndarray,
+        cities: np.ndarray,
+        device_slots: np.ndarray,
+        is_new_device: np.ndarray,
+        ip_risk: np.ndarray,
+        is_fraud: np.ndarray,
+        report_delays: np.ndarray,
+        typologies: Optional[List[str]] = None,
+    ) -> List[Transaction]:
+        recent_count = self._payer_count[payers].astype(np.int64)
+        recent_amount = np.round(self._payer_amount[payers], 2)
+        inbound = self._payee_inbound[payees].astype(np.int64)
+        np.add.at(self._payer_count, payers, 1.0)
+        np.add.at(self._payer_amount, payers, amounts)
+        np.add.at(self._payee_inbound, payees, 1.0)
+        ids = self._next_ids(payers.size)
+        uid = self._accounts.user_id
+        return [
+            Transaction(
+                transaction_id=ids[i],
+                day=day,
+                hour=hour,
+                payer_id=uid(int(payers[i])),
+                payee_id=uid(int(payees[i])),
+                amount=float(amounts[i]),
+                channel=_CHANNELS[int(channel_codes[i])],
+                trans_city=city_name(int(cities[i])),
+                device_id=f"d_{uid(int(payers[i]))}_{int(device_slots[i])}",
+                is_new_device=bool(is_new_device[i]),
+                ip_risk_score=float(ip_risk[i]),
+                payer_recent_txn_count=int(recent_count[i]),
+                payer_recent_amount=float(recent_amount[i]),
+                payee_recent_inbound_count=int(inbound[i]),
+                is_fraud=bool(is_fraud[i]),
+                label_available_day=day + (int(report_delays[i]) if is_fraud[i] else 0),
+                fraud_typology=typologies[i] if typologies is not None else "",
+            )
+            for i in range(payers.size)
+        ]
+
+
+def _drained_against_per_element(seed, num_users, typologies, background, batch_size):
+    """The stream's events, asserted equal to the per-element stream's."""
+    config = WorldConfig(
+        profile=ProfileConfig(
+            num_users=num_users, num_communities=4, fraudster_fraction=0.1, seed=seed
+        ),
+        num_days=4,
+        transactions_per_user_per_day=0.6,
+        background_fraud_rate=background,
+        typologies=TypologyConfig() if typologies else None,
+        seed=seed,
+    )
+    got = [txn for batch in ScalableWorldStream(config).batches(batch_size) for txn in batch]
+    expected = [txn for batch in _PerElementStream(config).batches(batch_size) for txn in batch]
+    _assert_same_records(got, expected)
+    return got
+
+
+def _stream_equals_per_element(seed, num_users, typologies, background, batch_size):
+    _drained_against_per_element(seed, num_users, typologies, background, batch_size)
+
+
+_stream_runs = given(
+    seed=st.integers(0, 10_000),
+    num_users=st.integers(120, 300),
+    typologies=st.booleans(),
+    background=st.sampled_from((0.0005, 0.05)),
+    batch_size=st.sampled_from((1, 97, 4096)),
+)
+test_stream_equals_per_element = settings(max_examples=8, deadline=None)(
+    _stream_runs(_stream_equals_per_element)
+)
+test_stream_equals_per_element_soak = pytest.mark.slow(
+    settings(max_examples=100, deadline=None)(_stream_runs(_stream_equals_per_element))
+)
+
+
+def test_a_seeded_stream_with_typologies_and_report_delays_equals_per_element():
+    got = _drained_against_per_element(17, 260, True, 0.05, 4096)
+    frauds = [t for t in got if t.is_fraud]
+    assert {t.fraud_typology for t in frauds} > {""}  # campaign rows carry a typology
+    assert any(t.fraud_typology == "" for t in frauds)  # background fraud does not
+    assert all(t.label_available_day > t.day for t in frauds)
