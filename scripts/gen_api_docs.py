@@ -266,6 +266,14 @@ PUBLIC_API = [
         "SGD step share.",
     ),
     (
+        "Scalar draws",
+        "repro.rng",
+        ["clamp", "Categorical"],
+        "The per-element world generators' one-value spellings of np.clip and "
+        "Generator.choice(..., p=...): the same bits, and the generator left "
+        "where numpy leaves it.",
+    ),
+    (
         "Field contracts",
         "repro.contracts",
         ["checked", "check_fields", "contracts_of", "integer", "number", "one_of", "optional"],

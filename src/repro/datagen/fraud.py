@@ -35,7 +35,7 @@ import numpy as np
 from repro.contracts import NON_NEGATIVE, POSITIVE, PROBABILITY, check_fields, checked, integer, number
 from repro.datagen.schema import UserProfile
 from repro.exceptions import DataGenerationError
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike, clamp, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datagen.profiles import ColumnarAccounts
@@ -244,7 +244,7 @@ class FraudsterBehaviorModel:
     def _sample_amount(self) -> float:
         cfg = self.config
         return float(
-            np.clip(
+            clamp(
                 self._rng.lognormal(cfg.fraud_amount_log_mean, cfg.fraud_amount_log_sigma),
                 10.0,
                 200_000.0,
@@ -260,7 +260,7 @@ class FraudsterBehaviorModel:
         return int(self._rng.integers(0, 24))
 
     def _sample_report_delay(self) -> int:
-        return int(np.clip(self._rng.exponential(self.config.mean_report_delay_days), 0, 30)) + 1
+        return int(clamp(self._rng.exponential(self.config.mean_report_delay_days), 0, 30)) + 1
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,14 @@ import numpy as np
 from repro.contracts import SEED, check_fields, checked, integer, number
 from repro.datagen.schema import Gender, UserProfile, NUM_CITIES, city_name
 from repro.exceptions import DataGenerationError
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import Categorical, SeedLike, clamp, ensure_rng
 
 #: Gender codes used by the columnar population (index into this tuple).
 _GENDER_CODES = (Gender.FEMALE, Gender.MALE, Gender.UNKNOWN)
+#: KYC levels, and the mix of fraudsters' and other users' levels over them.
+_KYC_LEVELS = (1, 2, 3)
+_FRAUDSTER_KYC_MIX = Categorical((0.35, 0.40, 0.25))
+_NORMAL_KYC_MIX = Categorical((0.10, 0.35, 0.55))
 #: Profiles :meth:`ColumnarAccounts.iter_profiles` materializes per gather.
 PROFILE_CHUNK = 4096
 
@@ -57,7 +61,13 @@ class ProfileConfig:
 
 
 class ProfileGenerator:
-    """Generate a reproducible population of :class:`UserProfile` objects."""
+    """Generate a reproducible population of :class:`UserProfile` objects.
+
+    Profiles are drawn one at a time, each value with a scalar call: single
+    values are clamped with :func:`repro.rng.clamp` and KYC levels drawn with
+    a :class:`repro.rng.Categorical`, scalar spellings bit-identical to
+    numpy's ``np.clip`` and ``Generator.choice(..., p=...)``.
+    """
 
     def __init__(self, config: ProfileConfig | None = None, *, rng: SeedLike = None):
         self.config = config or ProfileConfig()
@@ -109,7 +119,7 @@ class ProfileGenerator:
             kyc_level = self._sample_kyc(is_fraudster)
             is_merchant = (not is_fraudster) and rng.random() < cfg.merchant_fraction
             device_count = self._sample_device_count(is_fraudster)
-            risk_propensity = float(np.clip(rng.normal(0.65 if is_fraudster else 0.25, 0.15), 0, 1))
+            risk_propensity = float(clamp(rng.normal(0.65 if is_fraudster else 0.25, 0.15), 0, 1))
             activity_level = float(rng.gamma(2.0, 1.2 if is_merchant else 0.6) + 0.2)
 
             profiles.append(
@@ -146,7 +156,7 @@ class ProfileGenerator:
         cfg = self.config
         mean = 29.0 if is_fraudster else 36.0
         age = int(round(self._rng.normal(mean, 11.0)))
-        return int(np.clip(age, cfg.min_age, cfg.max_age))
+        return int(clamp(age, cfg.min_age, cfg.max_age))
 
     def _sample_gender(self) -> Gender:
         roll = self._rng.random()
@@ -159,15 +169,15 @@ class ProfileGenerator:
     def _sample_account_age(self, is_fraudster: bool) -> int:
         # Fraudsters skew toward newly created accounts.
         scale = 140.0 if is_fraudster else 700.0
-        return int(np.clip(self._rng.exponential(scale), 1, 4000))
+        return int(clamp(self._rng.exponential(scale), 1, 4000))
 
     def _sample_kyc(self, is_fraudster: bool) -> int:
-        probs = [0.35, 0.40, 0.25] if is_fraudster else [0.10, 0.35, 0.55]
-        return int(self._rng.choice([1, 2, 3], p=probs))
+        mix = _FRAUDSTER_KYC_MIX if is_fraudster else _NORMAL_KYC_MIX
+        return int(_KYC_LEVELS[mix.draw(self._rng)])
 
     def _sample_device_count(self, is_fraudster: bool) -> int:
         lam = 3.2 if is_fraudster else 1.4
-        return int(np.clip(self._rng.poisson(lam) + 1, 1, 12))
+        return int(clamp(self._rng.poisson(lam) + 1, 1, 12))
 
 
 class ColumnarAccounts:

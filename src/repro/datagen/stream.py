@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.contracts import integer
 from repro.datagen.fraud import (
     ColumnarFraudPlanner,
     FraudsterBehaviorModel,
@@ -165,8 +166,7 @@ class TransactionStream(ABC):
 
     def batches(self, batch_size: int) -> Iterator[List[Transaction]]:
         """Yield the remaining events re-grouped into ``batch_size`` lists."""
-        if batch_size < 1:
-            raise DataGenerationError("batch_size must be >= 1")
+        integer(1).require("batch_size", batch_size, DataGenerationError)
         batch: List[Transaction] = []
         for txn in self.events():
             batch.append(txn)

@@ -37,8 +37,13 @@ from repro.datagen.schema import (
     CITY_FRAUD_TIERS,
 )
 from repro.exceptions import DataGenerationError
-from repro.rng import SeedLike, ensure_rng, spawn_child
+from repro.rng import Categorical, SeedLike, clamp, ensure_rng, spawn_child
 
+#: Channels in sampling order, and the channel mix of normal and fraudulent
+#: transfers over them.
+_CHANNELS = tuple(TransactionChannel)
+_NORMAL_CHANNEL_MIX = Categorical((0.6, 0.15, 0.2, 0.05))
+_FRAUD_CHANNEL_MIX = Categorical((0.5, 0.3, 0.1, 0.1))
 
 #: Default diurnal intensity by hour of day (relative weights, later
 #: normalized to mean 1).  Shape: a deep overnight trough, a morning ramp, a
@@ -300,6 +305,12 @@ def generate_world(config: WorldConfig | None = None, *, rng: SeedLike = None) -
     lazy path iterates) into memory, so the output is bit-identical to the
     pre-stream implementation at the same seed.  Large worlds should consume
     the stream directly instead of materializing.
+
+    The per-event engine draws every value of a row with a scalar call;
+    clamps and weighted choices use :func:`repro.rng.clamp` and
+    :class:`repro.rng.Categorical`, scalar spellings bit-identical to numpy's
+    ``np.clip`` and ``Generator.choice(..., p=...)`` that leave the generator
+    in the same state, so a world is the same at the same seed.
     """
     from repro.datagen.stream import WorldStream  # local import: stream builds on us
 
@@ -308,7 +319,13 @@ def generate_world(config: WorldConfig | None = None, *, rng: SeedLike = None) -
 
 
 class _DailyStreamGenerator:
-    """Generates the transaction stream for one world (internal helper)."""
+    """Generates the transaction stream for one world (internal helper).
+
+    One transaction at a time, one scalar draw per value: single-value clamps
+    and channel choices go through :func:`repro.rng.clamp` and
+    :class:`repro.rng.Categorical`, which are bit-identical to ``np.clip`` and
+    ``Generator.choice(..., p=...)`` without their array machinery.
+    """
 
     def __init__(
         self,
@@ -389,18 +406,14 @@ class _DailyStreamGenerator:
 
     def _normal_transaction(self, day: int, payer: UserProfile) -> Transaction:
         payee = self._pick_normal_payee(payer)
-        amount = float(np.clip(self._rng.lognormal(4.4, 1.1), 0.5, 100_000.0))
-        hour = int(np.clip(self._rng.normal(14.0, 4.5), 0, 23))
-        channel = TransactionChannel(
-            self._rng.choice(
-                [c.value for c in TransactionChannel], p=[0.6, 0.15, 0.2, 0.05]
-            )
-        )
+        amount = float(clamp(self._rng.lognormal(4.4, 1.1), 0.5, 100_000.0))
+        hour = int(clamp(self._rng.normal(14.0, 4.5), 0, 23))
+        channel = _CHANNELS[_NORMAL_CHANNEL_MIX.draw(self._rng)]
         trans_city = payer.home_city if self._rng.random() < 0.85 else city_name(
             int(self._rng.integers(0, NUM_CITIES))
         )
         device_id, is_new_device = self._device_for(payer.user_id)
-        ip_risk = float(np.clip(self._rng.beta(1.2, 12.0), 0, 1))
+        ip_risk = float(clamp(self._rng.beta(1.2, 12.0), 0, 1))
         is_fraud = self._rng.random() < self._background_fraud_probability(trans_city)
         return self._emit(
             day=day,
@@ -419,9 +432,7 @@ class _DailyStreamGenerator:
 
     def _fraud_transaction(self, fraud: PlannedFraud) -> Transaction:
         victim = self._profiles_by_id[fraud.victim_id]
-        channel = TransactionChannel(
-            self._rng.choice([c.value for c in TransactionChannel], p=[0.5, 0.3, 0.1, 0.1])
-        )
+        channel = _CHANNELS[_FRAUD_CHANNEL_MIX.draw(self._rng)]
         # Fraud skews toward high-risk transfer cities and fresh devices.
         if self._rng.random() < 0.6:
             high_risk = [c for c in range(NUM_CITIES) if city_tier(city_name(c)) == "tier_high"]
@@ -431,7 +442,7 @@ class _DailyStreamGenerator:
         device_id, is_new_device = self._device_for(
             victim.user_id, force_new=self._rng.random() < 0.5
         )
-        ip_risk = float(np.clip(self._rng.beta(4.0, 4.0), 0, 1))
+        ip_risk = float(clamp(self._rng.beta(4.0, 4.0), 0, 1))
         return self._emit(
             day=fraud.day,
             hour=fraud.hour,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.datagen import generate_world
 from repro.datagen.datasets import DatasetBuilder, RollingDatasets, small_world_config
-from repro.datagen.fraud import FraudConfig, FraudsterBehaviorModel
+from repro.datagen.fraud import FraudConfig, FraudsterBehaviorModel, TypologyConfig
 from repro.datagen.profiles import ProfileConfig, ProfileGenerator, profiles_by_id
 from repro.datagen.schema import (
     Transaction,
@@ -197,6 +199,60 @@ class TestDatasetSlicing:
         assert sum(t.is_fraud for t in delayed.train_transactions) <= sum(
             t.is_fraud for t in oracle.train_transactions
         )
+
+
+
+def _pinned_config(*, seed, fraudster_fraction=0.05, typologies=None):
+    return WorldConfig(
+        profile=ProfileConfig(
+            num_users=200, num_communities=6, fraudster_fraction=fraudster_fraction, seed=seed
+        ),
+        num_days=16,
+        transactions_per_user_per_day=0.5,
+        typologies=typologies,
+        seed=seed,
+    )
+
+
+def _world_digest(world):
+    sha = hashlib.sha256()
+    for record in (*world.profiles, *world.transactions):
+        sha.update(repr(record.to_row()).encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "make_world, expected",
+    [
+        pytest.param(
+            lambda: generate_world(_pinned_config(seed=11)),
+            "53b5b76a13d2d2070b0a52f1306dc1811a7df9549a73f4505b8e38361bdc3f87",
+            id="default-fraud-model",
+        ),
+        pytest.param(
+            lambda: generate_world(_pinned_config(seed=12, typologies=TypologyConfig())),
+            "3a0ffa78cbd35eff84fae8e00d87f9da4f0bfcd64d3d989099e39c4fbe53f73a",
+            id="typology-suite",
+        ),
+        pytest.param(
+            lambda: WorldStream(_pinned_config(seed=13), order="event").materialize(),
+            "0ae523d34915af0e6b2de220c49ba1f486b6ec2bb228c6af9686b43e0b42a76e",
+            id="event-order",
+        ),
+        pytest.param(
+            # 60 fraudsters: the fraud transfer, KYC and fraud-amount /
+            # report-delay draws run hundreds of times.
+            lambda: generate_world(_pinned_config(seed=14, fraudster_fraction=0.3)),
+            "28c9b996aebd0f79d75174a5fd2e7471f8a5f04b8c7dee459183b367dfbe44ec",
+            id="fraudster-heavy",
+        ),
+    ],
+)
+def test_per_event_worlds_are_pinned(make_world, expected):
+    """Every profile and transaction row of four small worlds, bit for bit:
+    a change to any per-element draw, or to the stream's alignment after it,
+    moves the digest."""
+    assert _world_digest(make_world()) == expected
 
 
 @settings(max_examples=20, deadline=None)

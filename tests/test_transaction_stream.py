@@ -129,6 +129,22 @@ class TestWorldStreamBitIdentity:
         )
 
 
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: WorldStream(_stream_config(num_users=150, num_days=3, seed=5)),
+        lambda: ScalableWorldStream(_scalable_config(num_users=300)),
+    ],
+    ids=["WorldStream", "ScalableWorldStream"],
+)
+@pytest.mark.parametrize("batch_size", [2.5, float("nan"), True, 0], ids=repr)
+def test_a_batch_size_that_is_not_a_positive_integer_is_rejected_by_name(stream, batch_size):
+    # 2.5 used to give batches of 3 and NaN one batch of the whole stream.
+    with pytest.raises(DataGenerationError, match="batch_size must be an integer >= 1"):
+        next(stream().batches(batch_size))
+    assert len(next(stream().batches(np.int64(3)))) == 3
+
+
 class TestCheckpointResume:
     def test_mid_day_resume_continues_the_exact_sequence(self):
         reference = list(WorldStream(_stream_config(seed=31)))
