@@ -27,17 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.paper.dense_deepwalk import DenseDeepWalk
+from benchmarks.paper.sweeps import scalability_curve
 from repro.core.evaluation import evaluate_scores
 from repro.datagen.datasets import DatasetBuilder
 from repro.features.basic import BasicFeatureExtractor
 from repro.graph.builder import build_network
 from repro.graph.random_walk import RandomWalkConfig
 from repro.kunpeng import ClusterConfig
-from repro.kunpeng.cost_model import (
-    deepwalk_round_volume,
-    estimate_deepwalk_time,
-    scalability_curve,
-)
+from repro.kunpeng.cost_model import deepwalk_round_volume, estimate_deepwalk_time
 from repro.models.distributed import DistributedGBDT
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.nrl.embeddings import top1_neighbor_recall
@@ -65,7 +62,7 @@ def test_fig10_scalability_curve(benchmark):
         dense = estimate_deepwalk_time(machines)
         sparse = estimate_deepwalk_time(machines, mode="sparse")
         print(
-            f"  {machines:>9} {sparse.total_minutes:>14.1f} "
+            f"  {machines:>9} {sparse.total_seconds / 60.0:>14.1f} "
             f"(communication {dense.communication_seconds:.0f}s -> "
             f"{sparse.communication_seconds:.0f}s)"
         )

@@ -10,6 +10,7 @@ are not dominated by both extremes.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
+from benchmarks.paper.sweeps import dimension_sweep
 from repro.core.config import FeatureSetName
 
 
@@ -18,7 +19,8 @@ DIMENSIONS = (8, 16, 32, 64)
 
 def test_fig11_embedding_dimension_sweep(benchmark, bench_runner):
     def _run():
-        return bench_runner.run_dimension_sweep(
+        return dimension_sweep(
+            bench_runner,
             DIMENSIONS,
             feature_sets=(FeatureSetName.BASIC_S2V, FeatureSetName.BASIC_DW),
         )

@@ -23,6 +23,7 @@ import time
 
 from benchmarks.conftest import BENCH_SCALE, run_once
 from benchmarks.paper.exact import ExactGBDT
+from benchmarks.paper.sweeps import roc_auc, tree_sweep
 from repro.core.config import FeatureSetName
 from repro.models.gbdt import GradientBoostingClassifier
 
@@ -37,7 +38,8 @@ GROWERS = {"exact": ExactGBDT, "hist": GradientBoostingClassifier}
 
 def test_fig12_gbdt_tree_sweep(benchmark, bench_runner):
     def _run():
-        return bench_runner.run_tree_sweep(
+        return tree_sweep(
+            bench_runner,
             TREE_COUNTS,
             feature_sets=(FeatureSetName.BASIC, FeatureSetName.BASIC_DW),
         )
@@ -64,8 +66,6 @@ def test_fig12_gbdt_tree_sweep(benchmark, bench_runner):
 
 def _fit_and_score(method, train, test, *, num_trees, seed=0):
     """Fit one GBDT variant; returns (fit_seconds, test AUC)."""
-    from repro.core.evaluation import roc_auc
-
     start = time.perf_counter()
     model = GROWERS[method](num_trees=num_trees, seed=seed).fit(train.values, train.labels)
     fit_seconds = time.perf_counter() - start
@@ -112,7 +112,6 @@ def _gbdt_smoke() -> None:
     """Reduced exact-vs-hist A/B plus a distributed histogram run (CI smoke)."""
     import numpy as np
 
-    from repro.core.evaluation import roc_auc
     from repro.kunpeng import ClusterConfig, gbdt_round_volume
     from repro.models.distributed import DistributedGBDT
 

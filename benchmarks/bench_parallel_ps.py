@@ -111,7 +111,7 @@ def ps_round_workload(
     boundaries = np.linspace(0, rows, config.num_servers + 1).astype(np.int64)
     probe = boundaries[:-1]  # one owned row per shard: fences everything
     with KunPengCluster(config, backend=backend) as cluster:
-        cluster.create_parameter("w", matrix)
+        cluster.replace_parameter("w", matrix)
         num_workers = cluster.config.num_workers
         batches = [
             rng.integers(0, rows, size=batch).astype(np.int64)
@@ -173,10 +173,10 @@ def _warm_shards(cluster: KunPengCluster) -> None:
     A real cluster's server nodes are already up when training begins; hosting
     a one-row-per-shard throwaway parameter forces every lazy shard handle to
     spawn so ``fit`` timings measure training, not process startup.  (The
-    microbench gets this for free: its ``create_parameter`` precedes the
+    microbench gets this for free: its ``replace_parameter`` precedes the
     timer.)  Harmless on the inline backend.
     """
-    cluster.create_parameter("_warmup", np.zeros((len(cluster.servers), 1)))
+    cluster.replace_parameter("_warmup", np.zeros((len(cluster.servers), 1)))
 
 
 def deepwalk_workload(backend: str, num_machines: int, network) -> Dict[str, object]:

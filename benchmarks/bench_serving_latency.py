@@ -20,6 +20,7 @@ commit:
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
+from benchmarks.paper.serving_stack import build_serving_stack
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 from repro.serving import AlipayServer, LatencyTracker
 
@@ -31,8 +32,8 @@ def _serving_stack(bench_runner):
     dataset = bench_runner.datasets()[0]
     preparation = bench_runner.preparation_for(dataset)
     configuration = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
-    bundle, hbase, servers, alipay = bench_runner.build_serving_stack(
-        preparation, configuration, sla_budget_ms=SLA_BUDGET_MS
+    bundle, hbase, servers, alipay = build_serving_stack(
+        bench_runner, preparation, configuration, sla_budget_ms=SLA_BUDGET_MS
     )
     return dataset, hbase, servers[0], alipay
 

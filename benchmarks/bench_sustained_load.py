@@ -56,6 +56,7 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from benchmarks.paper.serving_stack import build_serving_stack
 from repro.core.config import (
     DetectorName,
     ExperimentConfig,
@@ -154,7 +155,10 @@ class DiurnalArrivalClock:
         self._stream = stream
         config = stream.config
         self._arrival = config.arrival or ArrivalConfig()
-        expected_per_day = stream.expected_events_per_day()
+        # the expected normal-transaction volume per day (activity-weighted)
+        expected_per_day = float(
+            config.transactions_per_user_per_day * stream.accounts.activity_level.sum()
+        )
         num_hours = 24 * config.num_days
         #: Replay seconds per simulated hour: mean rate == target_rps.
         self.window_s = (expected_per_day * config.num_days / target_rps) / num_hours
@@ -225,7 +229,8 @@ def train_and_deploy(*, smoke: bool):
     )
     dataset = runner.datasets()[0]
     preparation = runner.preparation_for(dataset)
-    _, hbase, servers, _ = runner.build_serving_stack(
+    _, hbase, servers, _ = build_serving_stack(
+        runner,
         preparation,
         runner.config.configurations[0],
         num_servers=FLEET_SIZE,

@@ -10,13 +10,14 @@ meaningfully beat the second largest.
 from __future__ import annotations
 
 from benchmarks.conftest import BENCH_SCALE, run_once
+from benchmarks.paper.sweeps import node_sampling_sweep
 
 SAMPLING_COUNTS = (25, 50, 100, 200) if BENCH_SCALE == "paper" else (4, 8, 15, 30)
 
 
 def test_table2_node_sampling_sweep(benchmark, bench_runner):
     def _run():
-        return bench_runner.run_node_sampling_sweep(SAMPLING_COUNTS)
+        return node_sampling_sweep(bench_runner, SAMPLING_COUNTS)
 
     results = run_once(benchmark, _run)
 

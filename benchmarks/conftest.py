@@ -25,7 +25,7 @@ BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "laptop")
 
 def bench_hyperparameters() -> ModelHyperparameters:
     if BENCH_SCALE == "paper":
-        return ModelHyperparameters.paper_scale()
+        return ModelHyperparameters()  # the values of Section 5.1
     return ModelHyperparameters.laptop_scale()
 
 

@@ -15,7 +15,7 @@ from repro.exceptions import ModelError, NotFittedError
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree.forest import CompiledForest
 from repro.models.tree.histogram import HistogramBinner, HistogramTreeBuilder, build_histograms
-from repro.models.tree.splitter import best_histogram_split
+from repro.models.tree.splitter import best_histogram_splits
 from tests.test_compiled_forest import (
     assert_refit_rebuilds_the_forest,
     assert_scores_like_the_oracle,
@@ -97,7 +97,7 @@ class TestHistogramParity:
         assert np.allclose(exact.predict(features), raw)
         assert np.array_equal(raw, hist.predict_binned(binned))
 
-    def test_best_histogram_split_agrees_with_regression_split(self):
+    def test_histogram_split_agrees_with_regression_split(self):
         rng = np.random.default_rng(11)
         values = rng.integers(0, 6, size=200).astype(float)
         gradients = np.where(values > 2.5, 1.0, -1.0) + rng.normal(size=200) * 0.1
@@ -108,9 +108,7 @@ class TestHistogramParity:
         grad_hist, hess_hist, count_hist = build_histograms(
             binned, gradients, hessians, num_bins=64
         )
-        hist = best_histogram_split(
-            grad_hist[0], hess_hist[0], count_hist[0], min_leaf=5
-        )
+        (hist,) = best_histogram_splits(grad_hist[:1], hess_hist[:1], count_hist[:1], min_leaf=5)
         assert exact is not None and hist is not None
         assert hist.score == pytest.approx(exact.score)
         assert hist.left_count == exact.left_count
@@ -131,7 +129,7 @@ class TestHistogramParity:
         )
 
     def test_auc_parity_on_fraud_data(self, feature_matrices):
-        from repro.core.evaluation import roc_auc
+        from benchmarks.paper.sweeps import roc_auc
 
         train, test = feature_matrices
         aucs = {}

@@ -245,9 +245,9 @@ PUBLIC_API = [
     (
         "Histogram split search",
         "repro.models.tree.splitter",
-        ["best_histogram_splits", "best_histogram_split"],
+        ["best_histogram_splits"],
         "The best bin-boundary split of every node of a tree level in one "
-        "call; the one-node form is its view.",
+        "call.",
     ),
     (
         "Quantile cut points",

@@ -134,11 +134,6 @@ class ModelHyperparameters:
         check_fields(self, ConfigurationError)
 
     @classmethod
-    def paper_scale(cls) -> "ModelHyperparameters":
-        """The exact values reported in Section 5.1."""
-        return cls()
-
-    @classmethod
     def laptop_scale(cls, *, seed: int = 17) -> "ModelHyperparameters":
         """Reduced iteration counts for the synthetic laptop-scale worlds."""
         return cls(

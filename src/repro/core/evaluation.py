@@ -141,35 +141,6 @@ def select_threshold(
     return best_threshold
 
 
-def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve (rank statistic, ties averaged).
-
-    Threshold-free companion to the paper's F1/rec@top-k metrics, used by the
-    exact-vs-histogram GBDT A/B to assert score-quality parity without
-    depending on the calibrated decision threshold.  Returns 0.5 when only
-    one class is present.
-    """
-    labels, scores = _validate(labels, scores)
-    num_rows = labels.shape[0]
-    positives = labels.sum()
-    negatives = num_rows - positives
-    if positives == 0 or negatives == 0:
-        return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    boundaries = np.nonzero(np.diff(sorted_scores))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [num_rows]])
-    # 1-based ranks; a tie group spanning [start, end) gets the average rank.
-    average_ranks = (starts + ends + 1) / 2.0
-    ranks = np.empty(num_rows)
-    ranks[order] = np.repeat(average_ranks, ends - starts)
-    positive_rank_sum = ranks[labels > 0.5].sum()
-    return float(
-        (positive_rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
-    )
-
-
 def evaluate_scores(
     labels: np.ndarray,
     scores: np.ndarray,

@@ -72,12 +72,6 @@ class DatasetSlice:
     def name(self) -> str:
         return f"dataset_test_day_{self.spec.test_day}"
 
-    def class_balance(self) -> float:
-        """Fraction of fraudulent transactions in the training window."""
-        if not self.train_transactions:
-            return 0.0
-        return sum(t.is_fraud for t in self.train_transactions) / len(self.train_transactions)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DatasetSlice(test_day={self.spec.test_day}, "

@@ -98,12 +98,6 @@ class UserProfile:
         row["gender"] = self.gender.value
         return row
 
-    @classmethod
-    def from_row(cls, row: Dict[str, object]) -> "UserProfile":
-        data = dict(row)
-        data["gender"] = Gender(data["gender"])
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass
 class Transaction:
@@ -143,12 +137,6 @@ class Transaction:
         row = asdict(self)
         row["channel"] = self.channel.value
         return row
-
-    @classmethod
-    def from_row(cls, row: Dict[str, object]) -> "Transaction":
-        data = dict(row)
-        data["channel"] = TransactionChannel(data["channel"])
-        return cls(**data)  # type: ignore[arg-type]
 
 
 class TransferFields(Protocol):
@@ -264,20 +252,4 @@ def transfer_value_error(amount: float, ip_risk_score: float) -> Optional[str]:
         return f"amount must be a finite positive number, got {amount!r}"
     if not 0.0 <= ip_risk_score <= 1.0:
         return f"ip_risk_score must be in [0, 1], got {ip_risk_score!r}"
-    return None
-
-
-def validate_transaction(txn: Transaction) -> Optional[str]:
-    """Return an error string if ``txn`` violates schema invariants, else None."""
-    value_error = transfer_value_error(txn.amount, txn.ip_risk_score)
-    if value_error is not None:
-        return value_error
-    if not 0 <= txn.hour <= 23:
-        return f"hour must be in [0, 23], got {txn.hour}"
-    if txn.payer_id == txn.payee_id:
-        return "self transfers are not allowed"
-    if txn.day < 0:
-        return f"day must be non-negative, got {txn.day}"
-    if txn.label_available_day < txn.day:
-        return "labels cannot become available before the transaction day"
     return None

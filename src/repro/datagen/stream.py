@@ -277,11 +277,6 @@ class WorldStream(TransactionStream):
         """True in ``order="event"`` mode (days re-sorted by event time)."""
         return self._order == "event"
 
-    def expected_events_per_day(self) -> float:
-        """Expected normal-transaction volume per day (activity-weighted)."""
-        total_activity = sum(p.activity_level for p in self._profiles)
-        return self._config.transactions_per_user_per_day * total_activity
-
     def materialize(self) -> TransactionWorld:
         """Drain the stream into a :class:`TransactionWorld` (small worlds)."""
         return TransactionWorld(
@@ -394,12 +389,6 @@ class ScalableWorldStream(TransactionStream):
     def event_time_ordered(self) -> bool:
         """Always True: hour-by-hour emission with monotone transaction ids."""
         return True
-
-    def expected_events_per_day(self) -> float:
-        """Expected normal-transaction volume per day (activity-weighted)."""
-        return float(
-            self._config.transactions_per_user_per_day * self._accounts.activity_level.sum()
-        )
 
     # ------------------------------------------------------------------
     def _capture_state(self) -> Dict[str, object]:

@@ -71,9 +71,6 @@ class QuantileBinner:
         values = np.asarray(values, dtype=np.float64).ravel()
         return np.searchsorted(self.edges_, values, side="right")
 
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
-
     @property
     def actual_num_bins(self) -> int:
         """Number of distinct bins after fitting (duplicates collapse)."""
@@ -120,6 +117,3 @@ class Discretizer:
             encoded[rows, binner.transform(column)] = 1.0
             columns.append(encoded)
         return np.hstack(columns) if columns else np.zeros((features.shape[0], 0))
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)

@@ -19,7 +19,6 @@ implementation to keep correct.
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -209,14 +208,6 @@ class FeaturePlan:
             ),
         )
 
-    def to_json(self) -> str:
-        """The plan as a JSON string (what ships next to the model file)."""
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FeaturePlan":
-        """Load a plan from its :meth:`to_json` string."""
-        return cls.from_dict(json.loads(payload))
 
 
 # ---------------------------------------------------------------------------

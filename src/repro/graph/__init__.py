@@ -4,16 +4,15 @@ The paper defines the transaction network G = (V, E) where nodes are users and
 directed edges are transfer relationships (Definition 2).  This package
 provides the graph data structure, a builder that constructs the network from
 transaction records, random-walk corpus generation for DeepWalk, and the graph
-statistics used by tests and examples (degree distributions, 2-hop
-neighbourhoods, fraud "gathering" measurements).
+statistics used by tests and examples (degree distributions, fraud
+"gathering" measurements).
 """
 
 from repro.graph.network import TransactionNetwork
 from repro.graph.builder import NetworkBuilder, build_network
-from repro.graph.random_walk import RandomWalkConfig, RandomWalker, generate_walks
+from repro.graph.random_walk import RandomWalkConfig, RandomWalker
 from repro.graph.metrics import (
     degree_statistics,
-    two_hop_neighbors,
     gathering_coefficient,
     shared_neighbor_fraction,
 )
@@ -24,9 +23,7 @@ __all__ = [
     "build_network",
     "RandomWalkConfig",
     "RandomWalker",
-    "generate_walks",
     "degree_statistics",
-    "two_hop_neighbors",
     "gathering_coefficient",
     "shared_neighbor_fraction",
 ]

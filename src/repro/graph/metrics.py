@@ -44,20 +44,6 @@ def degree_statistics(network: TransactionNetwork) -> DegreeStatistics:
     )
 
 
-def two_hop_neighbors(network: TransactionNetwork, node: str) -> Set[str]:
-    """Nodes reachable in exactly two undirected hops from ``node``.
-
-    The node itself and its 1-hop neighbours are excluded.
-    """
-    one_hop = set(network.neighbors(node))
-    two_hop: Set[str] = set()
-    # Order-free: the loop only feeds set.update.
-    for neighbor in one_hop:  # repro-lint: ignore[iteration-order]
-        two_hop.update(network.neighbors(neighbor))
-    two_hop.discard(node)
-    return two_hop - one_hop
-
-
 def shared_neighbor_fraction(
     network: TransactionNetwork, nodes: Iterable[str]
 ) -> float:

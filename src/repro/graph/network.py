@@ -4,7 +4,7 @@ The structure is intentionally simple and dependency-free: adjacency maps of
 ``node -> {neighbor -> weight}`` in both directions, with integer indexing for
 the embedding layers.  It supports the operations the reproduction needs —
 edge accumulation from repeated transfers, undirected neighbour views for
-random walks, per-node degrees and conversion to ``networkx`` for analysis.
+random walks and per-node degrees.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class TransactionNetwork:
         except IndexError as exc:
             raise GraphError(f"node index {index} out of range") from exc
 
-    def has_edge(self, payer: str, payee: str) -> bool:
-        return payee in self._out.get(payer, {})
-
-    def edge_weight(self, payer: str, payee: str) -> float:
-        return self._out.get(payer, {}).get(payee, 0.0)
-
     # ------------------------------------------------------------------
     # Neighbourhoods and degrees
     # ------------------------------------------------------------------
@@ -136,15 +130,6 @@ class TransactionNetwork:
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export to a ``networkx.DiGraph`` for ad-hoc analysis."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes())
-        graph.add_weighted_edges_from(self.edges())
-        return graph
-
     def subgraph(self, nodes: Iterable[str]) -> "TransactionNetwork":
         """Induced subgraph on ``nodes`` (unknown ids are ignored), its node
         index in the caller's first-seen order."""

@@ -117,16 +117,6 @@ class RandomWalker:
         clone._rng = ensure_rng(rng)
         return clone
 
-    def walk_from(self, start: str) -> List[str]:
-        """One truncated random walk starting at ``start``."""
-        start_index = self.network.node_index(start)
-        indices = self._walk_indices(start_index)
-        return [self.network.node_at(i) for i in indices]
-
-    def _walk_indices(self, start_index: int) -> List[int]:
-        row = self.walk_batch(np.array([start_index], dtype=np.int64))[0]
-        return [int(i) for i in row if i >= 0]
-
     def walk_batch(self, start_indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Advance walks for all ``start_indices`` together, one step at a time.
 
@@ -194,21 +184,3 @@ class RandomWalker:
     def generate(self) -> List[List[str]]:
         """Materialise the whole corpus as a list of node-id sequences."""
         return list(self.iter_walks())
-
-
-def generate_walks(
-    network: TransactionNetwork,
-    *,
-    walk_length: int = 50,
-    num_walks_per_node: int = 100,
-    weighted: bool = True,
-    rng: SeedLike = None,
-) -> List[List[str]]:
-    """Convenience wrapper mirroring the paper's DeepWalk configuration."""
-    config = RandomWalkConfig(
-        walk_length=walk_length,
-        num_walks_per_node=num_walks_per_node,
-        weighted=weighted,
-    )
-    return RandomWalker(network, config, rng=rng).generate()
-

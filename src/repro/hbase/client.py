@@ -172,14 +172,14 @@ class HBaseClient:
     ) -> None:
         """The one write step of ``put`` and ``bulk_load``: freeze, log,
         count the region write, drop the (row, family) from ``caches``, apply."""
-        # Frozen before it is logged: log, store and every cache hold this
-        # one immutable value, whatever the caller does to its own afterwards.
-        values = freeze_row(values)
-        self._wal.append(table_name, row_key, column_family, values, version=version)
+        # Frozen once, before it is logged: log, store and every cache hold
+        # this one immutable value, whatever the caller does to its own afterwards.
+        row = freeze_row(values)
+        self._wal.append(table_name, row_key, column_family, row, version=version)
         self._router.record_write(row_key)
         for cache in caches:
             cache.invalidate(table_name, row_key, column_family)
-        family.put_row(row_key, values, version=version)
+        family.put_row(row_key, row, version=version)
 
     def _live_caches(self) -> List[RowCache]:
         """Every attached cache still alive, in one pass over the weak-reference
@@ -242,26 +242,6 @@ class HBaseClient:
             )
         return row
 
-    def get_or_default(
-        self,
-        table_name: str,
-        row_key: str,
-        column_family: str,
-        *,
-        version: Optional[int] = None,
-        default: Optional[Mapping[str, Any]] = None,
-    ) -> Row:
-        """Point read that degrades to ``default`` for unseen users.
-
-        A brand-new account has no row yet; the online predictor must still
-        answer, so it falls back to a neutral default row.  A missing *table*
-        is a deployment problem, not a cold user, and always raises
-        :class:`TableNotFoundError` — only missing *rows* degrade.
-        """
-        return self.multi_get(
-            table_name, (row_key,), column_family, version=version, default=default
-        )[row_key]
-
     def multi_get(
         self,
         table_name: str,
@@ -278,8 +258,10 @@ class HBaseClient:
         transactions needs with one ``multi_get`` per family.  Keys are
         deduplicated, satisfied from the row cache where possible, and the
         remainder read through the region router.  Rows are read-only
-        snapshots shared with the store; missing rows all map to one
-        read-only copy of ``default``.
+        snapshots shared with the store; missing rows (a brand-new account)
+        all map to one read-only copy of ``default``.  A missing *table* is a
+        deployment problem, not a cold user, and raises
+        :class:`TableNotFoundError`.
         """
         absent = freeze_row(default) if default else EMPTY_ROW
         return self._read(table_name, row_keys, column_family, version, absent)

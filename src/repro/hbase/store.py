@@ -97,9 +97,9 @@ class ColumnFamilyStore:
         self._history: Dict[str, Union[int, _RowHistory, _CellHistory]] = {}
 
     # ------------------------------------------------------------------
-    def put_row(self, row_key: str, values: Mapping[str, Any], *, version: int) -> None:
-        """Apply one put: file each cell under its version, swap the snapshot."""
-        frozen = freeze_row(values)
+    def put_row(self, row_key: str, frozen: Row, *, version: int) -> None:
+        """Apply one put of an already frozen row (:func:`freeze_row`): file
+        each cell under its version, swap the snapshot."""
         snapshot = self._latest.get(row_key)
         if snapshot is None:
             if frozen:  # its first put is the row's snapshot and whole history
@@ -197,7 +197,7 @@ class HBaseTable:
         version: int,
     ) -> None:
         """Write several qualifiers of one row in one call."""
-        self.family(column_family).put_row(row_key, values, version=version)
+        self.family(column_family).put_row(row_key, freeze_row(values), version=version)
 
     def get(
         self,

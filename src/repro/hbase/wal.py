@@ -9,10 +9,10 @@ the durability tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Mapping, NamedTuple, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from repro.exceptions import StorageError
-from repro.hbase.store import HBaseTable, Row, freeze_row
+from repro.hbase.store import HBaseTable, Row
 
 
 class WALEntry(NamedTuple):
@@ -43,12 +43,13 @@ class WriteAheadLog:
         table: str,
         row_key: str,
         column_family: str,
-        values: Mapping[str, Any],
+        values: Row,
         *,
         version: int,
     ) -> WALEntry:
+        """Log one put of an already frozen row (:func:`~repro.hbase.store.freeze_row`)."""
         self._sequence += 1
-        entry = WALEntry(self._sequence, table, row_key, column_family, freeze_row(values), version)
+        entry = WALEntry(self._sequence, table, row_key, column_family, values, version)
         self._entries.append(entry)
         return entry
 

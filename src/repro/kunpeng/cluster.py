@@ -171,12 +171,6 @@ class KunPengCluster:
     # ------------------------------------------------------------------
     # Parameter placement and routing
     # ------------------------------------------------------------------
-    def create_parameter(self, name: str, matrix: np.ndarray) -> None:
-        """Partition ``matrix`` row-wise across the server nodes."""
-        if name in self._placements:
-            raise ParameterServerError(f"parameter {name!r} already exists")
-        self.replace_parameter(name, matrix)
-
     def replace_parameter(self, name: str, matrix: np.ndarray) -> None:
         """Host ``matrix`` as ``name``, dropping whatever the name held.
 

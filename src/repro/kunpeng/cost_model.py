@@ -223,10 +223,6 @@ class TrainingTimeEstimate:
     overhead_seconds: float
     total_seconds: float
 
-    @property
-    def total_minutes(self) -> float:
-        return self.total_seconds / 60.0
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "num_machines": float(self.num_machines),
@@ -398,21 +394,3 @@ def estimate_gbdt_time(
         )
         workload["comm_values_per_round"] *= ratio
     return model.estimate(cluster=cluster, **workload)
-
-
-def scalability_curve(
-    machine_counts: Sequence[int] = (4, 10, 20, 40),
-) -> List[Dict[str, float]]:
-    """The Figure 10 series: DW minutes and GBDT seconds per machine count."""
-    rows: List[Dict[str, float]] = []
-    for machines in machine_counts:
-        deepwalk = estimate_deepwalk_time(machines)
-        gbdt = estimate_gbdt_time(machines)
-        rows.append(
-            {
-                "num_machines": float(machines),
-                "deepwalk_minutes": deepwalk.total_minutes,
-                "gbdt_seconds": gbdt.total_seconds,
-            }
-        )
-    return rows

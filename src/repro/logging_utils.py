@@ -133,10 +133,6 @@ class Stopwatch:
         self._start = None
         return self.elapsed_seconds
 
-    @property
-    def elapsed_ms(self) -> float:
-        return self.elapsed_seconds * 1000.0
-
 
 @contextmanager
 def timed() -> Iterator[Stopwatch]:

@@ -71,7 +71,6 @@ class MaxComputeClient:
         self.catalog = TableCatalog()
         self._sql = SQLExecutor(self.catalog)
         self._instance_ids = itertools.count(1)
-        self._status_counts: Dict[str, int] = {status.value: 0 for status in InstanceStatus}
 
     # ------------------------------------------------------------------
     # Table management (the parts of DDL the pipeline needs)
@@ -159,10 +158,4 @@ class MaxComputeClient:
             if result_table is not None:
                 self.catalog.register(table)
             result = JobResult(instance_id, InstanceStatus.TERMINATED, table, stats, query_stats)
-        self._status_counts[result.status.value] += 1
         return result
-
-    # ------------------------------------------------------------------
-    def job_summary(self) -> Dict[str, int]:
-        """Finished jobs per final status — the view a pipeline operator watches."""
-        return dict(self._status_counts)

@@ -21,7 +21,7 @@ depends on pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 from repro.maxcompute.table import Columns, Schema, Table
@@ -195,11 +195,6 @@ class PartitionedTable(Table):
                 row_count=len(indices),
             )
         return zone_map
-
-    def iter_partitions(self) -> Iterator[Tuple[Any, List[int], ZoneMap]]:
-        """Yield ``(key, row_indices, zone_map)`` in sorted key order."""
-        for key in self.partition_keys():
-            yield key, self._partition_indices[key], self.zone_map(key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

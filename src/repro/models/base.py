@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -89,11 +89,3 @@ class BaseDetector(ABC):
             raise ModelError(
                 f"{type(self).__name__} was fitted on {self.num_features_} features, got {width}"
             )
-
-    def get_params(self) -> Dict[str, object]:
-        """Hyperparameters of the detector (for logging and model registry)."""
-        return {
-            key: value
-            for key, value in vars(self).items()
-            if not key.startswith("_") and not isinstance(value, np.ndarray)
-        }

@@ -29,7 +29,6 @@ import numpy as np
 from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, Contract, check_fields, integer
 from repro.exceptions import ModelError
 from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
-from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
 from repro.kunpeng.failover import FailureInjector
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.gbdt import GradientBoostingClassifier
@@ -180,9 +179,6 @@ class DistributedLogisticRegression(BaseDetector):
         assert self.coef_ is not None and self._mean is not None and self._std is not None
         design = (features - self._mean) / self._std
         return sigmoid(design @ self.coef_ + self.intercept_)
-
-    def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
-        return (cost_model or ClusterCostModel()).estimate_recorded(self.cluster, self.stats.rounds)
 
     def close(self) -> None:
         """Release the cluster backend (shard processes, shared memory)."""
@@ -407,10 +403,6 @@ class DistributedGBDT(GradientBoostingClassifier):
         return HistogramTree(root, feature_indices=feature_sample)
 
     # ------------------------------------------------------------------
-    def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
-        """Analytic wall-clock estimate fed by the measured per-round volumes."""
-        return (cost_model or ClusterCostModel()).estimate_recorded(self.cluster, self.stats.rounds)
-
     def close(self) -> None:
         """Release the cluster backend (shard processes, shared memory)."""
         self.cluster.close()

@@ -218,20 +218,6 @@ class GradientBoostingClassifier(BaseDetector):
             return sigmoid(scores)
         return np.clip(scores, 0.0, 1.0)
 
-    @property
-    def num_fitted_trees(self) -> int:
-        return len(self._trees)
-
-    def feature_importances(self, num_features: int) -> np.ndarray:
-        """Split-count feature importances (normalised to sum to 1), one per
-        feature of the fitted width, which ``num_features`` must equal."""
-        self._check_fitted()
-        self._check_width(num_features)
-        assert self._forest is not None
-        counts = self._forest.split_counts(num_features).astype(np.float64)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
     # ------------------------------------------------------------------
     def _initial_prediction(self, labels: np.ndarray, weights: np.ndarray) -> float:
         mean = float(np.average(labels, weights=weights))

@@ -129,13 +129,6 @@ class LogisticRegression(BaseDetector):
         assert self.coef_ is not None
         return sigmoid(design @ self.coef_ + self.intercept_)
 
-    @property
-    def nonzero_coefficients(self) -> int:
-        """Number of non-zero weights after L1 shrinkage (sparsity diagnostic)."""
-        if self.coef_ is None:
-            raise ModelError("model has not been fitted")
-        return int(np.count_nonzero(self.coef_))
-
     # ------------------------------------------------------------------
     def _fit_preprocess(self, features: np.ndarray) -> np.ndarray:
         self._discretizer = None

@@ -15,7 +15,7 @@ The exact sorted-search grower the histogram one is compared with lives in
 """
 
 from repro.models.tree.node import TreeNode
-from repro.models.tree.splitter import best_histogram_split
+from repro.models.tree.splitter import best_histogram_splits
 from repro.models.tree.histogram import (
     HistogramBinner,
     HistogramTree,
@@ -25,7 +25,7 @@ from repro.models.tree.histogram import (
 
 __all__ = [
     "TreeNode",
-    "best_histogram_split",
+    "best_histogram_splits",
     "HistogramBinner",
     "HistogramTree",
     "HistogramTreeBuilder",

@@ -154,7 +154,3 @@ class CompiledForest:
                 passed = np.take_along_axis(rows, below.take(cells), axis=1) <= limits.take(cells)
                 node = exits.take(_codes(passed) + (node << 7))
             yield slice(start, start + len(rows)), node.cumsum(axis=1)
-
-    def split_counts(self, num_features: int) -> np.ndarray:
-        """How many split nodes test each feature (padding slots excluded)."""
-        return np.bincount(self.feature[self.feature >= 0], minlength=num_features)

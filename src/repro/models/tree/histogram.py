@@ -83,9 +83,6 @@ class HistogramBinner:
             binned[:, column] = np.searchsorted(edges, columns[column], side="right")
         return binned
 
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
-
     # ------------------------------------------------------------------
     @property
     def num_features(self) -> int:

@@ -116,18 +116,3 @@ def best_histogram_splits(
         )
     return splits
 
-
-def best_histogram_split(
-    grad_hist: np.ndarray,
-    hess_hist: np.ndarray,
-    count_hist: np.ndarray,
-    *,
-    min_leaf: int = 1,
-    reg_lambda: float = 1.0,
-) -> Optional[HistogramSplit]:
-    """Best bin-boundary split over one node's ``(num_features, num_bins)``
-    histograms: the one-node view of :func:`best_histogram_splits`."""
-    if np.ndim(grad_hist) != 2:
-        raise ModelError("histogram arrays must be 2-dimensional (features, bins)")
-    stacked = (np.asarray(hist)[None] for hist in (grad_hist, hess_hist, count_hist))
-    return best_histogram_splits(*stacked, min_leaf=min_leaf, reg_lambda=reg_lambda)[0]

@@ -37,7 +37,6 @@ from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
 from repro.kunpeng.cluster import BACKENDS, ClusterConfig, KunPengCluster
-from repro.kunpeng.cost_model import ClusterCostModel, TrainingTimeEstimate
 from repro.kunpeng.failover import FailureInjector
 from repro.kunpeng.worker import WorkerNode
 from repro.logging_utils import get_logger
@@ -314,9 +313,3 @@ class DistributedDeepWalk(NRLModel):
     def workload_summary(self) -> Dict[str, float]:
         """Compute/communication totals of the finished run (cost-model input)."""
         return self.cluster.workload_summary()
-
-    def estimate_time(self, cost_model: ClusterCostModel | None = None) -> TrainingTimeEstimate:
-        """Convert the recorded workload into an estimated wall-clock time."""
-        return (cost_model or ClusterCostModel()).estimate_recorded(
-            self.cluster, self.rounds_completed
-        )

@@ -8,9 +8,7 @@ Model Server reads back at prediction time.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -110,34 +108,6 @@ class EmbeddingSet:
             nodes, np.hstack([left, right]), name=f"{self.name}+{other.name}"
         )
 
-    def cosine_similarity(self, a: str, b: str) -> float:
-        """Cosine similarity between two nodes' vectors (0 when either is zero)."""
-        va, vb = self.get(a), self.get(b)
-        denom = np.linalg.norm(va) * np.linalg.norm(vb)
-        if denom == 0.0:
-            return 0.0
-        return float(np.dot(va, vb) / denom)
-
-    def most_similar(self, node: str, *, top_k: int = 10) -> List[Tuple[str, float]]:
-        """Nearest neighbours of ``node`` by cosine similarity."""
-        query = self.get(node)
-        query_norm = np.linalg.norm(query)
-        if query_norm == 0.0:
-            return []
-        norms = np.linalg.norm(self._matrix, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        scores = (self._matrix @ query) / (safe * query_norm)
-        order = np.argsort(-scores)
-        results: List[Tuple[str, float]] = []
-        for row in order:
-            candidate = self._node_ids[row]
-            if candidate == node:
-                continue
-            results.append((candidate, float(scores[row])))
-            if len(results) >= top_k:
-                break
-        return results
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, List[float]]:
         """Plain-dict representation (used by the HBase upload path)."""
@@ -150,20 +120,6 @@ class EmbeddingSet:
             raise EmbeddingError("cannot build an EmbeddingSet from an empty mapping")
         matrix = np.array([mapping[n] for n in nodes], dtype=np.float64)
         return cls(nodes, matrix, name=name)
-
-    def save(self, path: str | Path) -> None:
-        """Persist to ``<path>.npz`` + a JSON side-car with the node index."""
-        path = Path(path)
-        np.savez_compressed(path.with_suffix(".npz"), matrix=self._matrix)
-        payload = {"name": self.name, "node_ids": self._node_ids}
-        path.with_suffix(".json").write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EmbeddingSet":
-        path = Path(path)
-        payload = json.loads(path.with_suffix(".json").read_text())
-        matrix = np.load(path.with_suffix(".npz"))["matrix"]
-        return cls(payload["node_ids"], matrix, name=payload.get("name", "embeddings"))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EmbeddingSet(name={self.name!r}, nodes={len(self)}, dim={self.dimension})"

@@ -90,11 +90,6 @@ class AdmissionController:
         self.shed_intervals = 0
 
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> float:
-        """Current modelled backlog, in requests."""
-        return self._backlog
-
     def on_arrival(self, now_ms: float) -> AdmissionDecision:
         """Decide one arrival at simulated time ``now_ms`` (finite, non-decreasing)."""
         if not math.isfinite(now_ms):

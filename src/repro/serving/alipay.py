@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.contracts import POSITIVE, integer, one_of, optional
 from repro.datagen.schema import Transaction
 from repro.datagen.stream import TransactionStream
 from repro.exceptions import ServingError
@@ -355,12 +356,11 @@ class AlipayServer:
         ride.  Mutually exclusive with ``arrival_rate_per_s`` and only
         supported under the simulated clock.
         """
-        if clock not in ("simulated", "wall"):
-            raise ServingError(f"clock must be 'simulated' or 'wall', got {clock!r}")
+        one_of(("simulated", "wall")).require("clock", clock, ServingError)
+        optional(integer(1)).require("batch_size", batch_size, ServingError)
+        optional(POSITIVE).require("arrival_rate_per_s", arrival_rate_per_s, ServingError)
         if clock == "wall" and arrival_rate_per_s is None:
             raise ServingError("clock='wall' needs arrival_rate_per_s")
-        if batch_size is not None and batch_size < 1:
-            raise ServingError("batch_size must be at least 1")
         if coalescer is not None and batch_size is not None:
             raise ServingError("pass either batch_size or a coalescer config, not both")
         if arrival_times_s is not None and arrival_rate_per_s is not None:
@@ -380,8 +380,6 @@ class AlipayServer:
                 "coalescing and admission control need an arrival clock; "
                 "pass arrival_rate_per_s or arrival_times_s"
             )
-        if arrival_rate_per_s is not None and arrival_rate_per_s <= 0:
-            raise ServingError("arrival_rate_per_s must be positive")
         # The replay order: lazy for ordered streams, sorted otherwise.
         if isinstance(transactions, TransactionStream):
             presorted = transactions.event_time_ordered

@@ -181,11 +181,6 @@ class EmbeddingRefresher:
         """The cumulative transaction network (warmup + observed events)."""
         return self._builder.finish()
 
-    @property
-    def current_version(self) -> int:
-        """Version of the most recent refresh write (or the start version)."""
-        return self._version
-
     def observe_transaction(self, transaction: TransferFields) -> None:
         """Fold one new edge into the graph and enqueue its endpoints.
 

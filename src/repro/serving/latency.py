@@ -32,10 +32,6 @@ class LatencyReport:
     #: Tail percentile the sustained-load harness tracks; 0.0 for empty sets.
     p999_ms: float = 0.0
 
-    @property
-    def sla_violation_rate(self) -> float:
-        return self.sla_violations / self.count if self.count else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         return {name: float(value) for name, value in asdict(self).items()}
 
@@ -102,12 +98,3 @@ class LatencyTracker:
     # ------------------------------------------------------------------
     def report(self) -> LatencyReport:
         return self.merged_report([self])
-
-    def within_sla(self, *, quantile: float = 0.95) -> bool:
-        """True when the requested latency quantile fits inside the SLA budget."""
-        if not self._latencies_ms:
-            return True
-        if not 0.0 < quantile <= 1.0:
-            raise ServingError("quantile must be in (0, 1]")
-        value = float(np.percentile(np.array(self._latencies_ms), quantile * 100.0))
-        return value <= self.sla_budget_ms

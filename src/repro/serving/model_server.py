@@ -173,11 +173,6 @@ class ShadowReport:
     max_abs_divergence: float
     decision_flips: int
 
-    @property
-    def decision_flip_rate(self) -> float:
-        """Fraction of shadow-scored requests whose alert decision flipped."""
-        return self.decision_flips / self.requests if self.requests else 0.0
-
 
 class ModelServer:
     """One Model Server instance."""
@@ -361,11 +356,6 @@ class ModelServer:
             if self._active is not None
             else self.config.alert_threshold
         )
-
-    @property
-    def has_model(self) -> bool:
-        """True once a model has been loaded (the server can answer)."""
-        return self._active is not None
 
     # ------------------------------------------------------------------
     # Online prediction

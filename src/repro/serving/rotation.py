@@ -43,11 +43,6 @@ class RolloutReport:
     replicas_updated: List[int]
     fleet_versions: List[str]
 
-    @property
-    def is_canary(self) -> bool:
-        """True when the rollout left part of the fleet on another version."""
-        return len(set(self.fleet_versions)) > 1
-
 
 class FleetController:
     """Deploy / rollback / canary / shadow over a live Model Server fleet."""
@@ -63,11 +58,6 @@ class FleetController:
     def fleet_versions(self) -> List[str]:
         """The model version each replica is serving right now."""
         return [server.model_version for server in self.fleet]
-
-    @property
-    def canary_version(self) -> Optional[str]:
-        """Version of an in-progress canary rollout (None when fully rolled)."""
-        return self._canary_version
 
     def _roll(
         self, action: str, target: "ModelVersion", replicas: List[int]

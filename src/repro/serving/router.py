@@ -114,14 +114,6 @@ class ServingRouter:
             index = 0
         return self._ring_owners[index]
 
-    def shard_map(self, account_ids: Sequence[str]) -> Dict[int, List[str]]:
-        """Group accounts by owning replica (diagnostics / balance checks)."""
-        shards: Dict[int, List[str]] = {}
-        for account_id in account_ids:
-            shards.setdefault(self.route(account_id), []).append(account_id)
-        return shards
-
-
 def fleet_cache_stats(model_servers: Sequence["ModelServer"]) -> Dict[str, float]:
     """Aggregate RowCache hit/miss statistics across a Model Server fleet.
 

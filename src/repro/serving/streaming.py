@@ -32,9 +32,9 @@ rows and swaps it in as the snapshot, with no per-cell work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Optional, Set
 
-from repro.datagen.schema import Transaction, TransferFields
+from repro.datagen.schema import TransferFields
 from repro.features.streaming import SlidingWindowAggregator
 from repro.hbase.client import AGGREGATES_FAMILY, DEFAULT_FEATURE_TABLE, HBaseClient
 
@@ -99,11 +99,6 @@ class StreamingFeatureUpdater:
         #: these even after the aggregator prunes an idle account entirely.
         self._published: Set[str] = set()
 
-    @property
-    def current_version(self) -> int:
-        """Version of the most recent write-through put."""
-        return self._version
-
     def observe_transaction(self, transaction: TransferFields) -> bool:
         """Ingest one transfer — a transaction, or an online request as it
         is — and write both accounts' rows through.
@@ -140,24 +135,6 @@ class StreamingFeatureUpdater:
             self.publish_snapshot(as_of=watermark)
             self._last_refresh_watermark = watermark
             self.refreshes += 1
-
-    def observe_stream(self, transactions: Iterable[Transaction]) -> int:
-        """Ingest a lazily generated transaction stream, one event at a time.
-
-        Accepts any iterable — in particular a
-        :class:`~repro.datagen.stream.TransactionStream` — and never
-        materializes it; memory stays bounded by the aggregator's window
-        state.  Events must arrive in event-time order (within the
-        aggregator's lateness bound); the stream classes emit that order
-        directly.  Returns the number of events actually ingested (late
-        events beyond the retention horizon are skipped, as in
-        :meth:`observe_transaction`).
-        """
-        ingested = 0
-        for transaction in transactions:
-            if self.observe_transaction(transaction):
-                ingested += 1
-        return ingested
 
     def observe_request(self, request: "TransactionRequest") -> bool:
         """Ingest an online transaction request (the Alipay-server hook)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ import pytest
 from repro.datagen import generate_world
 from repro.datagen.datasets import DatasetBuilder, small_world_config
 from repro.datagen.profiles import ProfileConfig
+from repro.datagen.schema import Transaction, transfer_value_error
 from repro.datagen.transactions import WorldConfig
 from repro.features.basic import BasicFeatureExtractor
 from repro.graph.builder import build_network
@@ -26,6 +27,23 @@ from repro.graph.builder import build_network
 
 TEST_NETWORK_DAYS = 18
 TEST_TRAIN_DAYS = 6
+
+
+def validate_transaction(txn: Transaction) -> Optional[str]:
+    """The schema invariant a generated transaction breaks, or None."""
+    value_error = transfer_value_error(txn.amount, txn.ip_risk_score)
+    if value_error is not None:
+        return value_error
+    if not 0 <= txn.hour <= 23:
+        return f"hour must be in [0, 23], got {txn.hour}"
+    if txn.payer_id == txn.payee_id:
+        return "self transfers are not allowed"
+    if txn.day < 0:
+        return f"day must be non-negative, got {txn.day}"
+    if txn.label_available_day < txn.day:
+        return "labels cannot become available before the transaction day"
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Determinism sanitizer support (scripts/run_determinism_check.py)

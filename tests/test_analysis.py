@@ -27,6 +27,7 @@ from tools.analysis import (
     run_analysis,
 )
 from tools.analysis.checkers.layering import LayeringChecker
+from tools.analysis.checkers.unreached import ENTRY_POINTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -571,6 +572,93 @@ class TestDuplicateDefinition:
 
 
 # ---------------------------------------------------------------------------
+# Rule 7: unreached-public
+# ---------------------------------------------------------------------------
+
+
+class TestUnreachedPublic:
+    def test_flags_a_planted_unreached_function(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/serving/a.py": """
+                class Widget:
+                    def spin(self):
+                        return _helper()
+
+                    def wobble(self):
+                        return 1
+
+                def _helper():
+                    return 2
+
+                def orphan():
+                    \"\"\"Nothing calls this.\"\"\"
+                """,
+                "repro/serving/b.py": """
+                from repro.serving.a import Widget
+                def serve(widget: Widget):
+                    return widget.spin()
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("src/repro/serving/a.py", 6),
+            ("src/repro/serving/a.py", 12),
+            ("src/repro/serving/b.py", 3),
+        ]
+        assert [f.message.split()[0] for f in report.findings] == [
+            "Widget.wobble", "orphan", "serve"
+        ]
+
+    def test_an_allow_listed_entry_point_is_not_flagged(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/hbase/client.py": """
+                class HBaseClient:
+                    def replay_wal_into(self):
+                        return 1
+
+                    def replay_into(self):
+                        return 1
+                """,
+                "repro/serving/server.py": """
+                from repro.hbase.client import HBaseClient
+                CLIENT = HBaseClient()
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert "HBaseClient.replay_wal_into" in ENTRY_POINTS
+        assert [f.message.split()[0] for f in report.findings] == ["HBaseClient.replay_into"]
+        assert len(ENTRY_POINTS) <= 20 and all(ENTRY_POINTS.values())
+
+    def test_a_package_re_export_is_not_a_use(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/graph/__init__.py": """
+                \"\"\"The graph layer.\"\"\"
+                from repro.graph.metrics import two_hop
+                __all__ = ["two_hop"]
+                """,
+                "repro/graph/metrics.py": "def two_hop(network):\n    return network\n",
+            },
+            rules=["unreached-public"],
+        )
+        assert [(f.path, f.line) for f in report.findings] == [("src/repro/graph/metrics.py", 1)]
+
+    def test_a_name_used_only_in_examples_is_reached(self, tmp_path):
+        files = {"repro/models/rules.py": "def high_risk(rules):\n    return rules\n"}
+        assert len(analyze(tmp_path, files, rules=["unreached-public"]).findings) == 1
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text("print(high_risk([]))\n")
+        assert analyze(tmp_path, files, rules=["unreached-public"]).findings == []
+
+
+# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -614,6 +702,7 @@ VIOLATIONS = {
     ),
     "layering": "from repro.serving import router\n",
     "iteration-order": "def f(xs):\n    return [x for x in set(xs)]\n",
+    "unreached-public": "def orphan():\n    return 1\n",
 }
 
 #: Layer whose rules make each snippet a violation.
@@ -623,6 +712,7 @@ VIOLATION_DIRS = {
     "shm-lifecycle": "repro/kunpeng",
     "layering": "repro/features",
     "iteration-order": "repro/datagen",
+    "unreached-public": "repro/serving",
 }
 
 
@@ -653,6 +743,11 @@ class TestLintRepoCli:
             line.startswith(bad.as_posix()) and ":" in line
             for line in result.stdout.splitlines()
         ), result.stdout
+
+    def test_a_clean_module_linted_alone_has_no_unreached_public_finding(self):
+        # Its callers live in other modules, which the one-file run does not lint.
+        result = run_cli("src/repro/hbase/client.py")
+        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_json_output_parses(self):
         result = run_cli("--json")

@@ -174,7 +174,8 @@ def test_shallow_leaf_is_replicated_so_nan_reaches_it():
     assert compiled.depth == 2
     features = np.array([[np.nan, np.nan], [-1.0, np.nan], [0.0, 0.0], [np.inf, -np.inf]])
     assert compiled.decision_function(features).tolist() == [31.0, 29.0, 9.0, 21.0]
-    assert compiled.split_counts(3).tolist() == [2, 1, 0]
+    # three split nodes; the replicated padding slots test no feature
+    assert np.bincount(compiled.feature[compiled.feature >= 0], minlength=3).tolist() == [2, 1, 0]
 
 
 def test_categorical_and_empty_forests_are_rejected():
@@ -210,8 +211,8 @@ def test_fitted_models_score_like_the_oracle(kind, objective, small_classificati
 
 
 def assert_scores_like_the_oracle(model, width: int) -> None:
-    """A 14-tree ``model`` fitted on ``width`` columns scores, stages and
-    counts splits exactly as the oracle walks its trees."""
+    """A 14-tree ``model`` fitted on ``width`` columns scores and stages
+    exactly as the oracle walks its trees."""
     probe = np.random.default_rng(1).normal(size=(50, width))
     probe[3, 2] = np.nan
     probe[4, :] = np.inf
@@ -222,14 +223,6 @@ def assert_scores_like_the_oracle(model, width: int) -> None:
     stages = list(model.staged_predict_proba(probe, every=4))
     assert [used for used, _ in stages] == [4, 8, 12, 14]
     assert np.array_equal(stages[-1][1], model.predict_proba(probe))
-    walked = np.zeros(width)
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            walked[node.feature_index] += 1.0
-            stack.extend(node.iter_children())
-    assert np.array_equal(model.feature_importances(width), walked / walked.sum())
 
 
 def test_sigmoid_is_the_clip_spelling_bit_for_bit():
@@ -284,7 +277,6 @@ def assert_refit_rebuilds_the_forest(make_model, features, labels) -> None:
     fresh.fit(features[second], labels[second])
 
     after = model.predict_proba(features[second])
-    assert model.num_fitted_trees == 14
     assert not np.array_equal(before, after)
     assert np.array_equal(after, fresh.predict_proba(features[second]))
     last_stage = list(model.staged_predict_proba(features[second], every=1))[-1]
@@ -316,16 +308,3 @@ def test_scores_after_rejects_counts_outside_the_forest():
         compiled.scores_after(features, [0, 4]),
         oracle_staged(roots, features, 0.5, 1.0)[:, [0, 4]],
     )
-
-
-@pytest.mark.parametrize("kind", ["single", "distributed"])
-def test_feature_importances_reject_another_width(kind, small_classification_data):
-    """``bincount``'s ``minlength`` is only a minimum: any width used to come
-    back as the model's own, or wider."""
-    features, labels = small_classification_data
-    model = _fitted(kind, "logistic", features[:200], labels[:200])
-    width = features.shape[1]
-    for bad in (2, width - 1, width + 1):
-        with pytest.raises(ModelError, match=f"fitted on {width} features"):
-            model.feature_importances(bad)
-    assert model.feature_importances(width).shape == (width,)

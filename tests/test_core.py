@@ -91,7 +91,7 @@ class TestConfiguration:
         assert FeatureSetName.BASIC_DW_S2V.uses_structure2vec
 
     def test_hyperparameters_validation(self):
-        ModelHyperparameters.paper_scale()
+        ModelHyperparameters()
         with pytest.raises(ConfigurationError):
             ModelHyperparameters(embedding_dimension=0)
         with pytest.raises(ConfigurationError):
@@ -187,17 +187,6 @@ class TestPipelineAndExperiment:
         test_matrix = experiment_runner.pipeline.evaluate(preparation, bundle)
         assert test_matrix.num_features == len(bundle.feature_names)
 
-    def test_node_sampling_sweep(self, experiment_runner):
-        results = experiment_runner.run_node_sampling_sweep(sampling_counts=(2, 4))
-        assert set(results) == {2, 4}
-
-    def test_tree_sweep_uses_the_staged_gbdt(self, experiment_runner):
-        results = experiment_runner.run_tree_sweep(
-            tree_counts=(4, 2), feature_sets=(FeatureSetName.BASIC,)
-        )
-        assert list(results) == ["basic"] and sorted(results["basic"]) == [2, 4]
-        assert all(0.0 <= f1 <= 1.0 for f1 in results["basic"].values())
-
     def test_maxcompute_backed_network_matches_direct(self, world, dataset):
         direct = OfflineTrainingPipeline(
             world.profiles_by_id, ModelHyperparameters.fast_test_scale()
@@ -220,7 +209,7 @@ class TestPipelineAndExperiment:
         hbase = HBaseClient()
         server = ModelServer(hbase, ModelServerConfig())
         experiment_runner.pipeline.deploy_fleet(bundle, preparation, hbase, [server])
-        assert server.has_model
+        assert server.active_model is not None
 
         # Online scoring equals offline scoring on the same transaction.
         txn = dataset.test_transactions[0]

@@ -13,15 +13,11 @@ from repro.datagen import generate_world
 from repro.datagen.datasets import DatasetBuilder, RollingDatasets, small_world_config
 from repro.datagen.fraud import FraudConfig, FraudsterBehaviorModel, TypologyConfig
 from repro.datagen.profiles import ProfileConfig, ProfileGenerator, profiles_by_id
-from repro.datagen.schema import (
-    Transaction,
-    TransactionChannel,
-    city_tier,
-    validate_transaction,
-)
+from repro.datagen.schema import Transaction, TransactionChannel, city_tier
 from repro.datagen.stream import WorldStream
 from repro.datagen.transactions import WorldConfig
 from repro.exceptions import DataGenerationError
+from tests.conftest import validate_transaction
 
 
 class TestProfiles:

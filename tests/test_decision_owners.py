@@ -16,7 +16,6 @@ import inspect
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from benchmarks.paper.table1 import build_table1_detector
@@ -31,7 +30,6 @@ from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
 from repro import models
 from repro.models import tree
 from repro.models.gbdt import GradientBoostingClassifier
-from repro.models.tree import splitter
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.serving.embedding_refresh import EmbeddingRefreshConfig, EmbeddingRefresher
 from repro.serving.feature_source import HBaseFeatureSource
@@ -189,22 +187,6 @@ def test_quantiles_are_taken_only_in_discretization():
         if "np.quantile(" in path.read_text()
     ]
     assert spelled == ["src/repro/features/discretization.py"]
-
-
-def test_best_histogram_split_is_the_level_searchs_one_node_view(monkeypatch):
-    calls = []
-    level_search = splitter.best_histogram_splits
-
-    def spy(*histograms, **kwargs):
-        calls.append([hist.shape for hist in histograms])
-        return level_search(*histograms, **kwargs)
-
-    monkeypatch.setattr(splitter, "best_histogram_splits", spy)
-    grad = np.array([[-1.0, 1.0]])
-    count = np.array([[3.0, 3.0]])
-    split = splitter.best_histogram_split(grad, count, count)
-    assert calls == [[(1, 1, 2)] * 3]
-    assert split is not None and split.bin_index == 0
 
 
 #: What a second way of doing one thing in ``src/`` was spelled with: the

@@ -159,7 +159,8 @@ def test_refresh_sweep_wal_order_checksum(record_checksum):
     updater = StreamingFeatureUpdater(
         engine, hbase, refresh_interval_seconds=float(SECONDS_PER_HOUR)
     )
-    updater.observe_stream(generate_world(_small_config()).transactions)
+    for transaction in generate_world(_small_config()).transactions:
+        updater.observe_transaction(transaction)
     assert updater.refreshes > 0
     digest = hashlib.sha256(
         "|".join(f"{e.row_key}@{e.version}" for e in hbase.wal.entries()).encode()

@@ -383,7 +383,7 @@ class TestStreamingIntegration:
             aggregator, hbase, TABLE,
             start_version=100, embedding_refresher=refresher,
         )
-        ingested = updater.observe_stream(delta)
+        ingested = sum(updater.observe_transaction(transaction) for transaction in delta)
         assert ingested == len(delta)
         assert refresher.events_observed == len(delta)
         assert len(refresher.queue) > 0

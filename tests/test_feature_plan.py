@@ -51,7 +51,7 @@ class TestFeaturePlan:
             ),
             embedding_side="both",
         )
-        restored = FeaturePlan.from_json(plan.to_json())
+        restored = FeaturePlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert restored == plan
         assert restored.feature_names == plan.feature_names
         assert restored.num_features == 52 + 2 * (8 + 4)
@@ -77,16 +77,16 @@ class TestFeaturePlan:
             FeaturePlan(basic_feature_names=tuple(reversed(BASIC_FEATURE_NAMES)))
         with pytest.raises(FeatureError):
             FeaturePlan(basic_feature_names=tuple(BASIC_FEATURE_NAMES[:-1]))
-        payload = json.loads(FeaturePlan().to_json())
+        payload = FeaturePlan().to_dict()
         payload["basic_feature_names"][0], payload["basic_feature_names"][1] = (
             payload["basic_feature_names"][1],
             payload["basic_feature_names"][0],
         )
         with pytest.raises(FeatureError):
-            FeaturePlan.from_json(json.dumps(payload))
+            FeaturePlan.from_dict(json.loads(json.dumps(payload)))
         payload["basic_feature_names"] = list(BASIC_FEATURE_NAMES) + ["from_the_future"]
         with pytest.raises(FeatureError):
-            FeaturePlan.from_json(json.dumps(payload))
+            FeaturePlan.from_dict(json.loads(json.dumps(payload)))
         # The canonical list, as a list (what JSON carries), still loads.
         assert FeaturePlan(basic_feature_names=list(BASIC_FEATURE_NAMES)) == FeaturePlan()
 
@@ -177,8 +177,8 @@ class TestOfflineOnlineParity:
 
     def test_plan_survives_registry_round_trip(self, deployed):
         assembler, _, _ = deployed
-        payload = assembler.plan.to_json()
-        assert FeaturePlan.from_json(payload) == assembler.plan
+        payload = json.dumps(assembler.plan.to_dict())
+        assert FeaturePlan.from_dict(json.loads(payload)) == assembler.plan
 
 
 class _RecordingRow(dict):

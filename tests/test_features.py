@@ -88,7 +88,7 @@ class TestFeatureMatrix:
 class TestDiscretization:
     def test_quantile_binner_spreads_rows(self):
         values = np.random.default_rng(0).exponential(size=1000)
-        bins = QuantileBinner(10).fit_transform(values)
+        bins = QuantileBinner(10).fit(values).transform(values)
         counts = np.bincount(bins.astype(int), minlength=10)
         assert counts.min() > 50  # roughly equal-frequency
 
@@ -99,14 +99,14 @@ class TestDiscretization:
     def test_discretizer_one_hot_expands_columns(self, feature_matrices):
         train, _ = feature_matrices
         discretizer = Discretizer(6)
-        transformed = discretizer.fit_transform(train.values)
+        transformed = discretizer.fit(train.values).transform(train.values)
         assert transformed.shape[1] > train.num_features
         assert set(np.unique(transformed)) <= {0.0, 1.0} | set(
             np.unique(train.values[:, [train.feature_names.index(n) for n in train.feature_names if n in ("payer_home_city_bucket",)]]).tolist()
         ) or transformed.max() <= train.values.max()
         # Binary flags pass through unbinned.
         flag = train.values[:, [train.feature_names.index("is_new_device")]]
-        assert np.array_equal(Discretizer(6).fit_transform(flag), flag)
+        assert np.array_equal(Discretizer(6).fit(flag).transform(flag), flag)
 
 
 class TestAggregation:
@@ -183,6 +183,6 @@ class TestFeatureAssembler:
 def test_binner_output_range_property(values, num_bins):
     """Quantile bins always land inside [0, num_bins)."""
     array = np.array(values)
-    bins = QuantileBinner(num_bins).fit_transform(array)
+    bins = QuantileBinner(num_bins).fit(array).transform(array)
     assert bins.min() >= 0
     assert bins.max() < num_bins

@@ -142,17 +142,17 @@ class TestRegionsAndWAL:
         client.create_feature_store()
         client.put("titant_features", "u1", BASIC_FEATURES_FAMILY, {"age": 30}, version=1)
         assert client.get("titant_features", "u1", BASIC_FEATURES_FAMILY)["age"] == 30
-        assert client.get_or_default(
-            "titant_features", "ghost", BASIC_FEATURES_FAMILY, default={"age": 0}
-        ) == {"age": 0}
+        assert client.multi_get(
+            "titant_features", ["ghost"], BASIC_FEATURES_FAMILY, default={"age": 0}
+        )["ghost"] == {"age": 0}
         with pytest.raises(TableNotFoundError):
             client.get("missing_table", "u1", BASIC_FEATURES_FAMILY)
         assert client.wal_size() == 1
 
-    def test_get_or_default_raises_on_missing_table(self):
+    def test_defaulted_read_raises_on_missing_table(self):
         client = HBaseClient()
         with pytest.raises(TableNotFoundError):
-            client.get_or_default("nope", "u1", BASIC_FEATURES_FAMILY, default={})
+            client.multi_get("nope", ["u1"], BASIC_FEATURES_FAMILY, default={})
 
     def test_multi_get_batches_and_defaults(self):
         client = HBaseClient()
@@ -269,7 +269,7 @@ class TestLatencyTracker:
         assert report.count == 4
         assert report.max_ms == 20.0
         assert report.sla_violations == 1
-        assert not tracker.within_sla(quantile=0.99)
+        assert report.p99_ms > tracker.sla_budget_ms
 
     def test_invalid_values_rejected(self):
         tracker = LatencyTracker()
@@ -280,14 +280,14 @@ class TestLatencyTracker:
 
     def test_a_nan_sample_is_rejected_and_leaves_the_report_intact(self):
         """A NaN sample used to pass ``latency_ms < 0`` and turn p50, p99 and
-        max into NaN, with zero SLA violations and ``within_sla()`` False."""
+        max into NaN, with zero SLA violations."""
         tracker = LatencyTracker(sla_budget_ms=10.0)
         tracker.record(2.0)
         with pytest.raises(ServingError, match="non-negative"):
             tracker.record(float("nan"))
         report = tracker.report()
         assert (report.count, report.p50_ms, report.p99_ms, report.max_ms) == (1, 2.0, 2.0, 2.0)
-        assert tracker.within_sla()
+        assert report.sla_violations == 0
 
     def test_a_batch_record_stores_count_equal_samples(self):
         """One call per batch stores what one call per row stored."""

@@ -127,7 +127,7 @@ _whole_row_puts = st.tuples(
 _pins = st.one_of(st.none(), st.integers(0, 4))
 _defaults = st.one_of(st.none(), st.just({}), st.just({"q0": -1}))
 _reads = st.tuples(
-    st.sampled_from(("get", "get_or_default", "multi_get")),
+    st.sampled_from(("get", "get_one_or_default", "multi_get")),
     st.integers(0, 1),
     st.lists(_read_keys, min_size=1, max_size=6),
     st.sampled_from(FAMILIES),
@@ -210,8 +210,8 @@ def _reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
                 continue
             probes += 1
             model = expected(keys[0], family, pin)
-            if kind == "get_or_default":
-                row = client.get_or_default(TABLE, keys[0], family, version=pin, default=default)
+            if kind == "get_one_or_default":
+                row = client.multi_get(TABLE, keys[:1], family, version=pin, default=default)[keys[0]]
                 assert _plain(row) == (model if model is not None else default or {})
             elif model is None:
                 with pytest.raises(RowNotFoundError):
@@ -734,7 +734,7 @@ class TestColdAccounts:
         for probe in range(1, 4):
             rows_before, reads_before = len(cache), _region_reads(client)
             misses_before = client.row_cache_stats()["misses"]
-            assert client.get_or_default(TABLE, "ghost", BASIC_FEATURES_FAMILY) == {}
+            assert client.multi_get(TABLE, ["ghost"], BASIC_FEATURES_FAMILY) == {"ghost": {}}
             assert len(cache) == rows_before
             assert client.row_cache_stats()["misses"] == misses_before + 1
             assert _region_reads(client) == reads_before + 1
@@ -791,7 +791,7 @@ class TestColdAccounts:
             )
         rows = client.multi_get(TABLE, ["u1", "ghost"], BASIC_FEATURES_FAMILY)
         assert rows == {"u1": {"age": 30}, "ghost": {}}
-        assert client.get_or_default(TABLE, "ghost", BASIC_FEATURES_FAMILY) == {}
+        assert client.multi_get(TABLE, ["ghost"], BASIC_FEATURES_FAMILY) == {"ghost": {}}
         assert client.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 30}
         assert pins == [None] * (4 if ttl == 0.0 else 3)  # the last read is a cache hit
 
@@ -929,7 +929,7 @@ class TestInjectedClock:
 
         cached = _store(row_cache_ttl_s=TTL_S, clock=clock)
         cached.multi_get(TABLE, [f"u{i}" for i in range(50)], BASIC_FEATURES_FAMILY)
-        cached.get_or_default(TABLE, "u1", BASIC_FEATURES_FAMILY)
+        cached.multi_get(TABLE, ["u1"], BASIC_FEATURES_FAMILY)
         assert len(readings) == 2
         _store(row_cache_ttl_s=0.0, clock=clock).multi_get(TABLE, ["u1"], BASIC_FEATURES_FAMILY)
         assert len(readings) == 2

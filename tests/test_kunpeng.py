@@ -26,7 +26,6 @@ from repro.kunpeng.cost_model import (
     ClusterCostModel,
     deepwalk_round_volume,
     gbdt_round_volume,
-    scalability_curve,
 )
 from repro.models.distributed import DistributedGBDT, DistributedLogisticRegression
 from repro.models.gbdt import GradientBoostingClassifier
@@ -103,12 +102,12 @@ class TestCluster:
     def test_parameter_partitioning_and_reassembly(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=6))
         matrix = np.arange(20.0).reshape(10, 2)
-        cluster.create_parameter("emb", matrix)
+        cluster.replace_parameter("emb", matrix)
         assert np.allclose(cluster.pull_matrix("emb"), matrix)
 
     def test_push_routes_to_owning_server(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=4))
-        cluster.create_parameter("emb", np.zeros((8, 2)))
+        cluster.replace_parameter("emb", np.zeros((8, 2)))
         cluster.push_row_block("emb", np.array([0, 7]), np.array([[1.0, 1.0], [2.0, 2.0]]))
         updated = cluster.pull_matrix("emb")
         assert updated[0].tolist() == [-1.0, -1.0]
@@ -121,23 +120,17 @@ class TestCluster:
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
 
-    def test_duplicate_parameter_rejected(self):
-        cluster = KunPengCluster(ClusterConfig(num_machines=4))
-        cluster.create_parameter("w", np.zeros((4, 2)))
-        with pytest.raises(ParameterServerError):
-            cluster.create_parameter("w", np.zeros((4, 2)))
-
     def test_pull_row_block_routes_across_shards(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=6))  # 3 servers
         matrix = np.arange(24.0).reshape(12, 2)
-        cluster.create_parameter("emb", matrix)
+        cluster.replace_parameter("emb", matrix)
         rows = np.array([11, 0, 5, 0])  # out of order, duplicated, all shards
         block = cluster.pull_row_block("emb", rows)
         assert np.allclose(block, matrix[rows])
 
     def test_push_row_block_applies_row_sparse_update(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=6))
-        cluster.create_parameter("emb", np.zeros((12, 2)))
+        cluster.replace_parameter("emb", np.zeros((12, 2)))
         rows = np.array([0, 6, 11])
         grads = np.ones((3, 2))
         cluster.push_row_block("emb", rows, grads, learning_rate=0.5)
@@ -148,7 +141,7 @@ class TestCluster:
 
     def test_unknown_rows_rejected_by_block_apis(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=4))
-        cluster.create_parameter("emb", np.zeros((8, 2)))
+        cluster.replace_parameter("emb", np.zeros((8, 2)))
         with pytest.raises(ParameterServerError):
             cluster.pull_row_block("emb", np.array([99]))
         with pytest.raises(ParameterServerError):
@@ -156,7 +149,7 @@ class TestCluster:
 
     def test_per_round_accounting_excludes_out_of_round_traffic(self):
         cluster = KunPengCluster(ClusterConfig(num_machines=4))
-        cluster.create_parameter("emb", np.zeros((8, 2)))
+        cluster.replace_parameter("emb", np.zeros((8, 2)))
         cluster.begin_round()
         cluster.pull_row_block("emb", np.array([0, 1, 2]))
         cluster.push_row_block("emb", np.array([0, 1, 2]), np.ones((3, 2)))
@@ -187,7 +180,7 @@ class TestFailover:
 
 class TestCostModel:
     def test_deepwalk_time_decreases_with_machines(self):
-        times = [estimate_deepwalk_time(m).total_minutes for m in (4, 10, 20, 40)]
+        times = [estimate_deepwalk_time(m).total_seconds / 60.0 for m in (4, 10, 20, 40)]
         assert times == sorted(times, reverse=True)
 
     def test_gbdt_time_flattens_beyond_20_machines(self):
@@ -197,11 +190,6 @@ class TestCostModel:
         assert t20 < t4
         # From 20 to 40 machines the improvement (if any) is marginal.
         assert t40 > 0.8 * t20
-
-    def test_scalability_curve_columns(self):
-        rows = scalability_curve()
-        assert {"num_machines", "deepwalk_minutes", "gbdt_seconds"} <= set(rows[0])
-        assert [r["num_machines"] for r in rows] == [4.0, 10.0, 20.0, 40.0]
 
     def test_invalid_cost_model_rejected(self):
         with pytest.raises(Exception):
@@ -239,7 +227,8 @@ class TestDistributedTraining:
         summary = model.workload_summary()
         assert summary["worker_compute_units"] > 0
         assert summary["values_transferred"] > 0
-        assert model.estimate_time().total_seconds > 0
+        estimate = ClusterCostModel().estimate_recorded(model.cluster, model.rounds_completed)
+        assert estimate.total_seconds > 0
 
     def test_distributed_deepwalk_survives_worker_failures(self, network):
         config = DistributedDeepWalkConfig(
@@ -254,7 +243,7 @@ class TestDistributedTraining:
         assert model.failure_injector.total_failures > 0
         assert len(model.embeddings()) == network.num_nodes
 
-    def test_estimate_time_reflects_recorded_round_traffic(self, network):
+    def test_recorded_estimate_reflects_round_traffic(self, network):
         config = DistributedDeepWalkConfig(
             cluster=ClusterConfig(num_machines=4),
             walk=RandomWalkConfig(walk_length=8, num_walks_per_node=2),
@@ -265,7 +254,7 @@ class TestDistributedTraining:
         model = DistributedDeepWalk(config).fit(network)
         summary = model.workload_summary()
         cost_model = ClusterCostModel()
-        estimate = model.estimate_time(cost_model)
+        estimate = cost_model.estimate_recorded(model.cluster, model.rounds_completed)
         expected = cost_model.estimate(
             total_compute_units=summary["worker_compute_units"],
             comm_values_per_round=summary["values_per_round"],
@@ -340,9 +329,10 @@ class TestDistributedTraining:
         ).fit(features, labels)
         accuracy = (model.predict(features) == labels).mean()
         assert accuracy > 0.8
-        assert model.estimate_time().total_seconds > 0
+        estimate = ClusterCostModel().estimate_recorded(model.cluster, model.stats.rounds)
+        assert estimate.total_seconds > 0
 
-    def test_lr_estimate_time_uses_round_traffic(self, small_classification_data):
+    def test_lr_recorded_estimate_uses_round_traffic(self, small_classification_data):
         features, labels = small_classification_data
         model = DistributedLogisticRegression(
             cluster=ClusterConfig(num_machines=4), iterations=25, seed=0
@@ -350,7 +340,7 @@ class TestDistributedTraining:
         summary = model.cluster.workload_summary()
         assert summary["rounds_recorded"] == model.stats.rounds
         cost_model = ClusterCostModel()
-        estimate = model.estimate_time(cost_model)
+        estimate = cost_model.estimate_recorded(model.cluster, model.stats.rounds)
         expected = cost_model.estimate(
             total_compute_units=summary["worker_compute_units"],
             comm_values_per_round=summary["values_per_round"],
@@ -413,10 +403,8 @@ class TestDistributedGBDTHistogram:
             "subsample_features", "min_samples_leaf", "reg_lambda", "objective",
             "class_weight", "num_bins",
         )
-        single_params = single.get_params()
-        distributed_params = distributed.get_params()
         for key in shared:
-            assert distributed_params[key] == single_params[key]
+            assert getattr(distributed, key) == getattr(single, key)
 
     def test_hist_round_volume_independent_of_row_count(self):
         """The tentpole claim: per-round traffic scales with bins x features,

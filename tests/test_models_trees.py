@@ -17,7 +17,6 @@ from repro.models.tree.histogram import (
     build_histograms,
 )
 from repro.models.tree import splitter
-from repro.models.tree.splitter import best_histogram_split
 
 
 class TestHistogramBinner:
@@ -35,8 +34,8 @@ class TestHistogramBinner:
 
     def test_dtype_follows_bin_count(self):
         values = np.random.default_rng(1).normal(size=(50, 2))
-        assert HistogramBinner(num_bins=256).fit_transform(values).dtype == np.uint8
-        assert HistogramBinner(num_bins=300).fit_transform(values).dtype == np.uint16
+        assert HistogramBinner(num_bins=256).fit(values).transform(values).dtype == np.uint8
+        assert HistogramBinner(num_bins=300).fit(values).transform(values).dtype == np.uint16
 
     def test_invalid_inputs(self):
         with pytest.raises(ModelError):
@@ -102,17 +101,19 @@ class TestHistogramTree:
             for target, expected in zip(merged, whole):
                 assert np.allclose(target, expected)
 
-    def test_best_histogram_split_rejects_bad_shapes(self):
+    def test_best_histogram_splits_rejects_bad_shapes(self):
         with pytest.raises(ModelError):
-            best_histogram_split(np.ones(4), np.ones(4), np.ones(4))
+            splitter.best_histogram_splits(np.ones(4), np.ones(4), np.ones(4))
         with pytest.raises(ModelError):
-            best_histogram_split(np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 5)))
+            splitter.best_histogram_splits(
+                np.ones((1, 2, 4)), np.ones((1, 2, 4)), np.ones((1, 2, 5))
+            )
         # A constant feature (single populated bin) yields no split.
-        grad = np.zeros((1, 4))
-        grad[0, 1] = 3.0
-        count = np.zeros((1, 4))
-        count[0, 1] = 10.0
-        assert best_histogram_split(grad, count.copy(), count, min_leaf=1) is None
+        grad = np.zeros((1, 1, 4))
+        grad[0, 0, 1] = 3.0
+        count = np.zeros((1, 1, 4))
+        count[0, 0, 1] = 10.0
+        assert splitter.best_histogram_splits(grad, count.copy(), count, min_leaf=1) == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +217,6 @@ def _level_search_matches_per_node(shape, seed, tie_features, dense_gradients, m
             min_leaf=min_leaf, reg_lambda=reg_lambda,
         )
         assert _split_bits(found[node]) == expected
-        one = best_histogram_split(
-            grad_hist[node], hess_hist[node], count_hist[node],
-            min_leaf=min_leaf, reg_lambda=reg_lambda,
-        )
-        assert _split_bits(one) == expected
 
 
 test_level_search_matches_per_node_property = settings(max_examples=80, deadline=None)(

@@ -171,7 +171,7 @@ def _cluster_exercise(backend: str):
     rng = np.random.default_rng(42)
     matrix = rng.random((60, 6))
     with KunPengCluster(ClusterConfig(num_machines=6), backend=backend) as cluster:
-        cluster.create_parameter("p", matrix)
+        cluster.replace_parameter("p", matrix)
         rows = rng.integers(0, 60, size=40)
         grads = rng.random((40, 6))
         cluster.push_row_block("p", rows, grads, learning_rate=0.2)
@@ -288,7 +288,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_replace_parameter_rehosts_and_frees_the_old_blocks(self, backend):
         with KunPengCluster(ClusterConfig(num_machines=6), backend=backend) as cluster:
-            cluster.create_parameter("p", np.ones((9, 4)))
+            cluster.replace_parameter("p", np.ones((9, 4)))
             cluster.push_row_block("p", np.arange(9), np.ones((9, 4)))
             # One row on three servers: two of the old shards have no successor.
             for matrix in (np.full((1, 2), 7.0), np.arange(24.0).reshape(12, 2)):
@@ -298,8 +298,6 @@ class TestBackendEquivalence:
                     blocks = cluster.runtime.blocks
                     assert len(_shm_segments(blocks.prefix)) == len(blocks.keys())
                     assert len(blocks.keys()) == min(3, matrix.shape[0])
-            with pytest.raises(ParameterServerError, match="already exists"):
-                cluster.create_parameter("p", np.zeros((2, 2)))
 
     def test_replace_parameter_waits_for_a_lagging_shard(self):
         """A shard stopped before it reaches its first ``_HOST`` must never
@@ -314,7 +312,7 @@ class TestBackendEquivalence:
             resume = threading.Timer(0.3, os.kill, (lagging.pid, signal.SIGCONT))
             resume.start()
             try:
-                cluster.create_parameter("p", np.ones((9, 4)))
+                cluster.replace_parameter("p", np.ones((9, 4)))
                 cluster.push_row_block("p", np.arange(9), np.ones((9, 4)))
                 last = np.arange(24.0).reshape(12, 2)
                 for matrix in (np.full((6, 2), 7.0), last):

@@ -226,7 +226,7 @@ def test_shed_requests_are_recorded_at_arrival_admitted_ones_at_flush(
     assert [s.request.transaction_id for s in alipay.served] == expected
 
 
-#: Values the schema forbids (``validate_transaction``'s amount and IP risk
+#: Values the schema forbids (``transfer_value_error``'s amount and IP risk
 #: rules, plus finiteness).  Each used to be scored and ingested, and a NaN or
 #: infinite amount then read NaN in the payer's stored window row for good.
 INVALID_VALUES = [

@@ -88,6 +88,14 @@ def fleet_stack(world, dataset, champion_challenger):
     return hbase, fleet, registry, controller
 
 
+def shard_map(router, accounts):
+    """Accounts grouped by the replica that owns them."""
+    shards = {}
+    for account in accounts:
+        shards.setdefault(router.route(account), []).append(account)
+    return shards
+
+
 def _requests(dataset, count, *, offset=0):
     return [
         TransactionRequest.from_transaction(txn)
@@ -102,7 +110,7 @@ class TestServingRouter:
         first = [router.route(a) for a in accounts]
         second = [router.route(a) for a in accounts]
         assert first == second
-        shards = router.shard_map(accounts)
+        shards = shard_map(router, accounts)
         assert set(shards) == {0, 1, 2, 3}
         sizes = [len(shards[r]) for r in sorted(shards)]
         # Virtual nodes keep shard shares within a reasonable band of uniform.
@@ -136,7 +144,7 @@ class TestServingRouter:
         without_two = "062b40f6f044d171691e68eabfede2f26289c43c3ea69f55afbd8a53caee5adb"
 
         def digest(router: ServingRouter) -> str:
-            shards = sorted(router.shard_map(accounts).items())
+            shards = sorted(shard_map(router, accounts).items())
             return hashlib.sha256(repr(shards).encode()).hexdigest()
 
         router_module._stable_hash.cache_clear()
@@ -411,6 +419,29 @@ class TestRequestCoalescer:
                 dataset.test_transactions[:4], batch_size=2, arrival_rate_per_s=100.0
             )
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("arrival_rate_per_s", float("nan")),
+            ("arrival_rate_per_s", float("inf")),
+            ("arrival_rate_per_s", 0.0),
+            ("batch_size", 2.5),
+            ("batch_size", True),
+            ("batch_size", 0),
+            ("clock", "sundial"),
+        ],
+    )
+    def test_replay_names_the_argument_it_rejects(self, fleet_stack, dataset, argument, value):
+        """A NaN rate was accepted and flushed every request alone as a
+        "deadline flush"; an infinite one put every arrival at t = 0; a
+        fractional or bool batch size was reported as ``max_batch``."""
+        _, fleet, _, _ = fleet_stack
+        alipay = AlipayServer(fleet[0])
+        kwargs = {"coalescer": CoalescerConfig()} if argument == "arrival_rate_per_s" else {}
+        with pytest.raises(ServingError, match=f"^{argument} must be"):
+            alipay.replay_transactions(dataset.test_transactions[:20], **kwargs, **{argument: value})
+        assert alipay.report().total == 0
+
 
 class TestAdmissionControl:
     def test_fluid_queue_admits_under_capacity(self):
@@ -493,7 +524,7 @@ class TestAdmissionControl:
 )
 def test_nan_serving_settings_are_rejected(setting):
     """NaN passed every ``<= 0`` check: a NaN SLA budget counted no violation
-    for any sample while ``within_sla()`` said False."""
+    for any sample."""
     with pytest.raises(ServingError, match="number"):
         setting()
 
@@ -588,20 +619,18 @@ class TestFleetRotation:
         assert controller.fleet_versions() == ["v1", "v1", "v1"]
         report = controller.deploy("v2")
         assert report.version == "v2"
-        assert not report.is_canary
+        assert len(set(report.fleet_versions)) == 1
         assert controller.fleet_versions() == ["v2", "v2", "v2"]
 
     def test_canary_then_promote(self, fleet_stack):
         _, fleet, _, controller = fleet_stack
         report = controller.deploy("v2", canary_fraction=0.3)
-        assert report.is_canary
-        assert controller.canary_version == "v2"
+        assert len(set(report.fleet_versions)) > 1
         assert controller.fleet_versions() == ["v2", "v1", "v1"]
         promoted = controller.promote()
         assert promoted.replicas_updated == [1, 2]
         assert controller.fleet_versions() == ["v2", "v2", "v2"]
-        assert controller.canary_version is None
-        with pytest.raises(ServingError):
+        with pytest.raises(ServingError, match="no canary"):
             controller.promote()
 
     def test_rollback_restores_previous_version(self, fleet_stack):
@@ -615,8 +644,9 @@ class TestFleetRotation:
         _, fleet, _, controller = fleet_stack
         controller.deploy("v2", canary_fraction=0.5)
         controller.rollback()
-        assert controller.canary_version is None
         assert controller.fleet_versions() == ["v1", "v1", "v1"]
+        with pytest.raises(ServingError, match="no canary"):
+            controller.promote()
 
     def test_live_rotation_zero_failed_requests(self, fleet_stack, dataset):
         """A mid-stream hot rotation: every request before, during and after
@@ -661,7 +691,7 @@ class TestFleetRotation:
         ]
         assert report.mean_abs_divergence == pytest.approx(np.mean(diffs), rel=1e-12)
         assert report.max_abs_divergence == max(diffs)
-        assert 0.0 <= report.decision_flip_rate <= 1.0
+        assert 0 <= report.decision_flips <= report.requests
         # Shadow scoring never leaked into the served decisions.
         assert all(s.response.model_version == "v1" for s in alipay.served)
         # After stop_shadow the divergence accounting is gone.

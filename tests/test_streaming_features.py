@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -218,15 +219,15 @@ class TestAggregationConfig:
         from repro.features.plan import FeaturePlan
 
         plan = FeaturePlan(aggregation=AggregationWindowSpec(window_seconds=36_000.0))
-        data = json.loads(plan.to_json())
+        data = json.loads(json.dumps(plan.to_dict()))
         assert data["aggregation"] == {"window_seconds": 36_000.0}
         for width, accepted in ((3600.0, True), (600.0, True), (7200.0, False), (0.0, False)):
             data["aggregation"]["bucket_seconds"] = width
             if accepted:
-                assert FeaturePlan.from_json(json.dumps(data)) == plan
+                assert FeaturePlan.from_dict(json.loads(json.dumps(data))) == plan
             else:
                 with pytest.raises(FeatureError):
-                    FeaturePlan.from_json(json.dumps(data))
+                    FeaturePlan.from_dict(json.loads(json.dumps(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -1124,15 +1125,15 @@ class TestPipelineWindowExport:
         assert bundle.plan.aggregation.window_seconds == 14 * SECONDS_PER_DAY
         names = bundle.plan.feature_names
         assert names[len(BASIC_FEATURE_NAMES):len(BASIC_FEATURE_NAMES) + 12] == AGGREGATION_FEATURE_NAMES
-        restored = FeaturePlan.from_json(bundle.plan.to_json())
+        restored = FeaturePlan.from_dict(json.loads(json.dumps(bundle.plan.to_dict())))
         assert restored == bundle.plan
         assert restored.aggregation == bundle.plan.aggregation
 
     def test_legacy_plan_json_still_loads(self):
         from repro.features.plan import FeaturePlan
 
-        legacy = FeaturePlan.from_json(
-            '{"embedding_blocks": [], "embedding_side": "both"}'
+        legacy = FeaturePlan.from_dict(
+            json.loads('{"embedding_blocks": [], "embedding_side": "both"}')
         )
         assert legacy.aggregation is None
         assert legacy.num_features == len(BASIC_FEATURE_NAMES)
@@ -1214,33 +1215,10 @@ class TestPipelineWindowExport:
         hbase = HBaseClient()
         pipeline.publish_features(preparation, hbase, version=100)
         updater = pipeline.build_streaming_updater(preparation, hbase)
-        assert updater.current_version >= 100
         updater.observe_transaction(make_txn("fresh", 30, 1, "A", "B", 3.0))
+        assert hbase.wal.entries()[-1].version > 100
         row = hbase.get("titant_features", "A", AGGREGATES_FAMILY)
         assert row["out_count"] == updater.aggregator.user_row("A")["out_count"]
-
-    def test_experiment_serving_stack_attaches_updater(self, world):
-        from repro.core import ExperimentConfig, ExperimentRunner, ModelHyperparameters
-        from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
-
-        configuration = Table1Configuration(1, DetectorName.GBDT, FeatureSetName.BASIC)
-        runner = ExperimentRunner(
-            world,
-            ExperimentConfig(
-                num_datasets=1,
-                network_days=18,
-                train_days=6,
-                hyperparameters=ModelHyperparameters.laptop_scale(),
-                configurations=[configuration],
-                aggregation=AggregationConfig(window_days=14),
-            ),
-        )
-        dataset = runner.datasets()[0]
-        preparation = runner.preparation_for(dataset)
-        _, _, _, alipay = runner.build_serving_stack(preparation, configuration)
-        assert alipay.feature_updater is not None
-        alipay.replay_transactions(dataset.test_transactions[:20])
-        assert alipay.feature_updater.events_observed == 20
 
     def test_replay_is_event_time_ordered(self, trained, dataset):
         from repro.serving import AlipayServer, ModelServer

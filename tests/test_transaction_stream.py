@@ -40,7 +40,6 @@ from repro.datagen.schema import (
     UserProfile,
     city_name,
     transaction_sort_key,
-    validate_transaction,
 )
 from repro.datagen.stream import ScalableWorldStream, WorldStream
 from repro.datagen.transactions import (
@@ -56,6 +55,7 @@ from repro.logging_utils import ProgressTracker
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.serving.alipay import AlipayServer
 from repro.serving.model_server import ModelServer, ModelServerConfig
+from tests.conftest import validate_transaction
 
 
 def _stream_config(num_users: int = 400, num_days: int = 6, seed: int = 7) -> WorldConfig:

@@ -1,4 +1,4 @@
-"""The six repo-specific invariant rules.
+"""The seven repo-specific invariant rules.
 
 Importing this package registers every bundled checker with the framework
 registry (see :func:`tools.analysis.framework.register`):
@@ -12,7 +12,9 @@ registry (see :func:`tools.analysis.framework.register`):
 * ``iteration-order`` — no hash-order-dependent iteration feeds
   deterministic output,
 * ``duplicate-definition`` — a function body or a module constant has one
-  defining site.
+  defining site,
+* ``unreached-public`` — every public definition of ``src/repro`` is
+  mentioned by another part of ``src/repro`` or by an example.
 """
 
 from tools.analysis.checkers import clock  # noqa: F401
@@ -21,3 +23,4 @@ from tools.analysis.checkers import iteration  # noqa: F401
 from tools.analysis.checkers import layering  # noqa: F401
 from tools.analysis.checkers import rng  # noqa: F401
 from tools.analysis.checkers import shm  # noqa: F401
+from tools.analysis.checkers import unreached  # noqa: F401
