@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.paper.dense_deepwalk import DenseDeepWalk
+from benchmarks.paper.cost_model import deepwalk_round_volume, estimate_deepwalk_time
+from benchmarks.paper.dense_deepwalk import DenseDeepWalk, top1_neighbor_recall
 from benchmarks.paper.sweeps import scalability_curve
 from repro.core.evaluation import evaluate_scores
 from repro.datagen.datasets import DatasetBuilder
@@ -34,10 +35,8 @@ from repro.features.basic import BasicFeatureExtractor
 from repro.graph.builder import build_network
 from repro.graph.random_walk import RandomWalkConfig
 from repro.kunpeng import ClusterConfig
-from repro.kunpeng.cost_model import deepwalk_round_volume, estimate_deepwalk_time
 from repro.models.distributed import DistributedGBDT
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
-from repro.nrl.embeddings import top1_neighbor_recall
 from repro.nrl.word2vec import SkipGramConfig
 
 #: DeepWalk training loop per A/B arm.

@@ -45,13 +45,14 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from benchmarks.paper.cost_model import ClusterCostModel, MeasuredRound
 from repro.datagen import generate_world
 from repro.datagen.datasets import DatasetBuilder
 from repro.datagen.profiles import ProfileConfig
 from repro.datagen.transactions import WorldConfig
 from repro.graph.builder import build_network
 from repro.graph.random_walk import RandomWalkConfig
-from repro.kunpeng import ClusterConfig, ClusterCostModel, KunPengCluster, MeasuredRound
+from repro.kunpeng import ClusterConfig, KunPengCluster
 from repro.models.distributed import DistributedGBDT
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.nrl.word2vec import SkipGramConfig

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_once
 from benchmarks.paper.serving_stack import build_serving_stack
+from benchmarks.paper.table1 import preparation_for
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 from repro.serving import AlipayServer, LatencyTracker
 
@@ -30,7 +31,7 @@ BATCH_SIZE = 256
 
 def _serving_stack(bench_runner):
     dataset = bench_runner.datasets()[0]
-    preparation = bench_runner.preparation_for(dataset)
+    preparation = preparation_for(bench_runner, dataset)
     configuration = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
     bundle, hbase, servers, alipay = build_serving_stack(
         bench_runner, preparation, configuration, sla_budget_ms=SLA_BUDGET_MS

@@ -57,6 +57,8 @@ from typing import Dict, Iterator, List, Optional
 import numpy as np
 
 from benchmarks.paper.serving_stack import build_serving_stack
+from benchmarks.paper.table1 import preparation_for
+from benchmarks.progress import ProgressTracker
 from repro.core.config import (
     DetectorName,
     ExperimentConfig,
@@ -66,13 +68,11 @@ from repro.core.config import (
 )
 from repro.core.experiment import ExperimentRunner
 from repro.datagen import generate_world
-from repro.datagen.datasets import small_world_config
 from repro.datagen.profiles import ProfileConfig
 from repro.datagen.schema import Transaction
 from repro.datagen.stream import ScalableWorldStream
 from repro.datagen.transactions import ArrivalConfig, BurstSpec, WorldConfig
 from repro.hbase.client import BASIC_FEATURES_FAMILY
-from repro.logging_utils import ProgressTracker
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.alipay import AlipayServer
 from repro.serving.coalescer import CoalescerConfig
@@ -211,7 +211,16 @@ def train_and_deploy(*, smoke: bool):
     served the neutral default row instead of failing, which is what lets a
     small-world-trained model score a million-account stream.
     """
-    world = generate_world(small_world_config(num_users=300, num_days=40, seed=SEED))
+    world = generate_world(
+        WorldConfig(
+            profile=ProfileConfig(
+                num_users=300, num_communities=8, fraudster_fraction=0.03, seed=SEED
+            ),
+            num_days=40,
+            transactions_per_user_per_day=0.5,
+            seed=SEED,
+        )
+    )
     hyper = (
         ModelHyperparameters.fast_test_scale(seed=SEED)
         if smoke
@@ -228,7 +237,7 @@ def train_and_deploy(*, smoke: bool):
         ),
     )
     dataset = runner.datasets()[0]
-    preparation = runner.preparation_for(dataset)
+    preparation = preparation_for(runner, dataset)
     _, hbase, servers, _ = build_serving_stack(
         runner,
         preparation,

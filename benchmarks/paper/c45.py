@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from benchmarks.paper.criteria import best_categorical_split, best_numeric_split
+from benchmarks.paper.criteria import best_categorical_split, best_numeric_split, tree_scores
 from repro.exceptions import ModelError
 from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.tree.node import TreeNode
@@ -82,7 +82,7 @@ class C45Classifier(BaseDetector):
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = self._check_predict_inputs(features)
         assert self._root is not None
-        return self._root.predict(features)
+        return tree_scores(self._root, features)
 
     @property
     def tree_(self) -> TreeNode:

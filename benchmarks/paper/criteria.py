@@ -1,6 +1,7 @@
 """Split criteria of the rule-based baselines: entropy and information gain
 (ID3) and gain ratio (C4.5/C5.0, credited by the paper for C5.0's better "data
-discretization and segmentation"), with the best-split searches over them."""
+discretization and segmentation"), with the best-split searches over them and
+the row-by-row leaf lookup both trees score with."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.models.tree.node import TreeNode
 
 _EPS = 1e-12
 
@@ -184,3 +186,8 @@ def best_categorical_split(
     if score <= 0.0:
         return None
     return CategoricalSplit(categories=categories, score=float(score))
+
+
+def tree_scores(root: TreeNode, features: np.ndarray) -> np.ndarray:
+    """The leaf value ``root`` routes each row of ``features`` to."""
+    return np.array([root.predict_row(row) for row in np.asarray(features, dtype=np.float64)])

@@ -7,7 +7,8 @@ embedding matrices, applies local SGD to a minibatch of its pair partition,
 and the servers average the replicas
 (:meth:`~repro.kunpeng.cluster.KunPengCluster.push_model_average`).
 ``benchmarks/bench_fig10_scalability.py`` holds the sparse loop to at least
-5x fewer rows per round at recall within 0.02 of this one.
+5x fewer rows per round at recall within 0.02 of this one, the recall being
+:func:`top1_neighbor_recall`.
 
 :class:`DenseDeepWalk` materialises the walk corpus of the run's fixed walk
 seed, so it trains on the same walks the sparse loop streams.
@@ -15,7 +16,7 @@ seed, so it trains on the same walks the sparse loop streams.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -159,3 +160,26 @@ class DenseDeepWalk(DistributedDeepWalk):
             _step, compute_units=float(min(cfg.batch_size, centers.shape[0]))
         )
         self.loss_history.append(loss)
+
+
+def top1_neighbor_recall(embeddings: EmbeddingSet, labels: Mapping[str, object]) -> float:
+    """Fraction of labelled nodes whose nearest embedding neighbour shares the label.
+
+    The intrinsic quality metric used for dense/sparse DeepWalk A/B runs
+    (recall@top-1): cosine nearest neighbour over all labelled nodes with a
+    non-zero vector.  Raises if fewer than two such nodes exist.
+    """
+    nodes = [
+        node
+        for node in embeddings.node_ids()
+        if node in labels and float(np.linalg.norm(embeddings[node])) > 0.0
+    ]
+    if len(nodes) < 2:
+        raise EmbeddingError("top1_neighbor_recall needs at least two labelled nodes")
+    matrix = embeddings.subset(nodes).normalized().matrix
+    similarity = matrix @ matrix.T
+    np.fill_diagonal(similarity, -np.inf)
+    top1 = np.argmax(similarity, axis=1)
+    label_list = [labels[node] for node in nodes]
+    hits = sum(1 for i, j in enumerate(top1) if label_list[i] == label_list[j])
+    return hits / len(nodes)

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from benchmarks.paper.criteria import best_categorical_split
+from benchmarks.paper.criteria import best_categorical_split, tree_scores
 from repro.exceptions import ModelError
 from repro.features.discretization import quantile_edges
 from repro.models.base import BaseDetector, validate_training_inputs
@@ -74,7 +74,7 @@ class ID3Classifier(BaseDetector):
         features = self._check_predict_inputs(features)
         assert self._root is not None
         encoded = self._apply_discretizer(features)
-        return self._root.predict(encoded)
+        return tree_scores(self._root, encoded)
 
     # ------------------------------------------------------------------
     @property

@@ -12,12 +12,13 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from benchmarks.paper.cost_model import estimate_deepwalk_time, estimate_gbdt_time
+from benchmarks.paper.table1 import preparation_for, score_test_day
 from repro.core import ExperimentRunner
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 from repro.core.evaluation import _validate, evaluate_scores, select_threshold
 from repro.core.pipeline import build_detector
 from repro.exceptions import ConfigurationError
-from repro.kunpeng.cost_model import estimate_deepwalk_time, estimate_gbdt_time
 
 
 def dimension_sweep(
@@ -43,7 +44,7 @@ def dimension_sweep(
         for feature_set in feature_sets:
             configuration = Table1Configuration(0, DetectorName.GBDT, feature_set)
             bundle = runner.pipeline.train(preparation, configuration)
-            metrics = runner.score_test_day(preparation, bundle)
+            metrics = score_test_day(runner, preparation, bundle)
             results[feature_set.value][int(dimension)] = metrics.f1
     return results
 
@@ -69,7 +70,7 @@ def tree_sweep(
     if not tree_counts:
         raise ConfigurationError("tree_counts must not be empty")
     dataset = runner.datasets()[0]
-    preparation = runner.preparation_for(dataset)
+    preparation = preparation_for(runner, dataset)
     hp = runner.config.hyperparameters
     results: Dict[str, Dict[int, float]] = {}
     for feature_set in feature_sets:
@@ -111,7 +112,7 @@ def node_sampling_sweep(
         )
         configuration = Table1Configuration(0, DetectorName.GBDT, FeatureSetName.BASIC_DW)
         bundle = runner.pipeline.train(preparation, configuration)
-        metrics = runner.score_test_day(preparation, bundle)
+        metrics = score_test_day(runner, preparation, bundle)
         results[int(count)] = metrics.f1
     return results
 

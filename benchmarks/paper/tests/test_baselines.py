@@ -68,7 +68,7 @@ class TestID3:
         features = rng.integers(0, 3, size=(500, 4)).astype(float)
         labels = (features[:, 1] == 2).astype(float)
         model = ID3Classifier(max_depth=3, discretize_bins=0).fit(features, labels)
-        predictions = model.predict(features)
+        predictions = model.predict_proba(features) >= 0.5
         assert (predictions == labels).mean() > 0.95
 
     def test_requires_labels(self, feature_matrices):
@@ -121,7 +121,7 @@ class TestC45:
         features = rng.normal(size=(600, 3))
         labels = (features[:, 0] > 0.3).astype(float)
         model = C45Classifier(max_depth=4).fit(features, labels)
-        assert (model.predict(features) == labels).mean() > 0.9
+        assert ((model.predict_proba(features) >= 0.5) == labels).mean() > 0.9
 
     def test_pruning_reduces_or_keeps_leaf_count(self):
         rng = np.random.default_rng(2)
@@ -153,7 +153,7 @@ class TestRuleExtraction:
         assert len(rules) == model.tree_.count_leaves()
         # Rule-set predictions agree with tree predictions.
         tree_scores = model.predict_proba(test.values[:100])
-        rule_scores = rules.predict(test.values[:100])
+        rule_scores = [rules.predict_row(row) for row in test.values[:100]]
         assert np.allclose(tree_scores, rule_scores)
 
     def test_rule_description_readable(self, feature_matrices):

@@ -11,12 +11,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from benchmarks.paper.dense_deepwalk import DenseDeepWalk
+from benchmarks.paper.cost_model import deepwalk_round_volume
+from benchmarks.paper.dense_deepwalk import DenseDeepWalk, top1_neighbor_recall
 from repro.graph.random_walk import RandomWalkConfig
 from repro.kunpeng import ClusterConfig
-from repro.kunpeng.cost_model import deepwalk_round_volume
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
-from repro.nrl.embeddings import top1_neighbor_recall
 from repro.nrl.word2vec import SkipGramConfig
 
 #: Training loop per A/B arm.

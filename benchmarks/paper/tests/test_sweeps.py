@@ -7,6 +7,7 @@ import pytest
 
 from benchmarks.paper.serving_stack import build_serving_stack
 from benchmarks.paper.sweeps import node_sampling_sweep, scalability_curve, tree_sweep
+from benchmarks.paper.table1 import preparation_for
 from repro.core import ExperimentConfig, ExperimentRunner, ModelHyperparameters
 from repro.core.config import DetectorName, FeatureSetName, Table1Configuration
 from repro.features.aggregation import AggregationConfig
@@ -56,7 +57,7 @@ def test_experiment_serving_stack_attaches_updater(world):
         ),
     )
     dataset = runner.datasets()[0]
-    preparation = runner.preparation_for(dataset)
+    preparation = preparation_for(runner, dataset)
     _, _, _, alipay = build_serving_stack(runner, preparation, configuration)
     assert alipay.feature_updater is not None
     alipay.replay_transactions(dataset.test_transactions[:20])

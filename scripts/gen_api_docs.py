@@ -34,8 +34,8 @@ PUBLIC_API = [
     (
         "Streaming data layer",
         "repro.datagen.stream",
-        ["TransactionStream", "WorldStream", "ScalableWorldStream", "StreamCheckpoint"],
-        "Seeded, resumable, event-time-ordered transaction streams: the "
+        ["TransactionStream", "WorldStream", "ScalableWorldStream"],
+        "Seeded, single-pass, event-time-ordered transaction streams: the "
         "legacy world as a lazy iterator (bit-identical to materialization) "
         "and the columnar million-account generator with bounded state.",
     ),
@@ -45,13 +45,6 @@ PUBLIC_API = [
         ["ArrivalConfig", "BurstSpec"],
         "Non-homogeneous arrivals for the scalable stream: the diurnal load "
         "curve plus transient bursts, budget-validated per day.",
-    ),
-    (
-        "Progress tracking",
-        "repro.logging_utils",
-        ["ProgressTracker"],
-        "Throttled rate/ETA logging for long generation and load runs; "
-        "quiet unless logging is configured.",
     ),
     (
         "Offline pipeline and experiments",
@@ -220,13 +213,6 @@ PUBLIC_API = [
         ["ProcessShardRuntime", "SharedBlockManager"],
         "Each PS shard a live OS process applying updates to shared-memory "
         "parameter blocks — measured, not simulated, parallelism.",
-    ),
-    (
-        "Cluster cost model",
-        "repro.kunpeng.cost_model",
-        ["ClusterCostModel", "MeasuredRound"],
-        "Training-time estimates per machine count, calibratable against "
-        "wall-clock rounds measured on the process backend.",
     ),
     (
         "Distributed training",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Invariant linter: statically enforce the repo's correctness contracts.
 
-Runs the six AST checkers of :mod:`tools.analysis` over ``src/repro`` and
+Runs the seven AST checkers of :mod:`tools.analysis` over ``src/repro`` and
 over the linter's own package ``tools/analysis``:
 
 * ``rng-discipline`` — all randomness flows through seeded Generators,
@@ -10,7 +10,10 @@ over the linter's own package ``tools/analysis``:
 * ``layering`` — the subsystem import DAG holds,
 * ``iteration-order`` — no hash-order iteration feeds checksummed output,
 * ``duplicate-definition`` — a function body or module constant is defined in
-  one module and imported by the rest.
+  one module and imported by the rest,
+* ``unreached-public`` — every public definition of ``src/repro`` is
+  referenced by ``src/repro`` or ``examples/`` code, or allow-listed with a
+  reason (a stale allow-list entry is a finding too).
 
 A deliberate violation carries ``# repro-lint: ignore[rule]`` and its reason
 on the flagged line; everything else fails the run with ``path:line: [rule]

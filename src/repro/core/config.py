@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.contracts import check_fields, checked, contracts_of, integer, one_of, optional
 from repro.exceptions import ConfigurationError
@@ -209,12 +209,3 @@ class ExperimentConfig:
             train_days=train_days,
             hyperparameters=ModelHyperparameters.laptop_scale(seed=seed),
         )
-
-    def feature_sets_required(self) -> Dict[str, bool]:
-        """Which embedding models the selected configurations need."""
-        return {
-            "deepwalk": any(c.feature_set.uses_deepwalk for c in self.configurations),
-            "structure2vec": any(
-                c.feature_set.uses_structure2vec for c in self.configurations
-            ),
-        }

@@ -1,22 +1,21 @@
 """Rolling T+1 experiment harness.
 
-Builds the rolling dataset slices of a world, prepares (and caches) each
-slice's network and embeddings, and owns how a trained configuration is
-scored on its test day.  The paper's experiments drive it from
-``benchmarks/paper/``: Table 1 and Figure 9 from ``table1.py``, and the
+Builds the rolling dataset slices of a world and the offline pipeline that
+prepares, trains and evaluates each one.  The paper's experiments drive it
+from ``benchmarks/paper/``: ``table1.py`` prepares (and caches) each slice
+and scores each test day for Table 1 and Figure 9, and ``sweeps.py`` runs the
 Figure 11 (embedding dimension), Figure 12 (tree count) and Table 2
-(DeepWalk node sampling) sweeps from ``sweeps.py``.  Absolute numbers depend
-on the synthetic world; the harness is written so the orderings and trends
-the paper reports can be checked programmatically.
+(DeepWalk node sampling) sweeps.  Absolute numbers depend on the synthetic
+world; the harness is written so the orderings and trends the paper reports
+can be checked programmatically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.config import ExperimentConfig
-from repro.core.evaluation import EvaluationMetrics, evaluate_scores
-from repro.core.pipeline import OfflineTrainingPipeline, SlicePreparation, TrainedModelBundle
+from repro.core.pipeline import OfflineTrainingPipeline
 from repro.datagen.datasets import RollingDatasets
 from repro.exceptions import ConfigurationError
 
@@ -52,7 +51,6 @@ class ExperimentRunner:
             embedding_side=self.config.embedding_side,
             aggregation=self.config.aggregation,
         )
-        self._preparations: Dict[int, SlicePreparation] = {}
         self._stream_datasets: Optional[RollingDatasets] = None
 
     # ------------------------------------------------------------------
@@ -75,38 +73,3 @@ class ExperimentRunner:
             train_days=self.config.train_days,
             first_test_day=self.config.first_test_day,
         )
-
-    def preparation_for(self, dataset, **overrides) -> SlicePreparation:
-        """Prepare (and cache) the network + embeddings of one dataset slice."""
-        key = dataset.spec.test_day
-        if overrides:
-            return self._prepare(dataset, **overrides)
-        if key not in self._preparations:
-            needs = self.config.feature_sets_required()
-            self._preparations[key] = self._prepare(
-                dataset,
-                need_deepwalk=needs["deepwalk"],
-                need_structure2vec=needs["structure2vec"],
-            )
-        return self._preparations[key]
-
-    def _prepare(self, dataset, **kwargs) -> SlicePreparation:
-        return self.pipeline.prepare(dataset, **kwargs)
-
-    def score_test_day(
-        self, preparation: SlicePreparation, bundle: TrainedModelBundle
-    ) -> EvaluationMetrics:
-        """Score a trained bundle on its slice's test day.
-
-        The paper does not state how the F1 decision threshold is chosen, and
-        several detectors produce very differently calibrated scores (IF
-        anomaly scores concentrate near 0.5, boosted trees can be near-perfect
-        on the training window).  To compare methods on equal footing we
-        report the best attainable F1 over thresholds on the test scores —
-        a threshold-free ranking-quality metric — while the production
-        deployment path (ModelServer) keeps using the threshold calibrated on
-        the training window (``bundle.threshold``).
-        """
-        test_matrix = self.pipeline.evaluate(preparation, bundle)
-        scores = bundle.detector.predict_proba(test_matrix.values)
-        return evaluate_scores(test_matrix.labels, scores, threshold=None)

@@ -15,7 +15,7 @@ evaluation depends on:
 
 The public entry points are :class:`WorldConfig` / :func:`generate_world` for a
 materialized small-world horizon, :class:`WorldStream` /
-:class:`ScalableWorldStream` for streamed (bounded-memory, resumable)
+:class:`ScalableWorldStream` for streamed (bounded-memory, single-pass)
 generation up to millions of accounts, and :class:`DatasetBuilder` for the
 paper's T+1 rolling slices (90 days of records for the transaction network,
 14 days for training, 1 day for testing).
@@ -50,7 +50,6 @@ from repro.datagen.transactions import (
 )
 from repro.datagen.stream import (
     ScalableWorldStream,
-    StreamCheckpoint,
     TransactionStream,
     WorldStream,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "TransactionStream",
     "WorldStream",
     "ScalableWorldStream",
-    "StreamCheckpoint",
     "DatasetBuilder",
     "DatasetSlice",
     "RollingDatasets",

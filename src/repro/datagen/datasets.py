@@ -261,31 +261,3 @@ class RollingDatasets:
             )
         return cls(slices=slices)
 
-
-def small_world_config(
-    *,
-    num_users: int = 600,
-    num_days: int = 40,
-    seed: int = 7,
-    fraudster_fraction: float = 0.03,
-) -> "WorldConfig":
-    """A compact world configuration for tests and quick examples.
-
-    Uses shorter network/train windows than the paper so that a full T+1
-    evaluation fits in well under a second.  Callers pair it with
-    ``DatasetBuilder(world, network_days=25, train_days=7)``.
-    """
-    from repro.datagen.profiles import ProfileConfig
-    from repro.datagen.transactions import WorldConfig
-
-    return WorldConfig(
-        profile=ProfileConfig(
-            num_users=num_users,
-            num_communities=8,
-            fraudster_fraction=fraudster_fraction,
-            seed=seed,
-        ),
-        num_days=num_days,
-        transactions_per_user_per_day=0.5,
-        seed=seed,
-    )

@@ -26,7 +26,6 @@ eval slices behind the per-typology recall report.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -162,36 +161,12 @@ class FraudsterBehaviorModel:
             self._normal_by_community.setdefault(profile.community, []).append(profile)
 
     # ------------------------------------------------------------------
-    @property
-    def states(self) -> Dict[str, FraudsterState]:
-        """Read-only view of all fraudster campaign states."""
-        return dict(self._states)
-
     def repeat_fraction(self) -> float:
         """Fraction of fraudsters that committed more than one fraud so far."""
         committed = [s for s in self._states.values() if s.fraud_count > 0]
         if not committed:
             return 0.0
         return sum(1 for s in committed if s.has_repeated) / len(committed)
-
-    # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, object]:
-        """Snapshot the mutable campaign state for stream checkpointing.
-
-        The snapshot contains the per-fraudster states and the RNG position;
-        static structure (population, community index) is reconstructed from
-        configuration when the stream is rebuilt, keeping checkpoints
-        O(fraudsters) rather than O(transactions).
-        """
-        return {
-            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
-            "states": copy.deepcopy(self._states),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot previously produced by :meth:`capture_state`."""
-        self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
-        self._states = copy.deepcopy(state["states"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def plan_day(self, day: int) -> List[PlannedFraud]:
@@ -397,19 +372,6 @@ class ColumnarFraudPlanner:
         self._one_shot_done = np.zeros(self._fraudster_index.size, dtype=bool)
 
     # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, object]:
-        """Snapshot mutable planner state (RNG position + one-shot flags)."""
-        return {
-            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
-            "one_shot_done": self._one_shot_done.copy(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot previously produced by :meth:`capture_state`."""
-        self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
-        self._one_shot_done = np.array(state["one_shot_done"], dtype=bool, copy=True)
-
-    # ------------------------------------------------------------------
     def plan_day(self, day: int) -> PlannedFraudBatch:
         """Plan one day of fraudulent transfers as a columnar batch."""
         cfg = self.config
@@ -514,9 +476,9 @@ class TypologyFraudSuite:
     canonical typology order (one rng, fixed draw order, so the plan is a
     deterministic function of the rng state).  Static structure (chain
     grouping, collusion rings) is built once at construction; the only
-    mutable state beyond the rng is the bust-out flags, so checkpoints stay
-    O(fraudsters).  Emitted batches carry per-transfer typology codes which
-    the streams thread onto ``Transaction.fraud_typology``.
+    mutable state beyond the rng is the bust-out flags.  Emitted batches
+    carry per-transfer typology codes which the streams thread onto
+    ``Transaction.fraud_typology``.
     """
 
     def __init__(
@@ -548,19 +510,6 @@ class TypologyFraudSuite:
             self._rng.integers(0, self._normal_index.size, size=(merchants.size, ring_width))
         ]
         self._busted = np.zeros(self._assigned.get("bust_out", empty).size, dtype=bool)
-
-    # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, object]:
-        """Snapshot mutable suite state (rng position + bust-out flags)."""
-        return {
-            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
-            "busted": self._busted.copy(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot previously produced by :meth:`capture_state`."""
-        self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
-        self._busted = np.array(state["busted"], dtype=bool, copy=True)
 
     # ------------------------------------------------------------------
     def plan_day(self, day: int) -> PlannedFraudBatch:

@@ -3,10 +3,9 @@
 This module turns the data layer from "materialize, then iterate" into
 "stream, bounded memory":
 
-* :class:`TransactionStream` — the protocol: a seeded, resumable,
-  batched iterator of :class:`~repro.datagen.schema.Transaction` events.
-  Checkpoints are O(active accounts): a day index, an intra-day offset and a
-  pickled day-start generator state — never the transactions themselves.
+* :class:`TransactionStream` — the protocol: a seeded, batched, single-pass
+  iterator of :class:`~repro.datagen.schema.Transaction` events, generated a
+  day chunk at a time.
 * :class:`WorldStream` — the legacy world as a stream.  Bit-identical to the
   historical ``generate_world`` output at the same seed (``generate_world``
   is now a thin materializing wrapper around it).
@@ -20,10 +19,8 @@ This module turns the data layer from "materialize, then iterate" into
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -71,50 +68,26 @@ _HIGH_RISK_CITIES = np.array(
 _CHANNEL_VALUES = tuple(TransactionChannel)
 
 
-@dataclass(frozen=True)
-class StreamCheckpoint:
-    """A resumable position in a :class:`TransactionStream`.
-
-    ``state`` is the pickled generator state captured at the *start* of
-    ``day``; resuming restores that state, regenerates the day and skips the
-    first ``offset`` events.  Size is O(active accounts), independent of how
-    many transactions were already emitted.
-    """
-
-    day: int
-    offset: int
-    events_emitted: int
-    state: bytes
-
-
 class TransactionStream(ABC):
-    """A seeded, resumable, batched iterator of transactions.
+    """A seeded, batched, single-pass iterator of transactions.
 
-    Subclasses implement day-chunked generation (:meth:`_generate_day`) plus
-    state capture/restore; the base class owns iteration order, batching and
-    the checkpoint/seek machinery.  Batching is a pure re-grouping of the
-    deterministic event sequence, so output is batch-size invariant by
-    construction.  Streams are single-consumer: ``events()``/``batches()``
-    advance one shared position.
+    Subclasses implement day-chunked generation (:meth:`_generate_day`); the
+    base class owns iteration order and batching.  The stream is one live
+    iterator over the days' chunks, so ``events()`` and ``batches()`` share
+    its position: a second read continues where the first stopped.  Batching
+    is a pure re-grouping of that event sequence, so output is batch-size
+    invariant by construction.
     """
 
     def __init__(self, num_days: int) -> None:
         self._num_days = num_days
-        self._day = 0
-        self._offset = 0
-        self._events_emitted = 0
-        self._day_start_state: Optional[bytes] = None
+        self._events: Iterator[Transaction] = chain.from_iterable(self._day_chunks())
 
     # ------------------------------------------------------------------
     @property
     def num_days(self) -> int:
         """Number of simulated days in the stream's horizon."""
         return self._num_days
-
-    @property
-    def events_emitted(self) -> int:
-        """Total events yielded so far (across resumes)."""
-        return self._events_emitted
 
     @property
     @abstractmethod
@@ -127,82 +100,25 @@ class TransactionStream(ABC):
         """True if events are totally ordered by (event time, transaction id)."""
 
     @abstractmethod
-    def _capture_state(self) -> Dict[str, object]:
-        """Snapshot all mutable generation state (picklable, O(accounts))."""
-
-    @abstractmethod
-    def _restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot produced by :meth:`_capture_state`."""
-
-    @abstractmethod
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:
         """Yield one day of transactions as one or more ordered chunks."""
 
+    def _day_chunks(self) -> Iterator[List[Transaction]]:
+        for day in range(self._num_days):
+            yield from self._generate_day(day)
+
     # ------------------------------------------------------------------
     def events(self) -> Iterator[Transaction]:
-        """Lazily yield every remaining transaction in stream order."""
-        while self._day < self._num_days:
-            if self._day_start_state is None:
-                self._day_start_state = pickle.dumps(
-                    self._capture_state(), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            day = self._day
-            skip = self._offset
-            emitted = 0
-            for chunk in self._generate_day(day):
-                for txn in chunk:
-                    emitted += 1
-                    if emitted <= skip:
-                        continue
-                    self._offset = emitted
-                    self._events_emitted += 1
-                    yield txn
-            self._day += 1
-            self._offset = 0
-            self._day_start_state = None
+        """The stream's remaining transactions, in stream order, lazily."""
+        return self._events
 
     def __iter__(self) -> Iterator[Transaction]:
-        return self.events()
+        return self._events
 
     def batches(self, batch_size: int) -> Iterator[List[Transaction]]:
         """Yield the remaining events re-grouped into ``batch_size`` lists."""
         integer(1).require("batch_size", batch_size, DataGenerationError)
-        batch: List[Transaction] = []
-        for txn in self.events():
-            batch.append(txn)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> StreamCheckpoint:
-        """Capture the current position as a resumable checkpoint."""
-        if self._day_start_state is None:
-            self._day_start_state = pickle.dumps(
-                self._capture_state(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return StreamCheckpoint(
-            day=self._day,
-            offset=self._offset,
-            events_emitted=self._events_emitted,
-            state=self._day_start_state,
-        )
-
-    def seek(self, checkpoint: StreamCheckpoint) -> None:
-        """Position this stream at ``checkpoint``.
-
-        The stream must have been constructed from the same configuration and
-        seed that produced the checkpoint; generation then continues exactly
-        where the checkpointed stream left off (the current day is silently
-        regenerated and its first ``offset`` events skipped).
-        """
-        self._restore_state(pickle.loads(checkpoint.state))
-        self._day = checkpoint.day
-        self._offset = checkpoint.offset
-        self._events_emitted = checkpoint.events_emitted
-        self._day_start_state = checkpoint.state
+        return iter(lambda: list(islice(self._events, batch_size)), [])
 
 
 class WorldStream(TransactionStream):
@@ -286,16 +202,6 @@ class WorldStream(TransactionStream):
         )
 
     # ------------------------------------------------------------------
-    def _capture_state(self) -> Dict[str, object]:
-        return {
-            "fraud": self._fraud_model.capture_state(),
-            "generator": self._generator.capture_state(),
-        }
-
-    def _restore_state(self, state: Dict[str, object]) -> None:
-        self._fraud_model.restore_state(state["fraud"])  # type: ignore[arg-type]
-        self._generator.restore_state(state["generator"])  # type: ignore[arg-type]
-
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:
         planned = self._fraud_model.plan_day(day)
         if isinstance(planned, PlannedFraudBatch):
@@ -391,26 +297,6 @@ class ScalableWorldStream(TransactionStream):
         return True
 
     # ------------------------------------------------------------------
-    def _capture_state(self) -> Dict[str, object]:
-        return {
-            "rng_state": self._rng.bit_generator.state,
-            "planner": self._planner.capture_state(),
-            "payer_count": self._payer_count.copy(),
-            "payer_amount": self._payer_amount.copy(),
-            "payee_inbound": self._payee_inbound.copy(),
-            "device_slots": self._device_slots.copy(),
-            "txn_counter": self._txn_counter,
-        }
-
-    def _restore_state(self, state: Dict[str, object]) -> None:
-        self._rng.bit_generator.state = state["rng_state"]
-        self._planner.restore_state(state["planner"])  # type: ignore[arg-type]
-        self._payer_count = np.array(state["payer_count"], dtype=np.float64, copy=True)
-        self._payer_amount = np.array(state["payer_amount"], dtype=np.float64, copy=True)
-        self._payee_inbound = np.array(state["payee_inbound"], dtype=np.float64, copy=True)
-        self._device_slots = np.array(state["device_slots"], dtype=np.int32, copy=True)
-        self._txn_counter = int(state["txn_counter"])  # type: ignore[arg-type]
-
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:
         planned = self._planner.plan_day(day)
         fraud_order = np.argsort(planned.hour, kind="stable")

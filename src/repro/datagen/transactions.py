@@ -16,7 +16,6 @@ layer and the T+1 dataset slicer.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -361,32 +360,6 @@ class _DailyStreamGenerator:
         self._rng.shuffle(records)  # interleave within the day
         self._activity.decay()
         return records
-
-    # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, object]:
-        """Snapshot mutable generator state for stream checkpointing.
-
-        O(active accounts): the activity tracker only retains accounts whose
-        decayed counters are still >= 1, and the device counter only accounts
-        that have transacted.
-        """
-        return {
-            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
-            "payer_counts": dict(self._activity.payer_counts),
-            "payer_amounts": dict(self._activity.payer_amounts),
-            "payee_inbound": dict(self._activity.payee_inbound),
-            "txn_counter": self._txn_counter,
-            "device_counter": dict(self._device_counter),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot previously produced by :meth:`capture_state`."""
-        self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
-        self._activity.payer_counts = dict(state["payer_counts"])  # type: ignore[arg-type]
-        self._activity.payer_amounts = dict(state["payer_amounts"])  # type: ignore[arg-type]
-        self._activity.payee_inbound = dict(state["payee_inbound"])  # type: ignore[arg-type]
-        self._txn_counter = int(state["txn_counter"])  # type: ignore[arg-type]
-        self._device_counter = dict(state["device_counter"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def _next_id(self) -> str:

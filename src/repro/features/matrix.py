@@ -59,21 +59,6 @@ class FeatureMatrix:
             raise FeatureError(f"unknown feature {name!r}") from exc
         return self.values[:, index]
 
-    def select(self, names: Sequence[str]) -> "FeatureMatrix":
-        """Project onto a subset of features (keeps row ids and labels)."""
-        indices = []
-        for name in names:
-            if name not in self.feature_names:
-                raise FeatureError(f"unknown feature {name!r}")
-            indices.append(self.feature_names.index(name))
-        return FeatureMatrix(
-            feature_names=list(names),
-            values=self.values[:, indices],
-            row_ids=self.row_ids,
-            labels=self.labels,
-            metadata=dict(self.metadata),
-        )
-
     def hstack(self, other: "FeatureMatrix") -> "FeatureMatrix":
         """Concatenate feature columns of two matrices with identical rows."""
         if other.num_rows != self.num_rows:

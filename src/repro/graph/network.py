@@ -9,7 +9,7 @@ random walks and per-node degrees.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.exceptions import GraphError
 
@@ -123,25 +123,6 @@ class TransactionNetwork:
 
     def in_degree(self, node: str) -> int:
         return len(self.predecessors(node))
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
-
-    # ------------------------------------------------------------------
-    # Conversions
-    # ------------------------------------------------------------------
-    def subgraph(self, nodes: Iterable[str]) -> "TransactionNetwork":
-        """Induced subgraph on ``nodes`` (unknown ids are ignored), its node
-        index in the caller's first-seen order."""
-        keep = dict.fromkeys(n for n in nodes if n in self._node_index)
-        sub = TransactionNetwork()
-        for node in keep:
-            sub.add_node(node)
-        for payer in keep:
-            for payee, weight in self._out[payer].items():
-                if payee in keep:
-                    sub.add_edge(payer, payee, weight)
-        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransactionNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

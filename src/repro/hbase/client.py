@@ -322,10 +322,6 @@ class HBaseClient:
 
     @property
     def wal(self) -> WriteAheadLog:
-        """The write-ahead log (read access for durability tests/tooling)."""
+        """The write-ahead log: after a crash, ``wal.replay(table,
+        table_name=...)`` rebuilds a fresh table from it."""
         return self._wal
-
-    def replay_wal_into(self, table_name: str) -> int:
-        """Rebuild a (fresh) table from the WAL after a simulated crash."""
-        table = self.table(table_name)
-        return self._wal.replay(table, table_name=table_name)

@@ -16,24 +16,17 @@ semantics the paper relies on:
 * failure injection and recovery (:mod:`repro.kunpeng.failover`),
 * an optional *process* backend that hosts each server shard in a real OS
   process over shared memory, for measured — not simulated — parallelism
-  (:mod:`repro.kunpeng.parallel`),
-* a calibrated cost model that converts the simulated cluster's workload into
-  wall-clock estimates per machine count — the quantity Figure 10 plots
-  (:mod:`repro.kunpeng.cost_model`).
+  (:mod:`repro.kunpeng.parallel`).
+
+The trainers that run on it are :class:`repro.models.distributed.DistributedGBDT`
+and :class:`repro.nrl.distributed.DistributedDeepWalk`.  Figure 10's cost
+model, which turns a cluster's recorded workload into wall-clock estimates per
+machine count, is an experiment and lives in ``benchmarks/paper/cost_model.py``.
 """
 
 from repro.kunpeng.server import ParameterServerNode
 from repro.kunpeng.worker import WorkerNode
 from repro.kunpeng.cluster import KunPengCluster, ClusterConfig
-from repro.kunpeng.cost_model import (
-    ClusterCostModel,
-    MeasuredRound,
-    TrainingTimeEstimate,
-    deepwalk_round_volume,
-    estimate_deepwalk_time,
-    estimate_gbdt_time,
-    gbdt_round_volume,
-)
 from repro.kunpeng.failover import FailureInjector
 from repro.kunpeng.parallel import ProcessShardRuntime, SharedBlockManager
 
@@ -42,13 +35,6 @@ __all__ = [
     "WorkerNode",
     "KunPengCluster",
     "ClusterConfig",
-    "ClusterCostModel",
-    "MeasuredRound",
-    "TrainingTimeEstimate",
-    "deepwalk_round_volume",
-    "estimate_deepwalk_time",
-    "estimate_gbdt_time",
-    "gbdt_round_volume",
     "FailureInjector",
     "ProcessShardRuntime",
     "SharedBlockManager",

@@ -351,10 +351,6 @@ class KunPengCluster:
         """Close the window; the round's transferred row count is recorded."""
         self.communication.end_round()
 
-    def values_per_round(self) -> List[int]:
-        """Rows transferred in each recorded training round."""
-        return list(self.communication.round_values)
-
     # ------------------------------------------------------------------
     def workload_summary(self) -> Dict[str, float]:
         """Totals feeding the cost model: compute units and communication volume."""

@@ -133,11 +133,6 @@ class SharedBlockManager:
         """Keys of every block currently allocated by this manager."""
         return list(self._segments)
 
-    @property
-    def closed(self) -> bool:
-        """Whether the manager has released its segments."""
-        return self._closed
-
     # ------------------------------------------------------------------
     def release(self, key: str) -> None:
         """Unlink the segment behind block ``key`` (owner process only)."""

@@ -60,8 +60,6 @@ class ParameterServerNode:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._shards: Dict[str, _Shard] = {}
-        self.pull_count = 0
-        self.push_count = 0
 
     # ------------------------------------------------------------------
     def host_shard(self, name: str, row_start: int, row_end: int, values: np.ndarray) -> None:
@@ -93,7 +91,6 @@ class ParameterServerNode:
     def pull_block(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Vectorised pull: stacked copies of ``rows`` (global indices), in order."""
         shard = self._get(name)
-        self.pull_count += 1
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.empty((0, shard.values.shape[1]), dtype=np.float64)
@@ -106,7 +103,6 @@ class ParameterServerNode:
 
     def pull_all(self, name: str) -> np.ndarray:
         """Copy of the whole shard (used by model averaging and checkpoints)."""
-        self.pull_count += 1
         return self._get(name).values.copy()
 
     def push_block(
@@ -119,7 +115,6 @@ class ParameterServerNode:
     ) -> None:
         """Vectorised push: :func:`sgd_update` on the shard's ``rows``."""
         shard = self._get(name)
-        self.push_count += 1
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
@@ -150,13 +145,7 @@ class ParameterServerNode:
         if not replicas:
             raise ParameterServerError("push_average needs at least one replica")
         shard = self._get(name)
-        self.push_count += 1
         stacked = np.stack([np.asarray(r, dtype=np.float64) for r in replicas])
         if stacked.shape[1:] != shard.values.shape:
             raise ParameterServerError("replica shape does not match the hosted shard")
         shard.values = replica_mean(stacked)
-
-    # ------------------------------------------------------------------
-    def traffic(self) -> Dict[str, int]:
-        """Pull/push counters, consumed by the communication cost model."""
-        return {"pulls": self.pull_count, "pushes": self.push_count}

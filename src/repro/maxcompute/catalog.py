@@ -1,15 +1,12 @@
 """Table catalog: the tables of a MaxCompute project, by name.
 
 Pangu is MaxCompute's distributed disk storage; the simulation keeps the
-tables in memory and can snapshot one to a JSON file in a given directory and
-restore it — enough to exercise the store/load code path the offline pipeline
-depends on.
+tables in memory, which is all the T+1 job needs: it rebuilds its tables from
+the day's records on every run.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Iterable, List
 
 from repro.exceptions import TableAlreadyExistsError, TableNotFoundError
@@ -18,7 +15,7 @@ from repro.maxcompute.table import Schema, Table
 
 
 class TableCatalog:
-    """Create / drop / lookup tables, and snapshot them to JSON files."""
+    """Create / drop / lookup tables."""
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
@@ -103,36 +100,3 @@ class TableCatalog:
             "num_rows": table.num_rows,
             "columns": {column.name: column.type.value for column in table.schema.columns},
         }
-
-    # ------------------------------------------------------------------
-    def snapshot(self, name: str, directory: str | Path) -> Path:
-        """Persist one table to ``<directory>/<name>.json``."""
-        table = self.get_table(name)
-        path = Path(directory) / f"{name}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload: Dict[str, object] = {
-            "name": table.name,
-            "schema": {column.name: column.type.value for column in table.schema.columns},
-            "rows": table.to_records(),
-        }
-        if isinstance(table, PartitionedTable):
-            payload["partition_key"] = table.partition_key
-        path.write_text(json.dumps(payload))
-        return path
-
-    def restore(self, name: str, directory: str | Path) -> Table:
-        """Load a snapshot back into the catalog (partitioned if it names a key)."""
-        path = Path(directory) / f"{name}.json"
-        if not path.exists():
-            raise TableNotFoundError(f"no snapshot for table {name!r} at {path}")
-        payload = json.loads(path.read_text())
-        schema = Schema.from_dict(payload["schema"])
-        partition_key = payload.get("partition_key")
-        table = (
-            Table(payload["name"], schema)
-            if partition_key is None
-            else PartitionedTable(payload["name"], schema, partition_key=partition_key)
-        )
-        table.extend(payload["rows"])
-        self.register(table)
-        return table

@@ -222,9 +222,6 @@ class Table:
         for index in range(self._num_rows):
             yield self.row(index)
 
-    def to_records(self) -> List[Dict[str, Any]]:
-        return list(self.rows())
-
     # ------------------------------------------------------------------
     def partition_rows(self, num_splits: int) -> List[List[int]]:
         """Split row indices into ``num_splits`` contiguous chunks (for subtasks).

@@ -61,11 +61,6 @@ class BaseDetector(ABC):
         """Fraud probability (or anomaly score in [0, 1]) per row."""
 
     # ------------------------------------------------------------------
-    def predict(self, features: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
-        """Binary fraud decision per row."""
-        return (self.predict_proba(features) >= threshold).astype(np.int64)
-
-    # ------------------------------------------------------------------
     @property
     def is_fitted(self) -> bool:
         return self._fitted

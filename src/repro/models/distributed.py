@@ -1,36 +1,28 @@
 """Parameter-server training drivers for the classification models.
 
-The paper reimplements the classification detectors (LR, GBDT) on KunPeng for
-better performance — rule-based and anomaly-detection methods stay
-single-machine (footnote 7).  This module mirrors that split:
+The paper reimplements the classification detectors on KunPeng for better
+performance — rule-based and anomaly-detection methods stay single-machine
+(footnote 7).  TitAnt's best detector is the GBDT, and this module holds its
+KunPeng trainer, :class:`DistributedGBDT`: a histogram GBDT in which every
+worker bins its partition once, builds local per-node (gradient, hessian,
+count) histograms each tree level and pushes them to the parameter servers,
+which sum them; the driver pulls one merged fixed-size histogram block and
+finds the splits.  Per-round communication therefore scales with
+``bins x features``, not with the row count.
 
-* :class:`DistributedLogisticRegression` keeps the weight vector on the
-  parameter servers; workers compute mini-batch gradients on their data
-  partitions and push them back (classic PS data parallelism),
-* :class:`DistributedGBDT` is a KunPeng-style histogram GBDT: every worker
-  bins its partition once, builds local per-node (gradient, hessian, count)
-  histograms each tree level and pushes them to the parameter servers, which
-  sum them; the driver pulls one merged fixed-size histogram block and finds
-  the splits.  Per-round communication therefore scales with
-  ``bins x features``, not with the row count.
-
-Both record their cluster workload per round so the Figure 10 benchmark and
-the cost model can report how training time scales with the number of
-machines.
+It records its cluster workload per round so the Figure 10 benchmark and the
+cost model can report how training time scales with the number of machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, Contract, check_fields, integer
-from repro.exceptions import ModelError
 from repro.kunpeng.cluster import ClusterConfig, KunPengCluster
 from repro.kunpeng.failover import FailureInjector
-from repro.models.base import BaseDetector, validate_training_inputs
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.models.tree.histogram import (
     HistogramTree,
@@ -39,13 +31,12 @@ from repro.models.tree.histogram import (
     build_histograms,
     grow_level_wise,
 )
-from repro.numerics import class_weights, column_scaling, sigmoid
-from repro.rng import SeedLike, derive_seed, ensure_rng, spawn_child
+from repro.rng import derive_seed
 
 
 @dataclass
 class DistributedTrainingStats:
-    """Bookkeeping common to both distributed drivers."""
+    """Bookkeeping of a distributed training run."""
 
     rounds: int = 0
     worker_failures: int = 0
@@ -63,126 +54,6 @@ class DistributedTrainingStats:
             "dead_partition_recoveries": float(self.dead_partition_recoveries),
             "driver_recovered_rows": float(self.driver_recovered_rows),
         }
-
-
-class DistributedLogisticRegression(BaseDetector):
-    """L2-regularised logistic regression trained with PS data parallelism."""
-
-    name = "logistic_regression_distributed"
-
-    #: The contract of each hyperparameter, checked by ``__init__`` (the
-    #: failure injector checks ``failure_probability``, the cluster ``backend``).
-    contracts: ClassVar[Mapping[str, Contract]] = {
-        "iterations": integer(1),
-        "learning_rate": POSITIVE,
-        "l2": NON_NEGATIVE,
-        "seed": SEED,
-    }
-
-    def __init__(
-        self,
-        *,
-        cluster: Optional[ClusterConfig] = None,
-        iterations: int = 100,
-        learning_rate: float = 0.5,
-        l2: float = 1e-4,
-        failure_probability: float = 0.0,
-        backend: str = "inline",
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        self.cluster_config = cluster or ClusterConfig(num_machines=4)
-        self.iterations = iterations
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.failure_probability = failure_probability
-        self.seed = seed
-        check_fields(self, ModelError)
-        self._rng = ensure_rng(seed)
-        self.cluster = KunPengCluster(self.cluster_config, backend=backend)
-        self.failure_injector = FailureInjector(
-            self.cluster,
-            failure_probability=failure_probability,
-            rng=spawn_child(self._rng, salt=7),
-        )
-        self.stats = DistributedTrainingStats()
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
-        self.coef_: Optional[np.ndarray] = None
-        self.intercept_: float = 0.0
-
-    # ------------------------------------------------------------------
-    def fit(self, features: np.ndarray, labels: Optional[np.ndarray] = None) -> "DistributedLogisticRegression":
-        features, labels = validate_training_inputs(features, labels)
-        if labels is None:
-            raise ModelError("DistributedLogisticRegression requires labels")
-        self._mean, self._std = column_scaling(features)
-        design = (features - self._mean) / self._std
-        num_features = design.shape[1]
-
-        # Weight vector (plus intercept) lives on the servers as a 1-row matrix.
-        self.cluster.replace_parameter("weights", np.zeros((1, num_features + 1)))
-
-        # Scatter row indices across workers.
-        indices = np.arange(design.shape[0])
-        self.cluster.scatter_data(indices.tolist())
-
-        sample_weights = class_weights(labels, balanced=True)
-
-        for iteration in range(self.iterations):
-            self.failure_injector.maybe_fail(iteration)
-            self.failure_injector.heal()
-            self.cluster.begin_round()
-            step = self.learning_rate / (1.0 + 0.01 * iteration)
-            current = self.cluster.pull_matrix("weights")[0]
-            weights, intercept = current[:-1], current[-1]
-            gradient_sum = np.zeros(num_features + 1)
-            total_rows = 0
-            for worker in self.cluster.alive_workers():
-                rows = np.array(worker.partition, dtype=np.int64)
-                if rows.size == 0:
-                    continue
-
-                def _step(_worker, rows=rows, weights=weights, intercept=intercept):
-                    local = design[rows]
-                    local_labels = labels[rows]
-                    local_sample_weights = sample_weights[rows]
-                    scores = local @ weights + intercept
-                    residual = local_sample_weights * (sigmoid(scores) - local_labels)
-                    gradient = np.concatenate(
-                        [local.T @ residual, np.array([residual.sum()])]
-                    )
-                    return gradient, rows.size
-
-                gradient, count = worker.run(_step, compute_units=float(rows.size))
-                gradient_sum += gradient
-                total_rows += count
-            if total_rows == 0:
-                self.cluster.end_round()
-                continue
-            gradient_mean = gradient_sum / total_rows
-            gradient_mean[:-1] += self.l2 * weights
-            self.cluster.push_row_block(
-                "weights", np.zeros(1, dtype=np.int64), step * gradient_mean[np.newaxis]
-            )
-            self.stats.rounds += 1
-            self.cluster.end_round()
-
-        final = self.cluster.pull_matrix("weights")[0]
-        self.coef_, self.intercept_ = final[:-1], float(final[-1])
-        self.stats.worker_failures = self.failure_injector.total_failures
-        self._fitted = True
-        return self
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        features = self._check_predict_inputs(features)
-        assert self.coef_ is not None and self._mean is not None and self._std is not None
-        design = (features - self._mean) / self._std
-        return sigmoid(design @ self.coef_ + self.intercept_)
-
-    def close(self) -> None:
-        """Release the cluster backend (shard processes, shared memory)."""
-        self.cluster.close()
 
 
 class DistributedGBDT(GradientBoostingClassifier):

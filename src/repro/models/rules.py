@@ -82,12 +82,6 @@ class RuleSet:
                 return rule.value
         return self.default_value
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        return np.array([self.predict_row(row) for row in features])
-
     def high_risk_rules(self, *, min_probability: float = 0.5) -> List[Rule]:
         """Rules whose consequent marks the transaction as likely fraud."""
         return [rule for rule in self.rules if rule.value >= min_probability]

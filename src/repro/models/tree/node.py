@@ -65,11 +65,6 @@ class TreeNode:
                 node = child
         return node.value
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Vector of leaf values for a feature matrix."""
-        features = np.asarray(features, dtype=np.float64)
-        return np.array([self.predict_row(row) for row in features])
-
     # ------------------------------------------------------------------
     def depth(self) -> int:
         """Depth of the subtree rooted at this node (a leaf has depth 0)."""

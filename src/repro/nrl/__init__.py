@@ -16,7 +16,7 @@ server) training drivers live in :mod:`repro.nrl.distributed` and run on the
 KunPeng simulation.
 """
 
-from repro.nrl.embeddings import EmbeddingSet, top1_neighbor_recall
+from repro.nrl.embeddings import EmbeddingSet
 from repro.nrl.word2vec import SkipGramConfig, SkipGramTrainer, Vocabulary, build_vocabulary
 from repro.nrl.deepwalk import DeepWalk, DeepWalkConfig
 from repro.nrl.structure2vec import Structure2Vec, Structure2VecConfig
@@ -24,7 +24,6 @@ from repro.nrl.base import NRLModel
 
 __all__ = [
     "EmbeddingSet",
-    "top1_neighbor_recall",
     "SkipGramConfig",
     "SkipGramTrainer",
     "Vocabulary",

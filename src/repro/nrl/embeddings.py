@@ -124,25 +124,3 @@ class EmbeddingSet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EmbeddingSet(name={self.name!r}, nodes={len(self)}, dim={self.dimension})"
 
-
-def top1_neighbor_recall(embeddings: "EmbeddingSet", labels: Mapping[str, object]) -> float:
-    """Fraction of labelled nodes whose nearest embedding neighbour shares the label.
-
-    The intrinsic quality metric used for dense/sparse DeepWalk A/B runs
-    (recall@top-1): cosine nearest neighbour over all labelled nodes with a
-    non-zero vector.  Raises if fewer than two such nodes exist.
-    """
-    nodes = [
-        node
-        for node in embeddings.node_ids()
-        if node in labels and float(np.linalg.norm(embeddings[node])) > 0.0
-    ]
-    if len(nodes) < 2:
-        raise EmbeddingError("top1_neighbor_recall needs at least two labelled nodes")
-    matrix = embeddings.subset(nodes).normalized().matrix
-    similarity = matrix @ matrix.T
-    np.fill_diagonal(similarity, -np.inf)
-    top1 = np.argmax(similarity, axis=1)
-    label_list = [labels[node] for node in nodes]
-    hits = sum(1 for i, j in enumerate(top1) if label_list[i] == label_list[j])
-    return hits / len(nodes)

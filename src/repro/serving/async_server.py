@@ -201,8 +201,3 @@ class AsyncServingFrontEnd:
     def stats(self) -> Dict[str, float]:
         """The underlying coalescer's batching statistics."""
         return self.coalescer.stats()
-
-    @property
-    def pending(self) -> int:
-        """Requests currently buffered awaiting a flush."""
-        return len(self.coalescer)

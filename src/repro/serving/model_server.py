@@ -360,10 +360,6 @@ class ModelServer:
     # ------------------------------------------------------------------
     # Online prediction
     # ------------------------------------------------------------------
-    def predict(self, request: TransactionRequest) -> PredictionResponse:
-        """Score one transaction request against the loaded model."""
-        return self.predict_batch([request])[0]
-
     def predict_batch(
         self, requests: Sequence[TransactionRequest]
     ) -> List[PredictionResponse]:

@@ -59,9 +59,9 @@ class ServingRouter:
     Each replica owns :data:`VIRTUAL_NODES` points on a 64-bit hash ring; an
     account maps to the replica owning the first ring point at or after the
     account's hash.  Virtual nodes keep the per-replica keyspace share close
-    to uniform, and :meth:`remove_replica` / :meth:`add_replica` move only the
-    ring segments of the touched replica — the property that makes fleet
-    resizes cheap for the replicas' warm caches.
+    to uniform, and :meth:`add_replica` moves only the ring segments the new
+    replica takes over — the property that makes a fleet resize cheap for the
+    other replicas' warm caches.
     """
 
     def __init__(self, num_replicas: int) -> None:
@@ -93,17 +93,6 @@ class ServingRouter:
             index = bisect.bisect_left(self._ring_points, point)
             self._ring_points.insert(index, point)
             self._ring_owners.insert(index, replica)
-
-    def remove_replica(self, replica: int) -> None:
-        """Drop a replica; only its accounts remap (to the next ring owners)."""
-        if replica not in self._replicas:
-            raise ServingError(f"replica {replica} is not on the ring")
-        if len(self._replicas) == 1:
-            raise ServingError("cannot remove the last replica")
-        self._replicas.remove(replica)
-        keep = [i for i, owner in enumerate(self._ring_owners) if owner != replica]
-        self._ring_points = [self._ring_points[i] for i in keep]
-        self._ring_owners = [self._ring_owners[i] for i in keep]
 
     # ------------------------------------------------------------------
     def route(self, account_id: str) -> int:

@@ -11,22 +11,64 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 import pytest
 
 from repro.datagen import generate_world
-from repro.datagen.datasets import DatasetBuilder, small_world_config
+from repro.datagen.datasets import DatasetBuilder
 from repro.datagen.profiles import ProfileConfig
 from repro.datagen.schema import Transaction, transfer_value_error
 from repro.datagen.transactions import WorldConfig
 from repro.features.basic import BasicFeatureExtractor
 from repro.graph.builder import build_network
+from repro.graph.network import TransactionNetwork
 
 
 TEST_NETWORK_DAYS = 18
 TEST_TRAIN_DAYS = 6
+
+
+def small_world_config(
+    *,
+    num_users: int = 600,
+    num_days: int = 40,
+    seed: int = 7,
+    fraudster_fraction: float = 0.03,
+) -> WorldConfig:
+    """A compact world configuration for tests.
+
+    Uses shorter network/train windows than the paper so that a full T+1
+    evaluation fits in well under a second.  Callers pair it with
+    ``DatasetBuilder(world, network_days=25, train_days=7)``.
+    """
+    return WorldConfig(
+        profile=ProfileConfig(
+            num_users=num_users,
+            num_communities=8,
+            fraudster_fraction=fraudster_fraction,
+            seed=seed,
+        ),
+        num_days=num_days,
+        transactions_per_user_per_day=0.5,
+        seed=seed,
+    )
+
+
+def induced_subgraph(network: TransactionNetwork, nodes: Iterable[str]) -> TransactionNetwork:
+    """The subgraph of ``network`` induced by ``nodes`` (unknown ids are
+    ignored), its node index in the caller's first-seen order."""
+    known = set(network.nodes())
+    keep = dict.fromkeys(n for n in nodes if n in known)
+    sub = TransactionNetwork()
+    for node in keep:
+        sub.add_node(node)
+    for payer in keep:
+        for payee, weight in network.successors(payer).items():
+            if payee in keep:
+                sub.add_edge(payer, payee, weight)
+    return sub
 
 
 def validate_transaction(txn: Transaction) -> Optional[str]:

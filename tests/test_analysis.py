@@ -618,7 +618,7 @@ class TestUnreachedPublic:
             {
                 "repro/hbase/client.py": """
                 class HBaseClient:
-                    def replay_wal_into(self):
+                    def wal(self):
                         return 1
 
                     def replay_into(self):
@@ -631,7 +631,7 @@ class TestUnreachedPublic:
             },
             rules=["unreached-public"],
         )
-        assert "HBaseClient.replay_wal_into" in ENTRY_POINTS
+        assert "HBaseClient.wal" in ENTRY_POINTS
         assert [f.message.split()[0] for f in report.findings] == ["HBaseClient.replay_into"]
         assert len(ENTRY_POINTS) <= 20 and all(ENTRY_POINTS.values())
 
@@ -649,6 +649,93 @@ class TestUnreachedPublic:
             rules=["unreached-public"],
         )
         assert [(f.path, f.line) for f in report.findings] == [("src/repro/graph/metrics.py", 1)]
+
+    def test_a_function_only_a_docstring_or_a_comment_names_is_flagged(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/graph/metrics.py": "def two_hop(network):\n    return network\n",
+                "repro/graph/report.py": """
+                \"\"\"Summaries built on :func:`repro.graph.metrics.two_hop`.\"\"\"
+                LABEL = "two_hop"  # two_hop names the metric
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["two_hop"]
+
+    def test_a_type_checking_import_or_an_attribute_call_counts_as_reached(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/serving/a.py": """
+                class Engine:
+                    def spin(self):
+                        return 1
+
+                def build():
+                    return Engine()
+                """,
+                "repro/serving/b.py": """
+                from typing import TYPE_CHECKING
+                if TYPE_CHECKING:
+                    from repro.serving.a import build
+                SPIN = [lambda engine: engine.spin()]
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert report.findings == []
+
+    def test_a_keyword_or_a_string_naming_a_function_is_not_a_reference(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/serving/a.py": "def spin():\n    return 1\n\ndef wobble():\n    return 2\n",
+                "repro/serving/b.py": """
+                import repro.serving.a as a
+                SETTINGS = dict(spin=1)
+                WOBBLE = getattr(a, "wobble")
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["spin", "wobble"]
+
+    def test_code_in_a_package_init_is_a_use_though_its_imports_are_not(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/graph/__init__.py": """
+                from repro.graph.metrics import default_metric, two_hop
+                DEFAULT = default_metric()
+                """,
+                "repro/graph/metrics.py": """
+                def default_metric():
+                    return 1
+
+                def two_hop(network):
+                    return network
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["two_hop"]
+
+    def test_a_stale_allow_list_entry_is_flagged(self, monkeypatch):
+        # One names no definition; the other names a method src code calls.
+        monkeypatch.setitem(ENTRY_POINTS, "NoSuchClass.method", "gone")
+        monkeypatch.setitem(ENTRY_POINTS, "HBaseClient.put", "reached")
+        report = run_analysis(
+            REPO_ROOT / "src" / "repro" / "hbase" / "client.py",
+            repo_root=REPO_ROOT,
+            src_root=REPO_ROOT / "src",
+            checkers=default_checkers(["unreached-public"]),
+        )
+        assert {f.path for f in report.findings} == {"tools/analysis/checkers/unreached.py"}
+        assert sorted(f.message.split()[2] for f in report.findings) == [
+            "'HBaseClient.put'", "'NoSuchClass.method'"
+        ]
 
     def test_a_name_used_only_in_examples_is_reached(self, tmp_path):
         files = {"repro/models/rules.py": "def high_risk(rules):\n    return rules\n"}

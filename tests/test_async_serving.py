@@ -204,7 +204,7 @@ class TestFailedFlush:
             )
             kept = [front_end.submit_nowait(c), front_end.submit_nowait(d)]
             await _flush(front_end, kept)
-            return lost, kept, front_end.pending
+            return lost, kept, len(front_end.coalescer)
 
         lost, kept, pending = asyncio.run(_run())
         assert pending == 0

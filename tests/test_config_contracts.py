@@ -2,8 +2,9 @@
 
 The classes are found by reflection, so a new one is covered without an edit
 here: every public ``*Config`` / ``*Spec`` dataclass in ``src/repro`` (with
-``ModelHyperparameters``, ``ClusterCostModel`` and ``MeasuredRound``) and every
-public detector.  Each field or constructor parameter annotated ``int`` or
+``ModelHyperparameters``), Figure 10's ``ClusterCostModel`` and
+``MeasuredRound`` (``benchmarks/paper/cost_model.py``) and every public
+detector.  Each field or constructor parameter annotated ``int`` or
 ``float`` (``Optional`` too) is fed values of kinds no such setting can use: a
 float for an integer, ``True``, NaN, ±inf, a negative number and a string.
 Each must be rejected at construction with a :class:`ReproError` subclass —
@@ -52,10 +53,14 @@ from repro.serving.coalescer import CoalescerConfig, RequestCoalescer
 #: Dataclasses covered although their names end in neither Config nor Spec.
 NAMED = ("ModelHyperparameters", "ClusterCostModel", "MeasuredRound")
 
+#: Modules outside ``src/repro`` whose settings are checked the same way.
+MOVED = ("benchmarks.paper.cost_model",)
+
 
 def _public_classes():
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        module = importlib.import_module(info.name)
+    names = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for module_name in [*names, *MOVED]:
+        module = importlib.import_module(module_name)
         for name, value in vars(module).items():
             if inspect.isclass(value) and value.__module__ == module.__name__ and name[0] != "_":
                 yield value
@@ -208,7 +213,6 @@ def test_discovery_finds_the_configs_and_detectors():
     assert {
         "GradientBoostingClassifier",
         "LogisticRegression",
-        "DistributedLogisticRegression",
         "DistributedGBDT",
     } <= names
     assert len(CONFIGS) >= 24 and len(CASES) >= 100

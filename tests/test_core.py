@@ -168,6 +168,14 @@ def experiment_runner(world):
     return ExperimentRunner(world, config)
 
 
+@pytest.fixture(scope="module")
+def preparation(experiment_runner):
+    """Dataset 1 with the DeepWalk embeddings the tests' configurations use."""
+    return experiment_runner.pipeline.prepare(
+        experiment_runner.datasets()[0], need_deepwalk=True, need_structure2vec=False
+    )
+
+
 class TestPipelineAndExperiment:
     def test_prepare_trains_requested_embeddings(self, experiment_runner):
         dataset = experiment_runner.datasets()[0]
@@ -177,9 +185,7 @@ class TestPipelineAndExperiment:
         assert "dw" in preparation.embeddings and "s2v" not in preparation.embeddings
         assert preparation.network.num_nodes > 0
 
-    def test_train_and_evaluate_one_configuration(self, experiment_runner):
-        dataset = experiment_runner.datasets()[0]
-        preparation = experiment_runner.preparation_for(dataset)
+    def test_train_and_evaluate_one_configuration(self, experiment_runner, preparation):
         configuration = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
         bundle = experiment_runner.pipeline.train(preparation, configuration)
         assert bundle.detector.is_fitted
@@ -199,10 +205,9 @@ class TestPipelineAndExperiment:
         assert direct.num_nodes == via_maxcompute.num_nodes
         assert direct.num_edges == via_maxcompute.num_edges
 
-    def test_end_to_end_offline_to_online(self, world, experiment_runner):
+    def test_end_to_end_offline_to_online(self, world, experiment_runner, preparation):
         """Offline training → HBase publication → Model Server → Alipay replay."""
         dataset = experiment_runner.datasets()[0]
-        preparation = experiment_runner.preparation_for(dataset)
         configuration = Table1Configuration(9, DetectorName.GBDT, FeatureSetName.BASIC_DW)
         bundle = experiment_runner.pipeline.train(preparation, configuration)
 
@@ -215,19 +220,19 @@ class TestPipelineAndExperiment:
         txn = dataset.test_transactions[0]
         offline_matrix = experiment_runner.pipeline.evaluate(preparation, bundle)
         offline_score = bundle.detector.predict_proba(offline_matrix.values[:1])[0]
-        online = server.predict(TransactionRequest.from_transaction(txn))
+        online = server.predict_batch([TransactionRequest.from_transaction(txn)])[0]
         assert online.fraud_probability == pytest.approx(offline_score, abs=1e-9)
 
         alipay = AlipayServer(server)
         report = alipay.replay_transactions(dataset.test_transactions[:50])
         assert report.total == 50
 
-    def test_deploy_fleet_registry_supersedes_retrained_bundle(self, experiment_runner):
+    def test_deploy_fleet_registry_supersedes_retrained_bundle(
+        self, experiment_runner, preparation
+    ):
         """Regression: redeploying a retrained bundle whose version string
         already exists in the registry must serve the *new* detector, not the
         stale registration."""
-        dataset = experiment_runner.datasets()[0]
-        preparation = experiment_runner.preparation_for(dataset)
         configuration = Table1Configuration(5, DetectorName.GBDT, FeatureSetName.BASIC)
         pipeline = experiment_runner.pipeline
 
@@ -245,13 +250,13 @@ class TestPipelineAndExperiment:
         assert registry.get(retrained.version).model is retrained.detector
         assert server.active_model.model is retrained.detector
 
-    def test_deploy_fleet_without_a_registry_still_deploys_through_one(self, experiment_runner):
+    def test_deploy_fleet_without_a_registry_still_deploys_through_one(
+        self, experiment_runner, preparation
+    ):
         """``deploy_fleet`` has one install path: with no caller registry the
         bundle is registered in a private one, so an unfitted detector is
         turned away by ``ModelRegistry.register`` (``ModelError``), not by the
         first server's ``load_model`` (``ServingError``)."""
-        dataset = experiment_runner.datasets()[0]
-        preparation = experiment_runner.preparation_for(dataset)
         configuration = Table1Configuration(5, DetectorName.GBDT, FeatureSetName.BASIC)
         bundle = experiment_runner.pipeline.train(preparation, configuration)
         hbase = HBaseClient()

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import generate_world
-from repro.datagen.datasets import DatasetBuilder, RollingDatasets, small_world_config
+from repro.datagen.datasets import DatasetBuilder, RollingDatasets
 from repro.datagen.fraud import FraudConfig, FraudsterBehaviorModel, TypologyConfig
 from repro.datagen.profiles import ProfileConfig, ProfileGenerator, profiles_by_id
 from repro.datagen.schema import Transaction, TransactionChannel, city_tier
 from repro.datagen.stream import WorldStream
 from repro.datagen.transactions import WorldConfig
 from repro.exceptions import DataGenerationError
-from tests.conftest import validate_transaction
+from tests.conftest import small_world_config, validate_transaction
 
 
 class TestProfiles:
@@ -67,15 +67,16 @@ class TestFraudModel:
         return FraudsterBehaviorModel(profiles, FraudConfig(**overrides), rng=seed)
 
     def test_planned_frauds_target_normal_users(self):
-        model = self._model(seed=3)
+        profiles = ProfileGenerator(ProfileConfig(num_users=300, fraudster_fraction=0.05, seed=3)).generate()
+        model = FraudsterBehaviorModel(profiles, FraudConfig(), rng=3)
         planned = []
         for day in range(30):
             planned.extend(model.plan_day(day))
         assert planned, "expected at least one planned fraud over 30 days"
-        states = model.states
+        fraudsters = {p.user_id for p in profiles if p.is_fraudster}
         for fraud in planned:
-            assert fraud.fraudster_id in states
-            assert fraud.victim_id not in states  # victims are normal users
+            assert fraud.fraudster_id in fraudsters
+            assert fraud.victim_id not in fraudsters  # victims are normal users
 
     def test_repeat_offender_fraction_roughly_respected(self):
         model = self._model(seed=5, repeat_offender_fraction=0.7)

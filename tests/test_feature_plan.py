@@ -169,7 +169,7 @@ class TestOfflineOnlineParity:
     def test_served_probability_matches_offline_scoring(self, deployed, dataset):
         assembler, server, model = deployed
         txn = dataset.test_transactions[0]
-        response = server.predict(TransactionRequest.from_transaction(txn))
+        response = server.predict_batch([TransactionRequest.from_transaction(txn)])[0]
         offline_probability = float(
             model.predict_proba(assembler.assemble_single(txn).reshape(1, -1))[0]
         )

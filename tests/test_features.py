@@ -53,11 +53,9 @@ class TestBasicFeatures:
 
 
 class TestFeatureMatrix:
-    def test_column_and_select(self):
+    def test_column(self):
         matrix = FeatureMatrix(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert matrix.column("b").tolist() == [2.0, 4.0]
-        selected = matrix.select(["b"])
-        assert selected.feature_names == ["b"]
         with pytest.raises(FeatureError):
             matrix.column("missing")
 

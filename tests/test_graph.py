@@ -51,23 +51,6 @@ class TestTransactionNetwork:
         with pytest.raises(GraphError):
             network.node_index("missing")
 
-    def test_subgraph_induced(self):
-        network = TransactionNetwork()
-        network.add_edge("a", "b")
-        network.add_edge("b", "c")
-        network.add_edge("c", "d")
-        sub = network.subgraph(["a", "b", "c"])
-        assert set(sub.nodes()) == {"a", "b", "c"}
-        assert "b" in sub.successors("a") and "c" in sub.successors("b")
-        assert "d" not in sub.successors("c")
-
-    def test_subgraph_keeps_the_callers_first_seen_order(self):
-        network = TransactionNetwork()
-        network.add_edge("a", "b")
-        network.add_edge("b", "c")
-        sub = network.subgraph(["c", "a", "ghost", "b", "c"])
-        assert sub.nodes() == ["c", "a", "b"]
-
 
 class TestNetworkBuilder:
     def test_build_from_slice(self, dataset, network):

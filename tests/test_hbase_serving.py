@@ -394,7 +394,7 @@ class TestModelServer:
             ip_risk_score=0.1,
         )
         with pytest.raises(ModelNotLoadedError):
-            server.predict(request)
+            server.predict_batch([request])
 
     def test_online_prediction_matches_offline_features(self, serving_stack, world, dataset):
         _, server = serving_stack
@@ -414,7 +414,7 @@ class TestModelServer:
             TransactionRequest.from_transaction(txn)
             for txn in dataset.test_transactions[:32]
         ]
-        scalar = [server.predict(request).fraud_probability for request in requests]
+        scalar = [server.predict_batch([request])[0].fraud_probability for request in requests]
         batch = [r.fraud_probability for r in server.predict_batch(requests)]
         assert np.allclose(scalar, batch)
 
@@ -434,7 +434,7 @@ class TestModelServer:
     def test_latency_is_milliseconds_scale(self, serving_stack, dataset):
         _, server = serving_stack
         for txn in dataset.test_transactions[:30]:
-            server.predict(TransactionRequest.from_transaction(txn))
+            server.predict_batch([TransactionRequest.from_transaction(txn)])
         report = server.latency.report()
         assert report.count == 30
         assert report.p99_ms < 50.0  # the paper's "tens of milliseconds" budget
@@ -632,17 +632,17 @@ class TestMissingEmbeddingDefault:
             version=1,
         )
         assert server.missing_embeddings == 0
-        server.predict(TransactionRequest.from_transaction(txn))
+        server.predict_batch([TransactionRequest.from_transaction(txn)])
         assert server.missing_embeddings == 1
 
     def test_counter_accumulates_across_model_rotations(self, embedding_server, dataset):
         _, server, model, plan = embedding_server
         txn = dataset.test_transactions[1]
-        server.predict(TransactionRequest.from_transaction(txn))
+        server.predict_batch([TransactionRequest.from_transaction(txn)])
         first = server.missing_embeddings
         assert first == 2  # both sides unpublished
         server.load_model(model, version="s2v_v2", threshold=0.5, plan=plan)
-        server.predict(TransactionRequest.from_transaction(txn))
+        server.predict_batch([TransactionRequest.from_transaction(txn)])
         assert server.missing_embeddings == first + 2
 
     def test_serving_report_carries_missing_embeddings(self, embedding_server, dataset):

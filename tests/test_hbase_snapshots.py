@@ -195,7 +195,7 @@ def _reads_equal_a_brute_force_model(ops, max_versions, cache_rows):
             views = [(family, pin) for family in FAMILIES for pin in (None, 2)]
             before = [root.scan(TABLE, family, version=pin) for family, pin in views]
             root._tables[TABLE] = HBaseTable(TABLE, FAMILIES, max_versions=max_versions)
-            assert root.replay_wal_into(TABLE) == len(puts)
+            assert root.wal.replay(root.table(TABLE), table_name=TABLE) == len(puts)
             assert [root.scan(TABLE, family, version=pin) for family, pin in views] == before
         else:
             kind, handle, keys, family, pin, default = op
@@ -429,7 +429,7 @@ def test_a_rejected_put_leaves_wal_regions_and_caches_as_they_were():
     recovered = HBaseTable(TABLE, client.table(TABLE).column_families())
     assert client.wal.replay(recovered, table_name=TABLE) == 1
     assert recovered.get("u1", BASIC_FEATURES_FAMILY) == {"age": 30}
-    assert client.replay_wal_into(TABLE) == 1
+    assert client.wal.replay(client.table(TABLE), table_name=TABLE) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import operator
 
 import pytest
@@ -86,25 +85,23 @@ class TestTables:
         assert flat == list(range(10))
         assert not hasattr(table, "partition_column")
 
-    def test_storage_and_catalog_lifecycle(self, tmp_path):
+    def test_catalog_lifecycle(self):
         catalog = TableCatalog()
         schema = Schema.from_dict({"user": "string", "score": "double"})
         catalog.create_table("scores", schema)
         catalog.insert_rows("scores", [{"user": "u1", "score": 0.5}])
         with pytest.raises(TableAlreadyExistsError):
             catalog.create_table("scores", schema)
-        catalog.snapshot("scores", tmp_path)
+        assert catalog.get_table("scores").num_rows == 1
         catalog.drop_table("scores")
         with pytest.raises(TableNotFoundError):
             catalog.get_table("scores")
-        restored = catalog.restore("scores", tmp_path)
-        assert restored.num_rows == 1
 
     @staticmethod
     def _assert_consistent(table, records):
         assert table.num_rows == len(table) == len(records)
         assert {len(table.column(name)) for name in table.schema.names()} == {len(records)}
-        assert table.to_records() == records
+        assert list(table.rows()) == records
 
     def test_rejected_row_leaves_the_table_untouched(self):
         """A value that cannot be coerced used to be rejected *after* the
@@ -156,53 +153,6 @@ class TestTables:
         table.extend_columns({"a": [True]}, 1)
         assert repr(table.column("a")[-1]) == "1"
 
-    def test_partitioned_snapshot_round_trip(self, tmp_path):
-        """A snapshotted ``PartitionedTable`` used to come back as a plain
-        ``Table``: the key was not in the payload, so nothing was ever pruned."""
-        catalog = TableCatalog()
-        table = PartitionedTable(
-            "p",
-            Schema.from_dict({"day": "bigint", "ts": "bigint", "amount": "double"}),
-            partition_key="day",
-        )
-        table.extend(
-            [
-                {"day": ts // 100, "ts": ts, "amount": None if ts % 7 == 0 else ts / 8}
-                for ts in range(0, 500, 9)
-            ]
-        )
-        catalog.register(table)
-        executor = SQLExecutor(catalog)
-        sql = "SELECT ts, amount FROM p WHERE ts > 250"
-
-        def view():
-            current = catalog.get_table("p")
-            rows = executor.execute(sql).to_records()
-            bounds = {
-                key: {
-                    name: (zone.bounds, zone.null_count)
-                    for name, zone in current.zone_map(key).columns.items()
-                }
-                for key in current.partition_keys()
-            }
-            return type(current), current.partition_keys(), bounds, rows, executor.last_stats
-
-        before = view()
-        catalog.snapshot("p", tmp_path)
-        catalog.drop_table("p")
-        restored = catalog.restore("p", tmp_path)
-        assert restored is not table and isinstance(restored, PartitionedTable)
-        assert restored.partition_key == "day"
-        assert view() == before
-        assert before[4].partitions_skipped == 2 and before[4].partitions_total == 5
-        # A payload written before the key was persisted restores as a plain table.
-        path = tmp_path / "p.json"
-        payload = json.loads(path.read_text())
-        del payload["partition_key"]
-        path.write_text(json.dumps(payload))
-        old = catalog.restore("p", tmp_path)
-        assert type(old) is Table and old.to_records() == table.to_records()
-
 
 class TestSQL:
     def test_parse_full_statement(self):
@@ -231,7 +181,7 @@ class TestSQL:
             "SELECT transaction_id, amount FROM transactions WHERE day >= 1 AND amount > 100"
         )
         assert result.succeeded
-        records = result.result_table.to_records()
+        records = list(result.result_table.rows())
         table = client.get_table("transactions")
         expected = sum(1 for row in table.rows() if row["day"] >= 1 and row["amount"] > 100)
         assert len(records) == expected > 0
@@ -241,7 +191,7 @@ class TestSQL:
             "SELECT day, COUNT(*) AS n, SUM(amount) AS total, MAX(amount) AS peak "
             "FROM transactions GROUP BY day"
         )
-        records = result.result_table.to_records()
+        records = list(result.result_table.rows())
         assert records, "expected at least one group"
         table = client.get_table("transactions")
         for row in records:
@@ -301,7 +251,7 @@ class TestMapReduce:
         assert result.succeeded
         edges = {
             (row["payer_id"], row["payee_id"]): row["weight"]
-            for row in result.result_table.to_records()
+            for row in result.result_table.rows()
         }
         sample = world.transactions[:3000]
         pair = (sample[0].payer_id, sample[0].payee_id)
@@ -410,7 +360,7 @@ class TestPartitionedTable:
         counted = SQLExecutor(client.catalog).execute("SELECT COUNT(*) AS n FROM events")
         sizes = [len(table.partition_indices(key)) for key in table.partition_keys()]
         assert table.num_rows == sum(sizes) == counted.column("n")[0] == 1
-        assert len(table.to_records()) == 1
+        assert len(list(table.rows())) == 1
 
     def test_pruning_skips_only_non_matching(self, client_partitioned):
         client, rows = client_partitioned
@@ -420,7 +370,7 @@ class TestPartitionedTable:
         full_executor = _plain_executor(client.get_table("events"))
         full = full_executor.execute("SELECT ts, amount FROM events WHERE ts > 250")
         full_stats = full_executor.last_stats
-        assert pruned.to_records() == full.to_records()
+        assert list(pruned.rows()) == list(full.rows())
         assert full_stats.partitions_skipped == 0
         assert pruned_stats.partitions_skipped > 0
         assert pruned_stats.rows_scanned < full_stats.rows_scanned
@@ -456,7 +406,7 @@ class TestPartitionedTable:
         client.catalog.register(table)
         sql = f"SELECT v FROM t WHERE v {operator_} {threshold}"
         pruned = SQLExecutor(client.catalog).execute(sql)
-        assert pruned.to_records() == _plain_executor(table).execute(sql).to_records()
+        assert list(pruned.rows()) == list(_plain_executor(table).execute(sql).rows())
 
     def test_nan_cell_never_hides_its_partition(self):
         """``min`` / ``max`` over ``[nan, 5.0]`` are NaN, which every bound
@@ -477,7 +427,7 @@ class TestPartitionedTable:
         client.catalog.register(table)
         executor = SQLExecutor(client.catalog)
         above = executor.execute("SELECT day, amount FROM events WHERE amount > 3")
-        assert above.to_records() == [{"day": 0, "amount": 5.0}, {"day": 2, "amount": 5.0}]
+        assert list(above.rows()) == [{"day": 0, "amount": 5.0}, {"day": 2, "amount": 5.0}]
         assert executor.last_stats.partitions_skipped == 1
         unequal = executor.execute("SELECT ts FROM events WHERE amount != 5")
         assert unequal.column("ts") == [0, 2, 4]
@@ -551,7 +501,7 @@ class TestSQLEngineBugfixes:
         assert result.schema.column("d").type is ColumnType.BIGINT
         assert result.schema.column("hi").type is ColumnType.BIGINT
         # Aggregates over zero rows still yield the SQL one-row result.
-        assert result.to_records() == [{"n": 0, "s": None, "d": None, "hi": None}]
+        assert list(result.rows()) == [{"n": 0, "s": None, "d": None, "hi": None}]
 
     def test_where_columns_validated_upfront(self, client):
         executor = SQLExecutor(client.catalog)
@@ -791,7 +741,7 @@ def _executor_matches_reference(data):
     def run_executor():
         result = executor.execute(sql)
         types = [(column.name, column.type) for column in result.schema.columns]
-        return result.to_records(), types, executor.last_stats
+        return list(result.rows()), types, executor.last_stats
 
     got = _outcome(run_executor)
     expected = _outcome(lambda: reference_execute(catalog, sql))
@@ -871,14 +821,14 @@ class TestColumnarExecutorExamples:
         catalog.register(table)
         executor = SQLExecutor(catalog)
         sql = "SELECT day, ts FROM events WHERE ts > 100"
-        assert executor.execute(sql).to_records() == [{"day": 1, "ts": 150}]
+        assert list(executor.execute(sql).rows()) == [{"day": 1, "ts": 150}]
         assert executor.last_stats.partitions_skipped == 1
         stale = table.zone_map(0)
         assert stale is table.zone_map(0) and stale.zone("ts").bounds == (10, 20)
         table.append({"day": 0, "ts": 120})
         assert table.zone_map(0) is not stale and table.zone_map(0).zone("ts").bounds == (10, 120)
         assert table.zone_map(0).row_count == 3
-        assert executor.execute(sql).to_records() == [{"day": 0, "ts": 120}, {"day": 1, "ts": 150}]
+        assert list(executor.execute(sql).rows()) == [{"day": 0, "ts": 120}, {"day": 1, "ts": 150}]
         assert executor.last_stats.partitions_skipped == 0
         # A write to one partition leaves the other partitions' maps alone.
         kept = table.zone_map(1)

@@ -41,7 +41,7 @@ class TestLogisticRegression:
     def test_learns_linear_boundary(self, small_classification_data):
         features, labels = small_classification_data
         model = LogisticRegression(discretize_bins=0, iterations=200, l1=0.01).fit(features, labels)
-        accuracy = (model.predict(features) == labels).mean()
+        accuracy = ((model.predict_proba(features) >= 0.5) == labels).mean()
         assert accuracy > 0.85
 
     def test_discretization_improves_or_matches_raw_on_fraud(self, feature_matrices):
@@ -112,7 +112,7 @@ class TestGBDT:
     def test_learns_nonlinear_boundary(self, small_classification_data):
         features, labels = small_classification_data
         model = GradientBoostingClassifier(num_trees=40, seed=0).fit(features, labels)
-        accuracy = (model.predict(features) == labels).mean()
+        accuracy = ((model.predict_proba(features) >= 0.5) == labels).mean()
         assert accuracy > 0.9
 
     def test_training_loss_decreases(self, small_classification_data):
@@ -127,7 +127,7 @@ class TestGBDT:
         )
         scores = model.predict_proba(features)
         assert np.all((scores >= 0) & (scores <= 1))
-        assert (model.predict(features) == labels).mean() > 0.85
+        assert ((model.predict_proba(features) >= 0.5) == labels).mean() > 0.85
 
     def test_staged_predictions_match_final(self, small_classification_data):
         features, labels = small_classification_data

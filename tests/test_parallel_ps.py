@@ -2,8 +2,9 @@
 
 Covers the shared-memory block lifecycle (including leak safety when a shard
 process is killed mid-round), bit-exact equivalence between the inline and
-process backends for the cluster primitives and both training drivers, and
-the cost-model calibration path the wall-clock bench asserts against.
+process backends for the cluster primitives and both training drivers.  The
+cost-model calibration the wall-clock bench asserts against is tested beside
+the cost model, in ``benchmarks/paper/tests/test_cost_model.py``.
 
 Equivalence expectation, documented per the issue: the process backend
 applies every mutation through one FIFO pipe per shard with the *same* numpy
@@ -26,20 +27,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ModelError, ParameterServerError
-from repro.kunpeng import (
-    ClusterConfig,
-    ClusterCostModel,
-    KunPengCluster,
-    MeasuredRound,
-    ProcessShardRuntime,
-    SharedBlockManager,
-)
-from repro.models.distributed import DistributedGBDT, DistributedLogisticRegression
+from repro.exceptions import ModelError, ParameterServerError
+from repro.kunpeng import ClusterConfig, KunPengCluster, ProcessShardRuntime, SharedBlockManager
+from repro.models.distributed import DistributedGBDT
 from repro.models.tree.histogram import HistogramBinner, HistogramTreeBuilder
 from repro.nrl.distributed import DistributedDeepWalk, DistributedDeepWalkConfig
 from repro.graph.random_walk import RandomWalkConfig
 from repro.nrl.word2vec import SkipGramConfig
+from tests.conftest import induced_subgraph
 
 
 def _shm_segments(prefix: str):
@@ -54,7 +49,6 @@ class TestSharedBlockManager:
         assert np.array_equal(manager.view("w"), block)
         assert _shm_segments(manager.prefix)
         manager.close()
-        assert manager.closed
         assert not _shm_segments(manager.prefix)
 
     def test_attacher_sees_owner_writes(self):
@@ -327,28 +321,6 @@ class TestBackendEquivalence:
             assert len(_shm_segments(runtime.blocks.prefix)) == 3
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_lr_refit_equals_a_fresh_fit(self, backend, small_classification_data):
-        """The second ``fit`` starts from zero weights, not from the first
-        fit's, and a fit on another feature width re-shards the vector."""
-        features, labels = small_classification_data
-
-        def _model():
-            return DistributedLogisticRegression(
-                cluster=ClusterConfig(num_machines=6), iterations=20, backend=backend, seed=4
-            )
-
-        model, fresh = _model(), _model()
-        try:
-            refit = model.fit(features, labels).fit(features, labels)
-            fresh.fit(features, labels)
-            assert refit.coef_.tobytes() == fresh.coef_.tobytes()
-            assert refit.intercept_ == fresh.intercept_
-            assert model.fit(features[:, :3], labels).coef_.shape == (3,)
-        finally:
-            model.close()
-            fresh.close()
-
-    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_deepwalk_refit_equals_a_fresh_fit(self, backend, network):
         """Nothing of the first fit stays on the servers.  A fit continues the
         model's generator (as ``DeepWalk.fit`` does), so the fresh model is
@@ -361,7 +333,7 @@ class TestBackendEquivalence:
             refit = _embedding_matrix(model.fit(network))
             assert refit.tobytes() == _embedding_matrix(fresh.fit(network)).tobytes()
             # Another network, another vocabulary size: the matrices re-shard.
-            smaller = network.subgraph(network.nodes()[: network.num_nodes // 2])
+            smaller = induced_subgraph(network, network.nodes()[: network.num_nodes // 2])
             assert _embedding_matrix(model.fit(smaller)).shape[0] < refit.shape[0]
         finally:
             model.close()
@@ -385,71 +357,3 @@ class TestBackendEquivalence:
                     model.predict_proba(matrices[other])
         finally:
             model.close()
-
-
-class TestCostModelCalibration:
-    def _measurements(self, model: ClusterCostModel):
-        measurements = []
-        for machines in (4, 8, 16):
-            cluster = ClusterConfig(num_machines=machines)
-            estimate = model.estimate(
-                total_compute_units=9_000.0,
-                comm_values_per_round=250_000.0,
-                num_rounds=30,
-                cluster=cluster,
-            )
-            measurements.append(
-                MeasuredRound(
-                    cluster=cluster,
-                    total_compute_units=9_000.0,
-                    comm_values_per_round=250_000.0,
-                    num_rounds=30,
-                    measured_seconds=estimate.total_seconds,
-                )
-            )
-        return measurements
-
-    def test_calibrate_recovers_consistent_measurements(self):
-        truth = ClusterCostModel(
-            compute_seconds_per_unit=2.0,
-            comm_seconds_per_value=3e-6,
-            sync_seconds_per_round=0.4,
-            per_machine_overhead_seconds=1.5,
-        )
-        measurements = self._measurements(truth)
-        fitted = ClusterCostModel().calibrate(measurements)
-        assert max(fitted.relative_errors(measurements)) < 1e-6
-        # the original model is untouched (calibrate returns a new instance)
-        assert ClusterCostModel().compute_seconds_per_unit == 1.0
-
-    def test_calibrated_constants_are_non_negative(self):
-        measurements = self._measurements(ClusterCostModel())
-        fitted = ClusterCostModel().calibrate(measurements)
-        assert fitted.compute_seconds_per_unit >= 0.0
-        assert fitted.comm_seconds_per_value >= 0.0
-        assert fitted.sync_seconds_per_round >= 0.0
-        assert fitted.per_machine_overhead_seconds >= 0.0
-
-    def test_calibrate_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            ClusterCostModel().calibrate([])
-        with pytest.raises(ConfigurationError):
-            MeasuredRound(
-                cluster=ClusterConfig(num_machines=4),
-                total_compute_units=1.0,
-                comm_values_per_round=1.0,
-                num_rounds=1,
-                measured_seconds=0.0,
-            )
-
-    def test_relative_errors_shrink_after_calibration(self):
-        truth = ClusterCostModel(
-            compute_seconds_per_unit=5.0,
-            comm_seconds_per_value=1e-5,
-            sync_seconds_per_round=2.0,
-            per_machine_overhead_seconds=8.0,
-        )
-        measurements = self._measurements(truth)
-        before = max(ClusterCostModel().relative_errors(measurements))
-        after = max(ClusterCostModel().calibrate(measurements).relative_errors(measurements))
-        assert after < before

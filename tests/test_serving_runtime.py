@@ -117,24 +117,25 @@ class TestServingRouter:
         assert min(sizes) > 0.5 * len(accounts) / 4
         assert max(sizes) < 2.0 * len(accounts) / 4
 
-    def test_remove_replica_remaps_only_its_accounts(self):
-        router = ServingRouter(4)
+    def test_add_replica_remaps_only_the_accounts_it_takes(self):
+        router = ServingRouter(3)
         accounts = [f"user_{i}" for i in range(1000)]
         before = {a: router.route(a) for a in accounts}
-        router.remove_replica(2)
+        router.add_replica(3)
         after = {a: router.route(a) for a in accounts}
         moved = [a for a in accounts if before[a] != after[a]]
-        # Exactly the accounts owned by the removed replica moved, nothing else.
-        assert set(moved) == {a for a in accounts if before[a] == 2}
-        assert all(after[a] != 2 for a in accounts)
+        # Every account that moved went to the new replica, nothing else moved.
+        assert moved and all(after[a] == 3 for a in moved)
+        assert set(moved) == {a for a in accounts if after[a] == 3}
 
-    def test_add_replica_restores_previous_ring(self):
-        router = ServingRouter(4)
+    def test_the_ring_does_not_depend_on_the_order_replicas_joined(self):
         accounts = [f"user_{i}" for i in range(500)]
-        before = {a: router.route(a) for a in accounts}
-        router.remove_replica(1)
-        router.add_replica(1)
-        assert {a: router.route(a) for a in accounts} == before
+        router = ServingRouter(2)
+        router.add_replica(3)
+        router.add_replica(2)
+        assert {a: router.route(a) for a in accounts} == {
+            a: ServingRouter(4).route(a) for a in accounts
+        }
 
     def test_the_route_memo_leaves_the_shard_map_unchanged(self):
         """The ring-hash memo only makes a repeated account cheaper: these
@@ -152,7 +153,8 @@ class TestServingRouter:
         assert digest(router) == four  # cold memo
         assert digest(router) == four  # warm memo
         assert router_module._stable_hash.cache_info().hits >= len(accounts)
-        router.remove_replica(2)
+        router = ServingRouter(2)
+        router.add_replica(3)
         assert digest(router) == without_two
         router.add_replica(2)
         assert digest(router) == four
@@ -164,10 +166,6 @@ class TestServingRouter:
         router = ServingRouter(2)
         with pytest.raises(ServingError):
             router.add_replica(0)
-        with pytest.raises(ServingError):
-            router.remove_replica(7)
-        with pytest.raises(ServingError):
-            ServingRouter(1).remove_replica(0)
 
 
 class _RoundRobinRouter:

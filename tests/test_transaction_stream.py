@@ -4,14 +4,12 @@ Covers the PR-7 data-path refactor end to end:
 
 * ``WorldStream`` is the single source of truth behind ``generate_world`` —
   streamed and materialized outputs are **bit-identical** at the same seed,
-  invariant to batch size, and resumable mid-day from a checkpoint.
+  invariant to batch size, and a read in two parts continues the first.
 * ``ScalableWorldStream`` generates event-time-ordered, schema-valid,
   deterministic transactions with bounded state, under a diurnal + burst
   arrival process.
 * ``WorldConfig`` rejects, at construction, fraud/burst parameter
   combinations that exceed the daily transaction budget (satellite a).
-* ``ProgressTracker`` counts and rates without requiring any logging setup
-  (satellite b).
 * ``RollingDatasets.from_stream`` matches the materialized builder and the
   serving replay consumes streams lazily (satellite d plumbing).
 * The columnar materializers — ``ColumnarAccounts.iter_profiles`` and
@@ -30,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import generate_world
-from repro.datagen.datasets import RollingDatasets, small_world_config
+from repro.datagen.datasets import RollingDatasets
 from repro.datagen.fraud import TypologyConfig
 from repro.datagen.profiles import PROFILE_CHUNK, ColumnarAccounts, ProfileConfig
 from repro.datagen.schema import (
@@ -51,11 +49,10 @@ from repro.datagen.transactions import (
 from repro.exceptions import DataGenerationError
 from repro.hbase import HBaseClient
 from repro.hbase.client import BASIC_FEATURES_FAMILY
-from repro.logging_utils import ProgressTracker
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.serving.alipay import AlipayServer
 from repro.serving.model_server import ModelServer, ModelServerConfig
-from tests.conftest import validate_transaction
+from tests.conftest import small_world_config, validate_transaction
 
 
 def _stream_config(num_users: int = 400, num_days: int = 6, seed: int = 7) -> WorldConfig:
@@ -129,7 +126,8 @@ class TestWorldStreamBitIdentity:
         )
 
 
-@pytest.mark.parametrize(
+#: One small stream of each kind, built fresh by every call.
+each_stream = pytest.mark.parametrize(
     "stream",
     [
         lambda: WorldStream(_stream_config(num_users=150, num_days=3, seed=5)),
@@ -137,6 +135,9 @@ class TestWorldStreamBitIdentity:
     ],
     ids=["WorldStream", "ScalableWorldStream"],
 )
+
+
+@each_stream
 @pytest.mark.parametrize("batch_size", [2.5, float("nan"), True, 0], ids=repr)
 def test_a_batch_size_that_is_not_a_positive_integer_is_rejected_by_name(stream, batch_size):
     # 2.5 used to give batches of 3 and NaN one batch of the whole stream.
@@ -145,42 +146,42 @@ def test_a_batch_size_that_is_not_a_positive_integer_is_rejected_by_name(stream,
     assert len(next(stream().batches(np.int64(3)))) == 3
 
 
-class TestCheckpointResume:
-    def test_mid_day_resume_continues_the_exact_sequence(self):
-        reference = list(WorldStream(_stream_config(seed=31)))
-        stream = WorldStream(_stream_config(seed=31))
-        events = stream.events()
-        consumed = [next(events) for _ in range(len(reference) // 3)]
-        checkpoint = stream.checkpoint()
-        assert checkpoint.offset > 0 or checkpoint.day > 0  # genuinely mid-stream
+@pytest.mark.parametrize("stream_class", [WorldStream, ScalableWorldStream])
+def test_a_stream_read_in_two_parts_is_the_stream_read_once(stream_class):
+    # A second events() call used to regenerate the current day from the
+    # already-advanced generator state, then skip the first read's offset.
+    def config() -> WorldConfig:
+        return WorldConfig(
+            profile=ProfileConfig(num_users=200), num_days=3,
+            transactions_per_user_per_day=2, seed=3,
+        )
 
-        resumed = WorldStream(_stream_config(seed=31))
-        resumed.seek(checkpoint)
-        tail = list(resumed)
-        assert consumed + tail == reference
+    once = list(stream_class(config(), rng=7).events())
+    stream = stream_class(config(), rng=7)
+    head = [txn for _, txn in zip(range(150), stream.events())]
+    assert head + list(stream.events()) == once
+    stream = stream_class(config(), rng=7)
+    assert next(stream.batches(150)) == head
+    assert [txn for batch in stream.batches(64) for txn in batch] == once[150:]
 
-    def test_resume_is_repeatable(self):
-        stream = WorldStream(_stream_config(seed=31))
-        events = stream.events()
-        for _ in range(57):
-            next(events)
-        checkpoint = stream.checkpoint()
-        resumed_a = WorldStream(_stream_config(seed=31))
-        resumed_a.seek(checkpoint)
-        resumed_b = WorldStream(_stream_config(seed=31))
-        resumed_b.seek(checkpoint)
-        assert list(resumed_a) == list(resumed_b)
 
-    def test_scalable_stream_resumes_mid_day(self):
-        config = _scalable_config()
-        reference = list(ScalableWorldStream(config))
-        stream = ScalableWorldStream(_scalable_config())
-        events = stream.events()
-        consumed = [next(events) for _ in range(len(reference) // 2)]
-        checkpoint = stream.checkpoint()
-        resumed = ScalableWorldStream(_scalable_config())
-        resumed.seek(checkpoint)
-        assert consumed + list(resumed) == reference
+@each_stream
+def test_iteration_batches_and_events_share_one_position(stream):
+    once = list(stream().events())
+    shared = stream()
+    iterator = iter(shared)
+    head = [next(iterator) for _ in range(10)]
+    middle = next(shared.batches(20))
+    assert head + middle + list(shared.events()) == once
+
+
+@each_stream
+def test_every_batch_but_the_last_is_full_and_an_exhausted_stream_stays_empty(stream):
+    drained = stream()
+    sizes = [len(batch) for batch in drained.batches(97)]
+    assert sizes and all(size == 97 for size in sizes[:-1]) and 0 < sizes[-1] <= 97
+    assert sum(sizes) == len(list(stream().events()))
+    assert list(drained.events()) == [] and list(drained.batches(5)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +262,6 @@ class TestConfigBudgetValidation:
         config = _stream_config()
         arrival = ArrivalConfig(bursts=[BurstSpec(day=1, start_hour=19, amplitude=2.0)])
         replace(config, arrival=arrival)  # should not raise
-
-
-# ---------------------------------------------------------------------------
-# Satellite b: ProgressTracker
-# ---------------------------------------------------------------------------
-
-
-class TestProgressTracker:
-    def test_counts_and_rates_without_logging_setup(self):
-        tracker = ProgressTracker("unit", total=500, unit="rows", min_interval_s=9999.0)
-        for _ in range(500):
-            tracker.advance()
-        report = tracker.finish()
-        assert report["count"] == 500
-        assert report["rate"] > 0
-        assert report["elapsed_s"] > 0
-
-    def test_advance_by_step(self):
-        tracker = ProgressTracker("unit")
-        tracker.advance(128)
-        tracker.advance(72)
-        assert tracker.finish()["count"] == 200
-
-    def test_quiet_by_default(self, capsys):
-        tracker = ProgressTracker("quiet", min_interval_s=0.0)
-        tracker.advance()
-        tracker.finish()
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -3,27 +3,29 @@
 An experiment driver, a baseline or a helper that only tests call grows the
 package the system ships without being part of it (``benchmarks/`` is where
 experiments live).  This rule flags a public top-level function or class, or a
-public method of a top-level class, in ``src/repro`` whose name is mentioned
-nowhere else in ``src/repro`` and nowhere in ``examples/``.  A mention is a
-whole word anywhere in a module's text, its own module included, outside the
-definition's ``def``/``class`` header; an import or ``__all__`` entry in a
-package ``__init__`` re-exports a name without using it, so it is not a
-mention.  Matching names rather than resolved calls makes the rule a floor: a
-name that a docstring or another class's attribute shares counts as reached.
+public method of a top-level class, in ``src/repro`` whose name no code in
+``src/repro`` or ``examples/`` references.  A reference is read from the AST:
+a name, an attribute access or an imported name, in any module, the
+definition's own included.  Docstrings, comments and other strings are not
+code, and an import in a package ``__init__`` re-exports a name without using
+it, so none of them is a reference.  Matching names rather than resolved calls
+makes the rule a floor: a call of another class's method of the same name
+counts as reached.
 
 A definition that outside callers drive on purpose goes in
-:data:`ENTRY_POINTS` with its reason.  Mentions are read from every module of
-the package on disk, not only from the modules a run lints, so linting one file
-flags exactly what a whole-tree run flags in it.
+:data:`ENTRY_POINTS` with its reason.  An entry that names no public
+definition of ``src/repro``, or a name that its code already references, is
+stale and is a finding too.  Definitions and references are read from every
+module of the package on disk, not only from the modules a run lints, so
+linting one file flags exactly what a whole-tree run flags in it.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from tools.analysis.findings import Finding
 from tools.analysis.framework import Checker, ModuleContext, register
@@ -36,50 +38,47 @@ ENTRY_POINTS: Dict[str, str] = {
     "ModelHyperparameters.with_overrides": "frozen harness, ROADMAP items 6(a)/7",
     "HBaseClient.wal_size": "frozen harness, ROADMAP items 6(a)/7",
     "ModelServer.active_model": "frozen harness, ROADMAP items 6(a)/7",
+    "ColumnarAccounts.iter_profiles": "frozen harness, ROADMAP items 6(a)/7",
+    "profile_from_row": "frozen harness, ROADMAP items 6(a)/7",
     # Operator and recovery entry points.
-    "HBaseClient.replay_wal_into": "the recovery API: rebuild a table from the write-ahead log",
+    "HBaseClient.wal": "the recovery API: the write-ahead log a crashed table is replayed from",
     "ProcessShardRuntime.kill_shard": "fault injection: crash one parameter-server shard",
     "ProcessShardRuntime.alive_shards": "fault injection: which shards survive",
     "HBaseClient.region_load_report": "operator view: per-region read and write counters",
     "ColumnFamilyStore.cell_versions": "operator view: the versions a cell retains",
     "ModelServer.plan_executor": "the online vector assembler, for offline/online parity checks",
+    "SlidingWindowAggregator.features_for": "the engine's own vector, the parity tests' oracle",
     "LatencyTracker.latencies_ms": "raw samples a fleet-wide latency quantile is pooled from",
     "typology_recall_report": "per-typology recall of a scored day, the quality report's input",
-    # Model and cluster capabilities the paper's experiments drive.
+    # The paper's KunPeng trainers and the capabilities its experiments drive.
+    "DistributedGBDT": "the paper's KunPeng GBDT trainer: Fig 10, Fig 12, bench_parallel_ps",
+    "DistributedDeepWalk": "the paper's KunPeng DeepWalk trainer: Fig 10, bench_parallel_ps",
     "GradientBoostingClassifier.staged_predict_proba": "Figure 12 scores every tree count of one fit",
     "KunPengCluster.push_model_average": "the model-average push of Figure 10's dense baseline",
-    "estimate_deepwalk_time": "Figure 10: DeepWalk training time per machine count",
-    "estimate_gbdt_time": "Figure 10: GBDT training time per machine count",
-    "ClusterCostModel.estimate_recorded": "Figure 10's cost model fed by a recorded training run",
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_HEADER = re.compile(r"\b(?:def|class)\s+[A-Za-z_][A-Za-z0-9_]*")
+#: The package :data:`ENTRY_POINTS` describes: this repository's ``src/repro``.
+_OWN_PACKAGE = Path(__file__).resolve().parents[3] / "src" / "repro"
+_OWN_PATH = "tools/analysis/checkers/unreached.py"
 
 
-def _is_all(node: ast.stmt) -> bool:
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
+def _references(tree: ast.Module, *, package_init: bool = False) -> Iterator[str]:
+    """Names, attribute names and imported names the module's code uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not package_init:
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1]
 
 
-def _mentions(path: Path) -> Counter:
-    """Whole words of the module, without definition headers and re-exports."""
-    source = path.read_text()
+def _parse(path: Path) -> Optional[ast.Module]:
     try:
-        body = ast.parse(source).body
-    except SyntaxError:  # the runner reports it; every word still counts
-        body = []
-    skipped = set()
-    for node in body:
-        reexport = path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom))
-        if reexport or (isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_all(node)):
-            skipped.update(range(node.lineno, node.end_lineno + 1))
-    kept = (line for number, line in enumerate(source.splitlines(), 1) if number not in skipped)
-    return _words("\n".join(kept))
-
-
-def _words(text: str) -> Counter:
-    return Counter(_WORD.findall(_HEADER.sub(" ", text)))
+        return ast.parse(path.read_text())
+    except SyntaxError:  # the runner reports it
+        return None
 
 
 def _public_definitions(tree: ast.Module):
@@ -100,15 +99,19 @@ def _package_dir(ctx: ModuleContext) -> Path:
     return ctx.path.resolve().parents[depth]
 
 
+def _bare(qualified: str) -> str:
+    return qualified.rsplit(".", 1)[-1]
+
+
 @register
 class UnreachedPublicChecker(Checker):
-    """Flags public ``src/repro`` definitions no ``src`` module or example names."""
+    """Flags public ``src/repro`` definitions no ``src`` or example code references."""
 
     rule_id = "unreached-public"
     description = (
-        "a public function, class or method of src/repro that no src/repro module "
-        "and no example mentions; delete it, move it to its callers, or list it in "
-        "ENTRY_POINTS with a reason"
+        "a public function, class or method of src/repro that no src/repro or "
+        "example code references; delete it, move it to its callers, or list it in "
+        "ENTRY_POINTS with a reason (a stale ENTRY_POINTS entry is a finding too)"
     )
 
     def __init__(self) -> None:
@@ -126,24 +129,49 @@ class UnreachedPublicChecker(Checker):
         return []
 
     def finalize(self) -> List[Finding]:
-        """Every public definition whose name no package module or example mentions."""
+        """Unreached definitions of the linted modules, and stale allow-list entries."""
         if self.package is None:
             return []
-        mentions: Counter = Counter()
+        references: Counter = Counter()
+        defined = set()
         for path in sorted(self.package.rglob("*.py")):
-            mentions.update(_mentions(path))
+            tree = _parse(path)
+            if tree is not None:
+                references.update(_references(tree, package_init=path.name == "__init__.py"))
+                defined.update(qualified for qualified, _ in _public_definitions(tree))
         examples = self.package.parent.parent / "examples"
         for path in sorted(examples.rglob("*.py")) if examples.is_dir() else ():
-            mentions.update(_words(path.read_text()))
-        return [
+            tree = _parse(path)
+            if tree is not None:
+                references.update(_references(tree))
+        findings = [
             Finding(
                 path,
                 line,
                 self.rule_id,
-                f"{qualified} is public but no src/repro module or example mentions "
-                f"{qualified.rsplit('.', 1)[-1]!r}; delete it, move it beside its callers, "
+                f"{qualified} is public but no src/repro or example code references "
+                f"{_bare(qualified)!r}; delete it, move it beside its callers, "
                 "or list it in ENTRY_POINTS with its reason",
             )
             for path, line, qualified in self.definitions
-            if not mentions[qualified.rsplit(".", 1)[-1]] and qualified not in ENTRY_POINTS
+            if not references[_bare(qualified)] and qualified not in ENTRY_POINTS
         ]
+        if self.package.resolve() == _OWN_PACKAGE:
+            findings.extend(self._stale_entries(defined, references))
+        return findings
+
+    def _stale_entries(self, defined: set, references: Counter) -> List[Finding]:
+        """Allow-list entries that name no definition, or a name code references."""
+        lines = Path(__file__).read_text().splitlines()
+        findings = []
+        for entry in ENTRY_POINTS:
+            if entry not in defined:
+                why = "names no public definition of src/repro"
+            elif references[_bare(entry)]:
+                why = f"names {_bare(entry)!r}, which src/repro or example code references"
+            else:
+                continue
+            line = next((n for n, text in enumerate(lines, 1) if f'"{entry}":' in text), 1)
+            message = f"ENTRY_POINTS entry {entry!r} is stale: it {why}; remove it"
+            findings.append(Finding(_OWN_PATH, line, self.rule_id, message))
+        return findings
