@@ -174,7 +174,7 @@ PUBLIC_API = [
         "Keeps served Structure2Vec vectors fresh as the graph grows: new "
         "edges enqueue their endpoints, a refresh pass re-embeds the touched "
         "k-hop neighbourhood and writes rows through the Ali-HBase "
-        "write-through path with per-column-family cache invalidation.",
+        "write-through path, which updates every cache holding the family.",
     ),
     (
         "Fraud typologies",

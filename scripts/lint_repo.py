@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Invariant linter: statically enforce the repo's correctness contracts.
 
-Runs the seven AST checkers of :mod:`tools.analysis` over ``src/repro`` and
+Runs the eight AST checkers of :mod:`tools.analysis` over ``src/repro`` and
 over the linter's own package ``tools/analysis``:
 
 * ``rng-discipline`` — all randomness flows through seeded Generators,
@@ -13,7 +13,9 @@ over the linter's own package ``tools/analysis``:
   one module and imported by the rest,
 * ``unreached-public`` — every public definition of ``src/repro`` is
   referenced by ``src/repro`` or ``examples/`` code, or allow-listed with a
-  reason (a stale allow-list entry is a finding too).
+  reason (a stale allow-list entry is a finding too),
+* ``unused-import`` — every imported name is read by its module's code
+  (package ``__init__`` re-exports excepted).
 
 A deliberate violation carries ``# repro-lint: ignore[rule]`` and its reason
 on the flagged line; everything else fails the run with ``path:line: [rule]

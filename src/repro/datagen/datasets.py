@@ -14,7 +14,7 @@ into :class:`DatasetSlice` objects implementing exactly that protocol, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.contracts import check_fields, checked, integer
 from repro.datagen.schema import Transaction, label_as_of

@@ -36,7 +36,7 @@ from repro.datagen.schema import (
     CITY_FRAUD_TIERS,
 )
 from repro.exceptions import DataGenerationError
-from repro.rng import Categorical, SeedLike, clamp, ensure_rng, spawn_child
+from repro.rng import Categorical, SeedLike, clamp
 
 #: Channels in sampling order, and the channel mix of normal and fraudulent
 #: transfers over them.

@@ -77,12 +77,16 @@ from repro.features.aggregation import (
     splice_aggregate_cells,
     transaction_event_time,
 )
+from repro.hbase.store import Row
 
 
 #: :func:`~repro.datagen.schema.transaction_sort_key` under the name the
 #: serving side and the harness import.
 event_order = transaction_sort_key
 
+
+#: The qualifiers of a written-through aggregate row: the cells, then ``payers``.
+_HBASE_ROW_FIELDS = (*AGGREGATE_ROW_FIELDS, "payers")
 
 #: A bucket side's counterparties before its first event: shared, so frozen.  An
 #: empty side is this set (or its copy in a copied engine): it gets its own first.
@@ -506,30 +510,30 @@ class SlidingWindowAggregator:
         cells, _ = self._row(user_id, self._resolve_as_of(as_of))
         return dict(zip(AGGREGATE_ROW_FIELDS, cells))
 
-    def hbase_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, object]:
-        """The serialised aggregate row written through to Ali-HBase.
+    def hbase_row(self, user_id: str, *, as_of: Optional[float] = None) -> Row:
+        """The serialised aggregate row written through to Ali-HBase, as the
+        read-only :class:`~repro.hbase.store.Row` the store keeps: built once
+        from its cells, so a write-through ``put`` logs, stores and caches
+        this very object and copies nothing.
 
         ``payers`` is a frozenset cell: equality is order-free and the online
         new-payer membership check stays O(1) however many in-window payers a
-        hot merchant accumulates.  The dict is fresh on every call and the
-        caller's to edit; the ``payers`` cell is immutable and may be the very
-        object an earlier row of the account carried (it is rebuilt only when
-        a payer enters or leaves the window), so stores, WAL entries and row
-        caches can hold it without a copy.
+        hot merchant accumulates.  The row is fresh on every call; the
+        ``payers`` cell may be the very object an earlier row of the account
+        carried (it is rebuilt only when a payer enters or leaves the window).
         """
         cells, payers = self._row(user_id, self._resolve_as_of(as_of))
-        row: Dict[str, object] = dict(zip(AGGREGATE_ROW_FIELDS, cells))
         account = self._accounts.get(user_id)
         live = None if account is None else account.live
         if live is not None and payers is live.payers:  # the maintained row's cell
             if live.payers_cell is None:
                 live.payers_cell = frozenset(payers)
-            row["payers"] = live.payers_cell
+            payers_cell = live.payers_cell
         else:
-            row["payers"] = frozenset(payers)
-        return row
+            payers_cell = frozenset(payers)
+        return Row(zip(_HBASE_ROW_FIELDS, (*cells, payers_cell)))
 
-    def snapshot_rows(self, *, as_of: Optional[float] = None) -> Dict[str, Dict[str, object]]:
+    def snapshot_rows(self, *, as_of: Optional[float] = None) -> Dict[str, Row]:
         """``user_id -> hbase_row`` for every tracked account (deterministic)."""
         return {user_id: self.hbase_row(user_id, as_of=as_of) for user_id in self.account_ids()}
 

@@ -4,11 +4,12 @@ The online hot path reads the same per-user rows over and over (active users
 transact repeatedly within minutes, and the payee side of fraud "gathering"
 patterns concentrates on few accounts), while the underlying rows only change
 once per day when the offline pipeline bulk-loads a new version.  A small
-time-bounded cache therefore absorbs most point reads.  Writes through the
-client drop the row's family (one ``pop`` unless a read was ever pinned), so a
-hit never serves a value older than the last local write.  It holds the store's
-own immutable :class:`~repro.hbase.store.Row` snapshots by reference: a hit
-copies nothing, and time is whatever ``now`` the caller passes.
+time-bounded cache therefore absorbs most point reads.  A write through the
+client updates the row's family where the cache holds it (one assignment unless
+a read was ever pinned), so a hit never serves a value older than the last
+local write, and the next read of a just-written row is still a hit.  It holds
+the store's own immutable :class:`~repro.hbase.store.Row` snapshots by
+reference: a hit copies nothing, and time is whatever ``now`` the caller passes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ _RowKey = Tuple[str, str]
 
 
 class RowCache:
-    """Bounded TTL cache of row reads, invalidated per (table, row key,
-    family); a read is one :meth:`multi_get` call over all of its keys."""
+    """Bounded TTL cache of row reads, updated per (table, row key, family)
+    on write; a read is one :meth:`multi_get` call over all of its keys."""
 
     def __init__(self, *, ttl_seconds: float = 30.0, max_rows: int = 4096):
         if not ttl_seconds > 0:  # NaN fails every comparison
@@ -95,29 +96,35 @@ class RowCache:
         self.misses += len(probed)
         return probed
 
-    def invalidate(
-        self, table: str, row_key: str, column_family: Optional[str] = None
+    def update(
+        self, table: str, row_key: str, column_family: str, row: Optional[Row], now: float
     ) -> None:
-        """Drop cached reads of one row (called on write).
+        """Bring one row's family up to a write (called on every write).
 
-        A put only mutates one column family, so passing ``column_family``
-        drops its reads (pinned ones too) and keeps the row's *other* families
-        cached — during streaming aggregate write-through this is what keeps
-        the (unchanged) profile and embedding reads of a just-scored account
-        hot.  With ``None`` the whole row is dropped (full invalidation).
+        A put only mutates one column family.  If this cache holds that
+        family's latest read, ``row`` — the store's snapshot after the write —
+        replaces it with a fresh TTL, so the next read of a just-written
+        account is a hit on the value it would have probed; with ``row`` None
+        (the store holds no row) the read is dropped.  The family's
+        version-pinned reads are dropped, and a family this cache does not
+        hold is not filled: a write never makes a cache larger.  The row's
+        *other* families stay cached as they are — during streaming aggregate
+        write-through this is what keeps the (unchanged) profile and
+        embedding reads of a just-scored account hot.
         """
-        if column_family is None:
-            self._rows.pop((table, row_key), None)
-            return
-        entry = self._rows.get((table, row_key))
+        key = (table, row_key)
+        entry = self._rows.get(key)
         if entry is None:
             return
-        entry.pop(column_family, None)
+        if row is None:
+            entry.pop(column_family, None)
+        elif column_family in entry:
+            entry[column_family] = (now + self.ttl_seconds, row)
         if self._pinned:
             for sub_key in [k for k in entry if isinstance(k, tuple) and k[0] == column_family]:
                 del entry[sub_key]
         if not entry:
-            del self._rows[(table, row_key)]
+            del self._rows[key]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -41,11 +41,12 @@ class HBaseClient:
     """Client with table management, puts/gets, batched reads and scans.
 
     ``row_cache_ttl_s`` enables a small client-side TTL row cache (0 turns it
-    off).  Rows only change when the offline pipeline publishes a new daily
-    version, and every write through this client invalidates the cached row,
-    so the cache is transparent to callers.  ``clock`` is what the cache's TTL
-    is measured on, read once per ``get`` / ``multi_get`` call; tests pass a
-    fake one, and ``connection()`` handles share it.
+    off).  Every write through any handle of the cluster hands each cache that
+    holds the written (row, family) the store's new snapshot, so the cache is
+    transparent to callers and a just-written row stays a hit.  ``clock`` is
+    what the cache's TTL is measured on, read once per ``get`` /
+    ``multi_get`` / ``put`` / ``bulk_load`` call; tests pass a fake one, and
+    ``connection()`` handles share it.
     """
 
     def __init__(
@@ -67,18 +68,17 @@ class HBaseClient:
         self._wal = WriteAheadLog(max_entries=wal_max_entries)
         self._max_versions = max_versions
         # Every connection() handle registers its cache here, and writes
-        # through ANY handle invalidate the row in EVERY attached cache —
-        # the cross-connection analogue of the single-client invalidation
-        # that keeps "a cache hit never serves a value older than the last
-        # local write" true for the whole fleet.  Weak references: a
-        # discarded connection's cache must not stay pinned (and must not
-        # keep costing an invalidation per write) for the cluster's lifetime.
+        # through ANY handle update the row in EVERY attached cache — what
+        # keeps "a cache hit never serves a value older than the last write"
+        # true for the whole fleet.  Weak references: a discarded
+        # connection's cache must not stay pinned (and must not keep costing
+        # an update per write) for the cluster's lifetime.
         self._cache_registry: List["weakref.ref[RowCache]"] = []
         self._attach_cache(row_cache_ttl_s, row_cache_rows)
 
     def _attach_cache(self, ttl_s: float, max_rows: int) -> None:
         """Give this handle its private row cache (none at TTL 0, NaN or < 0
-        rejected), registered for invalidation by every handle's writes."""
+        rejected), registered for update by every handle's writes."""
         self._cache = None if ttl_s == 0 else RowCache(ttl_seconds=ttl_s, max_rows=max_rows)
         if self._cache is not None:
             self._cache_registry.append(weakref.ref(self._cache))
@@ -153,11 +153,18 @@ class HBaseClient:
         *,
         version: int,
     ) -> None:
-        """Write one row's column-family cells (WAL first, caches invalidated);
-        an unknown family raises before anything is logged, counted or swept."""
+        """Write one row's column-family cells (WAL first, caches updated); an
+        unknown family raises before anything is logged, counted or cached."""
         family = self.table(table_name).family(column_family)
         self._write(
-            family, table_name, row_key, column_family, values, version, self._live_caches()
+            family,
+            table_name,
+            row_key,
+            column_family,
+            values,
+            version,
+            self._live_caches(),
+            self._clock(),
         )
 
     def _write(
@@ -169,17 +176,23 @@ class HBaseClient:
         values: Mapping[str, Any],
         version: int,
         caches: List[RowCache],
+        now: float,
     ) -> None:
         """The one write step of ``put`` and ``bulk_load``: freeze, log,
-        count the region write, drop the (row, family) from ``caches``, apply."""
+        count the region write, apply, then hand every one of ``caches`` the
+        family's snapshot as it stands after the apply (:meth:`RowCache.update`,
+        TTL from ``now``).  That is the snapshot a miss would probe: an
+        out-of-order put leaves the caches on the snapshot that still stands."""
         # Frozen once, before it is logged: log, store and every cache hold
         # this one immutable value, whatever the caller does to its own afterwards.
         row = freeze_row(values)
         self._wal.append(table_name, row_key, column_family, row, version=version)
         self._router.record_write(row_key)
-        for cache in caches:
-            cache.invalidate(table_name, row_key, column_family)
         family.put_row(row_key, row, version=version)
+        if caches:
+            snapshot = family.latest(row_key)
+            for cache in caches:
+                cache.update(table_name, row_key, column_family, snapshot, now)
 
     def _live_caches(self) -> List[RowCache]:
         """Every attached cache still alive, in one pass over the weak-reference
@@ -279,14 +292,17 @@ class HBaseClient:
         Leaves the log, the regions, the store and every cache as a ``put``
         per row would, in one pass: the family is resolved once (an unknown
         one raises before anything is logged), the cache registry is walked
-        once, and each row then takes ``put``'s own write step.  Only the
-        caches holding rows are swept: an empty cache has nothing to drop,
-        and none can fill while the load runs, as the load reads nothing.
+        and the clock read once, and each row then takes ``put``'s own write
+        step.  Only the caches holding rows are updated: a write fills no
+        cache, so an empty one has nothing to update, and none can fill while
+        the load runs, as the load reads nothing.  A T+1 republish onto a warm
+        fleet thus leaves it warm on the new version's rows.
         """
         family = self.table(table_name).family(column_family)
         caches = [cache for cache in self._live_caches() if len(cache)]
+        now = self._clock()
         for row_key, values in rows.items():
-            self._write(family, table_name, row_key, column_family, values, version, caches)
+            self._write(family, table_name, row_key, column_family, values, version, caches, now)
         return len(rows)
 
     def scan(

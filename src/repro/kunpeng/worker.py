@@ -10,7 +10,7 @@ fail/restart cycle the PS architecture tolerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import WorkerFailureError

@@ -21,9 +21,10 @@ equal a full-graph forward pass with the same parameters.  A full retrain
 stays the nightly offline job's.
 
 Refreshed rows are written through :meth:`HBaseClient.put` with a
-monotonically increasing version above the offline bulk-load version, so the
-per-column-family client caches are invalidated on every attached connection
-and "latest" reads observe the refreshed vectors.  Untouched accounts are
+monotonically increasing version above the offline bulk-load version, so
+every attached connection whose cache holds the account's embedding row takes
+the refreshed snapshot in place (its other column families untouched), and
+"latest" reads observe the refreshed vectors without a region read.  Untouched accounts are
 never written, so their stored rows stay bit-unchanged.
 """
 

@@ -99,9 +99,10 @@ class HBaseFeatureSource(FeatureSource):
         """Latest per-user sliding-window aggregate rows.
 
         Rows are written through by the online streaming engine on every
-        ingested transaction (each write invalidates the client-side row
-        cache), so the next request for an account always sees its aggregates
-        as of that account's most recent transaction.  A stored row is
+        ingested transaction (each write hands every client-side row cache
+        holding the row its new snapshot), so the next request for an account
+        always sees its aggregates as of that account's most recent
+        transaction, and sees them as a cache hit.  A stored row is
         anchored at the instant it was written: for an account *idle* since
         then, events that have since aged past the window edge still count
         until the account's next transaction or the updater's periodic

@@ -5,9 +5,10 @@ in-memory window state; this module connects it to Ali-HBase.  Every
 transaction the Alipay front end ingests is folded into the aggregator and the
 two touched accounts' fresh aggregate rows are written through to the
 ``transaction_aggregates`` column family.  Because every
-:meth:`HBaseClient.put` invalidates the client-side TTL row cache for that
-row, the *next* fraud check on either account reads the updated aggregates —
-no stale-row serve, regardless of the cache TTL.
+:meth:`HBaseClient.put` hands each client-side TTL row cache holding that row
+the store's new snapshot, the *next* fraud check on either account reads the
+updated aggregates — no stale-row serve, regardless of the cache TTL — and
+reads them as a cache hit, with no region read.
 
 Writes use a monotonically increasing version number (starting above the
 offline bulk-load version), so "latest" reads always observe the streaming
@@ -22,12 +23,14 @@ per request.  Each write-through reads the two touched accounts' rows at the
 watermark, which the engine maintains, so a row costs what the event changed
 (the buckets touched since the account's last read), not its window state.
 What is still paid per event is storage: two full-row puts, each its own WAL
-entry and cache invalidation (``payers`` cells are shared between an account's
+entry and cache update (``payers`` cells are shared between an account's
 successive rows, not copied).  A put costs its row, not its history or its
-fleet: the row is frozen once and logged as a tuple record, the region is a
-dict hit for a rewritten key, each attached cache drops the family in one
-``pop``, and the store appends the row to the account's short list of whole
-rows and swaps it in as the snapshot, with no per-cell work.
+fleet: the engine builds the row once as the read-only ``Row`` the store
+keeps, so the put copies nothing; it is logged as a tuple record, the region
+is a dict hit for a rewritten key, the store appends the row to the account's
+short list of whole rows and swaps it in as the snapshot, with no per-cell
+work, and each attached cache that holds the family takes that snapshot in
+one assignment.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Tests of the invariant linter (tools/analysis + scripts/lint_repo.py)
 and of the doc / workflow reference checker (scripts/check_docs.py).
 
-Each of the six rules gets known-bad and known-good fixture snippets; the
+Each rule gets known-bad and known-good fixture snippets; the
 JSON reporter's schema is pinned; the layering checker's import graph is
 inspected directly; and the CLI is exercised end to end — including the
 acceptance requirement that a violation of any invariant class exits non-zero
@@ -746,6 +746,73 @@ class TestUnreachedPublic:
 
 
 # ---------------------------------------------------------------------------
+# Rule 8: unused-import
+# ---------------------------------------------------------------------------
+
+
+class TestUnusedImport:
+    def test_flags_names_no_code_reads(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/serving/a.py": """
+                \"\"\"Mentions json and Dict in prose only.\"\"\"
+                import json
+                import numpy as np
+                from typing import TYPE_CHECKING, Dict, List
+                if TYPE_CHECKING:
+                    from repro.hbase.store import Row
+                def rows(values: List[int]) -> int:
+                    from collections import OrderedDict
+                    label = "Dict"  # a string that is not an annotation
+                    return len(values)
+                """,
+            },
+            rules=["unused-import"],
+        )
+        assert [(f.line, f.message.split()[0]) for f in report.findings] == [
+            (3, "'json'"),
+            (4, "'np'"),
+            (5, "'Dict'"),
+            (7, "'Row'"),
+            (9, "'OrderedDict'"),
+        ]
+
+    def test_reexports_future_imports_and_typing_only_uses_are_clean(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                # A package __init__ re-exports what it imports.
+                "repro/serving/__init__.py": """
+                from repro.serving.a import serve
+                import os
+                """,
+                "repro/serving/a.py": """
+                from __future__ import annotations
+                import os.path
+                from typing import TYPE_CHECKING, Dict, Optional
+                from repro.hbase import *
+                from repro.hbase.store import EMPTY_ROW, freeze_row
+                if TYPE_CHECKING:
+                    from repro.hbase.cache import RowCache
+                    from repro.hbase.store import Row
+                    from repro.serving.b import Fleet
+                    Alias = Fleet
+                __all__ = ["serve", "freeze_row"]
+                cache: "Optional[RowCache]" = None
+                def serve(path: Optional["Dict[str, 'Row']"]) -> "Alias":
+                    return os.path.join(path, EMPTY_ROW)
+                """,
+                "repro/serving/b.py": """
+                import json  # repro-lint: ignore[unused-import] loaded for its side effect
+                """,
+            },
+            rules=["unused-import"],
+        )
+        assert report.findings == []
+
+
+# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -790,6 +857,7 @@ VIOLATIONS = {
     "layering": "from repro.serving import router\n",
     "iteration-order": "def f(xs):\n    return [x for x in set(xs)]\n",
     "unreached-public": "def orphan():\n    return 1\n",
+    "unused-import": "import os\n",
 }
 
 #: Layer whose rules make each snippet a violation.
@@ -800,6 +868,7 @@ VIOLATION_DIRS = {
     "layering": "repro/features",
     "iteration-order": "repro/datagen",
     "unreached-public": "repro/serving",
+    "unused-import": "repro/serving",
 }
 
 

@@ -26,6 +26,7 @@ from repro.core.pipeline import OfflineTrainingPipeline, build_detector
 from repro.datagen import schema
 from repro.exceptions import ConfigurationError
 from repro.features import aggregation, assembler, plan, streaming
+from repro.hbase.cache import RowCache
 from repro.hbase.client import DEFAULT_FEATURE_TABLE, HBaseClient
 from repro import models
 from repro.models import tree
@@ -68,6 +69,19 @@ def test_a_late_label_is_hidden_in_one_place():
         if any(text in path.read_text() for text in spellings)
     ]
     assert spelled == ["src/repro/datagen/schema.py"]
+
+
+def test_what_a_write_does_to_the_caches_is_decided_in_one_place():
+    """Row 33: ``HBaseClient._write`` alone hands the caches a write's
+    snapshot, and ``RowCache`` has one write rule, ``update`` — no eviction."""
+    assert not hasattr(RowCache, "invalidate")
+    spelled = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if "cache.update(" in path.read_text()
+    ]
+    assert spelled == ["src/repro/hbase/client.py"]
+    assert "cache.update(" in inspect.getsource(HBaseClient._write)
 
 
 TABLE1_BASELINES = ("IsolationForest", "ID3Classifier", "C45Classifier")

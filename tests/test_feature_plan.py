@@ -9,6 +9,7 @@ one it would have been trained on offline.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,11 +25,11 @@ from repro.features.plan import (
     FeaturePlanExecutor,
     InMemoryFeatureSource,
 )
-from repro.hbase.client import BASIC_FEATURES_FAMILY, HBaseClient
+from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY, HBaseClient
 from repro.models.gbdt import GradientBoostingClassifier
 from repro.nrl.embeddings import EmbeddingSet
 from repro.serving import ModelServer, ModelServerConfig, TransactionRequest
-from repro.serving.feature_source import profile_from_row, profile_row
+from repro.serving.feature_source import embedding_cell, profile_from_row, profile_row
 from scalar_basic import ScalarBasicExtractor
 
 
@@ -40,6 +41,10 @@ def embedding_sets(world):
     dw = EmbeddingSet(user_ids, rng.normal(size=(len(user_ids), 8)), name="dw")
     s2v = EmbeddingSet(user_ids, rng.normal(size=(len(user_ids), 4)), name="s2v")
     return {"dw": dw, "s2v": s2v}
+
+
+def _region_reads(client: HBaseClient) -> int:
+    return sum(stats["reads"] for stats in client.region_load_report().values())
 
 
 class TestFeaturePlan:
@@ -216,6 +221,56 @@ class TestPublishedProfileRow:
         profile_from_row(user_id, stored)
         assert set(stored) == stored.read
         assert dict(stored) == profile_row(world.profiles_by_id[user_id])
+
+
+class TestRepublishKeepsTheFleetWarm:
+    """A T+1 publish onto connections that hold rows leaves them holding the
+    new version's rows: the fleet's next reads are hits, not region reads."""
+
+    def test_next_read_of_a_republished_row_is_a_hit_on_the_new_cells(
+        self, world, dataset, embedding_sets
+    ):
+        root = HBaseClient()
+        OfflineTrainingPipeline(world.profiles_by_id).publish_features(
+            SlicePreparation(dataset=dataset, network=None, embeddings=dict(embedding_sets)),
+            root,
+            version=10,
+        )
+        fleet = [root.connection(), root.connection()]
+        accounts = sorted(world.profiles_by_id)[:40]
+        families = (BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY)
+        held = [accounts[index::2] for index in range(len(fleet))]  # one half each
+        for handle, keys in zip(fleet, held):
+            for family in families:
+                handle.multi_get("titant_features", keys, family)
+
+        # The next day: every profile and embedding changes, published at 11.
+        profiles = {
+            user_id: dataclasses.replace(profile, device_count=profile.device_count + 1)
+            for user_id, profile in world.profiles_by_id.items()
+        }
+        embeddings = {
+            name: EmbeddingSet(vectors.node_ids(), vectors.matrix * 2.0, name=name)
+            for name, vectors in embedding_sets.items()
+        }
+        OfflineTrainingPipeline(profiles).publish_features(
+            SlicePreparation(dataset=dataset, network=None, embeddings=embeddings),
+            root,
+            version=11,
+        )
+
+        reads_before = _region_reads(root)
+        for handle, keys in zip(fleet, held):
+            hits_before = handle.row_cache_stats()["hits"]
+            profile_rows = handle.multi_get("titant_features", keys, BASIC_FEATURES_FAMILY)
+            embedding_rows = handle.multi_get("titant_features", keys, EMBEDDINGS_FAMILY)
+            assert handle.row_cache_stats()["hits"] == hits_before + 2 * len(keys)
+            for user_id in keys:
+                assert profile_rows[user_id] == profile_row(profiles[user_id])
+                assert embedding_rows[user_id] == {
+                    name: embedding_cell(embeddings[name][user_id]) for name in embeddings
+                }
+        assert _region_reads(root) == reads_before  # every read was a hit
 
 
 class TestAggregationBlockParity:

@@ -24,7 +24,7 @@ from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
 from repro.hbase.cache import RowCache
 from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
-from repro.hbase.store import ColumnFamilyStore
+from repro.hbase.store import ColumnFamilyStore, Row
 from repro.serving.feature_source import HBaseFeatureSource
 
 TABLE = "titant_features"
@@ -271,12 +271,17 @@ class _PerKeyCache:
         while len(self.rows) > self.max_rows:
             self.rows.popitem(last=False)
 
-    def invalidate(self, table: str, key: str, family: Optional[str]) -> None:
+    def update(self, table: str, key: str, family: str, row: Any, now: float) -> None:
+        """A write: every read of the family goes, and its latest read, if it
+        was held, comes back as ``row`` with a fresh TTL (``None``: no row)."""
         entry = self.rows.get((table, key))
         if entry is None:
             return
-        for sub_key in [sub for sub in entry if family is None or sub[0] == family]:
+        held = (family, None) in entry
+        for sub_key in [sub for sub in entry if sub[0] == family]:
             del entry[sub_key]
+        if held and row is not None:
+            entry[(family, None)] = (now + self.ttl_seconds, row)
         if not entry:
             del self.rows[(table, key)]
 
@@ -317,11 +322,7 @@ _cache_ops = st.lists(
         ),
         st.tuples(st.just("advance"), st.sampled_from((0.0, 1.0, TTL_S / 2, TTL_S))),
         st.tuples(st.just("store"), st.sampled_from(_CACHE_KEYS[:-1]), st.booleans()),
-        st.tuples(
-            st.just("invalidate"),
-            st.sampled_from(_CACHE_KEYS),
-            st.sampled_from((None, "f0", "f1")),
-        ),
+        st.tuples(st.just("update"), st.sampled_from(_CACHE_KEYS), st.sampled_from(("f0", "f1"))),
     ),
     max_size=40,
 )
@@ -340,9 +341,12 @@ def _multi_get_equals_per_key_reference(ops, max_rows):
             _, key, present = op
             stored[key] = present
             puts += 1
-        elif op[0] == "invalidate":
-            cache.invalidate("t", op[1], op[2])
-            model.invalidate("t", op[1], op[2])
+        elif op[0] == "update":  # the row is (re)written through the cache
+            _, key, family = op
+            puts += 1
+            row = (key, family, None, puts) if stored.get(key) else None
+            cache.update("t", key, family, row, now)
+            model.update("t", key, family, row, now)
         else:
             _, keys, family, version = op
             probes: Dict[str, List[str]] = {"cache": [], "model": []}
@@ -374,28 +378,37 @@ test_multi_get_equals_per_key_reference_soak = pytest.mark.slow(
 )
 
 
-def test_invalidating_a_family_drops_its_pinned_reads_and_keeps_the_others_hot():
+def test_updating_a_family_refreshes_its_latest_read_drops_its_pinned_reads_and_fills_nothing():
     cache = RowCache(ttl_seconds=TTL_S, max_rows=4)
     probed: List[Tuple[str, str, Optional[int]]] = []
 
-    def read(family: str, version: Optional[int]) -> List[str]:
+    def read(family: str, version: Optional[int]) -> Tuple[List[str], Any]:
         def probe(key: str, pin: Optional[int]) -> Any:
             probed.append((key, family, pin))
             return (key, family, pin)
 
-        return cache.multi_get("t", {"a": None}, family, version, 0.0, probe)
+        rows: Dict[str, Any] = {"a": None}
+        return cache.multi_get("t", rows, family, version, 0.0, probe), rows["a"]
 
     for family, version in (("f0", None), ("f0", 1), ("f0", 2), ("f1", None), ("f1", 1)):
-        assert read(family, version) == ["a"]
-    cache.invalidate("t", "a", "f0")
+        assert read(family, version) == (["a"], ("a", family, version))
+    cache.update("t", "a", "f0", "written", 5.0)
     hot = {("f1", pin): (TTL_S, ("a", "f1", pin)) for pin in (None, 1)}
-    assert _cache_view(cache) == [(("t", "a"), hot)]
-    assert read("f1", None) == [] and read("f1", 1) == []  # still hot
+    assert _cache_view(cache) == [(("t", "a"), {("f0", None): (5.0 + TTL_S, "written"), **hot})]
     probed.clear()
-    assert read("f0", 1) == ["a"] and read("f0", None) == ["a"]
-    assert probed == [("a", "f0", 1), ("a", "f0", None)]
-    cache.invalidate("t", "a", "f1")
-    cache.invalidate("t", "a", "f0")
+    assert read("f0", None) == ([], "written")  # a hit on the written row
+    assert read("f1", None) == ([], ("a", "f1", None)) and read("f1", 1)[0] == []  # still hot
+    assert read("f0", 1) == (["a"], ("a", "f0", 1)) and probed == [("a", "f0", 1)]
+    # A row or a family the cache does not hold is not filled.
+    cache.update("t", "b", "f0", "written", 5.0)
+    cache.update("t", "a", "f2", "written", 5.0)
+    assert [key for key, _ in _cache_view(cache)] == [("t", "a")]
+    assert {sub for sub, _ in _cache_view(cache)[0][1].items()} == {
+        ("f0", None), ("f0", 1), ("f1", None), ("f1", 1)
+    }
+    # With no stored row the family's reads go, and an emptied entry with them.
+    cache.update("t", "a", "f1", None, 6.0)
+    cache.update("t", "a", "f0", None, 6.0)
     assert len(cache) == 0 and _cache_view(cache) == []
 
 
@@ -476,9 +489,7 @@ def test_region_load_report_equals_a_per_key_crc_reference(ops, num_regions):
         if op == "put":
             handles[handle].put(TABLE, target, family, {"q": 1}, version=1)
             writes[region(target)] += 1
-            written.add((target, family))
-            for entries in cached:
-                entries.discard((target, family))
+            written.add((target, family))  # a cached (key, family) stays cached
             continue
         handles[handle].multi_get(TABLE, target, family)
         for key in dict.fromkeys(target):
@@ -620,6 +631,123 @@ def _bulk_property(max_examples: int):
 
 test_bulk_load_equals_a_put_per_row = _bulk_property(200)
 test_bulk_load_equals_a_put_per_row_soak = pytest.mark.slow(_bulk_property(2000))
+
+
+# ---------------------------------------------------------------------------
+# Write-update: every caching connection reads what an uncached one reads
+# ---------------------------------------------------------------------------
+
+_COHERENT_FAMILIES = ("f0", "f1")
+_COHERENT_KEYS = ("a", "b", "c", "ghost")  # "ghost" only ever takes empty puts
+_COHERENT_PINS = (None, 2)
+_coherent_cells = st.dictionaries(
+    st.sampled_from(QUALIFIERS[:2]), st.integers(0, 9), min_size=1, max_size=2
+)
+_coherence_ops = st.lists(
+    st.one_of(
+        # A put at a version above, equal to or below the row's newest: in
+        # order, a tie, or out of order (the snapshot then stands).
+        st.tuples(
+            st.just("put"),
+            st.integers(0, 2),
+            st.sampled_from(_COHERENT_KEYS[:-1]),
+            st.sampled_from(_COHERENT_FAMILIES),
+            _coherent_cells,
+            st.sampled_from((1, 1, 0, -1)),
+        ),
+        st.tuples(st.just("empty_put"), st.integers(0, 2), st.sampled_from(_COHERENT_FAMILIES)),
+        st.tuples(
+            st.just("bulk"),
+            st.integers(0, 2),
+            st.dictionaries(st.sampled_from(_COHERENT_KEYS[:-1]), _coherent_cells, max_size=3),
+            st.sampled_from(_COHERENT_FAMILIES),
+            st.integers(1, 5),
+        ),
+        st.tuples(
+            st.just("read"),
+            st.integers(0, 1),
+            st.lists(st.sampled_from(_COHERENT_KEYS), min_size=1, max_size=4),
+            st.sampled_from(_COHERENT_FAMILIES),
+            st.sampled_from(_COHERENT_PINS + (1, 4)),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from((1.0, TTL_S / 2, TTL_S))),
+    ),
+    max_size=30,
+)
+
+
+def _held(handle: HBaseClient, key: str, family: str, now: float) -> Optional[Row]:
+    """The live latest read of (key, family) ``handle``'s cache holds, if any."""
+    cached = handle._cache._rows.get((TABLE, key), {}).get(family)
+    return cached[1] if cached is not None and now < cached[0] else None
+
+
+def _caches_read_what_storage_holds(ops, cache_rows):
+    clock = FakeClock()
+    root = HBaseClient(
+        max_versions=2, row_cache_ttl_s=TTL_S, row_cache_rows=cache_rows, clock=clock
+    )
+    root.create_table(TABLE, _COHERENT_FAMILIES)
+    handles = [root, root.connection(), root.connection(row_cache_ttl_s=0.0)]
+    caching, uncached = handles[:2], handles[2]
+    newest: Dict[Tuple[str, str], int] = {}
+    for op in ops:
+        if op[0] == "advance":
+            clock.now += op[1]
+        elif op[0] == "read":
+            _, handle, keys, family, pin = op
+            assert handles[handle].multi_get(TABLE, keys, family, version=pin) == (
+                uncached.multi_get(TABLE, keys, family, version=pin)
+            )
+        else:
+            if op[0] == "put":
+                _, handle, key, family, cells, offset = op
+                writes = {key: cells}
+                version = newest.get((key, family), 2) + offset
+            elif op[0] == "empty_put":  # the store still holds no row for the key
+                _, handle, family = op
+                writes, version = {"ghost": {}}, 3
+            else:
+                _, handle, writes, family, version = op
+            held = {
+                (index, key): _held(cache_handle, key, family, clock.now) is not None
+                for index, cache_handle in enumerate(caching)
+                for key in writes
+            }
+            if op[0] == "bulk":
+                handles[handle].bulk_load(TABLE, family, writes, version=version)
+            else:
+                (key, cells), = writes.items()
+                handles[handle].put(TABLE, key, family, cells, version=version)
+            for key in writes:
+                if writes[key]:
+                    newest[(key, family)] = max(newest.get((key, family), version), version)
+            # A cache that held the written (row, family) holds the store's
+            # snapshot after the write; one that did not hold it is not filled.
+            store = root.table(TABLE).family(family)
+            for (index, key), was_held in held.items():
+                now_held = _held(caching[index], key, family, clock.now)
+                if was_held and store.latest(key) is not None:
+                    assert now_held is store.latest(key)
+                else:
+                    assert now_held is None
+        # After every step, every caching connection reads what storage holds.
+        for handle in caching:
+            for family in _COHERENT_FAMILIES:
+                for pin in _COHERENT_PINS:
+                    assert handle.multi_get(TABLE, _COHERENT_KEYS, family, version=pin) == (
+                        uncached.multi_get(TABLE, _COHERENT_KEYS, family, version=pin)
+                    )
+        assert all(handle.row_cache_stats()["rows"] <= cache_rows for handle in caching)
+
+
+_coherence_runs = given(ops=_coherence_ops, cache_rows=st.integers(1, 4))
+test_caches_read_what_storage_holds = settings(max_examples=150, deadline=None)(
+    _coherence_runs(_caches_read_what_storage_holds)
+)
+test_caches_read_what_storage_holds_soak = pytest.mark.slow(
+    settings(max_examples=1500, deadline=None)(_coherence_runs(_caches_read_what_storage_holds))
+)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,42 @@ def test_a_batch_whose_ingest_raises_is_not_recorded(world, dataset, trained, mo
     assert server.requests_served == len(server.latency) == 5
 
 
+def _region_reads(hbase: HBaseClient) -> int:
+    return sum(stats["reads"] for stats in hbase.region_load_report().values())
+
+
+def test_every_replica_that_held_a_decided_account_reads_the_written_row_as_a_hit(
+    world, dataset, trained
+):
+    """Read-your-write on the serving path: after ``process`` writes the
+    payer's and payee's aggregate rows through, every replica whose cache
+    held either row serves the row the engine wrote, as a cache hit with no
+    region read."""
+    alipay = _front_end(world, dataset, trained, replicas=3)
+    updater = alipay.feature_updater
+    engine, root = updater.aggregator, updater.hbase
+    connections = [server.hbase for server in alipay.model_servers]
+    held_reads = 0
+    for transaction in sorted(dataset.test_transactions, key=event_order)[:NUM_REQUESTS]:
+        accounts = list(dict.fromkeys((transaction.payer_id, transaction.payee_id)))
+        for connection in connections[:2]:  # two replicas hold both rows; the third may
+            connection.multi_get(TABLE, accounts, AGGREGATES_FAMILY)
+        holders = [
+            (connection, account)
+            for connection in connections
+            for account in accounts
+            if AGGREGATES_FAMILY in connection._cache._rows.get((TABLE, account), {})
+        ]
+        alipay.process(TransactionRequest.from_transaction(transaction))
+        for connection, account in holders:
+            reads, hits = _region_reads(root), connection.row_cache_stats()["hits"]
+            row = connection.multi_get(TABLE, [account], AGGREGATES_FAMILY)[account]
+            assert row == engine.hbase_row(account)
+            assert (_region_reads(root), connection.row_cache_stats()["hits"]) == (reads, hits + 1)
+            held_reads += 1
+    assert held_reads >= 2 * NUM_REQUESTS
+
+
 #: Requests per example of the batch-shape property; one of them is shed.
 SHAPE_REQUESTS = 24
 _REFERENCE_NAMES = ("interrupted", "approved", "true_alerts", "false_alerts", "missed_frauds")

@@ -45,7 +45,7 @@ from repro.features.streaming import (
     event_order,
 )
 from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY, HBaseClient
-from repro.hbase.store import HBaseTable
+from repro.hbase.store import HBaseTable, Row, freeze_row
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +760,23 @@ class TestMaintainedRowEdges:
             copied.ingest_many(later)
             assert snapshot_bits(copied, copied.watermark) == snapshot_bits(fresh, fresh.watermark)
 
-    def test_returned_row_is_the_callers_and_the_payers_cell_is_shared(self):
+    def test_returned_row_is_read_only_and_the_payers_cell_is_shared(self):
         engine, ingested = self._engine()
         self._ingest(engine, ingested, 0, "p", "m", 0.1)
         self._ingest(engine, ingested, 1, "q", "m", 0.2)
         first = engine.hbase_row("m")
         expected = dict(first)
-        first["in_count"] = -1.0
-        first["payers"] = frozenset({"forged"})
-        first["extra"] = 1.0
-        assert engine.hbase_row("m") == expected
+        assert type(first) is Row  # what a put stores as is, with no copy
+        assert freeze_row(first) is first
+        for edit in (
+            lambda: first.__setitem__("in_count", -1.0),
+            lambda: first.update(payers=frozenset({"forged"})),
+            lambda: first.setdefault("extra", 1.0),
+            lambda: first.pop("payers"),
+        ):
+            with pytest.raises(TypeError):
+                edit()
+        assert first == expected and engine.hbase_row("m") == expected
         self._ingest(engine, ingested, 2, "q", "m", 0.3)  # no payer enters or leaves
         second = engine.hbase_row("m")
         assert second["in_count"] == 3.0

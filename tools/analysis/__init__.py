@@ -13,7 +13,7 @@ package checks them mechanically:
   shared by every repo tool that reports problems,
 * :mod:`tools.analysis.framework` — the :class:`Checker` base class, module
   contexts and the rule registry,
-* :mod:`tools.analysis.checkers` — the six repo-specific invariant rules,
+* :mod:`tools.analysis.checkers` — the eight repo-specific invariant rules,
 * :mod:`tools.analysis.reporters` — text and JSON rendering,
 * :mod:`tools.analysis.runner` — file discovery and orchestration.
 

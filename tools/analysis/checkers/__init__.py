@@ -1,4 +1,4 @@
-"""The seven repo-specific invariant rules.
+"""The eight repo-specific invariant rules.
 
 Importing this package registers every bundled checker with the framework
 registry (see :func:`tools.analysis.framework.register`):
@@ -14,11 +14,13 @@ registry (see :func:`tools.analysis.framework.register`):
 * ``duplicate-definition`` — a function body or a module constant has one
   defining site,
 * ``unreached-public`` — every public definition of ``src/repro`` is
-  mentioned by another part of ``src/repro`` or by an example.
+  mentioned by another part of ``src/repro`` or by an example,
+* ``unused-import`` — every imported name is read by its module's code.
 """
 
 from tools.analysis.checkers import clock  # noqa: F401
 from tools.analysis.checkers import duplicates  # noqa: F401
+from tools.analysis.checkers import imports  # noqa: F401
 from tools.analysis.checkers import iteration  # noqa: F401
 from tools.analysis.checkers import layering  # noqa: F401
 from tools.analysis.checkers import rng  # noqa: F401

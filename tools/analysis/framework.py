@@ -103,7 +103,7 @@ def register(cls: Type[Checker]) -> Type[Checker]:
 
 def all_rule_ids() -> List[str]:
     """Registered rule ids, sorted (importing the bundled checkers first)."""
-    import tools.analysis.checkers  # noqa: F401  (registers on import)
+    import tools.analysis.checkers  # noqa: F401  repro-lint: ignore[unused-import] registers on import
 
     return sorted(_REGISTRY)
 
@@ -114,7 +114,7 @@ def default_checkers(rules: List[str] | None = None) -> List[Checker]:
     ``rules`` restricts the run to a subset of rule ids; unknown ids raise
     ``ValueError`` so a typo in ``--rules`` cannot silently skip a contract.
     """
-    import tools.analysis.checkers  # noqa: F401  (registers on import)
+    import tools.analysis.checkers  # noqa: F401  repro-lint: ignore[unused-import] registers on import
 
     selected = sorted(_REGISTRY) if rules is None else list(rules)
     unknown = [rule for rule in selected if rule not in _REGISTRY]
