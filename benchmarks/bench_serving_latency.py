@@ -47,7 +47,7 @@ def test_serving_latency_milliseconds(benchmark, bench_runner):
         return alipay.replay_transactions(replay)
 
     report = run_once(benchmark, _run)
-    latency = server.latency.report()
+    latency = LatencyTracker.merged_report([server.latency])
 
     print("\nServing latency — online prediction path (HBase reads + scoring)")
     print(f"  requests served : {latency.count}")
@@ -79,7 +79,7 @@ def test_batch_path_meets_sla(benchmark, bench_runner):
         AlipayServer(server).replay_transactions(replay, batch_size=BATCH_SIZE)
         for sample in server.latency.latencies_ms[batch_start_index:]:
             batch_tracker.record(sample)
-        return batch_tracker.report()
+        return LatencyTracker.merged_report([batch_tracker])
 
     batch_latency = run_once(benchmark, _run)
 

@@ -176,7 +176,8 @@ def top1_neighbor_recall(embeddings: EmbeddingSet, labels: Mapping[str, object])
     ]
     if len(nodes) < 2:
         raise EmbeddingError("top1_neighbor_recall needs at least two labelled nodes")
-    matrix = embeddings.subset(nodes).normalized().matrix
+    vectors = embeddings.lookup(nodes)
+    matrix = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)  # every norm is > 0
     similarity = matrix @ matrix.T
     np.fill_diagonal(similarity, -np.inf)
     top1 = np.argmax(similarity, axis=1)

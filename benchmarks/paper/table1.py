@@ -64,10 +64,12 @@ def score_test_day(
     several detectors produce very differently calibrated scores (IF
     anomaly scores concentrate near 0.5, boosted trees can be near-perfect
     on the training window).  To compare methods on equal footing we
-    report the best attainable F1 over thresholds on the test scores —
-    a threshold-free ranking-quality metric — while the production
-    deployment path (ModelServer) keeps using the threshold calibrated on
-    the training window (``bundle.threshold``).
+    report the best attainable F1 on the test scores — ``select_threshold``
+    tries every distinct test score as the threshold (flagging ``score >=
+    t``, so a tie group is flagged whole), an upper bound no deployed
+    threshold can beat — while the production deployment path
+    (ModelServer) keeps using the threshold ``select_threshold`` picks on the
+    training window's scores (``bundle.threshold``).
     """
     test_matrix = runner.pipeline.evaluate(preparation, bundle)
     scores = bundle.detector.predict_proba(test_matrix.values)

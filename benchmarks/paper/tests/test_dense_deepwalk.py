@@ -42,7 +42,7 @@ class TestDistributedTraining:
         embeddings = model.embeddings()
         assert len(embeddings) == network.num_nodes
         assert model.loss_history and np.isfinite(model.loss_history).all()
-        matrix = np.ascontiguousarray(embeddings.matrix, dtype=np.float64)
+        matrix = np.ascontiguousarray(embeddings.lookup(embeddings.node_ids()), dtype=np.float64)
         assert _digest(matrix.tobytes()) == "13e5fcb3c95110e0"
         assert _digest("\n".join(embeddings.node_ids()).encode()) == "3475028fbc2a489c"
         losses = np.asarray(model.loss_history, dtype=np.float64)

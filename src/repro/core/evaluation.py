@@ -21,7 +21,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.features.discretization import column_quantiles
 
 
 @dataclass
@@ -115,30 +114,26 @@ def recall_at_top_percent(
     return float(labels[top_indices].sum() / total_frauds)
 
 
-def select_threshold(
-    labels: np.ndarray,
-    scores: np.ndarray,
-    *,
-    grid_size: int = 99,
-) -> float:
+def select_threshold(labels: np.ndarray, scores: np.ndarray) -> float:
     """Pick the score threshold maximising F1 on (training) data.
 
-    Candidate thresholds are score quantiles, so the grid adapts to however a
-    model distributes its probabilities (IF scores concentrate around 0.5,
-    GBDT's spread over the whole unit interval).
+    Every distinct score is a candidate, and a row is flagged when its score
+    is at least the threshold, so a group of tied scores is flagged whole.
+    One stable sort by descending score and one cumulative sum give each
+    candidate's true positives and flagged count, and
+    ``F1 = 2·TP / (flagged + positives)``; of thresholds with equal F1 the
+    highest (the fewest alerts) wins.
     """
     labels, scores = _validate(labels, scores)
-    if labels.sum() == 0:
+    positives = labels >= 0.5
+    if not positives.any():
         return 0.5
-    quantiles = np.linspace(0.01, 0.99, grid_size)
-    candidates = column_quantiles(scores[:, None], quantiles)[0]
-    best_threshold, best_f1 = 0.5, -1.0
-    for candidate in candidates:
-        score = f1_score(labels, scores, threshold=float(candidate))
-        if score > best_f1:
-            best_f1 = score
-            best_threshold = float(candidate)
-    return best_threshold
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    true_positives = np.cumsum(positives[order])
+    last_of_tie = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    f1 = 2.0 * true_positives[last_of_tie] / (last_of_tie + 1 + np.count_nonzero(positives))
+    return float(ranked[last_of_tie[np.argmax(f1)]])
 
 
 def evaluate_scores(

@@ -91,15 +91,8 @@ class ModelRegistry:
             raise ServingError("the registry is empty")
         return self._versions[self._ordered()[-1]]
 
-    def versions(self) -> List[str]:
-        """All version strings in registration-sequence order, oldest first."""
-        return self._ordered()
-
     def _ordered(self) -> List[str]:
         return sorted(self._sequence, key=self._sequence.__getitem__)
-
-    def __len__(self) -> int:
-        return len(self._versions)
 
     def __contains__(self, version: str) -> bool:
         return version in self._versions

@@ -68,18 +68,6 @@ class DatasetSlice:
     train_transactions: List[Transaction]
     test_transactions: List[Transaction]
 
-    @property
-    def name(self) -> str:
-        return f"dataset_test_day_{self.spec.test_day}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DatasetSlice(test_day={self.spec.test_day}, "
-            f"network={len(self.network_transactions)}, "
-            f"train={len(self.train_transactions)}, "
-            f"test={len(self.test_transactions)})"
-        )
-
 
 class DatasetBuilder:
     """Builds T+1 dataset slices from a generated world."""
@@ -260,4 +248,3 @@ class RollingDatasets:
                 )
             )
         return cls(slices=slices)
-

@@ -99,14 +99,7 @@ class FraudsterState:
     user_id: str
     is_repeat_offender: bool
     preferred_communities: List[int] = field(default_factory=list)
-    victims: List[str] = field(default_factory=list)
-    fraud_count: int = 0
     one_shot_done: bool = False
-
-    @property
-    def has_repeated(self) -> bool:
-        """True once the fraudster has committed more than one fraud."""
-        return self.fraud_count > 1
 
 
 @dataclass
@@ -161,14 +154,6 @@ class FraudsterBehaviorModel:
             self._normal_by_community.setdefault(profile.community, []).append(profile)
 
     # ------------------------------------------------------------------
-    def repeat_fraction(self) -> float:
-        """Fraction of fraudsters that committed more than one fraud so far."""
-        committed = [s for s in self._states.values() if s.fraud_count > 0]
-        if not committed:
-            return 0.0
-        return sum(1 for s in committed if s.has_repeated) / len(committed)
-
-    # ------------------------------------------------------------------
     def plan_day(self, day: int) -> List[PlannedFraud]:
         """Return the fraudulent transfers scheduled for ``day``."""
         planned: List[PlannedFraud] = []
@@ -197,8 +182,6 @@ class FraudsterBehaviorModel:
                         report_delay_days=self._sample_report_delay(),
                     )
                 )
-                state.victims.append(victim.user_id)
-                state.fraud_count += 1
                 if victim.community not in state.preferred_communities:
                     state.preferred_communities.append(victim.community)
         return planned

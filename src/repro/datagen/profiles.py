@@ -305,26 +305,6 @@ class ColumnarAccounts:
             )
         )
 
-    def nbytes(self) -> int:
-        """Total bytes held by the columnar arrays (honest memory accounting)."""
-        arrays = (
-            self.community,
-            self.is_fraudster,
-            self.age,
-            self.gender_code,
-            self.home_city,
-            self.account_age_days,
-            self.kyc_level,
-            self.is_merchant,
-            self.device_count,
-            self.risk_propensity,
-            self.activity_level,
-            self.merchant_index,
-            self.community_members,
-            self.community_offsets,
-        )
-        return int(sum(a.nbytes for a in arrays))
-
 
 def profiles_by_id(profiles: List[UserProfile]) -> Dict[str, UserProfile]:
     """Index profiles by ``user_id``; raises on duplicates."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import chain, islice, repeat
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.datagen.fraud import (
     TypologyFraudSuite,
     typology_name,
 )
-from repro.datagen.profiles import ColumnarAccounts, ProfileGenerator, profiles_by_id
+from repro.datagen.profiles import ColumnarAccounts, ProfileGenerator
 from repro.datagen.schema import (
     CITY_FRAUD_TIERS,
     NUM_CITIES,
@@ -76,8 +76,12 @@ class TransactionStream(ABC):
     iterator over the days' chunks, so ``events()`` and ``batches()`` share
     its position: a second read continues where the first stopped.  Batching
     is a pure re-grouping of that event sequence, so output is batch-size
-    invariant by construction.
+    invariant by construction.  ``event_time_ordered`` is True when the
+    events are totally ordered by (event time, transaction id), so a replay
+    need not sort them.
     """
+
+    event_time_ordered: bool
 
     def __init__(self, num_days: int) -> None:
         self._num_days = num_days
@@ -88,16 +92,6 @@ class TransactionStream(ABC):
     def num_days(self) -> int:
         """Number of simulated days in the stream's horizon."""
         return self._num_days
-
-    @property
-    @abstractmethod
-    def num_accounts(self) -> int:
-        """Size of the account population behind the stream."""
-
-    @property
-    @abstractmethod
-    def event_time_ordered(self) -> bool:
-        """True if events are totally ordered by (event time, transaction id)."""
 
     @abstractmethod
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:
@@ -164,34 +158,14 @@ class WorldStream(TransactionStream):
                 self._profiles, self._config.fraud, rng=fraud_rng
             )
         self._generator = _DailyStreamGenerator(self._config, self._profiles, stream_rng)
-        self._order = order
+        self.event_time_ordered = order == "event"
         super().__init__(self._config.num_days)
 
     # ------------------------------------------------------------------
     @property
-    def config(self) -> WorldConfig:
-        """The world configuration this stream was built from."""
-        return self._config
-
-    @property
     def profiles(self) -> List[UserProfile]:
         """The full account population (small worlds only)."""
         return self._profiles
-
-    @property
-    def profiles_by_id(self) -> Dict[str, UserProfile]:
-        """Profiles indexed by ``user_id``."""
-        return profiles_by_id(self._profiles)
-
-    @property
-    def num_accounts(self) -> int:
-        """Size of the generated user population."""
-        return len(self._profiles)
-
-    @property
-    def event_time_ordered(self) -> bool:
-        """True in ``order="event"`` mode (days re-sorted by event time)."""
-        return self._order == "event"
 
     def materialize(self) -> TransactionWorld:
         """Drain the stream into a :class:`TransactionWorld` (small worlds)."""
@@ -207,7 +181,7 @@ class WorldStream(TransactionStream):
         if isinstance(planned, PlannedFraudBatch):
             planned = self._planned_frauds(day, planned)
         records = self._generator.generate_day(day, planned)
-        if self._order == "event":
+        if self.event_time_ordered:
             records = sorted(records, key=transaction_sort_key)
         yield records
 
@@ -249,6 +223,8 @@ class ScalableWorldStream(TransactionStream):
     to the next account index instead of re-drawing.
     """
 
+    event_time_ordered = True
+
     def __init__(self, config: WorldConfig | None = None, *, rng: SeedLike = None) -> None:
         self._config = config or WorldConfig()
         master_rng = ensure_rng(self._config.seed if rng is None else rng)
@@ -277,24 +253,9 @@ class ScalableWorldStream(TransactionStream):
 
     # ------------------------------------------------------------------
     @property
-    def config(self) -> WorldConfig:
-        """The world configuration this stream was built from."""
-        return self._config
-
-    @property
     def accounts(self) -> ColumnarAccounts:
         """The columnar account population behind the stream."""
         return self._accounts
-
-    @property
-    def num_accounts(self) -> int:
-        """Size of the columnar account population."""
-        return self._accounts.num_accounts
-
-    @property
-    def event_time_ordered(self) -> bool:
-        """Always True: hour-by-hour emission with monotone transaction ids."""
-        return True
 
     # ------------------------------------------------------------------
     def _generate_day(self, day: int) -> Iterator[List[Transaction]]:

@@ -281,7 +281,6 @@ class TransactionAggregator:
         self.config = config or AggregationConfig()
         self._aggregates: Dict[str, _UserAggregate] = {}
         self._fitted = False
-        self._as_of_time: Optional[float] = None
         #: Scan accounting of the last ``fit(engine="sql")`` (None for the loop).
         self.last_backfill_stats: Optional[BackfillStats] = None
 
@@ -293,11 +292,6 @@ class TransactionAggregator:
     @property
     def window_spec(self) -> AggregationWindowSpec:
         return AggregationWindowSpec.from_config(self.config)
-
-    @property
-    def as_of_time(self) -> Optional[float]:
-        """The right edge (inclusive, seconds) of the last fitted window."""
-        return self._as_of_time
 
     def fit(
         self,
@@ -339,7 +333,6 @@ class TransactionAggregator:
             self._aggregates = sql_engine.backfill(history, as_of_time=as_of_time)
             self.last_backfill_stats = sql_engine.last_stats
             self._fitted = True
-            self._as_of_time = float(as_of_time)
             return self
         if engine != "loop":
             raise FeatureError(f"unknown backfill engine {engine!r}")
@@ -363,7 +356,6 @@ class TransactionAggregator:
             payee.in_amount_max = max(payee.in_amount_max, txn.amount)
             payee.payers.add(txn.payer_id)
         self._fitted = True
-        self._as_of_time = float(as_of_time)
         return self
 
     def account_ids(self) -> List[str]:

@@ -16,7 +16,7 @@ the *same* plan against Ali-HBase, so the two paths cannot drift.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class FeatureAssembler:
     def plan(self) -> FeaturePlan:
         """The serialisable feature spec exported alongside trained models."""
         return self._plan
-
-    @property
-    def feature_names(self) -> List[str]:
-        return self._plan.feature_names
 
     # ------------------------------------------------------------------
     def assemble(

@@ -86,16 +86,3 @@ class FeatureMatrix:
             labels=self.labels[indices] if self.labels is not None else None,
             metadata=dict(self.metadata),
         )
-
-    def with_labels(self, labels: Sequence[float]) -> "FeatureMatrix":
-        """Return a copy with ``labels`` attached."""
-        return FeatureMatrix(
-            feature_names=list(self.feature_names),
-            values=self.values,
-            row_ids=self.row_ids,
-            labels=np.asarray(labels, dtype=np.float64),
-            metadata=dict(self.metadata),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FeatureMatrix(rows={self.num_rows}, features={self.num_features})"

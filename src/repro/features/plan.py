@@ -240,13 +240,10 @@ class FeatureSource(abc.ABC):
         among them) override it by that name, and a ``(len(user_ids),
         dimension)`` ndarray is still accepted."""
 
+    @abc.abstractmethod
     def aggregate_rows(self, user_ids: Sequence[str]) -> Mapping[str, Mapping[str, Any]]:
-        """Per-user sliding-window aggregate rows (see ``AGGREGATE_ROW_FIELDS``).
-
-        Non-abstract for backwards compatibility: sources without aggregate
-        data serve every account as cold (all-zero aggregates).
-        """
-        return {}
+        """Per-user sliding-window aggregate rows (see ``AGGREGATE_ROW_FIELDS``);
+        accounts left out are served as cold (all-zero aggregates)."""
 
     def aggregation_block(
         self, transactions: Sequence[TransferFields]

@@ -68,9 +68,6 @@ class TransactionNetwork:
     def __contains__(self, node: str) -> bool:
         return node in self._node_index
 
-    def __len__(self) -> int:
-        return self.num_nodes
-
     def nodes(self) -> List[str]:
         """All node ids in insertion order (stable across runs)."""
         return list(self._index_node)
@@ -123,6 +120,3 @@ class TransactionNetwork:
 
     def in_degree(self, node: str) -> int:
         return len(self.predecessors(node))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TransactionNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

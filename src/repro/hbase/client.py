@@ -130,10 +130,6 @@ class HBaseClient:
         except KeyError as exc:
             raise TableNotFoundError(f"HBase table {name!r} does not exist") from exc
 
-    def list_tables(self) -> List[str]:
-        """Names of every table in the store, sorted."""
-        return sorted(self._tables)
-
     def create_feature_store(self, name: str = DEFAULT_FEATURE_TABLE) -> HBaseTable:
         """Create the feature-store table: basic features + embeddings
         (paper Figure 7) plus the streaming transaction-aggregate family."""

@@ -185,9 +185,6 @@ class HBaseTable:
         except KeyError as exc:
             raise StorageError(f"unknown column family {name!r} in table {self.name!r}") from exc
 
-    def column_families(self) -> List[str]:
-        return list(self._families)
-
     def put(
         self,
         row_key: str,

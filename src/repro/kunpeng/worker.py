@@ -78,7 +78,3 @@ class WorkerNode:
             compute_units if compute_units is not None else float(len(self.partition))
         )
         return result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        status = "alive" if self._alive else "failed"
-        return f"WorkerNode(id={self.node_id}, partition={len(self.partition)}, {status})"

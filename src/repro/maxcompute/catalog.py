@@ -91,12 +91,3 @@ class TableCatalog:
         if not overwrite and table.name in self._tables:
             raise TableAlreadyExistsError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
-
-    def describe(self, name: str) -> Dict[str, object]:
-        table = self.get_table(name)
-        return {
-            "name": table.name,
-            "comment": table.comment,
-            "num_rows": table.num_rows,
-            "columns": {column.name: column.type.value for column in table.schema.columns},
-        }

@@ -195,9 +195,3 @@ class PartitionedTable(Table):
                 row_count=len(indices),
             )
         return zone_map
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PartitionedTable(name={self.name!r}, rows={self._num_rows}, "
-            f"partitions={self.num_partitions}, key={self.partition_key!r})"
-        )

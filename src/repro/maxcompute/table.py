@@ -90,9 +90,6 @@ class Schema:
     def __contains__(self, name: str) -> bool:
         return any(column.name == name for column in self.columns)
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     @classmethod
     def from_dict(cls, spec: Dict[str, str]) -> "Schema":
         """Build a schema from ``{"name": "type"}`` pairs."""
@@ -236,9 +233,6 @@ class Table:
         indices = list(range(self._num_rows))
         chunk = max(1, (self._num_rows + num_splits - 1) // num_splits)
         return [indices[i : i + chunk] for i in range(0, self._num_rows, chunk)]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Table(name={self.name!r}, rows={self._num_rows}, columns={len(self.schema)})"
 
 
 def table_from_records(

@@ -73,9 +73,6 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def __iter__(self):
-        return iter(self.rules)
-
     def predict_row(self, row: np.ndarray) -> float:
         for rule in self.rules:
             if rule.matches(row):

@@ -84,12 +84,6 @@ class HistogramBinner:
         return binned
 
     # ------------------------------------------------------------------
-    @property
-    def num_features(self) -> int:
-        if self.edges_ is None:
-            raise NotFittedError("HistogramBinner must be fitted first")
-        return len(self.edges_)
-
     def threshold(self, feature_index: int, bin_index: int) -> float:
         """Raw-feature threshold equivalent to the binned split ``bin <= bin_index``.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -85,37 +85,9 @@ class TreeNode:
             total += child.count_leaves()
         return total
 
-    def count_nodes(self) -> int:
-        return 1 + sum(child.count_nodes() for child in self.iter_children())
-
     def iter_children(self) -> Iterator["TreeNode"]:
         if self.left is not None:
             yield self.left
         if self.right is not None:
             yield self.right
         yield from self.children.values()
-
-    # ------------------------------------------------------------------
-    def describe(self, feature_names: Optional[List[str]] = None, *, indent: int = 0) -> str:
-        """Human-readable rendering of the subtree (used by rule extraction demos)."""
-        pad = "  " * indent
-        if self.is_leaf:
-            return f"{pad}leaf value={self.value:.4f} samples={self.num_samples}"
-        name = (
-            feature_names[self.feature_index]
-            if feature_names is not None and self.feature_index is not None
-            else f"f{self.feature_index}"
-        )
-        lines = []
-        if self.threshold is not None:
-            lines.append(f"{pad}if {name} <= {self.threshold:.4f}:")
-            if self.left is not None:
-                lines.append(self.left.describe(feature_names, indent=indent + 1))
-            lines.append(f"{pad}else:")
-            if self.right is not None:
-                lines.append(self.right.describe(feature_names, indent=indent + 1))
-        else:
-            for category, child in sorted(self.children.items()):
-                lines.append(f"{pad}if {name} == {category:g}:")
-                lines.append(child.describe(feature_names, indent=indent + 1))
-        return "\n".join(lines)

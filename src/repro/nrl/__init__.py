@@ -20,7 +20,6 @@ from repro.nrl.embeddings import EmbeddingSet
 from repro.nrl.word2vec import SkipGramConfig, SkipGramTrainer, Vocabulary, build_vocabulary
 from repro.nrl.deepwalk import DeepWalk, DeepWalkConfig
 from repro.nrl.structure2vec import Structure2Vec, Structure2VecConfig
-from repro.nrl.base import NRLModel
 
 __all__ = [
     "EmbeddingSet",
@@ -32,5 +31,4 @@ __all__ = [
     "DeepWalkConfig",
     "Structure2Vec",
     "Structure2VecConfig",
-    "NRLModel",
 ]

@@ -20,7 +20,6 @@ from repro.contracts import SEED, check_fields, checked
 from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
-from repro.nrl.base import NRLModel
 from repro.nrl.embeddings import EmbeddingSet
 from repro.nrl.word2vec import SkipGramConfig, SkipGramTrainer
 from repro.rng import SeedLike, ensure_rng, spawn_child
@@ -47,7 +46,7 @@ class DeepWalkConfig:
         )
 
 
-class DeepWalk(NRLModel):
+class DeepWalk:
     """Unsupervised node-embedding model (random walks + skip-gram)."""
 
     def __init__(self, config: DeepWalkConfig | None = None, *, rng: SeedLike = None):
@@ -57,10 +56,6 @@ class DeepWalk(NRLModel):
         self._trainer: Optional[SkipGramTrainer] = None
 
     # ------------------------------------------------------------------
-    @property
-    def dimension(self) -> int:
-        return self.config.skipgram.dimension
-
     def fit(
         self,
         network: TransactionNetwork,

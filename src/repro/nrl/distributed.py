@@ -40,7 +40,6 @@ from repro.kunpeng.cluster import BACKENDS, ClusterConfig, KunPengCluster
 from repro.kunpeng.failover import FailureInjector
 from repro.kunpeng.worker import WorkerNode
 from repro.logging_utils import get_logger
-from repro.nrl.base import NRLModel
 from repro.nrl.embeddings import EmbeddingSet
 from repro.nrl.word2vec import (
     SkipGramConfig,
@@ -114,7 +113,7 @@ class _PairBuffer:
         return np.concatenate(taken_c), np.concatenate(taken_x)
 
 
-class DistributedDeepWalk(NRLModel):
+class DistributedDeepWalk:
     """DeepWalk trained with data parallelism on the KunPeng cluster."""
 
     def __init__(self, config: DistributedDeepWalkConfig | None = None, *, rng: SeedLike = None):
@@ -136,11 +135,6 @@ class DistributedDeepWalk(NRLModel):
         self._walker: Optional[RandomWalker] = None
 
     # ------------------------------------------------------------------
-    @property
-    def dimension(self) -> int:
-        """Embedding dimensionality of the trained vectors."""
-        return self.config.skipgram.dimension
-
     def _replay_walker(self) -> RandomWalker:
         """A fresh walker over the run's fixed walk stream (shared CSR arrays)."""
         assert self._walker is not None and self.walk_seed is not None

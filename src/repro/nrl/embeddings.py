@@ -8,7 +8,7 @@ Model Server reads back at prediction time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +38,6 @@ class EmbeddingSet:
     def dimension(self) -> int:
         return int(self._matrix.shape[1])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The raw (num_nodes, dimension) matrix; do not mutate."""
-        return self._matrix
-
     def node_ids(self) -> List[str]:
         return list(self._node_ids)
 
@@ -51,9 +46,6 @@ class EmbeddingSet:
 
     def __contains__(self, node: str) -> bool:
         return node in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._node_ids)
 
     def __getitem__(self, node: str) -> np.ndarray:
         try:
@@ -89,12 +81,6 @@ class EmbeddingSet:
         nodes = list(nodes)
         return EmbeddingSet(nodes, self.lookup(nodes), name=self.name)
 
-    def normalized(self) -> "EmbeddingSet":
-        """Return a copy with L2-normalised rows (zero rows stay zero)."""
-        norms = np.linalg.norm(self._matrix, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return EmbeddingSet(self._node_ids, self._matrix / safe, name=self.name)
-
     def concatenate(self, other: "EmbeddingSet") -> "EmbeddingSet":
         """Concatenate two embedding sets along the feature axis.
 
@@ -107,20 +93,3 @@ class EmbeddingSet:
         return EmbeddingSet(
             nodes, np.hstack([left, right]), name=f"{self.name}+{other.name}"
         )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, List[float]]:
-        """Plain-dict representation (used by the HBase upload path)."""
-        return {node: self._matrix[i].tolist() for node, i in self._index.items()}
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, Sequence[float]], *, name: str = "embeddings") -> "EmbeddingSet":
-        nodes = list(mapping.keys())
-        if not nodes:
-            raise EmbeddingError("cannot build an EmbeddingSet from an empty mapping")
-        matrix = np.array([mapping[n] for n in nodes], dtype=np.float64)
-        return cls(nodes, matrix, name=name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"EmbeddingSet(name={self.name!r}, nodes={len(self)}, dim={self.dimension})"
-

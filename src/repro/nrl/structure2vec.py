@@ -28,7 +28,6 @@ from scipy import sparse
 from repro.contracts import NON_NEGATIVE, POSITIVE, SEED, check_fields, checked, integer
 from repro.exceptions import EmbeddingError
 from repro.graph.network import TransactionNetwork
-from repro.nrl.base import NRLModel
 from repro.nrl.embeddings import EmbeddingSet
 from repro.numerics import class_weights, sigmoid
 from repro.rng import SeedLike, ensure_rng
@@ -101,7 +100,7 @@ def node_labels_from_transactions(transactions) -> Dict[str, int]:
     return labels
 
 
-class Structure2Vec(NRLModel):
+class Structure2Vec:
     """Supervised mean-field Structure2Vec with a logistic readout."""
 
     def __init__(self, config: Structure2VecConfig | None = None, *, rng: SeedLike = None):
@@ -112,10 +111,6 @@ class Structure2Vec(NRLModel):
         self._params: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    @property
-    def dimension(self) -> int:
-        return self.config.dimension
-
     def fit(
         self,
         network: TransactionNetwork,

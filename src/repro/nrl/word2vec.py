@@ -49,18 +49,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_index
-
-    def index(self, token: str) -> int:
-        try:
-            return self._token_index[token]
-        except KeyError as exc:
-            raise EmbeddingError(f"token {token!r} not in vocabulary") from exc
-
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
     def tokens(self) -> List[str]:
         return list(self._tokens)
 
@@ -270,11 +258,6 @@ class SparseBatch:
             context_idx=out_idx[: contexts.shape[0]],
             negative_idx=out_idx[contexts.shape[0] :].reshape(negatives.shape),
         )
-
-    @property
-    def num_rows(self) -> int:
-        """Unique embedding rows the batch pulls (and pushes)."""
-        return int(self.rows_in.shape[0] + self.rows_out.shape[0])
 
 
 def sgns_sparse_step(

@@ -275,7 +275,7 @@ class AlipayServer:
         ingest), and only then recorded in one pass.  A batch whose ingest
         raises is recorded not at all, but the requests ingested before the
         failing one stay in the streaming engine and in HBase, so a retry
-        ingests them twice (ROADMAP item 3: idempotent ingest).
+        ingests them twice (ROADMAP item 4: idempotent ingest).
         Results come back in request order.
         """
         requests = list(requests)

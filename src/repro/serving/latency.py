@@ -94,7 +94,3 @@ class LatencyTracker:
                 int(np.sum(np.array(t._latencies_ms) > t.sla_budget_ms)) for t in trackers
             ),
         )
-
-    # ------------------------------------------------------------------
-    def report(self) -> LatencyReport:
-        return self.merged_report([self])

@@ -79,10 +79,6 @@ class ServingRouter:
         """Number of replicas currently on the ring."""
         return len(self._replicas)
 
-    def replicas(self) -> List[int]:
-        """The replica indices currently on the ring, ascending."""
-        return sorted(self._replicas)
-
     def add_replica(self, replica: int) -> None:
         """Insert a replica's virtual nodes into the ring."""
         if replica in self._replicas:

@@ -745,6 +745,98 @@ class TestUnreachedPublic:
         assert analyze(tmp_path, files, rules=["unreached-public"]).findings == []
 
 
+    def test_a_parameter_or_local_of_a_methods_name_does_not_reach_it(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/features/matrix.py": """
+                class Matrix:
+                    def with_labels(self):
+                        return 1
+                """,
+                "repro/features/build.py": """
+                from repro.features.matrix import Matrix
+                def _build(values, with_labels):
+                    return Matrix(), with_labels
+
+                def _count():
+                    with_labels = 2
+                    return with_labels
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["Matrix.with_labels"]
+
+    def test_self_in_an_unrelated_class_does_not_reach_a_method(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/models/tree.py": """
+                class Tree:
+                    def describe(self):
+                        return 1
+
+                    def size(self):
+                        return 1
+
+                class Catalog:
+                    def describe(self):
+                        return 2
+
+                    def _summary(self):
+                        return self.describe()
+
+                class Pruned(Tree):
+                    def _count(self):
+                        return self.size()
+                """,
+                "repro/models/use.py": "from repro.models.tree import Catalog, Pruned, Tree\n",
+            },
+            rules=["unreached-public"],
+        )
+        # ``self.size()`` in a subclass still reaches the base's method.
+        assert [f.message.split()[0] for f in report.findings] == ["Tree.describe"]
+
+    def test_another_classs_attribute_does_not_reach_a_method(self, tmp_path):
+        report = analyze(
+            tmp_path,
+            {
+                "repro/hbase/store.py": """
+                class Table:
+                    def column_families(self):
+                        return 1
+
+                class Region:
+                    @staticmethod
+                    def column_families():
+                        return 2
+
+                FAMILIES = (Table, Region.column_families())
+                """,
+            },
+            rules=["unreached-public"],
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["Table.column_families"]
+
+    def test_harness_code_reaches_a_definition_but_its_tests_do_not(self, tmp_path):
+        files = {
+            "repro/serving/requests.py": """
+            class Request:
+                def to_transaction(self):
+                    return 1
+
+            REQUEST = Request()
+            """
+        }
+        harness = tmp_path / "benchmarks" / "titant_bench"
+        (harness / "tests").mkdir(parents=True)
+        (harness / "tests" / "test_requests.py").write_text("TXN = request.to_transaction()\n")
+        assert len(analyze(tmp_path, files, rules=["unreached-public"]).findings) == 1
+        (harness / "serving.py").write_text("TXN = request.to_transaction()\n")
+        assert analyze(tmp_path, files, rules=["unreached-public"]).findings == []
+
+
 # ---------------------------------------------------------------------------
 # Rule 8: unused-import
 # ---------------------------------------------------------------------------

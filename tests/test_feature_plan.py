@@ -250,7 +250,9 @@ class TestRepublishKeepsTheFleetWarm:
             for user_id, profile in world.profiles_by_id.items()
         }
         embeddings = {
-            name: EmbeddingSet(vectors.node_ids(), vectors.matrix * 2.0, name=name)
+            name: EmbeddingSet(
+                vectors.node_ids(), vectors.lookup(vectors.node_ids()) * 2.0, name=name
+            )
             for name, vectors in embedding_sets.items()
         }
         OfflineTrainingPipeline(profiles).publish_features(

@@ -265,7 +265,7 @@ class TestLatencyTracker:
         tracker = LatencyTracker(sla_budget_ms=10.0)
         for value in (1.0, 2.0, 3.0, 20.0):
             tracker.record(value)
-        report = tracker.report()
+        report = LatencyTracker.merged_report([tracker])
         assert report.count == 4
         assert report.max_ms == 20.0
         assert report.sla_violations == 1
@@ -285,7 +285,7 @@ class TestLatencyTracker:
         tracker.record(2.0)
         with pytest.raises(ServingError, match="non-negative"):
             tracker.record(float("nan"))
-        report = tracker.report()
+        report = LatencyTracker.merged_report([tracker])
         assert (report.count, report.p50_ms, report.p99_ms, report.max_ms) == (1, 2.0, 2.0, 2.0)
         assert report.sla_violations == 0
 
@@ -297,7 +297,7 @@ class TestLatencyTracker:
         for value in (1.0, 1.0, 3.0, 3.0, 3.0):
             single.record(value)
         assert batched.latencies_ms == single.latencies_ms == [1.0, 1.0, 3.0, 3.0, 3.0]
-        assert batched.report() == single.report()
+        assert LatencyTracker.merged_report([batched]) == LatencyTracker.merged_report([single])
 
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
     def test_a_nan_or_negative_batch_record_raises_and_stores_nothing(self, value):
@@ -311,7 +311,8 @@ class TestLatencyTracker:
         tracker = LatencyTracker()
         tracker.record(4.0, 0)
         assert len(tracker) == 0
-        assert tracker.report() == LatencyTracker().report()
+        empty = LatencyTracker.merged_report([LatencyTracker()])
+        assert LatencyTracker.merged_report([tracker]) == empty
 
 
 @pytest.fixture()
@@ -435,7 +436,7 @@ class TestModelServer:
         _, server = serving_stack
         for txn in dataset.test_transactions[:30]:
             server.predict_batch([TransactionRequest.from_transaction(txn)])
-        report = server.latency.report()
+        report = LatencyTracker.merged_report([server.latency])
         assert report.count == 30
         assert report.p99_ms < 50.0  # the paper's "tens of milliseconds" budget
 
@@ -510,7 +511,8 @@ class TestAlipayServer:
         merged = LatencyTracker.merged_report([fast, slow])
         assert merged.count == 100
         assert merged.p99_ms < 10.0
-        assert merged.p99_ms < max(fast.report().p99_ms, slow.report().p99_ms) + 1e-9
+        alone = [LatencyTracker.merged_report([tracker]).p99_ms for tracker in (fast, slow)]
+        assert merged.p99_ms < max(alone) + 1e-9
 
     def test_replay_batched_matches_scalar_outcomes(self, serving_stack, dataset):
         hbase, server = serving_stack

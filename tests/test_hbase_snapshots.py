@@ -23,7 +23,7 @@ from repro.features.basic import DEFAULT_CELLS, profile_cells
 from repro.features.plan import EmbeddingBlockSpec
 from repro.hbase import HBaseClient, HBaseTable
 from repro.hbase.cache import RowCache
-from repro.hbase.client import BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
+from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY
 from repro.hbase.store import ColumnFamilyStore, Row
 from repro.serving.feature_source import HBaseFeatureSource
 
@@ -439,7 +439,7 @@ def test_a_rejected_put_leaves_wal_regions_and_caches_as_they_were():
         assert handle.row_cache_stats() == stats
         assert handle.get(TABLE, "u1", BASIC_FEATURES_FAMILY) == {"age": 30}
         assert handle.row_cache_stats()["hits"] == stats["hits"] + 1  # still cached
-    recovered = HBaseTable(TABLE, client.table(TABLE).column_families())
+    recovered = HBaseTable(TABLE, [BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY, AGGREGATES_FAMILY])
     assert client.wal.replay(recovered, table_name=TABLE) == 1
     assert recovered.get("u1", BASIC_FEATURES_FAMILY) == {"age": 30}
     assert client.wal.replay(client.table(TABLE), table_name=TABLE) == 1
@@ -805,7 +805,7 @@ def test_wal_replay_rebuilds_the_value_that_was_put_not_the_edited_list():
     vec = [1.0, 2.0]
     client.put(TABLE, "u1", EMBEDDINGS_FAMILY, {"dw": vec}, version=1)
     vec.append(3.0)
-    recovered = HBaseTable(TABLE, client.table(TABLE).column_families())
+    recovered = HBaseTable(TABLE, [BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY, AGGREGATES_FAMILY])
     assert client.wal.replay(recovered, table_name=TABLE) == 1
     assert recovered.get("u1", EMBEDDINGS_FAMILY) == {"dw": (1.0, 2.0)}
     assert recovered.get("u1", EMBEDDINGS_FAMILY) == client.get(TABLE, "u1", EMBEDDINGS_FAMILY)

@@ -69,12 +69,6 @@ class TestEmbeddingSet:
         assert set(combined.node_ids()) == {"a", "b", "c"}
         assert combined["a"].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
-    def test_normalized_rows_unit_length(self):
-        embeddings = EmbeddingSet(["a", "b"], np.array([[3.0, 4.0], [0.0, 0.0]]))
-        normalized = embeddings.normalized()
-        assert np.linalg.norm(normalized["a"]) == pytest.approx(1.0)
-        assert np.linalg.norm(normalized["b"]) == pytest.approx(0.0)
-
 
 class TestWord2Vec:
     def test_vocabulary_and_pairs(self):

@@ -44,7 +44,12 @@ from repro.features.streaming import (
     SlidingWindowAggregator,
     event_order,
 )
-from repro.hbase.client import AGGREGATES_FAMILY, BASIC_FEATURES_FAMILY, HBaseClient
+from repro.hbase.client import (
+    AGGREGATES_FAMILY,
+    BASIC_FEATURES_FAMILY,
+    EMBEDDINGS_FAMILY,
+    HBaseClient,
+)
 from repro.hbase.store import HBaseTable, Row, freeze_row
 
 
@@ -825,7 +830,7 @@ class TestCrashRecovery:
 
         # Crash: the MemStore is lost; a fresh region replays the WAL.
         recovered = HBaseTable(
-            "titant_features", hbase.table("titant_features").column_families()
+            "titant_features", [BASIC_FEATURES_FAMILY, EMBEDDINGS_FAMILY, AGGREGATES_FAMILY]
         )
         replayed = hbase.wal.replay(recovered, table_name="titant_features")
         assert replayed == hbase.wal_size()
