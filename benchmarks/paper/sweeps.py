@@ -64,36 +64,46 @@ def tree_sweep(
 
     A single model with ``max(tree_counts)`` trees is fitted per feature
     set; the smaller tree counts are evaluated from its staged predictions
-    (identical to fitting separately, far cheaper).
+    (identical to fitting separately, far cheaper).  Each count's threshold
+    is the F1-best one on the training window's first day, scored by an
+    auxiliary fit of the same size on the window's other days, so the
+    threshold never sees scores of rows its model was fitted on: in-sample,
+    a many-tree fit ranks its own training frauds near-perfectly, and the
+    threshold that is best there transfers poorly to the test day.  The
+    first day is held out because its fraud reports are the most complete
+    at the training cut-off (the last day's have mostly not arrived).
     """
     tree_counts = sorted(int(t) for t in tree_counts)
     if not tree_counts:
         raise ConfigurationError("tree_counts must not be empty")
     dataset = runner.datasets()[0]
     preparation = preparation_for(runner, dataset)
-    hp = runner.config.hyperparameters
+    hyperparameters = runner.config.hyperparameters.with_overrides(
+        gbdt_num_trees=tree_counts[-1]
+    )
+    days = np.array([txn.day for txn in dataset.train_transactions])
+    held_out = days == days.min()
     results: Dict[str, Dict[int, float]] = {}
     for feature_set in feature_sets:
         assembler = runner.pipeline.assembler_for(preparation, feature_set)
         train_matrix = assembler.assemble(dataset.train_transactions)
         test_matrix = assembler.assemble(dataset.test_transactions)
-        model = build_detector(
-            DetectorName.GBDT, hp.with_overrides(gbdt_num_trees=tree_counts[-1])
-        )
+        model = build_detector(DetectorName.GBDT, hyperparameters)
         model.fit(train_matrix.values, train_matrix.labels)
-        per_count: Dict[int, float] = {}
-        staged_train = {
-            count: scores
-            for count, scores in model.staged_predict_proba(train_matrix.values, every=1)
+        auxiliary = build_detector(DetectorName.GBDT, hyperparameters)
+        auxiliary.fit(train_matrix.values[~held_out], train_matrix.labels[~held_out])
+        thresholds = {
+            count: select_threshold(train_matrix.labels[held_out], scores)
+            for count, scores in auxiliary.staged_predict_proba(
+                train_matrix.values[held_out], every=1
+            )
             if count in tree_counts
         }
-        for count, scores in model.staged_predict_proba(test_matrix.values, every=1):
-            if count not in tree_counts:
-                continue
-            threshold = select_threshold(train_matrix.labels, staged_train[count])
-            metrics = evaluate_scores(test_matrix.labels, scores, threshold=threshold)
-            per_count[count] = metrics.f1
-        results[feature_set.value] = per_count
+        results[feature_set.value] = {
+            count: evaluate_scores(test_matrix.labels, scores, threshold=thresholds[count]).f1
+            for count, scores in model.staged_predict_proba(test_matrix.values, every=1)
+            if count in tree_counts
+        }
     return results
 
 

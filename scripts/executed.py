@@ -16,20 +16,25 @@ ends through ``os._exit``, which the hook wraps to record first).
 4. the paper-result checks: ``python -m pytest`` over :data:`PAPER_CHECKS`, then
    ``python -m benchmarks.bench_typology_recall``.
 
-It then prints every function or method defined in ``src/repro`` (nested ones
-included) whose code ran under none of them.  A Protocol or abstract base
-class, whose stubs cannot run, goes in :data:`ALLOWED` with its reason.
+Two kinds of process are not traced, and what only they run is reported as
+never run: a process killed by a signal it cannot catch (a shard that
+``ProcessShardRuntime.kill_shard`` or the runtime's shutdown fallback
+SIGKILLs) writes no record, and a subprocess started with an environment of
+its own, without the inherited ``PYTHONPATH``, never loads the hook.
+
+After the runs it prints every function or method defined in ``src/repro`` (nested ones
+included) whose code ran under none of them.  A stub that cannot run is not
+listed: one whose body is only a docstring, ``...`` or ``pass`` and that is
+an ``abstractmethod`` or sits in a class with a ``Protocol`` base.
 
 Usage::
 
     python scripts/executed.py
 
-Exits 0 when every unexecuted definition is allow-listed and every allow-list
-entry names an unexecuted definition, and 1 otherwise.  A run that fails is
-named, and what it executed still counts: whether the tests and checks pass
-is their own CI jobs' verdict, and this probe only asks what ran.  Under the
-hook the runs take about twice their usual time (about 25 minutes on a
-2-vCPU host).
+Exits 1 when a definition other than such a stub never ran or when a run
+fails (what a failed run executed still counts toward the listing), and 0
+otherwise; CI runs the paper-result checks only here.  Under the hook the
+runs take about twice their usual time (about 25 minutes on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -40,13 +45,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Iterator, List, NamedTuple, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE = REPO_ROOT / "src" / "repro"
 
-#: The pytest checks of the paper's tables and figures, as the CI "paper results"
-#: job runs them with the per-typology recall bench (Figure 10 has its own smoke).
+#: The pytest checks of the paper's tables and figures, run with the per-typology
+#: recall bench (Figure 10 has its own smoke job); CI runs them only here.
 PAPER_CHECKS = (
     "benchmarks/bench_table1_configurations.py",
     "benchmarks/bench_fig8_dataset_slicing.py",
@@ -55,20 +60,6 @@ PAPER_CHECKS = (
     "benchmarks/bench_fig12_gbdt_trees.py",
     "benchmarks/bench_table2_node_sampling.py",
 )
-
-#: ``path:Class`` (path relative to ``src/repro``) of a Protocol or abstract base
-#: class -> why its stubs never run.  A stub's body is a docstring, ``...`` or
-#: ``pass``; the class's other methods must run like every other definition.
-ALLOWED: Dict[str, str] = {
-    "datagen/stream.py:TransactionStream": "abstract day generator; both streams override it",
-    "features/aggregation.py:PointInTimeAggregateProvider": (
-        "the block capability's abstract method; its one provider overrides it"
-    ),
-    "features/plan.py:FeatureSource": "the executor's abstract reads; every source overrides them",
-    "models/base.py:BaseDetector": "abstract fit and predict; every detector overrides them",
-    "serving/coalescer.py:BatchFrontEnd": "Protocol a flush goes to: AlipayServer or a wrapper",
-    "serving/router.py:Router": "Protocol AlipayServer routes through: ServingRouter or a test's",
-}
 
 #: Installed in every traced interpreter: records ``file:first line`` of each code object called.
 HOOK = '''\
@@ -112,39 +103,45 @@ sys.setprofile(_profile)
 
 
 class Definition(NamedTuple):
-    """One ``def`` in ``src/repro``: where it starts, how long it is, whether it is a stub."""
+    """One ``def`` in ``src/repro``: where it starts, how long it is, whether it can run."""
 
     path: Path
     first_line: int  # its first decorator's line, as the code object's co_firstlineno
     qualified: str
     lines: int
-    stub: bool
-
-    @property
-    def allow_key(self) -> str:
-        """The :data:`ALLOWED` key that can cover it: its class, for a stub."""
-        owner = self.qualified.rpartition(".")[0] if self.stub else self.qualified
-        return f"{self.path.relative_to(SOURCE).as_posix()}:{owner}"
+    can_run: bool  # False for an abstract or Protocol stub
 
 
 def definitions() -> Iterator[Definition]:
     """Every function and method of ``src/repro``, nested definitions included."""
     for path in sorted(SOURCE.rglob("*.py")):
-        yield from _walk(path, ast.parse(path.read_text()).body, "")
+        yield from _walk(path, ast.parse(path.read_text()).body, "", protocol=False)
 
 
-def _walk(path: Path, body: List[ast.stmt], prefix: str) -> Iterator[Definition]:
+def _walk(
+    path: Path, body: List[ast.stmt], prefix: str, *, protocol: bool
+) -> Iterator[Definition]:
     for node in body:
         if isinstance(node, ast.ClassDef):
-            yield from _walk(path, node.body, f"{prefix}{node.name}.")
+            is_protocol = any(_name(base) == "Protocol" for base in node.bases)
+            yield from _walk(path, node.body, f"{prefix}{node.name}.", protocol=is_protocol)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             qualified = prefix + node.name
-            yield Definition(path, first, qualified, node.end_lineno - first + 1, _is_stub(node))
-            yield from _walk(path, node.body, f"{qualified}.")
+            abstract = any(_name(d) == "abstractmethod" for d in node.decorator_list)
+            can_run = not (_is_stub(node) and (abstract or protocol))
+            yield Definition(path, first, qualified, node.end_lineno - first + 1, can_run)
+            yield from _walk(path, node.body, f"{qualified}.", protocol=False)
         else:
             for field in ("body", "orelse", "finalbody", "handlers"):
-                yield from _walk(path, getattr(node, field, []), prefix)
+                yield from _walk(path, getattr(node, field, []), prefix, protocol=protocol)
+
+
+def _name(node: ast.expr) -> str:
+    """The last name of ``Name`` or ``a.b.Name``; empty for any other expression."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
 
 
 def _is_stub(node: ast.AST) -> bool:
@@ -217,26 +214,21 @@ def main() -> int:
                     failed.append(f"{' '.join(command[1:])} (exit {completed.returncode})")
         seen = executed(records)
 
-    every = list(definitions())
+    every = [d for d in definitions() if d.can_run]
     unexecuted = [d for d in every if (d.path.resolve(), d.first_line) not in seen]
-    unlisted = [d for d in unexecuted if d.allow_key not in ALLOWED]
-    for definition in unlisted:
+    for definition in unexecuted:
         print(
             f"{definition.path.relative_to(REPO_ROOT)}:{definition.first_line}: "
             f"{definition.qualified} never ran ({definition.lines} lines)"
         )
-    covered = {d.allow_key for d in unexecuted}
-    stale = [key for key in ALLOWED if key not in covered]
-    for key in stale:
-        print(f"ALLOWED entry {key!r} is stale: no stub of it is left unexecuted; remove it")
     for run in failed:
-        print(f"failed run, its coverage counted: {run}")
+        print(f"failed run: {run}")
     print(
-        f"{len(every) - len(unexecuted)} of {len(every)} src/repro definitions ran; "
-        f"{len(unexecuted) - len(unlisted)} allow-listed, {len(unlisted)} not "
-        f"({sum(d.lines for d in unlisted)} lines)"
+        f"{len(every) - len(unexecuted)} of {len(every)} src/repro definitions that can run "
+        f"ran; {len(unexecuted)} never did ({sum(d.lines for d in unexecuted)} lines); "
+        f"{len(failed)} failed runs"
     )
-    return 1 if unlisted or stale else 0
+    return 1 if unexecuted or failed else 0
 
 
 if __name__ == "__main__":

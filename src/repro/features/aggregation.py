@@ -31,7 +31,6 @@ historical ``start_day <= txn.day < as_of_day`` filter.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Container, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ import numpy as np
 
 from repro.datagen.schema import (
     SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
     Transaction,
     transaction_event_time,
 )
@@ -229,20 +227,6 @@ class AggregationWindowSpec:
 
     def to_dict(self) -> Dict[str, float]:
         return {"window_seconds": float(self.window_seconds)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AggregationWindowSpec":
-        spec = cls(window_seconds=float(data["window_seconds"]))
-        # Older plans carry a bucket width.  Every width that divides the
-        # hour-granular event times gave the same buckets (one per event
-        # instant); any other width was rejected then and still is.
-        bucket_seconds = float(data.get("bucket_seconds", SECONDS_PER_HOUR))
-        POSITIVE.require("bucket_seconds", bucket_seconds, FeatureError)
-        if math.fmod(SECONDS_PER_HOUR, bucket_seconds) != 0.0:
-            raise FeatureError(
-                f"bucket_seconds must divide {SECONDS_PER_HOUR}, got {bucket_seconds!r}"
-            )
-        return spec
 
 
 class PointInTimeAggregateProvider(abc.ABC):

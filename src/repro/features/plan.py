@@ -73,10 +73,6 @@ class EmbeddingBlockSpec:
     def to_dict(self) -> Dict[str, object]:
         return {"set_name": self.set_name, "dimension": int(self.dimension)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EmbeddingBlockSpec":
-        return cls(set_name=str(data["set_name"]), dimension=int(data["dimension"]))
-
 
 @dataclass(frozen=True)
 class FeaturePlan:
@@ -186,28 +182,6 @@ class FeaturePlan:
             "basic_feature_names": list(self.basic_feature_names),
             "aggregation": self.aggregation.to_dict() if self.aggregation else None,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FeaturePlan":
-        """Rebuild a plan from :meth:`to_dict` output (legacy JSON accepted)."""
-        blocks = tuple(
-            EmbeddingBlockSpec.from_dict(item)
-            for item in data.get("embedding_blocks", [])
-        )
-        aggregation_data = data.get("aggregation")
-        return cls(
-            embedding_blocks=blocks,
-            embedding_side=str(data.get("embedding_side", "both")),
-            basic_feature_names=tuple(
-                data.get("basic_feature_names", BASIC_FEATURE_NAMES)
-            ),
-            aggregation=(
-                AggregationWindowSpec.from_dict(aggregation_data)
-                if aggregation_data
-                else None
-            ),
-        )
-
 
 
 # ---------------------------------------------------------------------------

@@ -505,11 +505,6 @@ class SlidingWindowAggregator:
     def _resolve_as_of(self, as_of: Optional[float]) -> float:
         return self._watermark if as_of is None else float(as_of)
 
-    def user_row(self, user_id: str, *, as_of: Optional[float] = None) -> Dict[str, float]:
-        """Aggregate row (same keys as the batch ``user_row``)."""
-        cells, _ = self._row(user_id, self._resolve_as_of(as_of))
-        return dict(zip(AGGREGATE_ROW_FIELDS, cells))
-
     def hbase_row(self, user_id: str, *, as_of: Optional[float] = None) -> Row:
         """The serialised aggregate row written through to Ali-HBase, as the
         read-only :class:`~repro.hbase.store.Row` the store keeps: built once

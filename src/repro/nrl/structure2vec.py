@@ -142,17 +142,6 @@ class Structure2Vec:
             raise EmbeddingError("Structure2Vec has not been fitted")
         return self._embeddings
 
-    @property
-    def params(self) -> Dict[str, np.ndarray]:
-        """Trained parameter copies (``W1``, ``W2``, ``w``, ``b``).
-
-        Raises :class:`EmbeddingError` before :meth:`fit`.  Returned arrays are
-        copies — mutating them does not affect the fitted model.
-        """
-        if self._params is None:
-            raise EmbeddingError("Structure2Vec has not been fitted")
-        return {name: value.copy() for name, value in self._params.items()}
-
     def embed_nodes(self, network: TransactionNetwork, targets: Sequence[str]) -> EmbeddingSet:
         """Exact restricted forward pass: mu^(T) for ``targets`` only.
 

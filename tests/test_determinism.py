@@ -24,7 +24,8 @@ from repro.datagen.profiles import ProfileConfig
 from repro.datagen.fraud import TypologyConfig
 from repro.datagen.stream import ScalableWorldStream, WorldStream
 from repro.datagen.transactions import WorldConfig
-from repro.features.aggregation import SECONDS_PER_HOUR, AggregationConfig
+from repro.datagen.schema import SECONDS_PER_HOUR
+from repro.features.aggregation import AggregationConfig
 from repro.features.streaming import SlidingWindowAggregator
 from repro.graph.random_walk import RandomWalkConfig, RandomWalker
 from repro.hbase.client import HBaseClient

@@ -195,14 +195,6 @@ class TestRestrictedForward:
         with pytest.raises(EmbeddingError):
             model.embed_nodes(network, [])
 
-    def test_params_property_returns_copies(self):
-        model = fitted_model(random_transactions(5))
-        params = model.params
-        params["W1"][:] = 0.0
-        assert not np.allclose(model.params["W1"], 0.0)
-        with pytest.raises(EmbeddingError):
-            Structure2Vec(S2V_CONFIG).params
-
     def test_subset_features_match_full_rows(self):
         network = build_network(random_transactions(6))
         nodes, full = node_structural_features(network)
@@ -214,7 +206,8 @@ class TestRestrictedForward:
 
 
 def dense_full_forward(params, network, rounds):
-    """Independent oracle: dense full-network mean-field forward pass.
+    """Independent oracle: dense full-network mean-field forward pass over a
+    fitted model's weights (``Structure2Vec._params``, read, never written).
 
     Reimplements the propagation from the module docstring's equation alone
     (no shared code with ``Structure2Vec._forward``), so a bug in the
@@ -266,7 +259,7 @@ class TestEmbeddingRefresher:
         report = refresher.refresh()
         assert report.version == 101
         oracle = dense_full_forward(
-            model.params, build_network(warmup + delta),
+            model._params, build_network(warmup + delta),
             S2V_CONFIG.propagation_rounds,
         )
         assert report.refreshed
@@ -332,7 +325,7 @@ class TestEmbeddingRefresher:
             assert report.refreshed == []
             return
         oracle = dense_full_forward(
-            model.params, build_network(transactions), S2V_CONFIG.propagation_rounds
+            model._params, build_network(transactions), S2V_CONFIG.propagation_rounds
         )
         touched = set(report.refreshed)
         for node in report.refreshed:

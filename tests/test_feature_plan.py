@@ -48,7 +48,7 @@ def _region_reads(client: HBaseClient) -> int:
 
 
 class TestFeaturePlan:
-    def test_json_round_trip(self):
+    def test_exported_plan_is_plain_json(self):
         plan = FeaturePlan(
             embedding_blocks=(
                 EmbeddingBlockSpec("dw", 8),
@@ -56,10 +56,13 @@ class TestFeaturePlan:
             ),
             embedding_side="both",
         )
-        restored = FeaturePlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert restored == plan
-        assert restored.feature_names == plan.feature_names
-        assert restored.num_features == 52 + 2 * (8 + 4)
+        exported = plan.to_dict()
+        assert json.loads(json.dumps(exported)) == exported
+        assert exported["embedding_blocks"] == [
+            {"set_name": "dw", "dimension": 8},
+            {"set_name": "s2v", "dimension": 4},
+        ]
+        assert plan.num_features == 52 + 2 * (8 + 4)
 
     def test_rejects_bad_specs(self):
         with pytest.raises(FeatureError):
@@ -82,17 +85,9 @@ class TestFeaturePlan:
             FeaturePlan(basic_feature_names=tuple(reversed(BASIC_FEATURE_NAMES)))
         with pytest.raises(FeatureError):
             FeaturePlan(basic_feature_names=tuple(BASIC_FEATURE_NAMES[:-1]))
-        payload = FeaturePlan().to_dict()
-        payload["basic_feature_names"][0], payload["basic_feature_names"][1] = (
-            payload["basic_feature_names"][1],
-            payload["basic_feature_names"][0],
-        )
         with pytest.raises(FeatureError):
-            FeaturePlan.from_dict(json.loads(json.dumps(payload)))
-        payload["basic_feature_names"] = list(BASIC_FEATURE_NAMES) + ["from_the_future"]
-        with pytest.raises(FeatureError):
-            FeaturePlan.from_dict(json.loads(json.dumps(payload)))
-        # The canonical list, as a list (what JSON carries), still loads.
+            FeaturePlan(basic_feature_names=(*BASIC_FEATURE_NAMES, "from_the_future"))
+        # The canonical list, as a list (what JSON carries), is accepted.
         assert FeaturePlan(basic_feature_names=list(BASIC_FEATURE_NAMES)) == FeaturePlan()
 
     def test_feature_names_match_legacy_assembler_layout(self, world, embedding_sets):
@@ -179,11 +174,6 @@ class TestOfflineOnlineParity:
             model.predict_proba(assembler.assemble_single(txn).reshape(1, -1))[0]
         )
         assert response.fraud_probability == pytest.approx(offline_probability)
-
-    def test_plan_survives_registry_round_trip(self, deployed):
-        assembler, _, _ = deployed
-        payload = json.dumps(assembler.plan.to_dict())
-        assert FeaturePlan.from_dict(json.loads(payload)) == assembler.plan
 
 
 class _RecordingRow(dict):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import pickle
 
 import numpy as np
@@ -24,13 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen.schema import Transaction, TransactionChannel
+from repro.datagen.schema import SECONDS_PER_HOUR, Transaction, TransactionChannel
 from repro.exceptions import FeatureError
 from repro.features.aggregation import (
     AGGREGATE_ROW_FIELDS,
     AGGREGATION_FEATURE_NAMES,
     SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
     AggregationConfig,
     AggregationWindowSpec,
     TransactionAggregator,
@@ -117,6 +115,13 @@ def brute_rows(config, events, as_of_time, account_ids):
     """Brute-force batch recompute: one full fit, rows for ``account_ids``."""
     fitted = TransactionAggregator(config).fit(events, as_of_time=as_of_time)
     return {user_id: fitted.hbase_row(user_id) for user_id in account_ids}
+
+
+def user_row(engine, user_id, *, as_of=None):
+    """A streaming engine's aggregate row by field name: its HBase row
+    without the ``payers`` cell."""
+    row = engine.hbase_row(user_id, as_of=as_of)
+    return {name: row[name] for name in AGGREGATE_ROW_FIELDS}
 
 
 def assert_rows_close(left, right):
@@ -209,30 +214,11 @@ class TestAggregationConfig:
         with pytest.raises(FeatureError):
             assembler.assemble([make_txn(0, 1, 2, "a", "b", 1.0)], with_labels=False)
 
-    def test_window_spec_round_trip(self):
+    def test_window_spec_from_config(self):
         spec = AggregationWindowSpec(window_seconds=36_000.0)
-        assert AggregationWindowSpec.from_dict(spec.to_dict()) == spec
+        assert spec.to_dict() == {"window_seconds": 36_000.0}
         from_config = AggregationWindowSpec.from_config(AggregationConfig(window_days=2))
         assert from_config.window_seconds == 2 * SECONDS_PER_DAY
-
-    def test_plan_json_with_a_bucket_width_still_loads(self):
-        """Plans written while the engine took a bucket width load as the
-        same window when the width divides the hour, and are rejected
-        otherwise — the set of accepted files is unchanged."""
-        import json
-
-        from repro.features.plan import FeaturePlan
-
-        plan = FeaturePlan(aggregation=AggregationWindowSpec(window_seconds=36_000.0))
-        data = json.loads(json.dumps(plan.to_dict()))
-        assert data["aggregation"] == {"window_seconds": 36_000.0}
-        for width, accepted in ((3600.0, True), (600.0, True), (7200.0, False), (0.0, False)):
-            data["aggregation"]["bucket_seconds"] = width
-            if accepted:
-                assert FeaturePlan.from_dict(json.loads(json.dumps(data))) == plan
-            else:
-                with pytest.raises(FeatureError):
-                    FeaturePlan.from_dict(json.loads(json.dumps(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ class TestAggregationConfig:
 class TestSlidingWindowBoundaries:
     def test_empty_window(self):
         engine = SlidingWindowAggregator(AggregationConfig(window_days=1))
-        row = engine.user_row("ghost")
+        row = user_row(engine, "ghost")
         assert row["out_count"] == 0.0 and row["in_count"] == 0.0
         vector = engine.features_for(make_txn(0, 3, 4, "a", "b", 1.0))
         # Cold accounts are all-zero except the new-payer flag, exactly like
@@ -254,9 +240,9 @@ class TestSlidingWindowBoundaries:
     def test_single_event(self):
         engine = SlidingWindowAggregator(AggregationConfig(window_days=1))
         engine.ingest(make_txn(0, 2, 23, "a", "b", 12.5))
-        assert engine.user_row("a")["out_count"] == 1.0
-        assert engine.user_row("a")["night_fraction"] == 1.0
-        assert engine.user_row("b")["in_amount_max"] == 12.5
+        assert user_row(engine, "a")["out_count"] == 1.0
+        assert user_row(engine, "a")["night_fraction"] == 1.0
+        assert user_row(engine, "b")["in_amount_max"] == 12.5
         assert engine.hbase_row("b")["payers"] == frozenset({"a"})
 
     def test_event_exactly_on_window_edge_falls_out(self):
@@ -266,13 +252,13 @@ class TestSlidingWindowBoundaries:
         engine.ingest(first)
         t0 = transaction_event_time(first)
         # One second before a full window has passed: still inside.
-        assert engine.user_row("a", as_of=t0 + window - 1)["out_count"] == 1.0
+        assert user_row(engine, "a", as_of=t0 + window - 1)["out_count"] == 1.0
         # Exactly one window later the event sits on the left-open edge.
-        assert engine.user_row("a", as_of=t0 + window)["out_count"] == 0.0
+        assert user_row(engine, "a", as_of=t0 + window)["out_count"] == 0.0
         # After ingesting an event exactly on that edge, only it remains.
         engine.ingest(make_txn(1, 2, 0, "a", "b", 8.0))
-        assert engine.user_row("a")["out_count"] == 1.0
-        assert engine.user_row("a")["out_amount_sum"] == 8.0
+        assert user_row(engine, "a")["out_count"] == 1.0
+        assert user_row(engine, "a")["out_amount_sum"] == 8.0
 
     def test_events_exactly_on_bucket_edges(self):
         engine = SlidingWindowAggregator(
@@ -281,7 +267,7 @@ class TestSlidingWindowBoundaries:
         for hour in (0, 1, 2, 3):
             engine.ingest(make_txn(hour, 0, hour, "a", "b", 1.0))
         # Window (1h, 3h] holds exactly the 02:00 and 03:00 buckets.
-        assert engine.user_row("a")["out_count"] == 2.0
+        assert user_row(engine, "a")["out_count"] == 2.0
 
     def test_window_shorter_than_bucket(self):
         engine = SlidingWindowAggregator(
@@ -290,18 +276,18 @@ class TestSlidingWindowBoundaries:
         engine.ingest(make_txn(0, 0, 3, "a", "b", 2.0))
         engine.ingest(make_txn(1, 0, 4, "a", "b", 4.0))
         # A 30-minute window at 04:00 sees only the 04:00 event.
-        assert engine.user_row("a")["out_amount_sum"] == 4.0
+        assert user_row(engine, "a")["out_amount_sum"] == 4.0
 
     def test_whole_window_eviction(self):
         engine = SlidingWindowAggregator(AggregationConfig(window_days=14))
         for index in range(5):
             engine.ingest(make_txn(index, index, 12, "a", "b", 2.0))
-        assert engine.user_row("a")["out_count"] == 5.0
+        assert user_row(engine, "a")["out_count"] == 5.0
         # 40 days of silence, then one unrelated event: every old bucket is
         # beyond the horizon.
         engine.ingest(make_txn(99, 45, 0, "c", "d", 1.0))
-        assert engine.user_row("a")["out_count"] == 0.0
-        assert engine.user_row("b")["in_count"] == 0.0
+        assert user_row(engine, "a")["out_count"] == 0.0
+        assert user_row(engine, "b")["in_count"] == 0.0
         # Touched accounts are evicted on ingest; prune() sweeps the rest.
         engine.prune()
         assert engine.account_ids() == ["c", "d"]
@@ -322,10 +308,10 @@ class TestSlidingWindowBoundaries:
         )
         engine.ingest(make_txn(0, 3, 12, "a", "b", 2.0))
         assert engine.ingest(make_txn(1, 3, 2, "c", "a", 4.0))  # 10 h late
-        assert engine.user_row("a", as_of=engine.watermark)["in_count"] == 1.0
+        assert user_row(engine, "a", as_of=engine.watermark)["in_count"] == 1.0
         # The late event is also visible to a (permitted) late query.
         late_as_of = transaction_event_time(make_txn(1, 3, 2, "c", "a", 4.0))
-        assert engine.user_row("a", as_of=late_as_of)["in_count"] == 1.0
+        assert user_row(engine, "a", as_of=late_as_of)["in_count"] == 1.0
 
     def test_event_beyond_retention_is_dropped(self):
         engine = SlidingWindowAggregator(AggregationConfig(window_days=1))
@@ -992,7 +978,7 @@ class TestOnlineFreshness:
         alipay.process_batch(requests)
         assert updater.events_observed == 8
         probe = dataset.test_transactions[0]
-        row = updater.aggregator.user_row(probe.payer_id, as_of=updater.aggregator.watermark)
+        row = user_row(updater.aggregator, probe.payer_id, as_of=updater.aggregator.watermark)
         assert row["out_count"] >= 1.0
 
 
@@ -1006,9 +992,9 @@ class TestPointInTimeTrainingFeatures:
         from repro.features.aggregation import AGGREGATE_ROW_FIELDS
 
         batch_row = TransactionAggregator().fit([]).user_row("x")
-        streaming_row = SlidingWindowAggregator(AggregationConfig()).user_row("x")
+        streaming_row = SlidingWindowAggregator(AggregationConfig()).hbase_row("x")
         assert list(batch_row) == AGGREGATE_ROW_FIELDS
-        assert list(streaming_row) == AGGREGATE_ROW_FIELDS
+        assert list(streaming_row) == [*AGGREGATE_ROW_FIELDS, "payers"]
 
     def test_first_transfer_trains_as_new_payer(self):
         """Regression: the naive fit-then-transform construction let a
@@ -1130,25 +1116,12 @@ class TestPipelineWindowExport:
         return pipeline, preparation, bundle
 
     def test_plan_carries_window_spec(self, trained):
-        from repro.features.plan import FeaturePlan
-
         _, _, bundle = trained
         assert bundle.plan.aggregation is not None
         assert bundle.plan.aggregation.window_seconds == 14 * SECONDS_PER_DAY
         names = bundle.plan.feature_names
         assert names[len(BASIC_FEATURE_NAMES):len(BASIC_FEATURE_NAMES) + 12] == AGGREGATION_FEATURE_NAMES
-        restored = FeaturePlan.from_dict(json.loads(json.dumps(bundle.plan.to_dict())))
-        assert restored == bundle.plan
-        assert restored.aggregation == bundle.plan.aggregation
-
-    def test_legacy_plan_json_still_loads(self):
-        from repro.features.plan import FeaturePlan
-
-        legacy = FeaturePlan.from_dict(
-            json.loads('{"embedding_blocks": [], "embedding_side": "both"}')
-        )
-        assert legacy.aggregation is None
-        assert legacy.num_features == len(BASIC_FEATURE_NAMES)
+        assert bundle.plan.to_dict()["aggregation"] == {"window_seconds": 14 * SECONDS_PER_DAY}
 
     def test_deploy_hands_back_seeded_updater_at_batch_state(self, trained, dataset):
         from repro.serving import ModelServer
@@ -1230,7 +1203,7 @@ class TestPipelineWindowExport:
         updater.observe_transaction(make_txn("fresh", 30, 1, "A", "B", 3.0))
         assert hbase.wal.entries()[-1].version > 100
         row = hbase.get("titant_features", "A", AGGREGATES_FAMILY)
-        assert row["out_count"] == updater.aggregator.user_row("A")["out_count"]
+        assert row["out_count"] == user_row(updater.aggregator, "A")["out_count"]
 
     def test_replay_is_event_time_ordered(self, trained, dataset):
         from repro.serving import AlipayServer, ModelServer
@@ -1273,17 +1246,17 @@ def test_query_older_than_the_lateness_bound_raises():
     for index, hour in enumerate((1, 3, 9)):
         engine.ingest(make_txn(index, 0, hour, "a", "b", 1.0))
     with pytest.raises(FeatureError):
-        engine.user_row("a", as_of=3 * SECONDS_PER_HOUR)
+        user_row(engine, "a", as_of=3 * SECONDS_PER_HOUR)
     with pytest.raises(FeatureError):
         engine.features_for(make_txn(9, 0, 3, "a", "b", 1.0))
-    assert engine.user_row("a", as_of=9 * SECONDS_PER_HOUR)["out_count"] == 1.0
+    assert user_row(engine, "a", as_of=9 * SECONDS_PER_HOUR)["out_count"] == 1.0
     late = SlidingWindowAggregator(
         AggregationConfig(window_seconds=6 * SECONDS_PER_HOUR),
         allowed_lateness_seconds=6 * SECONDS_PER_HOUR,
     )
     for index, hour in enumerate((1, 3, 9)):
         late.ingest(make_txn(index, 0, hour, "a", "b", 1.0))
-    assert late.user_row("a", as_of=3 * SECONDS_PER_HOUR)["out_count"] == 2.0
+    assert user_row(late, "a", as_of=3 * SECONDS_PER_HOUR)["out_count"] == 2.0
 
 
 def _stream(steps, *, hour=0, prefix=""):

@@ -53,9 +53,6 @@ ENTRY_POINTS: Dict[str, str] = {
     "ColumnFamilyStore.cell_versions": "operator view: the versions a cell retains",
     "ModelServer.plan_executor": "the online vector assembler, for offline/online parity checks",
     "SlidingWindowAggregator.features_for": "the engine's own vector, the parity tests' oracle",
-    "SlidingWindowAggregator.user_row": "the engine's row by field name, the window tests' oracle",
-    "FeaturePlan.from_dict": "loads the exported plan artefact that to_dict writes",
-    "Structure2Vec.params": "the trained weights, the embedding-refresh tests' dense oracle",
     "LatencyTracker.latencies_ms": "raw samples a fleet-wide latency quantile is pooled from",
     "typology_recall_report": "per-typology recall of a scored day, the quality report's input",
     # The paper's KunPeng trainers and the capabilities its experiments drive.
